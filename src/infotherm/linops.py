@@ -12,7 +12,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     NegativeEigenvalue,
     NotHermitian,
     NumericalFailure,
@@ -156,7 +155,3 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
     v = eig.eigenvectors
     return (v * fw) @ v.conj().T
 
-
-def require_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{what}: {a.shape} vs {b.shape}")

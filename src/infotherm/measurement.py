@@ -21,7 +21,14 @@ from .errors import (
     ValidationError,
 )
 from .linops import as_complex_matrix, is_hermitian, max_abs, psd_function, tensor_product
-from .quantum import PROB_CLIP, DensityMatrix, Ensemble, _entropy_of_spectrum
+from .quantum import (
+    PROB_CLIP,
+    PSD_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    Ensemble,
+    _entropy_of_spectrum,
+)
 
 #: Max-entry tolerance for the completeness relation sum_j E_j = I.
 POVM_SUM_TOL = 1e-8
@@ -219,17 +226,55 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
     return DensityMatrix(acc)
 
 
+def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
+    """Eigenvalues of ``post_measurement_state(r, v)``, ascending, clipped
+    to be nonnegative, without building the system-record state.
+
+    Projective case: the spectrum of sum_j P_j rho P_j, which is d x d
+    already; the union below would agree to rounding, but on commuting
+    instances delta_s is itself rounding noise and would change in the
+    printed digits.  General case: the record state is block diagonal with blocks A_j A_j^+, where
+    A_j = sqrt(E_j) sqrt(rho); each block shares its spectrum with
+    A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so the d*m eigenvalues are the
+    union of m d x d spectra.  The union gets the PSD and unit-trace checks
+    that ``DensityMatrix`` would give the record state.
+    """
+    if r.dim != v.dim:
+        raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
+    if v.projective:
+        return post_measurement_state(r, v).spectrum()
+    root = psd_function(r.matrix, np.sqrt)
+    w = np.sort(
+        np.concatenate([np.linalg.eigvalsh(root @ el @ root) for el in v.elements])
+    )
+    if w[0] < -PSD_TOL:
+        raise ValidationError(
+            f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
+        )
+    total = w.sum()
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValidationError(f"density matrix has trace {total:.12g}, expected 1")
+    return np.clip(w, 0.0, None)
+
+
+def _entropy_increase(sigma_spectrum: np.ndarray, rho_spectrum: np.ndarray) -> float:
+    """S(sigma) - S(rho) from the two spectra; a hair below zero is clipped,
+    anything below -1e-9 raises."""
+    ds = _entropy_of_spectrum(sigma_spectrum) - _entropy_of_spectrum(rho_spectrum)
+    if ds < -1e-9:
+        raise NumericalFailure(f"entropy increase came out {ds:.3e}")
+    return max(0.0, ds)
+
+
 def delta_s(r: DensityMatrix, v: Povm) -> float:
     """Entropy increase S(post-measurement) - S(rho), in bits.
 
     Nonnegative by construction (dephasing never lowers entropy); values a
-    hair below zero are clipped, anything below -1e-9 raises.
+    hair below zero are clipped, anything below -1e-9 raises.  For a general
+    POVM the post-measurement entropy comes from the union of the spectra
+    of sqrt(rho) E_j sqrt(rho); the d*m-dim record state is never built.
     """
-    sigma = post_measurement_state(r, v)
-    ds = _entropy_of_spectrum(sigma.spectrum()) - _entropy_of_spectrum(r.spectrum())
-    if ds < -1e-9:
-        raise NumericalFailure(f"entropy increase came out {ds:.3e}")
-    return max(0.0, ds)
+    return _entropy_increase(_post_measurement_spectrum(r, v), r.spectrum())
 
 
 def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:

@@ -21,14 +21,13 @@ from math import log2
 import numpy as np
 
 from .errors import NonPositiveVolume, SecondLawViolation, ValidationError
-from .linops import tensor_product
 from .measurement import (
     Povm,
+    _entropy_increase,
+    _post_measurement_spectrum,
     joint_distribution,
     mutual_information,
-    post_measurement_state,
 )
-from .measurement import delta_s as measurement_delta_s
 from .quantum import DensityMatrix, Ensemble, average_state, holevo_chi
 
 #: Net work above this counts as a second-law violation.
@@ -153,6 +152,13 @@ def sigma_to_rho_stage(sigma: DensityMatrix, rho: DensityMatrix) -> list[LedgerE
         raise ValidationError(
             f"states live on different dimensions ({sigma.dim} vs {rho.dim})"
         )
+    return _sigma_to_rho_entries(sigma.spectrum(), rho.spectrum())
+
+
+def _sigma_to_rho_entries(
+    sigma_spectrum: np.ndarray, rho_spectrum: np.ndarray
+) -> list[LedgerEntry]:
+    """The entries of ``sigma_to_rho_stage``, from the two ascending spectra."""
     entries = [
         LedgerEntry(
             STAGE_SIGMA_COMPRESSION,
@@ -160,7 +166,7 @@ def sigma_to_rho_stage(sigma: DensityMatrix, rho: DensityMatrix) -> list[LedgerE
             0.0,
         )
     ]
-    for j, c in enumerate(sigma.spectrum()):
+    for j, c in enumerate(sigma_spectrum):
         if c <= _WEIGHT_FLOOR:
             continue
         entries.append(
@@ -173,7 +179,7 @@ def sigma_to_rho_stage(sigma: DensityMatrix, rho: DensityMatrix) -> list[LedgerE
     entries.append(
         LedgerEntry(STAGE_ISENTROPIC, "rotate eigencomponents into the target basis", 0.0)
     )
-    for k, lam in enumerate(rho.spectrum()):
+    for k, lam in enumerate(rho_spectrum):
         if lam <= _WEIGHT_FLOOR:
             continue
         entries.append(
@@ -228,18 +234,15 @@ def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
     return entries
 
 
-def _record_ground_state(dim: int) -> np.ndarray:
-    ket = np.zeros((dim, 1), dtype=complex)
-    ket[0, 0] = 1.0
-    return ket @ ket.conj().T
-
-
 def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     """Run the full engine cycle and reconcile its books.
 
     For a general (non-projective) measurement the dephased state lives on
     the system-record space, so the return leg starts from rho (x) |0><0|
-    there -- same entropy, matching dimension.  Raises
+    there -- same entropy, matching dimension.  Only spectra enter that
+    leg: the dephased state's is the union of the spectra of
+    sqrt(rho) E_j sqrt(rho), and rho (x) |0><0| has rho's spectrum plus
+    d*(m-1) zeros, so neither d*m-dim state is built.  Raises
     ``SecondLawViolation`` if the net work comes out positive beyond
     tolerance.
     """
@@ -247,19 +250,15 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     info = mutual_information(jd)
     chi = holevo_chi(e)
     rho = average_state(e)
-    ds = measurement_delta_s(rho, v)
-
-    sigma = post_measurement_state(rho, v)
-    if v.projective:
-        rho_effective = rho
-    else:
-        rho_effective = DensityMatrix(
-            tensor_product(rho.matrix, _record_ground_state(v.size))
-        )
+    sigma_spectrum = _post_measurement_spectrum(rho, v)
+    rho_spectrum = rho.spectrum()
+    ds = _entropy_increase(sigma_spectrum, rho_spectrum)
+    if not v.projective:
+        rho_spectrum = np.concatenate([np.zeros(rho.dim * (v.size - 1)), rho_spectrum])
 
     entries = []
     entries += extraction_stage(e, v)
-    entries += sigma_to_rho_stage(sigma, rho_effective)
+    entries += _sigma_to_rho_entries(sigma_spectrum, rho_spectrum)
     entries += rho_to_initial_stage(e)
     net = stage_total(entries)
     if net > CYCLE_TOL:

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
+from infotherm.blockcoding import DIM_CAP
 from infotherm.errors import BudgetExceeded, ValidationError
 
 from conftest import CHI_TWO_STATE, INFO_HELSTROM
@@ -149,6 +150,34 @@ class TestBlockScan:
         npt.assert_allclose(values, [INFO_HELSTROM] * 3, atol=1e-9)
         credits = [r.per_letter_delta_s for r in reports]
         npt.assert_allclose(credits, [credits[0]] * 3, atol=1e-9)
+
+    def test_mixed_pair_at_the_dimension_cap(self):
+        # m = 5 gives 32-dim sequence states, the DIM_CAP; the mixed pair's
+        # square-root measurement is general, so delta_s takes the spectral
+        # route instead of a 1024-dim record state
+        e = it.Ensemble(
+            [0.4, 0.6],
+            (
+                it.DensityMatrix([[0.8, 0.1], [0.1, 0.2]]),
+                it.DensityMatrix([[0.35, -0.2j], [0.2j, 0.65]]),
+            ),
+        )
+        assert 2**5 == DIM_CAP
+        assert not it.pretty_good_measurement(e).projective
+        reports = it.block_scan(e, 5)
+        assert [r.m for r in reports] == [1, 2, 3, 4, 5]
+        npt.assert_allclose(
+            [r.per_letter_info for r in reports],
+            [reports[0].per_letter_info] * 5,
+            rtol=0,
+            atol=1e-8,
+        )
+        npt.assert_allclose(
+            [r.per_letter_delta_s for r in reports],
+            [reports[0].per_letter_delta_s] * 5,
+            rtol=0,
+            atol=1e-8,
+        )
 
     def test_budget_propagates(self, two_state_ensemble):
         with pytest.raises(BudgetExceeded):

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import infotherm as it
 from infotherm.errors import (
@@ -9,7 +11,12 @@ from infotherm.errors import (
     NotProjective,
     ValidationError,
 )
-from infotherm.measurement import partial_trace_record, partial_trace_system
+import infotherm.measurement as measurement
+from infotherm.measurement import (
+    _post_measurement_spectrum,
+    partial_trace_record,
+    partial_trace_system,
+)
 
 from conftest import (
     DS_COMPUTATIONAL,
@@ -35,8 +42,9 @@ def haar_basis(dim, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_density(dim, rng):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(dim, rng, rank=None):
+    rank = dim if rank is None else rank
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     w = g @ g.conj().T
     return it.DensityMatrix(w / np.trace(w).real)
 
@@ -214,6 +222,100 @@ class TestDeltaS:
         else:
             _, v = it.random_instance(dim, 2, int(rng.integers(2, 6)), "mixed", seed)
         assert it.delta_s(rho, v) >= 0.0
+
+
+def random_general_povm(dim, m, rng):
+    """m full-rank Wishart elements rescaled by S^(-1/2) to resolve the identity."""
+    grams = []
+    for _ in range(m):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        grams.append(g @ g.conj().T)
+    inv_root = it.psd_function(sum(grams), lambda x: 1.0 / np.sqrt(x))
+    return it.Povm(tuple(inv_root @ g @ inv_root for g in grams))
+
+
+def assert_spectrum_matches_record_state(rho, v):
+    reference = it.post_measurement_state(rho, v)
+    npt.assert_allclose(
+        np.sort(_post_measurement_spectrum(rho, v)),
+        reference.spectrum(),
+        rtol=0,
+        atol=1e-12,
+    )
+    npt.assert_allclose(
+        it.delta_s(rho, v),
+        it.von_neumann_entropy(reference) - it.von_neumann_entropy(rho),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+class TestPostMeasurementSpectrum:
+    """The union of the spectra of sqrt(rho) E_j sqrt(rho) against the
+    spectrum of the (d*m)-dim record state built by post_measurement_state."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        m=st.integers(2, 6),
+        rank_deficit=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_general_povm(self, dim, m, rank_deficit, seed):
+        rng = np.random.default_rng(seed)
+        v = random_general_povm(dim, m, rng)
+        assume(not v.projective)
+        rho = random_density(dim, rng, rank=max(1, dim - rank_deficit))
+        assert_spectrum_matches_record_state(rho, v)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(3, 4),
+        extra_states=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pgm_with_kernel_element(self, dim, extra_states, seed):
+        # more pure states than their span has dimensions: the average is
+        # rank deficient, so the PGM gets the kernel projector appended
+        rng = np.random.default_rng(seed)
+        support = dim - 1
+        basis = haar_basis(dim, rng)[:, :support]
+        n = support + extra_states
+        kets = [
+            basis @ (rng.normal(size=support) + 1j * rng.normal(size=support))
+            for _ in range(n)
+        ]
+        e = it.Ensemble(rng.dirichlet(np.ones(n)), tuple(it.pure_state(k) for k in kets))
+        v = it.pretty_good_measurement(e)
+        assert v.size == n + 1
+        assume(not v.projective)
+        assert_spectrum_matches_record_state(it.average_state(e), v)
+        assert_spectrum_matches_record_state(random_density(dim, rng), v)
+
+    def test_projective_route_is_the_dephased_state(self, helstrom_basis):
+        rho = random_density(2, np.random.default_rng(3))
+        npt.assert_array_equal(
+            _post_measurement_spectrum(rho, helstrom_basis),
+            it.post_measurement_state(rho, helstrom_basis).spectrum(),
+        )
+
+    def test_dim_mismatch(self):
+        rho = random_density(3, np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch):
+            _post_measurement_spectrum(rho, trine_povm())
+
+    def test_general_povm_never_builds_the_record_state(self, monkeypatch):
+        # five outcomes on a qutrit: always a general POVM
+        e, v = it.random_instance(3, 3, 5, "mixed", 0)
+        assert not v.projective
+        expected_ds = it.delta_s(it.average_state(e), v)
+
+        def forbidden(*args):
+            raise AssertionError("post_measurement_state reached")
+
+        monkeypatch.setattr(measurement, "post_measurement_state", forbidden)
+        assert it.delta_s(it.average_state(e), v) == expected_ds
+        assert it.run_cycle(e, v).delta_s == expected_ds
 
 
 class TestNaimarkDilation:

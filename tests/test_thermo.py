@@ -235,3 +235,45 @@ class TestRunCycle:
         led = it.run_cycle(e, v)
         npt.assert_allclose(led.net_bits, 0.0, atol=1e-9)
         npt.assert_allclose(led.delta_s, 0.0, atol=1e-9)
+
+
+def _general_instances(count):
+    """``count`` seeded random instances whose measurement is not projective."""
+    found, seed = [], 0
+    while len(found) < count:
+        dim = 2 + seed % 3
+        kind = ("pure", "mixed")[seed % 2]
+        e, v = it.random_instance(dim, 2 + seed % 3, 2 + seed % 5, kind, seed)
+        if not v.projective:
+            found.append((seed, e, v))
+        seed += 1
+    return found
+
+
+class TestSpectralLedger:
+    def test_general_ledger_matches_the_record_state_ledger(self):
+        # run_cycle books the return leg from spectra alone; the reference
+        # books it from the (d*m)-dim record state and rho (x) |0><0|
+        for seed, e, v in _general_instances(100):
+            rho = it.average_state(e)
+            ground = np.zeros((v.size, v.size))
+            ground[0, 0] = 1.0
+            reference = (
+                it.extraction_stage(e, v)
+                + it.sigma_to_rho_stage(
+                    it.post_measurement_state(rho, v),
+                    it.DensityMatrix(np.kron(rho.matrix, ground)),
+                )
+                + it.rho_to_initial_stage(e)
+            )
+            entries = it.run_cycle(e, v).entries
+            assert [(en.stage, en.description) for en in entries] == [
+                (en.stage, en.description) for en in reference
+            ], f"seed {seed}"
+            npt.assert_allclose(
+                [en.work_bits for en in entries],
+                [en.work_bits for en in reference],
+                rtol=0,
+                atol=1e-12,
+                err_msg=f"seed {seed}",
+            )
