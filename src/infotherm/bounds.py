@@ -8,18 +8,26 @@ that credits the measurement's own entropy production (chi + delta_s).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedDimension, ValidationError
 from .linops import psd_function
-from .measurement import Povm, basis_measurement, joint_distribution, mutual_information
+from .measurement import (
+    JointDistribution,
+    Povm,
+    basis_measurement,
+    joint_distribution,
+    mutual_information,
+)
 from .measurement import delta_s as measurement_delta_s
 from .quantum import DensityMatrix, Ensemble, average_state, holevo_chi
 
 #: Slack below which a bound counts as violated.
 BOUND_TOL = 1e-9
+#: The optimizer methods ``OptimizerConfig`` accepts.
+METHODS = ("qubit_grid", "random_restart_ascent")
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -70,9 +78,12 @@ def evaluate_bounds(e: Ensemble, v: Povm) -> BoundReport:
 class OptimizerConfig:
     """Knobs for ``maximize_accessible_information``.
 
-    ``method`` is ``"qubit_grid"`` (dense Bloch-angle sweep, qubits only)
-    or ``"random_restart_ascent"`` (coordinate ascent on a dilation
-    unitary, any dimension).
+    ``method`` is one of ``METHODS``: ``"qubit_grid"`` (dense Bloch-angle
+    sweep, qubits only) is a lattice optimum over *projective* measurements
+    only, so it undershoots accessible information when three or more
+    states call for a general POVM (0.4591 against log2(3/2) = 0.58496 on
+    the trine); ``"random_restart_ascent"`` (the rank-one fixed-point
+    ascent, any dimension) searches general POVMs.
     """
 
     method: str = "qubit_grid"
@@ -83,7 +94,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("qubit_grid", "random_restart_ascent"):
+        if self.method not in METHODS:
             raise ValidationError(f"unknown optimizer method {self.method!r}")
         if self.grid_points < 2:
             raise ValidationError("grid_points must be at least 2")
@@ -147,76 +158,59 @@ def _qubit_grid_search(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     return _qubit_basis_povm(tt.reshape(-1)[best], pp.reshape(-1)[best])
 
 
-def _povm_from_generator(params: np.ndarray, dim: int, outcomes: int) -> Povm:
-    """POVM carved out of U = exp(iH) acting on system (x) record.
-
-    ``params`` packs a Hermitian generator H on the dilated space; the
-    isometry V |psi> = U(|psi> (x) |0>) then defines E_j = V+ P_j V, which
-    is automatically a valid POVM for any parameter vector.
-    """
-    n = dim * outcomes
-    h = np.zeros((n, n), dtype=complex)
-    diag = params[:n]
-    rest = params[n:]
-    iu, ju = np.triu_indices(n, k=1)
-    npairs = iu.size
-    h[iu, ju] = rest[:npairs] + 1j * rest[npairs:]
-    h = h + h.conj().T
-    h[np.arange(n), np.arange(n)] = diag
-    w, vec = np.linalg.eigh(h)
-    unitary = (vec * np.exp(1j * w)) @ vec.conj().T
-    iso = unitary[:, 0::outcomes]  # columns U (|i> (x) |0>)
-    elements = []
-    for j in range(outcomes):
-        block = iso[j::outcomes, :]
-        elements.append(block.conj().T @ block)
-    return Povm(tuple(elements))
-
-
-def _ascent_objective(params: np.ndarray, e: Ensemble, outcomes: int) -> float:
-    v = _povm_from_generator(params, e.dim, outcomes)
-    return mutual_information(joint_distribution(e, v))
-
-
 def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
-    """Coordinate-wise hill climb on the dilation unitary's generator.
+    """Steepest-ascent fixed-point iteration over dim^2 rank-one elements.
 
-    Each restart draws a random generator, then sweeps the parameters one
-    at a time with a step that halves whenever a full sweep fails to gain
-    ``convergence_tol``.  Uses dim^2 outcomes, which is enough to express
-    an optimal measurement.  The best restart wins; everything is driven
-    by one seeded generator, so results are reproducible.
+    Řeháček, Englert & Kaszlikowski, PRA 71, 054303 (2005).  The elements
+    are E_k = |phi_k><phi_k|; dim^2 rank-one outcomes always suffice for the
+    optimum (Davies 1978).  Each step moves every ket to
+    (1 + eps R_k)|phi_k> with R_k = sum_i p_i rho_i log2(q_ik / (p_i q_k)),
+    the gradient of I with respect to E_k, and then restores completeness
+    with S^{-1/2}, S = sum_k |phi_k><phi_k|, so every iterate is a valid
+    POVM.  A step that loses information is retried with half the ``eps``;
+    a restart ends when an accepted step gains less than
+    ``convergence_tol`` or after ``max_iterations`` steps.  Restarts draw
+    from one seeded generator and the best one wins.
     """
     rng = np.random.default_rng(cfg.seed)
-    outcomes = e.dim * e.dim
-    nparams = (e.dim * outcomes) ** 2
-    best_params = None
+    d, outcomes = e.dim, e.dim * e.dim
+    probs = e.probs
+    weighted = probs[:, None, None] * np.stack([s.matrix for s in e.states])
+
+    def normalised(kets: np.ndarray) -> np.ndarray:
+        s = kets @ kets.conj().T
+        return psd_function(s, lambda x: 1.0 / np.sqrt(x), pseudo=True) @ kets
+
+    def score(kets: np.ndarray) -> tuple[np.ndarray, float]:
+        joint = JointDistribution(np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real)
+        return joint.matrix, mutual_information(joint)
+
+    best_kets = None
     best_value = -np.inf
     for _ in range(cfg.restarts):
-        params = rng.uniform(-np.pi, np.pi, size=nparams)
-        value = _ascent_objective(params, e, outcomes)
-        step = 0.5
+        kets = normalised(
+            rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
+        )
+        q, value = score(kets)
+        eps = 1.0
         for _ in range(cfg.max_iterations):
-            gained = 0.0
-            for idx in range(nparams):
-                base = params[idx]
-                for delta in (step, -step):
-                    params[idx] = base + delta
-                    trial = _ascent_objective(params, e, outcomes)
-                    if trial > value:
-                        gained += trial - value
-                        value = trial
-                        base = params[idx]
-                        break
-                    params[idx] = base
+            ratio = np.divide(
+                q, probs[:, None] * q.sum(axis=0), out=np.ones_like(q), where=q > 0.0
+            )
+            r = np.einsum("ik,iab->kab", np.log2(ratio), weighted)
+            trial = normalised(kets + eps * np.einsum("kab,bk->ak", r, kets))
+            trial_q, trial_value = score(trial)
+            if trial_value < value:
+                eps *= 0.5
+                continue
+            gained = trial_value - value
+            kets, q, value = trial, trial_q, trial_value
             if gained < cfg.convergence_tol:
-                step *= 0.5
-                if step < 1e-4:
-                    break
+                break
         if value > best_value:
             best_value = value
-            best_params = params.copy()
-    return _povm_from_generator(best_params, e.dim, outcomes)
+            best_kets = kets
+    return Povm(tuple(np.outer(k, k.conj()) for k in best_kets.T))
 
 
 def maximize_accessible_information(

@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blockcoding import block_scan
 from .bounds import (
+    METHODS,
     BoundReport,
     OptimizerConfig,
     evaluate_bounds,
@@ -41,7 +41,6 @@ from .measurement import Povm
 from .quantum import DensityMatrix, Ensemble
 from .thermo import run_cycle
 
-_METHODS = ("qubit_grid", "random_restart_ascent")
 _KINDS = ("pure", "mixed", "commuting")
 
 
@@ -216,9 +215,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.method not in _METHODS:
+    if args.method not in METHODS:
         raise UnsupportedDimension(
-            f"unsupported optimizer method {args.method!r}; choose from {_METHODS}"
+            f"unsupported optimizer method {args.method!r}; choose from {METHODS}"
         )
     spec = load_problem_spec(args.spec)
     cfg = OptimizerConfig(
@@ -306,8 +305,8 @@ _SUITE_CSV_HEADER = [
 
 
 def _suite_trial(seed: int, trial: int, dims: list[int], kinds: tuple[str, ...]):
-    """One suite trial; everything derives from (seed, trial) so the results
-    do not depend on scheduling."""
+    """One suite trial; everything derives from (seed, trial), so a trial's
+    row does not depend on the trials run before it."""
     picker = np.random.default_rng([seed, trial, 0])
     kind = kinds[int(picker.integers(0, len(kinds)))]
     dim = dims[int(picker.integers(0, len(dims)))]
@@ -355,15 +354,7 @@ def cmd_suite(args) -> int:
     if args.workers < 1:
         raise ValidationError("--workers must be positive")
     kinds = _KINDS if args.kind == "all" else (args.kind,)
-
-    def job(trial: int):
-        return _suite_trial(args.seed, trial, dims, kinds)
-
-    if args.workers == 1:
-        results = [job(t) for t in range(args.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(job, range(args.trials)))
+    results = [_suite_trial(args.seed, t, dims, kinds) for t in range(args.trials)]
 
     rows = [row for row, _, _ in results]
     reports = [rep for _, rep, _ in results]
@@ -400,7 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="search for the best measurement")
     p_opt.add_argument("--spec", required=True, help="problem JSON file")
-    p_opt.add_argument("--method", default="qubit_grid", help="|".join(_METHODS))
+    p_opt.add_argument(
+        "--method",
+        default="qubit_grid",
+        help="qubit_grid (lattice optimum over projective qubit measurements only) "
+        "or random_restart_ascent (rank-one fixed-point ascent over general POVMs)",
+    )
     p_opt.add_argument("--grid", type=int, default=100, help="qubit_grid lattice size")
     p_opt.add_argument("--restarts", type=int, default=8, help="ascent restarts")
     p_opt.add_argument("--seed", type=int, default=42, help="ascent RNG seed")
@@ -426,7 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", default="all", choices=("all",) + _KINDS, help="ensemble kind"
     )
     p_suite.add_argument("--seed", type=int, default=42, help="base RNG seed")
-    p_suite.add_argument("--workers", type=int, default=1, help="worker threads")
+    p_suite.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; trials always run in order in one thread",
+    )
     p_suite.add_argument("--csv", help="write one CSV row per trial")
     p_suite.set_defaults(func=cmd_suite)
     return parser

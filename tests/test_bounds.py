@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
+from infotherm.bounds import BOUND_TOL
 from infotherm.errors import UnsupportedDimension, ValidationError
 
 from conftest import (
@@ -158,6 +159,61 @@ class TestRandomRestartAscent:
         )
         assert rep.accessible_info >= 0.98
         assert rep.accessible_info <= rep.chi + 1e-9
+
+
+def _qubit_ket(theta, phi):
+    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+
+def _equal_prior_ensemble(kets):
+    states = tuple(it.pure_state(k) for k in kets)
+    return it.Ensemble(np.full(len(states), 1.0 / len(states)), states)
+
+
+def _subentropy(r):
+    """Q(rho) = -sum_k prod_{l != k} lam_k / (lam_k - lam_l) * lam_k log2 lam_k,
+    over the nonzero eigenvalues of rho (Jozsa, Robb & Wootters 1994)."""
+    lam = np.linalg.eigvalsh(r.matrix)
+    lam = lam[lam > 1e-12]
+    q = 0.0
+    for k, lk in enumerate(lam):
+        weight = np.prod([lk / (lk - ll) for ll in np.delete(lam, k)])
+        q -= weight * lk * np.log2(lk)
+    return q
+
+
+class TestRankOneAscentGates:
+    """The ascent at its default config against closed forms and floors."""
+
+    CFG = it.OptimizerConfig(method="random_restart_ascent")
+
+    def test_trine_reaches_log2_three_halves(self):
+        # Sasaki, Barnett, Jozsa, Osaki & Hirota, PRA 59, 3325 (1999)
+        trine = _equal_prior_ensemble(
+            [_qubit_ket(2 * np.pi * k / 3, 0) for k in range(3)]
+        )
+        _, rep = it.maximize_accessible_information(trine, self.CFG)
+        assert abs(rep.accessible_info - np.log2(1.5)) <= 1e-6
+
+    def test_sic_tetrahedron_reaches_log2_four_thirds(self):
+        # Davies, IEEE Trans. Inf. Theory 24, 596 (1978)
+        theta = np.arccos(-1.0 / 3.0)
+        sic = _equal_prior_ensemble(
+            [_qubit_ket(0, 0)] + [_qubit_ket(theta, 2 * np.pi * k / 3) for k in range(3)]
+        )
+        _, rep = it.maximize_accessible_information(sic, self.CFG)
+        assert abs(rep.accessible_info - np.log2(4.0 / 3.0)) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_between_subentropy_and_chi(self, seed):
+        dim, n_states = 2 + seed % 2, 2 + seed % 3
+        e, _ = it.random_instance(dim, n_states, 2, "pure", seed)
+        _, rep = it.maximize_accessible_information(e, self.CFG)
+        assert rep.accessible_info >= _subentropy(it.average_state(e))
+        assert rep.accessible_info <= rep.chi + BOUND_TOL
+        if dim == 2:
+            _, grid = it.maximize_accessible_information(e, it.OptimizerConfig())
+            assert rep.accessible_info >= grid.accessible_info - 1e-6
 
 
 class TestRandomInstance:

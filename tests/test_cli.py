@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestOptimize:
         assert "method                   : random_restart_ascent" in out
         best = float(out.split("best I found             : ")[1].splitlines()[0])
         assert 0.39 <= best <= 0.3991239633071438 + 1e-9
+
+
+class TestOptimizeRuntime:
+    def test_ascent_on_four_levels_finishes_within_budget(self, tmp_path, capsys):
+        kets = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1j]])
+        kets = kets / np.linalg.norm(kets, axis=1, keepdims=True)
+        payload = {
+            "ensemble": {
+                "priors": [0.25] * 4,
+                "states": [_mat(np.outer(k, k.conj())) for k in kets],
+            }
+        }
+        path = _write(tmp_path, "ququart.json", payload)
+        start = time.perf_counter()
+        rc = cli.main(["optimize", "--spec", path, "--method", "random_restart_ascent"])
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert rc == 0
+        assert elapsed <= 10.0
 
 
 class TestCycle:
