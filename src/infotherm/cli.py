@@ -26,6 +26,7 @@ from .bounds import (
     METHODS,
     BoundReport,
     OptimizerConfig,
+    _report,
     evaluate_bounds,
     maximize_accessible_information,
     random_instance,
@@ -318,11 +319,13 @@ def _suite_trial(seed: int, trial: int, dims: list[int], kinds: tuple[str, ...])
     ensemble, povm = random_instance(
         dim, n_states, m_outcomes, kind, seed=[seed, trial, 1]
     )
-    report = evaluate_bounds(ensemble, povm)
     try:
-        cycle_net = run_cycle(ensemble, povm).net_bits
+        ledger = run_cycle(ensemble, povm)
+        report = _report(ledger.i_ab, ledger.chi, ledger.delta_s)
+        cycle_net = ledger.net_bits
         second_law_ok = True
     except SecondLawViolation:
+        report = evaluate_bounds(ensemble, povm)
         cycle_net = float("nan")
         second_law_ok = False
     row = [

@@ -27,7 +27,9 @@ from .quantum import (
     TRACE_TOL,
     DensityMatrix,
     Ensemble,
+    _chi_from_spectra,
     _entropy_of_spectrum,
+    average_state,
 )
 
 #: Max-entry tolerance for the completeness relation sum_j E_j = I.
@@ -275,6 +277,35 @@ def delta_s(r: DensityMatrix, v: Povm) -> float:
     of sqrt(rho) E_j sqrt(rho); the d*m-dim record state is never built.
     """
     return _entropy_increase(_post_measurement_spectrum(r, v), r.spectrum())
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """One (ensemble, measurement) pair's joint table, I, spectra of rho, of
+    each member and of sigma, chi and delta_s, each computed once."""
+
+    joint: JointDistribution
+    info: float
+    rho_spectrum: np.ndarray
+    member_spectra: tuple[np.ndarray, ...]
+    chi: float
+    sigma_spectrum: np.ndarray
+    delta_s: float
+
+
+def _analyse(e: Ensemble, v: Povm) -> _Analysis:
+    """The analysis ``evaluate_bounds`` and ``run_cycle`` both read; the
+    formulas are those of ``mutual_information``, ``holevo_chi`` and
+    ``delta_s``, so the values match theirs to the last bit."""
+    joint = joint_distribution(e, v)
+    info = mutual_information(joint)
+    rho = average_state(e)
+    rho_spectrum = rho.spectrum()
+    members = tuple(s.spectrum() for s in e.states)
+    chi = _chi_from_spectra(e.probs, rho_spectrum, members)
+    sigma_spectrum = _post_measurement_spectrum(rho, v)
+    ds = _entropy_increase(sigma_spectrum, rho_spectrum)
+    return _Analysis(joint, info, rho_spectrum, members, chi, sigma_spectrum, ds)
 
 
 def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:

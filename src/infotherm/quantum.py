@@ -139,9 +139,16 @@ def holevo_chi(e: Ensemble) -> float:
     Concavity of S makes the true value nonnegative; floating error on a
     saturating ensemble can land a hair below zero, which we clip.
     """
-    avg = von_neumann_entropy(average_state(e))
+    return _chi_from_spectra(
+        e.probs, average_state(e).spectrum(), [s.spectrum() for s in e.states]
+    )
+
+
+def _chi_from_spectra(probs, rho_spectrum, member_spectra) -> float:
+    """``holevo_chi`` from the spectra of the average state and the members."""
+    avg = _entropy_of_spectrum(rho_spectrum)
     cond = sum(
-        p * von_neumann_entropy(s) for p, s in zip(e.probs, e.states) if p > 0.0
+        p * _entropy_of_spectrum(w) for p, w in zip(probs, member_spectra) if p > 0.0
     )
     return float(max(0.0, avg - cond))
 

@@ -21,14 +21,8 @@ from math import log2
 import numpy as np
 
 from .errors import NonPositiveVolume, SecondLawViolation, ValidationError
-from .measurement import (
-    Povm,
-    _entropy_increase,
-    _post_measurement_spectrum,
-    joint_distribution,
-    mutual_information,
-)
-from .quantum import DensityMatrix, Ensemble, average_state, holevo_chi
+from .measurement import JointDistribution, Povm, _analyse, joint_distribution
+from .quantum import DensityMatrix, Ensemble, average_state
 
 #: Net work above this counts as a second-law violation.
 CYCLE_TOL = 1e-9
@@ -109,9 +103,13 @@ def extraction_stage(e: Ensemble, v: Povm) -> list[LedgerEntry]:
     re-sorting the gas inside each outcome compartment by preparation costs
     H(A|B) back.  Both run on ``work_isothermal`` volume ratios only.
     """
-    jd = joint_distribution(e, v)
+    return _extraction_entries(e.probs, joint_distribution(e, v))
+
+
+def _extraction_entries(probs: np.ndarray, jd: JointDistribution) -> list[LedgerEntry]:
+    """The entries of ``extraction_stage``, from the priors and the joint table."""
     entries = []
-    for i, p in enumerate(e.probs):
+    for i, p in enumerate(probs):
         if p <= _WEIGHT_FLOOR:
             continue
         entries.append(
@@ -125,7 +123,7 @@ def extraction_stage(e: Ensemble, v: Povm) -> list[LedgerEntry]:
     for j, q in enumerate(outcome_probs):
         if q <= _WEIGHT_FLOOR:
             continue
-        for i in range(e.size):
+        for i in range(len(probs)):
             cond = jd.matrix[i, j] / q
             if cond <= _WEIGHT_FLOOR:
                 continue
@@ -200,9 +198,15 @@ def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
     rotate each slot's gas into the right member eigenbasis (free), then let
     every member's eigencomponents expand inside its p_i compartment
     (pays out sum_i p_i S(rho_i))."""
-    rho = average_state(e)
+    return _rho_to_initial_entries(
+        e.probs, average_state(e).spectrum(), [s.spectrum() for s in e.states]
+    )
+
+
+def _rho_to_initial_entries(probs, rho_spectrum, member_spectra) -> list[LedgerEntry]:
+    """The entries of ``rho_to_initial_stage``, from the priors and spectra."""
     entries = []
-    for k, lam in enumerate(rho.spectrum()):
+    for k, lam in enumerate(rho_spectrum):
         if lam <= _WEIGHT_FLOOR:
             continue
         entries.append(
@@ -217,10 +221,10 @@ def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
             STAGE_ISENTROPIC, "rotate components into the member eigenbases", 0.0
         )
     )
-    for i, (p, s) in enumerate(zip(e.probs, e.states)):
+    for i, (p, spectrum) in enumerate(zip(probs, member_spectra)):
         if p <= _WEIGHT_FLOOR:
             continue
-        for k, mu in enumerate(s.spectrum()):
+        for k, mu in enumerate(spectrum):
             if mu <= _WEIGHT_FLOOR:
                 continue
             entries.append(
@@ -237,8 +241,10 @@ def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
 def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     """Run the full engine cycle and reconcile its books.
 
-    For a general (non-projective) measurement the dephased state lives on
-    the system-record space, so the return leg starts from rho (x) |0><0|
+    Its inputs come from the analysis ``evaluate_bounds`` also reads; its
+    net comes from its own volume-ratio arithmetic.  For a general
+    (non-projective) measurement the dephased state lives on the
+    system-record space, so the return leg starts from rho (x) |0><0|
     there -- same entropy, matching dimension.  Only spectra enter that
     leg: the dephased state's is the union of the spectra of
     sqrt(rho) E_j sqrt(rho), and rho (x) |0><0| has rho's spectrum plus
@@ -246,25 +252,19 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     ``SecondLawViolation`` if the net work comes out positive beyond
     tolerance.
     """
-    jd = joint_distribution(e, v)
-    info = mutual_information(jd)
-    chi = holevo_chi(e)
-    rho = average_state(e)
-    sigma_spectrum = _post_measurement_spectrum(rho, v)
-    rho_spectrum = rho.spectrum()
-    ds = _entropy_increase(sigma_spectrum, rho_spectrum)
+    a = _analyse(e, v)
+    rho_spectrum = a.rho_spectrum
     if not v.projective:
-        rho_spectrum = np.concatenate([np.zeros(rho.dim * (v.size - 1)), rho_spectrum])
+        rho_spectrum = np.concatenate([np.zeros(e.dim * (v.size - 1)), rho_spectrum])
 
-    entries = []
-    entries += extraction_stage(e, v)
-    entries += _sigma_to_rho_entries(sigma_spectrum, rho_spectrum)
-    entries += rho_to_initial_stage(e)
+    entries = _extraction_entries(e.probs, a.joint)
+    entries += _sigma_to_rho_entries(a.sigma_spectrum, rho_spectrum)
+    entries += _rho_to_initial_entries(e.probs, a.rho_spectrum, a.member_spectra)
     net = stage_total(entries)
     if net > CYCLE_TOL:
         raise SecondLawViolation(
             f"cycle netted {net:.3e} bits of extracted work (> {CYCLE_TOL:.1e})"
         )
     return CycleLedger(
-        entries=tuple(entries), net_bits=net, i_ab=info, chi=chi, delta_s=ds
+        entries=tuple(entries), net_bits=net, i_ab=a.info, chi=a.chi, delta_s=a.delta_s
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import infotherm as it
-from infotherm import cli
+from infotherm import blockcoding, bounds, cli, measurement, quantum, thermo
+from infotherm.errors import SecondLawViolation
 
 
 def _mat(m):
@@ -352,3 +354,88 @@ class TestSuite:
     def test_unknown_kind_is_an_argparse_error(self):
         with pytest.raises(SystemExit):
             cli.main(["suite", "--kind", "thermal"])
+
+
+def _count_calls(monkeypatch, original):
+    """Wrap ``original`` under every name any infotherm module binds it to;
+    returns the list that grows by one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for module in (it, quantum, measurement, bounds, thermo, blockcoding, cli):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSuiteComputesOnce:
+    def test_one_joint_table_average_state_and_sigma_spectrum_per_trial(
+        self, monkeypatch, capsys
+    ):
+        counts = {
+            "joint_distribution": _count_calls(monkeypatch, measurement.joint_distribution),
+            "average_state": _count_calls(monkeypatch, quantum.average_state),
+            "_post_measurement_spectrum": _count_calls(
+                monkeypatch, measurement._post_measurement_spectrum
+            ),
+        }
+        assert cli.main(["suite", "--trials", "20", "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            name: 20 for name in counts
+        }
+
+
+class TestSuiteSecondLawPath:
+    def test_a_violating_cycle_exits_3_and_keeps_the_bound_columns(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        real_run_cycle = cli.run_cycle
+        seen = []
+
+        def violates_on_trial_2(e, v):
+            seen.append((e, v))
+            if len(seen) == 3:
+                raise SecondLawViolation("forced for the test")
+            return real_run_cycle(e, v)
+
+        monkeypatch.setattr(cli, "run_cycle", violates_on_trial_2)
+        csv = tmp_path / "suite.csv"
+        rc = cli.main(["suite", "--trials", "5", "--seed", "7", "--csv", str(csv)])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "second-law violations    : 1" in out
+        header, *lines = csv.read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [row["cycle_net"] == "nan" for row in rows] == [
+            False, False, True, False, False
+        ]
+        report = it.evaluate_bounds(*seen[2])
+        for column, value in (
+            ("accessible_info", report.accessible_info),
+            ("chi", report.chi),
+            ("delta_s", report.delta_s),
+            ("holevo_slack", report.holevo_slack),
+            ("thermo_slack", report.thermo_slack),
+        ):
+            assert rows[2][column] == format(value, ".9g"), column
+
+
+class TestSuiteSeed42Csv:
+    @pytest.mark.parametrize(
+        "trials, digest",
+        [
+            (100, "7fc56957cb9631380641eb0aaf5ec8b46dc1ca289b63cec4322b95be108849db"),
+            (600, "a78ce94c4493efbfc124adece1dacee0c5bd1c6a9fbf2bfead83447438620357"),
+        ],
+    )
+    def test_csv_sha256_is_pinned(self, trials, digest, tmp_path, capsys):
+        csv = tmp_path / "suite.csv"
+        assert cli.main(["suite", "--trials", str(trials), "--seed", "42",
+                         "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest

@@ -277,3 +277,48 @@ class TestSpectralLedger:
                 atol=1e-12,
                 err_msg=f"seed {seed}",
             )
+
+
+def _mixed_kind_instances(count):
+    """``count`` seeded random instances of every kind, d in {2, 3, 4}."""
+    found = []
+    for seed in range(count):
+        kind = ("pure", "mixed", "commuting")[seed % 3]
+        dim = 2 + (seed // 3) % 3
+        if kind == "commuting":
+            m = 2 + (seed // 9) % (dim - 1)
+        else:
+            m = 2 + seed % 5
+        found.append((seed, *it.random_instance(dim, 2 + seed % 3, m, kind, seed)))
+    return found
+
+
+class TestSharedAnalysis:
+    # run_cycle and evaluate_bounds read one analysis of the pair, so their
+    # numbers agree exactly, and with the standalone public functions
+
+    def test_cycle_and_bounds_report_identical_numbers(self):
+        for seed, e, v in _mixed_kind_instances(150):
+            report = it.evaluate_bounds(e, v)
+            ledger = it.run_cycle(e, v)
+            assert ledger.i_ab == report.accessible_info, f"seed {seed}"
+            assert ledger.chi == report.chi, f"seed {seed}"
+            assert ledger.delta_s == report.delta_s, f"seed {seed}"
+            assert it.holevo_chi(e) == report.chi, f"seed {seed}"
+            assert (
+                it.mutual_information(it.joint_distribution(e, v))
+                == report.accessible_info
+            ), f"seed {seed}"
+            assert it.delta_s(it.average_state(e), v) == report.delta_s, f"seed {seed}"
+
+    def test_stage_wrappers_book_the_cycle_entries(self):
+        for seed, e, v in _mixed_kind_instances(150):
+            entries = list(it.run_cycle(e, v).entries)
+            extraction = it.extraction_stage(e, v)
+            rebuild = it.rho_to_initial_stage(e)
+            assert entries[: len(extraction)] == extraction, f"seed {seed}"
+            assert entries[len(entries) - len(rebuild):] == rebuild, f"seed {seed}"
+            if v.projective:
+                rho = it.average_state(e)
+                middle = it.sigma_to_rho_stage(it.post_measurement_state(rho, v), rho)
+                assert entries == extraction + middle + rebuild, f"seed {seed}"
