@@ -35,7 +35,7 @@ def as_complex_matrix(m) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValidationError("empty matrix")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
@@ -89,14 +89,9 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitian_eig(m) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Wraps a guaranteed-convergent dense Hermitian solver and then enforces
-    the package conventions: ascending eigenvalues, the phase rule above,
-    and a reconstruction check so a silently wrong decomposition can never
-    leak downstream.
-    """
+def _checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, with
+    the hermiticity and reconstruction checks but the solver's own phases."""
     m = as_complex_matrix(m)
     if not is_hermitian(m):
         raise NotHermitian(
@@ -107,14 +102,25 @@ def hermitian_eig(m) -> HermitianEigen:
         eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    eigenvectors = _fix_phases(eigenvectors.astype(complex))
-    result = HermitianEigen(eigenvalues.astype(float), eigenvectors)
     # Postcondition check; the tolerance is absolute, so scale it for
     # matrices with entries far above unit size.
     scale = max(1.0, max_abs(m))
-    if max_abs(result.reconstruct() - m) > RECONSTRUCTION_TOL * scale:
+    reconstructed = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
+    if max_abs(reconstructed - m) > RECONSTRUCTION_TOL * scale:
         raise NumericalFailure("eigendecomposition failed reconstruction check")
-    return result
+    return eigenvalues, eigenvectors
+
+
+def hermitian_eig(m) -> HermitianEigen:
+    """Full eigendecomposition of a Hermitian matrix.
+
+    Wraps a guaranteed-convergent dense Hermitian solver and then enforces
+    the package conventions: ascending eigenvalues, the phase rule above,
+    and a reconstruction check so a silently wrong decomposition can never
+    leak downstream.
+    """
+    eigenvalues, eigenvectors = _checked_eigh(m)
+    return HermitianEigen(eigenvalues, _fix_phases(eigenvectors))
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -134,10 +140,10 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
     applied; anything more negative raises ``NegativeEigenvalue``.  With
     ``pseudo=True`` the function only acts on the support (eigenvalues above
     ``PSD_EPSILON``) and the kernel maps to zero, which is how the pseudo
-    inverse square root used by the measurement code is built.
+    inverse square root used by the measurement code is built.  The
+    eigenvectors never leave this function, so their phases are not fixed.
     """
-    eig = hermitian_eig(m)
-    w = eig.eigenvalues
+    w, v = _checked_eigh(m)
     if w[0] < -PSD_CLIP_TOL:
         raise NegativeEigenvalue(
             f"matrix has eigenvalue {w[0]:.3e} below -{PSD_CLIP_TOL:.1e}"
@@ -152,6 +158,5 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
         fw[mask] = np.asarray(f(w[mask]), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise NumericalFailure("function produced non-finite eigenvalues")
-    v = eig.eigenvectors
     return (v * fw) @ v.conj().T
 

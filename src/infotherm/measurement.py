@@ -8,7 +8,7 @@ pipeline for a memory that stores the outcome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,13 @@ from .errors import (
     NumericalFailure,
     ValidationError,
 )
-from .linops import as_complex_matrix, is_hermitian, max_abs, psd_function, tensor_product
+from .linops import (
+    HERMITICITY_TOL,
+    as_complex_matrix,
+    max_abs,
+    psd_function,
+    tensor_product,
+)
 from .quantum import (
     PROB_CLIP,
     PSD_TOL,
@@ -42,12 +48,16 @@ ELEMENT_PSD_TOL = 1e-9
 PROB_SUM_TOL = 1e-9
 
 
-def _detect_projective(elements: Sequence[np.ndarray]) -> bool:
-    for j, ej in enumerate(elements):
-        for k, ek in enumerate(elements):
-            target = ej if j == k else 0.0
-            if max_abs(ej @ ek - target) > PROJECTIVE_TOL:
-                return False
+def _detect_projective(stack: np.ndarray) -> bool:
+    """E_j E_k = delta_jk E_j for the (m, d, d) element stack: idempotence
+    of every element first, then orthogonality one row j at a time."""
+    if max_abs(stack @ stack - stack) > PROJECTIVE_TOL:
+        return False
+    for j, ej in enumerate(stack):
+        products = ej @ stack
+        products[j] -= ej
+        if max_abs(products) > PROJECTIVE_TOL:
+            return False
     return True
 
 
@@ -57,11 +67,14 @@ class Povm:
 
     ``projective`` may be passed explicitly; when omitted it is detected
     from the elements.  Passing ``projective=True`` for elements that fail
-    the orthogonality check is a validation error.
+    the orthogonality check is a validation error.  The elements are
+    checked and kept as one read-only (m, d, d) stack; ``elements`` holds
+    its slices.
     """
 
     elements: tuple[np.ndarray, ...]
     projective: bool | None = None
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elements = tuple(as_complex_matrix(el) for el in self.elements)
@@ -70,22 +83,25 @@ class Povm:
         dims = {el.shape[0] for el in elements}
         if len(dims) != 1:
             raise DimensionMismatch(f"elements have mixed dimensions {sorted(dims)}")
-        for j, el in enumerate(elements):
-            if not is_hermitian(el):
+        stack = np.stack(elements)
+        asymmetry = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        lowest = np.linalg.eigvalsh(stack)[:, 0]
+        not_hermitian = asymmetry > HERMITICITY_TOL
+        failing = np.flatnonzero(not_hermitian | (lowest < -ELEMENT_PSD_TOL))
+        if failing.size:
+            j = int(failing[0])
+            if not_hermitian[j]:
                 raise ValidationError(f"element {j} is not Hermitian")
-            w = np.linalg.eigvalsh(el)
-            if w[0] < -ELEMENT_PSD_TOL:
-                raise ValidationError(
-                    f"element {j} has eigenvalue {w[0]:.3e} below -{ELEMENT_PSD_TOL:.1e}"
-                )
-        total = sum(elements)
-        residual = max_abs(total - np.eye(elements[0].shape[0]))
+            raise ValidationError(
+                f"element {j} has eigenvalue {lowest[j]:.3e} below -{ELEMENT_PSD_TOL:.1e}"
+            )
+        residual = max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
         if residual > POVM_SUM_TOL:
             raise ValidationError(
                 f"elements sum to identity only within {residual:.3e} "
                 f"(tolerance {POVM_SUM_TOL:.1e})"
             )
-        detected = _detect_projective(elements)
+        detected = _detect_projective(stack)
         if self.projective is None:
             flag = detected
         else:
@@ -94,8 +110,10 @@ class Povm:
                 raise ValidationError(
                     "measurement declared projective but elements are not orthogonal projectors"
                 )
-        object.__setattr__(self, "elements", elements)
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "projective", flag)
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def size(self) -> int:
@@ -160,11 +178,10 @@ def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     """Outcome statistics of measuring each ensemble member."""
     if e.dim != v.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
-    table = np.empty((e.size, v.size), dtype=float)
-    for i, (p, s) in enumerate(zip(e.probs, e.states)):
-        for j, el in enumerate(v.elements):
-            table[i, j] = p * float(np.trace(el @ s.matrix).real)
-    jd = JointDistribution(table)
+    traces = np.array(
+        [np.trace(v._stack @ s.matrix, axis1=1, axis2=2).real for s in e.states]
+    )
+    jd = JointDistribution(e.probs[:, None] * traces)
     if max_abs(jd.priors - e.probs) > PROB_SUM_TOL:
         raise NumericalFailure("joint distribution rows do not reproduce the priors")
     return jd
@@ -174,7 +191,7 @@ def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
     """Outcome probabilities tr(E_j rho) for a single state."""
     if r.dim != v.dim:
         raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
-    q = np.array([float(np.trace(el @ r.matrix).real) for el in v.elements])
+    q = np.trace(v._stack @ r.matrix, axis1=1, axis2=2).real
     q = np.clip(q, 0.0, None)
     if abs(q.sum() - 1.0) > PROB_SUM_TOL:
         raise NumericalFailure(f"outcome probabilities sum to {q.sum():.12g}")
@@ -246,9 +263,7 @@ def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     if v.projective:
         return post_measurement_state(r, v).spectrum()
     root = psd_function(r.matrix, np.sqrt)
-    w = np.sort(
-        np.concatenate([np.linalg.eigvalsh(root @ el @ root) for el in v.elements])
-    )
+    w = np.sort(np.linalg.eigvalsh(root @ v._stack @ root).reshape(-1))
     if w[0] < -PSD_TOL:
         raise ValidationError(
             f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"

@@ -31,12 +31,17 @@ def _entropy_of_spectrum(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated density matrix: Hermitian, unit trace, PSD."""
+    """A validated density matrix: Hermitian, unit trace, PSD.
+
+    ``matrix`` is a read-only copy of the input, so the eigenvalues found
+    by the PSD check stay those of ``matrix`` and ``spectrum`` reuses them.
+    """
 
     matrix: np.ndarray
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
+        m = as_complex_matrix(self.matrix).copy()
         if not is_hermitian(m):
             raise ValidationError(
                 f"density matrix deviates from Hermitian by "
@@ -50,7 +55,9 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
             )
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_eigenvalues", w)
 
     @property
     def dim(self) -> int:
@@ -58,7 +65,7 @@ class DensityMatrix:
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, ascending, clipped to be nonnegative."""
-        return np.clip(np.linalg.eigvalsh(self.matrix), 0.0, None)
+        return np.clip(self._eigenvalues, 0.0, None)
 
 
 def pure_state(amplitudes) -> DensityMatrix:

@@ -24,6 +24,20 @@ NET_COMPUTATIONAL = -0.5
 NET_HELSTROM = -0.6008760366928562
 
 
+def mixed_kind_instances(count):
+    """``count`` seeded random instances of every kind, d in {2, 3, 4}."""
+    found = []
+    for seed in range(count):
+        kind = ("pure", "mixed", "commuting")[seed % 3]
+        dim = 2 + (seed // 3) % 3
+        if kind == "commuting":
+            m = 2 + (seed // 9) % (dim - 1)
+        else:
+            m = 2 + seed % 5
+        found.append((seed, *it.random_instance(dim, 2 + seed % 3, m, kind, seed)))
+    return found
+
+
 @pytest.fixture
 def two_state_ensemble():
     """|0> and |+> with equal priors."""

@@ -283,6 +283,36 @@ class TestPgm:
         assert len(lines) == 4  # default max block length 3
 
 
+class TestPgmCsv:
+    # sha256 of `pgm --max-m 5 --csv` for a pure and a mixed qubit pair, as
+    # the per-element measurement loops wrote it; the stacked kernels must
+    # reproduce it byte for byte
+    MIXED = {
+        "ensemble": {
+            "priors": [0.25, 0.75],
+            "states": [
+                _mat([[0.8, 0.1 - 0.2j], [0.1 + 0.2j, 0.2]]),
+                _mat([[0.35, 0.25], [0.25, 0.65]]),
+            ],
+        }
+    }
+
+    @pytest.mark.parametrize(
+        "pair, digest",
+        [
+            ("pure", "f893a10cbcb5a52fce5a3b2a9601e910c96a04588dceba15fa7e58639ca47ee9"),
+            ("mixed", "0a497464a1319ff5e323bd00dfbbf18b52555b7d23160225b65a18187e05a72b"),
+        ],
+    )
+    def test_csv_sha256_is_pinned(self, pair, digest, tmp_path, capsys):
+        payload = _two_state_payload(measurement=None) if pair == "pure" else self.MIXED
+        path = _write(tmp_path, "p.json", payload)
+        csv = tmp_path / "blocks.csv"
+        assert cli.main(["pgm", "--spec", path, "--max-m", "5", "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
 class TestSuite:
     def test_summary_and_exit_code(self, capsys):
         rc = cli.main(["suite", "--trials", "20", "--seed", "7"])

@@ -12,6 +12,7 @@ from infotherm.errors import (
     ValidationError,
 )
 import infotherm.measurement as measurement
+from infotherm.linops import is_hermitian
 from infotherm.measurement import (
     _post_measurement_spectrum,
     partial_trace_record,
@@ -24,6 +25,7 @@ from conftest import (
     INFO_COMPUTATIONAL,
     INFO_HELSTROM,
     P_HELSTROM_CORRECT,
+    mixed_kind_instances,
 )
 
 
@@ -431,3 +433,252 @@ class TestDemonReset:
     def test_requires_projective(self):
         with pytest.raises(NotProjective):
             it.demon_reset(it.maximally_mixed(6), trine_povm())
+
+
+# Reference loops with one matrix product or eigensolve per element or per
+# (state, outcome); the stacked kernels must equal them bit for bit.
+
+
+def loop_joint_table(e, v):
+    table = np.empty((e.size, v.size), dtype=float)
+    for i, (p, s) in enumerate(zip(e.probs, e.states)):
+        for j, el in enumerate(v.elements):
+            table[i, j] = p * float(np.trace(el @ s.matrix).real)
+    return np.clip(table, 0.0, None)
+
+
+def loop_outcome_distribution(r, v):
+    q = np.array([float(np.trace(el @ r.matrix).real) for el in v.elements])
+    return np.clip(q, 0.0, None)
+
+
+def loop_record_spectrum(r, v):
+    root = it.psd_function(r.matrix, np.sqrt)
+    w = np.sort(
+        np.concatenate([np.linalg.eigvalsh(root @ el @ root) for el in v.elements])
+    )
+    return np.clip(w, 0.0, None)
+
+
+def phase_fixed_psd_function(m, f):
+    eig = it.hermitian_eig(m)
+    v = eig.eigenvectors
+    return (v * f(np.clip(eig.eigenvalues, 0.0, None))) @ v.conj().T
+
+
+def loop_element_error(elements):
+    """The message the per-element validation loop raised, or None."""
+    for j, el in enumerate(elements):
+        if not is_hermitian(el):
+            return f"element {j} is not Hermitian"
+        w = np.linalg.eigvalsh(el)
+        if w[0] < -measurement.ELEMENT_PSD_TOL:
+            return (
+                f"element {j} has eigenvalue {w[0]:.3e} below "
+                f"-{measurement.ELEMENT_PSD_TOL:.1e}"
+            )
+    return None
+
+
+def count_eigvalsh_calls(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def stacked_instances():
+    """150 seeded pairs of every kind with d in {2, 3, 4}, plus the m=4
+    square-root measurement of a mixed qubit pair (16 states, 16x16)."""
+    found = [(str(seed), e, v) for seed, e, v in mixed_kind_instances(150)]
+    pair = it.Ensemble(
+        [0.3, 0.7],
+        (
+            it.DensityMatrix([[0.8, 0.1 - 0.2j], [0.1 + 0.2j, 0.2]]),
+            it.DensityMatrix([[0.35, 0.25], [0.25, 0.65]]),
+        ),
+    )
+    seq = it.sequence_ensemble(pair, 4)
+    found.append(("pgm m=4", seq, it.pretty_good_measurement(seq)))
+    return found
+
+
+class TestStackedKernels:
+    def test_joint_table_equals_the_double_loop(self, stacked_instances):
+        for label, e, v in stacked_instances:
+            npt.assert_array_equal(
+                it.joint_distribution(e, v).matrix, loop_joint_table(e, v), err_msg=label
+            )
+
+    def test_outcome_distribution_equals_the_loop(self, stacked_instances):
+        for label, e, v in stacked_instances:
+            for r in (*e.states, it.average_state(e)):
+                npt.assert_array_equal(
+                    it.outcome_distribution(r, v),
+                    loop_outcome_distribution(r, v),
+                    err_msg=label,
+                )
+
+    def test_record_spectrum_equals_the_sorted_concatenation(self, stacked_instances):
+        general = [(label, e, v) for label, e, v in stacked_instances if not v.projective]
+        assert len(general) > 50
+        for label, e, v in general:
+            rho = it.average_state(e)
+            npt.assert_array_equal(
+                _post_measurement_spectrum(rho, v),
+                loop_record_spectrum(rho, v),
+                err_msg=label,
+            )
+
+    def test_spectrum_is_the_clipped_eigensolve(self, stacked_instances):
+        for label, e, _ in stacked_instances:
+            for r in (*e.states, it.average_state(e)):
+                npt.assert_array_equal(
+                    r.spectrum(),
+                    np.clip(np.linalg.eigvalsh(r.matrix), 0.0, None),
+                    err_msg=label,
+                )
+
+    def test_psd_function_matches_the_phase_fixed_route(self, stacked_instances):
+        for label, e, v in stacked_instances:
+            for m in (it.average_state(e).matrix, *v.elements):
+                npt.assert_allclose(
+                    it.psd_function(m, np.sqrt),
+                    phase_fixed_psd_function(m, np.sqrt),
+                    rtol=0,
+                    atol=1e-12,
+                    err_msg=label,
+                )
+
+    def test_spectrum_runs_no_eigensolve(self, monkeypatch):
+        r = random_density(4, np.random.default_rng(5))
+        calls = count_eigvalsh_calls(monkeypatch)
+        r.spectrum()
+        assert len(calls) == 0
+        it.DensityMatrix(r.matrix)
+        assert len(calls) == 1
+
+    def test_povm_validation_runs_one_batched_eigensolve(
+        self, monkeypatch, stacked_instances
+    ):
+        _, _, v = stacked_instances[-1]
+        assert v.size == 16
+        calls = count_eigvalsh_calls(monkeypatch)
+        it.Povm(v.elements)
+        assert len(calls) == 1
+
+    def test_povm_keeps_a_read_only_copy(self):
+        source = [np.diag([0.75, 0.25]).astype(complex), np.diag([0.25, 0.75]).astype(complex)]
+        v = it.Povm(source)
+        rho = it.DensityMatrix(np.diag([0.5, 0.5]))
+        before = it.outcome_distribution(rho, v)
+        source[0][0, 0] = 0.0
+        npt.assert_array_equal(v.elements[0], np.diag([0.75, 0.25]))
+        npt.assert_array_equal(it.outcome_distribution(rho, v), before)
+        assert not v.elements[0].flags.writeable
+
+
+class TestPovmErrorParity:
+    """The stacked checks name the lowest-index failing element, checking
+    hermiticity before PSD for it, with the loop's exact message."""
+
+    VALID = (
+        np.diag([0.4, 0.1]),
+        np.diag([0.1, 0.4]),
+        np.diag([0.3, 0.2]),
+        np.diag([0.2, 0.3]),
+    )
+    NOT_HERMITIAN = np.array([[0.4, 0.1], [0.0, 0.1]])
+    NOT_PSD = np.diag([0.5, -0.1])
+    # fails both: asymmetric, and its lower triangle is indefinite
+    NEITHER = np.array([[0.5, 0.0], [0.9, 0.1]])
+
+    @staticmethod
+    def assert_rejected(elements, index, phrase):
+        with pytest.raises(ValidationError) as info:
+            it.Povm(tuple(elements))
+        message = str(info.value)
+        assert message.startswith(f"element {index} {phrase}")
+        assert message == loop_element_error(elements)
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "bad, phrase",
+        [(NOT_HERMITIAN, "is not Hermitian"), (NOT_PSD, "has eigenvalue"),
+         (NEITHER, "is not Hermitian")],
+        ids=["not-hermitian", "not-psd", "neither"],
+    )
+    def test_one_bad_element(self, index, bad, phrase):
+        elements = list(self.VALID)
+        elements[index] = bad
+        self.assert_rejected(elements, index, phrase)
+
+    def test_non_psd_before_non_hermitian(self):
+        elements = list(self.VALID)
+        elements[1], elements[2] = self.NOT_PSD, self.NOT_HERMITIAN
+        self.assert_rejected(elements, 1, "has eigenvalue")
+
+    def test_non_hermitian_before_non_psd(self):
+        elements = list(self.VALID)
+        elements[1], elements[2] = self.NOT_HERMITIAN, self.NOT_PSD
+        self.assert_rejected(elements, 1, "is not Hermitian")
+
+
+def entropy_quantities(e, v):
+    """I, chi and delta_s of one (ensemble, measurement) pair."""
+    return (
+        it.mutual_information(it.joint_distribution(e, v)),
+        it.holevo_chi(e),
+        it.delta_s(it.average_state(e), v),
+    )
+
+
+instance_args = dict(
+    dim=st.integers(2, 4),
+    n=st.integers(1, 4),
+    m=st.integers(2, 6),
+    kind=st.sampled_from(["pure", "mixed", "commuting"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def drawn_instance(dim, n, m, kind, seed):
+    if kind == "commuting":
+        m = min(m, dim)
+    return it.random_instance(dim, n, m, kind, seed)
+
+
+class TestSymmetryInvariances:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(**instance_args)
+    def test_joint_unitary_conjugation(self, dim, n, m, kind, seed):
+        e, v = drawn_instance(dim, n, m, kind, seed)
+        u = haar_basis(dim, np.random.default_rng([seed, 1]))
+        turned = it.Ensemble(
+            e.probs, tuple(it.DensityMatrix(u @ s.matrix @ u.conj().T) for s in e.states)
+        )
+        turned_v = it.Povm(tuple(u @ el @ u.conj().T for el in v.elements))
+        npt.assert_allclose(
+            entropy_quantities(turned, turned_v), entropy_quantities(e, v), rtol=0, atol=1e-10
+        )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(**instance_args)
+    def test_relabelling_preparations_and_outcomes(self, dim, n, m, kind, seed):
+        e, v = drawn_instance(dim, n, m, kind, seed)
+        rng = np.random.default_rng([seed, 2])
+        rows, cols = rng.permutation(e.size), rng.permutation(v.size)
+        relabelled = it.Ensemble(e.probs[rows], tuple(e.states[i] for i in rows))
+        relabelled_v = it.Povm(tuple(v.elements[j] for j in cols))
+        npt.assert_allclose(
+            entropy_quantities(relabelled, relabelled_v),
+            entropy_quantities(e, v),
+            rtol=0,
+            atol=1e-12,
+        )

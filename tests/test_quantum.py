@@ -40,6 +40,15 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             it.DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_keeps_a_read_only_copy_of_the_source(self):
+        # a complex source array passes as_complex_matrix uncopied
+        source = np.diag([0.25, 0.75]).astype(complex)
+        r = it.DensityMatrix(source)
+        source[0, 0], source[1, 1] = 0.5, 0.5
+        npt.assert_array_equal(r.matrix, np.diag([0.25, 0.75]))
+        npt.assert_array_equal(r.spectrum(), [0.25, 0.75])
+        assert not r.matrix.flags.writeable
+
     def test_pure_state_normalizes(self):
         r = it.pure_state([3.0, 4.0])
         npt.assert_allclose(np.trace(r.matrix).real, 1.0, atol=1e-12)

@@ -12,6 +12,7 @@ from conftest import (
     INFO_COMPUTATIONAL,
     NET_COMPUTATIONAL,
     NET_HELSTROM,
+    mixed_kind_instances,
 )
 
 
@@ -279,26 +280,12 @@ class TestSpectralLedger:
             )
 
 
-def _mixed_kind_instances(count):
-    """``count`` seeded random instances of every kind, d in {2, 3, 4}."""
-    found = []
-    for seed in range(count):
-        kind = ("pure", "mixed", "commuting")[seed % 3]
-        dim = 2 + (seed // 3) % 3
-        if kind == "commuting":
-            m = 2 + (seed // 9) % (dim - 1)
-        else:
-            m = 2 + seed % 5
-        found.append((seed, *it.random_instance(dim, 2 + seed % 3, m, kind, seed)))
-    return found
-
-
 class TestSharedAnalysis:
     # run_cycle and evaluate_bounds read one analysis of the pair, so their
     # numbers agree exactly, and with the standalone public functions
 
     def test_cycle_and_bounds_report_identical_numbers(self):
-        for seed, e, v in _mixed_kind_instances(150):
+        for seed, e, v in mixed_kind_instances(150):
             report = it.evaluate_bounds(e, v)
             ledger = it.run_cycle(e, v)
             assert ledger.i_ab == report.accessible_info, f"seed {seed}"
@@ -312,7 +299,7 @@ class TestSharedAnalysis:
             assert it.delta_s(it.average_state(e), v) == report.delta_s, f"seed {seed}"
 
     def test_stage_wrappers_book_the_cycle_entries(self):
-        for seed, e, v in _mixed_kind_instances(150):
+        for seed, e, v in mixed_kind_instances(150):
             entries = list(it.run_cycle(e, v).entries)
             extraction = it.extraction_stage(e, v)
             rebuild = it.rho_to_initial_stage(e)
