@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedDimension, ValidationError
-from .linops import psd_function
+from .linops import BOUND_TOL, CONVERGENCE_TOL, psd_function
 from .measurement import (
     JointDistribution,
     Povm,
@@ -24,8 +24,6 @@ from .measurement import (
 from .measurement import delta_s as measurement_delta_s  # noqa: F401 (read by bench/)
 from .quantum import DensityMatrix, Ensemble
 
-#: Slack below which a bound counts as violated.
-BOUND_TOL = 1e-9
 #: The optimizer methods ``OptimizerConfig`` accepts.
 METHODS = ("qubit_grid", "random_restart_ascent")
 
@@ -89,7 +87,7 @@ class OptimizerConfig:
     grid_points: int = 100
     restarts: int = 8
     max_iterations: int = 200
-    convergence_tol: float = 1e-7
+    convergence_tol: float = CONVERGENCE_TOL
     seed: int = 0
 
     def __post_init__(self):

@@ -60,11 +60,16 @@ class ProblemSpec:
     outcome_labels: tuple[str, ...]
 
 
+def _is_number(x) -> bool:
+    """A JSON number; ``bool`` is an ``int`` subclass, so true/false are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_entry(entry, where: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(part, (int, float)) for part in entry)
+        or not all(_is_number(part) for part in entry)
     ):
         raise ValidationError(
             f"{where}: complex entries must be [re, im] number pairs, got {entry!r}"
@@ -104,9 +109,7 @@ def parse_problem_spec(data) -> ProblemSpec:
     if not isinstance(ens, dict) or "priors" not in ens or "states" not in ens:
         raise ValidationError("'ensemble' must be an object with priors and states")
     priors = ens["priors"]
-    if not isinstance(priors, list) or not all(
-        isinstance(p, (int, float)) for p in priors
-    ):
+    if not isinstance(priors, list) or not all(_is_number(p) for p in priors):
         raise ValidationError("'ensemble.priors' must be a list of numbers")
     if not isinstance(ens["states"], list) or not ens["states"]:
         raise ValidationError("'ensemble.states' must be a non-empty list")

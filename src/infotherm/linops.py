@@ -2,7 +2,8 @@
 
 Everything downstream (states, measurements, bounds, ledgers) funnels its
 matrix work through the three operations here, so tolerances and phase
-conventions are decided once, in this file.
+conventions are decided once, in this file: the table below holds every
+threshold that a check anywhere in the package compares against.
 """
 from __future__ import annotations
 
@@ -18,14 +19,24 @@ from .errors import (
     ValidationError,
 )
 
-#: Max-entry tolerance for accepting a matrix as Hermitian.
-HERMITICITY_TOL = 1e-9
-#: Eigenvalues above -PSD_CLIP_TOL are treated as zero rounding noise.
-PSD_CLIP_TOL = 1e-9
-#: Spectral cutoff below which an eigenvalue counts as part of the kernel.
-PSD_EPSILON = 1e-12
-#: Max-entry tolerance for eigendecomposition postconditions.
-RECONSTRUCTION_TOL = 1e-10
+# Every threshold that a check in the package compares against, in one
+# table; "max |X|" is the largest absolute entry of a residual matrix X.
+HERMITICITY_TOL = 1e-9  # max |M - M+|
+PSD_TOL = 1e-9  # eigenvalues >= -PSD_TOL pass: states, POVM elements, psd_function
+PSD_EPSILON = 1e-12  # eigenvalues at or below this count as the kernel
+RECONSTRUCTION_TOL = 1e-10  # max |V diag(w) V+ - M|, per unit of max |M|
+TRACE_TOL = 1e-9  # |tr rho - 1| and |sum_i p_i - 1|
+PROB_CLIP = 1e-12  # probabilities in [-PROB_CLIP, 0) are clipped to zero
+POVM_SUM_TOL = 1e-8  # max |sum_j E_j - I|
+PROJECTIVE_TOL = 1e-8  # max |E_j E_k - delta_jk E_j|
+UNITARY_TOL = 1e-8  # max |U+ U - I| of a given basis
+DILATION_TOL = 1e-9  # Naimark V+ V = I; reset U U+ = I and its sigma (x) |0><0|
+COMMUTATOR_TOL = 1e-9  # max |rho_i rho_j - rho_j rho_i|
+JOINT_BASIS_TOL = 1e-7  # off-diagonal max |B+ rho_i B| of a shared eigenbasis
+BOUND_TOL = 1e-9  # slack of I <= chi (+ delta_s), per-letter I <= chi, delta_s >= 0
+CYCLE_TOL = 1e-9  # net cycle work above this violates the second law
+WEIGHT_FLOOR = 1e-15  # spectrum weights at or below this get no ledger entry
+CONVERGENCE_TOL = 1e-7  # default ascent gain below which a restart stops
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -46,9 +57,9 @@ def max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = np.asarray(m, dtype=complex)
-    return max_abs(m - m.conj().T) <= tol
+    return max_abs(m - m.conj().T) <= HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -136,7 +147,7 @@ def tensor_product(a, b) -> np.ndarray:
 def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
     """Apply a scalar function to a positive semidefinite matrix.
 
-    Eigenvalues in [-PSD_CLIP_TOL, 0) are clipped to zero before ``f`` is
+    Eigenvalues in [-PSD_TOL, 0) are clipped to zero before ``f`` is
     applied; anything more negative raises ``NegativeEigenvalue``.  With
     ``pseudo=True`` the function only acts on the support (eigenvalues above
     ``PSD_EPSILON``) and the kernel maps to zero, which is how the pseudo
@@ -144,9 +155,9 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
     eigenvectors never leave this function, so their phases are not fixed.
     """
     w, v = _checked_eigh(m)
-    if w[0] < -PSD_CLIP_TOL:
+    if w[0] < -PSD_TOL:
         raise NegativeEigenvalue(
-            f"matrix has eigenvalue {w[0]:.3e} below -{PSD_CLIP_TOL:.1e}"
+            f"matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
         )
     w = np.clip(w, 0.0, None)
     fw = np.zeros_like(w)

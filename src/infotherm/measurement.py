@@ -21,31 +21,27 @@ from .errors import (
     ValidationError,
 )
 from .linops import (
+    BOUND_TOL,
+    DILATION_TOL,
     HERMITICITY_TOL,
+    POVM_SUM_TOL,
+    PROB_CLIP,
+    PROJECTIVE_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    UNITARY_TOL,
     as_complex_matrix,
     max_abs,
     psd_function,
     tensor_product,
 )
 from .quantum import (
-    PROB_CLIP,
-    PSD_TOL,
-    TRACE_TOL,
     DensityMatrix,
     Ensemble,
     _chi_from_spectra,
     _entropy_of_spectrum,
     average_state,
 )
-
-#: Max-entry tolerance for the completeness relation sum_j E_j = I.
-POVM_SUM_TOL = 1e-8
-#: Max-entry tolerance for the orthogonality check E_j E_k = delta_jk E_j.
-PROJECTIVE_TOL = 1e-8
-#: Element eigenvalues above -ELEMENT_PSD_TOL count as zero.
-ELEMENT_PSD_TOL = 1e-9
-#: Tolerance on probability normalization checks.
-PROB_SUM_TOL = 1e-9
 
 
 def _detect_projective(stack: np.ndarray) -> bool:
@@ -87,13 +83,13 @@ class Povm:
         asymmetry = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
         lowest = np.linalg.eigvalsh(stack)[:, 0]
         not_hermitian = asymmetry > HERMITICITY_TOL
-        failing = np.flatnonzero(not_hermitian | (lowest < -ELEMENT_PSD_TOL))
+        failing = np.flatnonzero(not_hermitian | (lowest < -PSD_TOL))
         if failing.size:
             j = int(failing[0])
             if not_hermitian[j]:
                 raise ValidationError(f"element {j} is not Hermitian")
             raise ValidationError(
-                f"element {j} has eigenvalue {lowest[j]:.3e} below -{ELEMENT_PSD_TOL:.1e}"
+                f"element {j} has eigenvalue {lowest[j]:.3e} below -{PSD_TOL:.1e}"
             )
         residual = max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
         if residual > POVM_SUM_TOL:
@@ -132,7 +128,7 @@ def basis_measurement(unitary, blocks: Sequence[Sequence[int]] | None = None) ->
     """
     u = as_complex_matrix(unitary)
     d = u.shape[0]
-    if max_abs(u.conj().T @ u - np.eye(d)) > 1e-8:
+    if max_abs(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
         raise ValidationError("matrix is not unitary")
     if blocks is None:
         blocks = [[j] for j in range(d)]
@@ -148,7 +144,8 @@ class JointDistribution:
     """Joint outcome table p(i, j) = p_i * tr(E_j rho_i).
 
     Rows index preparations, columns index outcomes.  Entries a hair below
-    zero (rounding) are clipped; anything below -1e-12 is an error.
+    zero (rounding) are clipped; anything below -PROB_CLIP is an error, and
+    so is a non-finite entry.
     """
 
     matrix: np.ndarray
@@ -157,10 +154,12 @@ class JointDistribution:
         p = np.asarray(self.matrix, dtype=float)
         if p.ndim != 2 or p.size == 0:
             raise ValidationError(f"expected a 2-d table, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValidationError("joint probabilities have non-finite entries")
         if np.any(p < -PROB_CLIP):
-            raise ValidationError(f"joint probability {p.min():.3e} below -1e-12")
+            raise ValidationError(f"joint probability {p.min():.3e} below -{PROB_CLIP:.0e}")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
+        if abs(p.sum() - 1.0) > TRACE_TOL:
             raise ValidationError(f"joint probabilities sum to {p.sum():.12g}")
         p.setflags(write=False)
         object.__setattr__(self, "matrix", p)
@@ -182,7 +181,7 @@ def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
         [np.trace(v._stack @ s.matrix, axis1=1, axis2=2).real for s in e.states]
     )
     jd = JointDistribution(e.probs[:, None] * traces)
-    if max_abs(jd.priors - e.probs) > PROB_SUM_TOL:
+    if max_abs(jd.priors - e.probs) > TRACE_TOL:
         raise NumericalFailure("joint distribution rows do not reproduce the priors")
     return jd
 
@@ -193,7 +192,7 @@ def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
         raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
     q = np.trace(v._stack @ r.matrix, axis1=1, axis2=2).real
     q = np.clip(q, 0.0, None)
-    if abs(q.sum() - 1.0) > PROB_SUM_TOL:
+    if abs(q.sum() - 1.0) > TRACE_TOL:
         raise NumericalFailure(f"outcome probabilities sum to {q.sum():.12g}")
     return q
 
@@ -276,9 +275,9 @@ def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
 
 def _entropy_increase(sigma_spectrum: np.ndarray, rho_spectrum: np.ndarray) -> float:
     """S(sigma) - S(rho) from the two spectra; a hair below zero is clipped,
-    anything below -1e-9 raises."""
+    anything below -BOUND_TOL raises."""
     ds = _entropy_of_spectrum(sigma_spectrum) - _entropy_of_spectrum(rho_spectrum)
-    if ds < -1e-9:
+    if ds < -BOUND_TOL:
         raise NumericalFailure(f"entropy increase came out {ds:.3e}")
     return max(0.0, ds)
 
@@ -287,7 +286,7 @@ def delta_s(r: DensityMatrix, v: Povm) -> float:
     """Entropy increase S(post-measurement) - S(rho), in bits.
 
     Nonnegative by construction (dephasing never lowers entropy); values a
-    hair below zero are clipped, anything below -1e-9 raises.  For a general
+    hair below zero are clipped, below -BOUND_TOL they raise.  For a general
     POVM the post-measurement entropy comes from the union of the spectra
     of sqrt(rho) E_j sqrt(rho); the d*m-dim record state is never built.
     """
@@ -335,7 +334,7 @@ def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:
     iso = np.zeros((d * m, d), dtype=complex)
     for j, root in enumerate(_sqrt_elements(v)):
         iso += np.kron(root, _record_ket(j, m))
-    if max_abs(iso.conj().T @ iso - np.eye(d)) > 1e-9:
+    if max_abs(iso.conj().T @ iso - np.eye(d)) > DILATION_TOL:
         raise NumericalFailure("dilation isometry failed V+V = I check")
     eye = np.eye(d, dtype=complex)
     projectors = []
@@ -415,13 +414,13 @@ def demon_reset(r_pm: DensityMatrix, v: Povm) -> tuple[np.ndarray, DensityMatrix
     for idx, proj in enumerate(v.elements):
         unshift = np.linalg.matrix_power(shift, (m - idx) % m)
         unitary += tensor_product(proj, unshift)
-    if max_abs(unitary @ unitary.conj().T - np.eye(r_pm.dim)) > 1e-9:
+    if max_abs(unitary @ unitary.conj().T - np.eye(r_pm.dim)) > DILATION_TOL:
         raise NumericalFailure("reset unitary failed the unitarity check")
     after = unitary @ r_pm.matrix @ unitary.conj().T
     sigma = partial_trace_record(after, v.dim, m)
     ket = _record_ket(0, m)
     expected = tensor_product(sigma, ket @ ket.conj().T)
-    if max_abs(after - expected) > 1e-9:
+    if max_abs(after - expected) > DILATION_TOL:
         raise BlockFormViolation(
             "recorded state lacks the system-memory correlation the reset needs"
         )

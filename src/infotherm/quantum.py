@@ -10,14 +10,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .linops import as_complex_matrix, hermitian_eig, is_hermitian, max_abs
-
-#: Tolerance on trace-1 and probability normalization checks.
-TRACE_TOL = 1e-9
-#: Eigenvalues above -PSD_TOL count as rounding noise around zero.
-PSD_TOL = 1e-9
-#: Probabilities this close below zero are clipped to zero.
-PROB_CLIP = 1e-12
+from .linops import (
+    COMMUTATOR_TOL,
+    JOINT_BASIS_TOL,
+    PROB_CLIP,
+    PSD_TOL,
+    TRACE_TOL,
+    as_complex_matrix,
+    hermitian_eig,
+    is_hermitian,
+    max_abs,
+)
 
 
 def _entropy_of_spectrum(values: np.ndarray) -> float:
@@ -96,6 +99,8 @@ class Ensemble:
             raise ValidationError(
                 f"{p.size} priors for {len(states)} states"
             )
+        if not np.isfinite(p).all():
+            raise ValidationError("priors have non-finite entries")
         if np.any(p < -PROB_CLIP):
             raise ValidationError(f"negative prior {p.min():.3e}")
         p = np.clip(p, 0.0, None)
@@ -132,6 +137,8 @@ def von_neumann_entropy(r: DensityMatrix) -> float:
 def shannon_entropy(p) -> float:
     """H(p) = -sum p_i log2 p_i for a probability vector, in bits."""
     p = np.asarray(p, dtype=float).reshape(-1)
+    if not np.isfinite(p).all():
+        raise ValidationError("probabilities have non-finite entries")
     if np.any(p < -PROB_CLIP):
         raise ValidationError(f"negative probability {p.min():.3e}")
     p = np.clip(p, 0.0, None)
@@ -160,17 +167,17 @@ def _chi_from_spectra(probs, rho_spectrum, member_spectra) -> float:
     return float(max(0.0, avg - cond))
 
 
-def ensemble_commutes(e: Ensemble, tol: float = 1e-9) -> bool:
-    """True when every pair of member states commutes within ``tol``."""
+def ensemble_commutes(e: Ensemble) -> bool:
+    """True when every pair of member states commutes within COMMUTATOR_TOL."""
     mats = [s.matrix for s in e.states]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]) > tol:
+            if max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]) > COMMUTATOR_TOL:
                 return False
     return True
 
 
-def shared_eigenbasis(e: Ensemble, tol: float = 1e-9) -> np.ndarray:
+def shared_eigenbasis(e: Ensemble) -> np.ndarray:
     """A unitary whose columns diagonalize every state of a commuting ensemble.
 
     Diagonalizes a generic positive mixture of the members (weights chosen
@@ -179,7 +186,7 @@ def shared_eigenbasis(e: Ensemble, tol: float = 1e-9) -> np.ndarray:
     diagonalize each member.  Raises ``ValidationError`` if the ensemble
     does not commute.
     """
-    if not ensemble_commutes(e, tol=tol):
+    if not ensemble_commutes(e):
         raise ValidationError("ensemble states do not commute")
     weights = np.pi ** np.arange(1, e.size + 1)
     weights /= weights.sum()
@@ -187,7 +194,7 @@ def shared_eigenbasis(e: Ensemble, tol: float = 1e-9) -> np.ndarray:
     basis = hermitian_eig(probe).eigenvectors
     for s in e.states:
         off = basis.conj().T @ s.matrix @ basis
-        if max_abs(off - np.diag(np.diag(off))) > 1e-7:
+        if max_abs(off - np.diag(np.diag(off))) > JOINT_BASIS_TOL:
             raise ValidationError(
                 "failed to find a joint eigenbasis (degenerate probe mixture)"
             )

@@ -21,11 +21,9 @@ from math import log2
 import numpy as np
 
 from .errors import NonPositiveVolume, SecondLawViolation, ValidationError
+from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR
 from .measurement import JointDistribution, Povm, _analyse, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
-
-#: Net work above this counts as a second-law violation.
-CYCLE_TOL = 1e-9
 
 STAGE_EXTRACTION = "extraction"
 STAGE_SIGMA_COMPRESSION = "sigma_compression"
@@ -43,9 +41,6 @@ STAGES = (
     STAGE_ENSEMBLE_RECOMPRESSION,
 )
 
-#: Spectrum weights below this carry no molecules and no ledger entry.
-_WEIGHT_FLOOR = 1e-15
-
 
 def work_isothermal(fraction: float, v_initial: float, v_final: float) -> float:
     """Work, in bits, extracted by ``fraction`` of the gas expanding
@@ -54,7 +49,7 @@ def work_isothermal(fraction: float, v_initial: float, v_final: float) -> float:
         raise NonPositiveVolume(
             f"volumes must be positive, got {v_initial!r} -> {v_final!r}"
         )
-    if not 0.0 <= fraction <= 1.0 + 1e-12:
+    if not 0.0 <= fraction <= 1.0 + PROB_CLIP:
         raise ValidationError(f"molecule fraction {fraction!r} outside [0, 1]")
     if fraction == 0.0:
         return 0.0
@@ -110,7 +105,7 @@ def _extraction_entries(probs: np.ndarray, jd: JointDistribution) -> list[Ledger
     """The entries of ``extraction_stage``, from the priors and the joint table."""
     entries = []
     for i, p in enumerate(probs):
-        if p <= _WEIGHT_FLOOR:
+        if p <= WEIGHT_FLOOR:
             continue
         entries.append(
             LedgerEntry(
@@ -121,11 +116,11 @@ def _extraction_entries(probs: np.ndarray, jd: JointDistribution) -> list[Ledger
         )
     outcome_probs = jd.outcome_probs
     for j, q in enumerate(outcome_probs):
-        if q <= _WEIGHT_FLOOR:
+        if q <= WEIGHT_FLOOR:
             continue
         for i in range(len(probs)):
             cond = jd.matrix[i, j] / q
-            if cond <= _WEIGHT_FLOOR:
+            if cond <= WEIGHT_FLOOR:
                 continue
             entries.append(
                 LedgerEntry(
@@ -165,7 +160,7 @@ def _sigma_to_rho_entries(
         )
     ]
     for j, c in enumerate(sigma_spectrum):
-        if c <= _WEIGHT_FLOOR:
+        if c <= WEIGHT_FLOOR:
             continue
         entries.append(
             LedgerEntry(
@@ -178,7 +173,7 @@ def _sigma_to_rho_entries(
         LedgerEntry(STAGE_ISENTROPIC, "rotate eigencomponents into the target basis", 0.0)
     )
     for k, lam in enumerate(rho_spectrum):
-        if lam <= _WEIGHT_FLOOR:
+        if lam <= WEIGHT_FLOOR:
             continue
         entries.append(
             LedgerEntry(
@@ -207,7 +202,7 @@ def _rho_to_initial_entries(probs, rho_spectrum, member_spectra) -> list[LedgerE
     """The entries of ``rho_to_initial_stage``, from the priors and spectra."""
     entries = []
     for k, lam in enumerate(rho_spectrum):
-        if lam <= _WEIGHT_FLOOR:
+        if lam <= WEIGHT_FLOOR:
             continue
         entries.append(
             LedgerEntry(
@@ -222,10 +217,10 @@ def _rho_to_initial_entries(probs, rho_spectrum, member_spectra) -> list[LedgerE
         )
     )
     for i, (p, spectrum) in enumerate(zip(probs, member_spectra)):
-        if p <= _WEIGHT_FLOOR:
+        if p <= WEIGHT_FLOOR:
             continue
         for k, mu in enumerate(spectrum):
-            if mu <= _WEIGHT_FLOOR:
+            if mu <= WEIGHT_FLOOR:
                 continue
             entries.append(
                 LedgerEntry(

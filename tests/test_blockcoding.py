@@ -48,13 +48,9 @@ class TestSequenceEnsemble:
             it.sequence_ensemble(two_state_ensemble, 6)  # 2^6 = 64 > 32
 
     def test_sequence_budget(self):
-        e, _ = it.random_instance(2, 4, 2, "pure", 5)
+        e, _ = it.random_instance(2, 6, 2, "pure", 5)
         with pytest.raises(BudgetExceeded):
-            it.sequence_ensemble(e, 7, dim_cap=1024)  # 4^7 > 4096
-
-    def test_custom_caps(self, two_state_ensemble):
-        seq = it.sequence_ensemble(two_state_ensemble, 6, dim_cap=64)
-        assert seq.dim == 64
+            it.sequence_ensemble(e, 5)  # 2^5 = 32 dims, but 6^5 = 7776 > 4096
 
     def test_rejects_zero_length(self, two_state_ensemble):
         with pytest.raises(ValidationError):

@@ -111,6 +111,24 @@ class TestProblemParsing:
         path = _write(tmp_path, "priors.json", payload)
         assert cli.main(["bounds", "--spec", str(path)]) == 2
 
+    def test_nan_prior_exits_2(self, tmp_path, capsys):
+        payload = _two_state_payload()
+        payload["ensemble"]["priors"] = [float("nan"), 1.0]
+        path = _write(tmp_path, "nan.json", payload)
+        assert "NaN" in (tmp_path / "nan.json").read_text()
+        assert cli.main(["bounds", "--spec", str(path)]) == 2
+        assert "error: priors have non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["priors", "entry"])
+    def test_booleans_are_not_numbers(self, tmp_path, where):
+        payload = _two_state_payload()
+        if where == "priors":
+            payload["ensemble"]["priors"] = [True, False]
+        else:
+            payload["ensemble"]["states"][0][0][0] = [True, 0.0]
+        path = _write(tmp_path, "bool.json", payload)
+        assert cli.main(["bounds", "--spec", str(path)]) == 2
+
 
 class TestBounds:
     def test_computational_report(self, tmp_path, capsys):

@@ -78,6 +78,13 @@ class TestPovm:
         v = it.Povm((np.eye(3),))
         assert v.projective and v.size == 1
 
+    def test_idempotent_but_overlapping_elements_are_not_projective(self):
+        # each element is a projector, and row 0 is orthogonal to the rest,
+        # so only the orthogonality check on the later rows rejects the stack
+        v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
+        stack = np.stack([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.outer(v, v)])
+        assert not measurement._detect_projective(stack.astype(complex))
+
 
 class TestBasisMeasurement:
     def test_rejects_non_unitary(self):
@@ -121,6 +128,10 @@ class TestJointDistribution:
     def test_rejects_bad_table(self):
         with pytest.raises(ValidationError):
             it.JointDistribution(np.array([[0.7, 0.7]]))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            it.JointDistribution(np.array([[np.nan, 1.0]]))
 
 
 class TestMutualInformation:
@@ -472,10 +483,10 @@ def loop_element_error(elements):
         if not is_hermitian(el):
             return f"element {j} is not Hermitian"
         w = np.linalg.eigvalsh(el)
-        if w[0] < -measurement.ELEMENT_PSD_TOL:
+        if w[0] < -measurement.PSD_TOL:
             return (
                 f"element {j} has eigenvalue {w[0]:.3e} below "
-                f"-{measurement.ELEMENT_PSD_TOL:.1e}"
+                f"-{measurement.PSD_TOL:.1e}"
             )
     return None
 
@@ -681,4 +692,28 @@ class TestSymmetryInvariances:
             entropy_quantities(e, v),
             rtol=0,
             atol=1e-12,
+        )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(**instance_args)
+    def test_appending_a_zero_prior_member(self, dim, n, m, kind, seed):
+        e, v = drawn_instance(dim, n, m, kind, seed)
+        extra = random_density(dim, np.random.default_rng([seed, 3]))
+        padded = it.Ensemble(np.append(e.probs, 0.0), (*e.states, extra))
+        npt.assert_array_equal(entropy_quantities(padded, v), entropy_quantities(e, v))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(**instance_args)
+    def test_tensoring_with_a_pure_ancilla(self, dim, n, m, kind, seed):
+        e, v = drawn_instance(dim, n, m, kind, seed)
+        ancilla = np.diag([1.0, 0.0])
+        extended = it.Ensemble(
+            e.probs, tuple(it.DensityMatrix(np.kron(s.matrix, ancilla)) for s in e.states)
+        )
+        extended_v = it.Povm(tuple(np.kron(el, np.eye(2)) for el in v.elements))
+        npt.assert_allclose(
+            entropy_quantities(extended, extended_v),
+            entropy_quantities(e, v),
+            rtol=0,
+            atol=1e-10,
         )

@@ -64,6 +64,10 @@ class TestEnsemble:
         with pytest.raises(ValidationError):
             it.Ensemble([1.2, -0.2], (it.pure_state([1, 0]), it.pure_state([0, 1])))
 
+    def test_rejects_nan_prior(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            it.Ensemble([np.nan, 1.0], (it.pure_state([1, 0]), it.pure_state([0, 1])))
+
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValidationError):
             it.Ensemble([1.0], (it.pure_state([1, 0]), it.pure_state([0, 1])))
@@ -133,6 +137,10 @@ class TestShannonEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             it.shannon_entropy([0.5, 0.4])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            it.shannon_entropy([np.nan, 1.0])
 
 
 class TestHolevoChi:
