@@ -11,7 +11,7 @@ from .errors import BudgetExceeded, ValidationError
 from .linops import BOUND_TOL, PSD_EPSILON, psd_function
 from .measurement import Povm, joint_distribution, mutual_information
 from .measurement import delta_s as measurement_delta_s
-from .quantum import DensityMatrix, Ensemble, average_state, holevo_chi
+from .quantum import Ensemble, _density_matrices, average_state, holevo_chi
 
 #: Caps: sequence states of dimension at most 32, at most 4096 sequences.
 DIM_CAP = 32
@@ -24,7 +24,8 @@ def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:
     Priors multiply and states tensor, so the result has n^m members of
     dimension d^m, in lexicographic order of the sequences; ``DIM_CAP``
     (d^m <= 32) and ``SEQUENCE_CAP`` (n^m <= 4096) keep that from exploding.
-    Each extra letter is one broadcast outer product over the whole stack.
+    Each extra letter is one broadcast outer product over the whole stack,
+    and the finished stack gets one stacked density check.
     """
     if m < 1:
         raise ValidationError(f"block length must be at least 1, got {m}")
@@ -47,7 +48,7 @@ def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:
         ).reshape(k * n, dim * d, dim * d)
     # Product priors can drift from summing to exactly 1; renormalize the
     # rounding away rather than letting it trip validation downstream.
-    return Ensemble(probs / probs.sum(), tuple(DensityMatrix(s) for s in stack))
+    return Ensemble(probs / probs.sum(), _density_matrices(stack))
 
 
 def pretty_good_measurement(e: Ensemble) -> Povm:

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedDimension, ValidationError
-from .linops import BOUND_TOL, CONVERGENCE_TOL, psd_function
+from .linops import BOUND_TOL, CONVERGENCE_TOL, _psd_function_stack, psd_function
 from .measurement import (
     JointDistribution,
     Povm,
     _analyse,
-    basis_measurement,
+    _basis_elements,
+    _povms,
     mutual_information,
 )
 from .measurement import delta_s as measurement_delta_s  # noqa: F401 (read by bench/)
-from .quantum import DensityMatrix, Ensemble
+from .quantum import DensityMatrix, Ensemble, _density_matrices
 
 #: The optimizer methods ``OptimizerConfig`` accepts.
 METHODS = ("qubit_grid", "random_restart_ascent")
@@ -93,12 +94,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown optimizer method {self.method!r}")
+        for name in ("grid_points", "restarts", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.grid_points < 2:
             raise ValidationError("grid_points must be at least 2")
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValidationError("restarts and max_iterations must be positive")
-        if self.convergence_tol <= 0:
-            raise ValidationError("convergence_tol must be positive")
+        if not (np.isfinite(self.convergence_tol) and self.convergence_tol > 0):
+            raise ValidationError("convergence_tol must be positive and finite")
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
@@ -234,28 +239,43 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _random_density(dim: int, kind: str, rng: np.random.Generator) -> DensityMatrix:
+def _random_density_matrix(dim: int, kind: str, rng: np.random.Generator) -> np.ndarray:
     if kind == "pure":
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        return DensityMatrix(np.outer(psi, psi.conj()))
+        return np.outer(psi, psi.conj())
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     w = g @ g.conj().T
-    return DensityMatrix(w / np.trace(w).real)
+    return w / np.trace(w).real
 
 
 def _column_blocks(dim: int, outcomes: int) -> list[list[int]]:
     return [list(chunk) for chunk in np.array_split(np.arange(dim), outcomes)]
 
 
-def _random_general_povm(dim: int, outcomes: int, rng: np.random.Generator) -> Povm:
+def _draw_instance(dim: int, n_states: int, m_outcomes: int, kind: str, seed):
+    """One instance's raw arrays, in the order its generator yields them:
+    the priors, the state matrices, the measurement's elements, and the sum
+    of those elements when they are raw PSD draws still to be normalized
+    (``None`` for a projective basis)."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(n_states))
+    if kind == "commuting":
+        shared = _haar_unitary(dim, rng)
+        states = []
+        for _ in range(n_states):
+            diag = rng.dirichlet(np.ones(dim))
+            states.append((shared * diag) @ shared.conj().T)
+        return probs, states, _basis_elements(shared, _column_blocks(dim, m_outcomes)), None
+    states = [_random_density_matrix(dim, kind, rng) for _ in range(n_states)]
+    if m_outcomes <= dim and rng.random() < 0.5:
+        blocks = _column_blocks(dim, m_outcomes)
+        return probs, states, _basis_elements(_haar_unitary(dim, rng), blocks), None
     raw = []
-    for _ in range(outcomes):
+    for _ in range(m_outcomes):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         raw.append(g @ g.conj().T)
-    total = sum(raw)
-    inv_root = psd_function(total, lambda x: 1.0 / np.sqrt(x), pseudo=True)
-    return Povm(tuple(inv_root @ a @ inv_root for a in raw))
+    return probs, states, raw, sum(raw)
 
 
 def random_instance(
@@ -269,39 +289,50 @@ def random_instance(
     shared basis).  Priors are a flat simplex draw.  For the non-commuting
     kinds the measurement is a coin flip between a random projective basis
     (column blocks of a fresh unitary, only possible when m <= dim) and
-    random PSD elements normalized to resolve the identity.
+    random PSD elements normalized to resolve the identity.  This is the
+    one-instance case of ``_random_instances``.
     """
-    if dim < 2:
-        raise ValidationError("dimension must be at least 2")
-    if n_states < 1:
-        raise ValidationError("need at least one state")
-    if m_outcomes < 2:
-        raise ValidationError("need at least two outcomes")
-    if kind not in ("pure", "mixed", "commuting"):
-        raise ValidationError(f"unknown ensemble kind {kind!r}")
-    if kind == "commuting" and m_outcomes > dim:
-        raise ValidationError(
-            "a commuting instance is measured in its shared basis, "
-            f"so outcomes ({m_outcomes}) cannot exceed the dimension ({dim})"
+    return _random_instances([(dim, n_states, m_outcomes, kind, seed)])[0]
+
+
+def _random_instances(specs) -> list[tuple[Ensemble, Povm]]:
+    """``random_instance(*spec)`` for each (dim, n_states, m_outcomes, kind,
+    seed) spec, all of one dimension.  Each spec draws from its own
+    generator, in spec order; then the states get one stacked density
+    check, the raw PSD elements one stacked ``psd_function`` normalization,
+    and the measurements one stacked ``Povm`` check."""
+    for dim, n_states, m_outcomes, kind, _ in specs:
+        if dim < 2:
+            raise ValidationError("dimension must be at least 2")
+        if n_states < 1:
+            raise ValidationError("need at least one state")
+        if m_outcomes < 2:
+            raise ValidationError("need at least two outcomes")
+        if kind not in ("pure", "mixed", "commuting"):
+            raise ValidationError(f"unknown ensemble kind {kind!r}")
+        if kind == "commuting" and m_outcomes > dim:
+            raise ValidationError(
+                "a commuting instance is measured in its shared basis, "
+                f"so outcomes ({m_outcomes}) cannot exceed the dimension ({dim})"
+            )
+    draws = [_draw_instance(*spec) for spec in specs]
+    states = _density_matrices(np.stack([s for _, ss, _, _ in draws for s in ss]))
+    ensembles, offset = [], 0
+    for probs, ss, _, _ in draws:
+        ensembles.append(Ensemble(probs, states[offset:offset + len(ss)]))
+        offset += len(ss)
+    counts = [len(els) for _, _, els, _ in draws]
+    elements = np.stack([el for _, _, els, _ in draws for el in els])
+    general = [k for k, (*_, total) in enumerate(draws) if total is not None]
+    if general:
+        inv_roots = _psd_function_stack(
+            np.stack([draws[k][3] for k in general]),
+            lambda x: 1.0 / np.sqrt(x),
+            pseudo=True,
         )
-    rng = np.random.default_rng(seed)
-    probs = rng.dirichlet(np.ones(n_states))
-
-    if kind == "commuting":
-        shared = _haar_unitary(dim, rng)
-        states = []
-        for _ in range(n_states):
-            diag = rng.dirichlet(np.ones(dim))
-            states.append(DensityMatrix((shared * diag) @ shared.conj().T))
-        ensemble = Ensemble(probs, tuple(states))
-        povm = basis_measurement(shared, _column_blocks(dim, m_outcomes))
-        return ensemble, povm
-
-    states = tuple(_random_density(dim, kind, rng) for _ in range(n_states))
-    ensemble = Ensemble(probs, states)
-    use_projective = m_outcomes <= dim and rng.random() < 0.5
-    if use_projective:
-        povm = basis_measurement(_haar_unitary(dim, rng), _column_blocks(dim, m_outcomes))
-    else:
-        povm = _random_general_povm(dim, m_outcomes, rng)
-    return ensemble, povm
+        offsets = np.cumsum(counts) - counts
+        rows = np.concatenate([np.arange(offsets[k], offsets[k] + counts[k]) for k in general])
+        inv_roots = np.repeat(inv_roots, [counts[k] for k in general], axis=0)
+        elements[rows] = inv_roots @ elements[rows] @ inv_roots
+    declared = [None if total is not None else True for *_, total in draws]
+    return list(zip(ensembles, _povms(elements, counts, declared)))

@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcoding import block_scan
+from .blockcoding import DIM_CAP, block_scan
 from .bounds import (
     METHODS,
     BoundReport,
     OptimizerConfig,
+    _random_instances,
     _report,
     evaluate_bounds,
     maximize_accessible_information,
-    random_instance,
 )
 from .errors import (
     BudgetExceeded,
@@ -38,9 +38,9 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .measurement import Povm
+from .measurement import Povm, _analyse_pairs
 from .quantum import DensityMatrix, Ensemble
-from .thermo import run_cycle
+from .thermo import _book_cycle, run_cycle
 
 _KINDS = ("pure", "mixed", "commuting")
 
@@ -308,9 +308,15 @@ _SUITE_CSV_HEADER = [
 ]
 
 
-def _suite_trial(seed: int, trial: int, dims: list[int], kinds: tuple[str, ...]):
-    """One suite trial; everything derives from (seed, trial), so a trial's
-    row does not depend on the trials run before it."""
+#: The suite scores its trials in chunks of consecutive trials whose states
+#: and elements hold at most this many matrix entries ((n + m) d^2 a
+#: trial), so the stacks of a chunk stay near a megabyte at any --trials.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _pick(seed: int, trial: int, dims: list[int], kinds: tuple[str, ...]):
+    """A trial's (kind, dim, n_states, m_outcomes); everything derives from
+    (seed, trial), so a trial's row does not depend on the trials before it."""
     picker = np.random.default_rng([seed, trial, 0])
     kind = kinds[int(picker.integers(0, len(kinds)))]
     dim = dims[int(picker.integers(0, len(dims)))]
@@ -319,33 +325,60 @@ def _suite_trial(seed: int, trial: int, dims: list[int], kinds: tuple[str, ...])
         m_outcomes = int(picker.integers(2, dim + 1))
     else:
         m_outcomes = int(picker.integers(2, 7))
-    ensemble, povm = random_instance(
-        dim, n_states, m_outcomes, kind, seed=[seed, trial, 1]
-    )
-    try:
-        ledger = run_cycle(ensemble, povm)
-        report = _report(ledger.i_ab, ledger.chi, ledger.delta_s)
-        cycle_net = ledger.net_bits
-        second_law_ok = True
-    except SecondLawViolation:
-        report = evaluate_bounds(ensemble, povm)
-        cycle_net = float("nan")
-        second_law_ok = False
-    row = [
-        str(trial),
-        str(dim),
-        str(n_states),
-        str(m_outcomes),
-        kind,
-        "true" if povm.projective else "false",
-        _fmt(report.accessible_info),
-        _fmt(report.chi),
-        _fmt(report.delta_s),
-        _fmt(report.holevo_slack),
-        _fmt(report.thermo_slack),
-        _fmt(cycle_net),
-    ]
-    return row, report, second_law_ok
+    return kind, dim, n_states, m_outcomes
+
+
+def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ...]):
+    """(row, report, second_law_ok) of every trial, in trial order."""
+    results, chunk, entries = [], [], 0
+    for trial in range(trials):
+        kind, dim, n_states, m_outcomes = _pick(seed, trial, dims, kinds)
+        size = (n_states + m_outcomes) * dim * dim
+        if chunk and entries + size > _CHUNK_ENTRIES:
+            results += _score_chunk(seed, chunk)
+            chunk, entries = [], 0
+        chunk.append((trial, kind, dim, n_states, m_outcomes))
+        entries += size
+    return results + _score_chunk(seed, chunk)
+
+
+def _score_chunk(seed: int, chunk: list[tuple]) -> list[tuple]:
+    """Draw and analyse a chunk's trials as one stack per dimension, then
+    book each trial's cycle and build its row, in trial order."""
+    scored = {}
+    for dim in sorted({pick[2] for pick in chunk}):
+        picks = [pick for pick in chunk if pick[2] == dim]
+        pairs = _random_instances(
+            [(dim, n, m, kind, [seed, trial, 1]) for trial, kind, _, n, m in picks]
+        )
+        for pick, pair, analysis in zip(picks, pairs, _analyse_pairs(pairs)):
+            scored[pick[0]] = (pair, analysis)
+    results = []
+    for trial, kind, dim, n_states, m_outcomes in chunk:
+        (ensemble, povm), a = scored[trial]
+        try:
+            cycle_net = _book_cycle(ensemble, povm, a).net_bits
+            second_law_ok = True
+        except SecondLawViolation:
+            cycle_net = float("nan")
+            second_law_ok = False
+        report = _report(a.info, a.chi, a.delta_s)
+        row = [
+            str(trial),
+            str(dim),
+            str(n_states),
+            str(m_outcomes),
+            kind,
+            "true" if povm.projective else "false",
+            _fmt(report.accessible_info),
+            _fmt(report.chi),
+            _fmt(report.delta_s),
+            _fmt(report.holevo_slack),
+            _fmt(report.thermo_slack),
+            _fmt(cycle_net),
+        ]
+        results.append((row, report, second_law_ok))
+    return results
 
 
 def cmd_suite(args) -> int:
@@ -355,12 +388,14 @@ def cmd_suite(args) -> int:
         raise ValidationError(f"--dims must be comma-separated integers: {exc}") from exc
     if not dims or any(d < 2 for d in dims):
         raise ValidationError("--dims needs dimensions of at least 2")
+    if any(d > DIM_CAP for d in dims):
+        raise ValidationError(f"--dims allows dimensions up to the cap {DIM_CAP}")
     if args.trials < 1:
         raise ValidationError("--trials must be positive")
     if args.workers < 1:
         raise ValidationError("--workers must be positive")
     kinds = _KINDS if args.kind == "all" else (args.kind,)
-    results = [_suite_trial(args.seed, t, dims, kinds) for t in range(args.trials)]
+    results = _suite_results(args.seed, args.trials, dims, kinds)
 
     rows = [row for row, _, _ in results]
     reports = [rep for _, rep, _ in results]

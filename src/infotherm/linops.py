@@ -100,26 +100,57 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, with
-    the hermiticity and reconstruction checks but the solver's own phases."""
-    m = as_complex_matrix(m)
-    if not is_hermitian(m):
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {max_abs(m - m.conj().T):.3e} "
-            f"(tolerance {HERMITICITY_TOL:.1e})"
-        )
+def _asymmetry(stack: np.ndarray) -> np.ndarray:
+    """max |M - M+| of each matrix of a (B, d, d) stack, with one
+    stack-sized temporary."""
+    diff = stack.conj().swapaxes(1, 2)
+    np.subtract(stack, diff, out=diff)
+    return np.abs(diff).max(axis=(1, 2))
+
+
+def _raise_first_failure(checks) -> None:
+    """Raise for the lowest-index item of a stack that fails a check.
+
+    ``checks`` lists (per-item failure mask, item -> exception) in the order
+    a single item runs them, so the item named is the one a loop over the
+    stack would have stopped at, with the error that loop would have raised.
+    """
+    failed = [bad for bad, _ in checks if bad.any()]
+    if failed:
+        k = min(int(np.argmax(bad)) for bad in failed)
+        for bad, error in checks:
+            if bad[k]:
+                raise error(k)
+
+
+def _eigh_checks(stack: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of each matrix of a finite
+    (B, d, d) stack, with the solver's own phases, and the hermiticity and
+    reconstruction checks for ``_raise_first_failure``."""
+    asym = _asymmetry(stack)
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     # Postcondition check; the tolerance is absolute, so scale it for
     # matrices with entries far above unit size.
-    scale = max(1.0, max_abs(m))
-    reconstructed = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
-    if max_abs(reconstructed - m) > RECONSTRUCTION_TOL * scale:
-        raise NumericalFailure("eigendecomposition failed reconstruction check")
-    return eigenvalues, eigenvectors
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    reconstructed = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    residual = np.abs(reconstructed - stack).max(axis=(1, 2))
+    checks = [
+        (
+            asym > HERMITICITY_TOL,
+            lambda k: NotHermitian(
+                f"matrix deviates from Hermitian by {asym[k]:.3e} "
+                f"(tolerance {HERMITICITY_TOL:.1e})"
+            ),
+        ),
+        (
+            residual > RECONSTRUCTION_TOL * scale,
+            lambda k: NumericalFailure("eigendecomposition failed reconstruction check"),
+        ),
+    ]
+    return w, v, checks
 
 
 def hermitian_eig(m) -> HermitianEigen:
@@ -130,8 +161,9 @@ def hermitian_eig(m) -> HermitianEigen:
     and a reconstruction check so a silently wrong decomposition can never
     leak downstream.
     """
-    eigenvalues, eigenvectors = _checked_eigh(m)
-    return HermitianEigen(eigenvalues, _fix_phases(eigenvectors))
+    w, v, checks = _eigh_checks(as_complex_matrix(m)[None])
+    _raise_first_failure(checks)
+    return HermitianEigen(w[0], _fix_phases(v[0]))
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -153,21 +185,43 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
     ``PSD_EPSILON``) and the kernel maps to zero, which is how the pseudo
     inverse square root used by the measurement code is built.  The
     eigenvectors never leave this function, so their phases are not fixed.
+    This is the one-matrix case of ``_psd_function_stack``.
     """
-    w, v = _checked_eigh(m)
-    if w[0] < -PSD_TOL:
-        raise NegativeEigenvalue(
-            f"matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
+    return _psd_function_stack(as_complex_matrix(m)[None], f, pseudo)[0]
+
+
+def _psd_function_stack(stack: np.ndarray, f: Callable, pseudo: bool = False) -> np.ndarray:
+    """``psd_function`` of each matrix of a finite complex (B, d, d) stack,
+    with one batched eigensolve.  ``f`` must act elementwise.  The
+    lowest-index item that fails a check raises the error ``psd_function``
+    raises for it alone."""
+    w, v, checks = _eigh_checks(stack)
+    lowest = w[:, 0]
+    checks.append(
+        (
+            lowest < -PSD_TOL,
+            lambda k: NegativeEigenvalue(
+                f"matrix has eigenvalue {lowest[k]:.3e} below -{PSD_TOL:.1e}"
+            ),
         )
-    w = np.clip(w, 0.0, None)
+    )
+    w = np.maximum(w, 0.0)
     fw = np.zeros_like(w)
-    if pseudo:
-        mask = w > PSD_EPSILON
-    else:
-        mask = np.ones_like(w, dtype=bool)
+    mask = (w > PSD_EPSILON) if pseudo else np.ones_like(w, dtype=bool)
+    failed = [bad for bad, _ in checks if bad.any()]
+    if failed:
+        # f only sees the items that passed the checks so far, as in the
+        # one-matrix case, where a failed check raises before f runs.
+        mask &= ~np.logical_or.reduce(failed)[:, None]
     if np.any(mask):
         fw[mask] = np.asarray(f(w[mask]), dtype=float)
-    if not np.all(np.isfinite(fw)):
-        raise NumericalFailure("function produced non-finite eigenvalues")
-    return (v * fw) @ v.conj().T
-
+    finite = np.isfinite(fw)
+    if failed or not finite.all():
+        checks.append(
+            (
+                ~finite.all(axis=1),
+                lambda k: NumericalFailure("function produced non-finite eigenvalues"),
+            )
+        )
+        _raise_first_failure(checks)
+    return (v * fw[:, None, :]) @ v.conj().swapaxes(1, 2)

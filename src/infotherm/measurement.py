@@ -30,31 +30,91 @@ from .linops import (
     PSD_TOL,
     TRACE_TOL,
     UNITARY_TOL,
+    _asymmetry,
+    _psd_function_stack,
+    _raise_first_failure,
     as_complex_matrix,
     max_abs,
-    psd_function,
     tensor_product,
 )
 from .quantum import (
     DensityMatrix,
     Ensemble,
+    _average_matrix,
     _chi_from_spectra,
+    _density_eigenvalues,
+    _density_matrices,
     _entropy_of_spectrum,
-    average_state,
 )
 
 
-def _detect_projective(stack: np.ndarray) -> bool:
-    """E_j E_k = delta_jk E_j for the (m, d, d) element stack: idempotence
-    of every element first, then orthogonality one row j at a time."""
-    if max_abs(stack @ stack - stack) > PROJECTIVE_TOL:
-        return False
-    for j, ej in enumerate(stack):
-        products = ej @ stack
-        products[j] -= ej
-        if max_abs(products) > PROJECTIVE_TOL:
-            return False
-    return True
+def _detect_projective(stack: np.ndarray, counts) -> np.ndarray:
+    """For each (offset, count) segment of the (M, d, d) element stack, in
+    order, whether E_j E_k = delta_jk E_j for every j, k in it: idempotence
+    of every element first, as one batched product, then orthogonality one
+    row j at a time, batched over the idempotent segments, so a product
+    stack never holds more than one entry per element."""
+    counts = np.asarray(counts)
+    offsets = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    residual = np.abs(stack @ stack - stack).max(axis=(1, 2))
+    flags = np.maximum.reduceat(residual, offsets) <= PROJECTIVE_TOL
+    members = np.flatnonzero(flags[owner])
+    for j in range(int(counts[flags].max(initial=0))):
+        members = members[counts[owner[members]] > j]
+        rows = offsets[owner[members]] + j
+        products = stack[rows] @ stack[members]
+        same = rows == members
+        products[same] -= stack[rows[same]]
+        failing = np.abs(products).max(axis=(1, 2)) > PROJECTIVE_TOL
+        flags[owner[members[failing]]] = False
+    return flags
+
+
+def _povm_flags(stack: np.ndarray, counts, declared) -> np.ndarray:
+    """Check each (offset, count) segment of a finite complex (M, d, d)
+    element stack as one ``Povm``, with one batched ``eigvalsh``: Hermitian
+    PSD elements, completeness, and the projective flag ``declared`` for it
+    (``None`` to detect it).  Returns the projective flags; the lowest-index
+    failing segment raises the error ``Povm`` raises for it alone."""
+    counts = np.asarray(counts)
+    offsets = np.cumsum(counts) - counts
+    not_hermitian = _asymmetry(stack) > HERMITICITY_TOL
+    lowest = np.linalg.eigvalsh(stack)[:, 0]
+    bad_element = not_hermitian | (lowest < -PSD_TOL)
+    residual = np.abs(
+        np.add.reduceat(stack, offsets, axis=0) - np.eye(stack.shape[1])
+    ).max(axis=(1, 2))
+    detected = _detect_projective(stack, counts)
+    flags = np.array([detected[s] if p is None else bool(p) for s, p in enumerate(declared)])
+
+    def element_error(s):
+        j = int(np.argmax(bad_element[offsets[s]:offsets[s] + counts[s]]))
+        if not_hermitian[offsets[s] + j]:
+            return ValidationError(f"element {j} is not Hermitian")
+        return ValidationError(
+            f"element {j} has eigenvalue {lowest[offsets[s] + j]:.3e} below -{PSD_TOL:.1e}"
+        )
+
+    _raise_first_failure(
+        [
+            (np.logical_or.reduceat(bad_element, offsets), element_error),
+            (
+                residual > POVM_SUM_TOL,
+                lambda s: ValidationError(
+                    f"elements sum to identity only within {residual[s]:.3e} "
+                    f"(tolerance {POVM_SUM_TOL:.1e})"
+                ),
+            ),
+            (
+                flags & ~detected,
+                lambda s: ValidationError(
+                    "measurement declared projective but elements are not orthogonal projectors"
+                ),
+            ),
+        ]
+    )
+    return flags
 
 
 @dataclass(frozen=True)
@@ -80,36 +140,22 @@ class Povm:
         if len(dims) != 1:
             raise DimensionMismatch(f"elements have mixed dimensions {sorted(dims)}")
         stack = np.stack(elements)
-        asymmetry = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        lowest = np.linalg.eigvalsh(stack)[:, 0]
-        not_hermitian = asymmetry > HERMITICITY_TOL
-        failing = np.flatnonzero(not_hermitian | (lowest < -PSD_TOL))
-        if failing.size:
-            j = int(failing[0])
-            if not_hermitian[j]:
-                raise ValidationError(f"element {j} is not Hermitian")
-            raise ValidationError(
-                f"element {j} has eigenvalue {lowest[j]:.3e} below -{PSD_TOL:.1e}"
-            )
-        residual = max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
-        if residual > POVM_SUM_TOL:
-            raise ValidationError(
-                f"elements sum to identity only within {residual:.3e} "
-                f"(tolerance {POVM_SUM_TOL:.1e})"
-            )
-        detected = _detect_projective(stack)
-        if self.projective is None:
-            flag = detected
-        else:
-            flag = bool(self.projective)
-            if flag and not detected:
-                raise ValidationError(
-                    "measurement declared projective but elements are not orthogonal projectors"
-                )
+        flag = _povm_flags(stack, [len(elements)], [self.projective])[0]
         stack.setflags(write=False)
+        self._set(stack, flag)
+
+    def _set(self, stack: np.ndarray, projective) -> None:
         object.__setattr__(self, "elements", tuple(stack))
-        object.__setattr__(self, "projective", flag)
+        object.__setattr__(self, "projective", bool(projective))
         object.__setattr__(self, "_stack", stack)
+
+    @classmethod
+    def _checked(cls, stack: np.ndarray, projective) -> "Povm":
+        """A read-only element stack that already passed the checks, stacked,
+        with its projective flag; nothing is checked again."""
+        v = object.__new__(cls)
+        v._set(stack, projective)
+        return v
 
     @property
     def size(self) -> int:
@@ -120,12 +166,30 @@ class Povm:
         return self.elements[0].shape[0]
 
 
+def _povms(stack: np.ndarray, counts, declared) -> list[Povm]:
+    """One ``Povm`` per (offset, count) segment of a finite complex
+    (M, d, d) stack, checked with one ``_povm_flags``.  The stack becomes
+    read-only and the measurements hold views of it."""
+    flags = _povm_flags(stack, counts, declared)
+    stack.setflags(write=False)
+    out, offset = [], 0
+    for count, flag in zip(counts, flags):
+        out.append(Povm._checked(stack[offset:offset + count], flag))
+        offset += count
+    return out
+
+
 def basis_measurement(unitary, blocks: Sequence[Sequence[int]] | None = None) -> Povm:
     """Projective measurement built from the columns of a unitary.
 
     With ``blocks`` the columns are grouped into coarse-grained projectors;
     by default each column becomes its own rank-1 projector.
     """
+    return Povm(tuple(_basis_elements(unitary, blocks)), projective=True)
+
+
+def _basis_elements(unitary, blocks) -> list[np.ndarray]:
+    """The projectors of ``basis_measurement``, after its unitarity check."""
     u = as_complex_matrix(unitary)
     d = u.shape[0]
     if max_abs(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
@@ -136,7 +200,7 @@ def basis_measurement(unitary, blocks: Sequence[Sequence[int]] | None = None) ->
     for block in blocks:
         cols = u[:, list(block)]
         elements.append(cols @ cols.conj().T)
-    return Povm(tuple(elements), projective=True)
+    return elements
 
 
 @dataclass(frozen=True)
@@ -158,7 +222,7 @@ class JointDistribution:
             raise ValidationError("joint probabilities have non-finite entries")
         if np.any(p < -PROB_CLIP):
             raise ValidationError(f"joint probability {p.min():.3e} below -{PROB_CLIP:.0e}")
-        p = np.clip(p, 0.0, None)
+        p = np.maximum(p, 0.0)
         if abs(p.sum() - 1.0) > TRACE_TOL:
             raise ValidationError(f"joint probabilities sum to {p.sum():.12g}")
         p.setflags(write=False)
@@ -216,8 +280,16 @@ def _record_ket(index: int, dim: int) -> np.ndarray:
     return v
 
 
-def _sqrt_elements(v: Povm) -> list[np.ndarray]:
-    return [psd_function(el, np.sqrt) for el in v.elements]
+def _sqrt_elements(v: Povm) -> np.ndarray:
+    return _psd_function_stack(v._stack, np.sqrt)
+
+
+def _dephased_matrix(r: DensityMatrix, v: Povm) -> np.ndarray:
+    """sum_j P_j rho P_j, accumulated one element at a time."""
+    acc = np.zeros_like(r.matrix)
+    for el in v.elements:
+        acc += el @ r.matrix @ el
+    return acc
 
 
 def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
@@ -231,10 +303,7 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
     if r.dim != v.dim:
         raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
     if v.projective:
-        acc = np.zeros_like(r.matrix)
-        for el in v.elements:
-            acc += el @ r.matrix @ el
-        return DensityMatrix(acc)
+        return DensityMatrix(_dephased_matrix(r, v))
     m = v.size
     acc = np.zeros((r.dim * m, r.dim * m), dtype=complex)
     for j, root in enumerate(_sqrt_elements(v)):
@@ -246,31 +315,56 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
 
 def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     """Eigenvalues of ``post_measurement_state(r, v)``, ascending, clipped
-    to be nonnegative, without building the system-record state.
+    to be nonnegative, without building the system-record state."""
+    return _post_measurement_spectra([r], [v])[0]
+
+
+def _post_measurement_spectra(rhos, povms) -> list[np.ndarray]:
+    """``_post_measurement_spectrum`` of each (state, measurement) pair, all
+    of one dimension: one stacked density check for the projective pairs,
+    and one stacked sqrt(rho) and one batched ``eigvalsh`` for the rest.
 
     Projective case: the spectrum of sum_j P_j rho P_j, which is d x d
     already; the union below would agree to rounding, but on commuting
     instances delta_s is itself rounding noise and would change in the
-    printed digits.  General case: the record state is block diagonal with blocks A_j A_j^+, where
-    A_j = sqrt(E_j) sqrt(rho); each block shares its spectrum with
-    A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so the d*m eigenvalues are the
-    union of m d x d spectra.  The union gets the PSD and unit-trace checks
-    that ``DensityMatrix`` would give the record state.
+    printed digits.  General case: the record state is block diagonal with
+    blocks A_j A_j^+, where A_j = sqrt(E_j) sqrt(rho); each block shares its
+    spectrum with A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so the d*m
+    eigenvalues are the union of m d x d spectra.  The union gets the PSD
+    and unit-trace checks that ``DensityMatrix`` would give the record state.
     """
-    if r.dim != v.dim:
-        raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
-    if v.projective:
-        return post_measurement_state(r, v).spectrum()
-    root = psd_function(r.matrix, np.sqrt)
-    w = np.sort(np.linalg.eigvalsh(root @ v._stack @ root).reshape(-1))
-    if w[0] < -PSD_TOL:
-        raise ValidationError(
-            f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
-        )
-    total = w.sum()
-    if abs(total - 1.0) > TRACE_TOL:
-        raise ValidationError(f"density matrix has trace {total:.12g}, expected 1")
-    return np.clip(w, 0.0, None)
+    for r, v in zip(rhos, povms):
+        if r.dim != v.dim:
+            raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
+    out = [None] * len(povms)
+    projective = [i for i, v in enumerate(povms) if v.projective]
+    general = [i for i, v in enumerate(povms) if not v.projective]
+    if projective:
+        dephased = np.stack([_dephased_matrix(rhos[i], povms[i]) for i in projective])
+        for i, w in zip(projective, _density_eigenvalues(dephased)):
+            out[i] = np.maximum(w, 0.0)
+    if general:
+        counts = [povms[i].size for i in general]
+        roots = _psd_function_stack(np.stack([rhos[i].matrix for i in general]), np.sqrt)
+        blocks = np.empty((sum(counts),) + roots.shape[1:], dtype=complex)
+        offset = 0
+        for i, root, count in zip(general, roots, counts):
+            np.matmul(root @ povms[i]._stack, root, out=blocks[offset:offset + count])
+            offset += count
+        spectra = np.linalg.eigvalsh(blocks)
+        offset = 0
+        for i, count in zip(general, counts):
+            w = np.sort(spectra[offset:offset + count].reshape(-1))
+            offset += count
+            if w[0] < -PSD_TOL:
+                raise ValidationError(
+                    f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
+                )
+            total = w.sum()
+            if abs(total - 1.0) > TRACE_TOL:
+                raise ValidationError(f"density matrix has trace {total:.12g}, expected 1")
+            out[i] = np.maximum(w, 0.0)
+    return out
 
 
 def _entropy_increase(sigma_spectrum: np.ndarray, rho_spectrum: np.ndarray) -> float:
@@ -309,17 +403,29 @@ class _Analysis:
 
 def _analyse(e: Ensemble, v: Povm) -> _Analysis:
     """The analysis ``evaluate_bounds`` and ``run_cycle`` both read; the
-    formulas are those of ``mutual_information``, ``holevo_chi`` and
-    ``delta_s``, so the values match theirs to the last bit."""
-    joint = joint_distribution(e, v)
-    info = mutual_information(joint)
-    rho = average_state(e)
-    rho_spectrum = rho.spectrum()
-    members = tuple(s.spectrum() for s in e.states)
-    chi = _chi_from_spectra(e.probs, rho_spectrum, members)
-    sigma_spectrum = _post_measurement_spectrum(rho, v)
-    ds = _entropy_increase(sigma_spectrum, rho_spectrum)
-    return _Analysis(joint, info, rho_spectrum, members, chi, sigma_spectrum, ds)
+    one-pair case of ``_analyse_pairs``."""
+    return _analyse_pairs([(e, v)])[0]
+
+
+def _analyse_pairs(pairs) -> list[_Analysis]:
+    """``_Analysis`` of each (ensemble, measurement) pair, all of one
+    dimension.  The joint tables and every scalar stay per pair; the average
+    states get one stacked density check and the post-measurement spectra
+    one ``_post_measurement_spectra``.  The formulas are those of
+    ``mutual_information``, ``holevo_chi`` and ``delta_s``, so the values
+    match theirs to the last bit."""
+    joints = [joint_distribution(e, v) for e, v in pairs]
+    infos = [mutual_information(joint) for joint in joints]
+    rhos = _density_matrices(np.stack([_average_matrix(e) for e, _ in pairs]))
+    sigmas = _post_measurement_spectra(rhos, [v for _, v in pairs])
+    out = []
+    for (e, _), joint, info, rho, sigma_spectrum in zip(pairs, joints, infos, rhos, sigmas):
+        rho_spectrum = rho.spectrum()
+        members = tuple(s.spectrum() for s in e.states)
+        chi = _chi_from_spectra(e.probs, rho_spectrum, members)
+        ds = _entropy_increase(sigma_spectrum, rho_spectrum)
+        out.append(_Analysis(joint, info, rho_spectrum, members, chi, sigma_spectrum, ds))
+    return out
 
 
 def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:

@@ -12,24 +12,59 @@ import numpy as np
 from .errors import DimensionMismatch, ValidationError
 from .linops import (
     COMMUTATOR_TOL,
+    HERMITICITY_TOL,
     JOINT_BASIS_TOL,
     PROB_CLIP,
     PSD_TOL,
     TRACE_TOL,
+    _asymmetry,
+    _raise_first_failure,
     as_complex_matrix,
     hermitian_eig,
-    is_hermitian,
     max_abs,
 )
 
 
 def _entropy_of_spectrum(values: np.ndarray) -> float:
     """-sum(v log2 v) over the nonzero entries, tiny negatives clipped."""
-    w = np.clip(np.asarray(values, dtype=float), 0.0, None)
+    w = np.maximum(np.asarray(values, dtype=float), 0.0)
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
     return float(max(0.0, -np.dot(w, np.log2(w))))
+
+
+def _density_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of each matrix of a finite complex (B, d, d)
+    stack, from one batched ``eigvalsh``, once each matrix has passed the
+    density-matrix checks: Hermitian, unit trace, PSD.  The lowest-index
+    failing item raises the error ``DensityMatrix`` raises for it alone."""
+    asym = _asymmetry(stack)
+    traces = np.trace(stack, axis1=1, axis2=2)
+    w = np.linalg.eigvalsh(stack)
+    _raise_first_failure(
+        [
+            (
+                asym > HERMITICITY_TOL,
+                lambda k: ValidationError(
+                    f"density matrix deviates from Hermitian by {asym[k]:.3e}"
+                ),
+            ),
+            (
+                np.abs(traces - 1.0) > TRACE_TOL,
+                lambda k: ValidationError(
+                    f"density matrix has trace {traces[k]:.12g}, expected 1"
+                ),
+            ),
+            (
+                w[:, 0] < -PSD_TOL,
+                lambda k: ValidationError(
+                    f"density matrix has eigenvalue {w[k, 0]:.3e} below -{PSD_TOL:.1e}"
+                ),
+            ),
+        ]
+    )
+    return w
 
 
 @dataclass(frozen=True)
@@ -45,22 +80,19 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix).copy()
-        if not is_hermitian(m):
-            raise ValidationError(
-                f"density matrix deviates from Hermitian by "
-                f"{max_abs(m - m.conj().T):.3e}"
-            )
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density matrix has trace {tr:.12g}, expected 1")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -PSD_TOL:
-            raise ValidationError(
-                f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
-            )
+        w = _density_eigenvalues(m[None])[0]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_eigenvalues", w)
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, eigenvalues: np.ndarray) -> "DensityMatrix":
+        """A read-only ``matrix`` that already passed the checks, stacked,
+        with the eigenvalues they found; nothing is checked again."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "matrix", matrix)
+        object.__setattr__(r, "_eigenvalues", eigenvalues)
+        return r
 
     @property
     def dim(self) -> int:
@@ -68,7 +100,16 @@ class DensityMatrix:
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, ascending, clipped to be nonnegative."""
-        return np.clip(self._eigenvalues, 0.0, None)
+        return np.maximum(self._eigenvalues, 0.0)
+
+
+def _density_matrices(stack: np.ndarray) -> tuple[DensityMatrix, ...]:
+    """Every matrix of a finite complex (B, d, d) stack as a ``DensityMatrix``,
+    checked with one ``_density_eigenvalues``.  The stack becomes read-only
+    and the states are views of it, so the caller hands it over."""
+    w = _density_eigenvalues(stack)
+    stack.setflags(write=False)
+    return tuple(DensityMatrix._checked(m, wk) for m, wk in zip(stack, w))
 
 
 def pure_state(amplitudes) -> DensityMatrix:
@@ -123,10 +164,14 @@ class Ensemble:
 
 def average_state(e: Ensemble) -> DensityMatrix:
     """The source average sum_i p_i rho_i."""
+    return DensityMatrix(_average_matrix(e))
+
+
+def _average_matrix(e: Ensemble) -> np.ndarray:
     acc = np.zeros((e.dim, e.dim), dtype=complex)
     for p, s in zip(e.probs, e.states):
         acc += p * s.matrix
-    return DensityMatrix(acc)
+    return acc
 
 
 def von_neumann_entropy(r: DensityMatrix) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonPositiveVolume, SecondLawViolation, ValidationError
 from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR
-from .measurement import JointDistribution, Povm, _analyse, joint_distribution
+from .measurement import JointDistribution, Povm, _analyse, _Analysis, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
 
 STAGE_EXTRACTION = "extraction"
@@ -247,7 +247,12 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     ``SecondLawViolation`` if the net work comes out positive beyond
     tolerance.
     """
-    a = _analyse(e, v)
+    return _book_cycle(e, v, _analyse(e, v))
+
+
+def _book_cycle(e: Ensemble, v: Povm, a: _Analysis) -> CycleLedger:
+    """The ledger of ``run_cycle`` for the pair ``(e, v)``, booked from its
+    analysis ``a``."""
     rho_spectrum = a.rho_spectrum
     if not v.projective:
         rho_spectrum = np.concatenate([np.zeros(e.dim * (v.size - 1)), rho_spectrum])

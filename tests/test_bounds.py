@@ -59,6 +59,24 @@ class TestOptimizerConfig:
         with pytest.raises(ValidationError):
             it.OptimizerConfig(convergence_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_convergence_tol(self, tol):
+        with pytest.raises(ValidationError):
+            it.OptimizerConfig(convergence_tol=tol)
+
+    @pytest.mark.parametrize("field", ["grid_points", "restarts", "max_iterations", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValidationError):
+            it.OptimizerConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = it.OptimizerConfig(
+            grid_points=np.int64(20), restarts=np.int32(2), max_iterations=np.uint8(5),
+            seed=np.int64(3),
+        )
+        assert cfg.restarts == 2
+
 
 class TestQubitGrid:
     def test_two_state_optimum(self, two_state_ensemble):

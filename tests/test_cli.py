@@ -396,6 +396,14 @@ class TestSuite:
         assert cli.main(["suite", "--trials", "5", "--dims", "2,x"]) == 2
         assert cli.main(["suite", "--trials", "5", "--dims", "1"]) == 2
 
+    def test_dims_above_the_cap_exit_2(self, capsys):
+        assert cli.main(["suite", "--trials", "2", "--dims", "2,33"]) == 2
+        assert f"cap {blockcoding.DIM_CAP}" in capsys.readouterr().err
+
+    def test_dims_at_the_cap_run(self, capsys):
+        assert cli.main(["suite", "--trials", "2", "--dims", "32"]) == 0
+        capsys.readouterr()
+
     def test_bad_trials_exit_2(self):
         assert cli.main(["suite", "--trials", "0"]) == 2
 
@@ -420,45 +428,82 @@ def _count_calls(monkeypatch, original):
     return calls
 
 
-class TestSuiteComputesOnce:
-    def test_one_joint_table_average_state_and_sigma_spectrum_per_trial(
-        self, monkeypatch, capsys
+def _count_decompositions(monkeypatch):
+    """Wrap np.linalg.eigh and eigvalsh; returns [calls, matrices passed]."""
+    counts = [0, 0]
+
+    def counted(original):
+        def wrapper(a, *args, **kwargs):
+            counts[0] += 1
+            counts[1] += int(np.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return counts
+
+
+def _csv_rows(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+class TestSuiteDecomposesEachMatrixOnce:
+    def test_matrices_decomposed_equal_the_per_trial_sum(
+        self, monkeypatch, tmp_path, capsys
     ):
-        counts = {
-            "joint_distribution": _count_calls(monkeypatch, measurement.joint_distribution),
-            "average_state": _count_calls(monkeypatch, quantum.average_state),
-            "_post_measurement_spectrum": _count_calls(
-                monkeypatch, measurement._post_measurement_spectrum
-            ),
-        }
-        assert cli.main(["suite", "--trials", "20", "--seed", "7"]) == 0
+        csv = tmp_path / "suite.csv"
+        joints = _count_calls(monkeypatch, measurement.joint_distribution)
+        counts = _count_decompositions(monkeypatch)
+        assert cli.main(["suite", "--trials", "20", "--seed", "7", "--csv", str(csv)]) == 0
         capsys.readouterr()
-        assert {name: len(calls) for name, calls in counts.items()} == {
-            name: 20 for name in counts
-        }
+        assert len(joints) == 20
+        expected = 0
+        for row in _csv_rows(csv):
+            n, m = int(row["n_states"]), int(row["m_outcomes"])
+            # n states, m elements and the average state are each checked
+            # once; a projective trial adds its dephased state, a general
+            # one its raw-element sum, sqrt(rho) and the m record blocks.
+            expected += n + m + 1 + (1 if row["projective"] == "true" else 2 + m)
+        assert counts[1] == expected
+
+    def test_calls_do_not_grow_with_the_trial_count(self, monkeypatch, capsys):
+        calls = []
+        for trials in (20, 200):
+            counts = _count_decompositions(monkeypatch)
+            # seed 0: its first 20 trials already hold a projective and a
+            # general trial at every dimension, so both runs need every stack
+            assert cli.main(["suite", "--trials", str(trials), "--seed", "0"]) == 0
+            calls.append(counts[0])
+            monkeypatch.undo()
+        capsys.readouterr()
+        # per dimension: states, elements, raw-element sums, average states,
+        # dephased states, sqrt(rho) and the record blocks
+        assert calls[0] == calls[1] <= 7 * 3
 
 
 class TestSuiteSecondLawPath:
     def test_a_violating_cycle_exits_3_and_keeps_the_bound_columns(
         self, monkeypatch, tmp_path, capsys
     ):
-        real_run_cycle = cli.run_cycle
+        real_book_cycle = cli._book_cycle
         seen = []
 
-        def violates_on_trial_2(e, v):
+        def violates_on_trial_2(e, v, a):
             seen.append((e, v))
             if len(seen) == 3:
                 raise SecondLawViolation("forced for the test")
-            return real_run_cycle(e, v)
+            return real_book_cycle(e, v, a)
 
-        monkeypatch.setattr(cli, "run_cycle", violates_on_trial_2)
+        monkeypatch.setattr(cli, "_book_cycle", violates_on_trial_2)
         csv = tmp_path / "suite.csv"
         rc = cli.main(["suite", "--trials", "5", "--seed", "7", "--csv", str(csv)])
         out = capsys.readouterr().out
         assert rc == 3
         assert "second-law violations    : 1" in out
-        header, *lines = csv.read_text().splitlines()
-        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        rows = _csv_rows(csv)
         assert [row["cycle_net"] == "nan" for row in rows] == [
             False, False, True, False, False
         ]
@@ -471,6 +516,80 @@ class TestSuiteSecondLawPath:
             ("thermo_slack", report.thermo_slack),
         ):
             assert rows[2][column] == format(value, ".9g"), column
+
+
+def reference_row(seed, trial, dims, kinds):
+    """One suite row built per trial from the public API: the picker, then
+    random_instance, then run_cycle (evaluate_bounds where the cycle raises)."""
+    picker = np.random.default_rng([seed, trial, 0])
+    kind = kinds[int(picker.integers(0, len(kinds)))]
+    dim = dims[int(picker.integers(0, len(dims)))]
+    n_states = int(picker.integers(2, 5))
+    if kind == "commuting":
+        m_outcomes = int(picker.integers(2, dim + 1))
+    else:
+        m_outcomes = int(picker.integers(2, 7))
+    e, v = it.random_instance(dim, n_states, m_outcomes, kind, seed=[seed, trial, 1])
+    try:
+        ledger = it.run_cycle(e, v)
+        info, chi, ds, net = ledger.i_ab, ledger.chi, ledger.delta_s, ledger.net_bits
+    except SecondLawViolation:
+        report = it.evaluate_bounds(e, v)
+        info, chi, ds, net = report.accessible_info, report.chi, report.delta_s, float("nan")
+    holevo_slack = chi - info
+    cells = [trial, dim, n_states, m_outcomes, kind, "true" if v.projective else "false"]
+    values = [info, chi, ds, holevo_slack, holevo_slack + ds, net]
+    return ",".join([str(c) for c in cells] + [format(x, ".9g") for x in values])
+
+
+class TestSuiteBatchInvariance:
+    """The suite draws and analyses its trials as one stack per dimension
+    and chunk; every row must equal, byte for byte, the row built per trial."""
+
+    @staticmethod
+    def assert_rows_match(tmp_path, seed, trials, dims, kind):
+        csv = tmp_path / "suite.csv"
+        cli.main(["suite", "--trials", str(trials), "--seed", str(seed), "--dims", dims,
+                  "--kind", kind, "--csv", str(csv)])
+        kinds = cli._KINDS if kind == "all" else (kind,)
+        dim_list = [int(d) for d in dims.split(",")]
+        expected = [reference_row(seed, t, dim_list, kinds) for t in range(trials)]
+        assert csv.read_text().splitlines()[1:] == expected
+
+    @pytest.mark.parametrize("dims", ["2,3,4", "5,8"])
+    @pytest.mark.parametrize("kind", ["all", "pure", "mixed", "commuting"])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_rows_equal_the_per_trial_rows(self, seed, kind, dims, tmp_path, capsys):
+        self.assert_rows_match(tmp_path, seed, 24, dims, kind)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_rows_equal_across_small_chunks(self, seed, monkeypatch, tmp_path, capsys):
+        chunks = []
+        real_score_chunk = cli._score_chunk
+
+        def recording(seed, chunk):
+            chunks.append(len(chunk))
+            return real_score_chunk(seed, chunk)
+
+        monkeypatch.setattr(cli, "_score_chunk", recording)
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 150)
+        self.assert_rows_match(tmp_path, seed, 40, "2,3,4", "all")
+        capsys.readouterr()
+        assert sum(chunks) == 40 and len(chunks) > 5
+
+    def test_rows_equal_across_full_size_chunks(self, monkeypatch, tmp_path, capsys):
+        chunks = []
+        real_score_chunk = cli._score_chunk
+
+        def recording(seed, chunk):
+            chunks.append(len(chunk))
+            return real_score_chunk(seed, chunk)
+
+        monkeypatch.setattr(cli, "_score_chunk", recording)
+        self.assert_rows_match(tmp_path, 5, 260, "5,8", "all")
+        capsys.readouterr()
+        assert sum(chunks) == 260 and len(chunks) >= 2
 
 
 class TestSuiteSeed42Csv:

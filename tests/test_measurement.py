@@ -83,7 +83,7 @@ class TestPovm:
         # so only the orthogonality check on the later rows rejects the stack
         v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
         stack = np.stack([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.outer(v, v)])
-        assert not measurement._detect_projective(stack.astype(complex))
+        assert not measurement._detect_projective(stack.astype(complex), [3])[0]
 
 
 class TestBasisMeasurement:

@@ -1,0 +1,191 @@
+"""The stacked validators against the single-object calls they replace.
+
+``DensityMatrix``, ``Povm`` and ``psd_function`` are the one-item case of
+``_density_eigenvalues``, ``_povm_flags`` and ``_psd_function_stack``.  A
+stack must give each item exactly what the single call gives it, and a stack
+with a failing item must raise what the single call raises for the
+lowest-index failing item.
+"""
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+import infotherm as it
+from infotherm import linops, measurement, quantum
+from infotherm.errors import NegativeEigenvalue, NotHermitian, NumericalFailure
+
+from conftest import mixed_kind_instances
+
+
+def single_error(call, item):
+    """(type, message) of what ``call(item)`` raises."""
+    with pytest.raises(Exception) as info:
+        call(item)
+    return type(info.value), str(info.value)
+
+
+def assert_stack_raises_like_the_item(stacked, single, items, bad_index):
+    expected = single_error(single, items[bad_index])
+    with pytest.raises(Exception) as info:
+        stacked(items)
+    assert (type(info.value), str(info.value)) == expected
+
+
+def valid_density(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+class TestDensityStack:
+    BAD = {
+        "not-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
+        "trace": np.diag([0.6, 0.6]).astype(complex),
+        "not-psd": np.diag([1.2, -0.2]).astype(complex),
+    }
+
+    @staticmethod
+    def stacked(items):
+        return quantum._density_eigenvalues(np.stack(items))
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_lowest_failing_item_raises_its_single_error(self, index, bad):
+        items = [valid_density(2, seed) for seed in range(4)]
+        items[index] = self.BAD[bad]
+        assert_stack_raises_like_the_item(self.stacked, it.DensityMatrix, items, index)
+
+    def test_a_later_check_on_a_lower_item_wins(self):
+        items = [valid_density(2, seed) for seed in range(4)]
+        items[1], items[3] = self.BAD["not-psd"], self.BAD["not-hermitian"]
+        assert_stack_raises_like_the_item(self.stacked, it.DensityMatrix, items, 1)
+
+    def test_eigenvalues_equal_the_single_objects(self):
+        for dim in (2, 3, 4, 8):
+            items = [valid_density(dim, seed) for seed in range(6)]
+            stacked = quantum._density_matrices(np.stack(items))
+            for item, r in zip(items, stacked):
+                single = it.DensityMatrix(item)
+                npt.assert_array_equal(r.spectrum(), single.spectrum())
+                npt.assert_array_equal(r.matrix, single.matrix)
+                assert not r.matrix.flags.writeable
+
+
+class TestPovmStack:
+    VALID = (np.diag([0.4, 0.1]), np.diag([0.6, 0.9]))
+    BAD = {
+        "not-hermitian": (np.array([[0.4, 0.1], [0.0, 0.1]]), np.diag([0.6, 0.9])),
+        "not-psd": (np.diag([1.1, 0.1]), np.diag([-0.1, 0.9])),
+        "sum": (np.diag([0.4, 0.1]), np.diag([0.6, 0.8])),
+    }
+
+    @staticmethod
+    def stacked(povms, declared=None):
+        declared = declared or [None] * len(povms)
+        stack = np.concatenate([np.asarray(p, dtype=complex) for p in povms])
+        return measurement._povm_flags(stack, [len(p) for p in povms], declared)
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_lowest_failing_segment_raises_its_single_error(self, index, bad):
+        povms = [self.VALID] * 4
+        povms[index] = self.BAD[bad]
+        assert_stack_raises_like_the_item(self.stacked, it.Povm, povms, index)
+
+    def test_a_later_check_on_a_lower_segment_wins(self):
+        povms = [self.VALID, self.BAD["sum"], self.VALID, self.BAD["not-hermitian"]]
+        assert_stack_raises_like_the_item(self.stacked, it.Povm, povms, 1)
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_a_false_projective_claim_raises_its_single_error(self, index):
+        povms = [self.VALID, it.basis_measurement(np.eye(2)).elements] * 2
+        declared = [None, True, None, True]
+        povms[index], declared[index] = self.VALID, True
+        expected = single_error(lambda p: it.Povm(p, projective=True), self.VALID)
+        with pytest.raises(Exception) as info:
+            self.stacked(povms, declared)
+        assert (type(info.value), str(info.value)) == expected
+
+    def test_element_index_is_counted_within_its_segment(self):
+        povms = [self.VALID, self.VALID, (np.diag([0.5, 0.5]),) + self.BAD["not-psd"]]
+        with pytest.raises(Exception) as info:
+            self.stacked(povms)
+        assert str(info.value).startswith("element 2 has eigenvalue")
+
+    @staticmethod
+    def loop_projective(elements):
+        """The per-row loop the stacked detection replaced."""
+        stack = np.stack(elements)
+        if np.abs(stack @ stack - stack).max() > measurement.PROJECTIVE_TOL:
+            return False
+        for j, ej in enumerate(stack):
+            products = ej @ stack
+            products[j] -= ej
+            if np.abs(products).max() > measurement.PROJECTIVE_TOL:
+                return False
+        return True
+
+    def test_flags_equal_the_single_objects_and_the_loop(self):
+        povms = [v.elements for _, _, v in mixed_kind_instances(90) if v.dim == 3]
+        # idempotent elements whose later rows overlap, among valid segments
+        v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
+        overlapping = (np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.outer(v, v))
+        stack = np.concatenate(
+            [np.asarray(p, dtype=complex) for p in povms + [overlapping]]
+        )
+        counts = [len(p) for p in povms] + [3]
+        flags = measurement._detect_projective(stack, counts)
+        assert list(flags[:-1]) == [it.Povm(p).projective for p in povms]
+        assert list(flags) == [self.loop_projective(p) for p in povms + [overlapping]]
+        assert 0 < sum(flags) < len(povms)
+
+
+class TestPsdFunctionStack:
+    BAD = {
+        "not-hermitian": np.array([[0.0, 1.0], [0.0, 1.0]]),
+        "negative": np.diag([-0.5, 1.0]),
+        "non-finite": np.diag([0.0, 1.0]),
+    }
+
+    @staticmethod
+    def inverse_root(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(x)
+
+    def single(self, m):
+        return it.psd_function(m, self.inverse_root)
+
+    def stacked(self, items):
+        stack = np.stack([np.asarray(m, dtype=complex) for m in items])
+        return linops._psd_function_stack(stack, self.inverse_root)
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_lowest_failing_item_raises_its_single_error(self, index, bad):
+        items = [valid_density(2, seed) for seed in range(4)]
+        items[index] = self.BAD[bad]
+        assert_stack_raises_like_the_item(self.stacked, self.single, items, index)
+
+    def test_a_later_check_on_a_lower_item_wins(self):
+        items = [valid_density(2, seed) for seed in range(4)]
+        items[1], items[3] = self.BAD["non-finite"], self.BAD["not-hermitian"]
+        assert_stack_raises_like_the_item(self.stacked, self.single, items, 1)
+
+    def test_error_types(self):
+        errors = {name: single_error(self.single, m)[0] for name, m in self.BAD.items()}
+        assert errors == {
+            "not-hermitian": NotHermitian,
+            "negative": NegativeEigenvalue,
+            "non-finite": NumericalFailure,
+        }
+
+    @pytest.mark.parametrize("pseudo", [False, True])
+    def test_values_equal_the_single_calls(self, pseudo):
+        items = [valid_density(d, seed) for d in (2, 3, 4) for seed in range(5)]
+        items.append(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        for d in (2, 3, 4):
+            group = [m for m in items if m.shape[0] == d]
+            out = linops._psd_function_stack(np.stack(group), np.sqrt, pseudo)
+            for m, got in zip(group, out):
+                npt.assert_array_equal(got, it.psd_function(m, np.sqrt, pseudo))
