@@ -9,9 +9,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
 from .linops import BOUND_TOL, PSD_EPSILON, psd_function
-from .measurement import Povm, joint_distribution, mutual_information
+from .measurement import Povm, _povms, joint_distribution, mutual_information
 from .measurement import delta_s as measurement_delta_s
-from .quantum import Ensemble, _density_matrices, average_state, holevo_chi
+from .quantum import DensityMatrix, Ensemble, _density_matrices, average_state, holevo_chi
 
 #: Caps: sequence states of dimension at most 32, at most 4096 sequences.
 DIM_CAP = 32
@@ -59,18 +59,22 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
     onto its kernel is appended as a final element so the elements resolve
     the identity exactly.
     """
-    rho = average_state(e)
+    return _pretty_good_measurement(e, average_state(e))
+
+
+def _pretty_good_measurement(e: Ensemble, rho: DensityMatrix) -> Povm:
+    """``pretty_good_measurement`` of ``e`` from its average state ``rho``,
+    with every E_i from one stacked product."""
     inv_root = psd_function(rho.matrix, lambda x: 1.0 / np.sqrt(x), pseudo=True)
-    elements = [
-        inv_root @ (p * s.matrix) @ inv_root for p, s in zip(e.probs, e.states)
-    ]
+    weighted = e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
+    elements = inv_root @ weighted @ inv_root
     support_rank = int(np.sum(rho.spectrum() > PSD_EPSILON))
     if support_rank < rho.dim:
         kernel = np.eye(rho.dim, dtype=complex) - psd_function(
             rho.matrix, np.ones_like, pseudo=True
         )
-        elements.append(kernel)
-    return Povm(tuple(elements))
+        elements = np.concatenate([elements, kernel[None]])
+    return _povms(elements, [len(elements)], [None])[0]
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,10 @@ def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
     reports = []
     for m in range(1, m_max + 1):
         seq = sequence_ensemble(e, m)
-        povm = pretty_good_measurement(seq)
+        rho = average_state(seq)
+        povm = _pretty_good_measurement(seq, rho)
         info = mutual_information(joint_distribution(seq, povm))
-        ds = measurement_delta_s(average_state(seq), povm)
+        ds = measurement_delta_s(rho, povm)
         reports.append(
             BlockReport(
                 m=m,

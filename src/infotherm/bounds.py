@@ -27,6 +27,8 @@ from .quantum import DensityMatrix, Ensemble, _density_matrices
 
 #: The optimizer methods ``OptimizerConfig`` accepts.
 METHODS = ("qubit_grid", "random_restart_ascent")
+#: The ensemble kinds ``random_instance`` draws.
+_KINDS = ("pure", "mixed", "commuting")
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -232,21 +234,18 @@ def maximize_accessible_information(
     return best, evaluate_bounds(e, best)
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """A complex Gaussian array: its real part drawn first, then its imaginary part."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from a ``(K, d, d)`` stack of complex Gaussian
+    matrices: the Q of each QR decomposition, with each column's phase
+    fixed by R's diagonal."""
     q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def _random_density_matrix(dim: int, kind: str, rng: np.random.Generator) -> np.ndarray:
-    if kind == "pure":
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi /= np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    w = g @ g.conj().T
-    return w / np.trace(w).real
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def _column_blocks(dim: int, outcomes: int) -> list[list[int]]:
@@ -254,28 +253,23 @@ def _column_blocks(dim: int, outcomes: int) -> list[list[int]]:
 
 
 def _draw_instance(dim: int, n_states: int, m_outcomes: int, kind: str, seed):
-    """One instance's raw arrays, in the order its generator yields them:
-    the priors, the state matrices, the measurement's elements, and the sum
-    of those elements when they are raw PSD draws still to be normalized
-    (``None`` for a projective basis)."""
+    """One instance's raw draws, in the order its generator yields them: the
+    priors; a draw per state (a Dirichlet diagonal for ``commuting``, a
+    complex Gaussian ket for ``pure``, a complex Gaussian matrix for
+    ``mixed``); the Gaussian matrix of the Haar unitary whose column blocks
+    make a projective basis, or ``None``; and the Gaussian matrices of the
+    raw PSD elements, or ``None`` for a basis.  A commuting instance draws
+    its unitary before its diagonals."""
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(n_states))
     if kind == "commuting":
-        shared = _haar_unitary(dim, rng)
-        states = []
-        for _ in range(n_states):
-            diag = rng.dirichlet(np.ones(dim))
-            states.append((shared * diag) @ shared.conj().T)
-        return probs, states, _basis_elements(shared, _column_blocks(dim, m_outcomes)), None
-    states = [_random_density_matrix(dim, kind, rng) for _ in range(n_states)]
+        unitary = _gaussian(rng, (dim, dim))
+        return probs, [rng.dirichlet(np.ones(dim)) for _ in range(n_states)], unitary, None
+    shape = (dim,) if kind == "pure" else (dim, dim)
+    states = [_gaussian(rng, shape) for _ in range(n_states)]
     if m_outcomes <= dim and rng.random() < 0.5:
-        blocks = _column_blocks(dim, m_outcomes)
-        return probs, states, _basis_elements(_haar_unitary(dim, rng), blocks), None
-    raw = []
-    for _ in range(m_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raw.append(g @ g.conj().T)
-    return probs, states, raw, sum(raw)
+        return probs, states, _gaussian(rng, (dim, dim)), None
+    return probs, states, None, [_gaussian(rng, (dim, dim)) for _ in range(m_outcomes)]
 
 
 def random_instance(
@@ -298,9 +292,13 @@ def random_instance(
 def _random_instances(specs) -> list[tuple[Ensemble, Povm]]:
     """``random_instance(*spec)`` for each (dim, n_states, m_outcomes, kind,
     seed) spec, all of one dimension.  Each spec draws from its own
-    generator, in spec order; then the states get one stacked density
-    check, the raw PSD elements one stacked ``psd_function`` normalization,
-    and the measurements one stacked ``Povm`` check."""
+    generator, in spec order; then the linear algebra runs once for all of
+    them: one stacked QR for the Haar unitaries, one stacked ``g g+`` for
+    the Wishart draws (mixed states and raw elements), one stacked
+    normalise-and-outer for the pure kets, one stacked conjugation for the
+    commuting states.  The states get one stacked density check, the raw
+    PSD elements one stacked ``psd_function`` normalization, and the
+    measurements one stacked ``Povm`` check."""
     for dim, n_states, m_outcomes, kind, _ in specs:
         if dim < 2:
             raise ValidationError("dimension must be at least 2")
@@ -308,7 +306,7 @@ def _random_instances(specs) -> list[tuple[Ensemble, Povm]]:
             raise ValidationError("need at least one state")
         if m_outcomes < 2:
             raise ValidationError("need at least two outcomes")
-        if kind not in ("pure", "mixed", "commuting"):
+        if kind not in _KINDS:
             raise ValidationError(f"unknown ensemble kind {kind!r}")
         if kind == "commuting" and m_outcomes > dim:
             raise ValidationError(
@@ -316,23 +314,83 @@ def _random_instances(specs) -> list[tuple[Ensemble, Povm]]:
                 f"so outcomes ({m_outcomes}) cannot exceed the dimension ({dim})"
             )
     draws = [_draw_instance(*spec) for spec in specs]
-    states = _density_matrices(np.stack([s for _, ss, _, _ in draws for s in ss]))
+    haar = [k for k, draw in enumerate(draws) if draw[2] is not None]
+    unitaries = {}
+    if haar:
+        unitaries = dict(zip(haar, _haar_unitaries(np.stack([draws[k][2] for k in haar]))))
+    mixed = [g for spec, draw in zip(specs, draws) if spec[3] == "mixed" for g in draw[1]]
+    raw = [g for draw in draws if draw[3] is not None for g in draw[3]]
+    wishart = np.empty((0,))
+    if mixed or raw:
+        g = np.stack(mixed + raw)
+        wishart = g @ g.conj().transpose(0, 2, 1)
+
+    states = _density_matrices(_instance_states(specs, draws, unitaries, wishart[: len(mixed)]))
     ensembles, offset = [], 0
-    for probs, ss, _, _ in draws:
-        ensembles.append(Ensemble(probs, states[offset:offset + len(ss)]))
-        offset += len(ss)
-    counts = [len(els) for _, _, els, _ in draws]
-    elements = np.stack([el for _, _, els, _ in draws for el in els])
-    general = [k for k, (*_, total) in enumerate(draws) if total is not None]
-    if general:
-        inv_roots = _psd_function_stack(
-            np.stack([draws[k][3] for k in general]),
-            lambda x: 1.0 / np.sqrt(x),
-            pseudo=True,
-        )
-        offsets = np.cumsum(counts) - counts
-        rows = np.concatenate([np.arange(offsets[k], offsets[k] + counts[k]) for k in general])
-        inv_roots = np.repeat(inv_roots, [counts[k] for k in general], axis=0)
-        elements[rows] = inv_roots @ elements[rows] @ inv_roots
-    declared = [None if total is not None else True for *_, total in draws]
+    for probs, *_ in draws:
+        ensembles.append(Ensemble(probs, states[offset:offset + len(probs)]))
+        offset += len(probs)
+    counts = [m_outcomes for _, _, m_outcomes, _, _ in specs]
+    elements = _instance_elements(specs, counts, unitaries, wishart[len(mixed):])
+    declared = [True if k in unitaries else None for k in range(len(specs))]
     return list(zip(ensembles, _povms(elements, counts, declared)))
+
+
+def _instance_states(specs, draws, unitaries, mixed) -> np.ndarray:
+    """The state matrices of every drawn instance, in spec order, from the
+    raw draws, the Haar unitaries by spec index and the mixed states'
+    Wishart products: each kind's states are built as one stack."""
+    dim = specs[0][0]
+    stacks = []
+    kets = [x for spec, draw in zip(specs, draws) if spec[3] == "pure" for x in draw[1]]
+    if kets:
+        kets = np.stack(kets)
+        re, im = kets.real, kets.imag
+        # np.linalg.norm's arithmetic for one ket (two dot products), stacked
+        norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+        kets = kets / norms[:, 0]
+        stacks.append(kets[:, :, None] * kets.conj()[:, None, :])
+    if len(mixed):
+        stacks.append(mixed / np.trace(mixed, axis1=1, axis2=2).real[:, None, None])
+    commuting = [k for k, spec in enumerate(specs) if spec[3] == "commuting"]
+    if commuting:
+        u = np.repeat(
+            np.stack([unitaries[k] for k in commuting]), [specs[k][1] for k in commuting], axis=0
+        )
+        diags = np.stack([x for k in commuting for x in draws[k][1]])
+        stacks.append((u * diags[:, None, :]) @ u.conj().transpose(0, 2, 1))
+    # the stacks hold the states kind by kind, in _KINDS order; put them
+    # back in spec order
+    kind_of_row = np.repeat([_KINDS.index(spec[3]) for spec in specs], [spec[1] for spec in specs])
+    states = np.empty((len(kind_of_row), dim, dim), dtype=complex)
+    states[np.argsort(kind_of_row, kind="stable")] = np.concatenate(stacks)
+    return states
+
+
+def _instance_elements(specs, counts, unitaries, raw) -> np.ndarray:
+    """The measurement elements of every drawn instance, in spec order: the
+    column-block projectors of each Haar unitary, and the raw PSD elements
+    ``raw`` (Wishart products, in spec order) normalized to resolve the
+    identity with one stacked ``psd_function``."""
+    dim = specs[0][0]
+    offsets = np.cumsum(counts) - counts
+    elements = np.empty((sum(counts), dim, dim), dtype=complex)
+    for k, u in unitaries.items():
+        elements[offsets[k]:offsets[k] + counts[k]] = _basis_elements(
+            u, _column_blocks(dim, counts[k])
+        )
+    general = [k for k in range(len(specs)) if k not in unitaries]
+    if general:
+        rows = np.concatenate([np.arange(offsets[k], offsets[k] + counts[k]) for k in general])
+        elements[rows] = raw
+        ms = np.array([counts[k] for k in general])
+        # each measurement's element sum, added in the order sum() adds them
+        totals = np.zeros((len(general), dim, dim), dtype=complex)
+        for j in range(ms.max()):
+            has = ms > j
+            totals[has] += elements[offsets[general][has] + j]
+        inv_roots = np.repeat(
+            _psd_function_stack(totals, lambda x: 1.0 / np.sqrt(x), pseudo=True), ms, axis=0
+        )
+        elements[rows] = inv_roots @ elements[rows] @ inv_roots
+    return elements

@@ -15,6 +15,7 @@ violation, 4 unsupported method/dimension, 5 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ import numpy as np
 
 from .blockcoding import DIM_CAP, block_scan
 from .bounds import (
+    _KINDS,
     METHODS,
     BoundReport,
     OptimizerConfig,
@@ -41,8 +43,6 @@ from .errors import (
 from .measurement import Povm, _analyse_pairs
 from .quantum import DensityMatrix, Ensemble
 from .thermo import _book_cycle, run_cycle
-
-_KINDS = ("pure", "mixed", "commuting")
 
 
 def _fmt(x: float) -> str:
@@ -357,7 +357,7 @@ def _score_chunk(seed: int, chunk: list[tuple]) -> list[tuple]:
     for trial, kind, dim, n_states, m_outcomes in chunk:
         (ensemble, povm), a = scored[trial]
         try:
-            cycle_net = _book_cycle(ensemble, povm, a).net_bits
+            _, cycle_net = _book_cycle(ensemble, povm, a)
             second_law_ok = True
         except SecondLawViolation:
             cycle_net = float("nan")
@@ -472,8 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reads every argv with, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -16,11 +16,16 @@ invariant net = I - delta_s - chi <= 0 is checked at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import inf, isfinite, log2
 
 import numpy as np
 
-from .errors import NonPositiveVolume, SecondLawViolation, ValidationError
+from .errors import (
+    NonPositiveVolume,
+    NumericalFailure,
+    SecondLawViolation,
+    ValidationError,
+)
 from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR
 from .measurement import JointDistribution, Povm, _analyse, _Analysis, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
@@ -45,9 +50,9 @@ STAGES = (
 def work_isothermal(fraction: float, v_initial: float, v_final: float) -> float:
     """Work, in bits, extracted by ``fraction`` of the gas expanding
     isothermally from ``v_initial`` to ``v_final`` (negative for compression)."""
-    if v_initial <= 0.0 or v_final <= 0.0:
+    if not (0.0 < v_initial < inf and 0.0 < v_final < inf):
         raise NonPositiveVolume(
-            f"volumes must be positive, got {v_initial!r} -> {v_final!r}"
+            f"volumes must be finite and positive, got {v_initial!r} -> {v_final!r}"
         )
     if not 0.0 <= fraction <= 1.0 + PROB_CLIP:
         raise ValidationError(f"molecule fraction {fraction!r} outside [0, 1]")
@@ -90,6 +95,15 @@ def stage_total(entries, stage: str | None = None) -> float:
     )
 
 
+def _entries(rows) -> list[LedgerEntry]:
+    """The ledger entries of booked ``(stage, work, template, args)`` rows;
+    each description is ``template.format(*args)``."""
+    return [
+        LedgerEntry(stage, template.format(*args), work)
+        for stage, work, template, args in rows
+    ]
+
+
 def extraction_stage(e: Ensemble, v: Povm) -> list[LedgerEntry]:
     """Measure, then cash the correlations in; nets I(A:B).
 
@@ -98,21 +112,18 @@ def extraction_stage(e: Ensemble, v: Povm) -> list[LedgerEntry]:
     re-sorting the gas inside each outcome compartment by preparation costs
     H(A|B) back.  Both run on ``work_isothermal`` volume ratios only.
     """
-    return _extraction_entries(e.probs, joint_distribution(e, v))
+    return _entries(_extraction_rows(e.probs, joint_distribution(e, v)))
 
 
-def _extraction_entries(probs: np.ndarray, jd: JointDistribution) -> list[LedgerEntry]:
-    """The entries of ``extraction_stage``, from the priors and the joint table."""
-    entries = []
+def _extraction_rows(probs: np.ndarray, jd: JointDistribution) -> list[tuple]:
+    """The rows of ``extraction_stage``, from the priors and the joint table."""
+    rows = []
     for i, p in enumerate(probs):
         if p <= WEIGHT_FLOOR:
             continue
-        entries.append(
-            LedgerEntry(
-                STAGE_EXTRACTION,
-                f"preparation {i}: expand from volume {p:.6g} to 1",
-                work_isothermal(p, p, 1.0),
-            )
+        rows.append(
+            (STAGE_EXTRACTION, work_isothermal(p, p, 1.0),
+             "preparation {}: expand from volume {:.6g} to 1", (i, p))
         )
     outcome_probs = jd.outcome_probs
     for j, q in enumerate(outcome_probs):
@@ -122,14 +133,11 @@ def _extraction_entries(probs: np.ndarray, jd: JointDistribution) -> list[Ledger
             cond = jd.matrix[i, j] / q
             if cond <= WEIGHT_FLOOR:
                 continue
-            entries.append(
-                LedgerEntry(
-                    STAGE_EXTRACTION,
-                    f"outcome {j}: sort preparation {i} into its sub-volume",
-                    work_isothermal(q * cond, q, cond * q),
-                )
+            rows.append(
+                (STAGE_EXTRACTION, work_isothermal(q * cond, q, cond * q),
+                 "outcome {}: sort preparation {} into its sub-volume", (j, i))
             )
-    return entries
+    return rows
 
 
 def sigma_to_rho_stage(sigma: DensityMatrix, rho: DensityMatrix) -> list[LedgerEntry]:
@@ -145,44 +153,31 @@ def sigma_to_rho_stage(sigma: DensityMatrix, rho: DensityMatrix) -> list[LedgerE
         raise ValidationError(
             f"states live on different dimensions ({sigma.dim} vs {rho.dim})"
         )
-    return _sigma_to_rho_entries(sigma.spectrum(), rho.spectrum())
+    return _entries(_sigma_to_rho_rows(sigma.spectrum(), rho.spectrum()))
 
 
-def _sigma_to_rho_entries(
-    sigma_spectrum: np.ndarray, rho_spectrum: np.ndarray
-) -> list[LedgerEntry]:
-    """The entries of ``sigma_to_rho_stage``, from the two ascending spectra."""
-    entries = [
-        LedgerEntry(
-            STAGE_SIGMA_COMPRESSION,
-            "attach empty vessel and separate eigencomponents (no work)",
-            0.0,
-        )
+def _sigma_to_rho_rows(sigma_spectrum: np.ndarray, rho_spectrum: np.ndarray) -> list[tuple]:
+    """The rows of ``sigma_to_rho_stage``, from the two ascending spectra."""
+    rows = [
+        (STAGE_SIGMA_COMPRESSION, 0.0,
+         "attach empty vessel and separate eigencomponents (no work)", ())
     ]
     for j, c in enumerate(sigma_spectrum):
         if c <= WEIGHT_FLOOR:
             continue
-        entries.append(
-            LedgerEntry(
-                STAGE_SIGMA_COMPRESSION,
-                f"compress component {j} from volume 1 to {c:.6g}",
-                work_isothermal(c, 1.0, c),
-            )
+        rows.append(
+            (STAGE_SIGMA_COMPRESSION, work_isothermal(c, 1.0, c),
+             "compress component {} from volume 1 to {:.6g}", (j, c))
         )
-    entries.append(
-        LedgerEntry(STAGE_ISENTROPIC, "rotate eigencomponents into the target basis", 0.0)
-    )
+    rows.append((STAGE_ISENTROPIC, 0.0, "rotate eigencomponents into the target basis", ()))
     for k, lam in enumerate(rho_spectrum):
         if lam <= WEIGHT_FLOOR:
             continue
-        entries.append(
-            LedgerEntry(
-                STAGE_RHO_EXPANSION,
-                f"expand component {k} from volume {lam:.6g} to 1",
-                work_isothermal(lam, lam, 1.0),
-            )
+        rows.append(
+            (STAGE_RHO_EXPANSION, work_isothermal(lam, lam, 1.0),
+             "expand component {} from volume {:.6g} to 1", (k, lam))
         )
-    return entries
+    return rows
 
 
 def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
@@ -193,44 +188,36 @@ def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
     rotate each slot's gas into the right member eigenbasis (free), then let
     every member's eigencomponents expand inside its p_i compartment
     (pays out sum_i p_i S(rho_i))."""
-    return _rho_to_initial_entries(
-        e.probs, average_state(e).spectrum(), [s.spectrum() for s in e.states]
+    return _entries(
+        _rho_to_initial_rows(
+            e.probs, average_state(e).spectrum(), [s.spectrum() for s in e.states]
+        )
     )
 
 
-def _rho_to_initial_entries(probs, rho_spectrum, member_spectra) -> list[LedgerEntry]:
-    """The entries of ``rho_to_initial_stage``, from the priors and spectra."""
-    entries = []
+def _rho_to_initial_rows(probs, rho_spectrum, member_spectra) -> list[tuple]:
+    """The rows of ``rho_to_initial_stage``, from the priors and spectra."""
+    rows = []
     for k, lam in enumerate(rho_spectrum):
         if lam <= WEIGHT_FLOOR:
             continue
-        entries.append(
-            LedgerEntry(
-                STAGE_RHO_COMPRESSION,
-                f"compress component {k} from volume 1 to {lam:.6g}",
-                work_isothermal(lam, 1.0, lam),
-            )
+        rows.append(
+            (STAGE_RHO_COMPRESSION, work_isothermal(lam, 1.0, lam),
+             "compress component {} from volume 1 to {:.6g}", (k, lam))
         )
-    entries.append(
-        LedgerEntry(
-            STAGE_ISENTROPIC, "rotate components into the member eigenbases", 0.0
-        )
-    )
+    rows.append((STAGE_ISENTROPIC, 0.0, "rotate components into the member eigenbases", ()))
     for i, (p, spectrum) in enumerate(zip(probs, member_spectra)):
         if p <= WEIGHT_FLOOR:
             continue
         for k, mu in enumerate(spectrum):
             if mu <= WEIGHT_FLOOR:
                 continue
-            entries.append(
-                LedgerEntry(
-                    STAGE_ENSEMBLE_RECOMPRESSION,
-                    f"preparation {i}: expand component {k} from volume "
-                    f"{mu * p:.6g} to {p:.6g}",
-                    work_isothermal(p * mu, mu * p, p),
-                )
+            rows.append(
+                (STAGE_ENSEMBLE_RECOMPRESSION, work_isothermal(p * mu, mu * p, p),
+                 "preparation {}: expand component {} from volume {:.6g} to {:.6g}",
+                 (i, k, mu * p, p))
             )
-    return entries
+    return rows
 
 
 def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
@@ -245,26 +232,35 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     sqrt(rho) E_j sqrt(rho), and rho (x) |0><0| has rho's spectrum plus
     d*(m-1) zeros, so neither d*m-dim state is built.  Raises
     ``SecondLawViolation`` if the net work comes out positive beyond
-    tolerance.
+    tolerance, and ``NumericalFailure`` if it is not finite.
     """
-    return _book_cycle(e, v, _analyse(e, v))
+    a = _analyse(e, v)
+    rows, net = _book_cycle(e, v, a)
+    return CycleLedger(
+        entries=tuple(_entries(rows)), net_bits=net, i_ab=a.info, chi=a.chi, delta_s=a.delta_s
+    )
 
 
-def _book_cycle(e: Ensemble, v: Povm, a: _Analysis) -> CycleLedger:
-    """The ledger of ``run_cycle`` for the pair ``(e, v)``, booked from its
-    analysis ``a``."""
+def _book_cycle(e: Ensemble, v: Povm, a: _Analysis) -> tuple[list[tuple], float]:
+    """The booked rows of ``run_cycle`` for the pair ``(e, v)``, from its
+    analysis ``a``, and their net work, checked against the second law.
+
+    A row is ``(stage, work, template, args)``: the work is booked here,
+    and the description is formatted only when ``run_cycle`` turns the
+    rows into ledger entries, so a caller that needs only the net (the
+    suite) builds no entry."""
     rho_spectrum = a.rho_spectrum
     if not v.projective:
         rho_spectrum = np.concatenate([np.zeros(e.dim * (v.size - 1)), rho_spectrum])
 
-    entries = _extraction_entries(e.probs, a.joint)
-    entries += _sigma_to_rho_entries(a.sigma_spectrum, rho_spectrum)
-    entries += _rho_to_initial_entries(e.probs, a.rho_spectrum, a.member_spectra)
-    net = stage_total(entries)
+    rows = _extraction_rows(e.probs, a.joint)
+    rows += _sigma_to_rho_rows(a.sigma_spectrum, rho_spectrum)
+    rows += _rho_to_initial_rows(e.probs, a.rho_spectrum, a.member_spectra)
+    net = float(sum(work for _, work, _, _ in rows))
+    if not isfinite(net):
+        raise NumericalFailure(f"cycle net work came out {net!r}")
     if net > CYCLE_TOL:
         raise SecondLawViolation(
             f"cycle netted {net:.3e} bits of extracted work (> {CYCLE_TOL:.1e})"
         )
-    return CycleLedger(
-        entries=tuple(entries), net_bits=net, i_ab=a.info, chi=a.chi, delta_s=a.delta_s
-    )
+    return rows, net

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
+from infotherm import bounds
 from infotherm.bounds import BOUND_TOL
 from infotherm.errors import UnsupportedDimension, ValidationError
 
@@ -292,3 +293,76 @@ class TestRandomInstance:
             it.random_instance(2, 2, 1, "pure", 0)
         with pytest.raises(ValidationError):
             it.random_instance(2, 2, 2, "thermal", 0)
+
+
+def _reference_haar_unitary(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def _reference_density_matrix(dim, kind, rng):
+    if kind == "pure":
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        return np.outer(psi, psi.conj())
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+def _reference_projectors(u, outcomes):
+    blocks = np.array_split(np.arange(u.shape[0]), outcomes)
+    return [u[:, list(b)] @ u[:, list(b)].conj().T for b in blocks]
+
+
+def reference_draw(dim, n_states, m_outcomes, kind, seed):
+    """One instance drawn and built matrix by matrix: (priors, states,
+    elements, projective), with the arithmetic random_instance has always
+    used, independent of the stacked draw path."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(n_states))
+    if kind == "commuting":
+        shared = _reference_haar_unitary(dim, rng)
+        states = []
+        for _ in range(n_states):
+            diag = rng.dirichlet(np.ones(dim))
+            states.append((shared * diag) @ shared.conj().T)
+        return probs, states, _reference_projectors(shared, m_outcomes), True
+    states = [_reference_density_matrix(dim, kind, rng) for _ in range(n_states)]
+    if m_outcomes <= dim and rng.random() < 0.5:
+        u = _reference_haar_unitary(dim, rng)
+        return probs, states, _reference_projectors(u, m_outcomes), True
+    raw = []
+    for _ in range(m_outcomes):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raw.append(g @ g.conj().T)
+    inv_root = it.psd_function(sum(raw), lambda x: 1.0 / np.sqrt(x), pseudo=True)
+    return probs, states, [inv_root @ el @ inv_root for el in raw], False
+
+
+class TestStackedDrawsMatchPerTrialDraws:
+    # _random_instances draws every trial from its own generator, then runs
+    # the QR, Wishart, ket and conjugation arithmetic once per group; every
+    # bit must equal the per-trial construction above
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_the_per_trial_draws(self, dim, seed):
+        specs = []
+        for t in range(30):
+            kind = ("pure", "mixed", "commuting")[t % 3]
+            m = 2 + (t // 3) % (dim - 1) if kind == "commuting" else 2 + t % 5
+            specs.append((dim, 1 + t % 4, m, kind, [seed, t]))
+        pairs = bounds._random_instances(specs)
+        flags = []
+        for spec, (e, v) in zip(specs, pairs):
+            probs, states, elements, projective = reference_draw(*spec)
+            assert e.probs.tobytes() == probs.tobytes(), spec
+            assert np.stack([s.matrix for s in e.states]).tobytes() == np.stack(states).tobytes(), spec
+            assert np.stack(v.elements).tobytes() == np.stack(elements).tobytes(), spec
+            assert v.projective == projective, spec
+            flags.append((spec[3], projective))
+        # the group mixes commuting, projective and general trials
+        assert {("commuting", True), ("pure", False), ("mixed", False)} <= set(flags)
+        assert any(kind != "commuting" and p for kind, p in flags)

@@ -276,6 +276,35 @@ class TestCycle:
         assert cli.main(["cycle", "--spec", path]) == 2
 
 
+class TestCycleGolden:
+    # sha256 of `cycle` stdout and of its --csv ledger for the |0>,|+> pair
+    # measured in the computational and in the Helstrom basis; any change to
+    # an entry's stage, description, work or order moves them
+    @pytest.mark.parametrize(
+        "basis, stdout_digest, csv_digest",
+        [
+            (
+                "computational",
+                "7195401727a761033e0ca0f378d46d32add499f3826c4f17d6c4843b82b896c3",
+                "a7d6da6f0131938bacc345defbe59fc8e1350d9431661c3f0ec54413eed0eb63",
+            ),
+            (
+                "helstrom",
+                "58bd6cd386f34afb687f55c4f65c4f13e9904f3b08c3d1d1f4f86dce40cfbab8",
+                "20b9cf3402110c846591b60830fc241303d421ba76d85e86071ca85896d5aed3",
+            ),
+        ],
+    )
+    def test_stdout_and_csv_are_pinned(self, basis, stdout_digest, csv_digest, tmp_path, capsys):
+        measurement = COMPUTATIONAL if basis == "computational" else _helstrom_elements()
+        path = _write(tmp_path, "p.json", _two_state_payload(measurement=measurement))
+        csv = tmp_path / "ledger.csv"
+        assert cli.main(["cycle", "--spec", path, "--csv", str(csv)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+
+
 class TestPgm:
     def test_block_table(self, tmp_path, capsys):
         path = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
@@ -484,6 +513,25 @@ class TestSuiteDecomposesEachMatrixOnce:
         assert calls[0] == calls[1] <= 7 * 3
 
 
+class TestSuiteBuildsNoLedgerEntries:
+    # the suite reads only each cycle's net, so it books the rows and
+    # formats no entry; run_cycle, as a control, builds them
+    def test_a_suite_run_constructs_no_ledger_entry(self, monkeypatch, capsys):
+        built = []
+        real_post_init = thermo.LedgerEntry.__post_init__
+
+        def counting(self):
+            built.append(self.stage)
+            real_post_init(self)
+
+        monkeypatch.setattr(thermo.LedgerEntry, "__post_init__", counting)
+        assert cli.main(["suite", "--trials", "20", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert built == []
+        it.run_cycle(*it.random_instance(2, 2, 2, "pure", 0))
+        assert built
+
+
 class TestSuiteSecondLawPath:
     def test_a_violating_cycle_exits_3_and_keeps_the_bound_columns(
         self, monkeypatch, tmp_path, capsys
@@ -590,6 +638,46 @@ class TestSuiteBatchInvariance:
         self.assert_rows_match(tmp_path, 5, 260, "5,8", "all")
         capsys.readouterr()
         assert sum(chunks) == 260 and len(chunks) >= 2
+
+
+class TestParserReuse:
+    # main reads every argv with one parser, built once per process; each
+    # call must still see only its own flags and its subcommand's defaults
+    def test_suite_pgm_suite_see_only_their_own_arguments(self, monkeypatch, tmp_path, capsys):
+        parser = cli._parser()
+        assert cli._parser() is parser
+        real_parse_args = parser.parse_args
+        seen = []
+
+        def recording(argv=None):
+            args = real_parse_args(argv)
+            seen.append(dict(vars(args)))
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", recording)
+        spec = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
+        csv = tmp_path / "suite.csv"
+        argvs = [
+            ["suite", "--trials", "3", "--seed", "5", "--kind", "pure", "--csv", str(csv)],
+            ["pgm", "--spec", spec, "--max-m", "2"],
+            ["suite", "--trials", "2", "--dims", "3"],
+        ]
+        assert cli.main(argvs[0]) == 0
+        assert len(csv.read_text().splitlines()) == 4
+        csv.unlink()
+        assert cli.main(argvs[1]) == 0
+        assert cli.main(argvs[2]) == 0
+        out = capsys.readouterr().out
+        assert not csv.exists()
+        assert "trials                   : 3" in out and "trials                   : 2" in out
+        assert seen == [
+            {"command": "suite", "trials": 3, "dims": "2,3,4", "kind": "pure", "seed": 5,
+             "workers": 1, "csv": str(csv), "func": cli.cmd_suite},
+            {"command": "pgm", "spec": spec, "max_m": 2, "csv": None, "func": cli.cmd_pgm},
+            {"command": "suite", "trials": 2, "dims": "3", "kind": "all", "seed": 42,
+             "workers": 1, "csv": None, "func": cli.cmd_suite},
+        ]
+        assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in argvs]
 
 
 class TestSuiteSeed42Csv:

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm.errors import NonPositiveVolume, ValidationError
+from infotherm import cli, thermo
+from infotherm.errors import NonPositiveVolume, NumericalFailure, ValidationError
 
 from conftest import (
     CHI_TWO_STATE,
@@ -35,6 +39,13 @@ class TestWorkIsothermal:
             it.work_isothermal(0.5, 0.0, 1.0)
         with pytest.raises(NonPositiveVolume):
             it.work_isothermal(0.5, 1.0, -2.0)
+
+    @pytest.mark.parametrize(
+        "v0, v1", [(float("nan"), 0.5), (1.0, float("inf")), (float("inf"), 1.0)]
+    )
+    def test_rejects_non_finite_volumes(self, v0, v1):
+        with pytest.raises(NonPositiveVolume, match="finite and positive"):
+            it.work_isothermal(0.5, v0, v1)
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValidationError):
@@ -231,11 +242,60 @@ class TestRunCycle:
             led.net_bits, led.i_ab - led.delta_s - led.chi, atol=1e-9
         )
 
+    @pytest.mark.parametrize("work", [float("nan"), float("inf")])
+    def test_non_finite_net_is_a_numerical_failure(
+        self, work, two_state_ensemble, computational_basis, monkeypatch
+    ):
+        # a NaN net would pass `net > CYCLE_TOL` and read as "second law OK"
+        monkeypatch.setattr(thermo, "work_isothermal", lambda *args: work)
+        with pytest.raises(NumericalFailure, match="net work"):
+            it.run_cycle(two_state_ensemble, computational_basis)
+
+    def test_non_finite_net_exits_2_from_cycle(self, monkeypatch, tmp_path, capsys):
+        ket0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        ket1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        plus = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "ensemble": {"priors": [0.5, 0.5], "states": [ket0, plus]},
+            "measurement": {"elements": [ket0, ket1]},
+        }))
+        monkeypatch.setattr(thermo, "work_isothermal", lambda *args: float("nan"))
+        assert cli.main(["cycle", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "SECOND LAW OK" not in captured.out
+        assert "net work" in captured.err
+
     def test_commuting_case_breaks_even_exactly(self):
         e, v = it.random_instance(4, 3, 4, "commuting", 11)
         led = it.run_cycle(e, v)
         npt.assert_allclose(led.net_bits, 0.0, atol=1e-9)
         npt.assert_allclose(led.delta_s, 0.0, atol=1e-9)
+
+
+class TestLedgerGolden:
+    # sha256 of every (stage, description, work_bits) that run_cycle books
+    # for 5 seeded random instances of each kind (projective and general
+    # measurements, d in {2, 3, 4}), work as float.hex, so the text and the
+    # bits of every entry are pinned
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("pure", "2bf8bfb38d560625ea3e1d76020cbdb20619533c70f202f55e305a4c54c79f1e"),
+            ("mixed", "5fbfcf356caf2c2d425883f667157d0506a36b5f0955738914fa128b70086be6"),
+            ("commuting", "89a02304b198e9e986bddfcd72ca8a8e030cdd6cb1543cb8870a700436b95cff"),
+        ],
+    )
+    def test_entries_are_pinned(self, kind, digest):
+        lines = []
+        for seed in range(5):
+            dim = 2 + seed % 3
+            m = dim if kind == "commuting" else 2 + seed
+            e, v = it.random_instance(dim, 2 + seed % 3, m, kind, [seed, 8])
+            for en in it.run_cycle(e, v).entries:
+                lines.append(f"{en.stage}|{en.description}|{float(en.work_bits).hex()}")
+            lines.append(f"proj {v.projective}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def _general_instances(count):
