@@ -27,6 +27,8 @@ from .quantum import DensityMatrix, Ensemble, _density_matrices
 
 #: The optimizer methods ``OptimizerConfig`` accepts.
 METHODS = ("qubit_grid", "random_restart_ascent")
+#: The largest ``grid_points``: the qubit lattice's memory grows as its square.
+GRID_CAP = 1000
 #: The ensemble kinds ``random_instance`` draws.
 _KINDS = ("pure", "mixed", "commuting")
 
@@ -83,7 +85,8 @@ class OptimizerConfig:
     only, so it undershoots accessible information when three or more
     states call for a general POVM (0.4591 against log2(3/2) = 0.58496 on
     the trine); ``"random_restart_ascent"`` (the rank-one fixed-point
-    ascent, any dimension) searches general POVMs.
+    ascent, any dimension) searches general POVMs.  ``grid_points`` runs
+    from 2 to ``GRID_CAP`` and ``seed`` is nonnegative.
     """
 
     method: str = "qubit_grid"
@@ -102,6 +105,10 @@ class OptimizerConfig:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.grid_points < 2:
             raise ValidationError("grid_points must be at least 2")
+        if self.grid_points > GRID_CAP:
+            raise ValidationError(f"grid_points allows at most the cap {GRID_CAP}")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValidationError("restarts and max_iterations must be positive")
         if not (np.isfinite(self.convergence_tol) and self.convergence_tol > 0):
@@ -341,7 +348,8 @@ def _instance_states(specs, draws, unitaries, mixed) -> np.ndarray:
     raw draws, the Haar unitaries by spec index and the mixed states'
     Wishart products: each kind's states are built as one stack."""
     dim = specs[0][0]
-    stacks = []
+    kind_of_row = np.repeat([spec[3] for spec in specs], [spec[1] for spec in specs])
+    states = np.empty((len(kind_of_row), dim, dim), dtype=complex)
     kets = [x for spec, draw in zip(specs, draws) if spec[3] == "pure" for x in draw[1]]
     if kets:
         kets = np.stack(kets)
@@ -349,21 +357,17 @@ def _instance_states(specs, draws, unitaries, mixed) -> np.ndarray:
         # np.linalg.norm's arithmetic for one ket (two dot products), stacked
         norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
         kets = kets / norms[:, 0]
-        stacks.append(kets[:, :, None] * kets.conj()[:, None, :])
+        states[kind_of_row == "pure"] = kets[:, :, None] * kets.conj()[:, None, :]
     if len(mixed):
-        stacks.append(mixed / np.trace(mixed, axis1=1, axis2=2).real[:, None, None])
+        traces = np.trace(mixed, axis1=1, axis2=2).real
+        states[kind_of_row == "mixed"] = mixed / traces[:, None, None]
     commuting = [k for k, spec in enumerate(specs) if spec[3] == "commuting"]
     if commuting:
         u = np.repeat(
             np.stack([unitaries[k] for k in commuting]), [specs[k][1] for k in commuting], axis=0
         )
         diags = np.stack([x for k in commuting for x in draws[k][1]])
-        stacks.append((u * diags[:, None, :]) @ u.conj().transpose(0, 2, 1))
-    # the stacks hold the states kind by kind, in _KINDS order; put them
-    # back in spec order
-    kind_of_row = np.repeat([_KINDS.index(spec[3]) for spec in specs], [spec[1] for spec in specs])
-    states = np.empty((len(kind_of_row), dim, dim), dtype=complex)
-    states[np.argsort(kind_of_row, kind="stable")] = np.concatenate(stacks)
+        states[kind_of_row == "commuting"] = (u * diags[:, None, :]) @ u.conj().transpose(0, 2, 1)
     return states
 
 

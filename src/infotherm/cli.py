@@ -370,11 +370,7 @@ def _score_chunk(seed: int, chunk: list[tuple]) -> list[tuple]:
             str(m_outcomes),
             kind,
             "true" if povm.projective else "false",
-            _fmt(report.accessible_info),
-            _fmt(report.chi),
-            _fmt(report.delta_s),
-            _fmt(report.holevo_slack),
-            _fmt(report.thermo_slack),
+            *_bound_csv_row(report)[:5],
             _fmt(cycle_net),
         ]
         results.append((row, report, second_law_ok))
@@ -394,6 +390,8 @@ def cmd_suite(args) -> int:
         raise ValidationError("--trials must be positive")
     if args.workers < 1:
         raise ValidationError("--workers must be positive")
+    if args.seed < 0:
+        raise ValidationError("--seed must be nonnegative")
     kinds = _KINDS if args.kind == "all" else (args.kind,)
     results = _suite_results(args.seed, args.trials, dims, kinds)
 

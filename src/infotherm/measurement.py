@@ -172,11 +172,8 @@ def _povms(stack: np.ndarray, counts, declared) -> list[Povm]:
     read-only and the measurements hold views of it."""
     flags = _povm_flags(stack, counts, declared)
     stack.setflags(write=False)
-    out, offset = [], 0
-    for count, flag in zip(counts, flags):
-        out.append(Povm._checked(stack[offset:offset + count], flag))
-        offset += count
-    return out
+    segments = np.split(stack, np.cumsum(counts)[:-1])
+    return [Povm._checked(segment, flag) for segment, flag in zip(segments, flags)]
 
 
 def basis_measurement(unitary, blocks: Sequence[Sequence[int]] | None = None) -> Povm:
@@ -274,22 +271,29 @@ def mutual_information(j: JointDistribution) -> float:
     return max(0.0, info)
 
 
-def _record_ket(index: int, dim: int) -> np.ndarray:
-    v = np.zeros((dim, 1), dtype=complex)
-    v[index, 0] = 1.0
-    return v
+def _with_record(blocks: np.ndarray) -> np.ndarray:
+    """sum_j blocks[j] (x) |j><j| on system (x) record, for an (m, d, d)
+    stack: the record index is the fast one, as in ``tensor_product``."""
+    m, d, _ = blocks.shape
+    out = np.zeros((d, m, d, m), dtype=complex)
+    j = np.arange(m)
+    out[:, j, :, j] = blocks
+    return out.reshape(d * m, d * m)
 
 
-def _sqrt_elements(v: Povm) -> np.ndarray:
-    return _psd_function_stack(v._stack, np.sqrt)
+def _record_blocks(matrix, system_dim: int, record_dim: int) -> np.ndarray:
+    """An operator on system (x) record as its (d, m, d, m) view."""
+    m = as_complex_matrix(matrix)
+    if m.shape[0] != system_dim * record_dim:
+        raise DimensionMismatch(
+            f"operator dim {m.shape[0]} is not {system_dim}*{record_dim}"
+        )
+    return m.reshape(system_dim, record_dim, system_dim, record_dim)
 
 
 def _dephased_matrix(r: DensityMatrix, v: Povm) -> np.ndarray:
-    """sum_j P_j rho P_j, accumulated one element at a time."""
-    acc = np.zeros_like(r.matrix)
-    for el in v.elements:
-        acc += el @ r.matrix @ el
-    return acc
+    """sum_j P_j rho P_j, the elements' products summed in order."""
+    return (v._stack @ r.matrix @ v._stack).sum(axis=0)
 
 
 def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
@@ -304,13 +308,8 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
         raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
     if v.projective:
         return DensityMatrix(_dephased_matrix(r, v))
-    m = v.size
-    acc = np.zeros((r.dim * m, r.dim * m), dtype=complex)
-    for j, root in enumerate(_sqrt_elements(v)):
-        branch = root @ r.matrix @ root
-        ket = _record_ket(j, m)
-        acc += tensor_product(branch, ket @ ket.conj().T)
-    return DensityMatrix(acc)
+    roots = _psd_function_stack(v._stack, np.sqrt)
+    return DensityMatrix(_with_record(roots @ r.matrix @ roots))
 
 
 def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
@@ -344,18 +343,12 @@ def _post_measurement_spectra(rhos, povms) -> list[np.ndarray]:
         for i, w in zip(projective, _density_eigenvalues(dephased)):
             out[i] = np.maximum(w, 0.0)
     if general:
-        counts = [povms[i].size for i in general]
         roots = _psd_function_stack(np.stack([rhos[i].matrix for i in general]), np.sqrt)
-        blocks = np.empty((sum(counts),) + roots.shape[1:], dtype=complex)
-        offset = 0
-        for i, root, count in zip(general, roots, counts):
-            np.matmul(root @ povms[i]._stack, root, out=blocks[offset:offset + count])
-            offset += count
-        spectra = np.linalg.eigvalsh(blocks)
-        offset = 0
-        for i, count in zip(general, counts):
-            w = np.sort(spectra[offset:offset + count].reshape(-1))
-            offset += count
+        blocks = [root @ povms[i]._stack @ root for i, root in zip(general, roots)]
+        spectra = np.linalg.eigvalsh(np.concatenate(blocks))
+        counts = [povms[i].size for i in general]
+        for i, segment in zip(general, np.split(spectra, np.cumsum(counts)[:-1])):
+            w = np.sort(segment.reshape(-1))
             if w[0] < -PSD_TOL:
                 raise ValidationError(
                     f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
@@ -437,39 +430,22 @@ def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:
     tr(P_j V rho V+) = tr(E_j rho).
     """
     d, m = v.dim, v.size
-    iso = np.zeros((d * m, d), dtype=complex)
-    for j, root in enumerate(_sqrt_elements(v)):
-        iso += np.kron(root, _record_ket(j, m))
+    roots = _psd_function_stack(v._stack, np.sqrt)
+    iso = roots.transpose(1, 0, 2).reshape(d * m, d)
     if max_abs(iso.conj().T @ iso - np.eye(d)) > DILATION_TOL:
         raise NumericalFailure("dilation isometry failed V+V = I check")
-    eye = np.eye(d, dtype=complex)
-    projectors = []
-    for j in range(m):
-        ket = _record_ket(j, m)
-        projectors.append(tensor_product(eye, ket @ ket.conj().T))
-    return iso, Povm(tuple(projectors), projective=True)
+    picks = np.eye(m)[:, :, None, None] * np.eye(d)
+    return iso, Povm(tuple(_with_record(blocks) for blocks in picks), projective=True)
 
 
 def partial_trace_record(matrix: np.ndarray, system_dim: int, record_dim: int) -> np.ndarray:
     """Trace out the record factor of an operator on system (x) record."""
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != system_dim * record_dim:
-        raise DimensionMismatch(
-            f"operator dim {m.shape[0]} is not {system_dim}*{record_dim}"
-        )
-    blocks = m.reshape(system_dim, record_dim, system_dim, record_dim)
-    return np.einsum("ikjk->ij", blocks)
+    return np.einsum("ikjk->ij", _record_blocks(matrix, system_dim, record_dim))
 
 
 def partial_trace_system(matrix: np.ndarray, system_dim: int, record_dim: int) -> np.ndarray:
     """Trace out the system factor, leaving the record marginal."""
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != system_dim * record_dim:
-        raise DimensionMismatch(
-            f"operator dim {m.shape[0]} is not {system_dim}*{record_dim}"
-        )
-    blocks = m.reshape(system_dim, record_dim, system_dim, record_dim)
-    return np.einsum("ikil->kl", blocks)
+    return np.einsum("ikil->kl", _record_blocks(matrix, system_dim, record_dim))
 
 
 def demon_record_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
@@ -483,20 +459,7 @@ def demon_record_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
         raise NotProjective("recording requires a projective measurement")
     if r.dim != v.dim:
         raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
-    m = v.size
-    acc = np.zeros((r.dim * m, r.dim * m), dtype=complex)
-    for idx, proj in enumerate(v.elements):
-        ket = _record_ket(idx, m)
-        acc += tensor_product(proj @ r.matrix @ proj, ket @ ket.conj().T)
-    return DensityMatrix(acc)
-
-
-def _cyclic_shift(dim: int) -> np.ndarray:
-    """Unitary taking |k> to |k+1 mod dim>."""
-    s = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        s[(k + 1) % dim, k] = 1.0
-    return s
+    return DensityMatrix(_with_record(v._stack @ r.matrix @ v._stack))
 
 
 def demon_reset(r_pm: DensityMatrix, v: Povm) -> tuple[np.ndarray, DensityMatrix]:
@@ -515,17 +478,16 @@ def demon_reset(r_pm: DensityMatrix, v: Povm) -> tuple[np.ndarray, DensityMatrix
         raise DimensionMismatch(
             f"recorded state dim {r_pm.dim} does not factor as {v.dim}*{m}"
         )
-    shift = _cyclic_shift(m)
     unitary = np.zeros((r_pm.dim, r_pm.dim), dtype=complex)
     for idx, proj in enumerate(v.elements):
-        unshift = np.linalg.matrix_power(shift, (m - idx) % m)
-        unitary += tensor_product(proj, unshift)
+        # np.roll(I, -idx) is Shift^(-idx), taking |k> to |k - idx mod m>
+        unitary += tensor_product(proj, np.roll(np.eye(m), -idx, axis=0))
     if max_abs(unitary @ unitary.conj().T - np.eye(r_pm.dim)) > DILATION_TOL:
         raise NumericalFailure("reset unitary failed the unitarity check")
     after = unitary @ r_pm.matrix @ unitary.conj().T
-    sigma = partial_trace_record(after, v.dim, m)
-    ket = _record_ket(0, m)
-    expected = tensor_product(sigma, ket @ ket.conj().T)
+    blocks = np.zeros((m, v.dim, v.dim), dtype=complex)
+    blocks[0] = partial_trace_record(after, v.dim, m)
+    expected = _with_record(blocks)
     if max_abs(after - expected) > DILATION_TOL:
         raise BlockFormViolation(
             "recorded state lacks the system-memory correlation the reset needs"

@@ -58,7 +58,11 @@ def work_isothermal(fraction: float, v_initial: float, v_final: float) -> float:
         raise ValidationError(f"molecule fraction {fraction!r} outside [0, 1]")
     if fraction == 0.0:
         return 0.0
-    return fraction * log2(v_final / v_initial)
+    ratio = v_final / v_initial
+    if 0.0 < ratio < inf:
+        return fraction * log2(ratio)
+    # the ratio left the float range; the volumes' own logs did not
+    return fraction * (log2(v_final) - log2(v_initial))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,15 @@ class TestOptimizerConfig:
         with pytest.raises(ValidationError):
             it.OptimizerConfig(**{field: value})
 
+    def test_grid_points_are_capped(self):
+        assert it.OptimizerConfig(grid_points=bounds.GRID_CAP).grid_points == 1000
+        with pytest.raises(ValidationError, match=f"cap {bounds.GRID_CAP}"):
+            it.OptimizerConfig(grid_points=bounds.GRID_CAP + 1)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            it.OptimizerConfig(method="random_restart_ascent", seed=-1)
+
     def test_numpy_integers_are_integers(self):
         cfg = it.OptimizerConfig(
             grid_points=np.int64(20), restarts=np.int32(2), max_iterations=np.uint8(5),

@@ -211,6 +211,21 @@ class TestOptimize:
         path = _write(tmp_path, "qutrit.json", payload)
         assert cli.main(["optimize", "--spec", path]) == 4
 
+    @pytest.mark.parametrize("method", ["qubit_grid", "random_restart_ascent"])
+    def test_negative_seed_exits_2(self, method, tmp_path, capsys):
+        path = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
+        assert cli.main(["optimize", "--spec", path, "--method", method, "--seed", "-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+    def test_grid_above_the_cap_exits_2_before_the_lattice(self, monkeypatch, tmp_path, capsys):
+        def lattice(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(bounds, "_qubit_grid_search", lattice)
+        path = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
+        assert cli.main(["optimize", "--spec", path, "--grid", "1001"]) == 2
+        assert f"cap {bounds.GRID_CAP}" in capsys.readouterr().err
+
     def test_ascent_method_flag(self, tmp_path, capsys):
         path = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
         rc = cli.main([
@@ -435,6 +450,10 @@ class TestSuite:
 
     def test_bad_trials_exit_2(self):
         assert cli.main(["suite", "--trials", "0"]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["suite", "--trials", "2", "--seed", "-1"]) == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
 
     def test_unknown_kind_is_an_argparse_error(self):
         with pytest.raises(SystemExit):

@@ -717,3 +717,124 @@ class TestSymmetryInvariances:
             rtol=0,
             atol=1e-10,
         )
+
+
+# The system (x) record constructions as sums of Kronecker products, one
+# record ket |j> at a time; the library's builders must equal them bit for
+# bit.
+
+
+def kron_record_ket(index, dim):
+    ket = np.zeros((dim, 1), dtype=complex)
+    ket[index, 0] = 1.0
+    return ket
+
+
+def kron_record_projector(index, dim):
+    ket = kron_record_ket(index, dim)
+    return ket @ ket.conj().T
+
+
+def kron_dephased(r, v):
+    acc = np.zeros_like(r.matrix)
+    for el in v.elements:
+        acc += el @ r.matrix @ el
+    return acc
+
+
+def kron_post_measurement_state(r, v):
+    if v.projective:
+        return it.DensityMatrix(kron_dephased(r, v))
+    m = v.size
+    acc = np.zeros((r.dim * m, r.dim * m), dtype=complex)
+    for j, el in enumerate(v.elements):
+        root = it.psd_function(el, np.sqrt)
+        acc += it.tensor_product(root @ r.matrix @ root, kron_record_projector(j, m))
+    return it.DensityMatrix(acc)
+
+
+def kron_demon_record_state(r, v):
+    m = v.size
+    acc = np.zeros((r.dim * m, r.dim * m), dtype=complex)
+    for idx, proj in enumerate(v.elements):
+        acc += it.tensor_product(proj @ r.matrix @ proj, kron_record_projector(idx, m))
+    return it.DensityMatrix(acc)
+
+
+def kron_naimark_dilation(v):
+    d, m = v.dim, v.size
+    iso = np.zeros((d * m, d), dtype=complex)
+    for j, el in enumerate(v.elements):
+        iso += np.kron(it.psd_function(el, np.sqrt), kron_record_ket(j, m))
+    eye = np.eye(d, dtype=complex)
+    return iso, [it.tensor_product(eye, kron_record_projector(j, m)) for j in range(m)]
+
+
+def kron_demon_reset(r_pm, v):
+    m = v.size
+    shift = np.zeros((m, m), dtype=complex)
+    for k in range(m):
+        shift[(k + 1) % m, k] = 1.0
+    unitary = np.zeros((r_pm.dim, r_pm.dim), dtype=complex)
+    for idx, proj in enumerate(v.elements):
+        unitary += it.tensor_product(proj, np.linalg.matrix_power(shift, (m - idx) % m))
+    after = unitary @ r_pm.matrix @ unitary.conj().T
+    sigma = partial_trace_record(after, v.dim, m)
+    expected = it.tensor_product(sigma, kron_record_projector(0, m))
+    return unitary, after, expected
+
+
+def record_measurements(dim, m, kind, seed):
+    """An ensemble of ``kind`` and its average state, with the drawn
+    measurement, a general m-outcome POVM and, for m <= dim, a projective
+    one of m column blocks of a Haar unitary."""
+    e, drawn = it.random_instance(dim, 3, min(m, dim) if kind == "commuting" else m, kind, seed)
+    rng = np.random.default_rng([seed, dim, m])
+    povms = [drawn, random_general_povm(dim, m, rng)]
+    if m <= dim:
+        blocks = [list(b) for b in np.array_split(np.arange(dim), m)]
+        povms.append(it.basis_measurement(haar_basis(dim, rng), blocks))
+    return it.average_state(e), povms
+
+
+class TestRecordConstructionsMatchKronLoops:
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["pure", "mixed", "commuting"])
+    def test_bit_equal(self, kind, dim, m):
+        kinds_seen = set()
+        for seed in range(3):
+            rho, povms = record_measurements(dim, m, kind, seed)
+            for v in povms:
+                kinds_seen.add(v.projective)
+                label = f"{kind} d={dim} m={v.size} seed={seed} projective={v.projective}"
+                post = it.post_measurement_state(rho, v)
+                reference = kron_post_measurement_state(rho, v)
+                npt.assert_array_equal(post.matrix, reference.matrix, err_msg=label)
+                npt.assert_array_equal(post.spectrum(), reference.spectrum(), err_msg=label)
+                iso, proj = it.naimark_dilation(v)
+                ref_iso, ref_proj = kron_naimark_dilation(v)
+                npt.assert_array_equal(iso, ref_iso, err_msg=label)
+                npt.assert_array_equal(np.stack(proj.elements), ref_proj, err_msg=label)
+                assert proj.projective
+                if not v.projective:
+                    continue
+                record = it.demon_record_state(rho, v)
+                ref_record = kron_demon_record_state(rho, v)
+                npt.assert_array_equal(record.matrix, ref_record.matrix, err_msg=label)
+                for traced, ref_traced in [
+                    (partial_trace_record(record.matrix, dim, v.size), kron_dephased(rho, v)),
+                    (
+                        partial_trace_system(record.matrix, dim, v.size),
+                        partial_trace_system(ref_record.matrix, dim, v.size),
+                    ),
+                ]:
+                    npt.assert_array_equal(traced, ref_traced, err_msg=label)
+                unitary, after = it.demon_reset(ref_record, v)
+                ref_unitary, ref_after, expected = kron_demon_reset(ref_record, v)
+                npt.assert_array_equal(unitary, ref_unitary, err_msg=label)
+                npt.assert_array_equal(
+                    after.matrix, it.DensityMatrix(ref_after).matrix, err_msg=label
+                )
+                npt.assert_allclose(after.matrix, expected, rtol=0, atol=1e-9, err_msg=label)
+        assert False in kinds_seen and (True in kinds_seen or m > dim)

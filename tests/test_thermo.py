@@ -47,6 +47,12 @@ class TestWorkIsothermal:
         with pytest.raises(NonPositiveVolume, match="finite and positive"):
             it.work_isothermal(0.5, v0, v1)
 
+    @pytest.mark.parametrize(
+        "v0, v1, expected", [(1e300, 1e-300, -996.578428466), (1e-300, 1e300, 996.578428466)]
+    )
+    def test_volume_ratio_beyond_the_float_range(self, v0, v1, expected):
+        npt.assert_allclose(it.work_isothermal(0.5, v0, v1), expected, rtol=0, atol=1e-9)
+
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValidationError):
             it.work_isothermal(1.5, 0.5, 1.0)
