@@ -13,17 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedDimension, ValidationError
-from .linops import BOUND_TOL, CONVERGENCE_TOL, _psd_function_stack, psd_function
+from .linops import BOUND_TOL, CONVERGENCE_TOL, _psd_function_stack, _segments, psd_function
 from .measurement import (
     JointDistribution,
     Povm,
     _analyse,
-    _basis_elements,
+    _block_projectors,
+    _check_unitaries,
     _povms,
     mutual_information,
 )
 from .measurement import delta_s as measurement_delta_s  # noqa: F401 (read by bench/)
-from .quantum import DensityMatrix, Ensemble, _density_matrices
+from .quantum import DensityMatrix, Ensemble, _checked_priors, _density_matrices
 
 #: The optimizer methods ``OptimizerConfig`` accepts.
 METHODS = ("qubit_grid", "random_restart_ascent")
@@ -241,9 +242,12 @@ def maximize_accessible_information(
     return best, evaluate_bounds(e, best)
 
 
-def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """A complex Gaussian array: its real part drawn first, then its imaginary part."""
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+def _gaussians(rng: np.random.Generator, count: int, shape) -> np.ndarray:
+    """``count`` complex Gaussian arrays of ``shape`` from one generator call.
+    The generator fills in C order, so each array's real part is drawn
+    first and then its imaginary part, as two calls per array would."""
+    z = rng.normal(size=(count, 2) + shape)
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def _haar_unitaries(g: np.ndarray) -> np.ndarray:
@@ -259,24 +263,33 @@ def _column_blocks(dim: int, outcomes: int) -> list[list[int]]:
     return [list(chunk) for chunk in np.array_split(np.arange(dim), outcomes)]
 
 
+def _is_seed(seed) -> bool:
+    """A nonnegative integer (numpy's included, ``bool`` not), or a
+    sequence of them."""
+    parts = seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]
+    return all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0 for x in parts
+    )
+
+
 def _draw_instance(dim: int, n_states: int, m_outcomes: int, kind: str, seed):
     """One instance's raw draws, in the order its generator yields them: the
-    priors; a draw per state (a Dirichlet diagonal for ``commuting``, a
-    complex Gaussian ket for ``pure``, a complex Gaussian matrix for
-    ``mixed``); the Gaussian matrix of the Haar unitary whose column blocks
-    make a projective basis, or ``None``; and the Gaussian matrices of the
-    raw PSD elements, or ``None`` for a basis.  A commuting instance draws
-    its unitary before its diagonals."""
+    priors; the states' draws as one array (Dirichlet diagonals for
+    ``commuting``, complex Gaussian kets for ``pure``, complex Gaussian
+    matrices for ``mixed``); the Gaussian matrix of the Haar unitary whose
+    column blocks make a projective basis, or ``None``; and the Gaussian
+    matrices of the raw PSD elements, or ``None`` for a basis.  A commuting
+    instance draws its unitary before its diagonals."""
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(n_states))
     if kind == "commuting":
-        unitary = _gaussian(rng, (dim, dim))
-        return probs, [rng.dirichlet(np.ones(dim)) for _ in range(n_states)], unitary, None
+        unitary = _gaussians(rng, 1, (dim, dim))[0]
+        return probs, rng.dirichlet(np.ones(dim), size=n_states), unitary, None
     shape = (dim,) if kind == "pure" else (dim, dim)
-    states = [_gaussian(rng, shape) for _ in range(n_states)]
+    states = _gaussians(rng, n_states, shape)
     if m_outcomes <= dim and rng.random() < 0.5:
-        return probs, states, _gaussian(rng, (dim, dim)), None
-    return probs, states, None, [_gaussian(rng, (dim, dim)) for _ in range(m_outcomes)]
+        return probs, states, _gaussians(rng, 1, (dim, dim))[0], None
+    return probs, states, None, _gaussians(rng, m_outcomes, (dim, dim))
 
 
 def random_instance(
@@ -290,8 +303,9 @@ def random_instance(
     shared basis).  Priors are a flat simplex draw.  For the non-commuting
     kinds the measurement is a coin flip between a random projective basis
     (column blocks of a fresh unitary, only possible when m <= dim) and
-    random PSD elements normalized to resolve the identity.  This is the
-    one-instance case of ``_random_instances``.
+    random PSD elements normalized to resolve the identity.  ``seed`` is a
+    nonnegative integer or a sequence of them.  This is the one-instance
+    case of ``_random_instances``.
     """
     return _random_instances([(dim, n_states, m_outcomes, kind, seed)])[0]
 
@@ -303,10 +317,11 @@ def _random_instances(specs) -> list[tuple[Ensemble, Povm]]:
     them: one stacked QR for the Haar unitaries, one stacked ``g g+`` for
     the Wishart draws (mixed states and raw elements), one stacked
     normalise-and-outer for the pure kets, one stacked conjugation for the
-    commuting states.  The states get one stacked density check, the raw
-    PSD elements one stacked ``psd_function`` normalization, and the
+    commuting states.  The states get one stacked density check, the priors
+    one stacked prior check, the unitaries one stacked unitarity check, the
+    raw PSD elements one stacked ``psd_function`` normalization, and the
     measurements one stacked ``Povm`` check."""
-    for dim, n_states, m_outcomes, kind, _ in specs:
+    for dim, n_states, m_outcomes, kind, seed in specs:
         if dim < 2:
             raise ValidationError("dimension must be at least 2")
         if n_states < 1:
@@ -320,39 +335,43 @@ def _random_instances(specs) -> list[tuple[Ensemble, Povm]]:
                 "a commuting instance is measured in its shared basis, "
                 f"so outcomes ({m_outcomes}) cannot exceed the dimension ({dim})"
             )
+        if not _is_seed(seed):
+            raise ValidationError(
+                f"seed must be a nonnegative integer or a sequence of them, got {seed!r}"
+            )
     draws = [_draw_instance(*spec) for spec in specs]
     haar = [k for k, draw in enumerate(draws) if draw[2] is not None]
-    unitaries = {}
+    unitaries = None
     if haar:
-        unitaries = dict(zip(haar, _haar_unitaries(np.stack([draws[k][2] for k in haar]))))
-    mixed = [g for spec, draw in zip(specs, draws) if spec[3] == "mixed" for g in draw[1]]
-    raw = [g for draw in draws if draw[3] is not None for g in draw[3]]
+        unitaries = _haar_unitaries(np.stack([draws[k][2] for k in haar]))
+    gaussians = [draw[1] for spec, draw in zip(specs, draws) if spec[3] == "mixed"]
+    n_mixed = sum(len(g) for g in gaussians)
+    gaussians += [draw[3] for draw in draws if draw[3] is not None]
     wishart = np.empty((0,))
-    if mixed or raw:
-        g = np.stack(mixed + raw)
+    if gaussians:
+        g = np.concatenate(gaussians)
         wishart = g @ g.conj().transpose(0, 2, 1)
 
-    states = _density_matrices(_instance_states(specs, draws, unitaries, wishart[: len(mixed)]))
-    ensembles, offset = [], 0
-    for probs, *_ in draws:
-        ensembles.append(Ensemble(probs, states[offset:offset + len(probs)]))
-        offset += len(probs)
+    states = _density_matrices(_instance_states(specs, draws, haar, unitaries, wishart[:n_mixed]))
+    priors = _checked_priors([draw[0] for draw in draws])
+    groups = _segments(states, [spec[1] for spec in specs])
+    ensembles = [Ensemble._checked(p, group) for p, group in zip(priors, groups)]
     counts = [m_outcomes for _, _, m_outcomes, _, _ in specs]
-    elements = _instance_elements(specs, counts, unitaries, wishart[len(mixed):])
-    declared = [True if k in unitaries else None for k in range(len(specs))]
+    elements = _instance_elements(specs, counts, haar, unitaries, wishart[n_mixed:])
+    declared = [True if draw[2] is not None else None for draw in draws]
     return list(zip(ensembles, _povms(elements, counts, declared)))
 
 
-def _instance_states(specs, draws, unitaries, mixed) -> np.ndarray:
+def _instance_states(specs, draws, haar, unitaries, mixed) -> np.ndarray:
     """The state matrices of every drawn instance, in spec order, from the
-    raw draws, the Haar unitaries by spec index and the mixed states'
-    Wishart products: each kind's states are built as one stack."""
+    raw draws, the Haar unitaries of the specs ``haar`` and the mixed
+    states' Wishart products: each kind's states are built as one stack."""
     dim = specs[0][0]
     kind_of_row = np.repeat([spec[3] for spec in specs], [spec[1] for spec in specs])
     states = np.empty((len(kind_of_row), dim, dim), dtype=complex)
-    kets = [x for spec, draw in zip(specs, draws) if spec[3] == "pure" for x in draw[1]]
+    kets = [draw[1] for spec, draw in zip(specs, draws) if spec[3] == "pure"]
     if kets:
-        kets = np.stack(kets)
+        kets = np.concatenate(kets)
         re, im = kets.real, kets.imag
         # np.linalg.norm's arithmetic for one ket (two dot products), stacked
         norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
@@ -364,35 +383,40 @@ def _instance_states(specs, draws, unitaries, mixed) -> np.ndarray:
     commuting = [k for k, spec in enumerate(specs) if spec[3] == "commuting"]
     if commuting:
         u = np.repeat(
-            np.stack([unitaries[k] for k in commuting]), [specs[k][1] for k in commuting], axis=0
+            unitaries[np.searchsorted(haar, commuting)], [specs[k][1] for k in commuting], axis=0
         )
-        diags = np.stack([x for k in commuting for x in draws[k][1]])
+        diags = np.concatenate([draws[k][1] for k in commuting])
         states[kind_of_row == "commuting"] = (u * diags[:, None, :]) @ u.conj().transpose(0, 2, 1)
     return states
 
 
-def _instance_elements(specs, counts, unitaries, raw) -> np.ndarray:
+def _instance_elements(specs, counts, haar, unitaries, raw) -> np.ndarray:
     """The measurement elements of every drawn instance, in spec order: the
-    column-block projectors of each Haar unitary, and the raw PSD elements
-    ``raw`` (Wishart products, in spec order) normalized to resolve the
-    identity with one stacked ``psd_function``."""
+    column-block projectors of the Haar unitaries of the specs ``haar``,
+    after one stacked unitarity check, built once per outcome count; and
+    the raw PSD elements ``raw`` (Wishart products, in spec order)
+    normalized to resolve the identity with one stacked ``psd_function``."""
     dim = specs[0][0]
+    counts = np.array(counts)
     offsets = np.cumsum(counts) - counts
-    elements = np.empty((sum(counts), dim, dim), dtype=complex)
-    for k, u in unitaries.items():
-        elements[offsets[k]:offsets[k] + counts[k]] = _basis_elements(
-            u, _column_blocks(dim, counts[k])
-        )
-    general = [k for k in range(len(specs)) if k not in unitaries]
-    if general:
-        rows = np.concatenate([np.arange(offsets[k], offsets[k] + counts[k]) for k in general])
+    elements = np.empty((counts.sum(), dim, dim), dtype=complex)
+    is_haar = np.zeros(len(specs), dtype=bool)
+    is_haar[haar] = True
+    if haar:
+        _check_unitaries(unitaries)
+        for m in sorted(set(counts[haar].tolist())):
+            group = counts[haar] == m
+            rows = offsets[haar][group][:, None] + np.arange(m)
+            elements[rows] = _block_projectors(unitaries[group], _column_blocks(dim, m))
+    if not is_haar.all():
+        rows = np.repeat(~is_haar, counts)
         elements[rows] = raw
-        ms = np.array([counts[k] for k in general])
+        ms, starts = counts[~is_haar], offsets[~is_haar]
         # each measurement's element sum, added in the order sum() adds them
-        totals = np.zeros((len(general), dim, dim), dtype=complex)
+        totals = np.zeros((len(ms), dim, dim), dtype=complex)
         for j in range(ms.max()):
             has = ms > j
-            totals[has] += elements[offsets[general][has] + j]
+            totals[has] += elements[starts[has] + j]
         inv_roots = np.repeat(
             _psd_function_stack(totals, lambda x: 1.0 / np.sqrt(x), pseudo=True), ms, axis=0
         )

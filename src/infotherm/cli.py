@@ -135,9 +135,14 @@ def parse_problem_spec(data) -> ProblemSpec:
             raise ValidationError("'measurement.projective' must be a boolean")
         measurement = Povm(elements, projective=projective)
 
-    labels = data.get("labels") or {}
+    labels = data.get("labels")
+    if labels is None:
+        labels = {}
     if not isinstance(labels, dict):
         raise ValidationError("'labels' must be an object")
+    unknown = set(labels) - {"preparations", "outcomes"}
+    if unknown:
+        raise ValidationError(f"unknown 'labels' keys {sorted(unknown)}")
     prep = _parse_labels(labels.get("preparations"), ensemble.size, "labels.preparations")
     if measurement is not None:
         out = _parse_labels(labels.get("outcomes"), measurement.size, "labels.outcomes")

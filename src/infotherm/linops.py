@@ -7,6 +7,7 @@ threshold that a check anywhere in the package compares against.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -115,12 +116,19 @@ def _raise_first_failure(checks) -> None:
     a single item runs them, so the item named is the one a loop over the
     stack would have stopped at, with the error that loop would have raised.
     """
-    failed = [bad for bad, _ in checks if bad.any()]
+    failed = [bad for bad, _ in checks if np.count_nonzero(bad)]
     if failed:
         k = min(int(np.argmax(bad)) for bad in failed)
         for bad, error in checks:
             if bad[k]:
                 raise error(k)
+
+
+def _segments(a, counts) -> list:
+    """Consecutive slices of ``a`` along its first axis, of ``counts`` items
+    each: views of an array, or slices of a list or tuple."""
+    ends = list(itertools.accumulate(counts))
+    return [a[end - count:end] for count, end in zip(counts, ends)]
 
 
 def _eigh_checks(stack: np.ndarray):
@@ -208,7 +216,7 @@ def _psd_function_stack(stack: np.ndarray, f: Callable, pseudo: bool = False) ->
     w = np.maximum(w, 0.0)
     fw = np.zeros_like(w)
     mask = (w > PSD_EPSILON) if pseudo else np.ones_like(w, dtype=bool)
-    failed = [bad for bad, _ in checks if bad.any()]
+    failed = [bad for bad, _ in checks if np.count_nonzero(bad)]
     if failed:
         # f only sees the items that passed the checks so far, as in the
         # one-matrix case, where a failed check raises before f runs.

@@ -33,6 +33,7 @@ from .linops import (
     _asymmetry,
     _psd_function_stack,
     _raise_first_failure,
+    _segments,
     as_complex_matrix,
     max_abs,
     tensor_product,
@@ -40,10 +41,11 @@ from .linops import (
 from .quantum import (
     DensityMatrix,
     Ensemble,
-    _average_matrix,
-    _chi_from_spectra,
+    _average_matrices,
+    _chi,
     _density_eigenvalues,
     _density_matrices,
+    _entropies,
     _entropy_of_spectrum,
 )
 
@@ -172,32 +174,42 @@ def _povms(stack: np.ndarray, counts, declared) -> list[Povm]:
     read-only and the measurements hold views of it."""
     flags = _povm_flags(stack, counts, declared)
     stack.setflags(write=False)
-    segments = np.split(stack, np.cumsum(counts)[:-1])
-    return [Povm._checked(segment, flag) for segment, flag in zip(segments, flags)]
+    return [Povm._checked(segment, flag) for segment, flag in zip(_segments(stack, counts), flags)]
 
 
 def basis_measurement(unitary, blocks: Sequence[Sequence[int]] | None = None) -> Povm:
     """Projective measurement built from the columns of a unitary.
 
     With ``blocks`` the columns are grouped into coarse-grained projectors;
-    by default each column becomes its own rank-1 projector.
+    by default each column becomes its own rank-1 projector.  This is the
+    one-unitary case of ``_check_unitaries`` and ``_block_projectors``.
     """
-    return Povm(tuple(_basis_elements(unitary, blocks)), projective=True)
-
-
-def _basis_elements(unitary, blocks) -> list[np.ndarray]:
-    """The projectors of ``basis_measurement``, after its unitarity check."""
-    u = as_complex_matrix(unitary)
-    d = u.shape[0]
-    if max_abs(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
-        raise ValidationError("matrix is not unitary")
+    u = as_complex_matrix(unitary)[None]
+    _check_unitaries(u)
     if blocks is None:
-        blocks = [[j] for j in range(d)]
-    elements = []
-    for block in blocks:
-        cols = u[:, list(block)]
-        elements.append(cols @ cols.conj().T)
-    return elements
+        blocks = [[j] for j in range(u.shape[1])]
+    return Povm(tuple(_block_projectors(u, blocks)[0]), projective=True)
+
+
+def _check_unitaries(stack: np.ndarray) -> None:
+    """Check every matrix of a finite complex (K, d, d) stack for
+    max |U+ U - I| <= UNITARY_TOL with one batched product; a failing
+    matrix raises what ``basis_measurement`` raises for it."""
+    residual = np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(stack.shape[1]))
+    if np.any(residual.max(axis=(1, 2)) > UNITARY_TOL):
+        raise ValidationError("matrix is not unitary")
+
+
+def _block_projectors(unitaries: np.ndarray, blocks) -> np.ndarray:
+    """The (K, len(blocks), d, d) projectors onto each block of columns of
+    each unitary of a (K, d, d) stack: one batched ``cols @ cols+`` a
+    block."""
+    k, d, _ = unitaries.shape
+    out = np.empty((k, len(blocks), d, d), dtype=complex)
+    for b, block in enumerate(blocks):
+        cols = unitaries[:, :, list(block)]
+        out[:, b] = cols @ cols.conj().swapaxes(1, 2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,18 +245,109 @@ class JointDistribution:
     def outcome_probs(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
 
+    @classmethod
+    def _checked(cls, matrix: np.ndarray) -> "JointDistribution":
+        """A read-only clipped table that already passed the checks,
+        stacked; nothing is checked again."""
+        j = object.__new__(cls)
+        object.__setattr__(j, "matrix", matrix)
+        return j
+
 
 def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
-    """Outcome statistics of measuring each ensemble member."""
-    if e.dim != v.dim:
-        raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
-    traces = np.array(
-        [np.trace(v._stack @ s.matrix, axis1=1, axis2=2).real for s in e.states]
+    """Outcome statistics of measuring each ensemble member; the one-pair
+    case of ``_joint_distributions``."""
+    return _joint_distributions([(e, v)])[0][0]
+
+
+def _joint_distributions(pairs):
+    """``joint_distribution`` of each (ensemble, measurement) pair, all of
+    one dimension, with each table's row sums (its ``priors``) and column
+    sums (its ``outcome_probs``), all to the last bit of the per-pair call.
+
+    The traces are taken one state-row index i at a time across all pairs,
+    so no more than one (M, d, d) product of the elements with their pair's
+    i-th state exists at once.  The tables of the pairs with m outcomes are
+    then one (K, rows, m) stack, zero past each table's rows, so a table is
+    a contiguous view and its sums run as numpy runs them on the table
+    alone: pairwise along a row, row by row down a column (the zero rows
+    add nothing), pairwise down a lone column.  The ``JointDistribution``
+    checks and the priors-reproduction check run stacked; the lowest-index
+    failing pair raises what ``joint_distribution`` raises for it alone.
+    Returns (tables, row sums, column sums), three lists in pair order."""
+    for e, v in pairs:
+        if e.dim != v.dim:
+            raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
+    sizes = [e.size for e, _ in pairs]
+    counts = [v.size for _, v in pairs]
+    if len(pairs) == 1:
+        elements = pairs[0][1]._stack
+    else:
+        elements = np.concatenate([v._stack for _, v in pairs])
+    # raw[i, x] = p_i tr(E_x rho_i) with p_i rho_i the i-th member of
+    # element x's pair, and 0 past that pair's rows
+    raw = np.zeros((max(sizes), len(elements)))
+    live, live_counts, lanes, stack = [True] * len(pairs), counts, slice(None), elements
+    for i in range(len(raw)):
+        if i in sizes:
+            # the pairs with i rows are done
+            live = [n > i for n in sizes]
+            live_counts = np.compress(live, counts)
+            lanes = np.repeat(live, counts)
+            stack = elements[lanes]
+        rows = [e for (e, _), alive in zip(pairs, live) if alive]
+        # one state broadcasts; several are repeated over their pairs' elements
+        if len(rows) == 1:
+            state, weights = rows[0].states[i].matrix, rows[0].probs[i]
+        else:
+            state = np.repeat(np.stack([e.states[i].matrix for e in rows]), live_counts, axis=0)
+            weights = np.repeat([e.probs[i] for e in rows], live_counts)
+        raw[i, lanes] = weights * np.trace(stack @ state, axis1=1, axis2=2).real
+    tables, row_sums, col_sums = ([None] * len(pairs) for _ in range(3))
+    finite = np.empty(len(pairs), dtype=bool)
+    lowest, totals = np.empty(len(pairs)), np.empty(len(pairs))
+    for m in sorted(set(counts)):
+        group = [k for k, count in enumerate(counts) if count == m]
+        if len(group) < len(pairs):
+            block = raw[:, np.repeat([count == m for count in counts], counts)]
+        else:
+            block = raw
+        block = block.reshape(len(raw), len(group), m).transpose(1, 0, 2)
+        finite[group] = np.isfinite(block).all(axis=(1, 2))
+        lowest[group] = block.min(axis=(1, 2))
+        block = np.ascontiguousarray(np.maximum(block, 0.0))
+        block.setflags(write=False)
+        sums = block.sum(axis=2)
+        cols = block.sum(axis=1)
+        totals[group] = cols.sum(axis=1)
+        for j, k in enumerate(group):
+            tables[k] = block[j, : sizes[k]]
+            row_sums[k] = sums[j, : sizes[k]]
+            col_sums[k] = tables[k].sum(axis=0) if m == 1 else cols[j]
+    probs = np.concatenate([e.probs for e, _ in pairs])
+    drift = np.maximum.reduceat(
+        np.abs(np.concatenate(row_sums) - probs), np.cumsum(sizes) - sizes
     )
-    jd = JointDistribution(e.probs[:, None] * traces)
-    if max_abs(jd.priors - e.probs) > TRACE_TOL:
-        raise NumericalFailure("joint distribution rows do not reproduce the priors")
-    return jd
+    _raise_first_failure(
+        [
+            (~finite, lambda k: ValidationError("joint probabilities have non-finite entries")),
+            (
+                lowest < -PROB_CLIP,
+                lambda k: ValidationError(
+                    f"joint probability {lowest[k]:.3e} below -{PROB_CLIP:.0e}"
+                ),
+            ),
+            (
+                np.abs(totals - 1.0) > TRACE_TOL,
+                lambda k: ValidationError(f"joint probabilities sum to {tables[k].sum():.12g}"),
+            ),
+            (
+                drift > TRACE_TOL,
+                lambda k: NumericalFailure("joint distribution rows do not reproduce the priors"),
+            ),
+        ]
+    )
+    return [JointDistribution._checked(t) for t in tables], row_sums, col_sums
 
 
 def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
@@ -261,11 +364,16 @@ def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
 def mutual_information(j: JointDistribution) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits, clipped to be nonnegative."""
     p = j.matrix
-    info = (
-        _entropy_of_spectrum(p.sum(axis=1))
-        + _entropy_of_spectrum(p.sum(axis=0))
-        - _entropy_of_spectrum(p.reshape(-1))
+    return _information(
+        _entropy_of_spectrum(p.sum(axis=1)),
+        _entropy_of_spectrum(p.sum(axis=0)),
+        _entropy_of_spectrum(p.reshape(-1)),
     )
+
+
+def _information(h_a: float, h_b: float, h_ab: float) -> float:
+    """``mutual_information`` from the three entropies of its table."""
+    info = h_a + h_b - h_ab
     if info < -PROB_CLIP:
         raise NumericalFailure(f"mutual information came out {info:.3e}")
     return max(0.0, info)
@@ -347,7 +455,7 @@ def _post_measurement_spectra(rhos, povms) -> list[np.ndarray]:
         blocks = [root @ povms[i]._stack @ root for i, root in zip(general, roots)]
         spectra = np.linalg.eigvalsh(np.concatenate(blocks))
         counts = [povms[i].size for i in general]
-        for i, segment in zip(general, np.split(spectra, np.cumsum(counts)[:-1])):
+        for i, segment in zip(general, _segments(spectra, counts)):
             w = np.sort(segment.reshape(-1))
             if w[0] < -PSD_TOL:
                 raise ValidationError(
@@ -360,10 +468,10 @@ def _post_measurement_spectra(rhos, povms) -> list[np.ndarray]:
     return out
 
 
-def _entropy_increase(sigma_spectrum: np.ndarray, rho_spectrum: np.ndarray) -> float:
-    """S(sigma) - S(rho) from the two spectra; a hair below zero is clipped,
-    anything below -BOUND_TOL raises."""
-    ds = _entropy_of_spectrum(sigma_spectrum) - _entropy_of_spectrum(rho_spectrum)
+def _entropy_increase(sigma_entropy: float, rho_entropy: float) -> float:
+    """S(sigma) - S(rho) from the two entropies; a hair below zero is
+    clipped, anything below -BOUND_TOL raises."""
+    ds = sigma_entropy - rho_entropy
     if ds < -BOUND_TOL:
         raise NumericalFailure(f"entropy increase came out {ds:.3e}")
     return max(0.0, ds)
@@ -377,7 +485,9 @@ def delta_s(r: DensityMatrix, v: Povm) -> float:
     POVM the post-measurement entropy comes from the union of the spectra
     of sqrt(rho) E_j sqrt(rho); the d*m-dim record state is never built.
     """
-    return _entropy_increase(_post_measurement_spectrum(r, v), r.spectrum())
+    return _entropy_increase(
+        _entropy_of_spectrum(_post_measurement_spectrum(r, v)), _entropy_of_spectrum(r.spectrum())
+    )
 
 
 @dataclass(frozen=True)
@@ -402,22 +512,37 @@ def _analyse(e: Ensemble, v: Povm) -> _Analysis:
 
 def _analyse_pairs(pairs) -> list[_Analysis]:
     """``_Analysis`` of each (ensemble, measurement) pair, all of one
-    dimension.  The joint tables and every scalar stay per pair; the average
-    states get one stacked density check and the post-measurement spectra
-    one ``_post_measurement_spectra``.  The formulas are those of
-    ``mutual_information``, ``holevo_chi`` and ``delta_s``, so the values
-    match theirs to the last bit."""
-    joints = [joint_distribution(e, v) for e, v in pairs]
-    infos = [mutual_information(joint) for joint in joints]
-    rhos = _density_matrices(np.stack([_average_matrix(e) for e, _ in pairs]))
+    dimension: one ``_joint_distributions`` for the tables and their
+    marginals, one stacked density check for the average states, one
+    ``_post_measurement_spectra``, and one ``_entropies`` for every
+    entropy.  Only the scalars are combined per pair, with the arithmetic
+    and checks of ``mutual_information``, ``holevo_chi`` and ``delta_s``,
+    so the values match theirs to the last bit."""
+    ensembles = [e for e, _ in pairs]
+    joints, row_sums, col_sums = _joint_distributions(pairs)
+    rhos = _density_matrices(_average_matrices(ensembles))
     sigmas = _post_measurement_spectra(rhos, [v for _, v in pairs])
+    rho_spectra = np.maximum(np.stack([r._eigenvalues for r in rhos]), 0.0)
+    members = np.maximum(np.stack([s._eigenvalues for e in ensembles for s in e.states]), 0.0)
+    sizes = [e.size for e in ensembles]
+    h_a, h_b, h_ab, s_rho, s_sigma, *h_members = _segments(
+        _entropies(
+            row_sums
+            + col_sums
+            + [j.matrix.reshape(-1) for j in joints]
+            + list(rho_spectra)
+            + sigmas
+            + list(members)
+        ),
+        [len(pairs)] * 5 + sizes,
+    )
+    infos = [_information(*h) for h in zip(h_a, h_b, h_ab)]
     out = []
-    for (e, _), joint, info, rho, sigma_spectrum in zip(pairs, joints, infos, rhos, sigmas):
-        rho_spectrum = rho.spectrum()
-        members = tuple(s.spectrum() for s in e.states)
-        chi = _chi_from_spectra(e.probs, rho_spectrum, members)
-        ds = _entropy_increase(sigma_spectrum, rho_spectrum)
-        out.append(_Analysis(joint, info, rho_spectrum, members, chi, sigma_spectrum, ds))
+    for k, (e, member_spectra) in enumerate(zip(ensembles, _segments(members, sizes))):
+        chi = _chi(e.probs, s_rho[k], h_members[k])
+        ds = _entropy_increase(s_sigma[k], s_rho[k])
+        spectra = tuple(member_spectra)
+        out.append(_Analysis(joints[k], infos[k], rho_spectra[k], spectra, chi, sigmas[k], ds))
     return out
 
 

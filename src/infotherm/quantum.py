@@ -19,6 +19,7 @@ from .linops import (
     TRACE_TOL,
     _asymmetry,
     _raise_first_failure,
+    _segments,
     as_complex_matrix,
     hermitian_eig,
     max_abs,
@@ -32,6 +33,27 @@ def _entropy_of_spectrum(values: np.ndarray) -> float:
     if w.size == 0:
         return 0.0
     return float(max(0.0, -np.dot(w, np.log2(w))))
+
+
+def _entropies(vectors) -> list[float]:
+    """``_entropy_of_spectrum`` of each 1-d float vector of ``vectors``, to
+    the last bit: one clip and one ``log2`` for all of them, then one
+    batched ``(K, 1, c) @ (K, c, 1)`` product for the K vectors with c
+    positive entries each.  Vectors are never padded to a common length,
+    because the zeros would change the bits of the dot products."""
+    flat = np.maximum(np.concatenate(vectors), 0.0)
+    positive = flat > 0.0
+    w = flat[positive]
+    logs = np.log2(w)
+    # the number of positive entries before each vector, and after the last
+    seen = np.concatenate(([0], np.cumsum(positive)))[np.cumsum([0] + [v.size for v in vectors])]
+    starts, counts = seen[:-1], seen[1:] - seen[:-1]
+    dots = np.zeros(len(vectors))
+    for c in set(counts.tolist()) - {0}:
+        ks = np.flatnonzero(counts == c)
+        idx = starts[ks][:, None] + np.arange(c)
+        dots[ks] = (w[idx][:, None, :] @ logs[idx][:, :, None])[:, 0, 0]
+    return [float(max(0.0, -x)) if c else 0.0 for x, c in zip(dots.tolist(), counts.tolist())]
 
 
 def _density_eigenvalues(stack: np.ndarray) -> np.ndarray:
@@ -140,18 +162,23 @@ class Ensemble:
             raise ValidationError(
                 f"{p.size} priors for {len(states)} states"
             )
-        if not np.isfinite(p).all():
-            raise ValidationError("priors have non-finite entries")
-        if np.any(p < -PROB_CLIP):
-            raise ValidationError(f"negative prior {p.min():.3e}")
-        p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > TRACE_TOL:
-            raise ValidationError(f"priors sum to {p.sum():.12g}, expected 1")
+        p = _checked_priors([p])[0]
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise DimensionMismatch(f"states have mixed dimensions {sorted(dims)}")
-        object.__setattr__(self, "probs", p)
+        self._set(p, states)
+
+    def _set(self, probs: np.ndarray, states: tuple) -> None:
+        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
+
+    @classmethod
+    def _checked(cls, probs: np.ndarray, states: tuple) -> "Ensemble":
+        """Priors that already passed ``_checked_priors`` and as many states
+        of one dimension; nothing is checked again."""
+        e = object.__new__(cls)
+        e._set(probs, states)
+        return e
 
     @property
     def size(self) -> int:
@@ -160,6 +187,37 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.states[0].dim
+
+
+def _checked_priors(priors) -> list[np.ndarray]:
+    """Each nonempty float vector of ``priors``, clipped to be nonnegative,
+    once all have passed the prior checks of ``Ensemble`` stacked: finite,
+    none below -PROB_CLIP, summing to 1 within TRACE_TOL.  The lowest-index
+    failing vector raises the error ``Ensemble`` raises for it alone."""
+    counts = [p.size for p in priors]
+    offsets = np.cumsum(counts) - counts
+    flat = np.concatenate(priors)
+    clipped = np.clip(flat, 0.0, None)
+    totals = np.add.reduceat(clipped, offsets)
+    _raise_first_failure(
+        [
+            (
+                ~np.logical_and.reduceat(np.isfinite(flat), offsets),
+                lambda k: ValidationError("priors have non-finite entries"),
+            ),
+            (
+                np.logical_or.reduceat(flat < -PROB_CLIP, offsets),
+                lambda k: ValidationError(f"negative prior {priors[k].min():.3e}"),
+            ),
+            (
+                np.abs(totals - 1.0) > TRACE_TOL,
+                lambda k: ValidationError(
+                    f"priors sum to {np.clip(priors[k], 0.0, None).sum():.12g}, expected 1"
+                ),
+            ),
+        ]
+    )
+    return _segments(clipped, counts)
 
 
 def average_state(e: Ensemble) -> DensityMatrix:
@@ -171,6 +229,25 @@ def _average_matrix(e: Ensemble) -> np.ndarray:
     acc = np.zeros((e.dim, e.dim), dtype=complex)
     for p, s in zip(e.probs, e.states):
         acc += p * s.matrix
+    return acc
+
+
+def _average_matrices(ensembles) -> np.ndarray:
+    """``_average_matrix`` of each ensemble, all of one dimension, as one
+    (K, d, d) stack: the i-th weighted members of all ensembles are added
+    at once, as zeros where an ensemble has fewer, so each sum runs in
+    ``_average_matrix``'s order (adding +0.0 changes no entry, as none is
+    -0.0 once 0.0 has been added to it)."""
+    sizes = np.array([e.size for e in ensembles])
+    d = ensembles[0].dim
+    present = np.arange(sizes.max()) < sizes[:, None]
+    weighted = np.zeros(present.shape + (d, d), dtype=complex)
+    weighted[present] = np.concatenate([e.probs for e in ensembles])[:, None, None] * np.stack(
+        [s.matrix for e in ensembles for s in e.states]
+    )
+    acc = np.zeros((len(ensembles), d, d), dtype=complex)
+    for i in range(present.shape[1]):
+        acc += weighted[:, i]
     return acc
 
 
@@ -198,18 +275,17 @@ def holevo_chi(e: Ensemble) -> float:
     Concavity of S makes the true value nonnegative; floating error on a
     saturating ensemble can land a hair below zero, which we clip.
     """
-    return _chi_from_spectra(
-        e.probs, average_state(e).spectrum(), [s.spectrum() for s in e.states]
+    return _chi(
+        e.probs,
+        von_neumann_entropy(average_state(e)),
+        [von_neumann_entropy(s) for s in e.states],
     )
 
 
-def _chi_from_spectra(probs, rho_spectrum, member_spectra) -> float:
-    """``holevo_chi`` from the spectra of the average state and the members."""
-    avg = _entropy_of_spectrum(rho_spectrum)
-    cond = sum(
-        p * _entropy_of_spectrum(w) for p, w in zip(probs, member_spectra) if p > 0.0
-    )
-    return float(max(0.0, avg - cond))
+def _chi(probs, rho_entropy: float, member_entropies) -> float:
+    """``holevo_chi`` from the entropies of the average state and the members."""
+    cond = sum(p * h for p, h in zip(probs, member_entropies) if p > 0.0)
+    return float(max(0.0, rho_entropy - cond))
 
 
 def ensemble_commutes(e: Ensemble) -> bool:

@@ -293,6 +293,18 @@ class TestRandomInstance:
         }
         assert flavors == {True, False}
 
+    @pytest.mark.parametrize("seed", [-1, [1, -2], 1.5, True, [1, True], "7", None, [[1, 2]]])
+    def test_rejects_bad_seeds(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            it.random_instance(2, 2, 2, "pure", seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), [3], (3,), np.array([3])])
+    def test_accepts_numpy_and_sequence_seeds(self, seed):
+        e, v = it.random_instance(2, 2, 2, "pure", seed)
+        e3, v3 = it.random_instance(2, 2, 2, "pure", 3)
+        assert e.probs.tobytes() == e3.probs.tobytes()
+        assert v._stack.tobytes() == v3._stack.tobytes()
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
             it.random_instance(1, 2, 2, "pure", 0)

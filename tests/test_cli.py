@@ -96,6 +96,24 @@ class TestProblemParsing:
         path = _write(tmp_path, "lbl.json", payload)
         assert cli.main(["bounds", "--spec", str(path)]) == 2
 
+    @pytest.mark.parametrize("labels", [[], False, 0, "", ["zero", "plus"]])
+    def test_labels_that_are_not_an_object_exit_2(self, tmp_path, capsys, labels):
+        path = _write(tmp_path, "lbl.json", _two_state_payload(labels=labels))
+        assert cli.main(["bounds", "--spec", str(path)]) == 2
+        assert "error: 'labels' must be an object" in capsys.readouterr().err
+
+    def test_unknown_label_keys_exit_2(self, tmp_path, capsys):
+        payload = _two_state_payload(labels={"outcome": ["up", "down"]})
+        path = _write(tmp_path, "lbl.json", payload)
+        assert cli.main(["bounds", "--spec", str(path)]) == 2
+        assert "error: unknown 'labels' keys ['outcome']" in capsys.readouterr().err
+
+    def test_null_labels_read_as_absent(self, tmp_path):
+        # as with "measurement": null, a null value means the key is absent
+        spec = cli.parse_problem_spec(_two_state_payload(labels=None))
+        assert spec.preparation_labels == ("0", "1")
+        assert spec.outcome_labels == ("0", "1")
+
     def test_false_projective_claim_exits_2(self, tmp_path):
         payload = _two_state_payload()
         payload["measurement"]["elements"] = [
@@ -504,10 +522,21 @@ class TestSuiteDecomposesEachMatrixOnce:
     ):
         csv = tmp_path / "suite.csv"
         joints = _count_calls(monkeypatch, measurement.joint_distribution)
+        tables = _count_calls(monkeypatch, measurement._joint_distributions)
+        chunk_dims = []
+        real_score_chunk = cli._score_chunk
+
+        def recording(seed, chunk):
+            chunk_dims.append({pick[2] for pick in chunk})
+            return real_score_chunk(seed, chunk)
+
+        monkeypatch.setattr(cli, "_score_chunk", recording)
         counts = _count_decompositions(monkeypatch)
         assert cli.main(["suite", "--trials", "20", "--seed", "7", "--csv", str(csv)]) == 0
         capsys.readouterr()
-        assert len(joints) == 20
+        # the joint tables are built once per dimension and chunk, none per trial
+        assert joints == []
+        assert 0 < len(tables) <= sum(len(dims) for dims in chunk_dims)
         expected = 0
         for row in _csv_rows(csv):
             n, m = int(row["n_states"]), int(row["m_outcomes"])

@@ -1,0 +1,253 @@
+"""The stacked draw and analysis against the per-pair arithmetic they replace.
+
+``joint_distribution``, ``_analyse`` and ``Ensemble`` are the one-item case
+of ``_joint_distributions``, ``_analyse_pairs`` and ``_checked_priors``;
+``_entropies`` and ``_average_matrices`` are the stacked forms of
+``_entropy_of_spectrum`` and ``_average_matrix``.  A stack must give each
+item, bit for bit, what the per-pair arithmetic gives it, so a wrong pairing
+or summation order fails; a stack with failing items raises what the single
+call raises for the lowest-index one.
+"""
+import numpy as np
+import pytest
+
+import infotherm as it
+from infotherm import bounds, measurement, quantum
+from infotherm.errors import NumericalFailure, ValidationError
+
+
+def single_error(call, item):
+    """(type, message) of what ``call(item)`` raises."""
+    with pytest.raises(Exception) as info:
+        call(item)
+    return type(info.value), str(info.value)
+
+
+def assert_stack_raises_like_the_item(stacked, single, items, bad_index):
+    expected = single_error(single, items[bad_index])
+    with pytest.raises(Exception) as info:
+        stacked(items)
+    assert (type(info.value), str(info.value)) == expected
+
+
+def reference_table(e, v):
+    """The joint table as joint_distribution built it pair by pair."""
+    traces = np.array([np.trace(v._stack @ s.matrix, axis1=1, axis2=2).real for s in e.states])
+    return np.maximum(e.probs[:, None] * traces, 0.0)
+
+
+def instances(dim, seed, count=24):
+    """``count`` seeded pairs of one dimension, every kind, 1-4 states,
+    projective and general measurements."""
+    pairs = []
+    for t in range(count):
+        kind = ("pure", "mixed", "commuting")[t % 3]
+        m = 2 + (t // 3) % (dim - 1) if kind == "commuting" else 2 + t % 5
+        pairs.append(it.random_instance(dim, 1 + t % 4, m, kind, [seed, t]))
+    return pairs
+
+
+def edge_pairs(dim):
+    """Tables whose sums numpy does not run left to right, stacked with
+    tables of other lengths: a one-outcome measurement on 8 to 17 states
+    (its lone column is summed pairwise) and nine or ten outcomes (pairwise
+    row sums)."""
+    trivial = it.Povm((np.eye(dim),))
+    wide = it.random_instance(dim, 2, 9, "mixed", 5)[1]
+    wider = it.random_instance(dim, 2, 10, "pure", 6)[1]
+    ens = {n: it.random_instance(dim, n, 2, "mixed", 10 + n)[0] for n in range(1, 18)}
+    return [(ens[n], trivial) for n in (17, 3, *range(8, 17))] + [
+        (ens[9], wide), (ens[1], wide), (ens[3], wider), (ens[13], wider)
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+class TestStackedPairsMatchPerPair:
+    def pairs(self, dim, seed):
+        return instances(dim, seed) + edge_pairs(dim)
+
+    def test_joint_tables_and_their_sums(self, dim, seed):
+        pairs = self.pairs(dim, seed)
+        tables, rows, cols = measurement._joint_distributions(pairs)
+        for (e, v), table, row_sums, col_sums in zip(pairs, tables, rows, cols):
+            expected = reference_table(e, v)
+            assert table.matrix.tobytes() == expected.tobytes()
+            assert table.matrix.shape == expected.shape
+            assert not table.matrix.flags.writeable
+            assert table.matrix.tobytes() == it.joint_distribution(e, v).matrix.tobytes()
+            assert row_sums.tobytes() == expected.sum(axis=1).tobytes()
+            assert col_sums.tobytes() == expected.sum(axis=0).tobytes()
+
+    def test_analysis_equals_the_public_functions(self, dim, seed):
+        pairs = self.pairs(dim, seed)
+        for (e, v), a in zip(pairs, measurement._analyse_pairs(pairs)):
+            rho = it.average_state(e)
+            assert a.info == it.mutual_information(it.JointDistribution(reference_table(e, v)))
+            assert a.chi == it.holevo_chi(e)
+            assert a.delta_s == it.delta_s(rho, v)
+            assert a.rho_spectrum.tobytes() == rho.spectrum().tobytes()
+            assert a.sigma_spectrum.tobytes() == (
+                measurement._post_measurement_spectrum(rho, v).tobytes()
+            )
+            assert len(a.member_spectra) == e.size
+            for w, s in zip(a.member_spectra, e.states):
+                assert w.tobytes() == s.spectrum().tobytes()
+
+    def test_average_matrices(self, dim, seed):
+        ensembles = [e for e, _ in self.pairs(dim, seed)]
+        stacked = quantum._average_matrices(ensembles)
+        for e, acc in zip(ensembles, stacked):
+            assert acc.tobytes() == quantum._average_matrix(e).tobytes()
+
+
+class TestEntropies:
+    @staticmethod
+    def vectors():
+        rng = np.random.default_rng(0)
+        out = []
+        for length in range(1, 41):
+            w = rng.dirichlet(np.ones(length))
+            out.append(w)
+            zeros = w.copy()
+            zeros[rng.random(length) < 0.4] = 0.0
+            out.append(zeros)
+            tiny = w.copy()
+            tiny[rng.random(length) < 0.3] = -1e-17
+            out.append(tiny)
+            out.append(np.zeros(length))
+            out.append(np.eye(length)[rng.integers(length)])
+            out.append(w * 10.0 ** rng.uniform(-12, 0, length))
+        order = rng.permutation(len(out))
+        return [np.zeros(0)] + [out[k] for k in order] + [np.zeros(0)]
+
+    def test_bit_equal_to_the_scalar_kernel(self):
+        vectors = self.vectors()
+        stacked = quantum._entropies(vectors)
+        assert len(stacked) == len(vectors)
+        for v, h in zip(vectors, stacked):
+            assert h == quantum._entropy_of_spectrum(v)
+            assert type(h) is float
+
+    def test_each_vector_alone(self):
+        for v in self.vectors()[:40]:
+            assert quantum._entropies([v]) == [quantum._entropy_of_spectrum(v)]
+
+
+class TestPriorStack:
+    GOOD = (np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
+    BAD = {
+        "non-finite": np.array([np.nan, 1.0]),
+        "negative": np.array([-0.1, 1.1]),
+        "sum": np.array([0.6, 0.6]),
+    }
+
+    @staticmethod
+    def single(p):
+        return it.Ensemble(p, tuple(it.maximally_mixed(2) for _ in p))
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_lowest_failing_vector_raises_its_single_error(self, index, bad):
+        items = [self.GOOD[k % 2] for k in range(4)]
+        items[index] = self.BAD[bad]
+        assert_stack_raises_like_the_item(quantum._checked_priors, self.single, items, index)
+
+    def test_a_later_check_on_a_lower_vector_wins(self):
+        items = [self.GOOD[0], self.BAD["sum"], self.GOOD[1], self.BAD["non-finite"]]
+        assert_stack_raises_like_the_item(quantum._checked_priors, self.single, items, 1)
+
+    def test_values_equal_the_single_objects(self):
+        items = [np.array([0.25, 0.75]), np.array([1.0]), np.array([0.5, -1e-13, 0.5])]
+        for p, checked in zip(items, quantum._checked_priors(items)):
+            assert checked.tobytes() == self.single(p).probs.tobytes()
+
+
+def qubit_pair(probs, states, elements):
+    return it.Ensemble(probs, tuple(it.DensityMatrix(s) for s in states)), it.Povm(elements)
+
+
+class TestJointStackErrors:
+    KET0, KET1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    DELTA = 9e-9  # inside POVM_SUM_TOL and PROJECTIVE_TOL, above TRACE_TOL / 2
+
+    def good(self):
+        return qubit_pair([0.5, 0.5], [self.KET0, self.KET1], [self.KET0, self.KET1])
+
+    def negative(self):
+        # an element 5e-10 below zero, allowed by PSD_TOL, times a prior
+        low = np.diag([-5e-10, 0.5])
+        return qubit_pair([0.5, 0.5], [self.KET0, self.KET1], [low, np.eye(2) - low])
+
+    def total(self):
+        # priors and traces each a hair above 1: the table sums to 1 + 1.6e-9
+        ket = np.diag([1.0 + 8e-10, 0.0])
+        return qubit_pair([0.5 + 4e-10, 0.5 + 4e-10], [ket, ket], [self.KET0, self.KET1])
+
+    def drift(self):
+        # the elements sum to I + diag(delta, -delta): the table sums to 1,
+        # but each row misses its prior by delta / 2
+        return qubit_pair(
+            [0.5, 0.5], [self.KET0, self.KET1],
+            [np.diag([1.0 + self.DELTA, 0.0]), np.diag([0.0, 1.0 - self.DELTA])],
+        )
+
+    @staticmethod
+    def stacked(pairs):
+        return measurement._joint_distributions(pairs)
+
+    @staticmethod
+    def single(pair):
+        return it.joint_distribution(*pair)
+
+    def test_the_bad_pairs_fail_alone(self):
+        assert single_error(self.single, self.negative())[1] == (
+            "joint probability -2.500e-10 below -1e-12"
+        )
+        assert single_error(self.single, self.total())[1].startswith("joint probabilities sum to")
+        assert single_error(self.single, self.drift()) == (
+            NumericalFailure, "joint distribution rows do not reproduce the priors"
+        )
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize("bad", ["negative", "total", "drift"])
+    def test_lowest_failing_pair_raises_its_single_error(self, index, bad):
+        pairs = [self.good() for _ in range(4)]
+        pairs[index] = getattr(self, bad)()
+        assert_stack_raises_like_the_item(self.stacked, self.single, pairs, index)
+
+    def test_a_later_check_on_a_lower_pair_wins(self):
+        pairs = [self.good(), self.drift(), self.negative(), self.total()]
+        assert_stack_raises_like_the_item(self.stacked, self.single, pairs, 1)
+
+
+class TestUnitarityStack:
+    @staticmethod
+    def single(u):
+        return it.basis_measurement(u)
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_a_failing_unitary_raises_its_single_error(self, index):
+        rng = np.random.default_rng(index)
+        g = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        items = list(bounds._haar_unitaries(g))
+        items[index] = items[index] * (1.0 + 1e-7)
+        assert single_error(self.single, items[index]) == (
+            ValidationError, "matrix is not unitary"
+        )
+        assert_stack_raises_like_the_item(
+            lambda us: measurement._check_unitaries(np.stack(us)), self.single, items, index
+        )
+        measurement._check_unitaries(np.stack(items[:index] + items[index + 1:]))
+
+    @pytest.mark.parametrize("blocks", [None, [[0], [1, 2]], [[2, 0], [1]]])
+    def test_projectors_equal_the_per_unitary_product(self, blocks):
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        stack = bounds._haar_unitaries(g)
+        cols = [[j] for j in range(3)] if blocks is None else blocks
+        projectors = measurement._block_projectors(stack, cols)
+        for u, row in zip(stack, projectors):
+            expected = [u[:, b] @ u[:, b].conj().T for b in cols]
+            assert row.tobytes() == np.stack(expected).tobytes()
+            assert np.stack(it.basis_measurement(u, blocks).elements).tobytes() == row.tobytes()
