@@ -9,13 +9,20 @@ import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
 from .linops import BOUND_TOL, PSD_EPSILON, psd_function
-from .measurement import Povm, _povms, joint_distribution, mutual_information
-from .measurement import delta_s as measurement_delta_s
-from .quantum import DensityMatrix, Ensemble, _density_matrices, average_state, holevo_chi
+from .measurement import Povm, _analyse, _povms
+from .quantum import Ensemble, _density_matrices, average_state
 
 #: Caps: sequence states of dimension at most 32, at most 4096 sequences.
 DIM_CAP = 32
 SEQUENCE_CAP = 4096
+
+
+def _check_caps(n: int, d: int, m: int) -> None:
+    """Raise ``BudgetExceeded`` if n states of dimension d pass a cap at length m."""
+    if d**m > DIM_CAP:
+        raise BudgetExceeded(f"sequence dimension {d}^{m} = {d**m} exceeds the cap {DIM_CAP}")
+    if n**m > SEQUENCE_CAP:
+        raise BudgetExceeded(f"sequence count {n}^{m} = {n**m} exceeds the cap {SEQUENCE_CAP}")
 
 
 def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:
@@ -29,15 +36,8 @@ def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:
     """
     if m < 1:
         raise ValidationError(f"block length must be at least 1, got {m}")
+    _check_caps(e.size, e.dim, m)
     n, d = e.size, e.dim
-    if d**m > DIM_CAP:
-        raise BudgetExceeded(
-            f"sequence dimension {d}^{m} = {d**m} exceeds the cap {DIM_CAP}"
-        )
-    if n**m > SEQUENCE_CAP:
-        raise BudgetExceeded(
-            f"sequence count {n}^{m} = {n**m} exceeds the cap {SEQUENCE_CAP}"
-        )
     letters = np.stack([s.matrix for s in e.states])
     probs, stack = e.probs, letters
     for _ in range(m - 1):
@@ -55,16 +55,11 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
     """The square-root measurement of an ensemble.
 
     E_i = rho^(-1/2) (p_i rho_i) rho^(-1/2) with the inverse square root
-    taken on the support of rho; when rho is rank deficient the projector
-    onto its kernel is appended as a final element so the elements resolve
-    the identity exactly.
+    taken on the support of rho, every E_i from one stacked product; when
+    rho is rank deficient the projector onto its kernel is appended as a
+    final element so the elements resolve the identity exactly.
     """
-    return _pretty_good_measurement(e, average_state(e))
-
-
-def _pretty_good_measurement(e: Ensemble, rho: DensityMatrix) -> Povm:
-    """``pretty_good_measurement`` of ``e`` from its average state ``rho``,
-    with every E_i from one stacked product."""
+    rho = average_state(e)
     inv_root = psd_function(rho.matrix, lambda x: 1.0 / np.sqrt(x), pseudo=True)
     weighted = e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
     elements = inv_root @ weighted @ inv_root
@@ -102,30 +97,27 @@ class BlockReport:
 
 
 def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
-    """Measure blocks of length 1..m_max with their square-root measurement.
+    """Per-letter information and entropy increase of blocks of length
+    1..m_max, each measured with its square-root measurement.
 
-    Each block length gets its sequence ensemble, the pretty good
-    measurement of that ensemble, and a report of information and entropy
-    increase per letter after measuring.  A block beyond ``DIM_CAP`` or
-    ``SEQUENCE_CAP`` raises ``BudgetExceeded``.
+    A block's n^m sequences carry product priors, so its average state is
+    rho^(x)m, with inverse square root (rho^(-1/2))^(x)m on the support: its
+    square-root measurement is the m-fold product of the single letter's,
+    and the products with a kernel factor make up its kernel element, which
+    has probability zero on every sequence state.  Joint table and record
+    spectrum factor too, so I_m = m I_1 and delta_s_m = m delta_s_1, and
+    every report carries the values of one single-letter analysis.  A block
+    gains only through a code, a subset of the sequences (Hausladen, Jozsa,
+    Schumacher, Westmoreland & Wootters, PRA 54, 1869 (1996)), not searched
+    here.  The first length past ``DIM_CAP`` or ``SEQUENCE_CAP``, or with
+    2^m > ``SEQUENCE_CAP`` (which bounds a one-state, one-dimensional
+    ensemble), raises ``BudgetExceeded`` before any analysis.
     """
     if m_max < 1:
         raise ValidationError(f"m_max must be at least 1, got {m_max}")
-    chi = holevo_chi(e)
-    reports = []
     for m in range(1, m_max + 1):
-        seq = sequence_ensemble(e, m)
-        rho = average_state(seq)
-        povm = _pretty_good_measurement(seq, rho)
-        info = mutual_information(joint_distribution(seq, povm))
-        ds = measurement_delta_s(rho, povm)
-        reports.append(
-            BlockReport(
-                m=m,
-                per_letter_info=info / m,
-                per_letter_delta_s=ds / m,
-                chi=chi,
-                sequence_count=seq.size,
-            )
-        )
-    return reports
+        _check_caps(e.size, e.dim, m)
+        if m >= SEQUENCE_CAP.bit_length():
+            raise BudgetExceeded(f"block length {m}: 2^{m} exceeds the cap {SEQUENCE_CAP}")
+    a = _analyse(e, pretty_good_measurement(e))
+    return [BlockReport(m, a.info, a.delta_s, a.chi, e.size**m) for m in range(1, m_max + 1)]

@@ -47,6 +47,7 @@ from .quantum import (
     _density_matrices,
     _entropies,
     _entropy_of_spectrum,
+    average_state,
 )
 
 
@@ -255,9 +256,16 @@ class JointDistribution:
 
 
 def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
-    """Outcome statistics of measuring each ensemble member; the one-pair
-    case of ``_joint_distributions``."""
-    return _joint_distributions([(e, v)])[0][0]
+    """Outcome statistics of measuring each ensemble member, one trace row
+    per state; ``_joint_distributions`` gives each of many pairs these bits
+    and errors."""
+    if e.dim != v.dim:
+        raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
+    traces = np.array([np.trace(v._stack @ s.matrix, axis1=1, axis2=2).real for s in e.states])
+    jd = JointDistribution(e.probs[:, None] * traces)
+    if max_abs(jd.priors - e.probs) > TRACE_TOL:
+        raise NumericalFailure("joint distribution rows do not reproduce the priors")
+    return jd
 
 
 def _joint_distributions(pairs):
@@ -280,10 +288,7 @@ def _joint_distributions(pairs):
             raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
     sizes = [e.size for e, _ in pairs]
     counts = [v.size for _, v in pairs]
-    if len(pairs) == 1:
-        elements = pairs[0][1]._stack
-    else:
-        elements = np.concatenate([v._stack for _, v in pairs])
+    elements = np.concatenate([v._stack for _, v in pairs])
     # raw[i, x] = p_i tr(E_x rho_i) with p_i rho_i the i-th member of
     # element x's pair, and 0 past that pair's rows
     raw = np.zeros((max(sizes), len(elements)))
@@ -505,9 +510,19 @@ class _Analysis:
 
 
 def _analyse(e: Ensemble, v: Povm) -> _Analysis:
-    """The analysis ``evaluate_bounds`` and ``run_cycle`` both read; the
-    one-pair case of ``_analyse_pairs``."""
-    return _analyse_pairs([(e, v)])[0]
+    """The analysis ``evaluate_bounds``, ``run_cycle`` and ``block_scan``
+    read, with the arithmetic and checks of ``mutual_information``,
+    ``holevo_chi`` and ``delta_s``; ``_analyse_pairs`` gives each of many
+    pairs these bits."""
+    joint = joint_distribution(e, v)
+    rho = average_state(e)
+    sigma = _post_measurement_spectrum(rho, v)
+    info = mutual_information(joint)
+    members = tuple(s.spectrum() for s in e.states)
+    s_rho = _entropy_of_spectrum(rho.spectrum())
+    chi = _chi(e.probs, s_rho, [_entropy_of_spectrum(w) for w in members])
+    ds = _entropy_increase(_entropy_of_spectrum(sigma), s_rho)
+    return _Analysis(joint, info, rho.spectrum(), members, chi, sigma, ds)
 
 
 def _analyse_pairs(pairs) -> list[_Analysis]:

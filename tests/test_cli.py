@@ -363,6 +363,58 @@ class TestPgm:
         assert len(lines) == 4  # default max block length 3
 
 
+def _ensemble_payload(e):
+    return {"ensemble": {"priors": e.probs.tolist(), "states": [_mat(s.matrix) for s in e.states]}}
+
+
+class TestPgmRunsEveryValidPair:
+    # measuring the whole block used to fail the square-root measurement's
+    # element checks on these pure qubit pairs (exit 2)
+    def test_the_first_failing_pair(self, tmp_path, capsys):
+        e, _ = it.random_instance(2, 2, 2, "pure", 3)
+        path = _write(tmp_path, "p.json", _ensemble_payload(e))
+        assert cli.main(["pgm", "--spec", path, "--max-m", "4"]) == 0
+        capsys.readouterr()
+
+    def test_a_hundred_pure_qubit_pairs_at_m_5(self, tmp_path, capsys):
+        codes = []
+        for seed in range(100):
+            e, _ = it.random_instance(2, 2, 2, "pure", seed)
+            path = _write(tmp_path, f"p{seed}.json", _ensemble_payload(e))
+            codes.append(cli.main(["pgm", "--spec", path, "--max-m", "5"]))
+        capsys.readouterr()
+        assert codes == [0] * 100
+
+
+class TestPgmBudget:
+    ONE_DIMENSIONAL = {"ensemble": {"priors": [1.0], "states": [[[[1.0, 0.0]]]]}}
+
+    @pytest.mark.parametrize(
+        "pair, max_m, message",
+        [
+            ("qubit", "6", "sequence dimension 2^6 = 64 exceeds the cap 32"),
+            ("qubit", "1000000000", "sequence dimension 2^6 = 64 exceeds the cap 32"),
+            ("one-dimensional", "13", "block length 13: 2^13 exceeds the cap 4096"),
+            ("one-dimensional", "1000000000", "block length 13: 2^13 exceeds the cap 4096"),
+        ],
+    )
+    def test_exits_5_at_the_first_failing_length(self, pair, max_m, message, tmp_path, capsys):
+        payload = (
+            _two_state_payload(measurement=None) if pair == "qubit" else self.ONE_DIMENSIONAL
+        )
+        path = _write(tmp_path, "p.json", payload)
+        start = time.perf_counter()
+        assert cli.main(["pgm", "--spec", path, "--max-m", max_m]) == 5
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_one_dimensional_ensemble_below_the_budget(self, tmp_path, capsys):
+        path = _write(tmp_path, "p.json", self.ONE_DIMENSIONAL)
+        assert cli.main(["pgm", "--spec", path, "--max-m", "12"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"{m}  0  0  0" for m in range(1, 13)]
+
+
 class TestPgmCsv:
     # sha256 of `pgm --max-m 5 --csv` for a pure and a mixed qubit pair, as
     # the per-element measurement loops wrote it; the stacked kernels must
