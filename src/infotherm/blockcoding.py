@@ -18,11 +18,15 @@ SEQUENCE_CAP = 4096
 
 
 def _check_caps(n: int, d: int, m: int) -> None:
-    """Raise ``BudgetExceeded`` if n states of dimension d pass a cap at length m."""
+    """Raise ``BudgetExceeded`` if n states of dimension d pass a cap at
+    length m, or if 2^m > ``SEQUENCE_CAP``, which bounds a one-state,
+    one-dimensional ensemble that neither cap can."""
     if d**m > DIM_CAP:
         raise BudgetExceeded(f"sequence dimension {d}^{m} = {d**m} exceeds the cap {DIM_CAP}")
     if n**m > SEQUENCE_CAP:
         raise BudgetExceeded(f"sequence count {n}^{m} = {n**m} exceeds the cap {SEQUENCE_CAP}")
+    if m >= SEQUENCE_CAP.bit_length():
+        raise BudgetExceeded(f"block length {m}: 2^{m} exceeds the cap {SEQUENCE_CAP}")
 
 
 def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:
@@ -30,7 +34,8 @@ def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:
 
     Priors multiply and states tensor, so the result has n^m members of
     dimension d^m, in lexicographic order of the sequences; ``DIM_CAP``
-    (d^m <= 32) and ``SEQUENCE_CAP`` (n^m <= 4096) keep that from exploding.
+    (d^m <= 32) and ``SEQUENCE_CAP`` (n^m <= 4096, and 2^m <= 4096 for a
+    one-state, one-dimensional ensemble) keep that from exploding.
     Each extra letter is one broadcast outer product over the whole stack,
     and the finished stack gets one stacked density check.
     """
@@ -109,15 +114,12 @@ def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
     every report carries the values of one single-letter analysis.  A block
     gains only through a code, a subset of the sequences (Hausladen, Jozsa,
     Schumacher, Westmoreland & Wootters, PRA 54, 1869 (1996)), not searched
-    here.  The first length past ``DIM_CAP`` or ``SEQUENCE_CAP``, or with
-    2^m > ``SEQUENCE_CAP`` (which bounds a one-state, one-dimensional
-    ensemble), raises ``BudgetExceeded`` before any analysis.
+    here.  The first length that fails ``_check_caps`` raises
+    ``BudgetExceeded`` before any analysis.
     """
     if m_max < 1:
         raise ValidationError(f"m_max must be at least 1, got {m_max}")
     for m in range(1, m_max + 1):
         _check_caps(e.size, e.dim, m)
-        if m >= SEQUENCE_CAP.bit_length():
-            raise BudgetExceeded(f"block length {m}: 2^{m} exceeds the cap {SEQUENCE_CAP}")
     a = _analyse(e, pretty_good_measurement(e))
     return [BlockReport(m, a.info, a.delta_s, a.chi, e.size**m) for m in range(1, m_max + 1)]

@@ -273,62 +273,42 @@ def _joint_distributions(pairs):
     one dimension, with each table's row sums (its ``priors``) and column
     sums (its ``outcome_probs``), all to the last bit of the per-pair call.
 
-    The traces are taken one state-row index i at a time across all pairs,
-    so no more than one (M, d, d) product of the elements with their pair's
-    i-th state exists at once.  The tables of the pairs with m outcomes are
-    then one (K, rows, m) stack, zero past each table's rows, so a table is
-    a contiguous view and its sums run as numpy runs them on the table
-    alone: pairwise along a row, row by row down a column (the zero rows
-    add nothing), pairwise down a lone column.  The ``JointDistribution``
-    checks and the priors-reproduction check run stacked; the lowest-index
-    failing pair raises what ``joint_distribution`` raises for it alone.
-    Returns (tables, row sums, column sums), three lists in pair order."""
+    The traces are taken one state-row index i at a time across the pairs
+    with more than i rows, so no more than one (M, d, d) product of the
+    elements with their pair's i-th state exists at once.  Each table is
+    then cut from the trace array and its sums are numpy's, on that table
+    alone.  The ``JointDistribution`` checks and the priors-reproduction
+    check run stacked; the lowest-index failing pair raises what
+    ``joint_distribution`` raises for it alone.  Returns (tables, row sums,
+    column sums), three lists in pair order."""
     for e, v in pairs:
         if e.dim != v.dim:
             raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
-    sizes = [e.size for e, _ in pairs]
-    counts = [v.size for _, v in pairs]
+    sizes = np.array([e.size for e, _ in pairs])
+    counts = np.array([v.size for _, v in pairs])
+    starts = np.cumsum(counts) - counts
     elements = np.concatenate([v._stack for _, v in pairs])
     # raw[i, x] = p_i tr(E_x rho_i) with p_i rho_i the i-th member of
     # element x's pair, and 0 past that pair's rows
-    raw = np.zeros((max(sizes), len(elements)))
-    live, live_counts, lanes, stack = [True] * len(pairs), counts, slice(None), elements
+    raw = np.zeros((sizes.max(), len(elements)))
     for i in range(len(raw)):
-        if i in sizes:
-            # the pairs with i rows are done
-            live = [n > i for n in sizes]
-            live_counts = np.compress(live, counts)
-            lanes = np.repeat(live, counts)
-            stack = elements[lanes]
+        live = sizes > i
+        lanes = np.repeat(live, counts)
         rows = [e for (e, _), alive in zip(pairs, live) if alive]
-        # one state broadcasts; several are repeated over their pairs' elements
-        if len(rows) == 1:
-            state, weights = rows[0].states[i].matrix, rows[0].probs[i]
-        else:
-            state = np.repeat(np.stack([e.states[i].matrix for e in rows]), live_counts, axis=0)
-            weights = np.repeat([e.probs[i] for e in rows], live_counts)
+        state = np.repeat(np.stack([e.states[i].matrix for e in rows]), counts[live], axis=0)
+        weights = np.repeat([e.probs[i] for e in rows], counts[live])
+        # indexing copies the element stack, which at d = 16 cost as much
+        # as the products, so the rows that every pair has skip it
+        stack = elements if live.all() else elements[lanes]
         raw[i, lanes] = weights * np.trace(stack @ state, axis1=1, axis2=2).real
-    tables, row_sums, col_sums = ([None] * len(pairs) for _ in range(3))
-    finite = np.empty(len(pairs), dtype=bool)
-    lowest, totals = np.empty(len(pairs)), np.empty(len(pairs))
-    for m in sorted(set(counts)):
-        group = [k for k, count in enumerate(counts) if count == m]
-        if len(group) < len(pairs):
-            block = raw[:, np.repeat([count == m for count in counts], counts)]
-        else:
-            block = raw
-        block = block.reshape(len(raw), len(group), m).transpose(1, 0, 2)
-        finite[group] = np.isfinite(block).all(axis=(1, 2))
-        lowest[group] = block.min(axis=(1, 2))
-        block = np.ascontiguousarray(np.maximum(block, 0.0))
-        block.setflags(write=False)
-        sums = block.sum(axis=2)
-        cols = block.sum(axis=1)
-        totals[group] = cols.sum(axis=1)
-        for j, k in enumerate(group):
-            tables[k] = block[j, : sizes[k]]
-            row_sums[k] = sums[j, : sizes[k]]
-            col_sums[k] = tables[k].sum(axis=0) if m == 1 else cols[j]
+    finite = np.logical_and.reduceat(np.isfinite(raw).all(axis=0), starts)
+    lowest = np.minimum.reduceat(raw.min(axis=0), starts)
+    tables = [np.maximum(raw[:n, s:s + m], 0.0) for n, s, m in zip(sizes, starts, counts)]
+    for t in tables:
+        t.setflags(write=False)
+    row_sums = [t.sum(axis=1) for t in tables]
+    col_sums = [t.sum(axis=0) for t in tables]
+    totals = np.array([c.sum() for c in col_sums])
     probs = np.concatenate([e.probs for e, _ in pairs])
     drift = np.maximum.reduceat(
         np.abs(np.concatenate(row_sums) - probs), np.cumsum(sizes) - sizes

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -51,6 +53,18 @@ class TestSequenceEnsemble:
         e, _ = it.random_instance(2, 6, 2, "pure", 5)
         with pytest.raises(BudgetExceeded):
             it.sequence_ensemble(e, 5)  # 2^5 = 32 dims, but 6^5 = 7776 > 4096
+
+    def test_one_dimensional_ensemble_is_budgeted(self):
+        # one state of dimension 1 trips neither cap, so 2^m > SEQUENCE_CAP
+        # bounds it, checked from m before any product is built
+        e = it.Ensemble([1.0], (it.DensityMatrix([[1.0]]),))
+        assert it.sequence_ensemble(e, 12).size == 1
+        for m in (13, 10**9):
+            start = time.perf_counter()
+            message = rf"block length {m}: 2\^{m} exceeds the cap 4096"
+            with pytest.raises(BudgetExceeded, match=message):
+                it.sequence_ensemble(e, m)
+            assert time.perf_counter() - start < 1.0
 
     def test_rejects_zero_length(self, two_state_ensemble):
         with pytest.raises(ValidationError):

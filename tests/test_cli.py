@@ -794,3 +794,12 @@ class TestSuiteSeed42Csv:
                          "--csv", str(csv)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+    def test_csv_sha256_past_dimension_four_is_pinned(self, tmp_path, capsys):
+        csv = tmp_path / "suite.csv"
+        assert cli.main(["suite", "--trials", "200", "--seed", "42", "--dims", "5,8,16",
+                         "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "b0f4072a71a93327fb54183cbfb485c59daeb7ba8709a976529dc9a06f67e8dd"
+        )

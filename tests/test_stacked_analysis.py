@@ -1,12 +1,13 @@
 """The stacked draw and analysis against the per-pair arithmetic they replace.
 
-``joint_distribution``, ``_analyse`` and ``Ensemble`` are the one-item case
-of ``_joint_distributions``, ``_analyse_pairs`` and ``_checked_priors``;
-``_entropies`` and ``_average_matrices`` are the stacked forms of
-``_entropy_of_spectrum`` and ``_average_matrix``.  A stack must give each
-item, bit for bit, what the per-pair arithmetic gives it, so a wrong pairing
-or summation order fails; a stack with failing items raises what the single
-call raises for the lowest-index one.
+``_joint_distributions`` and ``_analyse_pairs`` are the stacked forms of
+``joint_distribution`` and ``_analyse``, which keep their own one-pair path;
+``Ensemble`` is the one-item case of ``_checked_priors``; ``_entropies`` and
+``_average_matrices`` are the stacked forms of ``_entropy_of_spectrum`` and
+``_average_matrix``.  A stack must give each item, bit for bit, what the
+per-pair arithmetic gives it, so a wrong pairing or summation order fails; a
+stack with failing items raises what the single call raises for the
+lowest-index one.
 """
 import numpy as np
 import pytest
@@ -51,13 +52,22 @@ def edge_pairs(dim):
     """Tables whose sums numpy does not run left to right, stacked with
     tables of other lengths: a one-outcome measurement on 8 to 17 states
     (its lone column is summed pairwise) and nine or ten outcomes (pairwise
-    row sums)."""
+    row sums); and tables with exact zeros: an ensemble with a zero prior
+    whose states leave the last basis direction empty, measured in that
+    basis (a zero row and a zero column) and with one element."""
     trivial = it.Povm((np.eye(dim),))
     wide = it.random_instance(dim, 2, 9, "mixed", 5)[1]
     wider = it.random_instance(dim, 2, 10, "pure", 6)[1]
     ens = {n: it.random_instance(dim, n, 2, "mixed", 10 + n)[0] for n in range(1, 18)}
+    holes = []
+    for s in it.random_instance(dim, 3, 2, "mixed", 7)[0].states:
+        m = s.matrix.copy()
+        m[-1, :] = m[:, -1] = 0.0
+        holes.append(it.DensityMatrix(m / np.trace(m).real))
+    sparse = it.Ensemble([0.6, 0.0, 0.4], tuple(holes))
     return [(ens[n], trivial) for n in (17, 3, *range(8, 17))] + [
-        (ens[9], wide), (ens[1], wide), (ens[3], wider), (ens[13], wider)
+        (ens[9], wide), (ens[1], wide), (ens[3], wider), (ens[13], wider),
+        (sparse, it.basis_measurement(np.eye(dim))), (sparse, trivial),
     ]
 
 
