@@ -3,6 +3,8 @@ how the per-letter information budget behaves as blocks grow.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +22,33 @@ SEQUENCE_CAP = 4096
 def _check_caps(n: int, d: int, m: int) -> None:
     """Raise ``BudgetExceeded`` if n states of dimension d pass a cap at
     length m, or if 2^m > ``SEQUENCE_CAP``, which bounds a one-state,
-    one-dimensional ensemble that neither cap can."""
-    if d**m > DIM_CAP:
-        raise BudgetExceeded(f"sequence dimension {d}^{m} = {d**m} exceeds the cap {DIM_CAP}")
-    if n**m > SEQUENCE_CAP:
-        raise BudgetExceeded(f"sequence count {n}^{m} = {n**m} exceeds the cap {SEQUENCE_CAP}")
+    one-dimensional ensemble that neither cap can.  No check builds a power
+    past its cap times one factor, so any m is checked at once."""
+    if _exceeds(d, m, DIM_CAP):
+        raise BudgetExceeded(f"sequence dimension {_power(d, m)} exceeds the cap {DIM_CAP}")
+    if _exceeds(n, m, SEQUENCE_CAP):
+        raise BudgetExceeded(f"sequence count {_power(n, m)} exceeds the cap {SEQUENCE_CAP}")
     if m >= SEQUENCE_CAP.bit_length():
         raise BudgetExceeded(f"block length {m}: 2^{m} exceeds the cap {SEQUENCE_CAP}")
+
+
+def _exceeds(base: int, m: int, cap: int) -> bool:
+    """Whether base^m > cap, multiplying up only until the power passes cap."""
+    power = 1
+    for _ in range(m if base > 1 else 0):
+        power *= base
+        if power > cap:
+            return True
+    return False
+
+
+def _power(base: int, m: int) -> str:
+    """base^m with its value, or without it where the value has more
+    digits than an int may print."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if m * math.log10(base) < limit:
+        return f"{base}^{m} = {base**m}"
+    return f"{base}^{m}"
 
 
 def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .measurement import Povm, _analyse_pairs
 from .quantum import DensityMatrix, Ensemble
-from .thermo import _book_cycle, run_cycle
+from .thermo import _book_cycles, run_cycle
 
 
 def _fmt(x: float) -> str:
@@ -348,8 +348,8 @@ def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ..
 
 
 def _score_chunk(seed: int, chunk: list[tuple]) -> list[tuple]:
-    """Draw and analyse a chunk's trials as one stack per dimension, then
-    book each trial's cycle and build its row, in trial order."""
+    """Draw and analyse a chunk's trials as one stack per dimension, book
+    every trial's cycle in one pass, then build each row, in trial order."""
     scored = {}
     for dim in sorted({pick[2] for pick in chunk}):
         picks = [pick for pick in chunk if pick[2] == dim]
@@ -358,15 +358,12 @@ def _score_chunk(seed: int, chunk: list[tuple]) -> list[tuple]:
         )
         for pick, pair, analysis in zip(picks, pairs, _analyse_pairs(pairs)):
             scored[pick[0]] = (pair, analysis)
+    pairs, analyses = zip(*(scored[pick[0]] for pick in chunk))
+    booking = _book_cycles(pairs, analyses)
     results = []
-    for trial, kind, dim, n_states, m_outcomes in chunk:
-        (ensemble, povm), a = scored[trial]
-        try:
-            _, cycle_net = _book_cycle(ensemble, povm, a)
-            second_law_ok = True
-        except SecondLawViolation:
-            cycle_net = float("nan")
-            second_law_ok = False
+    for (trial, kind, dim, n_states, m_outcomes), (_, povm), a, net, breaks in zip(
+        chunk, pairs, analyses, booking.nets, booking.breaks
+    ):
         report = _report(a.info, a.chi, a.delta_s)
         row = [
             str(trial),
@@ -376,9 +373,9 @@ def _score_chunk(seed: int, chunk: list[tuple]) -> list[tuple]:
             kind,
             "true" if povm.projective else "false",
             *_bound_csv_row(report)[:5],
-            _fmt(cycle_net),
+            _fmt(float("nan") if breaks else net),
         ]
-        results.append((row, report, second_law_ok))
+        results.append((row, report, not breaks))
     return results
 
 

@@ -291,16 +291,27 @@ def _joint_distributions(pairs):
     # raw[i, x] = p_i tr(E_x rho_i) with p_i rho_i the i-th member of
     # element x's pair, and 0 past that pair's rows
     raw = np.zeros((sizes.max(), len(elements)))
+    # every row takes its states and products in the same two buffers, cut
+    # from one block; mode="clip" keeps np.take from buffering its output
+    states, products = np.empty((2,) + elements.shape, dtype=elements.dtype)
     for i in range(len(raw)):
         live = sizes > i
         lanes = np.repeat(live, counts)
+        width = int(np.count_nonzero(lanes))
         rows = [e for (e, _), alive in zip(pairs, live) if alive]
-        state = np.repeat(np.stack([e.states[i].matrix for e in rows]), counts[live], axis=0)
+        state = np.take(
+            np.stack([e.states[i].matrix for e in rows]),
+            np.repeat(np.arange(len(rows)), counts[live]),
+            axis=0,
+            out=states[:width],
+            mode="clip",
+        )
         weights = np.repeat([e.probs[i] for e in rows], counts[live])
         # indexing copies the element stack, which at d = 16 cost as much
         # as the products, so the rows that every pair has skip it
         stack = elements if live.all() else elements[lanes]
-        raw[i, lanes] = weights * np.trace(stack @ state, axis1=1, axis2=2).real
+        product = np.matmul(stack, state, out=products[:width])
+        raw[i, lanes] = weights * np.trace(product, axis1=1, axis2=2).real
     finite = np.logical_and.reduceat(np.isfinite(raw).all(axis=0), starts)
     lowest = np.minimum.reduceat(raw.min(axis=0), starts)
     tables = [np.maximum(raw[:n, s:s + m], 0.0) for n, s, m in zip(sizes, starts, counts)]
@@ -477,10 +488,12 @@ def delta_s(r: DensityMatrix, v: Povm) -> float:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """One (ensemble, measurement) pair's joint table, I, spectra of rho, of
-    each member and of sigma, chi and delta_s, each computed once."""
+    """One (ensemble, measurement) pair's joint table and its outcome
+    marginal, I, spectra of rho, of each member and of sigma, chi and
+    delta_s, each computed once."""
 
     joint: JointDistribution
+    outcome_probs: np.ndarray
     info: float
     rho_spectrum: np.ndarray
     member_spectra: tuple[np.ndarray, ...]
@@ -502,7 +515,9 @@ def _analyse(e: Ensemble, v: Povm) -> _Analysis:
     s_rho = _entropy_of_spectrum(rho.spectrum())
     chi = _chi(e.probs, s_rho, [_entropy_of_spectrum(w) for w in members])
     ds = _entropy_increase(_entropy_of_spectrum(sigma), s_rho)
-    return _Analysis(joint, info, rho.spectrum(), members, chi, sigma, ds)
+    return _Analysis(
+        joint, joint.outcome_probs, info, rho.spectrum(), members, chi, sigma, ds
+    )
 
 
 def _analyse_pairs(pairs) -> list[_Analysis]:
@@ -537,7 +552,11 @@ def _analyse_pairs(pairs) -> list[_Analysis]:
         chi = _chi(e.probs, s_rho[k], h_members[k])
         ds = _entropy_increase(s_sigma[k], s_rho[k])
         spectra = tuple(member_spectra)
-        out.append(_Analysis(joints[k], infos[k], rho_spectra[k], spectra, chi, sigmas[k], ds))
+        out.append(
+            _Analysis(
+                joints[k], col_sums[k], infos[k], rho_spectra[k], spectra, chi, sigmas[k], ds
+            )
+        )
     return out
 
 

@@ -8,15 +8,26 @@ molecules" in a vessel of total volume 1, with work measured in bits
 2. sigma -> rho -- undo the measurement dephasing; nets -(S(sigma) - S(rho))
 3. rho -> start -- rebuild the original ensemble; nets -chi
 
-Each entry's work comes from ``work_isothermal`` volume ratios, so stage
+Each entry's work is a ``work_isothermal`` volume-ratio term, so stage
 totals provide an arithmetic path to I, delta_s and chi that is
 independent of the entropy formulas in the other modules; the cycle
 invariant net = I - delta_s - chi <= 0 is checked at the end.
+
+Booking is stacked.  The (fraction, v_initial, v_final) terms of many
+pairs' cycles are laid out in zero-padded (pairs, terms) arrays, each
+pair's row in ledger order, and one pass checks them, takes each work
+with ``math.log2`` of its volume ratio and sums each row left to right,
+so every work and net has the bits of booking the rows one at a time.
+The suite books a chunk of trials in one pass; ``run_cycle`` and the
+stage functions are its one-pair case and ``work_isothermal`` its one-row
+case.  Descriptions are formatted only when ``LedgerEntry`` objects are
+built, so the suite formats none.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, log2
+from math import inf, log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +37,8 @@ from .errors import (
     SecondLawViolation,
     ValidationError,
 )
-from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR
-from .measurement import JointDistribution, Povm, _analyse, _Analysis, joint_distribution
+from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR, _raise_first_failure
+from .measurement import Povm, _analyse, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
 
 STAGE_EXTRACTION = "extraction"
@@ -49,20 +60,65 @@ STAGES = (
 
 def work_isothermal(fraction: float, v_initial: float, v_final: float) -> float:
     """Work, in bits, extracted by ``fraction`` of the gas expanding
-    isothermally from ``v_initial`` to ``v_final`` (negative for compression)."""
-    if not (0.0 < v_initial < inf and 0.0 < v_final < inf):
-        raise NonPositiveVolume(
-            f"volumes must be finite and positive, got {v_initial!r} -> {v_final!r}"
-        )
-    if not 0.0 <= fraction <= 1.0 + PROB_CLIP:
-        raise ValidationError(f"molecule fraction {fraction!r} outside [0, 1]")
-    if fraction == 0.0:
-        return 0.0
-    ratio = v_final / v_initial
-    if 0.0 < ratio < inf:
-        return fraction * log2(ratio)
+    isothermally from ``v_initial`` to ``v_final`` (negative for compression);
+    the one-row case of the stacked booking."""
+    terms = (np.array([[x]], dtype=float) for x in (fraction, v_initial, v_final))
+    works, _ = _book(*terms, np.ones((1, 1), dtype=bool))
+    return float(works[0, 0])
+
+
+def _book(fractions, v_initial, v_final, live) -> tuple[np.ndarray, np.ndarray]:
+    """The work of every live term of (K, L) term arrays, 0 elsewhere, and
+    each row's net, summed left to right.
+
+    A term must have finite positive volumes and a fraction in [0, 1]; a
+    term with fraction 0 books 0.  Each work is ``fraction *
+    math.log2(v_final / v_initial)``, with the ratio taken in numpy (the
+    same IEEE quotient), or ``fraction * (log2(v_final) - log2(v_initial))``
+    where the ratio leaves the float range.  The lowest-index row with a
+    bad term, in its first bad term, or with a non-finite net raises what
+    booking its terms one at a time would raise."""
+    bad_volume = live & ~(
+        (0.0 < v_initial) & (v_initial < inf) & (0.0 < v_final) & (v_final < inf)
+    )
+    bad_fraction = live & ~((0.0 <= fractions) & (fractions <= 1.0 + PROB_CLIP))
+    bad = bad_volume | bad_fraction
+    on = live & ~bad & (fractions != 0.0)
+    lows, highs = v_initial[on], v_final[on]
+    with np.errstate(over="ignore"):
+        ratios = highs / lows
+    outside = ~((0.0 < ratios) & (ratios < inf))
+    ratios[outside] = 1.0
+    logs = np.fromiter(map(log2, ratios.tolist()), float, len(ratios))
     # the ratio left the float range; the volumes' own logs did not
-    return fraction * (log2(v_final) - log2(v_initial))
+    logs[outside] = [
+        log2(high) - log2(low)
+        for low, high in zip(lows[outside].tolist(), highs[outside].tolist())
+    ]
+    works = np.zeros(fractions.shape)
+    works[on] = fractions[on] * logs
+    # np.sum would add pairwise; each pair's net is its rows added in order
+    nets = np.add.accumulate(works, axis=1)[:, -1]
+
+    def term_error(k):
+        c = int(np.argmax(bad[k]))
+        if bad_volume[k, c]:
+            return NonPositiveVolume(
+                "volumes must be finite and positive, got "
+                f"{float(v_initial[k, c])!r} -> {float(v_final[k, c])!r}"
+            )
+        return ValidationError(f"molecule fraction {float(fractions[k, c])!r} outside [0, 1]")
+
+    _raise_first_failure(
+        [
+            (bad.any(axis=1), term_error),
+            (
+                ~np.isfinite(nets),
+                lambda k: NumericalFailure(f"cycle net work came out {float(nets[k])!r}"),
+            ),
+        ]
+    )
+    return works, nets
 
 
 @dataclass(frozen=True)
@@ -99,13 +155,171 @@ def stage_total(entries, stage: str | None = None) -> float:
     )
 
 
-def _entries(rows) -> list[LedgerEntry]:
-    """The ledger entries of booked ``(stage, work, template, args)`` rows;
-    each description is ``template.format(*args)``."""
+class _Kind(NamedTuple):
+    """One kind of ledger row: its stage, the free step booked before the
+    rows (a (stage, description) pair, or None), the description of one
+    row, read with its indices (named by ``indices``) and its volumes
+    ``vi`` and ``vf``."""
+
+    stage: str
+    step: tuple[str, str] | None
+    template: str
+    indices: str
+
+
+_PRIORS = _Kind(
+    STAGE_EXTRACTION, None, "preparation {i}: expand from volume {vi:.6g} to 1", "i"
+)
+_SORTING = _Kind(
+    STAGE_EXTRACTION, None, "outcome {j}: sort preparation {i} into its sub-volume", "ji"
+)
+_SIGMA_COMPRESSION = _Kind(
+    STAGE_SIGMA_COMPRESSION,
+    (STAGE_SIGMA_COMPRESSION, "attach empty vessel and separate eigencomponents (no work)"),
+    "compress component {j} from volume 1 to {vf:.6g}",
+    "j",
+)
+_RHO_EXPANSION = _Kind(
+    STAGE_RHO_EXPANSION,
+    (STAGE_ISENTROPIC, "rotate eigencomponents into the target basis"),
+    "expand component {k} from volume {vi:.6g} to 1",
+    "k",
+)
+_RHO_COMPRESSION = _Kind(
+    STAGE_RHO_COMPRESSION, None, "compress component {k} from volume 1 to {vf:.6g}", "k"
+)
+_RECOMPRESSION = _Kind(
+    STAGE_ENSEMBLE_RECOMPRESSION,
+    (STAGE_ISENTROPIC, "rotate components into the member eigenbases"),
+    "preparation {i}: expand component {k} from volume {vi:.6g} to {vf:.6g}",
+    "ik",
+)
+
+
+class _Segment(NamedTuple):
+    """The rows of one kind for a stack of pairs: flat term arrays, pair
+    after pair, ``counts[k]`` terms for pair k.  A term is booked where
+    ``live`` (its weights are above ``WEIGHT_FLOOR``); term t of a
+    two-index kind has indices ``divmod(t, inner[k])``."""
+
+    kind: _Kind
+    fractions: np.ndarray
+    v_initial: np.ndarray
+    v_final: np.ndarray
+    live: np.ndarray
+    counts: np.ndarray
+    inner: np.ndarray | None = None
+
+
+def _alive(weights: np.ndarray) -> np.ndarray:
+    """Weights that get a ledger row: not at or below ``WEIGHT_FLOOR``."""
+    return ~(weights <= WEIGHT_FLOOR)
+
+
+def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """A list of 1-d arrays as one array, and their lengths."""
+    return np.concatenate(arrays), np.array([len(a) for a in arrays])
+
+
+def _extraction(p, n, q, m, tables) -> list[_Segment]:
+    """The extraction rows of each pair, from its n priors p, its m outcome
+    probabilities q and its joint table, flattened outcome-major.
+
+    Expanding every preparation's gas from its p_i slot to the full vessel
+    pays out H(A); re-sorting the gas inside each outcome compartment q_j
+    by preparation costs H(A|B) back."""
+    slots = np.repeat(q, np.repeat(n, m))
+    kept = _alive(slots)
+    cond = np.divide(tables, slots, out=np.zeros_like(tables), where=kept)
+    moved = slots * cond  # q * cond == cond * q, the sub-volume it ends in
     return [
-        LedgerEntry(stage, template.format(*args), work)
-        for stage, work, template, args in rows
+        _Segment(_PRIORS, p, p, np.ones_like(p), _alive(p), n),
+        _Segment(_SORTING, moved, slots, moved, kept & _alive(cond), n * m, n),
     ]
+
+
+def _sigma_to_rho(c, s, lam, r) -> list[_Segment]:
+    """The sigma -> rho rows of each pair, from the s eigenvalues c of
+    sigma and the r eigenvalues lam of rho, both ascending; where r < s,
+    rho's spectrum gets s - r zeros in front.
+
+    Compressing sigma's component j from the full vessel into its c_j slot
+    costs S(sigma); expanding rho's components back to the full vessel
+    pays out S(rho)."""
+    padded = np.zeros_like(c)
+    padded[np.arange(len(lam)) + np.repeat(np.cumsum(s) - np.cumsum(r), r)] = lam
+    ones = np.ones_like(c)
+    return [
+        _Segment(_SIGMA_COMPRESSION, c, ones, c, _alive(c), s),
+        _Segment(_RHO_EXPANSION, padded, padded, ones, _alive(padded), s),
+    ]
+
+
+def _rho_to_initial(p, n, lam, d, mu) -> list[_Segment]:
+    """The rho -> start rows of each pair, from its n priors p, the d
+    eigenvalues lam of rho and its members' eigenvalues mu, member-major.
+
+    Compressing rho's components into their lambda_k slots costs S(rho);
+    every member's components then expand inside its p_i compartment,
+    paying out sum_i p_i S(rho_i)."""
+    slots = np.repeat(p, np.repeat(d, n))
+    moved = slots * mu  # p * mu == mu * p, the volume it starts in
+    return [
+        _Segment(_RHO_COMPRESSION, lam, np.ones_like(lam), lam, _alive(lam), d),
+        _Segment(_RECOMPRESSION, moved, moved, slots, _alive(slots) & _alive(mu), n * d, d),
+    ]
+
+
+class _Booking(NamedTuple):
+    """Booked segments: the (K, L) works, each pair's net, and the column
+    where each segment's terms start in each pair's row."""
+
+    segments: list[_Segment]
+    works: np.ndarray
+    nets: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def breaks(self) -> np.ndarray:
+        """Which pairs' cycles net positive work beyond ``CYCLE_TOL``."""
+        return self.nets > CYCLE_TOL
+
+
+def _books(segments: list[_Segment]) -> _Booking:
+    """Lay the segments' terms out as zero-padded (K, L) arrays, each
+    pair's row holding its terms in segment order, and book them."""
+    counts = np.stack([s.counts for s in segments], axis=1)
+    starts = np.cumsum(counts, axis=1) - counts
+    k, width = len(counts), int(counts.sum(axis=1).max())
+    # the concatenated terms run segment by segment, pair by pair; each
+    # (segment, pair) block goes to the pair's row at the segment's start
+    blocks = counts.T.ravel()
+    rows = (starts + width * np.arange(k)[:, None]).T.ravel()
+    places = np.arange(blocks.sum()) + np.repeat(rows - (np.cumsum(blocks) - blocks), blocks)
+    terms = []
+    for name in ("fractions", "v_initial", "v_final", "live"):
+        flat = np.concatenate([getattr(s, name) for s in segments])
+        stacked = np.zeros(k * width, dtype=flat.dtype)
+        stacked[places] = flat
+        terms.append(stacked.reshape(k, width))
+    works, nets = _book(*terms)
+    return _Booking(segments, works, nets, starts)
+
+
+def _entries(booking: _Booking) -> list[LedgerEntry]:
+    """The ledger entries of the first pair of a booking: per segment, its
+    free step, then one entry per live term."""
+    entries = []
+    for s, start in zip(booking.segments, booking.starts[0]):
+        if s.kind.step is not None:
+            entries.append(LedgerEntry(*s.kind.step, 0.0))
+        for t in np.flatnonzero(s.live[: s.counts[0]]).tolist():
+            indices = divmod(t, int(s.inner[0])) if len(s.kind.indices) == 2 else (t,)
+            description = s.kind.template.format(
+                **dict(zip(s.kind.indices, indices)), vi=s.v_initial[t], vf=s.v_final[t]
+            )
+            entries.append(LedgerEntry(s.kind.stage, description, booking.works[0, start + t]))
+    return entries
 
 
 def extraction_stage(e: Ensemble, v: Povm) -> list[LedgerEntry]:
@@ -116,32 +330,12 @@ def extraction_stage(e: Ensemble, v: Povm) -> list[LedgerEntry]:
     re-sorting the gas inside each outcome compartment by preparation costs
     H(A|B) back.  Both run on ``work_isothermal`` volume ratios only.
     """
-    return _entries(_extraction_rows(e.probs, joint_distribution(e, v)))
-
-
-def _extraction_rows(probs: np.ndarray, jd: JointDistribution) -> list[tuple]:
-    """The rows of ``extraction_stage``, from the priors and the joint table."""
-    rows = []
-    for i, p in enumerate(probs):
-        if p <= WEIGHT_FLOOR:
-            continue
-        rows.append(
-            (STAGE_EXTRACTION, work_isothermal(p, p, 1.0),
-             "preparation {}: expand from volume {:.6g} to 1", (i, p))
+    jd = joint_distribution(e, v)
+    return _entries(
+        _books(
+            _extraction(*_flat([e.probs]), *_flat([jd.outcome_probs]), jd.matrix.T.ravel())
         )
-    outcome_probs = jd.outcome_probs
-    for j, q in enumerate(outcome_probs):
-        if q <= WEIGHT_FLOOR:
-            continue
-        for i in range(len(probs)):
-            cond = jd.matrix[i, j] / q
-            if cond <= WEIGHT_FLOOR:
-                continue
-            rows.append(
-                (STAGE_EXTRACTION, work_isothermal(q * cond, q, cond * q),
-                 "outcome {}: sort preparation {} into its sub-volume", (j, i))
-            )
-    return rows
+    )
 
 
 def sigma_to_rho_stage(sigma: DensityMatrix, rho: DensityMatrix) -> list[LedgerEntry]:
@@ -157,31 +351,7 @@ def sigma_to_rho_stage(sigma: DensityMatrix, rho: DensityMatrix) -> list[LedgerE
         raise ValidationError(
             f"states live on different dimensions ({sigma.dim} vs {rho.dim})"
         )
-    return _entries(_sigma_to_rho_rows(sigma.spectrum(), rho.spectrum()))
-
-
-def _sigma_to_rho_rows(sigma_spectrum: np.ndarray, rho_spectrum: np.ndarray) -> list[tuple]:
-    """The rows of ``sigma_to_rho_stage``, from the two ascending spectra."""
-    rows = [
-        (STAGE_SIGMA_COMPRESSION, 0.0,
-         "attach empty vessel and separate eigencomponents (no work)", ())
-    ]
-    for j, c in enumerate(sigma_spectrum):
-        if c <= WEIGHT_FLOOR:
-            continue
-        rows.append(
-            (STAGE_SIGMA_COMPRESSION, work_isothermal(c, 1.0, c),
-             "compress component {} from volume 1 to {:.6g}", (j, c))
-        )
-    rows.append((STAGE_ISENTROPIC, 0.0, "rotate eigencomponents into the target basis", ()))
-    for k, lam in enumerate(rho_spectrum):
-        if lam <= WEIGHT_FLOOR:
-            continue
-        rows.append(
-            (STAGE_RHO_EXPANSION, work_isothermal(lam, lam, 1.0),
-             "expand component {} from volume {:.6g} to 1", (k, lam))
-        )
-    return rows
+    return _entries(_books(_sigma_to_rho(*_flat([sigma.spectrum()]), *_flat([rho.spectrum()]))))
 
 
 def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
@@ -192,36 +362,12 @@ def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
     rotate each slot's gas into the right member eigenbasis (free), then let
     every member's eigencomponents expand inside its p_i compartment
     (pays out sum_i p_i S(rho_i))."""
+    mu = np.concatenate([s.spectrum() for s in e.states])
     return _entries(
-        _rho_to_initial_rows(
-            e.probs, average_state(e).spectrum(), [s.spectrum() for s in e.states]
+        _books(
+            _rho_to_initial(*_flat([e.probs]), *_flat([average_state(e).spectrum()]), mu)
         )
     )
-
-
-def _rho_to_initial_rows(probs, rho_spectrum, member_spectra) -> list[tuple]:
-    """The rows of ``rho_to_initial_stage``, from the priors and spectra."""
-    rows = []
-    for k, lam in enumerate(rho_spectrum):
-        if lam <= WEIGHT_FLOOR:
-            continue
-        rows.append(
-            (STAGE_RHO_COMPRESSION, work_isothermal(lam, 1.0, lam),
-             "compress component {} from volume 1 to {:.6g}", (k, lam))
-        )
-    rows.append((STAGE_ISENTROPIC, 0.0, "rotate components into the member eigenbases", ()))
-    for i, (p, spectrum) in enumerate(zip(probs, member_spectra)):
-        if p <= WEIGHT_FLOOR:
-            continue
-        for k, mu in enumerate(spectrum):
-            if mu <= WEIGHT_FLOOR:
-                continue
-            rows.append(
-                (STAGE_ENSEMBLE_RECOMPRESSION, work_isothermal(p * mu, mu * p, p),
-                 "preparation {}: expand component {} from volume {:.6g} to {:.6g}",
-                 (i, k, mu * p, p))
-            )
-    return rows
 
 
 def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
@@ -239,32 +385,30 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     tolerance, and ``NumericalFailure`` if it is not finite.
     """
     a = _analyse(e, v)
-    rows, net = _book_cycle(e, v, a)
-    return CycleLedger(
-        entries=tuple(_entries(rows)), net_bits=net, i_ab=a.info, chi=a.chi, delta_s=a.delta_s
-    )
-
-
-def _book_cycle(e: Ensemble, v: Povm, a: _Analysis) -> tuple[list[tuple], float]:
-    """The booked rows of ``run_cycle`` for the pair ``(e, v)``, from its
-    analysis ``a``, and their net work, checked against the second law.
-
-    A row is ``(stage, work, template, args)``: the work is booked here,
-    and the description is formatted only when ``run_cycle`` turns the
-    rows into ledger entries, so a caller that needs only the net (the
-    suite) builds no entry."""
-    rho_spectrum = a.rho_spectrum
-    if not v.projective:
-        rho_spectrum = np.concatenate([np.zeros(e.dim * (v.size - 1)), rho_spectrum])
-
-    rows = _extraction_rows(e.probs, a.joint)
-    rows += _sigma_to_rho_rows(a.sigma_spectrum, rho_spectrum)
-    rows += _rho_to_initial_rows(e.probs, a.rho_spectrum, a.member_spectra)
-    net = float(sum(work for _, work, _, _ in rows))
-    if not isfinite(net):
-        raise NumericalFailure(f"cycle net work came out {net!r}")
-    if net > CYCLE_TOL:
+    booking = _book_cycles([(e, v)], [a])
+    net = float(booking.nets[0])
+    if booking.breaks[0]:
         raise SecondLawViolation(
             f"cycle netted {net:.3e} bits of extracted work (> {CYCLE_TOL:.1e})"
         )
-    return rows, net
+    return CycleLedger(
+        entries=tuple(_entries(booking)), net_bits=net, i_ab=a.info, chi=a.chi, delta_s=a.delta_s
+    )
+
+
+def _book_cycles(pairs, analyses) -> _Booking:
+    """Book the cycle of every (ensemble, measurement) pair from its
+    analysis, all pairs in one pass: extraction, sigma -> rho with rho's
+    spectrum padded by d*(m-1) zeros for a general measurement, and
+    rho -> start.  The lowest-index pair whose booking fails raises; a net
+    above ``CYCLE_TOL`` is left to the caller, in ``breaks``."""
+    p, n = _flat([e.probs for e, _ in pairs])
+    lam, d = _flat([a.rho_spectrum for a in analyses])
+    q, m = _flat([a.outcome_probs for a in analyses])
+    tables = np.concatenate([a.joint.matrix.T.ravel() for a in analyses])
+    mu = np.concatenate([w for a in analyses for w in a.member_spectra])
+    return _books(
+        _extraction(p, n, q, m, tables)
+        + _sigma_to_rho(*_flat([a.sigma_spectrum for a in analyses]), lam, d)
+        + _rho_to_initial(p, n, lam, d, mu)
+    )

@@ -66,6 +66,27 @@ class TestSequenceEnsemble:
                 it.sequence_ensemble(e, m)
             assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("m", [6, 100, 14284, 14285, 10**6, 10**9])
+    def test_any_length_is_budgeted_in_a_second(self, m):
+        # d^m keeps its value in the message while an int prints it (2^14284
+        # has 4300 digits, the default limit); past that, only d^m is named
+        e, _ = it.random_instance(2, 2, 2, "pure", 1)
+        power = f"2^{m} = {2**m}" if m <= 14284 else f"2^{m}"
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as caught:
+            it.sequence_ensemble(e, m)
+        assert time.perf_counter() - start < 1.0
+        assert str(caught.value) == f"sequence dimension {power} exceeds the cap 32"
+
+    @pytest.mark.parametrize("m", [5, 14284, 10**9])
+    def test_sequence_count_message_at_any_length(self, m):
+        e = it.Ensemble([1 / 6] * 6, tuple(it.DensityMatrix([[1.0]]) for _ in range(6)))
+        # 6^m has fewer digits than 4300 up to m = 5525
+        power = f"6^{m} = {6**m}" if m <= 5525 else f"6^{m}"
+        with pytest.raises(BudgetExceeded) as caught:
+            it.sequence_ensemble(e, m)
+        assert str(caught.value) == f"sequence count {power} exceeds the cap 4096"
+
     def test_rejects_zero_length(self, two_state_ensemble):
         with pytest.raises(ValidationError):
             it.sequence_ensemble(two_state_ensemble, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -636,16 +637,19 @@ class TestSuiteSecondLawPath:
     def test_a_violating_cycle_exits_3_and_keeps_the_bound_columns(
         self, monkeypatch, tmp_path, capsys
     ):
-        real_book_cycle = cli._book_cycle
+        real_book_cycles = cli._book_cycles
         seen = []
 
-        def violates_on_trial_2(e, v, a):
-            seen.append((e, v))
-            if len(seen) == 3:
-                raise SecondLawViolation("forced for the test")
-            return real_book_cycle(e, v, a)
+        def violates_on_trial_2(pairs, analyses):
+            # trial 2's cycle is booked as if undoing the dephasing were
+            # free, so it nets I + sum_i p_i S(rho_i) > 0
+            seen.extend(pairs)
+            analyses = list(analyses)
+            a = analyses[2]
+            analyses[2] = dataclasses.replace(a, sigma_spectrum=np.zeros_like(a.sigma_spectrum))
+            return real_book_cycles(pairs, analyses)
 
-        monkeypatch.setattr(cli, "_book_cycle", violates_on_trial_2)
+        monkeypatch.setattr(cli, "_book_cycles", violates_on_trial_2)
         csv = tmp_path / "suite.csv"
         rc = cli.main(["suite", "--trials", "5", "--seed", "7", "--csv", str(csv)])
         out = capsys.readouterr().out

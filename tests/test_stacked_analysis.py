@@ -94,6 +94,7 @@ class TestStackedPairsMatchPerPair:
         for (e, v), a in zip(pairs, measurement._analyse_pairs(pairs)):
             rho = it.average_state(e)
             assert a.info == it.mutual_information(it.JointDistribution(reference_table(e, v)))
+            assert a.outcome_probs.tobytes() == a.joint.outcome_probs.tobytes()
             assert a.chi == it.holevo_chi(e)
             assert a.delta_s == it.delta_s(rho, v)
             assert a.rho_spectrum.tobytes() == rho.spectrum().tobytes()

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import cli, thermo
+from infotherm import cli, measurement, thermo
 from infotherm.errors import NonPositiveVolume, NumericalFailure, ValidationError
+from infotherm.linops import WEIGHT_FLOOR
 
 from conftest import (
     CHI_TWO_STATE,
@@ -252,8 +254,9 @@ class TestRunCycle:
     def test_non_finite_net_is_a_numerical_failure(
         self, work, two_state_ensemble, computational_basis, monkeypatch
     ):
-        # a NaN net would pass `net > CYCLE_TOL` and read as "second law OK"
-        monkeypatch.setattr(thermo, "work_isothermal", lambda *args: work)
+        # a NaN net would pass `net > CYCLE_TOL` and read as "second law OK";
+        # every ratio's log comes out `work`, so every work and the net do
+        monkeypatch.setattr(thermo, "log2", lambda ratio: work)
         with pytest.raises(NumericalFailure, match="net work"):
             it.run_cycle(two_state_ensemble, computational_basis)
 
@@ -266,7 +269,7 @@ class TestRunCycle:
             "ensemble": {"priors": [0.5, 0.5], "states": [ket0, plus]},
             "measurement": {"elements": [ket0, ket1]},
         }))
-        monkeypatch.setattr(thermo, "work_isothermal", lambda *args: float("nan"))
+        monkeypatch.setattr(thermo, "log2", lambda ratio: float("nan"))
         assert cli.main(["cycle", "--spec", str(path)]) == 2
         captured = capsys.readouterr()
         assert "SECOND LAW OK" not in captured.out
@@ -375,3 +378,209 @@ class TestSharedAnalysis:
                 rho = it.average_state(e)
                 middle = it.sigma_to_rho_stage(it.post_measurement_state(rho, v), rho)
                 assert entries == extraction + middle + rebuild, f"seed {seed}"
+
+
+def oracle_work(fraction, v_initial, v_final):
+    """One row's work, booked on its own: f * log2(v_f / v_i), or the
+    difference of the volumes' logs where the ratio leaves the float range."""
+    ratio = v_final / v_initial
+    if 0.0 < ratio < math.inf:
+        return fraction * math.log2(ratio)
+    return fraction * (math.log2(v_final) - math.log2(v_initial))
+
+
+def oracle_rows(e, a):
+    """(fraction, v_initial, v_final) of every cycle row with work, in ledger
+    order, built one row at a time from the pair's analysis."""
+    floor = WEIGHT_FLOOR
+    rows = [(p, p, 1.0) for p in e.probs.tolist() if p > floor]
+    table = a.joint.matrix.tolist()
+    for j, q in enumerate(a.joint.outcome_probs.tolist()):
+        if q <= floor:
+            continue
+        for i in range(e.size):
+            cond = table[i][j] / q
+            if cond > floor:
+                rows.append((q * cond, q, cond * q))
+    sigma = a.sigma_spectrum.tolist()
+    rho = a.rho_spectrum.tolist()
+    rows += [(c, 1.0, c) for c in sigma if c > floor]
+    padded = [0.0] * (len(sigma) - len(rho)) + rho
+    rows += [(lam, lam, 1.0) for lam in padded if lam > floor]
+    rows += [(lam, 1.0, lam) for lam in rho if lam > floor]
+    for p, spectrum in zip(e.probs.tolist(), a.member_spectra):
+        if p > floor:
+            rows += [(p * mu, mu * p, p) for mu in spectrum.tolist() if mu > floor]
+    return rows
+
+
+def oracle_net(rows):
+    net = 0.0
+    for row in rows:
+        net += oracle_work(*row)
+    return net
+
+
+def booked_works(booking, k):
+    """Pair k's booked works, live terms only, in ledger order."""
+    out = []
+    for s, start in zip(booking.segments, booking.starts[k]):
+        first = int(s.counts[:k].sum())
+        live = np.flatnonzero(s.live[first:first + s.counts[k]])
+        out += booking.works[k, start + live].tolist()
+    return out
+
+
+def floor_pairs():
+    """Pairs whose weights sit on the edges of the ledger's masks: a zero
+    prior, an all-zero outcome column, and priors (so also outcome
+    probabilities and rho eigenvalues) at WEIGHT_FLOOR and one ulp above."""
+    basis3 = it.basis_measurement(np.eye(3))
+    kets = [it.pure_state(row) for row in np.eye(3)]
+    above = np.nextafter(WEIGHT_FLOOR, 1.0)
+    mixed = it.DensityMatrix(np.diag([0.5, 0.5, 0.0]))
+    return [
+        (it.Ensemble([0.5, 0.5, 0.0], tuple(kets)), basis3),
+        (it.Ensemble([0.5, 0.5], (kets[0], mixed)), basis3),
+        (it.Ensemble([WEIGHT_FLOOR, above, 1.0 - WEIGHT_FLOOR - above], tuple(kets)), basis3),
+        (it.Ensemble([above, 1.0 - above], (kets[0], mixed)), basis3),
+    ]
+
+
+def kernel_pairs():
+    """Seeded pairs of every kind at d = 2..5, general and projective, then
+    the floor pairs."""
+    pairs = []
+    for seed in range(48):
+        kind = ("pure", "mixed", "commuting")[seed % 3]
+        dim = 2 + (seed // 3) % 4
+        m = dim if kind == "commuting" else 2 + seed % 5
+        pairs.append(it.random_instance(dim, 1 + seed % 4, m, kind, [seed, 13]))
+    return pairs + floor_pairs()
+
+
+class TestStackedBooking:
+    def test_the_pairs_cover_both_kinds_of_measurement(self):
+        flags = {v.projective for _, v in kernel_pairs()}
+        assert flags == {True, False}
+
+    def test_the_floor_pairs_book_exactly_the_rows_above_the_floor(self):
+        # the weights at WEIGHT_FLOOR get no row, the ones an ulp above do
+        for e, v in floor_pairs():
+            a = measurement._analyse(e, v)
+            assert len(it.run_cycle(e, v).entries) == len(oracle_rows(e, a)) + 3
+        e, v = floor_pairs()[2]
+        assert [en.description for en in it.extraction_stage(e, v)][:1] == [
+            "preparation 1: expand from volume 1e-15 to 1"
+        ]
+
+    def test_one_pair_works_equal_the_per_row_oracle(self):
+        for e, v in kernel_pairs():
+            a = measurement._analyse(e, v)
+            rows = oracle_rows(e, a)
+            ledger = it.run_cycle(e, v)
+            free = [en.description.startswith(("attach", "rotate")) for en in ledger.entries]
+            works = [en.work_bits for en, no_work in zip(ledger.entries, free) if not no_work]
+            assert sum(free) == 3
+            assert [float(w).hex() for w in works] == [oracle_work(*row).hex() for row in rows]
+            assert ledger.net_bits.hex() == oracle_net(rows).hex()
+
+    def test_a_chunk_of_mixed_shapes_books_each_pair_as_the_oracle(self):
+        pairs = kernel_pairs()
+        analyses = [measurement._analyse(e, v) for e, v in pairs]
+        booking = thermo._book_cycles(pairs, analyses)
+        assert booking.works.shape[0] == len(pairs)
+        for k, (e, a) in enumerate(zip([e for e, _ in pairs], analyses)):
+            rows = oracle_rows(e, a)
+            assert [w.hex() for w in booked_works(booking, k)] == [
+                oracle_work(*row).hex() for row in rows
+            ], f"pair {k}"
+            assert float(booking.nets[k]).hex() == oracle_net(rows).hex(), f"pair {k}"
+
+    def test_kernel_rows_book_as_the_oracle(self):
+        rows = [
+            [(0.5, 1e300, 1e-300), (0.25, 0.25, 1.0), (1.0, 0.5, 1.0)],
+            [(0.5, 1e-300, 1e300), (0.0, 0.5, 1.0), (0.3, 0.7, 0.2)],
+            [(1e-320, 0.3, 0.1), (0.7, 1.0, 0.7), (0.125, 1.0, 1.0)],
+        ]
+        fractions, v_initial, v_final = np.moveaxis(np.array(rows), 2, 0)
+        works, nets = thermo._book(
+            fractions, v_initial, v_final, np.ones(fractions.shape, dtype=bool)
+        )
+        for k, row in enumerate(rows):
+            expected = [0.0 if f == 0.0 else oracle_work(f, a, b) for f, a, b in row]
+            assert [w.hex() for w in works[k].tolist()] == [w.hex() for w in expected]
+            assert float(nets[k]).hex() == oracle_net(
+                [r for r in row if r[0] != 0.0]
+            ).hex()
+        assert it.work_isothermal(0.5, 1e300, 1e-300) == oracle_work(0.5, 1e300, 1e-300)
+
+    def test_padding_books_nothing_and_is_not_checked(self):
+        live = np.array([[True, False]])
+        works, nets = thermo._book(
+            np.array([[0.5, 7.0]]), np.array([[0.25, -1.0]]), np.array([[1.0, 0.0]]), live
+        )
+        assert works.tolist() == [[1.0, 0.0]]
+        assert nets.tolist() == [1.0]
+
+    def test_the_first_bad_term_of_the_lowest_row_raises(self):
+        fractions = np.array([[0.5, 0.5, 1.5], [0.5, 2.0, 0.5]])
+        v_initial = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        v_final = np.ones((2, 3))
+        live = np.ones((2, 3), dtype=bool)
+        with pytest.raises(ValidationError, match=r"^molecule fraction 1\.5 outside"):
+            thermo._book(fractions, v_initial, v_final, live)
+        with pytest.raises(ValidationError, match=r"^molecule fraction 2\.0 outside"):
+            thermo._book(fractions[1:], v_initial[1:], v_final[1:], live[1:])
+        # a term's volumes are checked before its fraction
+        with pytest.raises(NonPositiveVolume, match=r"got 0\.0 -> 1\.0$"):
+            thermo._book(fractions[1:, 2:], v_initial[1:, 2:], v_final[1:, 2:], live[1:, 2:])
+
+
+class TestSuiteChunkBooking:
+    # trial 1 (d = 3) comes before trial 2 (d = 2) in the chunk, but after
+    # it in the per-dimension analysis order
+    CHUNK = [
+        (0, "mixed", 2, 2, 2),
+        (1, "mixed", 3, 3, 2),
+        (2, "mixed", 2, 3, 3),
+        (3, "pure", 3, 2, 4),
+        (4, "commuting", 2, 2, 2),
+    ]
+
+    @staticmethod
+    def alone(trial, kind, dim, n, m):
+        """A chunk trial drawn and analysed on its own."""
+        e, v = it.random_instance(dim, n, m, kind, [5, trial, 1])
+        return e, measurement._analyse(e, v)
+
+    @pytest.mark.parametrize("first, second", [("nan", "inf"), ("inf", "nan")])
+    def test_the_lowest_non_finite_trial_raises(self, first, second, monkeypatch):
+        # every ratio that is one of trial 1's (2's) sigma eigenvalues logs
+        # to `first` (`second`), so only those two nets go non-finite
+        targets = {}
+        for trial, value in ((2, second), (1, first)):
+            _, a = self.alone(*self.CHUNK[trial])
+            targets.update((c, float(value)) for c in a.sigma_spectrum.tolist() if c > WEIGHT_FLOOR)
+        others = {
+            row[2] / row[1]
+            for pick in self.CHUNK
+            if pick[0] not in (1, 2)
+            for row in oracle_rows(*self.alone(*pick))
+        }
+        assert not others & set(targets)
+        monkeypatch.setattr(thermo, "log2", lambda r: targets.get(r, math.log2(r)))
+        with pytest.raises(NumericalFailure, match=rf"came out {first}$"):
+            cli._score_chunk(5, self.CHUNK)
+
+    def test_a_chunk_books_its_trials_as_each_alone(self):
+        rows = cli._score_chunk(5, self.CHUNK)
+        for trial, (row, _, ok) in zip(self.CHUNK, rows):
+            alone = cli._score_chunk(5, [trial])[0]
+            assert alone[0] == row and alone[2] == ok
+
+    def test_a_suite_op_calls_no_per_row_booking(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(thermo, "work_isothermal", lambda *args: calls.append(args))
+        assert cli.main(["suite", "--trials", "50", "--csv", str(tmp_path / "s.csv")]) == 0
+        assert calls == []
