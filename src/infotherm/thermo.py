@@ -155,54 +155,36 @@ def stage_total(entries, stage: str | None = None) -> float:
     )
 
 
-class _Kind(NamedTuple):
-    """One kind of ledger row: its stage, the free step booked before the
-    rows (a (stage, description) pair, or None), the description of one
-    row, read with its indices (named by ``indices``) and its volumes
-    ``vi`` and ``vf``."""
-
-    stage: str
-    step: tuple[str, str] | None
-    template: str
-    indices: str
-
-
-_PRIORS = _Kind(
-    STAGE_EXTRACTION, None, "preparation {i}: expand from volume {vi:.6g} to 1", "i"
-)
-_SORTING = _Kind(
-    STAGE_EXTRACTION, None, "outcome {j}: sort preparation {i} into its sub-volume", "ji"
-)
-_SIGMA_COMPRESSION = _Kind(
+# A kind of ledger row: its stage, the free step booked before its rows (a
+# (stage, description) pair, or None), and the description of one row, with
+# fields {0} and {1} for its indices and {2} and {3} for its volumes.
+_PRIORS = (STAGE_EXTRACTION, None, "preparation {0}: expand from volume {2:.6g} to 1")
+_SORTING = (STAGE_EXTRACTION, None, "outcome {0}: sort preparation {1} into its sub-volume")
+_SIGMA_COMPRESSION = (
     STAGE_SIGMA_COMPRESSION,
     (STAGE_SIGMA_COMPRESSION, "attach empty vessel and separate eigencomponents (no work)"),
-    "compress component {j} from volume 1 to {vf:.6g}",
-    "j",
+    "compress component {0} from volume 1 to {3:.6g}",
 )
-_RHO_EXPANSION = _Kind(
+_RHO_EXPANSION = (
     STAGE_RHO_EXPANSION,
     (STAGE_ISENTROPIC, "rotate eigencomponents into the target basis"),
-    "expand component {k} from volume {vi:.6g} to 1",
-    "k",
+    "expand component {0} from volume {2:.6g} to 1",
 )
-_RHO_COMPRESSION = _Kind(
-    STAGE_RHO_COMPRESSION, None, "compress component {k} from volume 1 to {vf:.6g}", "k"
-)
-_RECOMPRESSION = _Kind(
+_RHO_COMPRESSION = (STAGE_RHO_COMPRESSION, None, "compress component {0} from volume 1 to {3:.6g}")
+_RECOMPRESSION = (
     STAGE_ENSEMBLE_RECOMPRESSION,
     (STAGE_ISENTROPIC, "rotate components into the member eigenbases"),
-    "preparation {i}: expand component {k} from volume {vi:.6g} to {vf:.6g}",
-    "ik",
+    "preparation {0}: expand component {1} from volume {2:.6g} to {3:.6g}",
 )
 
 
 class _Segment(NamedTuple):
     """The rows of one kind for a stack of pairs: flat term arrays, pair
     after pair, ``counts[k]`` terms for pair k.  A term is booked where
-    ``live`` (its weights are above ``WEIGHT_FLOOR``); term t of a
-    two-index kind has indices ``divmod(t, inner[k])``."""
+    ``live`` (its weights are above ``WEIGHT_FLOOR``); term t has indices
+    ``divmod(t, inner[k])`` where the kind has two."""
 
-    kind: _Kind
+    kind: tuple
     fractions: np.ndarray
     v_initial: np.ndarray
     v_final: np.ndarray
@@ -309,16 +291,17 @@ def _books(segments: list[_Segment]) -> _Booking:
 def _entries(booking: _Booking) -> list[LedgerEntry]:
     """The ledger entries of the first pair of a booking: per segment, its
     free step, then one entry per live term."""
-    entries = []
-    for s, start in zip(booking.segments, booking.starts[0]):
-        if s.kind.step is not None:
-            entries.append(LedgerEntry(*s.kind.step, 0.0))
-        for t in np.flatnonzero(s.live[: s.counts[0]]).tolist():
-            indices = divmod(t, int(s.inner[0])) if len(s.kind.indices) == 2 else (t,)
-            description = s.kind.template.format(
-                **dict(zip(s.kind.indices, indices)), vi=s.v_initial[t], vf=s.v_final[t]
-            )
-            entries.append(LedgerEntry(s.kind.stage, description, booking.works[0, start + t]))
+    entries, works = [], booking.works[0]
+    for s, start in zip(booking.segments, booking.starts[0].tolist()):
+        stage, step, template = s.kind
+        if step is not None:
+            entries.append(LedgerEntry(*step, 0.0))
+        count = int(s.counts[0])
+        v_initial, v_final = s.v_initial[:count].tolist(), s.v_final[:count].tolist()
+        for t in np.flatnonzero(s.live[:count]).tolist():
+            first, second = (t, None) if s.inner is None else divmod(t, int(s.inner[0]))
+            description = template.format(first, second, v_initial[t], v_final[t])
+            entries.append(LedgerEntry(stage, description, works[start + t]))
     return entries
 
 
