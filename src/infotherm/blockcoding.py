@@ -12,7 +12,7 @@ import numpy as np
 from .errors import BudgetExceeded, ValidationError
 from .linops import BOUND_TOL, PSD_EPSILON, psd_function
 from .measurement import Povm, _analyse, _povms
-from .quantum import Ensemble, _density_matrices, average_state
+from .quantum import DensityMatrix, Ensemble, _density_matrices, average_state
 
 #: Caps: sequence states of dimension at most 32, at most 4096 sequences.
 DIM_CAP = 32
@@ -22,8 +22,8 @@ SEQUENCE_CAP = 4096
 def _check_caps(n: int, d: int, m: int) -> None:
     """Raise ``BudgetExceeded`` if n states of dimension d pass a cap at
     length m, or if 2^m > ``SEQUENCE_CAP``, which bounds a one-state,
-    one-dimensional ensemble that neither cap can.  No check builds a power
-    past its cap times one factor, so any m is checked at once."""
+    one-dimensional ensemble that neither cap can.  No check raises a base
+    past the power cap.bit_length(), so any m is checked at once."""
     if _exceeds(d, m, DIM_CAP):
         raise BudgetExceeded(f"sequence dimension {_power(d, m)} exceeds the cap {DIM_CAP}")
     if _exceeds(n, m, SEQUENCE_CAP):
@@ -33,13 +33,9 @@ def _check_caps(n: int, d: int, m: int) -> None:
 
 
 def _exceeds(base: int, m: int, cap: int) -> bool:
-    """Whether base^m > cap, multiplying up only until the power passes cap."""
-    power = 1
-    for _ in range(m if base > 1 else 0):
-        power *= base
-        if power > cap:
-            return True
-    return False
+    """Whether base^m > cap; a base above 1 passes cap by the power
+    cap.bit_length(), so no larger power is built."""
+    return base > 1 and base ** min(m, cap.bit_length()) > cap
 
 
 def _power(base: int, m: int) -> str:
@@ -86,7 +82,11 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
     rho is rank deficient the projector onto its kernel is appended as a
     final element so the elements resolve the identity exactly.
     """
-    rho = average_state(e)
+    return _pretty_good_measurement(e, average_state(e))
+
+
+def _pretty_good_measurement(e: Ensemble, rho: DensityMatrix) -> Povm:
+    """``pretty_good_measurement`` of ``e`` with ``rho = average_state(e)``."""
     inv_root = psd_function(rho.matrix, lambda x: 1.0 / np.sqrt(x), pseudo=True)
     weighted = e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
     elements = inv_root @ weighted @ inv_root
@@ -143,5 +143,6 @@ def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
         raise ValidationError(f"m_max must be at least 1, got {m_max}")
     for m in range(1, m_max + 1):
         _check_caps(e.size, e.dim, m)
-    a = _analyse(e, pretty_good_measurement(e))
+    rho = average_state(e)
+    a = _analyse(e, _pretty_good_measurement(e, rho), rho)
     return [BlockReport(m, a.info, a.delta_s, a.chi, e.size**m) for m in range(1, m_max + 1)]

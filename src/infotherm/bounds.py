@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDimension, ValidationError
+from .errors import BudgetExceeded, UnsupportedDimension, ValidationError
 from .linops import BOUND_TOL, CONVERGENCE_TOL, _psd_function_stack, _segments, psd_function
 from .measurement import (
     JointDistribution,
@@ -30,6 +30,12 @@ from .quantum import DensityMatrix, Ensemble, _checked_priors, _density_matrices
 METHODS = ("qubit_grid", "random_restart_ascent")
 #: The largest ``grid_points``: the qubit lattice's memory grows as its square.
 GRID_CAP = 1000
+#: The ascent's work cap.  A restart scores its start and up to
+#: max_iterations steps, each about 10-15 ns an n d^4 term for n states of
+#: dimension d plus numpy's fixed cost, about 150 us, counted as
+#: ASCENT_STEP_WORK more terms; an admitted run takes at most about 10 s.
+ASCENT_WORK_CAP = 6 * 10**8
+ASCENT_STEP_WORK = 10**4
 #: The ensemble kinds ``random_instance`` draws.
 _KINDS = ("pure", "mixed", "commuting")
 
@@ -182,10 +188,19 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     POVM.  A step that loses information is retried with half the ``eps``;
     a restart ends when an accepted step gains less than
     ``convergence_tol`` or after ``max_iterations`` steps.  Restarts draw
-    from one seeded generator and the best one wins.
+    from one seeded generator and the best one wins.  A run whose work
+    passes ``ASCENT_WORK_CAP`` raises ``BudgetExceeded`` before any step.
     """
-    rng = np.random.default_rng(cfg.seed)
     d, outcomes = e.dim, e.dim * e.dim
+    # Python ints, as numpy integers from the config could wrap
+    scores = int(cfg.restarts) * (int(cfg.max_iterations) + 1)
+    work = scores * (e.size * d**4 + ASCENT_STEP_WORK)
+    if work > ASCENT_WORK_CAP:
+        raise BudgetExceeded(
+            f"ascent work {work} ({cfg.restarts} restarts of up to {cfg.max_iterations} "
+            f"steps, n = {e.size}, d = {d}) exceeds the cap {ASCENT_WORK_CAP}"
+        )
+    rng = np.random.default_rng(cfg.seed)
     probs = e.probs
     weighted = probs[:, None, None] * np.stack([s.matrix for s in e.states])
 

@@ -273,45 +273,34 @@ def _joint_distributions(pairs):
     one dimension, with each table's row sums (its ``priors``) and column
     sums (its ``outcome_probs``), all to the last bit of the per-pair call.
 
-    The traces are taken one state-row index i at a time across the pairs
-    with more than i rows, so no more than one (M, d, d) product of the
-    elements with their pair's i-th state exists at once.  Each table is
-    then cut from the trace array and its sums are numpy's, on that table
-    alone.  The ``JointDistribution`` checks and the priors-reproduction
-    check run stacked; the lowest-index failing pair raises what
-    ``joint_distribution`` raises for it alone.  Returns (tables, row sums,
-    column sums), three lists in pair order."""
+    Element x of the stacked elements belongs to a pair; row i of the
+    trace array reads that pair's i-th member by index, or a zero state
+    with prior 0 past the pair's rows, so each row is one (M, d, d)
+    product.  Each table is then cut from the trace array and its sums are
+    numpy's, on that table alone.  The ``JointDistribution`` checks and
+    the priors-reproduction check run stacked; the lowest-index failing
+    pair raises what ``joint_distribution`` raises for it alone.  Returns
+    (tables, row sums, column sums), three lists in pair order."""
     for e, v in pairs:
         if e.dim != v.dim:
             raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
     sizes = np.array([e.size for e, _ in pairs])
     counts = np.array([v.size for _, v in pairs])
     starts = np.cumsum(counts) - counts
+    first = np.cumsum(sizes) - sizes
     elements = np.concatenate([v._stack for _, v in pairs])
+    zero = np.zeros_like(elements[0])
+    # every member's state and prior, then the zero state that index -1 reads
+    states = np.stack([s.matrix for e, _ in pairs for s in e.states] + [zero])
+    probs = np.concatenate([e.probs for e, _ in pairs] + [[0.0]])
+    lane_sizes, lane_first = np.repeat(sizes, counts), np.repeat(first, counts)
     # raw[i, x] = p_i tr(E_x rho_i) with p_i rho_i the i-th member of
-    # element x's pair, and 0 past that pair's rows
-    raw = np.zeros((sizes.max(), len(elements)))
-    # every row takes its states and products in the same two buffers, cut
-    # from one block; mode="clip" keeps np.take from buffering its output
-    states, products = np.empty((2,) + elements.shape, dtype=elements.dtype)
+    # element x's pair, and a zero of either sign past that pair's rows,
+    # which no table holds
+    raw = np.empty((sizes.max(), len(elements)))
     for i in range(len(raw)):
-        live = sizes > i
-        lanes = np.repeat(live, counts)
-        width = int(np.count_nonzero(lanes))
-        rows = [e for (e, _), alive in zip(pairs, live) if alive]
-        state = np.take(
-            np.stack([e.states[i].matrix for e in rows]),
-            np.repeat(np.arange(len(rows)), counts[live]),
-            axis=0,
-            out=states[:width],
-            mode="clip",
-        )
-        weights = np.repeat([e.probs[i] for e in rows], counts[live])
-        # indexing copies the element stack, which at d = 16 cost as much
-        # as the products, so the rows that every pair has skip it
-        stack = elements if live.all() else elements[lanes]
-        product = np.matmul(stack, state, out=products[:width])
-        raw[i, lanes] = weights * np.trace(product, axis1=1, axis2=2).real
+        member = np.where(lane_sizes > i, lane_first + i, -1)
+        raw[i] = probs[member] * np.trace(elements @ states[member], axis1=1, axis2=2).real
     finite = np.logical_and.reduceat(np.isfinite(raw).all(axis=0), starts)
     lowest = np.minimum.reduceat(raw.min(axis=0), starts)
     tables = [np.maximum(raw[:n, s:s + m], 0.0) for n, s, m in zip(sizes, starts, counts)]
@@ -320,10 +309,7 @@ def _joint_distributions(pairs):
     row_sums = [t.sum(axis=1) for t in tables]
     col_sums = [t.sum(axis=0) for t in tables]
     totals = np.array([c.sum() for c in col_sums])
-    probs = np.concatenate([e.probs for e, _ in pairs])
-    drift = np.maximum.reduceat(
-        np.abs(np.concatenate(row_sums) - probs), np.cumsum(sizes) - sizes
-    )
+    drift = np.maximum.reduceat(np.abs(np.concatenate(row_sums) - probs[:-1]), first)
     _raise_first_failure(
         [
             (~finite, lambda k: ValidationError("joint probabilities have non-finite entries")),
@@ -502,13 +488,14 @@ class _Analysis:
     delta_s: float
 
 
-def _analyse(e: Ensemble, v: Povm) -> _Analysis:
+def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Analysis:
     """The analysis ``evaluate_bounds``, ``run_cycle`` and ``block_scan``
     read, with the arithmetic and checks of ``mutual_information``,
     ``holevo_chi`` and ``delta_s``; ``_analyse_pairs`` gives each of many
-    pairs these bits."""
+    pairs these bits.  ``rho`` is ``average_state(e)``, built here unless
+    the caller already has it."""
     joint = joint_distribution(e, v)
-    rho = average_state(e)
+    rho = average_state(e) if rho is None else rho
     sigma = _post_measurement_spectrum(rho, v)
     info = mutual_information(joint)
     members = tuple(s.spectrum() for s in e.states)

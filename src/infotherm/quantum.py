@@ -234,20 +234,18 @@ def _average_matrix(e: Ensemble) -> np.ndarray:
 
 def _average_matrices(ensembles) -> np.ndarray:
     """``_average_matrix`` of each ensemble, all of one dimension, as one
-    (K, d, d) stack: the i-th weighted members of all ensembles are added
-    at once, as zeros where an ensemble has fewer, so each sum runs in
-    ``_average_matrix``'s order (adding +0.0 changes no entry, as none is
-    -0.0 once 0.0 has been added to it)."""
+    (K, d, d) stack: the i-th weighted members of the ensembles with more
+    than i members are added at once, so each sum runs in
+    ``_average_matrix``'s order."""
     sizes = np.array([e.size for e in ensembles])
-    d = ensembles[0].dim
-    present = np.arange(sizes.max()) < sizes[:, None]
-    weighted = np.zeros(present.shape + (d, d), dtype=complex)
-    weighted[present] = np.concatenate([e.probs for e in ensembles])[:, None, None] * np.stack(
+    first = np.cumsum(sizes) - sizes
+    weighted = np.concatenate([e.probs for e in ensembles])[:, None, None] * np.stack(
         [s.matrix for e in ensembles for s in e.states]
     )
-    acc = np.zeros((len(ensembles), d, d), dtype=complex)
-    for i in range(present.shape[1]):
-        acc += weighted[:, i]
+    acc = np.zeros((len(ensembles),) + weighted.shape[1:], dtype=complex)
+    for i in range(sizes.max()):
+        live = sizes > i
+        acc[live] += weighted[first[live] + i]
     return acc
 
 

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
+from infotherm import blockcoding, measurement, quantum
 from infotherm.blockcoding import DIM_CAP
 from infotherm.errors import BudgetExceeded, ValidationError
 
@@ -90,6 +91,20 @@ class TestSequenceEnsemble:
     def test_rejects_zero_length(self, two_state_ensemble):
         with pytest.raises(ValidationError):
             it.sequence_ensemble(two_state_ensemble, 0)
+
+    def test_cap_comparison_matches_multiplying_up(self):
+        def multiplied_up(base, m, cap):
+            power = 1
+            for _ in range(m if base > 1 else 0):
+                power *= base
+                if power > cap:
+                    return True
+            return False
+
+        for base in range(70):
+            for m in [*range(40), 14284, 14285, 10**6]:
+                for cap in (1, 2, 7, 32, 4096):
+                    assert blockcoding._exceeds(base, m, cap) == multiplied_up(base, m, cap)
 
 
 class TestPrettyGoodMeasurement:
@@ -230,6 +245,23 @@ class TestBlockScan:
     def test_rejects_zero_m_max(self, two_state_ensemble):
         with pytest.raises(ValidationError):
             it.block_scan(two_state_ensemble, 0)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_one_average_state_serves_measurement_and_analysis(self, kind, monkeypatch):
+        e, _ = it.random_instance(3, 3, 2, kind, 4)
+        a = measurement._analyse(e, it.pretty_good_measurement(e))
+        built = []
+
+        def counted(ens):
+            built.append(ens)
+            return quantum.average_state(ens)
+
+        for module in (blockcoding, measurement):
+            monkeypatch.setattr(module, "average_state", counted)
+        reports = it.block_scan(e, 2)
+        assert built == [e]
+        for r in reports:
+            assert (r.per_letter_info, r.per_letter_delta_s, r.chi) == (a.info, a.delta_s, a.chi)
 
     def test_orthogonal_scan_saturates(self, orthogonal_ensemble):
         reports = it.block_scan(orthogonal_ensemble, 2)

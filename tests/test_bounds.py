@@ -5,7 +5,7 @@ import pytest
 import infotherm as it
 from infotherm import bounds
 from infotherm.bounds import BOUND_TOL
-from infotherm.errors import UnsupportedDimension, ValidationError
+from infotherm.errors import BudgetExceeded, UnsupportedDimension, ValidationError
 
 from conftest import (
     CHI_TWO_STATE,
@@ -187,6 +187,43 @@ class TestRandomRestartAscent:
         )
         assert rep.accessible_info >= 0.98
         assert rep.accessible_info <= rep.chi + 1e-9
+
+
+class TestAscentBudget:
+    """restarts * (max_iterations + 1) * (n d^4 + ASCENT_STEP_WORK) against
+    ``ASCENT_WORK_CAP``, checked before the first step."""
+
+    CFG = dict(method="random_restart_ascent", restarts=2, max_iterations=3, seed=0)
+
+    @staticmethod
+    def work(n, d, restarts, max_iterations):
+        return restarts * (max_iterations + 1) * (n * d**4 + bounds.ASCENT_STEP_WORK)
+
+    def test_work_at_the_cap_runs_and_one_past_it_raises(self, monkeypatch, two_state_ensemble):
+        cfg = it.OptimizerConfig(**self.CFG)
+        work = self.work(2, 2, 2, 3)
+        monkeypatch.setattr(bounds, "ASCENT_WORK_CAP", work)
+        it.maximize_accessible_information(two_state_ensemble, cfg)
+        monkeypatch.setattr(bounds, "ASCENT_WORK_CAP", work - 1)
+        with pytest.raises(BudgetExceeded, match=f"ascent work {work} "):
+            it.maximize_accessible_information(two_state_ensemble, cfg)
+
+    def test_refused_before_the_first_step(self, monkeypatch, two_state_ensemble):
+        def step(*args, **kwargs):
+            raise AssertionError("the ascent took a step")
+
+        monkeypatch.setattr(bounds, "psd_function", step)
+        cfg = it.OptimizerConfig(**dict(self.CFG, restarts=np.int64(2**62)))
+        with pytest.raises(BudgetExceeded, match="exceeds the cap"):
+            it.maximize_accessible_information(two_state_ensemble, cfg)
+
+    @pytest.mark.parametrize(
+        "n, d, restarts, max_iterations",
+        [(4, 4, 8, 200), (4, 2, 1, 20), (2, 2, 8, 200)],
+        ids=["ququart default", "bench optimize", "qubit default"],
+    )
+    def test_configs_in_use_are_admitted(self, n, d, restarts, max_iterations):
+        assert self.work(n, d, restarts, max_iterations) <= bounds.ASCENT_WORK_CAP
 
 
 def _qubit_ket(theta, phi):

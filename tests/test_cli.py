@@ -278,6 +278,39 @@ class TestOptimizeRuntime:
         assert elapsed <= 10.0
 
 
+class TestOptimizeBudget:
+    """Ascent runs past ``bounds.ASCENT_WORK_CAP`` exit 5 before any step."""
+
+    def _refused_quickly(self, argv, capsys):
+        start = time.perf_counter()
+        rc = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        assert rc == 5
+        assert f"exceeds the cap {bounds.ASCENT_WORK_CAP}" in capsys.readouterr().err
+        assert elapsed <= 1.0
+
+    def test_a_billion_restarts_exit_5(self, tmp_path, capsys):
+        path = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
+        self._refused_quickly(
+            ["optimize", "--spec", path, "--method", "random_restart_ascent",
+             "--restarts", "1000000000"],
+            capsys,
+        )
+
+    def test_sixty_four_levels_exit_5(self, tmp_path, capsys):
+        basis = np.eye(64)
+        payload = {
+            "ensemble": {
+                "priors": [0.5, 0.5],
+                "states": [_mat(np.diag(basis[0])), _mat(np.diag(basis[1]))],
+            }
+        }
+        path = _write(tmp_path, "d64.json", payload)
+        self._refused_quickly(
+            ["optimize", "--spec", path, "--method", "random_restart_ascent"], capsys
+        )
+
+
 class TestCycle:
     def test_computational_ledger(self, tmp_path, capsys):
         path = _write(tmp_path, "p.json", _two_state_payload())

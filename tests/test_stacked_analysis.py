@@ -71,7 +71,7 @@ def edge_pairs(dim):
     ]
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
 @pytest.mark.parametrize("seed", [0, 1])
 class TestStackedPairsMatchPerPair:
     def pairs(self, dim, seed):
