@@ -231,6 +231,16 @@ class TestJointStackErrors:
         pairs = [self.good(), self.drift(), self.negative(), self.total()]
         assert_stack_raises_like_the_item(self.stacked, self.single, pairs, 1)
 
+    def test_rows_past_a_pair_reach_no_check(self):
+        # the one-state pair passes alone, but its element 5e-10 below zero
+        # would fail on the next pair's first state, |0><0|
+        low = np.diag([-5e-10, 0.5])
+        short = qubit_pair([1.0], [self.KET1], [low, np.eye(2) - low])
+        pairs = [short, self.good()]
+        tables, _, _ = self.stacked(pairs)
+        for pair, table in zip(pairs, tables):
+            assert table.matrix.tobytes() == self.single(pair).matrix.tobytes()
+
 
 class TestUnitarityStack:
     @staticmethod
