@@ -237,7 +237,18 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
         if value > best_value:
             best_value = value
             best_kets = kets
-    return Povm(tuple(np.outer(k, k.conj()) for k in best_kets.T))
+    return _rank_one_povm(best_kets)
+
+
+def _rank_one_povm(kets: np.ndarray) -> Povm:
+    """The ``Povm`` of elements |k><k| for the columns k of a (d, K) ket
+    array, each as ``np.outer`` builds it, in one stacked product and one
+    stacked check.  Non-finite kets raise what ``Povm`` raises for them."""
+    if not np.isfinite(kets).all():
+        raise ValidationError("matrix has non-finite entries")
+    rows = kets.T
+    stack = rows[:, :, None] * rows.conj()[:, None, :]
+    return _povms(stack, [len(stack)], [None])[0]
 
 
 def maximize_accessible_information(

@@ -65,7 +65,17 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _parse_entry(entry, where: str) -> complex:
+def _floats(numbers, where: str) -> np.ndarray:
+    """JSON numbers, checked by ``_is_number``, as a float array.  A float
+    literal past the float range already reads as inf, which the checks
+    downstream reject; an integer past it raises here, naming its field."""
+    try:
+        return np.array(numbers, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"{where}: number too large for a float") from None
+
+
+def _check_entry(entry, where: str) -> None:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
@@ -74,18 +84,18 @@ def _parse_entry(entry, where: str) -> complex:
         raise ValidationError(
             f"{where}: complex entries must be [re, im] number pairs, got {entry!r}"
         )
-    return complex(entry[0], entry[1])
 
 
 def _parse_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{where}: expected a non-empty list of rows")
-    rows = []
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != len(obj):
             raise ValidationError(f"{where}: row {r} does not make the matrix square")
-        rows.append([_parse_entry(x, f"{where}[{r}]") for x in row])
-    return np.array(rows, dtype=complex)
+        for x in row:
+            _check_entry(x, f"{where}[{r}]")
+    # each [re, im] pair read as the complex number of the same bits
+    return _floats(obj, where).view(complex)[..., 0]
 
 
 def _parse_labels(obj, count: int, where: str) -> tuple[str, ...]:
@@ -117,7 +127,7 @@ def parse_problem_spec(data) -> ProblemSpec:
         DensityMatrix(_parse_matrix(s, f"ensemble.states[{i}]"))
         for i, s in enumerate(ens["states"])
     )
-    ensemble = Ensemble(np.asarray(priors, dtype=float), states)
+    ensemble = Ensemble(_floats(priors, "ensemble.priors"), states)
 
     measurement = None
     if data.get("measurement") is not None:
@@ -317,6 +327,12 @@ _SUITE_CSV_HEADER = [
 #: and elements hold at most this many matrix entries ((n + m) d^2 a
 #: trial), so the stacks of a chunk stay near a megabyte at any --trials.
 _CHUNK_ENTRIES = 1 << 16
+#: The suite's work cap.  A trial costs about 0.15-0.2 us for each of the
+#: d^3 terms of the largest --dims d, plus numpy's fixed cost, about 0.2 ms,
+#: counted as SUITE_TRIAL_WORK more terms; an admitted run takes at most
+#: about 10 s, and its rows are held until it ends.
+SUITE_WORK_CAP = 5 * 10**7
+SUITE_TRIAL_WORK = 1200
 
 
 def _pick(seed: int, trial: int, dims: list[int], kinds: tuple[str, ...]):
@@ -394,6 +410,12 @@ def cmd_suite(args) -> int:
         raise ValidationError("--workers must be positive")
     if args.seed < 0:
         raise ValidationError("--seed must be nonnegative")
+    work = args.trials * (max(dims) ** 3 + SUITE_TRIAL_WORK)
+    if work > SUITE_WORK_CAP:
+        raise BudgetExceeded(
+            f"suite work {work} ({args.trials} trials, dimension up to {max(dims)}) "
+            f"exceeds the cap {SUITE_WORK_CAP}"
+        )
     kinds = _KINDS if args.kind == "all" else (args.kind,)
     results = _suite_results(args.seed, args.trials, dims, kinds)
 

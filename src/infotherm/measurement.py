@@ -41,10 +41,8 @@ from .linops import (
 from .quantum import (
     DensityMatrix,
     Ensemble,
-    _average_matrices,
     _chi,
     _density_eigenvalues,
-    _density_matrices,
     _entropies,
     _entropy_of_spectrum,
     average_state,
@@ -276,11 +274,12 @@ def _joint_distributions(pairs):
     Element x of the stacked elements belongs to a pair; row i of the
     trace array reads that pair's i-th member by index, or a zero state
     with prior 0 past the pair's rows, so each row is one (M, d, d)
-    product.  Each table is then cut from the trace array and its sums are
-    numpy's, on that table alone.  The ``JointDistribution`` checks and
-    the priors-reproduction check run stacked; the lowest-index failing
-    pair raises what ``joint_distribution`` raises for it alone.  Returns
-    (tables, row sums, column sums), three lists in pair order."""
+    product, and each pair's average state adds its i-th weighted member
+    in ``_average_matrix``'s order.  Each table is cut from the trace array
+    and its sums are numpy's, on that table alone.  The checks run stacked;
+    the lowest-index failing pair raises what ``joint_distribution`` raises
+    for it alone.  Returns (tables, row sums, column sums), three lists in
+    pair order, and the (K, d, d) stack of average states."""
     for e, v in pairs:
         if e.dim != v.dim:
             raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
@@ -298,9 +297,13 @@ def _joint_distributions(pairs):
     # element x's pair, and a zero of either sign past that pair's rows,
     # which no table holds
     raw = np.empty((sizes.max(), len(elements)))
+    # a pair past its members adds +0, which no sum begun at +0 can see
+    averages = np.zeros((len(pairs),) + zero.shape, dtype=complex)
     for i in range(len(raw)):
         member = np.where(lane_sizes > i, lane_first + i, -1)
         raw[i] = probs[member] * np.trace(elements @ states[member], axis1=1, axis2=2).real
+        member = np.where(sizes > i, first + i, -1)
+        averages += probs[member][:, None, None] * states[member]
     finite = np.logical_and.reduceat(np.isfinite(raw).all(axis=0), starts)
     lowest = np.minimum.reduceat(raw.min(axis=0), starts)
     tables = [np.maximum(raw[:n, s:s + m], 0.0) for n, s, m in zip(sizes, starts, counts)]
@@ -329,7 +332,7 @@ def _joint_distributions(pairs):
             ),
         ]
     )
-    return [JointDistribution._checked(t) for t in tables], row_sums, col_sums
+    return [JointDistribution._checked(t) for t in tables], row_sums, col_sums, averages
 
 
 def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
@@ -381,9 +384,9 @@ def _record_blocks(matrix, system_dim: int, record_dim: int) -> np.ndarray:
     return m.reshape(system_dim, record_dim, system_dim, record_dim)
 
 
-def _dephased_matrix(r: DensityMatrix, v: Povm) -> np.ndarray:
+def _dephased_matrix(rho: np.ndarray, v: Povm) -> np.ndarray:
     """sum_j P_j rho P_j, the elements' products summed in order."""
-    return (v._stack @ r.matrix @ v._stack).sum(axis=0)
+    return (v._stack @ rho @ v._stack).sum(axis=0)
 
 
 def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
@@ -397,7 +400,7 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
     if r.dim != v.dim:
         raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
     if v.projective:
-        return DensityMatrix(_dephased_matrix(r, v))
+        return DensityMatrix(_dephased_matrix(r.matrix, v))
     roots = _psd_function_stack(v._stack, np.sqrt)
     return DensityMatrix(_with_record(roots @ r.matrix @ roots))
 
@@ -405,13 +408,15 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
 def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     """Eigenvalues of ``post_measurement_state(r, v)``, ascending, clipped
     to be nonnegative, without building the system-record state."""
-    return _post_measurement_spectra([r], [v])[0]
+    if r.dim != v.dim:
+        raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
+    return _post_measurement_spectra(r.matrix[None], [v])[0]
 
 
-def _post_measurement_spectra(rhos, povms) -> list[np.ndarray]:
-    """``_post_measurement_spectrum`` of each (state, measurement) pair, all
-    of one dimension: one stacked density check for the projective pairs,
-    and one stacked sqrt(rho) and one batched ``eigvalsh`` for the rest.
+def _post_measurement_spectra(rhos: np.ndarray, povms) -> list[np.ndarray]:
+    """``_post_measurement_spectrum`` of each checked state of a (K, d, d)
+    stack under its measurement: one stacked density check for projective
+    pairs, one stacked sqrt(rho) and one batched ``eigvalsh`` for the rest.
 
     Projective case: the spectrum of sum_j P_j rho P_j, which is d x d
     already; the union below would agree to rounding, but on commuting
@@ -422,9 +427,6 @@ def _post_measurement_spectra(rhos, povms) -> list[np.ndarray]:
     eigenvalues are the union of m d x d spectra.  The union gets the PSD
     and unit-trace checks that ``DensityMatrix`` would give the record state.
     """
-    for r, v in zip(rhos, povms):
-        if r.dim != v.dim:
-            raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
     out = [None] * len(povms)
     projective = [i for i, v in enumerate(povms) if v.projective]
     general = [i for i, v in enumerate(povms) if not v.projective]
@@ -433,7 +435,7 @@ def _post_measurement_spectra(rhos, povms) -> list[np.ndarray]:
         for i, w in zip(projective, _density_eigenvalues(dephased)):
             out[i] = np.maximum(w, 0.0)
     if general:
-        roots = _psd_function_stack(np.stack([rhos[i].matrix for i in general]), np.sqrt)
+        roots = _psd_function_stack(rhos[general], np.sqrt)
         blocks = [root @ povms[i]._stack @ root for i, root in zip(general, roots)]
         spectra = np.linalg.eigvalsh(np.concatenate(blocks))
         counts = [povms[i].size for i in general]
@@ -509,17 +511,16 @@ def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Analysi
 
 def _analyse_pairs(pairs) -> list[_Analysis]:
     """``_Analysis`` of each (ensemble, measurement) pair, all of one
-    dimension: one ``_joint_distributions`` for the tables and their
-    marginals, one stacked density check for the average states, one
+    dimension: one ``_joint_distributions`` for the tables, their
+    marginals and the average states, one stacked density check, one
     ``_post_measurement_spectra``, and one ``_entropies`` for every
     entropy.  Only the scalars are combined per pair, with the arithmetic
     and checks of ``mutual_information``, ``holevo_chi`` and ``delta_s``,
     so the values match theirs to the last bit."""
     ensembles = [e for e, _ in pairs]
-    joints, row_sums, col_sums = _joint_distributions(pairs)
-    rhos = _density_matrices(_average_matrices(ensembles))
+    joints, row_sums, col_sums, rhos = _joint_distributions(pairs)
+    rho_spectra = np.maximum(_density_eigenvalues(rhos), 0.0)
     sigmas = _post_measurement_spectra(rhos, [v for _, v in pairs])
-    rho_spectra = np.maximum(np.stack([r._eigenvalues for r in rhos]), 0.0)
     members = np.maximum(np.stack([s._eigenvalues for e in ensembles for s in e.states]), 0.0)
     sizes = [e.size for e in ensembles]
     h_a, h_b, h_ab, s_rho, s_sigma, *h_members = _segments(

@@ -232,23 +232,6 @@ def _average_matrix(e: Ensemble) -> np.ndarray:
     return acc
 
 
-def _average_matrices(ensembles) -> np.ndarray:
-    """``_average_matrix`` of each ensemble, all of one dimension, as one
-    (K, d, d) stack: the i-th weighted members of the ensembles with more
-    than i members are added at once, so each sum runs in
-    ``_average_matrix``'s order."""
-    sizes = np.array([e.size for e in ensembles])
-    first = np.cumsum(sizes) - sizes
-    weighted = np.concatenate([e.probs for e in ensembles])[:, None, None] * np.stack(
-        [s.matrix for e in ensembles for s in e.states]
-    )
-    acc = np.zeros((len(ensembles),) + weighted.shape[1:], dtype=complex)
-    for i in range(sizes.max()):
-        live = sizes > i
-        acc[live] += weighted[first[live] + i]
-    return acc
-
-
 def von_neumann_entropy(r: DensityMatrix) -> float:
     """S(rho) = -Tr rho log2 rho, in bits."""
     return _entropy_of_spectrum(r.spectrum())

@@ -5,6 +5,7 @@ import pytest
 import infotherm as it
 from infotherm import bounds
 from infotherm.bounds import BOUND_TOL
+from infotherm.linops import psd_function
 from infotherm.errors import BudgetExceeded, UnsupportedDimension, ValidationError
 
 from conftest import (
@@ -279,6 +280,34 @@ class TestRankOneAscentGates:
         if dim == 2:
             _, grid = it.maximize_accessible_information(e, it.OptimizerConfig())
             assert rep.accessible_info >= grid.accessible_info - 1e-6
+
+
+class TestRankOnePovm:
+    """The ascent's result, |k><k| for each ket, stacked in one product."""
+
+    @pytest.mark.parametrize("d", [2, 3, 24])
+    def test_elements_equal_the_outer_products(self, d):
+        rng = np.random.default_rng(d)
+        kets = rng.normal(size=(d, d * d)) + 1j * rng.normal(size=(d, d * d))
+        s = kets @ kets.conj().T
+        kets = psd_function(s, lambda x: 1.0 / np.sqrt(x), pseudo=True) @ kets
+        v = bounds._rank_one_povm(kets)
+        reference = it.Povm(tuple(np.outer(k, k.conj()) for k in kets.T))
+        assert len(v.elements) == d * d
+        for el, ref in zip(v.elements, reference.elements):
+            assert el.tobytes() == ref.tobytes()
+            assert not el.flags.writeable
+        assert v.projective == reference.projective
+
+    def test_orthonormal_kets_are_projective(self):
+        assert bounds._rank_one_povm(np.eye(3, dtype=complex)).projective
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kets_raise(self, bad):
+        kets = np.eye(2, dtype=complex)
+        kets[1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            bounds._rank_one_povm(kets)
 
 
 class TestRandomInstance:

@@ -138,6 +138,42 @@ class TestProblemParsing:
         assert cli.main(["bounds", "--spec", str(path)]) == 2
         assert "error: priors have non-finite entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, field",
+        [
+            ("prior", "ensemble.priors"),
+            ("state", "ensemble.states[0]"),
+            ("element", "measurement.elements[1]"),
+        ],
+    )
+    def test_integers_past_the_float_range_exit_2(self, tmp_path, capsys, where, field):
+        huge = 10**400
+        payload = _two_state_payload()
+        if where == "prior":
+            payload["ensemble"]["priors"][1] = huge
+        elif where == "state":
+            payload["ensemble"]["states"][0][1][0] = [0.0, huge]
+        else:
+            payload["measurement"]["elements"][1][0][0] = [huge, 0.0]
+        path = _write(tmp_path, "huge.json", payload)
+        assert str(huge) in (tmp_path / "huge.json").read_text()
+        command = "pgm" if where == "prior" else "bounds"
+        assert cli.main([command, "--spec", str(path)]) == 2
+        assert f"error: {field}: number too large for a float" in capsys.readouterr().err
+
+    def test_float_literals_past_the_float_range_read_as_inf_and_exit_2(self, tmp_path, capsys):
+        text = json.dumps(_two_state_payload())
+        assert text.count('"priors": [0.5, 0.5]') == 1
+        path = tmp_path / "inf.json"
+        path.write_text(text.replace('"priors": [0.5, 0.5]', '"priors": [1e400, 0.5]'))
+        assert cli.main(["bounds", "--spec", str(path)]) == 2
+        assert "error: priors have non-finite entries" in capsys.readouterr().err
+
+    def test_matrix_entries_keep_their_bits(self):
+        obj = [[[1, 2], [0.1, -0.0]], [[-3, 1e-300], [2**60 + 1, 0.7]]]
+        expected = np.array([[complex(*x) for x in row] for row in obj])
+        assert cli._parse_matrix(obj, "m").tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("where", ["priors", "entry"])
     def test_booleans_are_not_numbers(self, tmp_path, where):
         payload = _two_state_payload()
@@ -602,6 +638,44 @@ def _csv_rows(path):
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
+class TestSuiteBudget:
+    """trials * (d^3 + SUITE_TRIAL_WORK), for the largest --dims d, against
+    ``cli.SUITE_WORK_CAP``, checked before any draw."""
+
+    @staticmethod
+    def work(trials, d):
+        return trials * (d**3 + cli.SUITE_TRIAL_WORK)
+
+    def test_a_trillion_trials_exit_5_before_any_draw(self, monkeypatch, capsys):
+        def draw(*args, **kwargs):
+            raise AssertionError("the suite drew a trial")
+
+        monkeypatch.setattr(cli, "_pick", draw)
+        monkeypatch.setattr(cli, "_random_instances", draw)
+        start = time.perf_counter()
+        assert cli.main(["suite", "--trials", "1000000000000"]) == 5
+        assert time.perf_counter() - start <= 1.0
+        err = capsys.readouterr().err
+        assert f"suite work {self.work(10**12, 4)} " in err
+        assert f"exceeds the cap {cli.SUITE_WORK_CAP}" in err
+
+    def test_work_at_the_cap_runs_and_one_past_it_exits_5(self, monkeypatch, capsys):
+        argv = ["suite", "--trials", "2", "--dims", "3,32"]
+        monkeypatch.setattr(cli, "SUITE_WORK_CAP", self.work(2, 32))
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(cli, "SUITE_WORK_CAP", self.work(2, 32) - 1)
+        assert cli.main(argv) == 5
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "trials, d",
+        [(600, 4), (200, 16), (260, 8), (2, 32)],
+        ids=["seed-42 600 trials", "dims 5,8,16", "dims 5,8", "dims 32"],
+    )
+    def test_runs_in_use_are_admitted(self, trials, d):
+        assert self.work(trials, d) <= cli.SUITE_WORK_CAP
+
+
 class TestSuiteDecomposesEachMatrixOnce:
     def test_matrices_decomposed_equal_the_per_trial_sum(
         self, monkeypatch, tmp_path, capsys
@@ -663,6 +737,34 @@ class TestSuiteBuildsNoLedgerEntries:
         capsys.readouterr()
         assert built == []
         it.run_cycle(*it.random_instance(2, 2, 2, "pure", 0))
+        assert built
+
+
+class TestSuiteBuildsNoAverageStates:
+    # the suite keeps each chunk's average states as one checked matrix
+    # stack, so the only states it builds are its drawn members, as views;
+    # the one-pair analysis, as a control, builds its average state
+    def test_a_suite_run_builds_one_state_per_member(self, monkeypatch, tmp_path, capsys):
+        views, built = [], []
+        real_checked = quantum.DensityMatrix._checked.__func__
+        real_post_init = quantum.DensityMatrix.__post_init__
+
+        def counting_view(cls, matrix, eigenvalues):
+            views.append(None)
+            return real_checked(cls, matrix, eigenvalues)
+
+        def counting(self):
+            built.append(None)
+            real_post_init(self)
+
+        monkeypatch.setattr(quantum.DensityMatrix, "_checked", classmethod(counting_view))
+        monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", counting)
+        csv = tmp_path / "suite.csv"
+        assert cli.main(["suite", "--trials", "50", "--seed", "42", "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert len(views) == sum(int(row["n_states"]) for row in _csv_rows(csv))
+        assert built == []
+        measurement._analyse(*it.random_instance(2, 2, 2, "pure", 0))
         assert built
 
 

@@ -1,10 +1,11 @@
 """The stacked draw and analysis against the per-pair arithmetic they replace.
 
 ``_joint_distributions`` and ``_analyse_pairs`` are the stacked forms of
-``joint_distribution`` and ``_analyse``, which keep their own one-pair path;
-``Ensemble`` is the one-item case of ``_checked_priors``; ``_entropies`` and
-``_average_matrices`` are the stacked forms of ``_entropy_of_spectrum`` and
-``_average_matrix``.  A stack must give each item, bit for bit, what the
+``joint_distribution`` and ``_analyse``, which keep their own one-pair path,
+and the average states ``_joint_distributions`` sums are the stacked form of
+``_average_matrix``; ``Ensemble`` is the one-item case of
+``_checked_priors``; ``_entropies`` is the stacked form of
+``_entropy_of_spectrum``.  A stack must give each item, bit for bit, what the
 per-pair arithmetic gives it, so a wrong pairing or summation order fails; a
 stack with failing items raises what the single call raises for the
 lowest-index one.
@@ -79,7 +80,8 @@ class TestStackedPairsMatchPerPair:
 
     def test_joint_tables_and_their_sums(self, dim, seed):
         pairs = self.pairs(dim, seed)
-        tables, rows, cols = measurement._joint_distributions(pairs)
+        tables, rows, cols, averages = measurement._joint_distributions(pairs)
+        assert len(tables) == len(rows) == len(cols) == len(averages) == len(pairs)
         for (e, v), table, row_sums, col_sums in zip(pairs, tables, rows, cols):
             expected = reference_table(e, v)
             assert table.matrix.tobytes() == expected.tobytes()
@@ -106,9 +108,10 @@ class TestStackedPairsMatchPerPair:
                 assert w.tobytes() == s.spectrum().tobytes()
 
     def test_average_matrices(self, dim, seed):
-        ensembles = [e for e, _ in self.pairs(dim, seed)]
-        stacked = quantum._average_matrices(ensembles)
-        for e, acc in zip(ensembles, stacked):
+        pairs = self.pairs(dim, seed)
+        stacked = measurement._joint_distributions(pairs)[3]
+        assert stacked.shape == (len(pairs), dim, dim)
+        for (e, _), acc in zip(pairs, stacked):
             assert acc.tobytes() == quantum._average_matrix(e).tobytes()
 
 
@@ -237,9 +240,10 @@ class TestJointStackErrors:
         low = np.diag([-5e-10, 0.5])
         short = qubit_pair([1.0], [self.KET1], [low, np.eye(2) - low])
         pairs = [short, self.good()]
-        tables, _, _ = self.stacked(pairs)
-        for pair, table in zip(pairs, tables):
+        tables, _, _, averages = self.stacked(pairs)
+        for pair, table, acc in zip(pairs, tables, averages):
             assert table.matrix.tobytes() == self.single(pair).matrix.tobytes()
+            assert acc.tobytes() == quantum._average_matrix(pair[0]).tobytes()
 
 
 class TestUnitarityStack:
