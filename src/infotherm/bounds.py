@@ -13,15 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, UnsupportedDimension, ValidationError
-from .linops import BOUND_TOL, CONVERGENCE_TOL, _psd_function_stack, _segments, psd_function
+from .linops import (
+    BOUND_TOL,
+    CONVERGENCE_TOL,
+    PSD_EPSILON,
+    _eigenvalue_floor_check,
+    _eigh_checks,
+    _finite_function_check,
+    _psd_function_stack,
+    _raise_failure,
+    _require_finite,
+    _segments,
+)
 from .measurement import (
-    JointDistribution,
     Povm,
     _analyse,
     _block_projectors,
     _check_unitaries,
+    _clipped_information,
+    _clipped_table,
     _povms,
-    mutual_information,
 )
 from .measurement import delta_s as measurement_delta_s  # noqa: F401 (read by bench/)
 from .quantum import DensityMatrix, Ensemble, _checked_priors, _density_matrices
@@ -31,9 +42,10 @@ METHODS = ("qubit_grid", "random_restart_ascent")
 #: The largest ``grid_points``: the qubit lattice's memory grows as its square.
 GRID_CAP = 1000
 #: The ascent's work cap.  A restart scores its start and up to
-#: max_iterations steps, each about 10-15 ns an n d^4 term for n states of
-#: dimension d plus numpy's fixed cost, about 150 us, counted as
-#: ASCENT_STEP_WORK more terms; an admitted run takes at most about 10 s.
+#: max_iterations steps, each about 7-13 ns an n d^4 term for n states of
+#: dimension d plus numpy's fixed cost, about 65-110 us at d <= 4, counted
+#: as ASCENT_STEP_WORK more terms.  Both were set when a step took 10-15 ns
+#: a term and about 150 us fixed, so an admitted run takes at most about 10 s.
 ASCENT_WORK_CAP = 6 * 10**8
 ASCENT_STEP_WORK = 10**4
 #: The ensemble kinds ``random_instance`` draws.
@@ -185,8 +197,11 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     (1 + eps R_k)|phi_k> with R_k = sum_i p_i rho_i log2(q_ik / (p_i q_k)),
     the gradient of I with respect to E_k, and then restores completeness
     with S^{-1/2}, S = sum_k |phi_k><phi_k|, so every iterate is a valid
-    POVM.  A step that loses information is retried with half the ``eps``;
-    a restart ends when an accepted step gains less than
+    POVM.  A step takes one checked eigensolve of S (``_normalised``) and
+    one table with its log table (``_ascent_score``); an accepted step's
+    log table gives the next gradient, and the gradient is kept while the
+    step is retried.  A step that loses information is retried with half
+    the ``eps``; a restart ends when an accepted step gains less than
     ``convergence_tol`` or after ``max_iterations`` steps.  Restarts draw
     from one seeded generator and the best one wins.  A run whose work
     passes ``ASCENT_WORK_CAP`` raises ``BudgetExceeded`` before any step.
@@ -204,34 +219,26 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     probs = e.probs
     weighted = probs[:, None, None] * np.stack([s.matrix for s in e.states])
 
-    def normalised(kets: np.ndarray) -> np.ndarray:
-        s = kets @ kets.conj().T
-        return psd_function(s, lambda x: 1.0 / np.sqrt(x), pseudo=True) @ kets
-
-    def score(kets: np.ndarray) -> tuple[np.ndarray, float]:
-        joint = JointDistribution(np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real)
-        return joint.matrix, mutual_information(joint)
-
     best_kets = None
     best_value = -np.inf
     for _ in range(cfg.restarts):
-        kets = normalised(
+        kets = _normalised(
             rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
         )
-        q, value = score(kets)
-        eps = 1.0
+        logs, value = _ascent_score(kets, weighted, probs)
+        eps, direction = 1.0, None
         for _ in range(cfg.max_iterations):
-            ratio = np.divide(
-                q, probs[:, None] * q.sum(axis=0), out=np.ones_like(q), where=q > 0.0
-            )
-            r = np.einsum("ik,iab->kab", np.log2(ratio), weighted)
-            trial = normalised(kets + eps * np.einsum("kab,bk->ak", r, kets))
-            trial_q, trial_value = score(trial)
+            if direction is None:
+                # R_k phi_k at the accepted point, kept while its step is retried
+                r = np.einsum("ik,iab->kab", logs, weighted)
+                direction = np.einsum("kab,bk->ak", r, kets)
+            trial = _normalised(kets + eps * direction)
+            trial_logs, trial_value = _ascent_score(trial, weighted, probs)
             if trial_value < value:
                 eps *= 0.5
                 continue
             gained = trial_value - value
-            kets, q, value = trial, trial_q, trial_value
+            kets, logs, value, direction = trial, trial_logs, trial_value, None
             if gained < cfg.convergence_tol:
                 break
         if value > best_value:
@@ -240,12 +247,45 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     return _rank_one_povm(best_kets)
 
 
+def _normalised(kets: np.ndarray) -> np.ndarray:
+    """S^{-1/2} K for a (d, K) ket array K and S = K K+: the kets of a
+    rank-one POVM on S's support."""
+    return _inverse_root(kets @ kets.conj().T) @ kets
+
+
+def _inverse_root(s: np.ndarray) -> np.ndarray:
+    """``psd_function(s, lambda x: 1.0 / np.sqrt(x), pseudo=True)`` of a
+    (d, d) matrix, to the last bit, from one 2-D eigensolve: the same
+    checks, in the same order, raise the same errors."""
+    _require_finite(s)
+    w, v, checks = _eigh_checks(s)
+    checks.append(_eigenvalue_floor_check(w))
+    _raise_failure(checks)
+    w = np.maximum(w, 0.0)
+    fw = np.divide(1.0, np.sqrt(w), out=np.zeros(w.shape), where=w > PSD_EPSILON)
+    _raise_failure([_finite_function_check(fw)])
+    return (v * fw) @ v.conj().T
+
+
+def _ascent_score(kets: np.ndarray, weighted: np.ndarray, probs: np.ndarray):
+    """The information of the rank-one measurement with (d, K) kets
+    phi_k on the states with priors ``probs`` and weighted states
+    ``weighted`` (p_i rho_i): the table q_ik = <phi_k|p_i rho_i|phi_k>,
+    clipped and checked as ``JointDistribution`` does; its log ratio table
+    L_ik = log2(q_ik / (p_i q_k)), 0 where q_ik = 0, which the next
+    gradient reads; and I = sum_ik q_ik L_ik, checked and clipped as
+    ``mutual_information`` does.  Returns (L, I)."""
+    q = _clipped_table(np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real)
+    ratio = np.divide(q, probs[:, None] * q.sum(axis=0), out=np.ones(q.shape), where=q > 0.0)
+    logs = np.log2(ratio)
+    return logs, _clipped_information((q * logs).sum())
+
+
 def _rank_one_povm(kets: np.ndarray) -> Povm:
     """The ``Povm`` of elements |k><k| for the columns k of a (d, K) ket
     array, each as ``np.outer`` builds it, in one stacked product and one
     stacked check.  Non-finite kets raise what ``Povm`` raises for them."""
-    if not np.isfinite(kets).all():
-        raise ValidationError("matrix has non-finite entries")
+    _require_finite(kets)
     rows = kets.T
     stack = rows[:, :, None] * rows.conj()[:, None, :]
     return _povms(stack, [len(stack)], [None])[0]

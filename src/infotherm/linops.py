@@ -47,9 +47,15 @@ def as_complex_matrix(m) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValidationError("empty matrix")
+    _require_finite(a)
+    return a
+
+
+def _require_finite(a: np.ndarray) -> None:
+    """Raise for an array with a non-finite entry, as ``as_complex_matrix``
+    does."""
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
-    return a
 
 
 def max_abs(a) -> float:
@@ -102,11 +108,13 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def _asymmetry(stack: np.ndarray) -> np.ndarray:
-    """max |M - M+| of each matrix of a (B, d, d) stack, with one
-    stack-sized temporary."""
-    diff = stack.conj().swapaxes(1, 2)
+    """max |M - M+| of each matrix of a (..., d, d) array, with one
+    array-sized temporary: ``np.conjugate`` copies a real array too, where
+    its ``conj`` method would hand back the array for the subtraction to
+    overwrite."""
+    diff = np.conjugate(stack).swapaxes(-1, -2)
     np.subtract(stack, diff, out=diff)
-    return np.abs(diff).max(axis=(1, 2))
+    return np.abs(diff).max(axis=(-2, -1))
 
 
 def _raise_first_failure(checks) -> None:
@@ -124,6 +132,14 @@ def _raise_first_failure(checks) -> None:
                 raise error(k)
 
 
+def _raise_failure(checks) -> None:
+    """``_raise_first_failure`` for one item, whose checks hold 0-d flags
+    and values: the first failing check raises."""
+    for bad, error in checks:
+        if bad:
+            raise error(())
+
+
 def _segments(a, counts) -> list:
     """Consecutive slices of ``a`` along its first axis, of ``counts`` items
     each: views of an array, or slices of a list or tuple."""
@@ -133,8 +149,9 @@ def _segments(a, counts) -> list:
 
 def _eigh_checks(stack: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors of each matrix of a finite
-    (B, d, d) stack, with the solver's own phases, and the hermiticity and
-    reconstruction checks for ``_raise_first_failure``."""
+    (..., d, d) array, with the solver's own phases, and the hermiticity
+    and reconstruction checks: for ``_raise_first_failure`` on a (B, d, d)
+    stack, for ``_raise_failure`` on one (d, d) matrix."""
     asym = _asymmetry(stack)
     try:
         w, v = np.linalg.eigh(stack)
@@ -142,9 +159,9 @@ def _eigh_checks(stack: np.ndarray):
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     # Postcondition check; the tolerance is absolute, so scale it for
     # matrices with entries far above unit size.
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    reconstructed = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
-    residual = np.abs(reconstructed - stack).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    reconstructed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    residual = np.abs(reconstructed - stack).max(axis=(-2, -1))
     checks = [
         (
             asym > HERMITICITY_TOL,
@@ -159,6 +176,27 @@ def _eigh_checks(stack: np.ndarray):
         ),
     ]
     return w, v, checks
+
+
+def _eigenvalue_floor_check(w: np.ndarray):
+    """The check that no eigenvalue of ``w`` (ascending, (..., d)) lies
+    below -PSD_TOL, as ``_eigh_checks`` gives its checks."""
+    lowest = w[..., 0]
+    return (
+        lowest < -PSD_TOL,
+        lambda k: NegativeEigenvalue(
+            f"matrix has eigenvalue {lowest[k]:.3e} below -{PSD_TOL:.1e}"
+        ),
+    )
+
+
+def _finite_function_check(fw: np.ndarray):
+    """The check that a function of the eigenvalues, ``fw`` ((..., d)),
+    came out finite, as ``_eigh_checks`` gives its checks."""
+    return (
+        ~np.isfinite(fw).all(axis=-1),
+        lambda k: NumericalFailure("function produced non-finite eigenvalues"),
+    )
 
 
 def hermitian_eig(m) -> HermitianEigen:
@@ -204,15 +242,7 @@ def _psd_function_stack(stack: np.ndarray, f: Callable, pseudo: bool = False) ->
     lowest-index item that fails a check raises the error ``psd_function``
     raises for it alone."""
     w, v, checks = _eigh_checks(stack)
-    lowest = w[:, 0]
-    checks.append(
-        (
-            lowest < -PSD_TOL,
-            lambda k: NegativeEigenvalue(
-                f"matrix has eigenvalue {lowest[k]:.3e} below -{PSD_TOL:.1e}"
-            ),
-        )
-    )
+    checks.append(_eigenvalue_floor_check(w))
     w = np.maximum(w, 0.0)
     fw = np.zeros_like(w)
     mask = (w > PSD_EPSILON) if pseudo else np.ones_like(w, dtype=bool)
@@ -223,13 +253,7 @@ def _psd_function_stack(stack: np.ndarray, f: Callable, pseudo: bool = False) ->
         mask &= ~np.logical_or.reduce(failed)[:, None]
     if np.any(mask):
         fw[mask] = np.asarray(f(w[mask]), dtype=float)
-    finite = np.isfinite(fw)
-    if failed or not finite.all():
-        checks.append(
-            (
-                ~finite.all(axis=1),
-                lambda k: NumericalFailure("function produced non-finite eigenvalues"),
-            )
-        )
-        _raise_first_failure(checks)
+    finite = _finite_function_check(fw)
+    if failed or np.count_nonzero(finite[0]):
+        _raise_first_failure(checks + [finite])
     return (v * fw[:, None, :]) @ v.conj().swapaxes(1, 2)

@@ -223,16 +223,7 @@ class JointDistribution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.matrix, dtype=float)
-        if p.ndim != 2 or p.size == 0:
-            raise ValidationError(f"expected a 2-d table, got shape {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValidationError("joint probabilities have non-finite entries")
-        if np.any(p < -PROB_CLIP):
-            raise ValidationError(f"joint probability {p.min():.3e} below -{PROB_CLIP:.0e}")
-        p = np.maximum(p, 0.0)
-        if abs(p.sum() - 1.0) > TRACE_TOL:
-            raise ValidationError(f"joint probabilities sum to {p.sum():.12g}")
+        p = _clipped_table(np.asarray(self.matrix, dtype=float))
         p.setflags(write=False)
         object.__setattr__(self, "matrix", p)
 
@@ -251,6 +242,23 @@ class JointDistribution:
         j = object.__new__(cls)
         object.__setattr__(j, "matrix", matrix)
         return j
+
+
+def _clipped_table(p: np.ndarray) -> np.ndarray:
+    """A float table with ``JointDistribution``'s checks, in its order: two
+    axes, finite entries, none below -PROB_CLIP, and a sum within TRACE_TOL
+    of 1 once entries below zero are clipped to zero.  Returns the clipped
+    table."""
+    if p.ndim != 2 or p.size == 0:
+        raise ValidationError(f"expected a 2-d table, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValidationError("joint probabilities have non-finite entries")
+    if p.min() < -PROB_CLIP:
+        raise ValidationError(f"joint probability {p.min():.3e} below -{PROB_CLIP:.0e}")
+    p = np.maximum(p, 0.0)
+    if abs(p.sum() - 1.0) > TRACE_TOL:
+        raise ValidationError(f"joint probabilities sum to {p.sum():.12g}")
+    return p
 
 
 def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
@@ -358,7 +366,12 @@ def mutual_information(j: JointDistribution) -> float:
 
 def _information(h_a: float, h_b: float, h_ab: float) -> float:
     """``mutual_information`` from the three entropies of its table."""
-    info = h_a + h_b - h_ab
+    return _clipped_information(h_a + h_b - h_ab)
+
+
+def _clipped_information(info: float) -> float:
+    """A mutual information a hair below zero clipped to zero; below
+    -PROB_CLIP it raises."""
     if info < -PROB_CLIP:
         raise NumericalFailure(f"mutual information came out {info:.3e}")
     return max(0.0, info)

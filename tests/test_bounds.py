@@ -6,7 +6,15 @@ import infotherm as it
 from infotherm import bounds
 from infotherm.bounds import BOUND_TOL
 from infotherm.linops import psd_function
-from infotherm.errors import BudgetExceeded, UnsupportedDimension, ValidationError
+from infotherm.errors import (
+    BudgetExceeded,
+    NegativeEigenvalue,
+    NotHermitian,
+    NumericalFailure,
+    ToolkitError,
+    UnsupportedDimension,
+    ValidationError,
+)
 
 from conftest import (
     CHI_TWO_STATE,
@@ -210,13 +218,23 @@ class TestAscentBudget:
             it.maximize_accessible_information(two_state_ensemble, cfg)
 
     def test_refused_before_the_first_step(self, monkeypatch, two_state_ensemble):
+        # a restart's start and every step normalise the kets and score
+        # them, so each patched call fires on an admitted run, and neither
+        # may fire on a refused one
         def step(*args, **kwargs):
             raise AssertionError("the ascent took a step")
 
-        monkeypatch.setattr(bounds, "psd_function", step)
-        cfg = it.OptimizerConfig(**dict(self.CFG, restarts=np.int64(2**62)))
+        admitted = it.OptimizerConfig(**self.CFG)
+        refused = it.OptimizerConfig(**dict(self.CFG, restarts=np.int64(2**62)))
+        for called in ("_normalised", "_ascent_score"):
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, called, step)
+                with pytest.raises(AssertionError, match="took a step"):
+                    it.maximize_accessible_information(two_state_ensemble, admitted)
+        monkeypatch.setattr(bounds, "_normalised", step)
+        monkeypatch.setattr(bounds, "_ascent_score", step)
         with pytest.raises(BudgetExceeded, match="exceeds the cap"):
-            it.maximize_accessible_information(two_state_ensemble, cfg)
+            it.maximize_accessible_information(two_state_ensemble, refused)
 
     @pytest.mark.parametrize(
         "n, d, restarts, max_iterations",
@@ -308,6 +326,129 @@ class TestRankOnePovm:
         kets[1, 0] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             bounds._rank_one_povm(kets)
+
+
+def _raised(fn, *args):
+    """(type, message) of the ``ToolkitError`` that ``fn(*args)`` raises."""
+    with pytest.raises(ToolkitError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def _reference_inverse_root(s):
+    return psd_function(s, lambda x: 1.0 / np.sqrt(x), pseudo=True)
+
+
+def _reference_normalised(kets):
+    return _reference_inverse_root(kets @ kets.conj().T) @ kets
+
+
+def _reference_score(kets, weighted, probs):
+    """The step's table, log table and information as a validating
+    ``JointDistribution`` and ``mutual_information`` give them."""
+    joint = it.JointDistribution(np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real)
+    q = joint.matrix
+    ratio = np.divide(q, probs[:, None] * q.sum(axis=0), out=np.ones_like(q), where=q > 0.0)
+    return np.log2(ratio), it.mutual_information(joint)
+
+
+def _weighted(e):
+    return e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
+
+
+class TestAscentStep:
+    """One eigensolve of S = K K+ and one log table a step, with every check
+    of ``psd_function``, ``JointDistribution`` and ``mutual_information``:
+    same bits where they pass, same error where they fail."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 24])
+    def test_normalisation_matches_psd_function_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        for rank in (d, d - 1):
+            kets = rng.normal(size=(d, d * d)) + 1j * rng.normal(size=(d, d * d))
+            kets[rank:] = 0.0  # a kernel when rank < d
+            got = bounds._normalised(kets)
+            assert got.tobytes() == _reference_normalised(kets).tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_score_matches_the_validating_path(self, seed):
+        # zero kets past a basis leave zero columns in the table, and basis
+        # states measured in their own basis zeros off the diagonal
+        d = 2 + seed % 3
+        if seed % 2:
+            e, v = it.random_instance(d, 2 + seed % 3, d, "commuting", seed)
+            basis = np.linalg.eigh(sum(v.elements[k] * (k + 1) for k in range(d)))[1]
+        else:
+            states = tuple(it.pure_state(ket) for ket in np.eye(d))
+            e = it.Ensemble(np.random.default_rng(seed).dirichlet(np.ones(d)), states)
+            basis = np.eye(d, dtype=complex)
+        kets = np.concatenate([basis, np.zeros((d, d * d - d))], axis=1)
+        weighted = _weighted(e)
+        logs, info = bounds._ascent_score(kets, weighted, e.probs)
+        ref_logs, ref_info = _reference_score(kets, weighted, e.probs)
+        assert np.count_nonzero(np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets) == 0)
+        assert logs.tobytes() == ref_logs.tobytes()
+        assert abs(info - ref_info) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kets(self, bad):
+        kets = np.ones((2, 4), dtype=complex)
+        kets[1, 2] = bad
+        expected = (ValidationError, "matrix has non-finite entries")
+        with np.errstate(invalid="ignore"):  # inf * 0 in K K+
+            got = _raised(bounds._normalised, kets)
+            assert got == _raised(_reference_normalised, kets) == expected
+
+    def test_non_hermitian_matrix(self):
+        s = np.array([[1.0, 1e-3], [0.0, 1.0]], dtype=complex)
+        expected = (NotHermitian, "matrix deviates from Hermitian by 1.000e-03 (tolerance 1.0e-09)")
+        assert _raised(bounds._inverse_root, s) == _raised(_reference_inverse_root, s) == expected
+
+    def test_reconstruction_failure(self, monkeypatch, two_state_ensemble):
+        eigh = np.linalg.eigh
+
+        def wrong_vectors(a, *args, **kwargs):
+            w, v = eigh(a, *args, **kwargs)
+            return w, np.broadcast_to(np.eye(a.shape[-1]), v.shape)
+
+        kets = np.random.default_rng(0).normal(size=(2, 4)) + 0j
+        monkeypatch.setattr(np.linalg, "eigh", wrong_vectors)
+        expected = (NumericalFailure, "eigendecomposition failed reconstruction check")
+        assert _raised(bounds._normalised, kets) == _raised(_reference_normalised, kets) == expected
+        cfg = it.OptimizerConfig(method="random_restart_ascent", restarts=1, max_iterations=3)
+        assert _raised(it.maximize_accessible_information, two_state_ensemble, cfg) == expected
+
+    def test_negative_eigenvalue(self):
+        s = np.diag([-1e-6, 1.0]).astype(complex)
+        expected = (NegativeEigenvalue, "matrix has eigenvalue -1.000e-06 below -1.0e-09")
+        assert _raised(bounds._inverse_root, s) == _raised(_reference_inverse_root, s) == expected
+
+    # kets along the basis, so q_ik is the k-th diagonal entry of p_i rho_i
+    KETS = np.eye(2, dtype=complex)
+
+    def test_table_entry_below_the_clip(self):
+        weighted = np.array([np.diag([0.6, 0.0]), np.diag([0.4 + 1e-6, -1e-6])], dtype=complex)
+        expected = (ValidationError, "joint probability -1.000e-06 below -1e-12")
+        got = _raised(bounds._ascent_score, self.KETS, weighted, np.array([0.6, 0.4]))
+        assert got == _raised(_reference_score, self.KETS, weighted, np.array([0.6, 0.4]))
+        assert got == expected
+
+    def test_table_sum_off_one(self):
+        weighted = np.array([np.diag([0.6, 0.0]), np.diag([0.2, 0.3])], dtype=complex)
+        expected = (ValidationError, "joint probabilities sum to 1.1")
+        got = _raised(bounds._ascent_score, self.KETS, weighted, np.array([0.6, 0.4]))
+        assert got == _raised(_reference_score, self.KETS, weighted, np.array([0.6, 0.4]))
+        assert got == expected
+
+    def test_information_below_the_clip(self):
+        # priors twice the table's row sums take one bit off every term
+        weighted = np.array([np.diag([0.3, 0.2]), np.diag([0.1, 0.4])], dtype=complex)
+        probs = np.array([1.0, 1.0])
+        q = np.array([[0.3, 0.2], [0.1, 0.4]])
+        info = float((q * np.log2(q / (probs[:, None] * q.sum(axis=0)))).sum())
+        assert info < -0.5
+        expected = (NumericalFailure, f"mutual information came out {info:.3e}")
+        assert _raised(bounds._ascent_score, self.KETS, weighted, probs) == expected
 
 
 class TestRandomInstance:

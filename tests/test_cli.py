@@ -314,6 +314,45 @@ class TestOptimizeRuntime:
         assert elapsed <= 10.0
 
 
+class TestOptimizeAscentGolden:
+    # sha256 of `optimize --method random_restart_ascent --restarts 2
+    # --seed 7 --out povm.json` stdout and of povm.json, as the ascent that
+    # scored each step through a validating JointDistribution and
+    # mutual_information and normalised it with psd_function wrote them
+    @pytest.mark.parametrize(
+        "spec, stdout_digest, out_digest",
+        [
+            (
+                "qubit pair",
+                "f8b5b799a3ba61b7e8045e4e2bd76172ca026a8285da697b89d4e68c24cc2e15",
+                "086aaafa410cc9159ad13e4e48bf599007a798ee5fea7d3d9196f4e4887cd746",
+            ),
+            (
+                "mixed qutrit triple",
+                "7c8f12cfd2fc66aa9e758009d32c1034b68339fa64e6ab1f34be0a475d18a4bf",
+                "d6bbe83487a9169116a2326e69c13161eeee0dd3777b5f157e7b0bc859bf589d",
+            ),
+        ],
+    )
+    def test_stdout_and_out_are_pinned(
+        self, spec, stdout_digest, out_digest, tmp_path, monkeypatch, capsys
+    ):
+        if spec == "qubit pair":
+            payload = _two_state_payload(measurement=None)
+        else:
+            payload = _ensemble_payload(it.random_instance(3, 3, 4, "mixed", 1)[0])
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, "p.json", payload)
+        rc = cli.main([
+            "optimize", "--spec", "p.json", "--method", "random_restart_ascent",
+            "--restarts", "2", "--seed", "7", "--out", "povm.json",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256((tmp_path / "povm.json").read_bytes()).hexdigest() == out_digest
+
+
 class TestOptimizeBudget:
     """Ascent runs past ``bounds.ASCENT_WORK_CAP`` exit 5 before any step."""
 

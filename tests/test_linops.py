@@ -4,6 +4,7 @@ import pytest
 
 from infotherm.errors import NegativeEigenvalue, NotHermitian, ValidationError
 from infotherm.linops import (
+    _asymmetry,
     hermitian_eig,
     max_abs,
     psd_function,
@@ -156,3 +157,15 @@ class TestPsdFunction:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             psd_function(np.array([[0.0, 1.0], [0.0, 1.0]]), np.sqrt)
+
+
+class TestAsymmetry:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_matrix_and_a_stack_leave_their_input_alone(self, dtype):
+        m = np.array([[1.0, 1e-3], [0.0, 1.0]], dtype=dtype)
+        kept = m.copy()
+        assert _asymmetry(m) == 1e-3
+        assert np.array_equal(m, kept)
+        stack = np.stack([np.eye(2, dtype=dtype), m])
+        npt.assert_array_equal(_asymmetry(stack), [0.0, 1e-3])
+        assert np.array_equal(stack[1], kept)
