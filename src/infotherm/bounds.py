@@ -16,14 +16,10 @@ from .errors import BudgetExceeded, UnsupportedDimension, ValidationError
 from .linops import (
     BOUND_TOL,
     CONVERGENCE_TOL,
-    PSD_EPSILON,
-    _eigenvalue_floor_check,
-    _eigh_checks,
-    _finite_function_check,
     _psd_function_stack,
-    _raise_failure,
     _require_finite,
     _segments,
+    psd_function,
 )
 from .measurement import (
     Povm,
@@ -250,21 +246,7 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
 def _normalised(kets: np.ndarray) -> np.ndarray:
     """S^{-1/2} K for a (d, K) ket array K and S = K K+: the kets of a
     rank-one POVM on S's support."""
-    return _inverse_root(kets @ kets.conj().T) @ kets
-
-
-def _inverse_root(s: np.ndarray) -> np.ndarray:
-    """``psd_function(s, lambda x: 1.0 / np.sqrt(x), pseudo=True)`` of a
-    (d, d) matrix, to the last bit, from one 2-D eigensolve: the same
-    checks, in the same order, raise the same errors."""
-    _require_finite(s)
-    w, v, checks = _eigh_checks(s)
-    checks.append(_eigenvalue_floor_check(w))
-    _raise_failure(checks)
-    w = np.maximum(w, 0.0)
-    fw = np.divide(1.0, np.sqrt(w), out=np.zeros(w.shape), where=w > PSD_EPSILON)
-    _raise_failure([_finite_function_check(fw)])
-    return (v * fw) @ v.conj().T
+    return psd_function(kets @ kets.conj().T, lambda x: 1.0 / np.sqrt(x), pseudo=True) @ kets
 
 
 def _ascent_score(kets: np.ndarray, weighted: np.ndarray, probs: np.ndarray):

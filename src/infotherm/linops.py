@@ -231,16 +231,29 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
     ``PSD_EPSILON``) and the kernel maps to zero, which is how the pseudo
     inverse square root used by the measurement code is built.  The
     eigenvectors never leave this function, so their phases are not fixed.
-    This is the one-matrix case of ``_psd_function_stack``.
+    ``_psd_function_stack`` gives each matrix of a stack these bits.
     """
-    return _psd_function_stack(as_complex_matrix(m)[None], f, pseudo)[0]
+    a = as_complex_matrix(m)
+    w, v, checks = _eigh_checks(a)
+    checks.append(_eigenvalue_floor_check(w))
+    _raise_failure(checks)
+    w = np.maximum(w, 0.0)
+    if pseudo:
+        fw = np.zeros(w.shape)
+        mask = w > PSD_EPSILON
+        if mask.any():
+            fw[mask] = np.asarray(f(w[mask]), dtype=float)
+    else:
+        fw = np.asarray(f(w), dtype=float)
+    _raise_failure([_finite_function_check(fw)])
+    return (v * fw) @ v.conj().T
 
 
 def _psd_function_stack(stack: np.ndarray, f: Callable, pseudo: bool = False) -> np.ndarray:
     """``psd_function`` of each matrix of a finite complex (B, d, d) stack,
-    with one batched eigensolve.  ``f`` must act elementwise.  The
-    lowest-index item that fails a check raises the error ``psd_function``
-    raises for it alone."""
+    to the last bit, with one batched eigensolve.  ``f`` must act
+    elementwise.  The lowest-index item that fails a check raises the error
+    ``psd_function`` raises for it alone."""
     w, v, checks = _eigh_checks(stack)
     checks.append(_eigenvalue_floor_check(w))
     w = np.maximum(w, 0.0)

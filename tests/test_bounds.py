@@ -5,7 +5,7 @@ import pytest
 import infotherm as it
 from infotherm import bounds
 from infotherm.bounds import BOUND_TOL
-from infotherm.linops import psd_function
+from infotherm.linops import _psd_function_stack, as_complex_matrix, psd_function
 from infotherm.errors import (
     BudgetExceeded,
     NegativeEigenvalue,
@@ -335,8 +335,13 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
-def _reference_inverse_root(s):
+def _inverse_root(s):
     return psd_function(s, lambda x: 1.0 / np.sqrt(x), pseudo=True)
+
+
+def _reference_inverse_root(s):
+    """``_inverse_root`` through the stacked path, as one item."""
+    return _psd_function_stack(as_complex_matrix(s)[None], lambda x: 1.0 / np.sqrt(x), True)[0]
 
 
 def _reference_normalised(kets):
@@ -359,10 +364,11 @@ def _weighted(e):
 class TestAscentStep:
     """One eigensolve of S = K K+ and one log table a step, with every check
     of ``psd_function``, ``JointDistribution`` and ``mutual_information``:
-    same bits where they pass, same error where they fail."""
+    the bits of the stacked ``psd_function`` path and of the validating
+    classes where they pass, their error where they fail."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 24])
-    def test_normalisation_matches_psd_function_bit_for_bit(self, d):
+    def test_normalisation_matches_the_stacked_path_bit_for_bit(self, d):
         rng = np.random.default_rng(d)
         for rank in (d, d - 1):
             kets = rng.normal(size=(d, d * d)) + 1j * rng.normal(size=(d, d * d))
@@ -402,7 +408,7 @@ class TestAscentStep:
     def test_non_hermitian_matrix(self):
         s = np.array([[1.0, 1e-3], [0.0, 1.0]], dtype=complex)
         expected = (NotHermitian, "matrix deviates from Hermitian by 1.000e-03 (tolerance 1.0e-09)")
-        assert _raised(bounds._inverse_root, s) == _raised(_reference_inverse_root, s) == expected
+        assert _raised(_inverse_root, s) == _raised(_reference_inverse_root, s) == expected
 
     def test_reconstruction_failure(self, monkeypatch, two_state_ensemble):
         eigh = np.linalg.eigh
@@ -421,7 +427,7 @@ class TestAscentStep:
     def test_negative_eigenvalue(self):
         s = np.diag([-1e-6, 1.0]).astype(complex)
         expected = (NegativeEigenvalue, "matrix has eigenvalue -1.000e-06 below -1.0e-09")
-        assert _raised(bounds._inverse_root, s) == _raised(_reference_inverse_root, s) == expected
+        assert _raised(_inverse_root, s) == _raised(_reference_inverse_root, s) == expected
 
     # kets along the basis, so q_ik is the k-th diagonal entry of p_i rho_i
     KETS = np.eye(2, dtype=complex)
