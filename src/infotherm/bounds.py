@@ -8,6 +8,7 @@ that credits the measurement's own entropy production (chi + delta_s).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,15 +321,146 @@ def _is_seed(seed) -> bool:
     )
 
 
-def _draw_instance(dim: int, n_states: int, m_outcomes: int, kind: str, seed):
-    """One instance's raw draws, in the order its generator yields them: the
-    priors; the states' draws as one array (Dirichlet diagonals for
-    ``commuting``, complex Gaussian kets for ``pure``, complex Gaussian
-    matrices for ``mixed``); the Gaussian matrix of the Haar unitary whose
-    column blocks make a projective basis, or ``None``; and the Gaussian
-    matrices of the raw PSD elements, or ``None`` for a basis.  A commuting
-    instance draws its unitary before its diagonals."""
-    rng = np.random.default_rng(seed)
+#: numpy's ``SeedSequence`` constants (O'Neill's seed_seq_fe): the pool
+#: hash, the output hash, the two-word mix, the pool size in words and
+#: the xorshift of every hash and mix.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_SHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """The ``count + 1`` successive hash constants init * mult^j mod 2^32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _columns(consts: list[int], slots) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) uint32 columns of one hashing step: row r XORs
+    consts[j] and multiplies by consts[j + 1] for its slot j, or takes 0s
+    for a slot of ``None``."""
+    xors = [0 if j is None else consts[j] for j in slots]
+    mults = [0 if j is None else consts[j + 1] for j in slots]
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None]
+
+
+@functools.cache
+def _pool_constants(length: int):
+    """The constant columns of each step that hashes a ``length``-word seed
+    into the pool, in ``SeedSequence``'s order: the first hash of each
+    pool word (4 constants), the cross-mix from each pool word into the
+    other three (3; the source row takes 0s), then one mix of every pool
+    word with each word past the pool (4)."""
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
+    first = _columns(consts, range(_POOL))
+    cross, k = [], _POOL
+    for src in range(_POOL):
+        slots = [None if d == src else k + d - (d > src) for d in range(_POOL)]
+        cross.append(_columns(consts, slots))
+        k += _POOL - 1
+    tail = [
+        _columns(consts, range(j, j + _POOL))
+        for j in range(k, k + _POOL * (length - _POOL), _POOL)
+    ]
+    return first, cross, tail
+
+
+#: The output hash's columns: the pool is read twice over for 8 words.
+_OUTPUT_CONSTANTS = _columns(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL), range(2 * _POOL))
+
+
+def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    v = (values ^ xors) * mults
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix_into(pool: np.ndarray, hashed: np.ndarray) -> None:
+    """pool <- mix(pool, hashed), ``SeedSequence``'s two-word mix."""
+    pool *= _MIX_L
+    pool -= hashed * _MIX_R
+    pool ^= pool >> _SHIFT
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """The (K, 4) uint64 PCG64 states of K seeds, each a nonnegative integer
+    or a sequence of them: row k is
+    ``np.random.SeedSequence(seeds[k]).generate_state(4, np.uint64)``.
+    Each seed becomes its integers' 32-bit words, least significant first
+    (one zero word for 0), as ``SeedSequence`` reads them.  The seeds of
+    each word count are then hashed together, one pool word per row: the
+    first words (zero-padded) into the pool, the 12 cross-mixes, one mix
+    of the pool with each word past it, and the 8 output words, paired
+    into little-endian uint64s."""
+    lengths, flat = [], []
+    for seed in seeds:
+        start = len(flat)
+        for x in seed if isinstance(seed, (list, tuple, np.ndarray)) else (seed,):
+            x = int(x)
+            while x > _MASK32:
+                flat.append(x & _MASK32)
+                x >>= 32
+            flat.append(x)
+        lengths.append(len(flat) - start)
+    counts = np.array(lengths, dtype=np.intp)
+    flat = np.array(flat, dtype=np.uint32)
+    starts = np.cumsum(counts) - counts
+    states = np.empty((len(counts), 4), dtype=np.uint64)
+    for length in sorted(set(lengths)):
+        rows = np.flatnonzero(counts == length)
+        words = np.zeros((max(length, _POOL), len(rows)), dtype=np.uint32)
+        words[:length] = flat[starts[rows] + np.arange(length)[:, None]]
+        first, cross, tail = _pool_constants(length)
+        pool = _hashmix(words[:_POOL], *first)
+        for src, columns in enumerate(cross):
+            kept = pool[src].copy()
+            _mix_into(pool, _hashmix(kept, *columns))
+            pool[src] = kept
+        for word, columns in zip(words[_POOL:], tail):
+            _mix_into(pool, _hashmix(word, *columns))
+        out = _hashmix(np.concatenate([pool, pool]), *_OUTPUT_CONSTANTS)
+        states[rows] = out.T.astype("<u4", order="C").view("<u8")
+    return states
+
+
+@functools.cache
+def _state_seed_type() -> type:
+    """A minimal ``ISeedSequence`` that hands ``PCG64`` a state computed
+    ahead.  Built on first use: importing the package does not import
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} {dtype}")
+            return self.state
+
+    return StateSeed
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """The generator ``np.random.default_rng(seed)`` builds, from the seed's
+    row of ``_seed_states``: ``PCG64`` seeds itself from that state."""
+    return np.random.Generator(np.random.PCG64(_state_seed_type()(state)))
+
+
+def _draw_instance(dim: int, n_states: int, m_outcomes: int, kind: str, rng):
+    """One instance's raw draws from the generator ``rng``, in the order it
+    yields them: the priors; the states' draws as one array (Dirichlet
+    diagonals for ``commuting``, complex Gaussian kets for ``pure``, complex
+    Gaussian matrices for ``mixed``); the Gaussian matrix of the Haar
+    unitary whose column blocks make a projective basis, or ``None``; and
+    the Gaussian matrices of the raw PSD elements, or ``None`` for a basis.
+    A commuting instance draws its unitary before its diagonals."""
     probs = rng.dirichlet(np.ones(n_states))
     if kind == "commuting":
         unitary = _gaussians(rng, 1, (dim, dim))[0]
@@ -352,41 +484,43 @@ def random_instance(
     kinds the measurement is a coin flip between a random projective basis
     (column blocks of a fresh unitary, only possible when m <= dim) and
     random PSD elements normalized to resolve the identity.  ``seed`` is a
-    nonnegative integer or a sequence of them.  This is the one-instance
-    case of ``_random_instances``.
+    nonnegative integer or a sequence of them, read by
+    ``np.random.default_rng``.  This is the one-instance case of
+    ``_random_instances``.
     """
-    return _random_instances([(dim, n_states, m_outcomes, kind, seed)])[0]
+    if dim < 2:
+        raise ValidationError("dimension must be at least 2")
+    if n_states < 1:
+        raise ValidationError("need at least one state")
+    if m_outcomes < 2:
+        raise ValidationError("need at least two outcomes")
+    if kind not in _KINDS:
+        raise ValidationError(f"unknown ensemble kind {kind!r}")
+    if kind == "commuting" and m_outcomes > dim:
+        raise ValidationError(
+            "a commuting instance is measured in its shared basis, "
+            f"so outcomes ({m_outcomes}) cannot exceed the dimension ({dim})"
+        )
+    if not _is_seed(seed):
+        raise ValidationError(
+            f"seed must be a nonnegative integer or a sequence of them, got {seed!r}"
+        )
+    rng = np.random.default_rng(seed)
+    return _random_instances([(dim, n_states, m_outcomes, kind, rng)])[0]
 
 
 def _random_instances(specs) -> list[tuple[Ensemble, Povm]]:
-    """``random_instance(*spec)`` for each (dim, n_states, m_outcomes, kind,
-    seed) spec, all of one dimension.  Each spec draws from its own
-    generator, in spec order; then the linear algebra runs once for all of
-    them: one stacked QR for the Haar unitaries, one stacked ``g g+`` for
-    the Wishart draws (mixed states and raw elements), one stacked
-    normalise-and-outer for the pure kets, one stacked conjugation for the
-    commuting states.  The states get one stacked density check, the priors
+    """``random_instance`` for each (dim, n_states, m_outcomes, kind, rng)
+    spec, all of one dimension and each valid as ``random_instance``
+    checks, where ``rng`` is the spec's own ``Generator``.  The specs draw
+    in spec order; then the linear algebra runs once for all of them: one
+    stacked QR for the Haar unitaries, one stacked ``g g+`` for the Wishart
+    draws (mixed states and raw elements), one stacked normalise-and-outer
+    for the pure kets, one stacked conjugation for the commuting states.
+    The states get one stacked density check, the priors
     one stacked prior check, the unitaries one stacked unitarity check, the
     raw PSD elements one stacked ``psd_function`` normalization, and the
     measurements one stacked ``Povm`` check."""
-    for dim, n_states, m_outcomes, kind, seed in specs:
-        if dim < 2:
-            raise ValidationError("dimension must be at least 2")
-        if n_states < 1:
-            raise ValidationError("need at least one state")
-        if m_outcomes < 2:
-            raise ValidationError("need at least two outcomes")
-        if kind not in _KINDS:
-            raise ValidationError(f"unknown ensemble kind {kind!r}")
-        if kind == "commuting" and m_outcomes > dim:
-            raise ValidationError(
-                "a commuting instance is measured in its shared basis, "
-                f"so outcomes ({m_outcomes}) cannot exceed the dimension ({dim})"
-            )
-        if not _is_seed(seed):
-            raise ValidationError(
-                f"seed must be a nonnegative integer or a sequence of them, got {seed!r}"
-            )
     draws = [_draw_instance(*spec) for spec in specs]
     haar = [k for k, draw in enumerate(draws) if draw[2] is not None]
     unitaries = None

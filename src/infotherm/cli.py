@@ -28,8 +28,10 @@ from .bounds import (
     METHODS,
     BoundReport,
     OptimizerConfig,
+    _generator,
     _random_instances,
     _report,
+    _seed_states,
     evaluate_bounds,
     maximize_accessible_information,
 )
@@ -169,6 +171,10 @@ def load_problem_spec(path: str) -> ProblemSpec:
         raise ValidationError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"problem file {path} is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"problem file {path} nests too deeply to parse") from None
     return parse_problem_spec(data)
 
 
@@ -182,10 +188,18 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is invalid input."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _bound_lines(report: BoundReport) -> list[str]:
@@ -255,9 +269,7 @@ def cmd_optimize(args) -> int:
             "elements": [_matrix_to_json(el) for el in best.elements],
             "projective": bool(best.projective),
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
         print(f"measurement written to {args.out}")
     if args.csv:
         _write_csv(
@@ -333,12 +345,15 @@ _CHUNK_ENTRIES = 1 << 16
 #: about 10 s, and its rows are held until it ends.
 SUITE_WORK_CAP = 5 * 10**7
 SUITE_TRIAL_WORK = 1200
+#: The suite seeds its trials' generators in blocks of this many trials
+#: (64 bytes of state a trial), so the states held stay small at any
+#: --trials while a block's seeding pass costs little more a trial than
+#: one pass for the whole run.
+_SEED_BLOCK = 1024
 
 
-def _pick(seed: int, trial: int, dims: list[int], kinds: tuple[str, ...]):
-    """A trial's (kind, dim, n_states, m_outcomes); everything derives from
-    (seed, trial), so a trial's row does not depend on the trials before it."""
-    picker = np.random.default_rng([seed, trial, 0])
+def _pick(picker: np.random.Generator, dims: list[int], kinds: tuple[str, ...]):
+    """A trial's (kind, dim, n_states, m_outcomes), drawn from its picker."""
     kind = kinds[int(picker.integers(0, len(kinds)))]
     dim = dims[int(picker.integers(0, len(dims)))]
     n_states = int(picker.integers(2, 5))
@@ -350,34 +365,44 @@ def _pick(seed: int, trial: int, dims: list[int], kinds: tuple[str, ...]):
 
 
 def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ...]):
-    """(row, report, second_law_ok) of every trial, in trial order."""
+    """(row, report, second_law_ok) of every trial, in trial order.  Trial t
+    is picked by ``default_rng([seed, t, 0])`` and drawn by
+    ``default_rng([seed, t, 1])``, so a trial's row does not depend on the
+    trials before it.  The generators' states come from one seeding pass
+    per ``_SEED_BLOCK`` trials."""
     results, chunk, entries = [], [], 0
     for trial in range(trials):
-        kind, dim, n_states, m_outcomes = _pick(seed, trial, dims, kinds)
+        if trial % _SEED_BLOCK == 0:
+            block = range(trial, min(trial + _SEED_BLOCK, trials))
+            states = _seed_states([seed, t, k] for t in block for k in (0, 1)).reshape(-1, 2, 4)
+        picker, draw = states[trial % _SEED_BLOCK]
+        kind, dim, n_states, m_outcomes = _pick(_generator(picker), dims, kinds)
         size = (n_states + m_outcomes) * dim * dim
         if chunk and entries + size > _CHUNK_ENTRIES:
-            results += _score_chunk(seed, chunk)
+            results += _score_chunk(chunk)
             chunk, entries = [], 0
-        chunk.append((trial, kind, dim, n_states, m_outcomes))
+        chunk.append((trial, kind, dim, n_states, m_outcomes, draw))
         entries += size
-    return results + _score_chunk(seed, chunk)
+    return results + _score_chunk(chunk)
 
 
-def _score_chunk(seed: int, chunk: list[tuple]) -> list[tuple]:
+def _score_chunk(chunk: list[tuple]) -> list[tuple]:
     """Draw and analyse a chunk's trials as one stack per dimension, book
-    every trial's cycle in one pass, then build each row, in trial order."""
+    every trial's cycle in one pass, then build each row, in trial order.
+    A trial's pick is (trial, kind, dim, n_states, m_outcomes, state), and
+    it draws from the generator of that ``_seed_states`` row."""
     scored = {}
     for dim in sorted({pick[2] for pick in chunk}):
         picks = [pick for pick in chunk if pick[2] == dim]
         pairs = _random_instances(
-            [(dim, n, m, kind, [seed, trial, 1]) for trial, kind, _, n, m in picks]
+            [(dim, n, m, kind, _generator(state)) for _, kind, _, n, m, state in picks]
         )
         for pick, pair, analysis in zip(picks, pairs, _analyse_pairs(pairs)):
             scored[pick[0]] = (pair, analysis)
     pairs, analyses = zip(*(scored[pick[0]] for pick in chunk))
     booking = _book_cycles(pairs, analyses)
     results = []
-    for (trial, kind, dim, n_states, m_outcomes), (_, povm), a, net, breaks in zip(
+    for (trial, kind, dim, n_states, m_outcomes, _), (_, povm), a, net, breaks in zip(
         chunk, pairs, analyses, booking.nets, booking.breaks
     ):
         report = _report(a.info, a.chi, a.delta_s)

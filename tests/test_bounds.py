@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -529,6 +534,87 @@ class TestRandomInstance:
             it.random_instance(2, 2, 2, "thermal", 0)
 
 
+class TestSeedStates:
+    """``_seed_states`` and ``_generator`` against numpy's own seeding, bit
+    for bit: each row is ``SeedSequence(seed).generate_state(4, np.uint64)``
+    and each generator draws ``default_rng(seed)``'s stream."""
+
+    SEEDS = [
+        0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3,
+        [], [0], [1, 2, 3, 4, 5], list(range(9)), [2**40, 0, 2**96 + 7], [7] * 20,
+        np.int64(7), np.uint8(3), np.uint64(2**64 - 1),
+        np.array([3, 2**40], dtype=np.int64), np.array([5, 6, 7, 8, 9, 10], dtype=np.uint32),
+        np.array([], dtype=np.uint32), (3, 4), (0, 2**32, 1), [42, 3, 1],
+    ]
+
+    @staticmethod
+    def reference(seeds):
+        return [np.random.SeedSequence(s).generate_state(4, np.uint64).tobytes() for s in seeds]
+
+    @staticmethod
+    def rows(states):
+        assert states.dtype == np.uint64 and states.shape[1:] == (4,)
+        return [row.tobytes() for row in states]
+
+    def test_edge_seeds_in_one_call(self):
+        assert self.rows(bounds._seed_states(self.SEEDS)) == self.reference(self.SEEDS)
+
+    @pytest.mark.parametrize("index", range(len(SEEDS)))
+    def test_each_edge_seed_alone(self, index):
+        seed = self.SEEDS[index]
+        assert self.rows(bounds._seed_states([seed])) == self.reference([seed])
+
+    def test_a_sweep_of_mixed_length_seeds(self):
+        rng = np.random.default_rng(2024)
+        seeds = []
+        for k in range(3200):
+            bits = rng.choice([1, 31, 32, 33, 64, 100], size=int(rng.integers(0, 9)))
+            parts = [int.from_bytes(rng.bytes(13), "little") % (1 << int(b)) for b in bits]
+            seeds.append(parts[0] if parts and k % 5 == 0 else parts)
+        # word counts from 0 (the empty sequence) past the 4-word pool
+        words = {
+            sum(max(1, -(-x.bit_length() // 32)) for x in (s if isinstance(s, list) else [s]))
+            for s in seeds
+        }
+        assert set(range(13)) <= words
+        assert self.rows(bounds._seed_states(seeds)) == self.reference(seeds)
+
+    def test_an_iterator_and_no_seeds(self):
+        seeds = [[5, t, k] for t in range(7) for k in (0, 1)]
+        assert self.rows(bounds._seed_states(iter(seeds))) == self.reference(seeds)
+        assert bounds._seed_states([]).shape == (0, 4)
+
+    @pytest.mark.parametrize("index", range(len(SEEDS)))
+    def test_generators_draw_the_default_rng_stream(self, index):
+        seed = self.SEEDS[index]
+        ours = bounds._generator(bounds._seed_states([seed])[0])
+        theirs = np.random.default_rng(seed)
+        for draw in (
+            lambda g: g.normal(size=(3, 2)),
+            lambda g: g.integers(0, 10**6, size=5),
+            lambda g: g.dirichlet(np.ones(4), size=2),
+            lambda g: g.random(),
+            lambda g: g.integers(2, 7),
+        ):
+            assert np.asarray(draw(ours)).tobytes() == np.asarray(draw(theirs)).tobytes()
+
+    def test_the_state_seed_serves_only_pcg64s_request(self):
+        state = bounds._seed_states([3])[0]
+        seed = bounds._state_seed_type()(state)
+        assert seed.generate_state(4, np.uint64) is state
+        with pytest.raises(ValueError, match="asked for 8"):
+            seed.generate_state(8, np.uint32)
+
+    def test_importing_the_package_does_not_import_numpy_random(self):
+        src = str(Path(it.__file__).resolve().parents[1])
+        code = "import sys, infotherm, infotherm.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "False\n"
+
+
 def _reference_haar_unitary(dim, rng):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
@@ -579,7 +665,8 @@ def reference_draw(dim, n_states, m_outcomes, kind, seed):
 class TestStackedDrawsMatchPerTrialDraws:
     # _random_instances draws every trial from its own generator, then runs
     # the QR, Wishart, ket and conjugation arithmetic once per group; every
-    # bit must equal the per-trial construction above
+    # bit must equal the per-trial construction above.  The generators are
+    # the suite's, built from one seeding pass over the specs' seeds.
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_equal_to_the_per_trial_draws(self, dim, seed):
@@ -588,7 +675,10 @@ class TestStackedDrawsMatchPerTrialDraws:
             kind = ("pure", "mixed", "commuting")[t % 3]
             m = 2 + (t // 3) % (dim - 1) if kind == "commuting" else 2 + t % 5
             specs.append((dim, 1 + t % 4, m, kind, [seed, t]))
-        pairs = bounds._random_instances(specs)
+        states = bounds._seed_states(spec[4] for spec in specs)
+        pairs = bounds._random_instances(
+            [(*spec[:4], bounds._generator(state)) for spec, state in zip(specs, states)]
+        )
         flags = []
         for spec, (e, v) in zip(specs, pairs):
             probs, states, elements, projective = reference_draw(*spec)

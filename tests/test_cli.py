@@ -72,6 +72,21 @@ class TestProblemParsing:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["bounds", "--spec", str(tmp_path / "nope.json")]) == 2
 
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(_two_state_payload()).encode("utf-16-le"))
+        assert cli.main(["bounds", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: problem file {path} is not UTF-8 text: " in err
+        assert "Traceback" not in err
+
+    def test_a_file_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert cli.main(["bounds", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: problem file {path} nests too deeply to parse\n"
+
     def test_bare_numbers_exit_2(self, tmp_path):
         payload = {
             "ensemble": {"priors": [0.5, 0.5], "states": [KET0, PLUS]},
@@ -293,6 +308,42 @@ class TestOptimize:
         assert "method                   : random_restart_ascent" in out
         best = float(out.split("best I found             : ")[1].splitlines()[0])
         assert 0.39 <= best <= 0.3991239633071438 + 1e-9
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be opened for writing exits 2 with the
+    path named, after the run's own report is printed."""
+
+    @staticmethod
+    def unwritable(tmp_path):
+        return [str(tmp_path / "missing" / "out.csv"), str(tmp_path)]
+
+    def assert_exits_2(self, argv, path, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write output file {path}: ")
+        assert captured.err.count("\n") == 1
+        return captured.out
+
+    def test_bounds_csv(self, tmp_path, capsys):
+        spec = _write(tmp_path, "p.json", _two_state_payload())
+        for path in self.unwritable(tmp_path):
+            out = self.assert_exits_2(["bounds", "--spec", spec, "--csv", path], path, capsys)
+            assert "I <= chi                 : PASS" in out
+
+    def test_suite_csv(self, tmp_path, capsys):
+        for path in self.unwritable(tmp_path):
+            out = self.assert_exits_2(["suite", "--trials", "3", "--csv", path], path, capsys)
+            assert "trials                   : 3" in out
+
+    def test_optimize_out(self, tmp_path, capsys):
+        spec = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
+        csv = tmp_path / "report.csv"
+        for path in self.unwritable(tmp_path):
+            argv = ["optimize", "--spec", spec, "--out", path, "--csv", str(csv)]
+            out = self.assert_exits_2(argv, path, capsys)
+            assert "best I found" in out and "written" not in out
+            assert not csv.exists()
 
 
 class TestOptimizeRuntime:
@@ -689,6 +740,7 @@ class TestSuiteBudget:
         def draw(*args, **kwargs):
             raise AssertionError("the suite drew a trial")
 
+        monkeypatch.setattr(cli, "_seed_states", draw)
         monkeypatch.setattr(cli, "_pick", draw)
         monkeypatch.setattr(cli, "_random_instances", draw)
         start = time.perf_counter()
@@ -725,9 +777,9 @@ class TestSuiteDecomposesEachMatrixOnce:
         chunk_dims = []
         real_score_chunk = cli._score_chunk
 
-        def recording(seed, chunk):
+        def recording(chunk):
             chunk_dims.append({pick[2] for pick in chunk})
-            return real_score_chunk(seed, chunk)
+            return real_score_chunk(chunk)
 
         monkeypatch.setattr(cli, "_score_chunk", recording)
         counts = _count_decompositions(monkeypatch)
@@ -894,9 +946,9 @@ class TestSuiteBatchInvariance:
         chunks = []
         real_score_chunk = cli._score_chunk
 
-        def recording(seed, chunk):
+        def recording(chunk):
             chunks.append(len(chunk))
-            return real_score_chunk(seed, chunk)
+            return real_score_chunk(chunk)
 
         monkeypatch.setattr(cli, "_score_chunk", recording)
         monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 150)
@@ -904,13 +956,30 @@ class TestSuiteBatchInvariance:
         capsys.readouterr()
         assert sum(chunks) == 40 and len(chunks) > 5
 
+    def test_rows_equal_across_seeding_passes(self, monkeypatch, tmp_path, capsys):
+        # a pass seeds _SEED_BLOCK trials' pickers and draws; chunks of the
+        # default size then span several passes
+        passes = []
+        real_seed_states = cli._seed_states
+
+        def recording(seeds):
+            states = real_seed_states(seeds)
+            passes.append(len(states))
+            return states
+
+        monkeypatch.setattr(cli, "_seed_states", recording)
+        monkeypatch.setattr(cli, "_SEED_BLOCK", 7)
+        self.assert_rows_match(tmp_path, 11, 40, "2,3,4", "all")
+        capsys.readouterr()
+        assert passes == [14] * 5 + [10]
+
     def test_rows_equal_across_full_size_chunks(self, monkeypatch, tmp_path, capsys):
         chunks = []
         real_score_chunk = cli._score_chunk
 
-        def recording(seed, chunk):
+        def recording(chunk):
             chunks.append(len(chunk))
-            return real_score_chunk(seed, chunk)
+            return real_score_chunk(chunk)
 
         monkeypatch.setattr(cli, "_score_chunk", recording)
         self.assert_rows_match(tmp_path, 5, 260, "5,8", "all")

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import cli, measurement, thermo
+from infotherm import bounds, cli, measurement, thermo
 from infotherm.errors import NonPositiveVolume, NumericalFailure, ValidationError
 from infotherm.linops import WEIGHT_FLOOR
 
@@ -540,12 +540,17 @@ class TestStackedBooking:
 class TestSuiteChunkBooking:
     # trial 1 (d = 3) comes before trial 2 (d = 2) in the chunk, but after
     # it in the per-dimension analysis order
-    CHUNK = [
+    PICKS = [
         (0, "mixed", 2, 2, 2),
         (1, "mixed", 3, 3, 2),
         (2, "mixed", 2, 3, 3),
         (3, "pure", 3, 2, 4),
         (4, "commuting", 2, 2, 2),
+    ]
+    # each pick carries its draw generator's state, as the suite's do
+    CHUNK = [
+        (*pick, state)
+        for pick, state in zip(PICKS, bounds._seed_states([5, pick[0], 1] for pick in PICKS))
     ]
 
     @staticmethod
@@ -560,23 +565,23 @@ class TestSuiteChunkBooking:
         # to `first` (`second`), so only those two nets go non-finite
         targets = {}
         for trial, value in ((2, second), (1, first)):
-            _, a = self.alone(*self.CHUNK[trial])
+            _, a = self.alone(*self.PICKS[trial])
             targets.update((c, float(value)) for c in a.sigma_spectrum.tolist() if c > WEIGHT_FLOOR)
         others = {
             row[2] / row[1]
-            for pick in self.CHUNK
+            for pick in self.PICKS
             if pick[0] not in (1, 2)
             for row in oracle_rows(*self.alone(*pick))
         }
         assert not others & set(targets)
         monkeypatch.setattr(thermo, "log2", lambda r: targets.get(r, math.log2(r)))
         with pytest.raises(NumericalFailure, match=rf"came out {first}$"):
-            cli._score_chunk(5, self.CHUNK)
+            cli._score_chunk(self.CHUNK)
 
     def test_a_chunk_books_its_trials_as_each_alone(self):
-        rows = cli._score_chunk(5, self.CHUNK)
+        rows = cli._score_chunk(self.CHUNK)
         for trial, (row, _, ok) in zip(self.CHUNK, rows):
-            alone = cli._score_chunk(5, [trial])[0]
+            alone = cli._score_chunk([trial])[0]
             assert alone[0] == row and alone[2] == ok
 
     def test_a_suite_op_calls_no_per_row_booking(self, monkeypatch, tmp_path):
