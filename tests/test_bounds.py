@@ -675,9 +675,9 @@ class TestStackedDrawsMatchPerTrialDraws:
             kind = ("pure", "mixed", "commuting")[t % 3]
             m = 2 + (t // 3) % (dim - 1) if kind == "commuting" else 2 + t % 5
             specs.append((dim, 1 + t % 4, m, kind, [seed, t]))
-        states = bounds._seed_states(spec[4] for spec in specs)
+        seed_states = bounds._seed_states(spec[4] for spec in specs)
         pairs = bounds._random_instances(
-            [(*spec[:4], bounds._generator(state)) for spec, state in zip(specs, states)]
+            [(*spec[:4], bounds._generator(state)) for spec, state in zip(specs, seed_states)]
         )
         flags = []
         for spec, (e, v) in zip(specs, pairs):
