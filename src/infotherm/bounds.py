@@ -13,23 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, UnsupportedDimension, ValidationError
+from .errors import BudgetExceeded, ToolkitError, UnsupportedDimension, ValidationError
 from .linops import (
     BOUND_TOL,
     CONVERGENCE_TOL,
+    _decomposition_checks,
+    _eigenvalue_floor_check,
+    _eigenvalue_function,
+    _eigh,
+    _finite_function_check,
     _psd_function_stack,
+    _raise_first_failure,
     _require_finite,
     _segments,
-    psd_function,
 )
 from .measurement import (
     Povm,
     _analyse,
     _block_projectors,
     _check_unitaries,
-    _clipped_information,
-    _clipped_table,
+    _information_check,
     _povms,
+    _table_checks,
 )
 from .measurement import delta_s as measurement_delta_s  # noqa: F401 (read by bench/)
 from .quantum import DensityMatrix, Ensemble, _checked_priors, _density_matrices
@@ -39,12 +44,18 @@ METHODS = ("qubit_grid", "random_restart_ascent")
 #: The largest ``grid_points``: the qubit lattice's memory grows as its square.
 GRID_CAP = 1000
 #: The ascent's work cap.  A restart scores its start and up to
-#: max_iterations steps, each about 7-13 ns an n d^4 term for n states of
-#: dimension d plus numpy's fixed cost, about 65-110 us at d <= 4, counted
-#: as ASCENT_STEP_WORK more terms.  Both were set when a step took 10-15 ns
-#: a term and about 150 us fixed, so an admitted run takes at most about 10 s.
+#: max_iterations steps, each about 8-15 ns an n d^4 term for n states of
+#: dimension d (timed at d = 8-24, one BLAS thread on a 2-vCPU VM) plus
+#: numpy's fixed cost, about 55-80 us at d <= 4, counted as
+#: ASCENT_STEP_WORK more terms.  Both were set when a step took 10-15 ns a
+#: term and about 150 us fixed, so an admitted run takes at most about 10 s.
 ASCENT_WORK_CAP = 6 * 10**8
 ASCENT_STEP_WORK = 10**4
+#: The ascent checks a restart's steps in blocks of this many: a full
+#: block's checks run as one stack before the next step is recorded, so the
+#: steps held stay few at any max_iterations, while a block's stacked
+#: checks cost little more a step than one stack for the whole restart.
+_STEP_BLOCK = 32
 #: The ensemble kinds ``random_instance`` draws.
 _KINDS = ("pure", "mixed", "commuting")
 
@@ -194,14 +205,25 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     (1 + eps R_k)|phi_k> with R_k = sum_i p_i rho_i log2(q_ik / (p_i q_k)),
     the gradient of I with respect to E_k, and then restores completeness
     with S^{-1/2}, S = sum_k |phi_k><phi_k|, so every iterate is a valid
-    POVM.  A step takes one checked eigensolve of S (``_normalised``) and
-    one table with its log table (``_ascent_score``); an accepted step's
-    log table gives the next gradient, and the gradient is kept while the
-    step is retried.  A step that loses information is retried with half
-    the ``eps``; a restart ends when an accepted step gains less than
+    POVM.  A step takes one eigensolve of S (``_normalised``) and one table
+    with its log table (``_ascent_score``); an accepted step's log table
+    gives the next gradient, and the gradient is kept while the step is
+    retried.  A step that loses information is retried with half the
+    ``eps``; a restart ends when an accepted step gains less than
     ``convergence_tol`` or after ``max_iterations`` steps.  Restarts draw
     from one seeded generator and the best one wins.  A run whose work
     passes ``ASCENT_WORK_CAP`` raises ``BudgetExceeded`` before any step.
+
+    The steps check nothing as they go, except that S is finite and its
+    eigensolve succeeds: each records what the checks of ``psd_function``,
+    ``JointDistribution`` and ``mutual_information`` read, and the checks
+    run stacked once per block of ``_STEP_BLOCK`` steps and at the end of
+    the restart (``_StepChecks``).  The first failing step raises its own
+    error.  The
+    steps run under numpy error settings that raise wherever the caller's
+    would warn or raise: a step after a failing one may compute on values
+    its checks would have refused, so such a restart runs again with each
+    step checked as it goes, and raises or warns as that step does.
     """
     d, outcomes = e.dim, e.dim * e.dim
     # Python ints, as numpy integers from the config could wrap
@@ -215,22 +237,39 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     rng = np.random.default_rng(cfg.seed)
     probs = e.probs
     weighted = probs[:, None, None] * np.stack([s.matrix for s in e.states])
+    strict = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
 
     best_kets = None
     best_value = -np.inf
     for _ in range(cfg.restarts):
-        kets = _normalised(
-            rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
-        )
-        logs, value = _ascent_score(kets, weighted, probs)
+        start = rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
+        try:
+            with np.errstate(**strict):
+                kets, value = _ascent_restart(start, weighted, probs, cfg, _StepChecks())
+        except FloatingPointError:
+            kets, value = _ascent_restart(start, weighted, probs, cfg, _StepChecks(eager=True))
+        if value > best_value:
+            best_value = value
+            best_kets = kets
+    return _rank_one_povm(best_kets)
+
+
+def _ascent_restart(start, weighted, probs, cfg: OptimizerConfig, checks: _StepChecks):
+    """One restart of the ascent from the (d, K) kets ``start``, each step
+    recording its checks in ``checks``, which runs the checks held at the
+    end and before anything inside the restart raises, so an earlier
+    failing step raises first.  Returns the final kets and their I."""
+    try:
+        kets = _normalised(start, checks)
+        logs, value = _ascent_score(kets, weighted, probs, checks)
         eps, direction = 1.0, None
         for _ in range(cfg.max_iterations):
             if direction is None:
                 # R_k phi_k at the accepted point, kept while its step is retried
                 r = np.einsum("ik,iab->kab", logs, weighted)
                 direction = np.einsum("kab,bk->ak", r, kets)
-            trial = _normalised(kets + eps * direction)
-            trial_logs, trial_value = _ascent_score(trial, weighted, probs)
+            trial = _normalised(kets + eps * direction, checks)
+            trial_logs, trial_value = _ascent_score(trial, weighted, probs, checks)
             if trial_value < value:
                 eps *= 0.5
                 continue
@@ -238,30 +277,110 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
             kets, logs, value, direction = trial, trial_logs, trial_value, None
             if gained < cfg.convergence_tol:
                 break
-        if value > best_value:
-            best_value = value
-            best_kets = kets
-    return _rank_one_povm(best_kets)
+    except ToolkitError:
+        checks.run()
+        raise
+    checks.run()
+    return kets, value
 
 
-def _normalised(kets: np.ndarray) -> np.ndarray:
+class _StepChecks:
+    """The checks of a run of ascent steps, recorded as the steps go and
+    run as one stack.
+
+    A step records what each check reads, in the order the checks run:
+    S = K K+ with the eigenvalues w and eigenvectors v its eigensolve gave,
+    then f(w), which ``psd_function`` checks; the raw table q, which
+    ``JointDistribution`` checks; and the I that ``mutual_information``
+    checks.  ``run`` runs those checks, with their tolerances, on every
+    step held, and the lowest failing step raises the error they raise for
+    it alone; then the steps held are dropped.  A step's last record runs
+    the checks once ``_STEP_BLOCK`` steps are held; with ``eager`` every
+    record runs them, as one checked call does."""
+
+    def __init__(self, eager: bool = False):
+        self.eager = eager
+        self._drop()
+
+    def _drop(self) -> None:
+        self.s, self.w, self.v, self.fw, self.tables, self.infos = [], [], [], [], [], []
+
+    def eigensolve(self, s, w, v) -> None:
+        self.s.append(s)
+        self.w.append(w)
+        self.v.append(v)
+        if self.eager:
+            self.run()
+
+    def function(self, fw) -> None:
+        self.fw.append(fw)
+        if self.eager:
+            self.run()
+
+    def table(self, q) -> None:
+        self.tables.append(q)
+        if self.eager:
+            self.run()
+
+    def information(self, info) -> None:
+        self.infos.append(info)
+        if self.eager or len(self.infos) == _STEP_BLOCK:
+            self.run()
+
+    def run(self) -> None:
+        checks = []
+        if self.s:
+            s, w, v = (np.array(x) for x in (self.s, self.w, self.v))
+            checks += _decomposition_checks(s, w, v) + [_eigenvalue_floor_check(w)]
+        if self.fw:
+            checks.append(_finite_function_check(np.array(self.fw)))
+        if self.tables:
+            checks += _table_checks(np.array(self.tables))
+        if self.infos:
+            checks.append(_information_check(np.array(self.infos)))
+        self._drop()
+        _raise_first_failure(checks)
+
+
+def _inverse_root(x: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(x)
+
+
+def _normalised(kets: np.ndarray, checks: _StepChecks | None = None) -> np.ndarray:
     """S^{-1/2} K for a (d, K) ket array K and S = K K+: the kets of a
-    rank-one POVM on S's support."""
-    return psd_function(kets @ kets.conj().T, lambda x: 1.0 / np.sqrt(x), pseudo=True) @ kets
+    rank-one POVM on S's support, with ``psd_function``'s bits.  A
+    non-finite S raises as ``psd_function`` raises; its other checks of S
+    are recorded in ``checks``, or run at once without."""
+    checks = _StepChecks(eager=True) if checks is None else checks
+    s = kets @ kets.conj().T
+    _require_finite(s)
+    w, v = _eigh(s)
+    checks.eigensolve(s, w, v)
+    fw = _eigenvalue_function(w, _inverse_root, pseudo=True)
+    checks.function(fw)
+    return (v * fw) @ v.conj().T @ kets
 
 
-def _ascent_score(kets: np.ndarray, weighted: np.ndarray, probs: np.ndarray):
+def _ascent_score(
+    kets: np.ndarray, weighted: np.ndarray, probs: np.ndarray, checks: _StepChecks | None = None
+):
     """The information of the rank-one measurement with (d, K) kets
     phi_k on the states with priors ``probs`` and weighted states
     ``weighted`` (p_i rho_i): the table q_ik = <phi_k|p_i rho_i|phi_k>,
-    clipped and checked as ``JointDistribution`` does; its log ratio table
+    clipped as ``JointDistribution`` clips it; its log ratio table
     L_ik = log2(q_ik / (p_i q_k)), 0 where q_ik = 0, which the next
-    gradient reads; and I = sum_ik q_ik L_ik, checked and clipped as
-    ``mutual_information`` does.  Returns (L, I)."""
-    q = _clipped_table(np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real)
+    gradient reads; and I = sum_ik q_ik L_ik, clipped as
+    ``mutual_information`` clips it.  The checks of both are recorded in
+    ``checks``, or run at once without.  Returns (L, I)."""
+    checks = _StepChecks(eager=True) if checks is None else checks
+    raw = np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real
+    checks.table(raw)
+    q = np.maximum(raw, 0.0)
     ratio = np.divide(q, probs[:, None] * q.sum(axis=0), out=np.ones(q.shape), where=q > 0.0)
     logs = np.log2(ratio)
-    return logs, _clipped_information((q * logs).sum())
+    info = (q * logs).sum()
+    checks.information(info)
+    return logs, max(0.0, info)
 
 
 def _rank_one_povm(kets: np.ndarray) -> Povm:
@@ -314,7 +433,9 @@ def _column_blocks(dim: int, outcomes: int) -> list[list[int]]:
 
 def _is_seed(seed) -> bool:
     """A nonnegative integer (numpy's included, ``bool`` not), or a
-    sequence of them."""
+    sequence of them (a 1-d array included)."""
+    if isinstance(seed, np.ndarray) and seed.ndim != 1:
+        return False
     parts = seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]
     return all(
         isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0 for x in parts
@@ -599,8 +720,6 @@ def _instance_elements(specs, counts, haar, unitaries, raw) -> np.ndarray:
         for j in range(ms.max()):
             has = ms > j
             totals[has] += elements[starts[has] + j]
-        inv_roots = np.repeat(
-            _psd_function_stack(totals, lambda x: 1.0 / np.sqrt(x), pseudo=True), ms, axis=0
-        )
+        inv_roots = np.repeat(_psd_function_stack(totals, _inverse_root, pseudo=True), ms, axis=0)
         elements[rows] = inv_roots @ elements[rows] @ inv_roots
     return elements

@@ -15,8 +15,11 @@ violation, 4 unsupported method/dimension, 5 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -188,13 +191,33 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
+def _unwritable(path: str, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write output file {path}: {exc.strerror or exc}")
+
+
 def _write_text(path: str, text: str) -> None:
     """Write an output file; a path that cannot be written is invalid input."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+        raise _unwritable(path, exc) from exc
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work and without creating a file, an output path
+    that names a directory or whose directory is missing, with the error
+    ``_write_text`` would raise for it; any other failure to write is
+    found when the file is written."""
+    try:
+        try:
+            if stat.S_ISDIR(os.stat(path).st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        except FileNotFoundError:
+            # a new file: its directory must be there
+            os.stat(os.path.dirname(path) or os.curdir)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -528,6 +551,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), args.csv):
+            if path:
+                _check_output_path(path)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

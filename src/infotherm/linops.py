@@ -123,12 +123,14 @@ def _raise_first_failure(checks) -> None:
     ``checks`` lists (per-item failure mask, item -> exception) in the order
     a single item runs them, so the item named is the one a loop over the
     stack would have stopped at, with the error that loop would have raised.
+    A mask shorter than the stack has not been checked for the items past
+    its end.
     """
     failed = [bad for bad, _ in checks if np.count_nonzero(bad)]
     if failed:
         k = min(int(np.argmax(bad)) for bad in failed)
         for bad, error in checks:
-            if bad[k]:
+            if k < len(bad) and bad[k]:
                 raise error(k)
 
 
@@ -147,22 +149,35 @@ def _segments(a, counts) -> list:
     return [a[end - count:end] for count, end in zip(counts, ends)]
 
 
-def _eigh_checks(stack: np.ndarray):
+def _eigh(stack: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors of each matrix of a finite
-    (..., d, d) array, with the solver's own phases, and the hermiticity
-    and reconstruction checks: for ``_raise_first_failure`` on a (B, d, d)
-    stack, for ``_raise_failure`` on one (d, d) matrix."""
-    asym = _asymmetry(stack)
+    (..., d, d) array, with the solver's own phases; a solver failure
+    raises ``NumericalFailure``."""
     try:
-        w, v = np.linalg.eigh(stack)
+        return np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+
+
+def _eigh_checks(stack: np.ndarray):
+    """``_eigh`` of a finite (..., d, d) array with ``_decomposition_checks``
+    of it."""
+    w, v = _eigh(stack)
+    return w, v, _decomposition_checks(stack, w, v)
+
+
+def _decomposition_checks(stack: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """The hermiticity and reconstruction checks of the eigenvalues ``w``
+    and eigenvectors ``v`` of each matrix of a (..., d, d) array: for
+    ``_raise_first_failure`` on a (B, d, d) stack, for ``_raise_failure``
+    on one (d, d) matrix."""
+    asym = _asymmetry(stack)
     # Postcondition check; the tolerance is absolute, so scale it for
     # matrices with entries far above unit size.
     scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
     reconstructed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     residual = np.abs(reconstructed - stack).max(axis=(-2, -1))
-    checks = [
+    return [
         (
             asym > HERMITICITY_TOL,
             lambda k: NotHermitian(
@@ -175,7 +190,6 @@ def _eigh_checks(stack: np.ndarray):
             lambda k: NumericalFailure("eigendecomposition failed reconstruction check"),
         ),
     ]
-    return w, v, checks
 
 
 def _eigenvalue_floor_check(w: np.ndarray):
@@ -237,16 +251,26 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
     w, v, checks = _eigh_checks(a)
     checks.append(_eigenvalue_floor_check(w))
     _raise_failure(checks)
-    w = np.maximum(w, 0.0)
-    if pseudo:
-        fw = np.zeros(w.shape)
-        mask = w > PSD_EPSILON
-        if mask.any():
-            fw[mask] = np.asarray(f(w[mask]), dtype=float)
-    else:
-        fw = np.asarray(f(w), dtype=float)
+    fw = _eigenvalue_function(w, f, pseudo)
     _raise_failure([_finite_function_check(fw)])
     return (v * fw) @ v.conj().T
+
+
+def _eigenvalue_function(w: np.ndarray, f: Callable, pseudo: bool) -> np.ndarray:
+    """``f`` of the eigenvalues ``w`` (one matrix's, (d,)) clipped at zero,
+    as ``psd_function`` applies it: with ``pseudo``, only on the support,
+    and zero on the kernel."""
+    w = np.maximum(w, 0.0)
+    if not pseudo:
+        return np.asarray(f(w), dtype=float)
+    mask = w > PSD_EPSILON
+    support = np.count_nonzero(mask)
+    if support == len(w):  # the support is the whole spectrum: f(w) is f(w[mask])
+        return np.asarray(f(w), dtype=float)
+    fw = np.zeros(w.shape)
+    if support:
+        fw[mask] = np.asarray(f(w[mask]), dtype=float)
+    return fw
 
 
 def _psd_function_stack(stack: np.ndarray, f: Callable, pseudo: bool = False) -> np.ndarray:

@@ -261,6 +261,26 @@ def _clipped_table(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _table_checks(tables: np.ndarray):
+    """``_clipped_table``'s checks of each table of a (B, n, m) stack, in
+    its order, for ``_raise_first_failure``: finite entries, none below
+    -PROB_CLIP, and a clipped sum within TRACE_TOL of 1."""
+    finite = np.isfinite(tables).all(axis=(1, 2))
+    lowest = tables.min(axis=(1, 2))
+    totals = np.maximum(tables, 0.0).sum(axis=(1, 2))
+    return [
+        (~finite, lambda k: ValidationError("joint probabilities have non-finite entries")),
+        (
+            lowest < -PROB_CLIP,
+            lambda k: ValidationError(f"joint probability {lowest[k]:.3e} below -{PROB_CLIP:.0e}"),
+        ),
+        (
+            np.abs(totals - 1.0) > TRACE_TOL,
+            lambda k: ValidationError(f"joint probabilities sum to {totals[k]:.12g}"),
+        ),
+    ]
+
+
 def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     """Outcome statistics of measuring each ensemble member, one trace row
     per state; ``_joint_distributions`` gives each of many pairs these bits
@@ -375,6 +395,15 @@ def _clipped_information(info: float) -> float:
     if info < -PROB_CLIP:
         raise NumericalFailure(f"mutual information came out {info:.3e}")
     return max(0.0, info)
+
+
+def _information_check(infos: np.ndarray):
+    """``_clipped_information``'s check of each of a (B,) array of mutual
+    informations, for ``_raise_first_failure``."""
+    return (
+        infos < -PROB_CLIP,
+        lambda k: NumericalFailure(f"mutual information came out {infos[k]:.3e}"),
+    )
 
 
 def _with_record(blocks: np.ndarray) -> np.ndarray:

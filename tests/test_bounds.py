@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -462,6 +463,270 @@ class TestAscentStep:
         assert _raised(bounds._ascent_score, self.KETS, weighted, probs) == expected
 
 
+#: The ascent's step functions, as the module defines them.
+_STEPS = {"_normalised": bounds._normalised, "_ascent_score": bounds._ascent_score}
+
+
+def _fire_at(monkeypatch, owner, name, calls, spoil):
+    """Replace ``owner.<name>`` so that its calls numbered ``calls`` (from
+    0) return ``spoil(real, *args)`` and every other call ``real(*args)``."""
+    real = getattr(owner, name)
+    count = itertools.count()
+
+    def patched(*args):
+        return spoil(real, *args) if next(count) in calls else real(*args)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def _skew(real, s):
+    s[0, 1] += 1e-3  # in place, so the S the step records is skewed too
+    return real(s)
+
+
+def _below_zero(real, s):
+    s -= (np.linalg.eigvalsh(s)[0] + 1e-6) * np.eye(len(s))
+    return real(s)
+
+
+def _wrong_vectors(real, a, *args):
+    w, v = real(a, *args)
+    return w, np.broadcast_to(np.eye(a.shape[-1]), v.shape)
+
+
+def _nan_roots(real, x):
+    return np.full_like(x, np.nan)
+
+
+def _inf_roots(real, x):
+    return np.full_like(x, np.inf)
+
+
+def _nan_kets(real, kets, checks):
+    kets = kets.copy()
+    kets[1, 2] = np.nan
+    return real(kets, checks)
+
+
+def _negative_table(real, kets, weighted, probs, checks):
+    return real(kets, weighted - np.eye(len(kets)), probs, checks)
+
+
+def _heavy_table(real, kets, weighted, probs, checks):
+    return real(kets, 1.1 * weighted, probs, checks)
+
+
+def _doubled_priors(real, kets, weighted, probs, checks):
+    return real(kets, weighted, 2.0 * probs, checks)
+
+
+class TestOneStepCallOrder:
+    """A step function called without a record runs each check before the
+    arithmetic that follows it, as the checked calls did."""
+
+    def test_a_failing_decomposition_raises_before_f(self, monkeypatch):
+        def unreached(x):
+            raise AssertionError("f was applied")
+
+        _fire_at(monkeypatch, bounds, "_eigh", {0}, _skew)
+        monkeypatch.setattr(bounds, "_inverse_root", unreached)
+        kets = np.random.default_rng(0).normal(size=(2, 4)) + 0j
+        assert _raised(bounds._normalised, kets)[0] is NotHermitian
+
+    def test_a_failing_table_raises_before_its_log_table(self, monkeypatch):
+        def unreached(x):
+            raise AssertionError("the log table was taken")
+
+        monkeypatch.setattr(np, "log2", unreached)
+        weighted = np.array([np.diag([0.6, 0.0]), np.diag([0.2, 0.3])], dtype=complex)
+        kets, probs = np.eye(2, dtype=complex), np.array([0.6, 0.4])
+        got = _raised(bounds._ascent_score, kets, weighted, probs)
+        assert got == (ValidationError, "joint probabilities sum to 1.1")
+
+
+class TestDeferredStepChecks:
+    """The ascent records each step's checks and runs them stacked, once
+    per ``_STEP_BLOCK`` steps and at the end of a restart; the lowest
+    failing step raises what the one-step call of that step raises (the
+    step's ``_normalised`` or ``_ascent_score`` without a record, on the
+    same inputs, with the same spoil)."""
+
+    CFG = it.OptimizerConfig(method="random_restart_ascent", restarts=1, max_iterations=40, seed=7)
+    STEP = 5
+
+    @pytest.fixture
+    def inputs(self, monkeypatch):
+        """The arguments, without the record, of every call of each step
+        function, in call order."""
+        seen = {name: [] for name in _STEPS}
+        for name, calls in seen.items():
+            kept = 1 if name == "_normalised" else 3
+
+            def recorded(*args, real=getattr(bounds, name), calls=calls, kept=kept):
+                calls.append(args[:kept])
+                return real(*args)
+
+            monkeypatch.setattr(bounds, name, recorded)
+        return seen
+
+    @pytest.fixture
+    def held(self, monkeypatch):
+        """The records held, (S, f(w), tables, I), at each stacked run."""
+        held = []
+        run = bounds._StepChecks.run
+
+        def counted(checks):
+            held.append(tuple(map(len, (checks.s, checks.fw, checks.tables, checks.infos))))
+            run(checks)
+
+        monkeypatch.setattr(bounds._StepChecks, "run", counted)
+        return held
+
+    @pytest.fixture
+    def eager(self, monkeypatch):
+        """Whether each restart run checks its steps as it goes."""
+        eager = []
+        restart = bounds._ascent_restart
+
+        def spy(*args):
+            eager.append(args[-1].eager)
+            return restart(*args)
+
+        monkeypatch.setattr(bounds, "_ascent_restart", spy)
+        return eager
+
+    def ascent_and_one_step(self, monkeypatch, ensemble, inputs, owner, name, spoil, step=None):
+        """(type, message) of the whole ascent with call ``step`` of
+        ``owner.<name>`` spoiled, and of the one-step call of that step."""
+        step = self.STEP if step is None else step
+        _fire_at(monkeypatch, owner, name, {step}, spoil)
+        got = _raised(it.maximize_accessible_information, ensemble, self.CFG)
+        if name in _STEPS:
+            # the recorded arguments are the spoiled ones
+            return got, _raised(_STEPS[name], *inputs[name][step])
+        _fire_at(monkeypatch, owner, name, {0}, spoil)
+        return got, _raised(_STEPS["_normalised"], *inputs["_normalised"][step])
+
+    def test_non_finite_kets(self, monkeypatch, two_state_ensemble, inputs):
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, bounds, "_normalised", _nan_kets
+        )
+        assert got == one == (ValidationError, "matrix has non-finite entries")
+
+    def test_non_hermitian_matrix(self, monkeypatch, two_state_ensemble, inputs):
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, bounds, "_eigh", _skew
+        )
+        assert got == one
+        assert got[0] is NotHermitian and got[1].startswith("matrix deviates from Hermitian by 1.0")
+
+    def test_reconstruction_failure(self, monkeypatch, two_state_ensemble, inputs):
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, np.linalg, "eigh", _wrong_vectors
+        )
+        assert got == one == (NumericalFailure, "eigendecomposition failed reconstruction check")
+
+    def test_negative_eigenvalue(self, monkeypatch, two_state_ensemble, inputs):
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, bounds, "_eigh", _below_zero
+        )
+        assert got == one
+        assert got[0] is NegativeEigenvalue and got[1].startswith("matrix has eigenvalue -")
+
+    def test_non_finite_function(self, monkeypatch, two_state_ensemble, inputs):
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, bounds, "_inverse_root", _nan_roots
+        )
+        assert got == one == (NumericalFailure, "function produced non-finite eigenvalues")
+
+    def test_table_entry_below_the_clip(self, monkeypatch, two_state_ensemble, inputs):
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, bounds, "_ascent_score", _negative_table
+        )
+        assert got == one
+        assert got[0] is ValidationError and got[1].startswith("joint probability -")
+
+    def test_table_sum_off_one(self, monkeypatch, two_state_ensemble, inputs):
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, bounds, "_ascent_score", _heavy_table
+        )
+        assert got == one
+        assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
+
+    def test_information_below_the_clip(self, monkeypatch, two_state_ensemble, inputs):
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, bounds, "_ascent_score", _doubled_priors
+        )
+        assert got == one
+        assert got[0] is NumericalFailure and got[1].startswith("mutual information came out -")
+
+    def test_the_lower_failing_step_wins(self, monkeypatch, two_state_ensemble, inputs):
+        # step 2 fails the last check a step runs, step 5 the first
+        _fire_at(monkeypatch, bounds, "_ascent_score", {2}, _doubled_priors)
+        _fire_at(monkeypatch, bounds, "_eigh", {5}, _skew)
+        got = _raised(it.maximize_accessible_information, two_state_ensemble, self.CFG)
+        assert got == _raised(_STEPS["_ascent_score"], *inputs["_ascent_score"][2])
+        assert got[0] is NumericalFailure
+
+    def test_a_held_failure_wins_over_a_later_non_finite_matrix(
+        self, monkeypatch, two_state_ensemble, inputs
+    ):
+        # a non-finite S raises at once, after the checks held have run
+        _fire_at(monkeypatch, bounds, "_ascent_score", {2}, _heavy_table)
+        _fire_at(monkeypatch, bounds, "_normalised", {5}, _nan_kets)
+        got = _raised(it.maximize_accessible_information, two_state_ensemble, self.CFG)
+        assert got == _raised(_STEPS["_ascent_score"], *inputs["_ascent_score"][2])
+        assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
+
+    @pytest.mark.parametrize("step", [3, 4, 5])
+    def test_a_failure_at_a_block_boundary(
+        self, monkeypatch, two_state_ensemble, inputs, held, step
+    ):
+        # with blocks of 4, step 3 ends the first block and step 4 begins the second
+        monkeypatch.setattr(bounds, "_STEP_BLOCK", 4)
+        got, one = self.ascent_and_one_step(
+            monkeypatch, two_state_ensemble, inputs, bounds, "_ascent_score", _heavy_table, step
+        )
+        assert got == one
+        assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
+        assert held[0] == (4, 4, 4, 4)
+        if step > 3:
+            assert len(held) >= 2  # the first block passed
+
+    def test_steps_held_never_exceed_the_block(self, two_state_ensemble, held):
+        cfg = it.OptimizerConfig(
+            method="random_restart_ascent",
+            restarts=2,
+            max_iterations=400,
+            convergence_tol=1e-300,
+            seed=3,
+        )
+        it.maximize_accessible_information(two_state_ensemble, cfg)
+        steps = sum(counts[0] for counts in held)
+        assert steps > 4 * bounds._STEP_BLOCK
+        assert max(max(counts) for counts in held) == bounds._STEP_BLOCK
+        # the records of each step are held together and dropped together
+        assert all(len(set(counts)) == 1 for counts in held)
+
+    def test_a_warning_after_a_failing_check_reruns_the_restart_checked(
+        self, monkeypatch, two_state_ensemble, inputs, eager
+    ):
+        # an infinite f(w) fails its check; the unchecked step goes on to
+        # multiply infinities by zeros, which numpy would warn about, so the
+        # restart runs again with each step checked and raises, unwarned
+        _fire_at(monkeypatch, bounds, "_inverse_root", range(self.STEP, 10**6), _inf_roots)
+        got = _raised(it.maximize_accessible_information, two_state_ensemble, self.CFG)
+        assert eager == [False, True]
+        assert got == _raised(_STEPS["_normalised"], *inputs["_normalised"][self.STEP])
+        assert got == (NumericalFailure, "function produced non-finite eigenvalues")
+
+    def test_a_passing_run_is_never_rerun(self, two_state_ensemble, eager):
+        it.maximize_accessible_information(two_state_ensemble, it.OptimizerConfig(
+            method="random_restart_ascent", restarts=3, max_iterations=100, seed=11
+        ))
+        assert eager == [False] * 3
+
+
 class TestRandomInstance:
     def test_deterministic_bytes(self):
         e1, v1 = it.random_instance(2, 2, 2, "pure", 42)
@@ -511,7 +776,11 @@ class TestRandomInstance:
         }
         assert flavors == {True, False}
 
-    @pytest.mark.parametrize("seed", [-1, [1, -2], 1.5, True, [1, True], "7", None, [[1, 2]]])
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, [1, -2], 1.5, True, [1, True], "7", None, [[1, 2]]]
+        + [np.array(3), np.array(3.0), np.array([[1, 2]])],
+    )
     def test_rejects_bad_seeds(self, seed):
         with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
             it.random_instance(2, 2, 2, "pure", seed)

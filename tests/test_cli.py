@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import time
 
 import numpy as np
@@ -311,12 +312,19 @@ class TestOptimize:
 
 
 class TestUnwritableOutput:
-    """An output path that cannot be opened for writing exits 2 with the
-    path named, after the run's own report is printed."""
+    """An output path that names a directory or whose directory is missing
+    exits 2 with the path named before any work, printing nothing and
+    creating no file; a path that fails only when written exits 2 after
+    the run's own report is printed."""
 
     @staticmethod
     def unwritable(tmp_path):
-        return [str(tmp_path / "missing" / "out.csv"), str(tmp_path)]
+        (tmp_path / "file").write_text("")
+        return [
+            str(tmp_path / "missing" / "out.csv"),
+            str(tmp_path),
+            str(tmp_path / "file" / "out.csv"),
+        ]
 
     def assert_exits_2(self, argv, path, capsys):
         assert cli.main(argv) == 2
@@ -329,12 +337,12 @@ class TestUnwritableOutput:
         spec = _write(tmp_path, "p.json", _two_state_payload())
         for path in self.unwritable(tmp_path):
             out = self.assert_exits_2(["bounds", "--spec", spec, "--csv", path], path, capsys)
-            assert "I <= chi                 : PASS" in out
+            assert out == ""
 
     def test_suite_csv(self, tmp_path, capsys):
         for path in self.unwritable(tmp_path):
             out = self.assert_exits_2(["suite", "--trials", "3", "--csv", path], path, capsys)
-            assert "trials                   : 3" in out
+            assert out == ""
 
     def test_optimize_out(self, tmp_path, capsys):
         spec = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
@@ -342,8 +350,41 @@ class TestUnwritableOutput:
         for path in self.unwritable(tmp_path):
             argv = ["optimize", "--spec", spec, "--out", path, "--csv", str(csv)]
             out = self.assert_exits_2(argv, path, capsys)
-            assert "best I found" in out and "written" not in out
+            assert out == ""
             assert not csv.exists()
+
+    def test_the_messages_are_the_write_time_messages(self, tmp_path):
+        for path in self.unwritable(tmp_path):
+            with pytest.raises(it.ToolkitError) as early:
+                cli._check_output_path(path)
+            with pytest.raises(it.ToolkitError) as late:
+                cli._write_text(path, "x")
+            assert str(early.value) == str(late.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_a_largest_suite_exits_2_at_once(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x.csv")
+        start = time.perf_counter()
+        self.assert_exits_2(["suite", "--trials", "39556", "--csv", path], path, capsys)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_long_ascent_exits_2_at_once(self, tmp_path, capsys):
+        spec = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
+        path = str(tmp_path / "missing" / "povm.json")
+        argv = [
+            "optimize", "--spec", spec, "--method", "random_restart_ascent",
+            "--restarts", "200", "--out", path,
+        ]
+        start = time.perf_counter()
+        self.assert_exits_2(argv, path, capsys)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_a_failed_write_exits_2_after_the_report(self, capsys):
+        # /dev/full opens, and every write to it fails
+        argv = ["suite", "--trials", "3", "--csv", "/dev/full"]
+        out = self.assert_exits_2(argv, "/dev/full", capsys)
+        assert "trials                   : 3" in out
 
 
 class TestOptimizeRuntime:

@@ -1,10 +1,11 @@
 """The stacked validators against the single-object calls they replace.
 
 ``DensityMatrix``, ``Povm`` and ``psd_function`` are the one-item case of
-``_density_eigenvalues``, ``_povm_flags`` and ``_psd_function_stack``.  A
-stack must give each item exactly what the single call gives it, and a stack
-with a failing item must raise what the single call raises for the
-lowest-index failing item.
+``_density_eigenvalues``, ``_povm_flags`` and ``_psd_function_stack``, and
+``_clipped_table`` and ``_clipped_information`` that of ``_table_checks``
+and ``_information_check``.  A stack must give each item exactly what the
+single call gives it, and a stack with a failing item must raise what the
+single call raises for the lowest-index failing item.
 """
 import numpy as np
 import numpy.testing as npt
@@ -189,3 +190,65 @@ class TestPsdFunctionStack:
             out = linops._psd_function_stack(np.stack(group), np.sqrt, pseudo)
             for m, got in zip(group, out):
                 npt.assert_array_equal(got, it.psd_function(m, np.sqrt, pseudo))
+
+
+def _table(entries):
+    """A (4, 25) table of ``entries`` (repeated to fill it) scaled to sum
+    to 1 over its nonnegative entries, so that each bad table below fails
+    one check only."""
+    t = np.resize(np.asarray(entries, dtype=float), (4, 25))
+    return t / np.maximum(t, 0.0).sum()
+
+
+class TestTableChecks:
+    """``_table_checks`` and ``_information_check`` on a stack, through
+    ``_raise_first_failure``, against ``_clipped_table`` and
+    ``_clipped_information`` on each item."""
+
+    BAD = {
+        "nan": np.where(np.arange(100).reshape(4, 25) == 3, np.nan, _table([1.0])),
+        # also below the clip, which is checked after finiteness
+        "-inf": np.where(np.arange(100).reshape(4, 25) == 7, -np.inf, _table([1.0])),
+        "below the clip": _table([1.0, 2.0, -1e-6]),
+        # 50 entries at -PROB_CLIP pass the floor and leave the unclipped
+        # sum 5e-11 below the clipped one, which the message shows
+        "sum off one": np.where(_table([1.0, -1.0]) < 0, -1e-12, 1.1 * _table([1.0, -1.0])),
+    }
+
+    @staticmethod
+    def stacked(items):
+        linops._raise_first_failure(measurement._table_checks(np.stack(items)))
+
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_lowest_failing_item_raises_its_single_error(self, index, bad):
+        items = [_table(np.arange(1.0, 8.0 + seed)) for seed in range(4)]
+        items[index] = self.BAD[bad]
+        assert_stack_raises_like_the_item(self.stacked, measurement._clipped_table, items, index)
+
+    def test_a_later_check_on_a_lower_item_wins(self):
+        items = [_table(np.arange(1.0, 8.0 + seed)) for seed in range(4)]
+        items[1], items[2] = self.BAD["sum off one"], self.BAD["nan"]
+        assert_stack_raises_like_the_item(self.stacked, measurement._clipped_table, items, 1)
+
+    def test_each_bad_table_fails_its_own_check(self):
+        messages = {
+            name: single_error(measurement._clipped_table, t)[1] for name, t in self.BAD.items()
+        }
+        assert messages["nan"] == "joint probabilities have non-finite entries"
+        assert messages["-inf"] == "joint probabilities have non-finite entries"
+        assert messages["below the clip"].startswith("joint probability -")
+        assert messages["sum off one"] == "joint probabilities sum to 1.1"
+
+    def test_passing_tables_raise_nothing(self):
+        self.stacked([_table([1.0, 0.0, -1e-12, 3.0]), _table(np.arange(1.0, 9.0))])
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_information_below_the_clip(self, index):
+        infos = np.array([0.5, -5e-13, 0.25])
+        infos[index] = -0.125
+
+        def stacked(items):
+            linops._raise_first_failure([measurement._information_check(np.array(items))])
+
+        assert_stack_raises_like_the_item(stacked, measurement._clipped_information, infos, index)
