@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
-from .linops import BOUND_TOL, PSD_EPSILON, psd_function
+from .linops import BOUND_TOL, PSD_EPSILON, _require_int, psd_function
 from .measurement import Povm, _analyse, _povms
 from .quantum import DensityMatrix, Ensemble, _density_matrices, average_state
 
@@ -57,6 +57,7 @@ def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:
     Each extra letter is one broadcast outer product over the whole stack,
     and the finished stack gets one stacked density check.
     """
+    _require_int("m", m)
     if m < 1:
         raise ValidationError(f"block length must be at least 1, got {m}")
     _check_caps(e.size, e.dim, m)
@@ -139,6 +140,7 @@ def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
     here.  The first length that fails ``_check_caps`` raises
     ``BudgetExceeded`` before any analysis.
     """
+    _require_int("m_max", m_max)
     if m_max < 1:
         raise ValidationError(f"m_max must be at least 1, got {m_max}")
     for m in range(1, m_max + 1):

@@ -25,6 +25,7 @@ from .linops import (
     _psd_function_stack,
     _raise_first_failure,
     _require_finite,
+    _require_int,
     _segments,
 )
 from .measurement import (
@@ -127,9 +128,7 @@ class OptimizerConfig:
         if self.method not in METHODS:
             raise ValidationError(f"unknown optimizer method {self.method!r}")
         for name in ("grid_points", "restarts", "max_iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, getattr(self, name))
         if self.grid_points < 2:
             raise ValidationError("grid_points must be at least 2")
         if self.grid_points > GRID_CAP:
@@ -609,6 +608,8 @@ def random_instance(
     ``np.random.default_rng``.  This is the one-instance case of
     ``_random_instances``.
     """
+    for name, value in (("dim", dim), ("n_states", n_states), ("m_outcomes", m_outcomes)):
+        _require_int(name, value)
     if dim < 2:
         raise ValidationError("dimension must be at least 2")
     if n_states < 1:

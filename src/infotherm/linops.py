@@ -4,6 +4,11 @@ Everything downstream (states, measurements, bounds, ledgers) funnels its
 matrix work through the three operations here, so tolerances and phase
 conventions are decided once, in this file: the table below holds every
 threshold that a check anywhere in the package compares against.
+
+Each check is written once, in its stacked form: it flags every item of a
+stack, and ``_raise_first_failure`` raises for the lowest failing item.  A
+call on one item, such as ``psd_function`` or ``hermitian_eig``, is the
+stack of one.
 """
 from __future__ import annotations
 
@@ -56,6 +61,12 @@ def _require_finite(a: np.ndarray) -> None:
     does."""
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
+
+
+def _require_int(name: str, value) -> None:
+    """Raise ``ValidationError`` unless ``value`` is an int, numpy's too, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def max_abs(a) -> float:
@@ -134,14 +145,6 @@ def _raise_first_failure(checks) -> None:
                 raise error(k)
 
 
-def _raise_failure(checks) -> None:
-    """``_raise_first_failure`` for one item, whose checks hold 0-d flags
-    and values: the first failing check raises."""
-    for bad, error in checks:
-        if bad:
-            raise error(())
-
-
 def _segments(a, counts) -> list:
     """Consecutive slices of ``a`` along its first axis, of ``counts`` items
     each: views of an array, or slices of a list or tuple."""
@@ -159,24 +162,20 @@ def _eigh(stack: np.ndarray):
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
-def _eigh_checks(stack: np.ndarray):
-    """``_eigh`` of a finite (..., d, d) array with ``_decomposition_checks``
-    of it."""
-    w, v = _eigh(stack)
-    return w, v, _decomposition_checks(stack, w, v)
-
-
 def _decomposition_checks(stack: np.ndarray, w: np.ndarray, v: np.ndarray):
     """The hermiticity and reconstruction checks of the eigenvalues ``w``
-    and eigenvectors ``v`` of each matrix of a (..., d, d) array: for
-    ``_raise_first_failure`` on a (B, d, d) stack, for ``_raise_failure``
-    on one (d, d) matrix."""
+    and eigenvectors ``v`` of each matrix of a (B, d, d) stack, for
+    ``_raise_first_failure``."""
     asym = _asymmetry(stack)
-    # Postcondition check; the tolerance is absolute, so scale it for
-    # matrices with entries far above unit size.
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    # Postcondition check, its absolute tolerance scaled up for entries far
+    # above unit size; a scale is at least 1, so only a residual past the
+    # bare tolerance needs one.
     reconstructed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     residual = np.abs(reconstructed - stack).max(axis=(-2, -1))
+    inexact = residual > RECONSTRUCTION_TOL
+    if np.count_nonzero(inexact):
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+        inexact &= residual > RECONSTRUCTION_TOL * scale
     return [
         (
             asym > HERMITICITY_TOL,
@@ -186,15 +185,15 @@ def _decomposition_checks(stack: np.ndarray, w: np.ndarray, v: np.ndarray):
             ),
         ),
         (
-            residual > RECONSTRUCTION_TOL * scale,
+            inexact,
             lambda k: NumericalFailure("eigendecomposition failed reconstruction check"),
         ),
     ]
 
 
 def _eigenvalue_floor_check(w: np.ndarray):
-    """The check that no eigenvalue of ``w`` (ascending, (..., d)) lies
-    below -PSD_TOL, as ``_eigh_checks`` gives its checks."""
+    """The check that no eigenvalue of ``w`` (ascending, (B, d)) lies
+    below -PSD_TOL, as ``_decomposition_checks`` gives its checks."""
     lowest = w[..., 0]
     return (
         lowest < -PSD_TOL,
@@ -205,10 +204,10 @@ def _eigenvalue_floor_check(w: np.ndarray):
 
 
 def _finite_function_check(fw: np.ndarray):
-    """The check that a function of the eigenvalues, ``fw`` ((..., d)),
-    came out finite, as ``_eigh_checks`` gives its checks."""
+    """The check that a function of the eigenvalues, ``fw`` ((B, d)),
+    came out finite, as ``_decomposition_checks`` gives its checks."""
     return (
-        ~np.isfinite(fw).all(axis=-1),
+        ~np.logical_and.reduce(np.isfinite(fw), axis=-1),
         lambda k: NumericalFailure("function produced non-finite eigenvalues"),
     )
 
@@ -221,8 +220,9 @@ def hermitian_eig(m) -> HermitianEigen:
     and a reconstruction check so a silently wrong decomposition can never
     leak downstream.
     """
-    w, v, checks = _eigh_checks(as_complex_matrix(m)[None])
-    _raise_first_failure(checks)
+    a = as_complex_matrix(m)[None]
+    w, v = _eigh(a)
+    _raise_first_failure(_decomposition_checks(a, w, v))
     return HermitianEigen(w[0], _fix_phases(v[0]))
 
 
@@ -243,54 +243,44 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
     applied; anything more negative raises ``NegativeEigenvalue``.  With
     ``pseudo=True`` the function only acts on the support (eigenvalues above
     ``PSD_EPSILON``) and the kernel maps to zero, which is how the pseudo
-    inverse square root used by the measurement code is built.  The
+    inverse square root used by the measurement code is built.  ``f`` must
+    act elementwise; it sees one 1-D array of eigenvalues.  The
     eigenvectors never leave this function, so their phases are not fixed.
-    ``_psd_function_stack`` gives each matrix of a stack these bits.
+    This is the one-matrix case of ``_psd_function_stack``.
     """
-    a = as_complex_matrix(m)
-    w, v, checks = _eigh_checks(a)
-    checks.append(_eigenvalue_floor_check(w))
-    _raise_failure(checks)
-    fw = _eigenvalue_function(w, f, pseudo)
-    _raise_failure([_finite_function_check(fw)])
-    return (v * fw) @ v.conj().T
+    return _psd_function_stack(as_complex_matrix(m)[None], f, pseudo)[0]
 
 
-def _eigenvalue_function(w: np.ndarray, f: Callable, pseudo: bool) -> np.ndarray:
-    """``f`` of the eigenvalues ``w`` (one matrix's, (d,)) clipped at zero,
-    as ``psd_function`` applies it: with ``pseudo``, only on the support,
-    and zero on the kernel."""
+def _eigenvalue_function(w: np.ndarray, f: Callable, pseudo: bool, skip=None) -> np.ndarray:
+    """``f`` of the eigenvalues ``w`` (1-D) clipped at zero, as
+    ``psd_function`` applies it: with ``pseudo``, zero on the kernel, and
+    zero where ``skip`` (bools like ``w``) flags an item that already
+    failed.  ``f`` is called once, on ``w`` or on the entries kept."""
     w = np.maximum(w, 0.0)
-    if not pseudo:
+    drop = skip
+    if pseudo:
+        kernel = w <= PSD_EPSILON
+        drop = kernel if skip is None else kernel | skip
+    if drop is None or not np.count_nonzero(drop):
         return np.asarray(f(w), dtype=float)
-    mask = w > PSD_EPSILON
-    support = np.count_nonzero(mask)
-    if support == len(w):  # the support is the whole spectrum: f(w) is f(w[mask])
-        return np.asarray(f(w), dtype=float)
+    keep = ~drop
     fw = np.zeros(w.shape)
-    if support:
-        fw[mask] = np.asarray(f(w[mask]), dtype=float)
+    if np.count_nonzero(keep):
+        fw[keep] = np.asarray(f(w[keep]), dtype=float)
     return fw
 
 
 def _psd_function_stack(stack: np.ndarray, f: Callable, pseudo: bool = False) -> np.ndarray:
     """``psd_function`` of each matrix of a finite complex (B, d, d) stack,
-    to the last bit, with one batched eigensolve.  ``f`` must act
-    elementwise.  The lowest-index item that fails a check raises the error
-    ``psd_function`` raises for it alone."""
-    w, v, checks = _eigh_checks(stack)
-    checks.append(_eigenvalue_floor_check(w))
-    w = np.maximum(w, 0.0)
-    fw = np.zeros_like(w)
-    mask = (w > PSD_EPSILON) if pseudo else np.ones_like(w, dtype=bool)
+    with one batched eigensolve.  The lowest-index item that fails a check
+    raises the error ``psd_function`` raises for it alone; ``f`` never
+    sees the eigenvalues of an item that failed the checks before it."""
+    w, v = _eigh(stack)
+    checks = _decomposition_checks(stack, w, v) + [_eigenvalue_floor_check(w)]
     failed = [bad for bad, _ in checks if np.count_nonzero(bad)]
-    if failed:
-        # f only sees the items that passed the checks so far, as in the
-        # one-matrix case, where a failed check raises before f runs.
-        mask &= ~np.logical_or.reduce(failed)[:, None]
-    if np.any(mask):
-        fw[mask] = np.asarray(f(w[mask]), dtype=float)
-    finite = _finite_function_check(fw)
-    if failed or np.count_nonzero(finite[0]):
-        _raise_first_failure(checks + [finite])
+    skip = np.repeat(np.logical_or.reduce(failed), w.shape[1]) if failed else None
+    fw = _eigenvalue_function(w.reshape(-1), f, pseudo, skip).reshape(w.shape)
+    checks.append(_finite_function_check(fw))
+    if failed or np.count_nonzero(checks[-1][0]):
+        _raise_first_failure(checks)
     return (v * fw[:, None, :]) @ v.conj().swapaxes(1, 2)

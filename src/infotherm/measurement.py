@@ -5,6 +5,10 @@ post-measurement (dephased) state, the entropy increase it carries, and the
 explicit record/memory constructions: Naimark dilation of a general POVM
 into a projective measurement on a larger space, and the measure-then-reset
 pipeline for a memory that stores the outcome.
+
+The checks of joint tables, of mutual informations and of record spectra
+are each written once, stacked, as ``linops`` writes its own: a one-pair
+call feeds the same check builders its own figures as a stack of one.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .linops import (
     _asymmetry,
     _psd_function_stack,
     _raise_first_failure,
+    _require_int,
     _segments,
     as_complex_matrix,
     max_abs,
@@ -42,6 +47,7 @@ from .quantum import (
     DensityMatrix,
     Ensemble,
     _chi,
+    _density_checks,
     _density_eigenvalues,
     _entropies,
     _entropy_of_spectrum,
@@ -179,14 +185,20 @@ def _povms(stack: np.ndarray, counts, declared) -> list[Povm]:
 def basis_measurement(unitary, blocks: Sequence[Sequence[int]] | None = None) -> Povm:
     """Projective measurement built from the columns of a unitary.
 
-    With ``blocks`` the columns are grouped into coarse-grained projectors;
-    by default each column becomes its own rank-1 projector.  This is the
+    With ``blocks`` the columns are grouped into coarse-grained projectors,
+    each column index an integer in [0, d); by default each column becomes
+    its own rank-1 projector.  This is the
     one-unitary case of ``_check_unitaries`` and ``_block_projectors``.
     """
     u = as_complex_matrix(unitary)[None]
     _check_unitaries(u)
+    d = u.shape[1]
     if blocks is None:
-        blocks = [[j] for j in range(u.shape[1])]
+        blocks = [[j] for j in range(d)]
+    for j in (j for block in blocks for j in block):
+        _require_int("block index", j)
+        if not 0 <= j < d:
+            raise ValidationError(f"block index {j} is outside [0, {d})")
     return Povm(tuple(_block_projectors(u, blocks)[0]), projective=True)
 
 
@@ -246,28 +258,25 @@ class JointDistribution:
 
 def _clipped_table(p: np.ndarray) -> np.ndarray:
     """A float table with ``JointDistribution``'s checks, in its order: two
-    axes, finite entries, none below -PROB_CLIP, and a sum within TRACE_TOL
-    of 1 once entries below zero are clipped to zero.  Returns the clipped
-    table."""
+    axes, then ``_table_checks``.  Returns the clipped table."""
     if p.ndim != 2 or p.size == 0:
         raise ValidationError(f"expected a 2-d table, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValidationError("joint probabilities have non-finite entries")
-    if p.min() < -PROB_CLIP:
-        raise ValidationError(f"joint probability {p.min():.3e} below -{PROB_CLIP:.0e}")
-    p = np.maximum(p, 0.0)
-    if abs(p.sum() - 1.0) > TRACE_TOL:
-        raise ValidationError(f"joint probabilities sum to {p.sum():.12g}")
-    return p
+    _raise_first_failure(_table_checks(p[None]))
+    return np.maximum(p, 0.0)
 
 
 def _table_checks(tables: np.ndarray):
-    """``_clipped_table``'s checks of each table of a (B, n, m) stack, in
-    its order, for ``_raise_first_failure``: finite entries, none below
-    -PROB_CLIP, and a clipped sum within TRACE_TOL of 1."""
-    finite = np.isfinite(tables).all(axis=(1, 2))
-    lowest = tables.min(axis=(1, 2))
-    totals = np.maximum(tables, 0.0).sum(axis=(1, 2))
+    """``JointDistribution``'s checks of each table of a (B, n, m) stack,
+    for ``_raise_first_failure``: ``_joint_checks`` of its own figures."""
+    flat = tables.reshape(len(tables), -1)
+    finite = np.logical_and.reduce(np.isfinite(flat), axis=1)
+    return _joint_checks(finite, flat.min(axis=1), np.maximum(flat, 0.0).sum(axis=1))
+
+
+def _joint_checks(finite: np.ndarray, lowest: np.ndarray, totals: np.ndarray):
+    """``JointDistribution``'s checks of B tables, for ``_raise_first_failure``,
+    from whether each has finite entries only, its lowest entry and its sum
+    with entries below zero clipped to zero (within TRACE_TOL of 1)."""
     return [
         (~finite, lambda k: ValidationError("joint probabilities have non-finite entries")),
         (
@@ -281,17 +290,32 @@ def _table_checks(tables: np.ndarray):
     ]
 
 
+def _drift_check(drift: np.ndarray):
+    """The check that each of B tables' rows sum to its priors within TRACE_TOL."""
+    return (
+        drift > TRACE_TOL,
+        lambda k: NumericalFailure("joint distribution rows do not reproduce the priors"),
+    )
+
+
+def _require_same_dim(what: str, dim: int, v: Povm) -> None:
+    """Raise ``DimensionMismatch`` unless a ``what`` of dimension ``dim`` fits ``v``."""
+    if dim != v.dim:
+        raise DimensionMismatch(f"{what} dim {dim} vs measurement dim {v.dim}")
+
+
 def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     """Outcome statistics of measuring each ensemble member, one trace row
     per state; ``_joint_distributions`` gives each of many pairs these bits
     and errors."""
-    if e.dim != v.dim:
-        raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
-    traces = np.array([np.trace(v._stack @ s.matrix, axis1=1, axis2=2).real for s in e.states])
-    jd = JointDistribution(e.probs[:, None] * traces)
-    if max_abs(jd.priors - e.probs) > TRACE_TOL:
-        raise NumericalFailure("joint distribution rows do not reproduce the priors")
-    return jd
+    _require_same_dim("ensemble", e.dim, v)
+    states = np.stack([s.matrix for s in e.states])
+    raw = e.probs[:, None] * np.trace(v._stack @ states[:, None], axis1=2, axis2=3).real
+    table = np.maximum(raw, 0.0)
+    drift = np.abs(table.sum(axis=1) - e.probs).max(keepdims=True)
+    _raise_first_failure(_table_checks(raw[None]) + [_drift_check(drift)])
+    table.setflags(write=False)
+    return JointDistribution._checked(table)
 
 
 def _joint_distributions(pairs):
@@ -309,8 +333,7 @@ def _joint_distributions(pairs):
     for it alone.  Returns (tables, row sums, column sums), three lists in
     pair order, and the (K, d, d) stack of average states."""
     for e, v in pairs:
-        if e.dim != v.dim:
-            raise DimensionMismatch(f"ensemble dim {e.dim} vs measurement dim {v.dim}")
+        _require_same_dim("ensemble", e.dim, v)
     sizes = np.array([e.size for e, _ in pairs])
     counts = np.array([v.size for _, v in pairs])
     starts = np.cumsum(counts) - counts
@@ -339,34 +362,15 @@ def _joint_distributions(pairs):
         t.setflags(write=False)
     row_sums = [t.sum(axis=1) for t in tables]
     col_sums = [t.sum(axis=0) for t in tables]
-    totals = np.array([c.sum() for c in col_sums])
+    totals = np.array([t.sum() for t in tables])
     drift = np.maximum.reduceat(np.abs(np.concatenate(row_sums) - probs[:-1]), first)
-    _raise_first_failure(
-        [
-            (~finite, lambda k: ValidationError("joint probabilities have non-finite entries")),
-            (
-                lowest < -PROB_CLIP,
-                lambda k: ValidationError(
-                    f"joint probability {lowest[k]:.3e} below -{PROB_CLIP:.0e}"
-                ),
-            ),
-            (
-                np.abs(totals - 1.0) > TRACE_TOL,
-                lambda k: ValidationError(f"joint probabilities sum to {tables[k].sum():.12g}"),
-            ),
-            (
-                drift > TRACE_TOL,
-                lambda k: NumericalFailure("joint distribution rows do not reproduce the priors"),
-            ),
-        ]
-    )
+    _raise_first_failure(_joint_checks(finite, lowest, totals) + [_drift_check(drift)])
     return [JointDistribution._checked(t) for t in tables], row_sums, col_sums, averages
 
 
 def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
     """Outcome probabilities tr(E_j rho) for a single state."""
-    if r.dim != v.dim:
-        raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
+    _require_same_dim("state", r.dim, v)
     q = np.trace(v._stack @ r.matrix, axis1=1, axis2=2).real
     q = np.clip(q, 0.0, None)
     if abs(q.sum() - 1.0) > TRACE_TOL:
@@ -377,29 +381,23 @@ def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
 def mutual_information(j: JointDistribution) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits, clipped to be nonnegative."""
     p = j.matrix
-    return _information(
-        _entropy_of_spectrum(p.sum(axis=1)),
-        _entropy_of_spectrum(p.sum(axis=0)),
-        _entropy_of_spectrum(p.reshape(-1)),
+    return _clipped_information(
+        _entropy_of_spectrum(p.sum(axis=1))
+        + _entropy_of_spectrum(p.sum(axis=0))
+        - _entropy_of_spectrum(p.reshape(-1))
     )
-
-
-def _information(h_a: float, h_b: float, h_ab: float) -> float:
-    """``mutual_information`` from the three entropies of its table."""
-    return _clipped_information(h_a + h_b - h_ab)
 
 
 def _clipped_information(info: float) -> float:
     """A mutual information a hair below zero clipped to zero; below
-    -PROB_CLIP it raises."""
-    if info < -PROB_CLIP:
-        raise NumericalFailure(f"mutual information came out {info:.3e}")
+    -PROB_CLIP it raises: ``_information_check`` of one value."""
+    _raise_first_failure([_information_check(np.array([info]))])
     return max(0.0, info)
 
 
 def _information_check(infos: np.ndarray):
-    """``_clipped_information``'s check of each of a (B,) array of mutual
-    informations, for ``_raise_first_failure``."""
+    """The check of each of a (B,) array of mutual informations, for
+    ``_raise_first_failure``: none is below -PROB_CLIP."""
     return (
         infos < -PROB_CLIP,
         lambda k: NumericalFailure(f"mutual information came out {infos[k]:.3e}"),
@@ -439,8 +437,7 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
     sum_j (sqrt(E_j) rho sqrt(E_j)) (x) |j><j| on the system-record space
     of dimension dim * n_outcomes.
     """
-    if r.dim != v.dim:
-        raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
+    _require_same_dim("state", r.dim, v)
     if v.projective:
         return DensityMatrix(_dephased_matrix(r.matrix, v))
     roots = _psd_function_stack(v._stack, np.sqrt)
@@ -450,8 +447,7 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
 def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     """Eigenvalues of ``post_measurement_state(r, v)``, ascending, clipped
     to be nonnegative, without building the system-record state."""
-    if r.dim != v.dim:
-        raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
+    _require_same_dim("state", r.dim, v)
     return _post_measurement_spectra(r.matrix[None], [v])[0]
 
 
@@ -466,8 +462,10 @@ def _post_measurement_spectra(rhos: np.ndarray, povms) -> list[np.ndarray]:
     printed digits.  General case: the record state is block diagonal with
     blocks A_j A_j^+, where A_j = sqrt(E_j) sqrt(rho); each block shares its
     spectrum with A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so the d*m
-    eigenvalues are the union of m d x d spectra.  The union gets the PSD
-    and unit-trace checks that ``DensityMatrix`` would give the record state.
+    eigenvalues are the union of m d x d spectra.  The unions get the
+    unit-trace and PSD checks that ``DensityMatrix`` would give the record
+    states, in its order and stacked: the lowest-index failing general pair
+    raises.
     """
     out = [None] * len(povms)
     projective = [i for i, v in enumerate(povms) if v.projective]
@@ -481,15 +479,10 @@ def _post_measurement_spectra(rhos: np.ndarray, povms) -> list[np.ndarray]:
         blocks = [root @ povms[i]._stack @ root for i, root in zip(general, roots)]
         spectra = np.linalg.eigvalsh(np.concatenate(blocks))
         counts = [povms[i].size for i in general]
-        for i, segment in zip(general, _segments(spectra, counts)):
-            w = np.sort(segment.reshape(-1))
-            if w[0] < -PSD_TOL:
-                raise ValidationError(
-                    f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
-                )
-            total = w.sum()
-            if abs(total - 1.0) > TRACE_TOL:
-                raise ValidationError(f"density matrix has trace {total:.12g}, expected 1")
+        unions = [np.sort(segment.reshape(-1)) for segment in _segments(spectra, counts)]
+        traces = np.array([w.sum() for w in unions])
+        _raise_first_failure(_density_checks(traces, np.array([w[0] for w in unions])))
+        for i, w in zip(general, unions):
             out[i] = np.maximum(w, 0.0)
     return out
 
@@ -576,7 +569,9 @@ def _analyse_pairs(pairs) -> list[_Analysis]:
         ),
         [len(pairs)] * 5 + sizes,
     )
-    infos = [_information(*h) for h in zip(h_a, h_b, h_ab)]
+    infos = np.add(h_a, h_b) - h_ab
+    _raise_first_failure([_information_check(infos)])
+    infos = [max(0.0, info) for info in infos.tolist()]
     out = []
     for k, (e, member_spectra) in enumerate(zip(ensembles, _segments(members, sizes))):
         chi = _chi(e.probs, s_rho[k], h_members[k])
@@ -626,8 +621,7 @@ def demon_record_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
     """
     if not v.projective:
         raise NotProjective("recording requires a projective measurement")
-    if r.dim != v.dim:
-        raise DimensionMismatch(f"state dim {r.dim} vs measurement dim {v.dim}")
+    _require_same_dim("state", r.dim, v)
     return DensityMatrix(_with_record(v._stack @ r.matrix @ v._stack))
 
 

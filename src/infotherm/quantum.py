@@ -19,6 +19,8 @@ from .linops import (
     TRACE_TOL,
     _asymmetry,
     _raise_first_failure,
+    _require_finite,
+    _require_int,
     _segments,
     as_complex_matrix,
     hermitian_eig,
@@ -59,34 +61,35 @@ def _entropies(vectors) -> list[float]:
 def _density_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of each matrix of a finite complex (B, d, d)
     stack, from one batched ``eigvalsh``, once each matrix has passed the
-    density-matrix checks: Hermitian, unit trace, PSD.  The lowest-index
-    failing item raises the error ``DensityMatrix`` raises for it alone."""
+    density-matrix checks: Hermitian, then ``_density_checks``.  The
+    lowest-index failing item raises the error ``DensityMatrix`` raises for
+    it alone."""
     asym = _asymmetry(stack)
-    traces = np.trace(stack, axis1=1, axis2=2)
     w = np.linalg.eigvalsh(stack)
-    _raise_first_failure(
-        [
-            (
-                asym > HERMITICITY_TOL,
-                lambda k: ValidationError(
-                    f"density matrix deviates from Hermitian by {asym[k]:.3e}"
-                ),
-            ),
-            (
-                np.abs(traces - 1.0) > TRACE_TOL,
-                lambda k: ValidationError(
-                    f"density matrix has trace {traces[k]:.12g}, expected 1"
-                ),
-            ),
-            (
-                w[:, 0] < -PSD_TOL,
-                lambda k: ValidationError(
-                    f"density matrix has eigenvalue {w[k, 0]:.3e} below -{PSD_TOL:.1e}"
-                ),
-            ),
-        ]
+    hermitian = (
+        asym > HERMITICITY_TOL,
+        lambda k: ValidationError(f"density matrix deviates from Hermitian by {asym[k]:.3e}"),
     )
+    _raise_first_failure([hermitian] + _density_checks(np.trace(stack, axis1=1, axis2=2), w[:, 0]))
     return w
+
+
+def _density_checks(traces: np.ndarray, lowest: np.ndarray):
+    """The unit-trace and PSD checks of B density matrices, in
+    ``DensityMatrix``'s order, for ``_raise_first_failure``, from each
+    one's trace and lowest eigenvalue."""
+    return [
+        (
+            np.abs(traces - 1.0) > TRACE_TOL,
+            lambda k: ValidationError(f"density matrix has trace {traces[k]:.12g}, expected 1"),
+        ),
+        (
+            lowest < -PSD_TOL,
+            lambda k: ValidationError(
+                f"density matrix has eigenvalue {lowest[k]:.3e} below -{PSD_TOL:.1e}"
+            ),
+        ),
+    ]
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,7 @@ def _density_matrices(stack: np.ndarray) -> tuple[DensityMatrix, ...]:
 def pure_state(amplitudes) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| from a (not necessarily normalized) ket."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    _require_finite(psi)
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ValidationError("zero vector cannot be normalized to a state")
@@ -145,6 +149,9 @@ def pure_state(amplitudes) -> DensityMatrix:
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
+    _require_int("dim", dim)
+    if dim < 1:
+        raise ValidationError(f"dim must be at least 1, got {dim}")
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 

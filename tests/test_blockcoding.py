@@ -88,6 +88,16 @@ class TestSequenceEnsemble:
             it.sequence_ensemble(e, m)
         assert str(caught.value) == f"sequence count {power} exceeds the cap 4096"
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True])
+    def test_rejects_a_length_that_is_not_an_integer(self, two_state_ensemble, m):
+        with pytest.raises(ValidationError, match="^m must be an integer, got "):
+            blockcoding.sequence_ensemble(two_state_ensemble, m)
+
+    @pytest.mark.parametrize("m_max", [2.5, 2.0, True])
+    def test_block_scan_rejects_a_length_that_is_not_an_integer(self, two_state_ensemble, m_max):
+        with pytest.raises(ValidationError, match="^m_max must be an integer, got "):
+            blockcoding.block_scan(two_state_ensemble, m_max)
+
     def test_rejects_zero_length(self, two_state_ensemble):
         with pytest.raises(ValidationError):
             it.sequence_ensemble(two_state_ensemble, 0)

@@ -728,6 +728,26 @@ class TestDeferredStepChecks:
 
 
 class TestRandomInstance:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2.0, 2, 2), "dim must be an integer, got 2.0"),
+            ((2, True, 2), "n_states must be an integer, got True"),
+            ((2, 2, 2.5), "m_outcomes must be an integer, got 2.5"),
+            ((True, 2, 2), "dim must be an integer, got True"),
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers(self, args, message):
+        with pytest.raises(ValidationError) as info:
+            it.random_instance(*args, "pure", 0)
+        assert str(info.value) == message
+
+    def test_accepts_numpy_integer_counts(self):
+        e, v = it.random_instance(np.int64(2), np.int64(2), np.int64(2), "pure", 42)
+        e2, v2 = it.random_instance(2, 2, 2, "pure", 42)
+        assert e.probs.tobytes() == e2.probs.tobytes()
+        assert v._stack.tobytes() == v2._stack.tobytes()
+
     def test_deterministic_bytes(self):
         e1, v1 = it.random_instance(2, 2, 2, "pure", 42)
         e2, v2 = it.random_instance(2, 2, 2, "pure", 42)

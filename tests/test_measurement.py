@@ -96,6 +96,25 @@ class TestBasisMeasurement:
         assert v.size == 2 and v.projective
         npt.assert_allclose(v.elements[0], np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            (-1, "block index -1 is outside [0, 2)"),
+            (5, "block index 5 is outside [0, 2)"),
+            (1.0, "block index must be an integer, got 1.0"),
+            (True, "block index must be an integer, got True"),
+        ],
+    )
+    def test_refuses_a_block_index_outside_the_columns(self, index, message):
+        # -1 used to wrap to the last column, 5 and 1.0 to raise IndexError
+        with pytest.raises(ValidationError) as info:
+            it.basis_measurement(np.eye(2), blocks=[[0], [index]])
+        assert str(info.value) == message
+
+    def test_accepts_numpy_integer_indices(self):
+        v = it.basis_measurement(np.eye(2), blocks=[[np.int64(0)], [np.int32(1)]])
+        npt.assert_array_equal(v.elements[1], np.diag([0.0, 1.0]))
+
 
 class TestJointDistribution:
     def test_orthogonal_diagonal(self, orthogonal_ensemble, computational_basis):
@@ -316,6 +335,38 @@ class TestPostMeasurementSpectrum:
         rho = random_density(3, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch):
             _post_measurement_spectrum(rho, trine_povm())
+
+    def test_union_trace_check_is_reached(self):
+        # completeness within POVM_SUM_TOL, union trace off by more than TRACE_TOL
+        v = it.Povm([0.5 * (1 + 4e-9) * np.eye(2)] * 2)
+        assert not v.projective
+        rho = it.average_state(
+            it.Ensemble([0.5, 0.5], [it.pure_state([1, 0]), it.pure_state([1, 1])])
+        )
+        with pytest.raises(ValidationError) as info:
+            it.delta_s(rho, v)
+        assert str(info.value) == "density matrix has trace 1.000000004, expected 1"
+
+    def test_union_checks_run_stacked_trace_first(self):
+        # element stacks that never passed Povm, to reach the union's checks
+        def general(*diagonals):
+            return it.Povm._checked(np.array([np.diag(d) for d in diagonals], dtype=complex), False)
+
+        valid = general([0.4, 0.1], [0.6, 0.9])
+        negative = general([1.1, 0.5], [-0.1, 0.5])  # union {0.55, 0.25, -0.05, 0.25}
+        both = general([1.1, 0.5], [-0.1, 0.6])  # and a union trace of 1.05
+        rhos = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+
+        def error(povms):
+            with pytest.raises(ValidationError) as info:
+                measurement._post_measurement_spectra(rhos, povms)
+            return str(info.value)
+
+        psd = "density matrix has eigenvalue -5.000e-02 below -1.0e-09"
+        trace = "density matrix has trace 1.05, expected 1"
+        assert error([valid, negative, both]) == psd
+        assert error([valid, both, negative]) == trace
+        assert error([both, valid, valid]) == trace
 
     def test_general_povm_never_builds_the_record_state(self, monkeypatch):
         # five outcomes on a qutrit: always a general POVM

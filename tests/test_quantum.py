@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -48,6 +50,31 @@ class TestDensityMatrix:
         npt.assert_array_equal(r.matrix, np.diag([0.25, 0.75]))
         npt.assert_array_equal(r.spectrum(), [0.25, 0.75])
         assert not r.matrix.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_pure_state_refuses_non_finite_amplitudes_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+                it.pure_state([bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [
+            (-1, "dim must be at least 1, got -1"),
+            (0, "dim must be at least 1, got 0"),
+            (2.5, "dim must be an integer, got 2.5"),
+            (2.0, "dim must be an integer, got 2.0"),
+            (True, "dim must be an integer, got True"),
+        ],
+    )
+    def test_maximally_mixed_refuses_a_bad_dimension(self, dim, message):
+        with pytest.raises(ValidationError) as info:
+            it.maximally_mixed(dim)
+        assert str(info.value) == message
+
+    def test_maximally_mixed_accepts_a_numpy_integer(self):
+        npt.assert_array_equal(it.maximally_mixed(np.int64(2)).matrix, np.eye(2) / 2)
 
     def test_pure_state_normalizes(self):
         r = it.pure_state([3.0, 4.0])

@@ -1,12 +1,17 @@
-"""The stacked validators against the single-object calls they replace.
+"""The stacked validators against the single-object calls built on them.
 
-``DensityMatrix``, ``Povm`` and ``psd_function`` are the one-item case of
-``_density_eigenvalues``, ``_povm_flags`` and ``_psd_function_stack``, and
-``_clipped_table`` and ``_clipped_information`` that of ``_table_checks``
+Each check is written once, in its stacked form, and the single-object
+call is its stack of one: ``DensityMatrix``, ``Povm`` and ``psd_function``
+call ``_density_eigenvalues``, ``_povm_flags`` and ``_psd_function_stack``,
+and ``_clipped_table`` and ``_clipped_information`` call ``_table_checks``
 and ``_information_check``.  A stack must give each item exactly what the
 single call gives it, and a stack with a failing item must raise what the
-single call raises for the lowest-index failing item.
+single call raises for the lowest-index failing item.  The literal pins
+below hold the messages and bits the single calls gave before they became
+stacks of one.
 """
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -190,6 +195,125 @@ class TestPsdFunctionStack:
             out = linops._psd_function_stack(np.stack(group), np.sqrt, pseudo)
             for m, got in zip(group, out):
                 npt.assert_array_equal(got, it.psd_function(m, np.sqrt, pseudo))
+
+
+def psd_sweep_digest():
+    """sha256 of what ``psd_function`` returns or raises over a seeded sweep
+    of 240 matrices of dimension 1 to 4 (full rank, rank deficient, an
+    eigenvalue a hair below zero, one far below, not Hermitian, Hermitian
+    within tolerance but failing reconstruction, entries near 1e3, pure),
+    each under five functions, with and without ``pseudo``."""
+
+    def inverse_root(x):
+        return 1.0 / np.sqrt(x)
+
+    functions = [np.sqrt, inverse_root, np.log2, np.ones_like, np.square]
+    rng = np.random.default_rng(20261019)
+    digest = hashlib.sha256()
+    for case in range(240):
+        d, kind = 1 + case % 4, (case // 4) % 8
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        u = np.linalg.qr(g)[0]
+        w = rng.random(d) + 0.05
+        if kind == 1:
+            w[: 1 + case % d] = 0.0
+        elif kind == 2:
+            w[0] = -5e-10
+        elif kind == 3:
+            w[0] = -1e-3
+        m = (u * w) @ u.conj().T
+        if kind == 4:
+            m[0, -1] += 1e-3 + 0.5
+        elif kind == 5:
+            m[-1, 0] += 8e-10
+        elif kind == 6:
+            m = 1e3 * m
+        elif kind == 7:
+            m = np.outer(g[:, 0], g[:, 0].conj())
+        for f in functions:
+            for pseudo in (False, True):
+                with np.errstate(all="ignore"):
+                    try:
+                        out = it.psd_function(m, f, pseudo)
+                    except Exception as exc:
+                        record = f"{type(exc).__name__}: {exc}".encode()
+                    else:
+                        record = out.dtype.str.encode() + repr(out.shape).encode() + out.tobytes()
+                digest.update(len(record).to_bytes(8, "little") + record)
+    return digest.hexdigest()
+
+
+class TestPsdFunctionPins:
+    """What ``psd_function`` gave as a 2-D call of its own, before it became
+    a stack of one."""
+
+    @staticmethod
+    def inverse_root(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(x)
+
+    @staticmethod
+    def within_tolerance_but_inexact():
+        m = np.diag([0.25, 0.75]).astype(complex)
+        m[1, 0] += 8e-10  # below HERMITICITY_TOL; eigh reads the lower triangle only
+        return m
+
+    def test_each_failure_keeps_its_type_and_message(self):
+        cases = {
+            "not hermitian": np.array([[0.0, 1.0], [0.0, 1.0]]),
+            "reconstruction": self.within_tolerance_but_inexact(),
+            "negative": np.diag([-0.5, 1.0]),
+            "non-finite f(w)": np.diag([0.0, 1.0]),
+        }
+        errors = {
+            name: single_error(lambda m: it.psd_function(m, self.inverse_root), m)
+            for name, m in cases.items()
+        }
+        assert errors == {
+            "not hermitian": (
+                NotHermitian,
+                "matrix deviates from Hermitian by 1.000e+00 (tolerance 1.0e-09)",
+            ),
+            "reconstruction": (NumericalFailure, "eigendecomposition failed reconstruction check"),
+            "negative": (NegativeEigenvalue, "matrix has eigenvalue -5.000e-01 below -1.0e-09"),
+            "non-finite f(w)": (NumericalFailure, "function produced non-finite eigenvalues"),
+        }
+
+    def test_seeded_sweep_keeps_its_bits_and_errors(self):
+        assert psd_sweep_digest() == (
+            "4591bc8a6e8fbab525637d8c06b44bbbc4baaecc2ffc4fca3ad666fb99494939"
+        )
+
+    def test_f_sees_one_1d_array(self):
+        seen = []
+
+        def recording_sqrt(x):
+            seen.append((x.ndim, x.size))
+            return np.sqrt(x)
+
+        full = valid_density(3, 0)
+        partial = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        it.psd_function(full, recording_sqrt)
+        it.psd_function(full, recording_sqrt, pseudo=True)
+        it.psd_function(partial, recording_sqrt, pseudo=True)
+        it.psd_function(partial, recording_sqrt)
+        assert seen == [(1, 3), (1, 3), (1, 2), (1, 3)]
+
+    def test_f_never_sees_an_item_that_already_failed(self):
+        seen = []
+
+        def recording_root(x):
+            seen.append(x.copy())
+            return self.inverse_root(x)
+
+        # the negative item's clipped zero would make f(w) non-finite
+        items = [valid_density(2, 0), np.diag([-0.5, 1.0]), valid_density(2, 1)]
+        with pytest.raises(NegativeEigenvalue):
+            linops._psd_function_stack(np.stack(items).astype(complex), recording_root)
+        assert len(seen) == 1 and seen[0].shape == (4,)
+        npt.assert_array_equal(
+            seen[0], np.concatenate([np.linalg.eigvalsh(items[0]), np.linalg.eigvalsh(items[2])])
+        )
 
 
 def _table(entries):
