@@ -22,23 +22,26 @@ from .linops import (
     _eigenvalue_function,
     _eigh,
     _finite_function_check,
+    _ordered_sums,
     _psd_function_stack,
     _raise_first_failure,
     _require_finite,
     _require_int,
-    _segments,
 )
 from .measurement import (
     Povm,
     _analyse,
     _block_projectors,
     _check_unitaries,
+    _Group,
     _information_check,
+    _pairs,
+    _povm_flags,
     _povms,
     _table_checks,
 )
 from .measurement import delta_s as measurement_delta_s  # noqa: F401 (read by bench/)
-from .quantum import DensityMatrix, Ensemble, _checked_priors, _density_matrices
+from .quantum import DensityMatrix, Ensemble, _density_eigenvalues, _probability_checks
 
 #: The optimizer methods ``OptimizerConfig`` accepts.
 METHODS = ("qubit_grid", "random_restart_ascent")
@@ -409,12 +412,20 @@ def maximize_accessible_information(
     return best, evaluate_bounds(e, best)
 
 
-def _gaussians(rng: np.random.Generator, count: int, shape) -> np.ndarray:
-    """``count`` complex Gaussian arrays of ``shape`` from one generator call.
-    The generator fills in C order, so each array's real part is drawn
-    first and then its imaginary part, as two calls per array would."""
-    z = rng.normal(size=(count, 2) + shape)
+def _complex_gaussians(z: np.ndarray) -> np.ndarray:
+    """Complex Gaussian arrays from a (count, 2, ...) array of standard
+    normals drawn by ``rng.normal(size=(count, 2) + shape)``: the generator
+    fills in C order, so each array's real part is drawn first and then
+    its imaginary part, as two calls per array would."""
     return z[:, 0] + 1j * z[:, 1]
+
+
+def _dirichlet_rows(exponentials: np.ndarray, lengths) -> np.ndarray:
+    """The flat Dirichlet(1, ..., 1) rows that ``rng.dirichlet`` forms from
+    the standard exponentials it draws, for consecutive rows of ``lengths``
+    draws each (``rng.standard_exponential`` yields the same stream): each
+    row times one over its left-to-right sum, numpy's own arithmetic."""
+    return exponentials * np.repeat(1.0 / _ordered_sums(exponentials, lengths), lengths)
 
 
 def _haar_unitaries(g: np.ndarray) -> np.ndarray:
@@ -575,21 +586,24 @@ def _generator(state: np.ndarray) -> np.random.Generator:
 
 def _draw_instance(dim: int, n_states: int, m_outcomes: int, kind: str, rng):
     """One instance's raw draws from the generator ``rng``, in the order it
-    yields them: the priors; the states' draws as one array (Dirichlet
-    diagonals for ``commuting``, complex Gaussian kets for ``pure``, complex
-    Gaussian matrices for ``mixed``); the Gaussian matrix of the Haar
-    unitary whose column blocks make a projective basis, or ``None``; and
-    the Gaussian matrices of the raw PSD elements, or ``None`` for a basis.
-    A commuting instance draws its unitary before its diagonals."""
-    probs = rng.dirichlet(np.ones(n_states))
+    yields them: the priors' standard exponentials; for ``commuting``, the
+    normals of the Haar unitary of its shared basis, then its states'
+    diagonals' standard exponentials, (n_states, dim); otherwise its states'
+    normals, ``(n_states, 2) + shape`` (kets for ``pure``, matrices for
+    ``mixed``), then, where m_outcomes <= dim, a coin, and the normals of
+    the Haar unitary whose column blocks make a projective basis (a coin
+    below 0.5), or of the raw PSD elements.  Returns (priors, states,
+    unitary or ``None``, raw elements or ``None``); the normals of a
+    matrix stack are ``(count, 2, dim, dim)``."""
+    probs = rng.standard_exponential(n_states)
     if kind == "commuting":
-        unitary = _gaussians(rng, 1, (dim, dim))[0]
-        return probs, rng.dirichlet(np.ones(dim), size=n_states), unitary, None
+        unitary = rng.normal(size=(1, 2, dim, dim))
+        return probs, rng.standard_exponential((n_states, dim)), unitary, None
     shape = (dim,) if kind == "pure" else (dim, dim)
-    states = _gaussians(rng, n_states, shape)
+    states = rng.normal(size=(n_states, 2) + shape)
     if m_outcomes <= dim and rng.random() < 0.5:
-        return probs, states, _gaussians(rng, 1, (dim, dim))[0], None
-    return probs, states, None, _gaussians(rng, m_outcomes, (dim, dim))
+        return probs, states, rng.normal(size=(1, 2, dim, dim)), None
+    return probs, states, None, rng.normal(size=(m_outcomes, 2, dim, dim))
 
 
 def random_instance(
@@ -628,54 +642,76 @@ def random_instance(
             f"seed must be a nonnegative integer or a sequence of them, got {seed!r}"
         )
     rng = np.random.default_rng(seed)
-    return _random_instances([(dim, n_states, m_outcomes, kind, rng)])[0]
+    return _pairs(_random_instances([(dim, n_states, m_outcomes, kind, rng)]))[0]
 
 
-def _random_instances(specs) -> list[tuple[Ensemble, Povm]]:
-    """``random_instance`` for each (dim, n_states, m_outcomes, kind, rng)
+def _random_instances(specs) -> _Group:
+    """``random_instance`` of each (dim, n_states, m_outcomes, kind, rng)
     spec, all of one dimension and each valid as ``random_instance``
-    checks, where ``rng`` is the spec's own ``Generator``.  The specs draw
-    in spec order; then the linear algebra runs once for all of them: one
-    stacked QR for the Haar unitaries, one stacked ``g g+`` for the Wishart
-    draws (mixed states and raw elements), one stacked normalise-and-outer
-    for the pure kets, one stacked conjugation for the commuting states.
-    The states get one stacked density check, the priors
-    one stacked prior check, the unitaries one stacked unitarity check, the
-    raw PSD elements one stacked ``psd_function`` normalization, and the
-    measurements one stacked ``Povm`` check."""
+    checks, where ``rng`` is the spec's own ``Generator``, as one
+    ``_Group``.  Each spec makes only its generator calls
+    (``_draw_instance``), in spec order; then the group forms every
+    Dirichlet row and complex Gaussian once, and the linear algebra runs
+    once for all of them: one stacked QR for the Haar unitaries, one
+    stacked ``g g+`` for the Wishart draws (mixed states and raw elements),
+    one stacked normalise-and-outer for the pure kets, one stacked
+    conjugation for the commuting states.  The states get one stacked
+    density check, the priors one stacked prior check, the unitaries one
+    stacked unitarity check, the raw PSD elements one stacked
+    ``psd_function`` normalization, and the measurements one stacked
+    ``Povm`` check."""
     draws = [_draw_instance(*spec) for spec in specs]
-    haar = [k for k, draw in enumerate(draws) if draw[2] is not None]
-    unitaries = None
-    if haar:
-        unitaries = _haar_unitaries(np.stack([draws[k][2] for k in haar]))
-    gaussians = [draw[1] for spec, draw in zip(specs, draws) if spec[3] == "mixed"]
-    n_mixed = sum(len(g) for g in gaussians)
-    gaussians += [draw[3] for draw in draws if draw[3] is not None]
+    dim = specs[0][0]
+    sizes = np.array([spec[1] for spec in specs])
+    counts = np.array([spec[2] for spec in specs])
+    kinds = np.array([spec[3] for spec in specs])
+    haar = np.array([draw[2] is not None for draw in draws])
+
+    def joined(part, chosen):
+        """One array of the chosen specs' draws of one part, or ``None``."""
+        found = [draw[part] for draw, keep in zip(draws, chosen) if keep]
+        return np.concatenate(found) if found else None
+
+    unitaries = _haar_unitaries(_complex_gaussians(joined(2, haar))) if haar.any() else None
+    # the mixed states' Gaussian matrices, then the raw elements': one g g+
+    gaussians = [g for g in (joined(1, kinds == "mixed"), joined(3, ~haar)) if g is not None]
     wishart = np.empty((0,))
     if gaussians:
-        g = np.concatenate(gaussians)
+        g = _complex_gaussians(np.concatenate(gaussians))
         wishart = g @ g.conj().transpose(0, 2, 1)
+    n_mixed = int(sizes[kinds == "mixed"].sum())
+    commuting = kinds == "commuting"
+    states = _instance_states(
+        dim,
+        kinds,
+        sizes,
+        joined(1, kinds == "pure"),
+        wishart[:n_mixed],
+        joined(1, commuting),
+        unitaries[(np.cumsum(haar) - 1)[commuting]] if commuting.any() else None,
+    )
+    eigenvalues = _density_eigenvalues(states)
+    priors, checks = _probability_checks(
+        _dirichlet_rows(np.concatenate([draw[0] for draw in draws]), sizes), sizes
+    )
+    _raise_first_failure(checks)
+    elements = _instance_elements(dim, counts, haar, unitaries, wishart[n_mixed:])
+    declared = [True if h else None for h in haar.tolist()]
+    projective = _povm_flags(elements, counts, declared)
+    return _Group(states, eigenvalues, priors, sizes, elements, counts, projective)
 
-    states = _density_matrices(_instance_states(specs, draws, haar, unitaries, wishart[:n_mixed]))
-    priors = _checked_priors([draw[0] for draw in draws])
-    groups = _segments(states, [spec[1] for spec in specs])
-    ensembles = [Ensemble._checked(p, group) for p, group in zip(priors, groups)]
-    counts = [m_outcomes for _, _, m_outcomes, _, _ in specs]
-    elements = _instance_elements(specs, counts, haar, unitaries, wishart[n_mixed:])
-    declared = [True if draw[2] is not None else None for draw in draws]
-    return list(zip(ensembles, _povms(elements, counts, declared)))
 
-
-def _instance_states(specs, draws, haar, unitaries, mixed) -> np.ndarray:
-    """The state matrices of every drawn instance, in spec order, from the
-    raw draws, the Haar unitaries of the specs ``haar`` and the mixed
-    states' Wishart products: each kind's states are built as one stack."""
-    dim = specs[0][0]
-    kind_of_row = np.repeat([spec[3] for spec in specs], [spec[1] for spec in specs])
+def _instance_states(dim, kinds, sizes, kets, mixed, diags, unitaries) -> np.ndarray:
+    """The member states of every drawn instance, in spec order, each
+    kind's as one stack: the pure kets' complex Gaussians (``kets``, raw
+    normals) normalised and outer-multiplied; the ``mixed`` Wishart
+    products over their traces; and the commuting states' Dirichlet
+    diagonals (``diags``, raw exponentials) conjugated by their instance's
+    one of ``unitaries``."""
+    kind_of_row = np.repeat(kinds, sizes)
     states = np.empty((len(kind_of_row), dim, dim), dtype=complex)
-    kets = [draw[1] for spec, draw in zip(specs, draws) if spec[3] == "pure"]
-    if kets:
-        kets = np.concatenate(kets)
+    if kets is not None:
+        kets = _complex_gaussians(kets)
         re, im = kets.real, kets.imag
         # np.linalg.norm's arithmetic for one ket (two dot products), stacked
         norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
@@ -684,43 +720,34 @@ def _instance_states(specs, draws, haar, unitaries, mixed) -> np.ndarray:
     if len(mixed):
         traces = np.trace(mixed, axis1=1, axis2=2).real
         states[kind_of_row == "mixed"] = mixed / traces[:, None, None]
-    commuting = [k for k, spec in enumerate(specs) if spec[3] == "commuting"]
-    if commuting:
-        u = np.repeat(
-            unitaries[np.searchsorted(haar, commuting)], [specs[k][1] for k in commuting], axis=0
-        )
-        diags = np.concatenate([draws[k][1] for k in commuting])
+    if diags is not None:
+        diags = _dirichlet_rows(diags.reshape(-1), np.full(len(diags), dim)).reshape(-1, dim)
+        u = np.repeat(unitaries, sizes[kinds == "commuting"], axis=0)
         states[kind_of_row == "commuting"] = (u * diags[:, None, :]) @ u.conj().transpose(0, 2, 1)
     return states
 
 
-def _instance_elements(specs, counts, haar, unitaries, raw) -> np.ndarray:
+def _instance_elements(dim, counts, haar, unitaries, raw) -> np.ndarray:
     """The measurement elements of every drawn instance, in spec order: the
-    column-block projectors of the Haar unitaries of the specs ``haar``,
-    after one stacked unitarity check, built once per outcome count; and
-    the raw PSD elements ``raw`` (Wishart products, in spec order)
-    normalized to resolve the identity with one stacked ``psd_function``."""
-    dim = specs[0][0]
-    counts = np.array(counts)
+    column-block projectors of the Haar unitaries of the instances flagged
+    in ``haar``, after one stacked unitarity check, built once per outcome
+    count; and the raw PSD elements ``raw`` (Wishart products, in spec
+    order) normalized to resolve the identity with one stacked
+    ``psd_function``."""
     offsets = np.cumsum(counts) - counts
     elements = np.empty((counts.sum(), dim, dim), dtype=complex)
-    is_haar = np.zeros(len(specs), dtype=bool)
-    is_haar[haar] = True
-    if haar:
+    if haar.any():
         _check_unitaries(unitaries)
         for m in sorted(set(counts[haar].tolist())):
             group = counts[haar] == m
             rows = offsets[haar][group][:, None] + np.arange(m)
             elements[rows] = _block_projectors(unitaries[group], _column_blocks(dim, m))
-    if not is_haar.all():
-        rows = np.repeat(~is_haar, counts)
-        elements[rows] = raw
-        ms, starts = counts[~is_haar], offsets[~is_haar]
+    if not haar.all():
+        rows = np.repeat(~haar, counts)
         # each measurement's element sum, added in the order sum() adds them
-        totals = np.zeros((len(ms), dim, dim), dtype=complex)
-        for j in range(ms.max()):
-            has = ms > j
-            totals[has] += elements[starts[has] + j]
-        inv_roots = np.repeat(_psd_function_stack(totals, _inverse_root, pseudo=True), ms, axis=0)
-        elements[rows] = inv_roots @ elements[rows] @ inv_roots
+        totals = _ordered_sums(raw, counts[~haar])
+        inv_roots = np.repeat(
+            _psd_function_stack(totals, _inverse_root, pseudo=True), counts[~haar], axis=0
+        )
+        elements[rows] = inv_roots @ raw @ inv_roots
     return elements

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .measurement import Povm, _analyse_pairs
+from .measurement import Povm, _analyse_group
 from .quantum import DensityMatrix, Ensemble
 from .thermo import _book_cycles, run_cycle
 
@@ -410,32 +410,39 @@ def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ..
 
 
 def _score_chunk(chunk: list[tuple]) -> list[tuple]:
-    """Draw and analyse a chunk's trials as one stack per dimension, book
-    every trial's cycle in one pass, then build each row, in trial order.
-    A trial's pick is (trial, kind, dim, n_states, m_outcomes, state), and
-    it draws from the generator of that ``_seed_states`` row."""
-    scored = {}
+    """Draw and analyse a chunk's trials as one ``_Group`` per dimension,
+    book every trial's cycle in one pass, then build each row, in trial
+    order.  A trial's pick is (trial, kind, dim, n_states, m_outcomes,
+    state), and it draws from the generator of that ``_seed_states`` row."""
+    groups, order = [], []
     for dim in sorted({pick[2] for pick in chunk}):
-        picks = [pick for pick in chunk if pick[2] == dim]
-        pairs = _random_instances(
-            [(dim, n, m, kind, _generator(state)) for _, kind, _, n, m, state in picks]
-        )
-        for pick, pair, analysis in zip(picks, pairs, _analyse_pairs(pairs)):
-            scored[pick[0]] = (pair, analysis)
-    pairs, analyses = zip(*(scored[pick[0]] for pick in chunk))
-    booking = _book_cycles(pairs, analyses)
+        picks = [k for k, pick in enumerate(chunk) if pick[2] == dim]
+        specs = [
+            (dim, n, m, kind, _generator(state))
+            for _, kind, _, n, m, state in (chunk[k] for k in picks)
+        ]
+        groups.append(_analyse_group(_random_instances(specs)))
+        order += picks
+    booking = _book_cycles(groups, order)
+    # each field in chunk order: the groups' pairs, then their rows
+    place = np.empty(len(chunk), dtype=int)
+    place[order] = np.arange(len(chunk))
+    columns = [
+        np.concatenate([getattr(g, name) for g in groups])[place].tolist()
+        for name in ("info", "chi", "delta_s", "projective")
+    ]
     results = []
-    for (trial, kind, dim, n_states, m_outcomes, _), (_, povm), a, net, breaks in zip(
-        chunk, pairs, analyses, booking.nets, booking.breaks
+    for (trial, kind, dim, n_states, m_outcomes, _), info, chi, ds, projective, net, breaks in zip(
+        chunk, *columns, booking.nets.tolist(), booking.breaks.tolist()
     ):
-        report = _report(a.info, a.chi, a.delta_s)
+        report = _report(info, chi, ds)
         row = [
             str(trial),
             str(dim),
             str(n_states),
             str(m_outcomes),
             kind,
-            "true" if povm.projective else "false",
+            "true" if projective else "false",
             *_bound_csv_row(report)[:5],
             _fmt(float("nan") if breaks else net),
         ]

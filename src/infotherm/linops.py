@@ -145,11 +145,105 @@ def _raise_first_failure(checks) -> None:
                 raise error(k)
 
 
+def _placed(checks, positions: np.ndarray, size: int) -> list:
+    """The checks of a stack whose item i is item ``positions[i]``
+    (ascending) of a stack of ``size`` items, as checks of the larger
+    stack, so that checks of several such parts run as one."""
+    placed = []
+    for bad, error in checks:
+        mask = np.zeros(size, dtype=bool)
+        mask[positions[: len(bad)]] = bad
+        placed.append((mask, lambda k, error=error: error(int(np.searchsorted(positions, k)))))
+    return placed
+
+
 def _segments(a, counts) -> list:
     """Consecutive slices of ``a`` along its first axis, of ``counts`` items
     each: views of an array, or slices of a list or tuple."""
     ends = list(itertools.accumulate(counts))
     return [a[end - count:end] for count, end in zip(counts, ends)]
+
+
+def _local_index(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive segments of ``lengths`` items, each item's segment
+    and its index within it."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
+
+
+def _padded(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """A (K, width) float array whose row k holds the ``lengths[k]`` items
+    of ``flat`` from ``starts[k]`` on, then zeros."""
+    cols = np.arange(width)
+    valid = cols < lengths[:, None]
+    if not flat.size:
+        return np.zeros(valid.shape)
+    return np.where(valid, flat[np.where(valid, starts[:, None] + cols, 0)], 0.0)
+
+
+def _ordered_sums(items: np.ndarray, lengths, starts=None) -> np.ndarray:
+    """The sum of each segment of ``items`` along its first axis
+    (``lengths[k]`` items from ``starts[k]`` on; consecutive by default),
+    added in order from zero, as a loop adds them and as numpy adds a stack
+    of matrices along its first axis.  The segments are laid out after one
+    leading zero, zero-padded to one length, and summed by one
+    ``np.add.accumulate``: a trailing +0 changes no sum begun at +0.
+    Segments of one length, consecutive, are one reshape summed along its
+    middle axis, which numpy adds in order where each item holds more than
+    one entry or a segment fewer than 8 items (see ``_sums``)."""
+    lengths = np.asarray(lengths)
+    length = int(lengths[0]) if lengths.size else 0
+    if starts is None and length and (lengths == length).all():
+        if length < 8 or items[0].size > 1:
+            return items.reshape((len(lengths), length) + items.shape[1:]).sum(axis=1)
+    owner, local = _local_index(lengths)
+    if starts is not None:
+        items = items[np.asarray(starts)[owner] + local]
+    width = int(lengths.max(initial=0)) + 1
+    padded = np.zeros((len(lengths), width) + items.shape[1:], dtype=items.dtype)
+    padded[owner, local + 1] = items
+    return np.add.accumulate(padded, axis=1)[:, -1]
+
+
+def _sums(flat: np.ndarray, lengths) -> np.ndarray:
+    """``a.sum()`` of each consecutive segment ``a`` of the float array
+    ``flat``, of ``lengths`` items each, to the last bit of numpy's
+    pairwise summation of a contiguous run: +0.0 plus the run's pairwise
+    sum.  A run under 8 items is added left to right; otherwise 8 lanes
+    each add every 8th item of the run's whole 8-item blocks, the lanes are
+    added as ((0+1)+(2+3))+((4+5)+(6+7)) and the last run % 8 items left to
+    right; a run past 128 items is the sum of its two halves, the first a
+    multiple of 8 long, each done so."""
+    lengths = np.asarray(lengths)
+    if (lengths < 8).all():
+        return _ordered_sums(flat, lengths)
+    return _pairwise_sums(flat, np.cumsum(lengths) - lengths, lengths) + 0.0
+
+
+def _pairwise_sums(flat, starts, lengths) -> np.ndarray:
+    out = np.empty(len(lengths))
+    short = lengths < 8
+    out[short] = _ordered_sums(flat, lengths[short], starts[short])
+    block = ~short & (lengths <= 128)
+    if np.count_nonzero(block):
+        s, n = starts[block], lengths[block]
+        tail = n % 8
+        whole = n - tail
+        # lanes[k, b, j] is item 8 b + j of run k, zero past its whole blocks
+        lanes = _padded(flat, s, whole, int(whole.max())).reshape(len(s), -1, 8)
+        r = np.add.accumulate(lanes, axis=1)[:, -1]
+        r0, r1, r2, r3, r4, r5, r6, r7 = r.T
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        rest = _padded(flat, s + whole - 1, tail + 1, 8)
+        rest[:, 0] = res
+        out[block] = np.add.accumulate(rest, axis=1)[:, -1]
+    long = lengths > 128
+    if np.count_nonzero(long):
+        s, n = starts[long], lengths[long]
+        half = n // 2
+        half -= half % 8
+        out[long] = _pairwise_sums(flat, s, half) + _pairwise_sums(flat, s + half, n - half)
+    return out
 
 
 def _eigh(stack: np.ndarray):

@@ -13,7 +13,7 @@ call feeds the same check builders its own figures as a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,10 +35,14 @@ from .linops import (
     TRACE_TOL,
     UNITARY_TOL,
     _asymmetry,
+    _local_index,
+    _ordered_sums,
+    _placed,
     _psd_function_stack,
     _raise_first_failure,
     _require_int,
     _segments,
+    _sums,
     as_complex_matrix,
     max_abs,
     tensor_product,
@@ -47,8 +51,10 @@ from .quantum import (
     DensityMatrix,
     Ensemble,
     _chi,
+    _chis,
     _density_checks,
     _density_eigenvalues,
+    _density_spectra,
     _entropies,
     _entropy_of_spectrum,
     average_state,
@@ -318,54 +324,46 @@ def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     return JointDistribution._checked(table)
 
 
-def _joint_distributions(pairs):
-    """``joint_distribution`` of each (ensemble, measurement) pair, all of
-    one dimension, with each table's row sums (its ``priors``) and column
-    sums (its ``outcome_probs``), all to the last bit of the per-pair call.
+def _joint_distributions(g: "_Group"):
+    """``joint_distribution`` of each pair of a group, with each table's
+    row sums (its ``priors``) and column sums (its ``outcome_probs``), all
+    to the last bit of the per-pair call.
 
-    Element x of the stacked elements belongs to a pair; row i of the
-    trace array reads that pair's i-th member by index, or a zero state
-    with prior 0 past the pair's rows, so each row is one (M, d, d)
-    product, and each pair's average state adds its i-th weighted member
-    in ``_average_matrix``'s order.  Each table is cut from the trace array
-    and its sums are numpy's, on that table alone.  The checks run stacked;
-    the lowest-index failing pair raises what ``joint_distribution`` raises
-    for it alone.  Returns (tables, row sums, column sums), three lists in
-    pair order, and the (K, d, d) stack of average states."""
-    for e, v in pairs:
-        _require_same_dim("ensemble", e.dim, v)
-    sizes = np.array([e.size for e, _ in pairs])
-    counts = np.array([v.size for _, v in pairs])
-    starts = np.cumsum(counts) - counts
-    first = np.cumsum(sizes) - sizes
-    elements = np.concatenate([v._stack for _, v in pairs])
-    zero = np.zeros_like(elements[0])
-    # every member's state and prior, then the zero state that index -1 reads
-    states = np.stack([s.matrix for e, _ in pairs for s in e.states] + [zero])
-    probs = np.concatenate([e.probs for e, _ in pairs] + [[0.0]])
-    lane_sizes, lane_first = np.repeat(sizes, counts), np.repeat(first, counts)
-    # raw[i, x] = p_i tr(E_x rho_i) with p_i rho_i the i-th member of
-    # element x's pair, and a zero of either sign past that pair's rows,
-    # which no table holds
-    raw = np.empty((sizes.max(), len(elements)))
-    # a pair past its members adds +0, which no sum begun at +0 can see
-    averages = np.zeros((len(pairs),) + zero.shape, dtype=complex)
-    for i in range(len(raw)):
-        member = np.where(lane_sizes > i, lane_first + i, -1)
-        raw[i] = probs[member] * np.trace(elements @ states[member], axis1=1, axis2=2).real
-        member = np.where(sizes > i, first + i, -1)
-        averages += probs[member][:, None, None] * states[member]
-    finite = np.logical_and.reduceat(np.isfinite(raw).all(axis=0), starts)
-    lowest = np.minimum.reduceat(raw.min(axis=0), starts)
-    tables = [np.maximum(raw[:n, s:s + m], 0.0) for n, s, m in zip(sizes, starts, counts)]
-    for t in tables:
-        t.setflags(write=False)
-    row_sums = [t.sum(axis=1) for t in tables]
-    col_sums = [t.sum(axis=0) for t in tables]
-    totals = np.array([t.sum() for t in tables])
-    drift = np.maximum.reduceat(np.abs(np.concatenate(row_sums) - probs[:-1]), first)
+    The products are one gather over the live (member, element) pairs of
+    every table, so no product is taken twice or with a state past a
+    pair's members; each table is a row-major run of the flat result.  Its
+    sums are numpy's, by ``_sums`` (a lone column is the table's own sum)
+    and ``_ordered_sums`` (a column of several adds its rows in order).
+    Each pair's average state adds its weighted members in
+    ``_average_matrix``'s order.  The checks run stacked; the lowest-index
+    failing pair raises what ``joint_distribution`` raises for it alone.
+    Returns the flat tables row-major and outcome-major, the row sums (one
+    a member), the column sums (one an element) and the (K, d, d) stack of
+    average states."""
+    sizes, counts = g.sizes, g.counts
+    first, starts = np.cumsum(sizes) - sizes, np.cumsum(counts) - counts
+    cells = sizes * counts
+    offsets = np.cumsum(cells) - cells
+    owner, cell = _local_index(cells)
+    width, height = counts[owner], sizes[owner]
+    member = first[owner] + cell // width
+    element = starts[owner] + cell % width
+    traces = np.trace(g.elements[element] @ g.states[member], axis1=1, axis2=2).real
+    raw = g.priors[member] * traces
+    tables = np.maximum(raw, 0.0)
+    # entry t of a table's outcome-major run is row t % n of column t // n
+    by_outcome = tables[offsets[owner] + (cell % height) * width + cell // height]
+    row_sums = _sums(tables, np.repeat(counts, sizes))
+    totals = _sums(tables, cells)
+    col_sums = _ordered_sums(by_outcome, np.repeat(sizes, counts))
+    lone = counts == 1
+    col_sums[starts[lone]] = totals[lone]
+    finite = np.logical_and.reduceat(np.isfinite(raw), offsets)
+    lowest = np.minimum.reduceat(raw, offsets)
+    drift = np.maximum.reduceat(np.abs(row_sums - g.priors), first)
     _raise_first_failure(_joint_checks(finite, lowest, totals) + [_drift_check(drift)])
-    return [JointDistribution._checked(t) for t in tables], row_sums, col_sums, averages
+    averages = _ordered_sums(g.priors[:, None, None] * g.states, sizes)
+    return tables, by_outcome, row_sums, col_sums, averages
 
 
 def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
@@ -446,54 +444,106 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
 
 def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     """Eigenvalues of ``post_measurement_state(r, v)``, ascending, clipped
-    to be nonnegative, without building the system-record state."""
+    to be nonnegative, without building the system-record state: the
+    one-pair case of ``_post_measurement_spectra``'s route for ``v``."""
     _require_same_dim("state", r.dim, v)
-    return _post_measurement_spectra(r.matrix[None], [v])[0]
+    route = _dephased_spectra if v.projective else _record_spectra
+    spectrum, _, checks = route(r.matrix[None], v._stack, np.array([v.size]))
+    _raise_first_failure(checks)
+    return spectrum
 
 
-def _post_measurement_spectra(rhos: np.ndarray, povms) -> list[np.ndarray]:
+def _post_measurement_spectra(rhos: np.ndarray, elements: np.ndarray, counts, projective):
     """``_post_measurement_spectrum`` of each checked state of a (K, d, d)
-    stack under its measurement: one stacked density check for projective
-    pairs, one stacked sqrt(rho) and one batched ``eigvalsh`` for the rest.
+    stack under its measurement: ``counts[k]`` consecutive elements of the
+    (M, d, d) stack ``elements``, projective where ``projective[k]``.
+    Returns the spectra of the pairs in order, as one flat array, and their
+    lengths: ``_dephased_spectra`` of the projective pairs and
+    ``_record_spectra`` of the rest, each route run once for all its pairs.
+    The checks of both routes run as one stack, so the lowest-index failing
+    pair raises, with its own route's message; only the checks of the
+    stacked sqrt(rho), of states that passed their own density checks, run
+    first."""
+    counts, projective = np.asarray(counts), np.asarray(projective, dtype=bool)
+    parts, checks = [], []
+    for route, flags in ((_dephased_spectra, projective), (_record_spectra, ~projective)):
+        pairs = np.flatnonzero(flags)
+        if pairs.size == len(flags):
+            spectra, lengths, checks = route(rhos, elements, counts)
+            _raise_first_failure(checks)
+            return spectra, lengths
+        if pairs.size:
+            lanes = np.repeat(flags, counts)
+            parts.append((pairs, *route(rhos[pairs], elements[lanes], counts[pairs])))
+            checks += _placed(parts[-1][3], pairs, len(flags))
+    _raise_first_failure(checks)
+    lengths = np.empty(len(counts), dtype=int)
+    for pairs, _, n, _ in parts:
+        lengths[pairs] = n
+    out = np.empty(int(lengths.sum()))
+    for pairs, spectra, n, _ in parts:
+        out[_local_index(n)[1] + np.repeat((np.cumsum(lengths) - lengths)[pairs], n)] = spectra
+    return out, lengths
 
-    Projective case: the spectrum of sum_j P_j rho P_j, which is d x d
-    already; the union below would agree to rounding, but on commuting
-    instances delta_s is itself rounding noise and would change in the
-    printed digits.  General case: the record state is block diagonal with
+
+def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarray):
+    """The spectrum of sum_j P_j rho P_j of each state of a (K, d, d) stack
+    under its ``counts[k]`` consecutive projectors, which is d x d already;
+    the record-state union of ``_record_spectra`` would agree to rounding,
+    but on commuting instances delta_s is itself rounding noise and would
+    change in the printed digits.  Each pair's products are added in
+    order, as ``_dephased_matrix`` adds them.  Returns the clipped spectra,
+    flat, their lengths, and the dephased states' density checks."""
+    products = projectors @ np.repeat(rhos, counts, axis=0) @ projectors
+    w, checks = _density_spectra(_ordered_sums(products, counts))
+    return np.maximum(w, 0.0).ravel(), np.full(len(counts), w.shape[1]), checks
+
+
+def _record_spectra(rhos: np.ndarray, elements: np.ndarray, counts: np.ndarray):
+    """The spectrum of each record state sum_j (sqrt(E_j) rho sqrt(E_j))
+    (x) |j><j| of a (K, d, d) stack of states under ``counts[k]``
+    consecutive elements each.  The record state is block diagonal with
     blocks A_j A_j^+, where A_j = sqrt(E_j) sqrt(rho); each block shares its
     spectrum with A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so the d*m
-    eigenvalues are the union of m d x d spectra.  The unions get the
-    unit-trace and PSD checks that ``DensityMatrix`` would give the record
-    states, in its order and stacked: the lowest-index failing general pair
-    raises.
-    """
-    out = [None] * len(povms)
-    projective = [i for i, v in enumerate(povms) if v.projective]
-    general = [i for i, v in enumerate(povms) if not v.projective]
-    if projective:
-        dephased = np.stack([_dephased_matrix(rhos[i], povms[i]) for i in projective])
-        for i, w in zip(projective, _density_eigenvalues(dephased)):
-            out[i] = np.maximum(w, 0.0)
-    if general:
-        roots = _psd_function_stack(rhos[general], np.sqrt)
-        blocks = [root @ povms[i]._stack @ root for i, root in zip(general, roots)]
-        spectra = np.linalg.eigvalsh(np.concatenate(blocks))
-        counts = [povms[i].size for i in general]
-        unions = [np.sort(segment.reshape(-1)) for segment in _segments(spectra, counts)]
-        traces = np.array([w.sum() for w in unions])
-        _raise_first_failure(_density_checks(traces, np.array([w[0] for w in unions])))
-        for i, w in zip(general, unions):
-            out[i] = np.maximum(w, 0.0)
-    return out
+    eigenvalues are the union of m d x d spectra, from one stacked
+    sqrt(rho) and one batched ``eigvalsh``, each union sorted as one row of
+    its outcome count.  Returns the clipped unions, flat, their lengths,
+    and the unit-trace and PSD checks that ``DensityMatrix`` would give the
+    record states, in its order."""
+    roots = np.repeat(_psd_function_stack(rhos, np.sqrt), counts, axis=0)
+    spectra = np.linalg.eigvalsh(roots @ elements @ roots)
+    lengths = counts * spectra.shape[1]
+    if (counts == counts[0]).all():
+        unions = np.sort(spectra.reshape(len(counts), -1))
+        checks = _density_checks(unions.sum(axis=1), unions[:, 0])
+        return np.maximum(unions, 0.0).ravel(), lengths, checks
+    out, traces, lowest = np.empty(lengths.sum()), np.empty(len(counts)), np.empty(len(counts))
+    first, offsets = np.cumsum(counts) - counts, np.cumsum(lengths) - lengths
+    for c in set(counts.tolist()):
+        ks = np.flatnonzero(counts == c)
+        unions = np.sort(spectra[first[ks][:, None] + np.arange(c)].reshape(ks.size, -1))
+        traces[ks], lowest[ks] = unions.sum(axis=1), unions[:, 0]
+        out[offsets[ks][:, None] + np.arange(unions.shape[1])] = np.maximum(unions, 0.0)
+    return out, lengths, _density_checks(traces, lowest)
 
 
 def _entropy_increase(sigma_entropy: float, rho_entropy: float) -> float:
     """S(sigma) - S(rho) from the two entropies; a hair below zero is
-    clipped, anything below -BOUND_TOL raises."""
+    clipped, anything below -BOUND_TOL raises: ``_entropy_increase_check``
+    of one value."""
     ds = sigma_entropy - rho_entropy
     if ds < -BOUND_TOL:
-        raise NumericalFailure(f"entropy increase came out {ds:.3e}")
+        _raise_first_failure([_entropy_increase_check(np.array([ds]))])
     return max(0.0, ds)
+
+
+def _entropy_increase_check(increases: np.ndarray):
+    """The check of each of a (B,) array of entropy increases, for
+    ``_raise_first_failure``: none is below -BOUND_TOL."""
+    return (
+        increases < -BOUND_TOL,
+        lambda k: NumericalFailure(f"entropy increase came out {increases[k]:.3e}"),
+    )
 
 
 def delta_s(r: DensityMatrix, v: Povm) -> float:
@@ -528,7 +578,7 @@ class _Analysis:
 def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Analysis:
     """The analysis ``evaluate_bounds``, ``run_cycle`` and ``block_scan``
     read, with the arithmetic and checks of ``mutual_information``,
-    ``holevo_chi`` and ``delta_s``; ``_analyse_pairs`` gives each of many
+    ``holevo_chi`` and ``delta_s``; ``_analyse_group`` gives each of many
     pairs these bits.  ``rho`` is ``average_state(e)``, built here unless
     the caller already has it."""
     joint = joint_distribution(e, v)
@@ -544,45 +594,127 @@ def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Analysi
     )
 
 
-def _analyse_pairs(pairs) -> list[_Analysis]:
-    """``_Analysis`` of each (ensemble, measurement) pair, all of one
-    dimension: one ``_joint_distributions`` for the tables, their
-    marginals and the average states, one stacked density check, one
-    ``_post_measurement_spectra``, and one ``_entropies`` for every
-    entropy.  Only the scalars are combined per pair, with the arithmetic
-    and checks of ``mutual_information``, ``holevo_chi`` and ``delta_s``,
-    so the values match theirs to the last bit."""
-    ensembles = [e for e, _ in pairs]
-    joints, row_sums, col_sums, rhos = _joint_distributions(pairs)
-    rho_spectra = np.maximum(_density_eigenvalues(rhos), 0.0)
-    sigmas = _post_measurement_spectra(rhos, [v for _, v in pairs])
-    members = np.maximum(np.stack([s._eigenvalues for e in ensembles for s in e.states]), 0.0)
-    sizes = [e.size for e in ensembles]
-    h_a, h_b, h_ab, s_rho, s_sigma, *h_members = _segments(
-        _entropies(
-            row_sums
-            + col_sums
-            + [j.matrix.reshape(-1) for j in joints]
-            + list(rho_spectra)
-            + sigmas
-            + list(members)
-        ),
-        [len(pairs)] * 5 + sizes,
-    )
-    infos = np.add(h_a, h_b) - h_ab
-    _raise_first_failure([_information_check(infos)])
-    infos = [max(0.0, info) for info in infos.tolist()]
-    out = []
-    for k, (e, member_spectra) in enumerate(zip(ensembles, _segments(members, sizes))):
-        chi = _chi(e.probs, s_rho[k], h_members[k])
-        ds = _entropy_increase(s_sigma[k], s_rho[k])
-        spectra = tuple(member_spectra)
-        out.append(
-            _Analysis(
-                joints[k], col_sums[k], infos[k], rho_spectra[k], spectra, chi, sigmas[k], ds
-            )
+class _Group(NamedTuple):
+    """One dimension's (ensemble, measurement) pairs as flat stacks, from
+    the draw to the booking: pair k has ``sizes[k]`` members and
+    ``counts[k]`` elements, consecutive in the member and element stacks.
+    ``_analyse_group`` fills in the analysis fields, each a flat array over
+    the pairs, whose pair-k parts are the fields of the pair's
+    ``_Analysis``."""
+
+    states: np.ndarray  # (S, d, d) checked member states
+    eigenvalues: np.ndarray  # (S, d) their eigenvalues, ascending, from the check
+    priors: np.ndarray  # (S,) checked priors, clipped
+    sizes: np.ndarray  # (K,) members of each pair
+    elements: np.ndarray  # (M, d, d) checked measurement elements
+    counts: np.ndarray  # (K,) elements of each pair
+    projective: np.ndarray  # (K,) each measurement's projective flag
+    tables: np.ndarray | None = None  # the clipped joint tables, each row-major
+    by_outcome: np.ndarray | None = None  # the same tables, each outcome-major
+    outcome_probs: np.ndarray | None = None  # (M,) the tables' column sums
+    rho_spectra: np.ndarray | None = None  # (K, d) clipped, of the average states
+    member_spectra: np.ndarray | None = None  # (S, d) clipped
+    sigma_spectra: np.ndarray | None = None  # clipped, d or d m a pair
+    sigma_sizes: np.ndarray | None = None  # (K,) the sigma spectra's lengths
+    info: np.ndarray | None = None  # (K,) I(A:B)
+    chi: np.ndarray | None = None  # (K,)
+    delta_s: np.ndarray | None = None  # (K,)
+
+
+def _group(pairs, analyses=None) -> _Group:
+    """The (ensemble, measurement) pairs, all of one dimension, as one
+    ``_Group``.  Given their ``_Analysis`` objects (which have checked the
+    pairs), the group holds only what a booking reads: the priors, sizes
+    and counts, and the spectra and outcome-major tables of the analyses."""
+    priors = np.concatenate([e.probs for e, _ in pairs])
+    sizes = np.array([e.size for e, _ in pairs])
+    counts = np.array([v.size for _, v in pairs])
+    if analyses is not None:
+        d = pairs[0][0].dim
+        return _Group(
+            None,
+            None,
+            priors,
+            sizes,
+            None,
+            counts,
+            None,
+            by_outcome=np.concatenate([a.joint.matrix.T for a in analyses], axis=None),
+            outcome_probs=np.concatenate([a.outcome_probs for a in analyses]),
+            rho_spectra=np.concatenate([a.rho_spectrum for a in analyses]).reshape(-1, d),
+            member_spectra=np.concatenate(
+                [w for a in analyses for w in a.member_spectra]
+            ).reshape(-1, d),
+            sigma_spectra=np.concatenate([a.sigma_spectrum for a in analyses]),
+            sigma_sizes=np.array([a.sigma_spectrum.size for a in analyses]),
         )
-    return out
+    for e, v in pairs:
+        _require_same_dim("ensemble", e.dim, v)
+    states = [s for e, _ in pairs for s in e.states]
+    return _Group(
+        np.stack([s.matrix for s in states]),
+        np.stack([s._eigenvalues for s in states]),
+        priors,
+        sizes,
+        np.concatenate([v._stack for _, v in pairs]),
+        counts,
+        np.array([v.projective for _, v in pairs]),
+    )
+
+
+def _pairs(g: _Group) -> list[tuple[Ensemble, Povm]]:
+    """Each pair of a group as an ``Ensemble`` and a ``Povm`` of views of
+    its stacks, which become read-only; nothing is checked again."""
+    g.states.setflags(write=False)
+    g.elements.setflags(write=False)
+    states = [DensityMatrix._checked(m, w) for m, w in zip(g.states, g.eigenvalues)]
+    sizes, counts = g.sizes.tolist(), g.counts.tolist()
+    ensembles = [
+        Ensemble._checked(p, tuple(members))
+        for p, members in zip(_segments(g.priors, sizes), _segments(states, sizes))
+    ]
+    povms = [
+        Povm._checked(stack, flag)
+        for stack, flag in zip(_segments(g.elements, counts), g.projective.tolist())
+    ]
+    return list(zip(ensembles, povms))
+
+
+def _analyse_group(g: _Group) -> _Group:
+    """The group with its analysis: one ``_joint_distributions`` for the
+    tables, their marginals and the average states, one stacked density
+    check, one ``_post_measurement_spectra``, one ``_entropies`` for every
+    entropy, then I, chi and delta_s of every pair with the arithmetic and
+    stacked checks of ``mutual_information``, ``holevo_chi`` and
+    ``delta_s``, so each pair's values are ``_analyse``'s to the last bit
+    and the lowest-index failing pair raises its error."""
+    tables, by_outcome, row_sums, col_sums, rhos = _joint_distributions(g)
+    rho_spectra = np.maximum(_density_eigenvalues(rhos), 0.0)
+    sigma, sigma_sizes = _post_measurement_spectra(rhos, g.elements, g.counts, g.projective)
+    members = np.maximum(g.eigenvalues, 0.0)
+    k, d = rho_spectra.shape
+    vectors = [row_sums, col_sums, tables, rho_spectra.ravel(), sigma, members.ravel()]
+    lengths = [g.sizes, g.counts, g.sizes * g.counts, np.full(k, d), sigma_sizes]
+    h_a, h_b, h_ab, s_rho, s_sigma, h_members = np.split(
+        _entropies(np.concatenate(vectors), np.concatenate(lengths + [np.full(len(members), d)])),
+        np.arange(1, 6) * k,
+    )
+    infos = h_a + h_b - h_ab
+    _raise_first_failure([_information_check(infos)])
+    increases = s_sigma - s_rho
+    _raise_first_failure([_entropy_increase_check(increases)])
+    return g._replace(
+        tables=tables,
+        by_outcome=by_outcome,
+        outcome_probs=col_sums,
+        rho_spectra=rho_spectra,
+        member_spectra=members,
+        sigma_spectra=sigma,
+        sigma_sizes=sigma_sizes,
+        info=np.where(infos > 0.0, infos, 0.0),
+        chi=_chis(g.priors, g.sizes, s_rho, h_members),
+        delta_s=np.where(increases > 0.0, increases, 0.0),
+    )
 
 
 def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:

@@ -18,10 +18,12 @@ from .linops import (
     PSD_TOL,
     TRACE_TOL,
     _asymmetry,
+    _ordered_sums,
     _raise_first_failure,
     _require_finite,
     _require_int,
     _segments,
+    _sums,
     as_complex_matrix,
     hermitian_eig,
     max_abs,
@@ -37,41 +39,50 @@ def _entropy_of_spectrum(values: np.ndarray) -> float:
     return float(max(0.0, -np.dot(w, np.log2(w))))
 
 
-def _entropies(vectors) -> list[float]:
-    """``_entropy_of_spectrum`` of each 1-d float vector of ``vectors``, to
-    the last bit: one clip and one ``log2`` for all of them, then one
-    batched ``(K, 1, c) @ (K, c, 1)`` product for the K vectors with c
-    positive entries each.  Vectors are never padded to a common length,
-    because the zeros would change the bits of the dot products."""
-    flat = np.maximum(np.concatenate(vectors), 0.0)
+def _entropies(flat: np.ndarray, lengths) -> np.ndarray:
+    """``_entropy_of_spectrum`` of each consecutive segment of the float
+    array ``flat``, of ``lengths`` items each, to the last bit: one clip and
+    one ``log2`` for all of them, then one batched ``(K, 1, c) @ (K, c, 1)``
+    product for the K segments with c positive entries each.  Segments are
+    never padded to a common length, because the zeros would change the
+    bits of the dot products."""
+    lengths = np.asarray(lengths)
+    flat = np.maximum(flat, 0.0)
     positive = flat > 0.0
     w = flat[positive]
     logs = np.log2(w)
-    # the number of positive entries before each vector, and after the last
-    seen = np.concatenate(([0], np.cumsum(positive)))[np.cumsum([0] + [v.size for v in vectors])]
+    # the number of positive entries before each segment, and after the last
+    seen = np.concatenate(([0], np.cumsum(positive)))[np.concatenate(([0], np.cumsum(lengths)))]
     starts, counts = seen[:-1], seen[1:] - seen[:-1]
-    dots = np.zeros(len(vectors))
+    dots = np.zeros(len(lengths))
     for c in set(counts.tolist()) - {0}:
         ks = np.flatnonzero(counts == c)
         idx = starts[ks][:, None] + np.arange(c)
         dots[ks] = (w[idx][:, None, :] @ logs[idx][:, :, None])[:, 0, 0]
-    return [float(max(0.0, -x)) if c else 0.0 for x, c in zip(dots.tolist(), counts.tolist())]
+    return np.where(-dots > 0.0, -dots, 0.0)
 
 
 def _density_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of each matrix of a finite complex (B, d, d)
     stack, from one batched ``eigvalsh``, once each matrix has passed the
-    density-matrix checks: Hermitian, then ``_density_checks``.  The
-    lowest-index failing item raises the error ``DensityMatrix`` raises for
-    it alone."""
+    density-matrix checks of ``_density_spectra``.  The lowest-index failing
+    item raises the error ``DensityMatrix`` raises for it alone."""
+    w, checks = _density_spectra(stack)
+    _raise_first_failure(checks)
+    return w
+
+
+def _density_spectra(stack: np.ndarray):
+    """The eigenvalues (ascending) of each matrix of a finite complex
+    (B, d, d) stack, from one batched ``eigvalsh``, and its density-matrix
+    checks for ``_raise_first_failure``: Hermitian, then ``_density_checks``."""
     asym = _asymmetry(stack)
     w = np.linalg.eigvalsh(stack)
     hermitian = (
         asym > HERMITICITY_TOL,
         lambda k: ValidationError(f"density matrix deviates from Hermitian by {asym[k]:.3e}"),
     )
-    _raise_first_failure([hermitian] + _density_checks(np.trace(stack, axis1=1, axis2=2), w[:, 0]))
-    return w
+    return w, [hermitian] + _density_checks(np.trace(stack, axis1=1, axis2=2), w[:, 0])
 
 
 def _density_checks(traces: np.ndarray, lowest: np.ndarray):
@@ -198,33 +209,45 @@ class Ensemble:
 
 def _checked_priors(priors) -> list[np.ndarray]:
     """Each nonempty float vector of ``priors``, clipped to be nonnegative,
-    once all have passed the prior checks of ``Ensemble`` stacked: finite,
-    none below -PROB_CLIP, summing to 1 within TRACE_TOL.  The lowest-index
-    failing vector raises the error ``Ensemble`` raises for it alone."""
+    once all have passed the prior checks of ``Ensemble`` stacked, by
+    ``_probability_checks``; the lowest-index failing vector raises the
+    error ``Ensemble`` raises for it alone."""
     counts = [p.size for p in priors]
-    offsets = np.cumsum(counts) - counts
-    flat = np.concatenate(priors)
-    clipped = np.clip(flat, 0.0, None)
-    totals = np.add.reduceat(clipped, offsets)
-    _raise_first_failure(
-        [
-            (
-                ~np.logical_and.reduceat(np.isfinite(flat), offsets),
-                lambda k: ValidationError("priors have non-finite entries"),
-            ),
-            (
-                np.logical_or.reduceat(flat < -PROB_CLIP, offsets),
-                lambda k: ValidationError(f"negative prior {priors[k].min():.3e}"),
-            ),
-            (
-                np.abs(totals - 1.0) > TRACE_TOL,
-                lambda k: ValidationError(
-                    f"priors sum to {np.clip(priors[k], 0.0, None).sum():.12g}, expected 1"
-                ),
-            ),
-        ]
-    )
+    clipped, checks = _probability_checks(np.concatenate(priors), counts)
+    _raise_first_failure(checks)
     return _segments(clipped, counts)
+
+
+def _probability_checks(flat: np.ndarray, lengths, noun: str = "prior", plural: str = "priors"):
+    """Each consecutive segment of the float array ``flat``, of ``lengths``
+    items each, clipped to be nonnegative, and the checks of each segment
+    as a probability vector, for ``_raise_first_failure``: finite, none
+    below -PROB_CLIP, the clipped entries' ``sum()`` within TRACE_TOL of 1.
+    ``noun`` and ``plural`` name an entry and the vector in the messages."""
+    lengths = np.asarray(lengths)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    clipped = np.clip(flat, 0.0, None)
+    totals = _sums(clipped, lengths)
+
+    def flagged(entries):
+        bad = np.zeros(len(lengths), dtype=bool)
+        bad[owner[entries]] = True
+        return bad
+
+    return clipped, [
+        (
+            flagged(~np.isfinite(flat)),
+            lambda k: ValidationError(f"{plural} have non-finite entries"),
+        ),
+        (
+            flagged(flat < -PROB_CLIP),
+            lambda k: ValidationError(f"negative {noun} {flat[owner == k].min():.3e}"),
+        ),
+        (
+            np.abs(totals - 1.0) > TRACE_TOL,
+            lambda k: ValidationError(f"{plural} sum to {totals[k]:.12g}, expected 1"),
+        ),
+    ]
 
 
 def average_state(e: Ensemble) -> DensityMatrix:
@@ -245,16 +268,12 @@ def von_neumann_entropy(r: DensityMatrix) -> float:
 
 
 def shannon_entropy(p) -> float:
-    """H(p) = -sum p_i log2 p_i for a probability vector, in bits."""
+    """H(p) = -sum p_i log2 p_i for a probability vector, in bits, once it
+    has passed ``_probability_checks``."""
     p = np.asarray(p, dtype=float).reshape(-1)
-    if not np.isfinite(p).all():
-        raise ValidationError("probabilities have non-finite entries")
-    if np.any(p < -PROB_CLIP):
-        raise ValidationError(f"negative probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
-    if abs(p.sum() - 1.0) > TRACE_TOL:
-        raise ValidationError(f"probabilities sum to {p.sum():.12g}, expected 1")
-    return _entropy_of_spectrum(p)
+    clipped, checks = _probability_checks(p, [p.size], "probability", "probabilities")
+    _raise_first_failure(checks)
+    return _entropy_of_spectrum(clipped)
 
 
 def holevo_chi(e: Ensemble) -> float:
@@ -274,6 +293,16 @@ def _chi(probs, rho_entropy: float, member_entropies) -> float:
     """``holevo_chi`` from the entropies of the average state and the members."""
     cond = sum(p * h for p, h in zip(probs, member_entropies) if p > 0.0)
     return float(max(0.0, rho_entropy - cond))
+
+
+def _chis(priors: np.ndarray, sizes, rho_entropies: np.ndarray, member_entropies: np.ndarray):
+    """``_chi`` of each of K ensembles, to the last bit, from the flat
+    priors and member entropies of all of them (``sizes`` members each) and
+    the (K,) entropies of their average states: the weighted entropies of
+    each ensemble added in order from +0, where the +0 term of a zero prior
+    adds nothing, as skipping it does."""
+    chi = rho_entropies - _ordered_sums(priors * member_entropies, sizes)
+    return np.where(chi > 0.0, chi, 0.0)
 
 
 def ensemble_commutes(e: Ensemble) -> bool:

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR, _raise_first_failure
-from .measurement import Povm, _analyse, joint_distribution
+from .measurement import Povm, _analyse, _group, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
 
 STAGE_EXTRACTION = "extraction"
@@ -253,8 +253,8 @@ def _rho_to_initial(p, n, lam, d, mu) -> list[_Segment]:
 
 
 class _Booking(NamedTuple):
-    """Booked segments: the (K, L) works, each pair's net, and the column
-    where each segment's terms start in each pair's row."""
+    """Booked segments: the (K, L) works, each row's net, and the column
+    where each segment's terms start in each row."""
 
     segments: list[_Segment]
     works: np.ndarray
@@ -263,21 +263,23 @@ class _Booking(NamedTuple):
 
     @property
     def breaks(self) -> np.ndarray:
-        """Which pairs' cycles net positive work beyond ``CYCLE_TOL``."""
+        """Which rows' cycles net positive work beyond ``CYCLE_TOL``."""
         return self.nets > CYCLE_TOL
 
 
-def _books(segments: list[_Segment]) -> _Booking:
-    """Lay the segments' terms out as zero-padded (K, L) arrays, each
-    pair's row holding its terms in segment order, and book them."""
-    counts = np.stack([s.counts for s in segments], axis=1)
+def _books(segments: list[_Segment], rows=None) -> _Booking:
+    """Lay the segments' terms out as zero-padded (K, L) arrays, pair k's
+    terms in segment order in row ``rows[k]`` (row k by default), and book
+    them."""
+    counts = np.array([s.counts for s in segments]).T
     starts = np.cumsum(counts, axis=1) - counts
     k, width = len(counts), int(counts.sum(axis=1).max())
+    order = np.arange(k) if rows is None else np.asarray(rows)
     # the concatenated terms run segment by segment, pair by pair; each
     # (segment, pair) block goes to the pair's row at the segment's start
     blocks = counts.T.ravel()
-    rows = (starts + width * np.arange(k)[:, None]).T.ravel()
-    places = np.arange(blocks.sum()) + np.repeat(rows - (np.cumsum(blocks) - blocks), blocks)
+    places = (starts + width * order[:, None]).T.ravel()
+    places = np.arange(blocks.sum()) + np.repeat(places - (np.cumsum(blocks) - blocks), blocks)
     terms = []
     for name in ("fractions", "v_initial", "v_final", "live"):
         flat = np.concatenate([getattr(s, name) for s in segments])
@@ -285,6 +287,8 @@ def _books(segments: list[_Segment]) -> _Booking:
         stacked[places] = flat
         terms.append(stacked.reshape(k, width))
     works, nets = _book(*terms)
+    if rows is not None:
+        starts[order] = starts.copy()
     return _Booking(segments, works, nets, starts)
 
 
@@ -368,7 +372,7 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     tolerance, and ``NumericalFailure`` if it is not finite.
     """
     a = _analyse(e, v)
-    booking = _book_cycles([(e, v)], [a])
+    booking = _book_cycles([_group([(e, v)], [a])])
     net = float(booking.nets[0])
     if booking.breaks[0]:
         raise SecondLawViolation(
@@ -379,19 +383,24 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     )
 
 
-def _book_cycles(pairs, analyses) -> _Booking:
-    """Book the cycle of every (ensemble, measurement) pair from its
-    analysis, all pairs in one pass: extraction, sigma -> rho with rho's
-    spectrum padded by d*(m-1) zeros for a general measurement, and
-    rho -> start.  The lowest-index pair whose booking fails raises; a net
-    above ``CYCLE_TOL`` is left to the caller, in ``breaks``."""
-    p, n = _flat([e.probs for e, _ in pairs])
-    lam, d = _flat([a.rho_spectrum for a in analyses])
-    q, m = _flat([a.outcome_probs for a in analyses])
-    tables = np.concatenate([a.joint.matrix.T.ravel() for a in analyses])
-    mu = np.concatenate([w for a in analyses for w in a.member_spectra])
+def _book_cycles(groups, rows=None) -> _Booking:
+    """Book the cycle of every pair of the analysed groups (``_Group``s),
+    all in one pass: extraction, sigma -> rho with rho's spectrum padded by
+    d*(m-1) zeros for a general measurement, and rho -> start.  Pair k,
+    counted group after group, books in row ``rows[k]`` (row k by
+    default).  The lowest row whose booking fails raises; a net above
+    ``CYCLE_TOL`` is left to the caller, in ``breaks``."""
+
+    def joined(name):
+        parts = [getattr(g, name).reshape(-1) for g in groups]
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    p, n = joined("priors"), joined("sizes")
+    lam, mu = joined("rho_spectra"), joined("member_spectra")
+    d = np.concatenate([np.full(*g.rho_spectra.shape) for g in groups])
     return _books(
-        _extraction(p, n, q, m, tables)
-        + _sigma_to_rho(*_flat([a.sigma_spectrum for a in analyses]), lam, d)
-        + _rho_to_initial(p, n, lam, d, mu)
+        _extraction(p, n, joined("outcome_probs"), joined("counts"), joined("by_outcome"))
+        + _sigma_to_rho(joined("sigma_spectra"), joined("sigma_sizes"), lam, d)
+        + _rho_to_initial(p, n, lam, d, mu),
+        rows,
     )

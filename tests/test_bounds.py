@@ -9,9 +9,10 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import bounds
+from infotherm import bounds, measurement
+from infotherm.blockcoding import DIM_CAP
 from infotherm.bounds import BOUND_TOL
-from infotherm.linops import _psd_function_stack, as_complex_matrix, psd_function
+from infotherm.linops import _psd_function_stack, _segments, as_complex_matrix, psd_function
 from infotherm.errors import (
     BudgetExceeded,
     NegativeEigenvalue,
@@ -952,10 +953,12 @@ def reference_draw(dim, n_states, m_outcomes, kind, seed):
 
 
 class TestStackedDrawsMatchPerTrialDraws:
-    # _random_instances draws every trial from its own generator, then runs
-    # the QR, Wishart, ket and conjugation arithmetic once per group; every
-    # bit must equal the per-trial construction above.  The generators are
-    # the suite's, built from one seeding pass over the specs' seeds.
+    # _random_instances draws every trial from its own generator, then forms
+    # the Dirichlet rows and complex Gaussians and runs the QR, Wishart, ket
+    # and conjugation arithmetic once per group; every bit of the group's
+    # stacks, and of the pairs random_instance hands out from them, must
+    # equal the per-trial construction above.  The generators are the
+    # suite's, built from one seeding pass over the specs' seeds.
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_equal_to_the_per_trial_draws(self, dim, seed):
@@ -965,17 +968,79 @@ class TestStackedDrawsMatchPerTrialDraws:
             m = 2 + (t // 3) % (dim - 1) if kind == "commuting" else 2 + t % 5
             specs.append((dim, 1 + t % 4, m, kind, [seed, t]))
         seed_states = bounds._seed_states(spec[4] for spec in specs)
-        pairs = bounds._random_instances(
+        g = bounds._random_instances(
             [(*spec[:4], bounds._generator(state)) for spec, state in zip(specs, seed_states)]
         )
+        assert g.sizes.tolist() == [spec[1] for spec in specs]
+        assert g.counts.tolist() == [spec[2] for spec in specs]
+        parts = zip(
+            specs,
+            measurement._pairs(g),
+            _segments(g.priors, g.sizes),
+            _segments(g.states, g.sizes),
+            _segments(g.eigenvalues, g.sizes),
+            _segments(g.elements, g.counts),
+            g.projective.tolist(),
+        )
         flags = []
-        for spec, (e, v) in zip(specs, pairs):
-            probs, states, elements, projective = reference_draw(*spec)
-            assert e.probs.tobytes() == probs.tobytes(), spec
-            assert np.stack([s.matrix for s in e.states]).tobytes() == np.stack(states).tobytes(), spec
-            assert np.stack(v.elements).tobytes() == np.stack(elements).tobytes(), spec
-            assert v.projective == projective, spec
+        for spec, (e, v), priors, states, eigenvalues, elements, flag in parts:
+            probs, expected_states, expected_elements, projective = reference_draw(*spec)
+            assert priors.tobytes() == e.probs.tobytes() == probs.tobytes(), spec
+            expected_states = np.stack(expected_states)
+            assert states.tobytes() == expected_states.tobytes(), spec
+            assert np.stack([s.matrix for s in e.states]).tobytes() == expected_states.tobytes()
+            for w, s in zip(eigenvalues, expected_states):
+                assert w.tobytes() == it.DensityMatrix(s)._eigenvalues.tobytes(), spec
+            assert elements.tobytes() == np.stack(expected_elements).tobytes(), spec
+            assert np.stack(v.elements).tobytes() == elements.tobytes(), spec
+            assert flag is v.projective is projective, spec
             flags.append((spec[3], projective))
         # the group mixes commuting, projective and general trials
         assert {("commuting", True), ("pure", False), ("mixed", False)} <= set(flags)
         assert any(kind != "commuting" and p for kind, p in flags)
+
+
+class TestGroupShapingMatchesNumpy:
+    # the group forms every Dirichlet row and complex Gaussian from the raw
+    # draws its trials made; each must be what numpy's own call returns, bit
+    # for bit, with the generator left where that call leaves it
+    @pytest.mark.parametrize("seed", range(40))
+    def test_dirichlet_rows(self, seed):
+        for k in range(1, 7):
+            numpy_rng, raw_rng = (np.random.default_rng([seed, k]) for _ in range(2))
+            expected = numpy_rng.dirichlet(np.ones(k))
+            got = bounds._dirichlet_rows(raw_rng.standard_exponential(k), [k])
+            assert got.tobytes() == expected.tobytes(), k
+            assert numpy_rng.random() == raw_rng.random()
+        for d in range(2, DIM_CAP + 1):
+            n = 1 + (seed + d) % 4
+            numpy_rng, raw_rng = (np.random.default_rng([seed, d, 1]) for _ in range(2))
+            expected = numpy_rng.dirichlet(np.ones(d), size=n)
+            draws = raw_rng.standard_exponential((n, d)).reshape(-1)
+            got = bounds._dirichlet_rows(draws, np.full(n, d)).reshape(n, d)
+            assert got.tobytes() == expected.tobytes(), d
+            assert numpy_rng.random() == raw_rng.random()
+
+    def test_dirichlet_rows_of_many_trials_at_once(self):
+        lengths = [1 + t % 6 for t in range(24)] + [DIM_CAP, 9, 17]
+        rngs = [np.random.default_rng([3, t]) for t in range(len(lengths))]
+        draws = np.concatenate([rng.standard_exponential(k) for rng, k in zip(rngs, lengths)])
+        expected = np.concatenate(
+            [np.random.default_rng([3, t]).dirichlet(np.ones(k)) for t, k in enumerate(lengths)]
+        )
+        assert bounds._dirichlet_rows(draws, lengths).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_complex_gaussians_draw_real_then_imaginary_parts(self, seed):
+        for count in range(1, 5):
+            for shape in ((2,), (5,), (3, 3), (DIM_CAP, DIM_CAP)):
+                raw_rng, numpy_rng = (np.random.default_rng([seed, count]) for _ in range(2))
+                got = bounds._complex_gaussians(raw_rng.normal(size=(count, 2) + shape))
+                expected = np.stack(
+                    [
+                        numpy_rng.normal(size=shape) + 1j * numpy_rng.normal(size=shape)
+                        for _ in range(count)
+                    ]
+                )
+                assert got.tobytes() == expected.tobytes()
+                assert raw_rng.random() == numpy_rng.random()

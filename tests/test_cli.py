@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -873,31 +872,49 @@ class TestSuiteBuildsNoLedgerEntries:
 
 
 class TestSuiteBuildsNoAverageStates:
-    # the suite keeps each chunk's average states as one checked matrix
-    # stack, so the only states it builds are its drawn members, as views;
-    # the one-pair analysis, as a control, builds its average state
-    def test_a_suite_run_builds_one_state_per_member(self, monkeypatch, tmp_path, capsys):
-        views, built = [], []
-        real_checked = quantum.DensityMatrix._checked.__func__
-        real_post_init = quantum.DensityMatrix.__post_init__
+    # the suite keeps each dimension group stacked from the draw to the
+    # booking, so it builds no per-trial object at all: no state (checked
+    # or a view), measurement, ensemble, joint table or analysis; drawing
+    # one pair and analysing it, as a control, builds each of them
+    BUILDERS = (
+        (quantum.DensityMatrix, True),
+        (measurement.Povm, True),
+        (quantum.Ensemble, True),
+        (measurement.JointDistribution, True),
+        (measurement._Analysis, False),
+    )
 
-        def counting_view(cls, matrix, eigenvalues):
-            views.append(None)
-            return real_checked(cls, matrix, eigenvalues)
+    def count_builds(self, monkeypatch):
+        built = []
+        for cls, has_view in self.BUILDERS:
+            real_init = cls.__init__
 
-        def counting(self):
-            built.append(None)
-            real_post_init(self)
+            def counting_init(obj, *args, _real=real_init, **kwargs):
+                built.append(type(obj).__name__)
+                _real(obj, *args, **kwargs)
 
-        monkeypatch.setattr(quantum.DensityMatrix, "_checked", classmethod(counting_view))
-        monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+            if has_view:
+                real_checked = cls._checked.__func__
+
+                def counting_view(c, *args, _real=real_checked):
+                    built.append(c.__name__)
+                    return _real(c, *args)
+
+                monkeypatch.setattr(cls, "_checked", classmethod(counting_view))
+        return built
+
+    def test_a_suite_run_builds_no_per_trial_object(self, monkeypatch, tmp_path, capsys):
+        built = self.count_builds(monkeypatch)
         csv = tmp_path / "suite.csv"
         assert cli.main(["suite", "--trials", "50", "--seed", "42", "--csv", str(csv)]) == 0
         capsys.readouterr()
-        assert len(views) == sum(int(row["n_states"]) for row in _csv_rows(csv))
+        assert len(_csv_rows(csv)) == 50
         assert built == []
         measurement._analyse(*it.random_instance(2, 2, 2, "pure", 0))
-        assert built
+        assert set(built) == {
+            "DensityMatrix", "Povm", "Ensemble", "JointDistribution", "_Analysis"
+        }
 
 
 class TestSuiteSecondLawPath:
@@ -905,16 +922,21 @@ class TestSuiteSecondLawPath:
         self, monkeypatch, tmp_path, capsys
     ):
         real_book_cycles = cli._book_cycles
-        seen = []
 
-        def violates_on_trial_2(pairs, analyses):
+        def violates_on_trial_2(groups, rows):
             # trial 2's cycle is booked as if undoing the dephasing were
-            # free, so it nets I + sum_i p_i S(rho_i) > 0
-            seen.extend(pairs)
-            analyses = list(analyses)
-            a = analyses[2]
-            analyses[2] = dataclasses.replace(a, sigma_spectrum=np.zeros_like(a.sigma_spectrum))
-            return real_book_cycles(pairs, analyses)
+            # free (its stacked sigma spectrum all zeros), so it nets
+            # I + sum_i p_i S(rho_i) > 0
+            k = list(rows).index(2)
+            for index, g in enumerate(groups):
+                if k < len(g.sizes):
+                    start = int(g.sigma_sizes[:k].sum())
+                    sigma = g.sigma_spectra.copy()
+                    sigma[start:start + g.sigma_sizes[k]] = 0.0
+                    groups[index] = g._replace(sigma_spectra=sigma)
+                    break
+                k -= len(g.sizes)
+            return real_book_cycles(groups, rows)
 
         monkeypatch.setattr(cli, "_book_cycles", violates_on_trial_2)
         csv = tmp_path / "suite.csv"
@@ -926,7 +948,11 @@ class TestSuiteSecondLawPath:
         assert [row["cycle_net"] == "nan" for row in rows] == [
             False, False, True, False, False
         ]
-        report = it.evaluate_bounds(*seen[2])
+        row = rows[2]
+        pair = it.random_instance(
+            int(row["dim"]), int(row["n_states"]), int(row["m_outcomes"]), row["kind"], [7, 2, 1]
+        )
+        report = it.evaluate_bounds(*pair)
         for column, value in (
             ("accessible_info", report.accessible_info),
             ("chi", report.chi),
@@ -934,7 +960,10 @@ class TestSuiteSecondLawPath:
             ("holevo_slack", report.holevo_slack),
             ("thermo_slack", report.thermo_slack),
         ):
-            assert rows[2][column] == format(value, ".9g"), column
+            assert row[column] == format(value, ".9g"), column
+        # the other trials keep their nets
+        for t in (0, 1, 3, 4):
+            assert rows[t]["cycle_net"] == reference_row(7, t, [2, 3, 4], cli._KINDS).split(",")[-1]
 
 
 def reference_row(seed, trial, dims, kinds):

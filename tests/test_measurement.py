@@ -359,7 +359,12 @@ class TestPostMeasurementSpectrum:
 
         def error(povms):
             with pytest.raises(ValidationError) as info:
-                measurement._post_measurement_spectra(rhos, povms)
+                measurement._post_measurement_spectra(
+                    rhos,
+                    np.concatenate([v._stack for v in povms]),
+                    [v.size for v in povms],
+                    [v.projective for v in povms],
+                )
             return str(info.value)
 
         psd = "density matrix has eigenvalue -5.000e-02 below -1.0e-09"
@@ -367,6 +372,35 @@ class TestPostMeasurementSpectrum:
         assert error([valid, negative, both]) == psd
         assert error([valid, both, negative]) == trace
         assert error([both, valid, valid]) == trace
+
+    def test_the_lowest_failing_pair_raises_across_both_routes(self):
+        # pair 0 is general with a union trace of 1.05, pair 1 projective
+        # with a dephased trace of 1.22; each route keeps its own message,
+        # the projective one printing its trace as a complex number
+        half = np.eye(2, dtype=complex) / 2
+        general = np.array([np.diag([0.5, 0.5]), np.diag([0.55, 0.55])], dtype=complex)
+        basis = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        skewed = np.array([[[1.0, 1e-6], [0.0, 0.0]], np.diag([0.0, 1.0])], dtype=complex)
+
+        def error(rhos, stacks, flags):
+            with pytest.raises(ValidationError) as info:
+                measurement._post_measurement_spectra(
+                    np.stack(rhos), np.concatenate(stacks), [2] * len(stacks), flags
+                )
+            return str(info.value)
+
+        general_trace = "density matrix has trace 1.05, expected 1"
+        projective_trace = "density matrix has trace 1.22+0j, expected 1"
+        assert error([half, 1.22 * half], [general, basis], [False, True]) == general_trace
+        assert error([1.22 * half, half], [basis, general], [True, False]) == projective_trace
+        assert error([half], [general], [False]) == general_trace
+        assert error([1.22 * half], [basis], [True]) == projective_trace
+        # a projective pair's hermiticity check comes first, and a lower
+        # passing pair of the other route does not hide it
+        valid = np.array([np.diag([0.4, 0.1]), np.diag([0.6, 0.9])], dtype=complex)
+        assert error(
+            [half, half, half], [valid, skewed, general], [False, True, False]
+        ) == "density matrix deviates from Hermitian by 5.000e-07"
 
     def test_general_povm_never_builds_the_record_state(self, monkeypatch):
         # five outcomes on a qutrit: always a general POVM

@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
+from infotherm import quantum
 from infotherm.errors import DimensionMismatch, ValidationError
+from infotherm.linops import TRACE_TOL
 
 from conftest import CHI_TWO_STATE, H_THREE_QUARTERS
 
@@ -168,6 +170,90 @@ class TestShannonEntropy:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError, match="non-finite"):
             it.shannon_entropy([np.nan, 1.0])
+
+
+class TestProbabilityChecks:
+    # shannon_entropy and Ensemble run the same three checks through one
+    # builder, quantum._probability_checks, naming the entries
+    # "probability"/"prior" and the vector "probabilities"/"priors"; every
+    # message is pinned byte for byte
+    CASES = [
+        ([np.nan, 1.0], "{plural} have non-finite entries"),
+        ([np.inf, 0.0], "{plural} have non-finite entries"),
+        ([np.nan, -0.5], "{plural} have non-finite entries"),
+        ([1.1, -0.1], "negative {noun} -1.000e-01"),
+        ([-0.5, 0.5], "negative {noun} -5.000e-01"),
+        ([0.3, -2e-12, 0.6], "negative {noun} -2.000e-12"),
+        ([0.5, 0.4], "{plural} sum to 0.9, expected 1"),
+        ([0.1] * 9, "{plural} sum to 0.9, expected 1"),
+        ([0.125] * 7 + [0.1], "{plural} sum to 0.975, expected 1"),
+        ([0.1] * 11, "{plural} sum to 1.1, expected 1"),
+    ]
+
+    @staticmethod
+    def message(call):
+        with pytest.raises(ValidationError) as info:
+            call()
+        return str(info.value)
+
+    @pytest.mark.parametrize("p, template", CASES)
+    def test_messages_are_pinned(self, p, template):
+        states = tuple(it.maximally_mixed(2) for _ in p)
+        assert self.message(lambda: it.shannon_entropy(p)) == template.format(
+            noun="probability", plural="probabilities"
+        )
+        assert self.message(lambda: it.Ensemble(p, states)) == template.format(
+            noun="prior", plural="priors"
+        )
+
+    def test_empty_and_clipped_vectors(self):
+        assert self.message(lambda: it.shannon_entropy([])) == (
+            "probabilities sum to 0, expected 1"
+        )
+        assert it.shannon_entropy([1.0 + 1e-13, -1e-13]) == 0.0
+        e = it.Ensemble([1.0 + 1e-13, -1e-13], (it.maximally_mixed(2),) * 2)
+        assert e.probs.tolist() == [1.0 + 1e-13, 0.0]
+
+    # two vectors whose numpy sum and left-to-right (reduceat) sum straddle
+    # 1 + TRACE_TOL: the check tests the sum its message prints
+    OVER = [
+        0.06773036918372259, 0.07207252171800695, 0.10699462668558724, 0.05646061994320218,
+        0.1000091952536735, 0.09683106562197386, 0.12691167340827572, 0.01564952655757314,
+        0.09926459622372052, 0.12628045653201064, 0.13179534987225378,
+    ]
+    WITHIN = [
+        0.10756011638443494, 0.06633776366727294, 0.06833890058984103, 0.022939289967498583,
+        0.062157270936432, 0.061851517219490205, 0.010509054894954347, 0.11603098192347508,
+        0.06751880028408348, 0.0007573038159735974, 0.09129987536757632, 0.11559649270112202,
+        0.06970182585235274, 0.03777509056324787, 0.022156796446893372, 0.07946892038535144,
+    ]
+
+    def test_the_sum_check_tests_the_printed_sum(self):
+        over, within = np.array(self.OVER), np.array(self.WITHIN)
+        assert abs(over.sum() - 1.0) > TRACE_TOL >= abs(np.add.reduceat(over, [0])[0] - 1.0)
+        assert abs(within.sum() - 1.0) <= TRACE_TOL < abs(np.add.reduceat(within, [0])[0] - 1.0)
+        states = tuple(it.maximally_mixed(2) for _ in self.OVER)
+        assert self.message(lambda: it.Ensemble(over, states)) == (
+            "priors sum to 1.000000001, expected 1"
+        )
+        assert self.message(lambda: it.shannon_entropy(over)) == (
+            "probabilities sum to 1.000000001, expected 1"
+        )
+        it.Ensemble(within, tuple(it.maximally_mixed(2) for _ in self.WITHIN))
+        it.shannon_entropy(within)
+
+    def test_both_callers_use_the_one_builder(self, monkeypatch):
+        seen = []
+        real = quantum._probability_checks
+
+        def spy(flat, lengths, *names):
+            seen.append(names)
+            return real(flat, lengths, *names)
+
+        monkeypatch.setattr(quantum, "_probability_checks", spy)
+        it.shannon_entropy([0.5, 0.5])
+        it.Ensemble([0.5, 0.5], (it.maximally_mixed(2),) * 2)
+        assert seen == [("probability", "probabilities"), ()]
 
 
 class TestHolevoChi:

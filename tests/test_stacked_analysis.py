@@ -1,11 +1,12 @@
 """The stacked draw and analysis against the per-pair arithmetic they replace.
 
-``_joint_distributions`` and ``_analyse_pairs`` are the stacked forms of
+``_joint_distributions`` and ``_analyse_group`` are the stacked forms of
 ``joint_distribution`` and ``_analyse``, which keep their own one-pair path,
-and the average states ``_joint_distributions`` sums are the stacked form of
-``_average_matrix``; ``Ensemble`` is the one-item case of
-``_checked_priors``; ``_entropies`` is the stacked form of
-``_entropy_of_spectrum``.  A stack must give each item, bit for bit, what the
+over a ``_Group`` of pairs, and the average states ``_joint_distributions``
+sums are the stacked form of ``_average_matrix``; ``Ensemble`` is the
+one-item case of ``_checked_priors``; ``_entropies`` is the stacked form of
+``_entropy_of_spectrum``; ``_sums`` and ``_ordered_sums`` are numpy's own
+sums of many segments.  A stack must give each item, bit for bit, what the
 per-pair arithmetic gives it, so a wrong pairing or summation order fails; a
 stack with failing items raises what the single call raises for the
 lowest-index one.
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import infotherm as it
-from infotherm import bounds, measurement, quantum
+from infotherm import bounds, linops, measurement, quantum
 from infotherm.errors import NumericalFailure, ValidationError
+from infotherm.linops import _segments
 
 
 def single_error(call, item):
@@ -72,6 +74,29 @@ def edge_pairs(dim):
     ]
 
 
+def analysed(pairs):
+    """Each pair's parts of the analysed group of ``pairs``: its table
+    (n, m), outcome probabilities, rho spectrum, member spectra (n, d),
+    sigma spectrum, I, chi and delta_s."""
+    g = measurement._analyse_group(measurement._group(pairs))
+    d = g.rho_spectra.shape[1]
+    assert g.member_spectra.shape == (g.sizes.sum(), d)
+    return [
+        (table.reshape(n, -1), q, lam, mu, sigma, info, chi, ds)
+        for table, q, lam, mu, sigma, info, chi, ds, n in zip(
+            _segments(g.tables, g.sizes * g.counts),
+            _segments(g.outcome_probs, g.counts),
+            g.rho_spectra,
+            _segments(g.member_spectra, g.sizes),
+            _segments(g.sigma_spectra, g.sigma_sizes),
+            g.info.tolist(),
+            g.chi.tolist(),
+            g.delta_s.tolist(),
+            g.sizes.tolist(),
+        )
+    ]
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
 @pytest.mark.parametrize("seed", [0, 1])
 class TestStackedPairsMatchPerPair:
@@ -80,39 +105,139 @@ class TestStackedPairsMatchPerPair:
 
     def test_joint_tables_and_their_sums(self, dim, seed):
         pairs = self.pairs(dim, seed)
-        tables, rows, cols, averages = measurement._joint_distributions(pairs)
-        assert len(tables) == len(rows) == len(cols) == len(averages) == len(pairs)
-        for (e, v), table, row_sums, col_sums in zip(pairs, tables, rows, cols):
+        g = measurement._group(pairs)
+        tables, by_outcome, rows, cols, averages = measurement._joint_distributions(g)
+        cells = (g.sizes * g.counts).tolist()
+        assert tables.shape == by_outcome.shape == (sum(cells),)
+        assert rows.shape == (g.sizes.sum(),) and cols.shape == (g.counts.sum(),)
+        assert len(averages) == len(pairs)
+        for (e, v), table, outcome_major, row_sums, col_sums in zip(
+            pairs,
+            _segments(tables, cells),
+            _segments(by_outcome, cells),
+            _segments(rows, g.sizes),
+            _segments(cols, g.counts),
+        ):
             expected = reference_table(e, v)
-            assert table.matrix.tobytes() == expected.tobytes()
-            assert table.matrix.shape == expected.shape
-            assert not table.matrix.flags.writeable
-            assert table.matrix.tobytes() == it.joint_distribution(e, v).matrix.tobytes()
+            assert table.tobytes() == expected.tobytes()
+            assert table.size == expected.size
+            assert table.tobytes() == it.joint_distribution(e, v).matrix.tobytes()
+            assert outcome_major.tobytes() == expected.T.ravel().tobytes()
             assert row_sums.tobytes() == expected.sum(axis=1).tobytes()
             assert col_sums.tobytes() == expected.sum(axis=0).tobytes()
 
     def test_analysis_equals_the_public_functions(self, dim, seed):
         pairs = self.pairs(dim, seed)
-        for (e, v), a in zip(pairs, measurement._analyse_pairs(pairs)):
+        for (e, v), parts in zip(pairs, analysed(pairs)):
+            table, q, lam, mu, sigma, info, chi, ds = parts
             rho = it.average_state(e)
-            assert a.info == it.mutual_information(it.JointDistribution(reference_table(e, v)))
-            assert a.outcome_probs.tobytes() == a.joint.outcome_probs.tobytes()
-            assert a.chi == it.holevo_chi(e)
-            assert a.delta_s == it.delta_s(rho, v)
-            assert a.rho_spectrum.tobytes() == rho.spectrum().tobytes()
-            assert a.sigma_spectrum.tobytes() == (
+            assert info == it.mutual_information(it.JointDistribution(reference_table(e, v)))
+            assert q.tobytes() == it.joint_distribution(e, v).outcome_probs.tobytes()
+            assert chi == it.holevo_chi(e)
+            assert ds == it.delta_s(rho, v)
+            assert lam.tobytes() == rho.spectrum().tobytes()
+            assert sigma.tobytes() == (
                 measurement._post_measurement_spectrum(rho, v).tobytes()
             )
-            assert len(a.member_spectra) == e.size
-            for w, s in zip(a.member_spectra, e.states):
+            assert len(mu) == e.size
+            for w, s in zip(mu, e.states):
                 assert w.tobytes() == s.spectrum().tobytes()
+
+    def test_analysis_equals_the_one_pair_analysis(self, dim, seed):
+        pairs = self.pairs(dim, seed)
+        for (e, v), parts in zip(pairs, analysed(pairs)):
+            table, q, lam, mu, sigma, info, chi, ds = parts
+            a = measurement._analyse(e, v)
+            assert table.tobytes() == a.joint.matrix.tobytes()
+            assert table.shape == a.joint.matrix.shape
+            assert q.tobytes() == a.outcome_probs.tobytes()
+            assert lam.tobytes() == a.rho_spectrum.tobytes()
+            assert mu.tobytes() == np.stack(a.member_spectra).tobytes()
+            assert sigma.tobytes() == a.sigma_spectrum.tobytes()
+            assert (info, chi, ds) == (a.info, a.chi, a.delta_s)
 
     def test_average_matrices(self, dim, seed):
         pairs = self.pairs(dim, seed)
-        stacked = measurement._joint_distributions(pairs)[3]
+        stacked = measurement._joint_distributions(measurement._group(pairs))[4]
         assert stacked.shape == (len(pairs), dim, dim)
         for (e, _), acc in zip(pairs, stacked):
             assert acc.tobytes() == quantum._average_matrix(e).tobytes()
+
+
+class TestGatheredProducts:
+    # the joint tables take one product a live (member, element) pair: the
+    # state and element gathers each hold sum_k n_k m_k matrices
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_one_product_per_table_entry(self, dim, monkeypatch):
+        pairs = instances(dim, 3) + edge_pairs(dim)
+        g = measurement._group(pairs)
+        expected = measurement._joint_distributions(g)
+        gathered = []
+
+        class Recording(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, np.ndarray):
+                    gathered.append(len(index))
+                return np.asarray(super().__getitem__(index))
+
+        spied = g._replace(states=g.states.view(Recording), elements=g.elements.view(Recording))
+        got = measurement._joint_distributions(spied)
+        for a, b in zip(got, expected):
+            assert np.asarray(a).tobytes() == b.tobytes()
+        cells = sum(e.size * v.size for e, v in pairs)
+        assert gathered == [cells, cells]
+        assert cells < max(e.size for e, _ in pairs) * g.counts.sum()
+
+
+class TestSegmentSums:
+    # numpy's own sums of many segments at once: _sums is a.sum() of each,
+    # _ordered_sums the loop's left-to-right sum (numpy's along a stack's
+    # first axis); lengths up to 300 reach every branch of numpy's pairwise
+    # summation, zeros of both signs its sign rules
+    @staticmethod
+    def segments(seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(0, 300, size=12)
+        lengths[:4] = [0, 1, 8, 129]
+        flat = rng.random(lengths.sum()) * 10.0 ** rng.uniform(-8, 8, lengths.sum())
+        flat[rng.random(flat.size) < 0.2] = 0.0
+        flat[rng.random(flat.size) < 0.2] *= -1.0
+        return flat, lengths, _segments(flat, lengths)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sums_equal_numpy_sums(self, seed):
+        flat, lengths, parts = self.segments(seed)
+        assert linops._sums(flat, lengths).tobytes() == np.array([a.sum() for a in parts]).tobytes()
+        # short segments only, of one length and of several
+        for lengths in ([5] * 6, [3, 7, 1, 0, 6]):
+            parts = _segments(flat, lengths)
+            assert linops._sums(flat[: sum(lengths)], lengths).tobytes() == (
+                np.array([a.sum() for a in parts]).tobytes()
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ordered_sums_add_left_to_right(self, seed):
+        flat, lengths, parts = self.segments(seed)
+        expected = []
+        for a in parts:
+            total = 0.0
+            for x in a.tolist():
+                total += x
+            expected.append(total)
+        assert linops._ordered_sums(flat, lengths).tobytes() == np.array(expected).tobytes()
+        # one length: the reshaped stack's own sums
+        assert linops._ordered_sums(flat[:35], [7] * 5).tobytes() == np.array(
+            [sum(flat[k:k + 7].tolist(), 0.0) for k in range(0, 35, 7)]
+        ).tobytes()
+
+    def test_ordered_sums_of_matrix_stacks_equal_numpy(self):
+        rng = np.random.default_rng(4)
+        for lengths in ([3, 1, 9, 4], [5, 5, 5], [11], [1, 1]):
+            shape = (sum(lengths), 3, 3)
+            stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            stack[rng.random(stack.shape) < 0.2] *= -0.0
+            expected = np.stack([part.sum(axis=0) for part in _segments(stack, lengths)])
+            assert linops._ordered_sums(stack, lengths).tobytes() == expected.tobytes()
 
 
 class TestEntropies:
@@ -135,17 +260,20 @@ class TestEntropies:
         order = rng.permutation(len(out))
         return [np.zeros(0)] + [out[k] for k in order] + [np.zeros(0)]
 
+    @staticmethod
+    def stacked(vectors):
+        return quantum._entropies(np.concatenate(vectors), [v.size for v in vectors])
+
     def test_bit_equal_to_the_scalar_kernel(self):
         vectors = self.vectors()
-        stacked = quantum._entropies(vectors)
-        assert len(stacked) == len(vectors)
-        for v, h in zip(vectors, stacked):
-            assert h == quantum._entropy_of_spectrum(v)
-            assert type(h) is float
+        stacked = self.stacked(vectors)
+        assert stacked.shape == (len(vectors),) and stacked.dtype == float
+        for v, h in zip(vectors, stacked.tolist()):
+            assert h.hex() == quantum._entropy_of_spectrum(v).hex()
 
     def test_each_vector_alone(self):
         for v in self.vectors()[:40]:
-            assert quantum._entropies([v]) == [quantum._entropy_of_spectrum(v)]
+            assert self.stacked([v]).tolist() == [quantum._entropy_of_spectrum(v)]
 
 
 class TestPriorStack:
@@ -208,7 +336,7 @@ class TestJointStackErrors:
 
     @staticmethod
     def stacked(pairs):
-        return measurement._joint_distributions(pairs)
+        return measurement._joint_distributions(measurement._group(pairs))
 
     @staticmethod
     def single(pair):
@@ -240,9 +368,9 @@ class TestJointStackErrors:
         low = np.diag([-5e-10, 0.5])
         short = qubit_pair([1.0], [self.KET1], [low, np.eye(2) - low])
         pairs = [short, self.good()]
-        tables, _, _, averages = self.stacked(pairs)
-        for pair, table, acc in zip(pairs, tables, averages):
-            assert table.matrix.tobytes() == self.single(pair).matrix.tobytes()
+        tables, _, _, _, averages = self.stacked(pairs)
+        for pair, table, acc in zip(pairs, _segments(tables, [2, 4]), averages):
+            assert table.tobytes() == self.single(pair).matrix.tobytes()
             assert acc.tobytes() == quantum._average_matrix(pair[0]).tobytes()
 
 

@@ -421,13 +421,16 @@ def oracle_net(rows):
     return net
 
 
-def booked_works(booking, k):
-    """Pair k's booked works, live terms only, in ledger order."""
+def booked_works(booking, k, rows=None):
+    """Pair k's booked works, live terms only, in ledger order: the pair is
+    the k-th of the segments' own order, booked in row ``rows[k]`` (row k
+    by default)."""
+    row = k if rows is None else rows[k]
     out = []
-    for s, start in zip(booking.segments, booking.starts[k]):
+    for s, start in zip(booking.segments, booking.starts[row]):
         first = int(s.counts[:k].sum())
         live = np.flatnonzero(s.live[first:first + s.counts[k]])
-        out += booking.works[k, start + live].tolist()
+        out += booking.works[row, start + live].tolist()
     return out
 
 
@@ -486,16 +489,24 @@ class TestStackedBooking:
             assert ledger.net_bits.hex() == oracle_net(rows).hex()
 
     def test_a_chunk_of_mixed_shapes_books_each_pair_as_the_oracle(self):
+        # one group a dimension, each from its pairs' one-pair analyses, and
+        # each pair booked in its own row of the chunk, as the suite books
         pairs = kernel_pairs()
         analyses = [measurement._analyse(e, v) for e, v in pairs]
-        booking = thermo._book_cycles(pairs, analyses)
+        groups, rows = [], []
+        for dim in sorted({e.dim for e, _ in pairs}):
+            ks = [k for k, (e, _) in enumerate(pairs) if e.dim == dim]
+            groups.append(measurement._group([pairs[k] for k in ks], [analyses[k] for k in ks]))
+            rows += ks
+        assert rows != sorted(rows)
+        booking = thermo._book_cycles(groups, rows)
         assert booking.works.shape[0] == len(pairs)
-        for k, (e, a) in enumerate(zip([e for e, _ in pairs], analyses)):
-            rows = oracle_rows(e, a)
-            assert [w.hex() for w in booked_works(booking, k)] == [
-                oracle_work(*row).hex() for row in rows
+        for place, k in enumerate(rows):
+            expected = oracle_rows(pairs[k][0], analyses[k])
+            assert [w.hex() for w in booked_works(booking, place, rows)] == [
+                oracle_work(*row).hex() for row in expected
             ], f"pair {k}"
-            assert float(booking.nets[k]).hex() == oracle_net(rows).hex(), f"pair {k}"
+            assert float(booking.nets[k]).hex() == oracle_net(expected).hex(), f"pair {k}"
 
     def test_kernel_rows_book_as_the_oracle(self):
         rows = [
