@@ -27,6 +27,7 @@ from .linops import (
     _raise_first_failure,
     _require_finite,
     _require_int,
+    _segments,
 )
 from .measurement import (
     Povm,
@@ -140,7 +141,10 @@ class OptimizerConfig:
             raise ValidationError("seed must be nonnegative")
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValidationError("restarts and max_iterations must be positive")
-        if not (np.isfinite(self.convergence_tol) and self.convergence_tol > 0):
+        tol = self.convergence_tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+            raise ValidationError(f"convergence_tol must be a real number, got {tol!r}")
+        if not (np.isfinite(tol) and tol > 0):
             raise ValidationError("convergence_tol must be positive and finite")
 
 
@@ -437,8 +441,11 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def _column_blocks(dim: int, outcomes: int) -> list[list[int]]:
-    return [list(chunk) for chunk in np.array_split(np.arange(dim), outcomes)]
+@functools.cache
+def _column_blocks(dim: int, outcomes: int) -> tuple[tuple[int, ...], ...]:
+    """The column indices of each of ``outcomes`` near-equal blocks of ``dim``
+    columns, as ``np.array_split`` splits them."""
+    return tuple(tuple(chunk.tolist()) for chunk in np.array_split(np.arange(dim), outcomes))
 
 
 def _is_seed(seed) -> bool:
@@ -642,26 +649,56 @@ def random_instance(
             f"seed must be a nonnegative integer or a sequence of them, got {seed!r}"
         )
     rng = np.random.default_rng(seed)
-    return _pairs(_random_instances([(dim, n_states, m_outcomes, kind, rng)]))[0]
+    return _pairs(_random_instances([(dim, n_states, m_outcomes, kind, rng)])[0])[0]
 
 
-def _random_instances(specs) -> _Group:
+def _random_instances(specs) -> list[_Group]:
     """``random_instance`` of each (dim, n_states, m_outcomes, kind, rng)
-    spec, all of one dimension and each valid as ``random_instance``
-    checks, where ``rng`` is the spec's own ``Generator``, as one
-    ``_Group``.  Each spec makes only its generator calls
-    (``_draw_instance``), in spec order; then the group forms every
-    Dirichlet row and complex Gaussian once, and the linear algebra runs
-    once for all of them: one stacked QR for the Haar unitaries, one
-    stacked ``g g+`` for the Wishart draws (mixed states and raw elements),
-    one stacked normalise-and-outer for the pure kets, one stacked
-    conjugation for the commuting states.  The states get one stacked
-    density check, the priors one stacked prior check, the unitaries one
-    stacked unitarity check, the raw PSD elements one stacked
-    ``psd_function`` normalization, and the measurements one stacked
-    ``Povm`` check."""
+    spec, each valid as ``random_instance`` checks, where ``rng`` is the
+    spec's own ``Generator``: one ``_Group`` a dimension, in ascending
+    order, each holding its specs in the order given.  Each spec makes only
+    its generator calls (``_draw_instance``), in spec order.  The rest runs
+    stage by stage over all the specs, a kernel that needs one (K, d, d)
+    stack once a dimension and everything else once.  The stages, in
+    order: each dimension's states (``_dimension_states``) with their one
+    stacked density check; every Dirichlet row of the priors and one
+    stacked prior check; each dimension's unitarity check of its Haar
+    unitaries; its raw PSD elements' one stacked ``psd_function``
+    normalization (``_instance_elements``); its one stacked ``Povm``
+    check.  The first stage with a failing spec raises, for the lowest
+    failing dimension and, in it, the lowest failing spec."""
     draws = [_draw_instance(*spec) for spec in specs]
-    dim = specs[0][0]
+    dims = sorted({spec[0] for spec in specs})
+    runs = [[k for k, spec in enumerate(specs) if spec[0] == d] for d in dims]
+    sizes, counts, haar, unitaries, raw, states, eigenvalues = zip(
+        *(_dimension_states(d, [specs[k] for k in run], [draws[k] for k in run])
+          for d, run in zip(dims, runs))
+    )
+    flat_sizes = np.concatenate(sizes)
+    exponentials = np.concatenate([draws[k][0] for run in runs for k in run])
+    priors, checks = _probability_checks(_dirichlet_rows(exponentials, flat_sizes), flat_sizes)
+    _raise_first_failure(checks)
+    for u in unitaries:
+        if u is not None:
+            _check_unitaries(u)
+    elements = [_instance_elements(*args) for args in zip(dims, counts, haar, unitaries, raw)]
+    flags = [
+        _povm_flags(stack, c, [True if h else None for h in flagged.tolist()])
+        for stack, c, flagged in zip(elements, counts, haar)
+    ]
+    priors = _segments(priors, [int(n.sum()) for n in sizes])
+    fields = zip(states, eigenvalues, priors, sizes, elements, counts, flags)
+    return [_Group(*parts) for parts in fields]
+
+
+def _dimension_states(dim: int, specs, draws):
+    """The member states of one dimension's specs from their draws, each
+    kind's as one stack: one stacked QR for the Haar unitaries, one stacked
+    ``g g+`` for the Wishart draws (mixed states and raw elements), then
+    ``_instance_states``, and one stacked density check of the states.
+    Returns the specs' sizes, counts and Haar flags, the Haar unitaries (or
+    ``None``), the raw elements' Wishart products, the states and their
+    eigenvalues."""
     sizes = np.array([spec[1] for spec in specs])
     counts = np.array([spec[2] for spec in specs])
     kinds = np.array([spec[3] for spec in specs])
@@ -691,14 +728,7 @@ def _random_instances(specs) -> _Group:
         unitaries[(np.cumsum(haar) - 1)[commuting]] if commuting.any() else None,
     )
     eigenvalues = _density_eigenvalues(states)
-    priors, checks = _probability_checks(
-        _dirichlet_rows(np.concatenate([draw[0] for draw in draws]), sizes), sizes
-    )
-    _raise_first_failure(checks)
-    elements = _instance_elements(dim, counts, haar, unitaries, wishart[n_mixed:])
-    declared = [True if h else None for h in haar.tolist()]
-    projective = _povm_flags(elements, counts, declared)
-    return _Group(states, eigenvalues, priors, sizes, elements, counts, projective)
+    return sizes, counts, haar, unitaries, wishart[n_mixed:], states, eigenvalues
 
 
 def _instance_states(dim, kinds, sizes, kets, mixed, diags, unitaries) -> np.ndarray:
@@ -728,16 +758,15 @@ def _instance_states(dim, kinds, sizes, kets, mixed, diags, unitaries) -> np.nda
 
 
 def _instance_elements(dim, counts, haar, unitaries, raw) -> np.ndarray:
-    """The measurement elements of every drawn instance, in spec order: the
-    column-block projectors of the Haar unitaries of the instances flagged
-    in ``haar``, after one stacked unitarity check, built once per outcome
+    """The measurement elements of every drawn instance of one dimension,
+    in spec order: the column-block projectors of the (checked) Haar
+    unitaries of the instances flagged in ``haar``, built once per outcome
     count; and the raw PSD elements ``raw`` (Wishart products, in spec
     order) normalized to resolve the identity with one stacked
     ``psd_function``."""
     offsets = np.cumsum(counts) - counts
     elements = np.empty((counts.sum(), dim, dim), dtype=complex)
     if haar.any():
-        _check_unitaries(unitaries)
         for m in sorted(set(counts[haar].tolist())):
             group = counts[haar] == m
             rows = offsets[haar][group][:, None] + np.arange(m)

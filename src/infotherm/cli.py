@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .measurement import Povm, _analyse_group
+from .measurement import Povm, _analyse_groups, _joined
 from .quantum import DensityMatrix, Ensemble
 from .thermo import _book_cycles, run_cycle
 
@@ -363,9 +363,11 @@ _SUITE_CSV_HEADER = [
 #: trial), so the stacks of a chunk stay near a megabyte at any --trials.
 _CHUNK_ENTRIES = 1 << 16
 #: The suite's work cap.  A trial costs about 0.15-0.2 us for each of the
-#: d^3 terms of the largest --dims d, plus numpy's fixed cost, about 0.2 ms,
-#: counted as SUITE_TRIAL_WORK more terms; an admitted run takes at most
-#: about 10 s, and its rows are held until it ends.
+#: d^3 terms of the largest --dims d, plus numpy's fixed cost, counted as
+#: SUITE_TRIAL_WORK more terms: about 0.06-0.15 ms, less as a chunk fills
+#: (timed at --dims 2, 2,3,4 and 32, one BLAS thread on a 2-vCPU VM), so
+#: an admitted run takes at most about 10 s, and its rows are held until
+#: it ends.
 SUITE_WORK_CAP = 5 * 10**7
 SUITE_TRIAL_WORK = 1200
 #: The suite seeds its trials' generators in blocks of this many trials
@@ -410,26 +412,20 @@ def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ..
 
 
 def _score_chunk(chunk: list[tuple]) -> list[tuple]:
-    """Draw and analyse a chunk's trials as one ``_Group`` per dimension,
+    """Draw and analyse a chunk's trials in one stage-major pass, one
+    ``_Group`` per dimension (``_random_instances``, ``_analyse_groups``),
     book every trial's cycle in one pass, then build each row, in trial
     order.  A trial's pick is (trial, kind, dim, n_states, m_outcomes,
     state), and it draws from the generator of that ``_seed_states`` row."""
-    groups, order = [], []
-    for dim in sorted({pick[2] for pick in chunk}):
-        picks = [k for k, pick in enumerate(chunk) if pick[2] == dim]
-        specs = [
-            (dim, n, m, kind, _generator(state))
-            for _, kind, _, n, m, state in (chunk[k] for k in picks)
-        ]
-        groups.append(_analyse_group(_random_instances(specs)))
-        order += picks
+    specs = [(dim, n, m, kind, _generator(state)) for _, kind, dim, n, m, state in chunk]
+    groups = _analyse_groups(_random_instances(specs))
+    # the groups hold the trials by dimension, each dimension's in chunk order
+    order = sorted(range(len(chunk)), key=lambda k: chunk[k][2])
     booking = _book_cycles(groups, order)
-    # each field in chunk order: the groups' pairs, then their rows
     place = np.empty(len(chunk), dtype=int)
     place[order] = np.arange(len(chunk))
     columns = [
-        np.concatenate([getattr(g, name) for g in groups])[place].tolist()
-        for name in ("info", "chi", "delta_s", "projective")
+        _joined(groups, name)[place].tolist() for name in ("info", "chi", "delta_s", "projective")
     ]
     results = []
     for (trial, kind, dim, n_states, m_outcomes, _), info, chi, ds, projective, net, breaks in zip(

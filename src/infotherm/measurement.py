@@ -61,26 +61,37 @@ from .quantum import (
 )
 
 
+#: ``_detect_projective``'s product stacks hold at most this many entries
+#: (128 KiB), which keeps each one in cache.
+_PRODUCT_ENTRIES = 1 << 13
+
+
 def _detect_projective(stack: np.ndarray, counts) -> np.ndarray:
     """For each (offset, count) segment of the (M, d, d) element stack, in
     order, whether E_j E_k = delta_jk E_j for every j, k in it: idempotence
-    of every element first, as one batched product, then orthogonality one
-    row j at a time, batched over the idempotent segments, so a product
-    stack never holds more than one entry per element."""
+    of every element first, as one batched product, then orthogonality of
+    every other element of the idempotent segments, batched over them, a
+    few rows j at a time, so a product stack holds at most
+    ``_PRODUCT_ENTRIES`` matrix entries, or one product an element where
+    that is more."""
     counts = np.asarray(counts)
     offsets = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(counts.size), counts)
     residual = np.abs(stack @ stack - stack).max(axis=(1, 2))
     flags = np.maximum.reduceat(residual, offsets) <= PROJECTIVE_TOL
     members = np.flatnonzero(flags[owner])
-    for j in range(int(counts[flags].max(initial=0))):
-        members = members[counts[owner[members]] > j]
-        rows = offsets[owner[members]] + j
-        products = stack[rows] @ stack[members]
-        same = rows == members
-        products[same] -= stack[rows[same]]
+    if not members.size:
+        return flags
+    sizes, first = counts[owner[members]], offsets[owner[members]]
+    width = int(sizes.max())
+    step = min(width, max(1, _PRODUCT_ENTRIES // (stack.shape[1] ** 2 * members.size)))
+    for j in range(0, width, step):
+        rows = first[:, None] + np.arange(j, j + step)
+        live = (rows < first[:, None] + sizes[:, None]) & (rows != members[:, None])
+        cols = np.broadcast_to(members[:, None], live.shape)[live]
+        products = stack[rows[live]] @ stack[cols]
         failing = np.abs(products).max(axis=(1, 2)) > PROJECTIVE_TOL
-        flags[owner[members[failing]]] = False
+        flags[owner[cols[failing]]] = False
     return flags
 
 
@@ -324,23 +335,24 @@ def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     return JointDistribution._checked(table)
 
 
-def _joint_distributions(g: "_Group"):
-    """``joint_distribution`` of each pair of a group, with each table's
-    row sums (its ``priors``) and column sums (its ``outcome_probs``), all
-    to the last bit of the per-pair call.
+def _joint_distributions(groups: "list[_Group]"):
+    """``joint_distribution`` of each pair of consecutive groups, with each
+    table's row sums (its ``priors``) and column sums (its
+    ``outcome_probs``), all to the last bit of the per-pair call.
 
     The products are one gather over the live (member, element) pairs of
-    every table, so no product is taken twice or with a state past a
-    pair's members; each table is a row-major run of the flat result.  Its
+    every table of a group, so no product is taken twice or with a state
+    past a pair's members; the rest runs once for all the groups, pair
+    after pair, and each table is a row-major run of the flat result.  Its
     sums are numpy's, by ``_sums`` (a lone column is the table's own sum)
     and ``_ordered_sums`` (a column of several adds its rows in order).
     Each pair's average state adds its weighted members in
     ``_average_matrix``'s order.  The checks run stacked; the lowest-index
     failing pair raises what ``joint_distribution`` raises for it alone.
     Returns the flat tables row-major and outcome-major, the row sums (one
-    a member), the column sums (one an element) and the (K, d, d) stack of
-    average states."""
-    sizes, counts = g.sizes, g.counts
+    a member), the column sums (one an element) and each group's (K, d, d)
+    stack of average states."""
+    sizes, counts, priors = (_joined(groups, name) for name in ("sizes", "counts", "priors"))
     first, starts = np.cumsum(sizes) - sizes, np.cumsum(counts) - counts
     cells = sizes * counts
     offsets = np.cumsum(cells) - cells
@@ -348,8 +360,14 @@ def _joint_distributions(g: "_Group"):
     width, height = counts[owner], sizes[owner]
     member = first[owner] + cell // width
     element = starts[owner] + cell % width
-    traces = np.trace(g.elements[element] @ g.states[member], axis1=1, axis2=2).real
-    raw = g.priors[member] * traces
+    # each group's products, by its own member and element indices
+    traces, s0, e0, c0 = [], 0, 0, 0
+    for g in groups:
+        c1 = c0 + int(g.sizes @ g.counts)
+        products = g.elements[element[c0:c1] - e0] @ g.states[member[c0:c1] - s0]
+        traces.append(np.trace(products, axis1=1, axis2=2).real)
+        s0, e0, c0 = s0 + len(g.states), e0 + len(g.elements), c1
+    raw = priors[member] * (np.concatenate(traces) if len(traces) > 1 else traces[0])
     tables = np.maximum(raw, 0.0)
     # entry t of a table's outcome-major run is row t % n of column t // n
     by_outcome = tables[offsets[owner] + (cell % height) * width + cell // height]
@@ -360,9 +378,9 @@ def _joint_distributions(g: "_Group"):
     col_sums[starts[lone]] = totals[lone]
     finite = np.logical_and.reduceat(np.isfinite(raw), offsets)
     lowest = np.minimum.reduceat(raw, offsets)
-    drift = np.maximum.reduceat(np.abs(row_sums - g.priors), first)
+    drift = np.maximum.reduceat(np.abs(row_sums - priors), first)
     _raise_first_failure(_joint_checks(finite, lowest, totals) + [_drift_check(drift)])
-    averages = _ordered_sums(g.priors[:, None, None] * g.states, sizes)
+    averages = [_ordered_sums(g.priors[:, None, None] * g.states, g.sizes) for g in groups]
     return tables, by_outcome, row_sums, col_sums, averages
 
 
@@ -453,37 +471,43 @@ def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     return spectrum
 
 
-def _post_measurement_spectra(rhos: np.ndarray, elements: np.ndarray, counts, projective):
-    """``_post_measurement_spectrum`` of each checked state of a (K, d, d)
-    stack under its measurement: ``counts[k]`` consecutive elements of the
-    (M, d, d) stack ``elements``, projective where ``projective[k]``.
-    Returns the spectra of the pairs in order, as one flat array, and their
-    lengths: ``_dephased_spectra`` of the projective pairs and
-    ``_record_spectra`` of the rest, each route run once for all its pairs.
-    The checks of both routes run as one stack, so the lowest-index failing
-    pair raises, with its own route's message; only the checks of the
-    stacked sqrt(rho), of states that passed their own density checks, run
-    first."""
-    counts, projective = np.asarray(counts), np.asarray(projective, dtype=bool)
-    parts, checks = [], []
-    for route, flags in ((_dephased_spectra, projective), (_record_spectra, ~projective)):
-        pairs = np.flatnonzero(flags)
-        if pairs.size == len(flags):
-            spectra, lengths, checks = route(rhos, elements, counts)
-            _raise_first_failure(checks)
-            return spectra, lengths
-        if pairs.size:
-            lanes = np.repeat(flags, counts)
-            parts.append((pairs, *route(rhos[pairs], elements[lanes], counts[pairs])))
-            checks += _placed(parts[-1][3], pairs, len(flags))
-    _raise_first_failure(checks)
-    lengths = np.empty(len(counts), dtype=int)
-    for pairs, _, n, _ in parts:
-        lengths[pairs] = n
-    out = np.empty(int(lengths.sum()))
-    for pairs, spectra, n, _ in parts:
-        out[_local_index(n)[1] + np.repeat((np.cumsum(lengths) - lengths)[pairs], n)] = spectra
-    return out, lengths
+def _post_measurement_spectra(stacks):
+    """``_post_measurement_spectrum`` of each pair of consecutive stacks,
+    each (rhos, elements, counts, projective): checked (K, d, d) states,
+    state k measured by ``counts[k]`` consecutive elements of the (M, d, d)
+    ``elements``, projectively where ``projective[k]``.  Each stack's
+    projective pairs take one ``_dephased_spectra``, the rest one
+    ``_block_spectra``, and every stack's general pairs one
+    ``_record_unions``.  Returns the spectra in pair order, stack after
+    stack, flat, their lengths, and the checks of all routes as one stack,
+    each route with its own messages; only each sqrt(rho) is checked here,
+    as it is taken."""
+    parts, general, total = [], [], 0
+    for rhos, elements, counts, projective in stacks:
+        counts, projective = np.asarray(counts), np.asarray(projective, dtype=bool)
+        for route, flags, found in (
+            (_dephased_spectra, projective, parts),
+            (_block_spectra, ~projective, general),
+        ):
+            pairs = np.flatnonzero(flags)
+            if pairs.size == len(flags):
+                found.append((total + pairs, *route(rhos, elements, counts)))
+            elif pairs.size:
+                lanes = np.repeat(flags, counts)
+                found.append((total + pairs, *route(rhos[pairs], elements[lanes], counts[pairs])))
+        total += len(counts)
+    if general:
+        pairs, spectra, lengths = (np.concatenate(part) for part in zip(*general))
+        parts.append((pairs, *_record_unions(spectra, lengths)))
+    if len(parts) == 1:
+        return parts[0][1:]
+    pairs, spectra, lengths = (np.concatenate(part) for part in list(zip(*parts))[:3])
+    # each pair's run of the parts' spectra, taken in pair order
+    order = np.argsort(pairs)
+    owner, local = _local_index(lengths[order])
+    out = spectra[(np.cumsum(lengths) - lengths)[order][owner] + local]
+    checks = [check for p, _, _, c in parts for check in _placed(c, p, total)]
+    return out, lengths[order], checks
 
 
 def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarray):
@@ -502,28 +526,40 @@ def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarr
 def _record_spectra(rhos: np.ndarray, elements: np.ndarray, counts: np.ndarray):
     """The spectrum of each record state sum_j (sqrt(E_j) rho sqrt(E_j))
     (x) |j><j| of a (K, d, d) stack of states under ``counts[k]``
-    consecutive elements each.  The record state is block diagonal with
-    blocks A_j A_j^+, where A_j = sqrt(E_j) sqrt(rho); each block shares its
-    spectrum with A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so the d*m
-    eigenvalues are the union of m d x d spectra, from one stacked
-    sqrt(rho) and one batched ``eigvalsh``, each union sorted as one row of
-    its outcome count.  Returns the clipped unions, flat, their lengths,
-    and the unit-trace and PSD checks that ``DensityMatrix`` would give the
-    record states, in its order."""
+    consecutive elements each: ``_record_unions`` of ``_block_spectra``."""
+    return _record_unions(*_block_spectra(rhos, elements, counts))
+
+
+def _block_spectra(rhos: np.ndarray, elements: np.ndarray, counts: np.ndarray):
+    """The record state of a state rho under elements E_j is block diagonal
+    with blocks A_j A_j^+, where A_j = sqrt(E_j) sqrt(rho); each block shares
+    its spectrum with A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so its d*m
+    eigenvalues are the union of m d x d spectra.  Returns those spectra of
+    each state of a (K, d, d) stack under its ``counts[k]`` consecutive
+    elements, from one stacked sqrt(rho) and one batched ``eigvalsh``,
+    flat, and each union's length."""
     roots = np.repeat(_psd_function_stack(rhos, np.sqrt), counts, axis=0)
     spectra = np.linalg.eigvalsh(roots @ elements @ roots)
-    lengths = counts * spectra.shape[1]
-    if (counts == counts[0]).all():
-        unions = np.sort(spectra.reshape(len(counts), -1))
+    return spectra.ravel(), counts * spectra.shape[1]
+
+
+def _record_unions(flat: np.ndarray, lengths: np.ndarray):
+    """Each consecutive run of ``lengths`` block eigenvalues of ``flat`` as
+    one record state's spectrum, sorted as one row of its length.  Returns
+    the clipped spectra, flat, their lengths, and the unit-trace and PSD
+    checks that ``DensityMatrix`` would give the record states."""
+    if (lengths == lengths[0]).all():
+        unions = np.sort(flat.reshape(len(lengths), -1))
         checks = _density_checks(unions.sum(axis=1), unions[:, 0])
         return np.maximum(unions, 0.0).ravel(), lengths, checks
-    out, traces, lowest = np.empty(lengths.sum()), np.empty(len(counts)), np.empty(len(counts))
-    first, offsets = np.cumsum(counts) - counts, np.cumsum(lengths) - lengths
-    for c in set(counts.tolist()):
-        ks = np.flatnonzero(counts == c)
-        unions = np.sort(spectra[first[ks][:, None] + np.arange(c)].reshape(ks.size, -1))
+    out, traces, lowest = np.empty(flat.size), np.empty(len(lengths)), np.empty(len(lengths))
+    offsets = np.cumsum(lengths) - lengths
+    for n in set(lengths.tolist()):
+        ks = np.flatnonzero(lengths == n)
+        runs = offsets[ks][:, None] + np.arange(n)
+        unions = np.sort(flat[runs])
         traces[ks], lowest[ks] = unions.sum(axis=1), unions[:, 0]
-        out[offsets[ks][:, None] + np.arange(unions.shape[1])] = np.maximum(unions, 0.0)
+        out[runs] = np.maximum(unions, 0.0)
     return out, lengths, _density_checks(traces, lowest)
 
 
@@ -578,7 +614,7 @@ class _Analysis:
 def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Analysis:
     """The analysis ``evaluate_bounds``, ``run_cycle`` and ``block_scan``
     read, with the arithmetic and checks of ``mutual_information``,
-    ``holevo_chi`` and ``delta_s``; ``_analyse_group`` gives each of many
+    ``holevo_chi`` and ``delta_s``; ``_analyse_groups`` gives each of many
     pairs these bits.  ``rho`` is ``average_state(e)``, built here unless
     the caller already has it."""
     joint = joint_distribution(e, v)
@@ -598,8 +634,8 @@ class _Group(NamedTuple):
     """One dimension's (ensemble, measurement) pairs as flat stacks, from
     the draw to the booking: pair k has ``sizes[k]`` members and
     ``counts[k]`` elements, consecutive in the member and element stacks.
-    ``_analyse_group`` fills in the analysis fields, each a flat array over
-    the pairs, whose pair-k parts are the fields of the pair's
+    ``_analyse_groups`` fills in the analysis fields, each a flat array
+    over the pairs, whose pair-k parts are the fields of the pair's
     ``_Analysis``."""
 
     states: np.ndarray  # (S, d, d) checked member states
@@ -680,41 +716,63 @@ def _pairs(g: _Group) -> list[tuple[Ensemble, Povm]]:
     return list(zip(ensembles, povms))
 
 
-def _analyse_group(g: _Group) -> _Group:
-    """The group with its analysis: one ``_joint_distributions`` for the
-    tables, their marginals and the average states, one stacked density
-    check, one ``_post_measurement_spectra``, one ``_entropies`` for every
-    entropy, then I, chi and delta_s of every pair with the arithmetic and
-    stacked checks of ``mutual_information``, ``holevo_chi`` and
-    ``delta_s``, so each pair's values are ``_analyse``'s to the last bit
-    and the lowest-index failing pair raises its error."""
-    tables, by_outcome, row_sums, col_sums, rhos = _joint_distributions(g)
-    rho_spectra = np.maximum(_density_eigenvalues(rhos), 0.0)
-    sigma, sigma_sizes = _post_measurement_spectra(rhos, g.elements, g.counts, g.projective)
-    members = np.maximum(g.eigenvalues, 0.0)
-    k, d = rho_spectra.shape
-    vectors = [row_sums, col_sums, tables, rho_spectra.ravel(), sigma, members.ravel()]
-    lengths = [g.sizes, g.counts, g.sizes * g.counts, np.full(k, d), sigma_sizes]
+def _joined(groups, name: str) -> np.ndarray:
+    """One field of consecutive groups as one flat array."""
+    parts = [getattr(g, name).reshape(-1) for g in groups]
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
+def _analyse_groups(groups: list[_Group]) -> list[_Group]:
+    """Each group with its analysis, stage by stage over all of them: a
+    kernel that needs one (K, d, d) stack runs once a group, everything
+    else once.  The stages, in order: one ``_joint_distributions`` for the
+    tables, their marginals and each group's average states; the average
+    states' density checks; one ``_post_measurement_spectra``, each
+    group's sqrt(rho) checked as it is taken, then every route check; one
+    ``_entropies`` for every entropy; then I, chi and delta_s of every pair
+    with the arithmetic and stacked checks of ``mutual_information``,
+    ``holevo_chi`` and ``delta_s``.  Each pair's values are ``_analyse``'s
+    to the last bit.  The first stage with a failing pair raises, for the
+    lowest failing pair counted group after group, with that pair's own
+    error."""
+    tables, by_outcome, row_sums, col_sums, averages = _joint_distributions(groups)
+    rho_spectra = [np.maximum(_density_eigenvalues(rhos), 0.0) for rhos in averages]
+    sigma, sigma_sizes, checks = _post_measurement_spectra(
+        [(rhos, g.elements, g.counts, g.projective) for rhos, g in zip(averages, groups)]
+    )
+    _raise_first_failure(checks)
+    sizes, counts, priors = (_joined(groups, name) for name in ("sizes", "counts", "priors"))
+    members = [np.maximum(g.eigenvalues, 0.0) for g in groups]
+    trials = [len(g.sizes) for g in groups]
+    widths = [w.shape[1] for w in members]
+    vectors = [row_sums, col_sums, tables] + [w.ravel() for w in rho_spectra]
+    vectors += [sigma] + [w.ravel() for w in members]
+    lengths = [sizes, counts, sizes * counts, np.repeat(widths, trials), sigma_sizes]
+    lengths += [np.repeat(widths, [len(w) for w in members])]
+    k = len(sizes)
     h_a, h_b, h_ab, s_rho, s_sigma, h_members = np.split(
-        _entropies(np.concatenate(vectors), np.concatenate(lengths + [np.full(len(members), d)])),
-        np.arange(1, 6) * k,
+        _entropies(np.concatenate(vectors), np.concatenate(lengths)), np.arange(1, 6) * k
     )
     infos = h_a + h_b - h_ab
     _raise_first_failure([_information_check(infos)])
     increases = s_sigma - s_rho
     _raise_first_failure([_entropy_increase_check(increases)])
-    return g._replace(
-        tables=tables,
-        by_outcome=by_outcome,
-        outcome_probs=col_sums,
-        rho_spectra=rho_spectra,
-        member_spectra=members,
-        sigma_spectra=sigma,
-        sigma_sizes=sigma_sizes,
-        info=np.where(infos > 0.0, infos, 0.0),
-        chi=_chis(g.priors, g.sizes, s_rho, h_members),
-        delta_s=np.where(increases > 0.0, increases, 0.0),
+    # each flat field back into its groups' parts
+    cells = [int(g.sizes @ g.counts) for g in groups]
+    lengths = _segments(sigma_sizes, trials)
+    fields = zip(
+        _segments(tables, cells),
+        _segments(by_outcome, cells),
+        _segments(col_sums, [len(g.elements) for g in groups]),
+        rho_spectra,
+        members,
+        _segments(sigma, [int(n.sum()) for n in lengths]),
+        lengths,
+        _segments(np.where(infos > 0.0, infos, 0.0), trials),
+        _segments(_chis(priors, sizes, s_rho, h_members), trials),
+        _segments(np.where(increases > 0.0, increases, 0.0), trials),
     )
+    return [_Group(*g[:7], *parts) for g, parts in zip(groups, fields)]
 
 
 def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR, _raise_first_failure
-from .measurement import Povm, _analyse, _group, joint_distribution
+from .measurement import Povm, _analyse, _group, _joined, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
 
 STAGE_EXTRACTION = "extraction"
@@ -390,17 +390,13 @@ def _book_cycles(groups, rows=None) -> _Booking:
     counted group after group, books in row ``rows[k]`` (row k by
     default).  The lowest row whose booking fails raises; a net above
     ``CYCLE_TOL`` is left to the caller, in ``breaks``."""
-
-    def joined(name):
-        parts = [getattr(g, name).reshape(-1) for g in groups]
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-    p, n = joined("priors"), joined("sizes")
-    lam, mu = joined("rho_spectra"), joined("member_spectra")
-    d = np.concatenate([np.full(*g.rho_spectra.shape) for g in groups])
-    return _books(
-        _extraction(p, n, joined("outcome_probs"), joined("counts"), joined("by_outcome"))
-        + _sigma_to_rho(joined("sigma_spectra"), joined("sigma_sizes"), lam, d)
-        + _rho_to_initial(p, n, lam, d, mu),
-        rows,
+    p, n, lam, mu, q, m, tables, sigma, s = (
+        _joined(groups, name)
+        for name in (
+            "priors", "sizes", "rho_spectra", "member_spectra", "outcome_probs", "counts",
+            "by_outcome", "sigma_spectra", "sigma_sizes",
+        )
     )
+    d = np.concatenate([np.full(*g.rho_spectra.shape) for g in groups])
+    segments = _extraction(p, n, q, m, tables) + _sigma_to_rho(sigma, s, lam, d)
+    return _books(segments + _rho_to_initial(p, n, lam, d, mu), rows)

@@ -81,6 +81,15 @@ class TestOptimizerConfig:
         with pytest.raises(ValidationError):
             it.OptimizerConfig(convergence_tol=tol)
 
+    @pytest.mark.parametrize("tol", ["0.1", None, True, 1e-3j])
+    def test_rejects_a_convergence_tol_that_is_not_a_real_number(self, tol):
+        with pytest.raises(ValidationError, match="^convergence_tol must be a real number, got "):
+            it.OptimizerConfig(method="random_restart_ascent", convergence_tol=tol)
+
+    @pytest.mark.parametrize("tol", [1, 1e-3, np.float64(1e-3), np.float32(1e-3), np.int64(1)])
+    def test_real_convergence_tols_are_accepted(self, tol):
+        assert it.OptimizerConfig(convergence_tol=tol).convergence_tol == tol
+
     @pytest.mark.parametrize("field", ["grid_points", "restarts", "max_iterations", "seed"])
     @pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"])
     def test_rejects_non_integer_counts(self, field, value):
@@ -968,7 +977,7 @@ class TestStackedDrawsMatchPerTrialDraws:
             m = 2 + (t // 3) % (dim - 1) if kind == "commuting" else 2 + t % 5
             specs.append((dim, 1 + t % 4, m, kind, [seed, t]))
         seed_states = bounds._seed_states(spec[4] for spec in specs)
-        g = bounds._random_instances(
+        (g,) = bounds._random_instances(
             [(*spec[:4], bounds._generator(state)) for spec, state in zip(specs, seed_states)]
         )
         assert g.sizes.tolist() == [spec[1] for spec in specs]

@@ -814,6 +814,8 @@ class TestSuiteDecomposesEachMatrixOnce:
         csv = tmp_path / "suite.csv"
         joints = _count_calls(monkeypatch, measurement.joint_distribution)
         tables = _count_calls(monkeypatch, measurement._joint_distributions)
+        draws = _count_calls(monkeypatch, bounds._random_instances)
+        analyses = _count_calls(monkeypatch, measurement._analyse_groups)
         chunk_dims = []
         real_score_chunk = cli._score_chunk
 
@@ -825,9 +827,12 @@ class TestSuiteDecomposesEachMatrixOnce:
         counts = _count_decompositions(monkeypatch)
         assert cli.main(["suite", "--trials", "20", "--seed", "7", "--csv", str(csv)]) == 0
         capsys.readouterr()
-        # the joint tables are built once per dimension and chunk, none per trial
+        # the draw, the analysis and the joint tables run once a chunk,
+        # whatever dimensions it holds, and none per trial
         assert joints == []
-        assert 0 < len(tables) <= sum(len(dims) for dims in chunk_dims)
+        assert len(chunk_dims) == len(draws) == len(analyses) == len(tables) == 1
+        assert chunk_dims == [{2, 3, 4}]
+        assert counts[0] <= 7 * 3
         expected = 0
         for row in _csv_rows(csv):
             n, m = int(row["n_states"]), int(row["m_outcomes"])
@@ -850,6 +855,147 @@ class TestSuiteDecomposesEachMatrixOnce:
         # per dimension: states, elements, raw-element sums, average states,
         # dephased states, sqrt(rho) and the record blocks
         assert calls[0] == calls[1] <= 7 * 3
+
+
+class TestSuiteChunkPass:
+    """A chunk runs each matrix kernel once per dimension it holds and every
+    other stage once, and scores each trial as its dimension's trials
+    alone would."""
+
+    @staticmethod
+    def chunk(seed, trials, dims):
+        """The suite's picks for trials 0..trials-1, with their draw states."""
+        states = cli._seed_states([seed, t, k] for t in range(trials) for k in (0, 1))
+        pairs = states.reshape(-1, 2, 4)
+        return [
+            (t, *cli._pick(bounds._generator(picker), dims, cli._KINDS), draw)
+            for t, (picker, draw) in enumerate(pairs)
+        ]
+
+    def test_a_chunk_scores_as_its_dimensions_alone(self):
+        chunk = self.chunk(5, 30, [2, 3, 4])
+        dims = [pick[2] for pick in chunk]
+        assert set(dims) == {2, 3, 4} and dims != sorted(dims)
+        alone = {}
+        for dim in (2, 3, 4):
+            sub = [pick for pick in chunk if pick[2] == dim]
+            alone.update(zip((pick[0] for pick in sub), cli._score_chunk(sub)))
+        rows = cli._score_chunk(chunk)
+        assert [row for row, _, _ in rows] == [alone[t][0] for t in range(30)]
+        assert [repr(report) for _, report, _ in rows] == [repr(alone[t][1]) for t in range(30)]
+        assert [ok for _, _, ok in rows] == [alone[t][2] for t in range(30)]
+
+    def test_flat_stages_run_once_a_chunk_and_kernels_once_a_dimension(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        flat = {
+            name: _count_calls(monkeypatch, getattr(module, name))
+            for module, name in (
+                (bounds, "_random_instances"),
+                (quantum, "_probability_checks"),
+                (measurement, "_analyse_groups"),
+                (measurement, "_joint_distributions"),
+                (measurement, "_post_measurement_spectra"),
+                (quantum, "_entropies"),
+                (quantum, "_chis"),
+                (thermo, "_book_cycles"),
+            )
+        }
+        kernels = {
+            name: _count_calls(monkeypatch, getattr(module, name))
+            for module, name in (
+                (bounds, "_dimension_states"),
+                (bounds, "_instance_elements"),
+                (measurement, "_povm_flags"),
+            )
+        }
+        rhos = _count_calls(monkeypatch, quantum._density_eigenvalues)
+        chunk_dims = []
+        real_score_chunk = cli._score_chunk
+
+        def recording(chunk):
+            chunk_dims.append({pick[2] for pick in chunk})
+            return real_score_chunk(chunk)
+
+        monkeypatch.setattr(cli, "_score_chunk", recording)
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 600)
+        eigensolves = _count_decompositions(monkeypatch)
+        argv = ["suite", "--trials", "40", "--seed", "3", "--csv", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        present = sum(len(dims) for dims in chunk_dims)
+        assert len(chunk_dims) > 2 and present > 2 * len(chunk_dims)
+        assert {name: len(calls) for name, calls in flat.items()} == dict.fromkeys(
+            flat, len(chunk_dims)
+        )
+        assert {name: len(calls) for name, calls in kernels.items()} == dict.fromkeys(
+            kernels, present
+        )
+        # the states' and the average states' density checks
+        assert len(rhos) == 2 * present
+        assert eigensolves[0] <= 7 * present
+
+
+class TestSuiteStageOrder:
+    """Of several failing trials in a chunk, the first stage that fails
+    raises, then its lowest failing dimension, then the lowest trial in it;
+    a failing chunk exits 2 with that trial's error."""
+
+    PICKS = [("commuting", 3, 2, 2), ("mixed", 2, 2, 3), ("commuting", 2, 3, 2)]
+    # the commuting diagonals' and the priors' standard exponentials: each
+    # corrupted row has one negative entry that its Dirichlet row keeps
+    STATE_3 = "density matrix has eigenvalue -3.333e-01 below -1.0e-09"
+    STATE_2 = "density matrix has eigenvalue -1.000e+00 below -1.0e-09"
+    PRIOR_2 = "negative prior -1.000e+00"
+
+    def corrupt(self, monkeypatch, trials):
+        """Corrupt the draws of the given trials (by pick index)."""
+        real = bounds._draw_instance
+        bad = {self.PICKS[t][1:3] for t in trials}
+
+        def draw(dim, n_states, m_outcomes, kind, rng):
+            probs, states, unitary, raw = real(dim, n_states, m_outcomes, kind, rng)
+            if (dim, n_states) in bad and kind == "commuting":
+                states = states.copy()
+                states[0] = [-0.5, 1.0, 1.0] if dim == 3 else [-0.5, 1.0]
+            elif (dim, n_states) in bad:
+                probs = np.array([-0.5, 1.0])
+            return probs, states, unitary, raw
+
+        monkeypatch.setattr(bounds, "_draw_instance", draw)
+
+    def error(self, trials, monkeypatch):
+        self.corrupt(monkeypatch, trials)
+        chunk = [
+            (t, kind, dim, n, m, state)
+            for t, ((kind, dim, n, m), state) in enumerate(
+                zip(self.PICKS, cli._seed_states([[9, t] for t in range(3)]))
+            )
+        ]
+        with pytest.raises(it.ValidationError) as info:
+            cli._score_chunk(chunk)
+        return str(info.value)
+
+    def test_the_earliest_stage_raises_before_a_lower_dimension(self, monkeypatch):
+        # trial 1 (d = 2) fails the prior check, trial 0 (d = 3) the states'
+        # density check, which runs first for every dimension
+        assert self.error([0, 1], monkeypatch) == self.STATE_3
+
+    def test_in_one_stage_the_lowest_dimension_raises(self, monkeypatch):
+        # trials 0 (d = 3) and 2 (d = 2) both fail the states' density check
+        assert self.error([0, 2], monkeypatch) == self.STATE_2
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_each_failure_alone(self, trial, monkeypatch):
+        expected = (self.STATE_3, self.PRIOR_2, self.STATE_2)[trial]
+        assert self.error([trial], monkeypatch) == expected
+
+    def test_a_failing_chunk_exits_2(self, monkeypatch, capsys):
+        self.corrupt(monkeypatch, [0, 1])
+        picks = iter(self.PICKS)
+        monkeypatch.setattr(cli, "_pick", lambda *args: next(picks))
+        assert cli.main(["suite", "--trials", "2", "--seed", "9"]) == 2
+        assert capsys.readouterr().err == f"error: {self.STATE_3}\n"
 
 
 class TestSuiteBuildsNoLedgerEntries:
@@ -991,8 +1137,9 @@ def reference_row(seed, trial, dims, kinds):
 
 
 class TestSuiteBatchInvariance:
-    """The suite draws and analyses its trials as one stack per dimension
-    and chunk; every row must equal, byte for byte, the row built per trial."""
+    """The suite draws and analyses each chunk's trials in one stage-major
+    pass, a stack per dimension for the matrix kernels and one for the
+    rest; every row must equal, byte for byte, the row built per trial."""
 
     @staticmethod
     def assert_rows_match(tmp_path, seed, trials, dims, kind):

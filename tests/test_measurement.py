@@ -12,7 +12,7 @@ from infotherm.errors import (
     ValidationError,
 )
 import infotherm.measurement as measurement
-from infotherm.linops import is_hermitian
+from infotherm.linops import _raise_first_failure, is_hermitian
 from infotherm.measurement import (
     _post_measurement_spectrum,
     partial_trace_record,
@@ -358,13 +358,14 @@ class TestPostMeasurementSpectrum:
         rhos = np.stack([np.eye(2, dtype=complex) / 2] * 3)
 
         def error(povms):
+            *_, checks = measurement._post_measurement_spectra([(
+                rhos,
+                np.concatenate([v._stack for v in povms]),
+                [v.size for v in povms],
+                [v.projective for v in povms],
+            )])
             with pytest.raises(ValidationError) as info:
-                measurement._post_measurement_spectra(
-                    rhos,
-                    np.concatenate([v._stack for v in povms]),
-                    [v.size for v in povms],
-                    [v.projective for v in povms],
-                )
+                _raise_first_failure(checks)
             return str(info.value)
 
         psd = "density matrix has eigenvalue -5.000e-02 below -1.0e-09"
@@ -383,10 +384,11 @@ class TestPostMeasurementSpectrum:
         skewed = np.array([[[1.0, 1e-6], [0.0, 0.0]], np.diag([0.0, 1.0])], dtype=complex)
 
         def error(rhos, stacks, flags):
+            *_, checks = measurement._post_measurement_spectra(
+                [(np.stack(rhos), np.concatenate(stacks), [2] * len(stacks), flags)]
+            )
             with pytest.raises(ValidationError) as info:
-                measurement._post_measurement_spectra(
-                    np.stack(rhos), np.concatenate(stacks), [2] * len(stacks), flags
-                )
+                _raise_first_failure(checks)
             return str(info.value)
 
         general_trace = "density matrix has trace 1.05, expected 1"
@@ -401,6 +403,48 @@ class TestPostMeasurementSpectrum:
         assert error(
             [half, half, half], [valid, skewed, general], [False, True, False]
         ) == "density matrix deviates from Hermitian by 5.000e-07"
+
+    @staticmethod
+    def stack(dim, seed):
+        """Drawn pairs of one dimension, projective and general, as a stack."""
+        picks = ((2, "commuting"), (5, "mixed"), (2, "commuting"), (6, "pure"), (3, "mixed"))
+        pairs = [
+            it.random_instance(dim, 2, m, kind, [seed, k]) for k, (m, kind) in enumerate(picks)
+        ]
+        g = measurement._group(pairs)
+        assert 0 < g.projective.sum() < len(pairs)
+        (rhos,) = measurement._joint_distributions([g])[4]
+        return rhos, g.elements, g.counts, g.projective
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacks_of_several_dimensions_are_each_stack_alone(self, seed):
+        stacks = [self.stack(dim, seed) for dim in (2, 3, 4)]
+        spectra, lengths, checks = measurement._post_measurement_spectra(stacks)
+        alone = [measurement._post_measurement_spectra([stack]) for stack in stacks]
+        assert spectra.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+        assert lengths.tolist() == np.concatenate([a[1] for a in alone]).tolist()
+        assert not any(np.count_nonzero(bad) for bad, _ in checks)
+
+    def test_the_lowest_failing_pair_of_several_stacks_raises(self):
+        # the qubit stack's pair 1 is general with a union trace of 1.05, the
+        # qutrit stack's pair 0 projective with a dephased trace of 1.22:
+        # pairs count stack after stack, so the qubit pair is the lower
+        half, third = np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3
+        general = np.array([np.diag([0.5, 0.5]), np.diag([0.55, 0.55])], dtype=complex)
+        basis = np.eye(3, dtype=complex)[:, :, None] * np.eye(3)[:, None, :]
+
+        def error(bad_qubit, bad_qutrit):
+            elements = [general / 1.05, general if bad_qubit else general / 1.05]
+            qubits = (np.stack([half, half]), np.concatenate(elements), [2, 2], [False] * 2)
+            rhos = np.stack([(1.22 if bad_qutrit else 1.0) * third, third])
+            qutrits = (rhos, np.concatenate([basis] * 2), [3, 3], [True] * 2)
+            *_, checks = measurement._post_measurement_spectra([qubits, qutrits])
+            with pytest.raises(ValidationError) as info:
+                _raise_first_failure(checks)
+            return str(info.value)
+
+        assert error(True, True) == "density matrix has trace 1.05, expected 1"
+        assert error(False, True) == "density matrix has trace 1.22+0j, expected 1"
 
     def test_general_povm_never_builds_the_record_state(self, monkeypatch):
         # five outcomes on a qutrit: always a general POVM

@@ -1,8 +1,8 @@
 """The stacked draw and analysis against the per-pair arithmetic they replace.
 
-``_joint_distributions`` and ``_analyse_group`` are the stacked forms of
+``_joint_distributions`` and ``_analyse_groups`` are the stacked forms of
 ``joint_distribution`` and ``_analyse``, which keep their own one-pair path,
-over a ``_Group`` of pairs, and the average states ``_joint_distributions``
+over ``_Group`` records of pairs, and the average states ``_joint_distributions``
 sums are the stacked form of ``_average_matrix``; ``Ensemble`` is the
 one-item case of ``_checked_priors``; ``_entropies`` is the stacked form of
 ``_entropy_of_spectrum``; ``_sums`` and ``_ordered_sums`` are numpy's own
@@ -78,7 +78,7 @@ def analysed(pairs):
     """Each pair's parts of the analysed group of ``pairs``: its table
     (n, m), outcome probabilities, rho spectrum, member spectra (n, d),
     sigma spectrum, I, chi and delta_s."""
-    g = measurement._analyse_group(measurement._group(pairs))
+    (g,) = measurement._analyse_groups([measurement._group(pairs)])
     d = g.rho_spectra.shape[1]
     assert g.member_spectra.shape == (g.sizes.sum(), d)
     return [
@@ -106,7 +106,7 @@ class TestStackedPairsMatchPerPair:
     def test_joint_tables_and_their_sums(self, dim, seed):
         pairs = self.pairs(dim, seed)
         g = measurement._group(pairs)
-        tables, by_outcome, rows, cols, averages = measurement._joint_distributions(g)
+        tables, by_outcome, rows, cols, (averages,) = measurement._joint_distributions([g])
         cells = (g.sizes * g.counts).tolist()
         assert tables.shape == by_outcome.shape == (sum(cells),)
         assert rows.shape == (g.sizes.sum(),) and cols.shape == (g.counts.sum(),)
@@ -158,7 +158,7 @@ class TestStackedPairsMatchPerPair:
 
     def test_average_matrices(self, dim, seed):
         pairs = self.pairs(dim, seed)
-        stacked = measurement._joint_distributions(measurement._group(pairs))[4]
+        (stacked,) = measurement._joint_distributions([measurement._group(pairs)])[4]
         assert stacked.shape == (len(pairs), dim, dim)
         for (e, _), acc in zip(pairs, stacked):
             assert acc.tobytes() == quantum._average_matrix(e).tobytes()
@@ -171,7 +171,7 @@ class TestGatheredProducts:
     def test_one_product_per_table_entry(self, dim, monkeypatch):
         pairs = instances(dim, 3) + edge_pairs(dim)
         g = measurement._group(pairs)
-        expected = measurement._joint_distributions(g)
+        *expected, (averages,) = measurement._joint_distributions([g])
         gathered = []
 
         class Recording(np.ndarray):
@@ -181,8 +181,8 @@ class TestGatheredProducts:
                 return np.asarray(super().__getitem__(index))
 
         spied = g._replace(states=g.states.view(Recording), elements=g.elements.view(Recording))
-        got = measurement._joint_distributions(spied)
-        for a, b in zip(got, expected):
+        *got, (spied_averages,) = measurement._joint_distributions([spied])
+        for a, b in zip(got + [spied_averages], expected + [averages]):
             assert np.asarray(a).tobytes() == b.tobytes()
         cells = sum(e.size * v.size for e, v in pairs)
         assert gathered == [cells, cells]
@@ -336,7 +336,7 @@ class TestJointStackErrors:
 
     @staticmethod
     def stacked(pairs):
-        return measurement._joint_distributions(measurement._group(pairs))
+        return measurement._joint_distributions([measurement._group(pairs)])
 
     @staticmethod
     def single(pair):
@@ -368,7 +368,7 @@ class TestJointStackErrors:
         low = np.diag([-5e-10, 0.5])
         short = qubit_pair([1.0], [self.KET1], [low, np.eye(2) - low])
         pairs = [short, self.good()]
-        tables, _, _, _, averages = self.stacked(pairs)
+        tables, _, _, _, (averages,) = self.stacked(pairs)
         for pair, table, acc in zip(pairs, _segments(tables, [2, 4]), averages):
             assert table.tobytes() == self.single(pair).matrix.tobytes()
             assert acc.tobytes() == quantum._average_matrix(pair[0]).tobytes()
