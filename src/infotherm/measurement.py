@@ -61,37 +61,26 @@ from .quantum import (
 )
 
 
-#: ``_detect_projective``'s product stacks hold at most this many entries
-#: (128 KiB), which keeps each one in cache.
-_PRODUCT_ENTRIES = 1 << 13
-
-
 def _detect_projective(stack: np.ndarray, counts) -> np.ndarray:
     """For each (offset, count) segment of the (M, d, d) element stack, in
     order, whether E_j E_k = delta_jk E_j for every j, k in it: idempotence
-    of every element first, as one batched product, then orthogonality of
-    every other element of the idempotent segments, batched over them, a
-    few rows j at a time, so a product stack holds at most
-    ``_PRODUCT_ENTRIES`` matrix entries, or one product an element where
-    that is more."""
+    of every element first, as one batched product, then orthogonality one
+    row j at a time, batched over the idempotent segments, so a product
+    stack never holds more than one entry per element."""
     counts = np.asarray(counts)
     offsets = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(counts.size), counts)
     residual = np.abs(stack @ stack - stack).max(axis=(1, 2))
     flags = np.maximum.reduceat(residual, offsets) <= PROJECTIVE_TOL
     members = np.flatnonzero(flags[owner])
-    if not members.size:
-        return flags
-    sizes, first = counts[owner[members]], offsets[owner[members]]
-    width = int(sizes.max())
-    step = min(width, max(1, _PRODUCT_ENTRIES // (stack.shape[1] ** 2 * members.size)))
-    for j in range(0, width, step):
-        rows = first[:, None] + np.arange(j, j + step)
-        live = (rows < first[:, None] + sizes[:, None]) & (rows != members[:, None])
-        cols = np.broadcast_to(members[:, None], live.shape)[live]
-        products = stack[rows[live]] @ stack[cols]
+    for j in range(int(counts[flags].max(initial=0))):
+        members = members[counts[owner[members]] > j]
+        rows = offsets[owner[members]] + j
+        products = stack[rows] @ stack[members]
+        same = rows == members
+        products[same] -= stack[rows[same]]
         failing = np.abs(products).max(axis=(1, 2)) > PROJECTIVE_TOL
-        flags[owner[cols[failing]]] = False
+        flags[owner[members[failing]]] = False
     return flags
 
 
@@ -479,9 +468,10 @@ def _post_measurement_spectra(stacks):
     projective pairs take one ``_dephased_spectra``, the rest one
     ``_block_spectra``, and every stack's general pairs one
     ``_record_unions``.  Returns the spectra in pair order, stack after
-    stack, flat, their lengths, and the checks of all routes as one stack,
-    each route with its own messages; only each sqrt(rho) is checked here,
-    as it is taken."""
+    stack, flat, and their lengths.  The checks of all routes run as one
+    stack, so the lowest failing pair, counted stack after stack, raises
+    with its own route's message; only each sqrt(rho) is checked first, as
+    it is taken."""
     parts, general, total = [], [], 0
     for rhos, elements, counts, projective in stacks:
         counts, projective = np.asarray(counts), np.asarray(projective, dtype=bool)
@@ -500,14 +490,14 @@ def _post_measurement_spectra(stacks):
         pairs, spectra, lengths = (np.concatenate(part) for part in zip(*general))
         parts.append((pairs, *_record_unions(spectra, lengths)))
     if len(parts) == 1:
-        return parts[0][1:]
+        _raise_first_failure(parts[0][3])
+        return parts[0][1:3]
+    _raise_first_failure([check for p, _, _, c in parts for check in _placed(c, p, total)])
     pairs, spectra, lengths = (np.concatenate(part) for part in list(zip(*parts))[:3])
     # each pair's run of the parts' spectra, taken in pair order
     order = np.argsort(pairs)
     owner, local = _local_index(lengths[order])
-    out = spectra[(np.cumsum(lengths) - lengths)[order][owner] + local]
-    checks = [check for p, _, _, c in parts for check in _placed(c, p, total)]
-    return out, lengths[order], checks
+    return spectra[(np.cumsum(lengths) - lengths)[order][owner] + local], lengths[order]
 
 
 def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarray):
@@ -737,10 +727,9 @@ def _analyse_groups(groups: list[_Group]) -> list[_Group]:
     error."""
     tables, by_outcome, row_sums, col_sums, averages = _joint_distributions(groups)
     rho_spectra = [np.maximum(_density_eigenvalues(rhos), 0.0) for rhos in averages]
-    sigma, sigma_sizes, checks = _post_measurement_spectra(
+    sigma, sigma_sizes = _post_measurement_spectra(
         [(rhos, g.elements, g.counts, g.projective) for rhos, g in zip(averages, groups)]
     )
-    _raise_first_failure(checks)
     sizes, counts, priors = (_joined(groups, name) for name in ("sizes", "counts", "priors"))
     members = [np.maximum(g.eigenvalues, 0.0) for g in groups]
     trials = [len(g.sizes) for g in groups]

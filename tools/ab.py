@@ -8,8 +8,8 @@ the change tree is the checkout that holds this script, the parent tree
 is ``PARENT_CHECKOUT`` (any directory with ``src/infotherm``), and with
 ``--aa`` the change tree is loaded a second time in the parent's place.
 Each side gets its own copy of this checkout's ``bench/workloads.py``,
-bound to its own package, and builds its inputs from ``--seed`` with it;
-``bench/`` is only read.  After one untimed warm-up op a side, the run
+bound to its own package, and builds its inputs from input seed 1 with
+it; ``bench/`` is only read.  After one untimed warm-up op a side, the run
 times ``--blocks`` blocks.  A block times ``--ops`` ops on each side, one
 side after the other, and the side that goes first alternates from block
 to block, so a drift in machine speed falls on both sides alike.  Every
@@ -44,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_FILE = ROOT / "bench" / "workloads.py"
 WORKLOAD_NAMES = ("suite", "pgm", "optimize")
+INPUT_SEED = 1
 
 
 def _load(name: str, path: Path, package_dir: Path | None = None):
@@ -133,7 +134,6 @@ def main(argv=None) -> int:
     parser.add_argument("--aa", action="store_true", help="run this tree against itself")
     parser.add_argument("--blocks", type=int, default=60)
     parser.add_argument("--ops", type=int, default=6, help="ops a side in each block")
-    parser.add_argument("--seed", type=int, default=1, help="the workloads' input seed")
     args = parser.parse_args(argv)
     if (args.parent is None) != args.aa:
         parser.error("give PARENT_CHECKOUT or --aa, not both")
@@ -141,8 +141,8 @@ def main(argv=None) -> int:
         parser.error("--blocks and --ops must be positive")
     parent_tree = ROOT if args.aa else args.parent.resolve()
     with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
-        parent = Side(load_side(parent_tree), args.workload, args.seed, parent_dir)
-        change = Side(load_side(ROOT), args.workload, args.seed, change_dir)
+        parent = Side(load_side(parent_tree), args.workload, INPUT_SEED, parent_dir)
+        change = Side(load_side(ROOT), args.workload, INPUT_SEED, change_dir)
         ratios = run(parent, change, args.blocks, args.ops)
     median, q1, q3 = quartiles(ratios)
     wins = sum(r < 1.0 for r in ratios)
