@@ -147,4 +147,5 @@ def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
         _check_caps(e.size, e.dim, m)
     rho = average_state(e)
     a = _analyse(e, _pretty_good_measurement(e, rho), rho)
-    return [BlockReport(m, a.info, a.delta_s, a.chi, e.size**m) for m in range(1, m_max + 1)]
+    info, ds, chi = float(a.info[0]), float(a.delta_s[0]), float(a.chi[0])
+    return [BlockReport(m, info, ds, chi, e.size**m) for m in range(1, m_max + 1)]

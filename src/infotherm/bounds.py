@@ -105,7 +105,7 @@ def evaluate_bounds(e: Ensemble, v: Povm) -> BoundReport:
     """Score a concrete measurement of an ensemble against both ceilings,
     from the one analysis of the pair that ``run_cycle`` also reads."""
     a = _analyse(e, v)
-    return _report(a.info, a.chi, a.delta_s)
+    return _report(a.info[0], a.chi[0], a.delta_s[0])
 
 
 @dataclass(frozen=True)

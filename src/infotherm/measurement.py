@@ -41,8 +41,8 @@ from .linops import (
     _psd_function_stack,
     _raise_first_failure,
     _require_int,
+    _row_sums,
     _segments,
-    _sums,
     as_complex_matrix,
     max_abs,
     tensor_product,
@@ -235,7 +235,8 @@ class JointDistribution:
 
     Rows index preparations, columns index outcomes.  Entries a hair below
     zero (rounding) are clipped; anything below -PROB_CLIP is an error, and
-    so is a non-finite entry.
+    so is a non-finite entry.  Every sum of the table's entries adds them
+    in order from +0.
     """
 
     matrix: np.ndarray
@@ -247,11 +248,11 @@ class JointDistribution:
 
     @property
     def priors(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
+        return _row_sums(self.matrix)
 
     @property
     def outcome_probs(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
+        return _row_sums(self.matrix.T)
 
     @classmethod
     def _checked(cls, matrix: np.ndarray) -> "JointDistribution":
@@ -276,7 +277,7 @@ def _table_checks(tables: np.ndarray):
     for ``_raise_first_failure``: ``_joint_checks`` of its own figures."""
     flat = tables.reshape(len(tables), -1)
     finite = np.logical_and.reduce(np.isfinite(flat), axis=1)
-    return _joint_checks(finite, flat.min(axis=1), np.maximum(flat, 0.0).sum(axis=1))
+    return _joint_checks(finite, flat.min(axis=1), _row_sums(np.maximum(flat, 0.0)))
 
 
 def _joint_checks(finite: np.ndarray, lowest: np.ndarray, totals: np.ndarray):
@@ -315,10 +316,10 @@ def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     per state; ``_joint_distributions`` gives each of many pairs these bits
     and errors."""
     _require_same_dim("ensemble", e.dim, v)
-    states = np.stack([s.matrix for s in e.states])
+    states = np.array([s.matrix for s in e.states])
     raw = e.probs[:, None] * np.trace(v._stack @ states[:, None], axis1=2, axis2=3).real
     table = np.maximum(raw, 0.0)
-    drift = np.abs(table.sum(axis=1) - e.probs).max(keepdims=True)
+    drift = np.abs(_row_sums(table) - e.probs).max(keepdims=True)
     _raise_first_failure(_table_checks(raw[None]) + [_drift_check(drift)])
     table.setflags(write=False)
     return JointDistribution._checked(table)
@@ -333,8 +334,7 @@ def _joint_distributions(groups: "list[_Group]"):
     every table of a group, so no product is taken twice or with a state
     past a pair's members; the rest runs once for all the groups, pair
     after pair, and each table is a row-major run of the flat result.  Its
-    sums are numpy's, by ``_sums`` (a lone column is the table's own sum)
-    and ``_ordered_sums`` (a column of several adds its rows in order).
+    sums are ``_ordered_sums``, in order from +0 as the per-pair call adds.
     Each pair's average state adds its weighted members in
     ``_average_matrix``'s order.  The checks run stacked; the lowest-index
     failing pair raises what ``joint_distribution`` raises for it alone.
@@ -360,11 +360,9 @@ def _joint_distributions(groups: "list[_Group]"):
     tables = np.maximum(raw, 0.0)
     # entry t of a table's outcome-major run is row t % n of column t // n
     by_outcome = tables[offsets[owner] + (cell % height) * width + cell // height]
-    row_sums = _sums(tables, np.repeat(counts, sizes))
-    totals = _sums(tables, cells)
+    row_sums = _ordered_sums(tables, np.repeat(counts, sizes))
+    totals = _ordered_sums(tables, cells)
     col_sums = _ordered_sums(by_outcome, np.repeat(sizes, counts))
-    lone = counts == 1
-    col_sums[starts[lone]] = totals[lone]
     finite = np.logical_and.reduceat(np.isfinite(raw), offsets)
     lowest = np.minimum.reduceat(raw, offsets)
     drift = np.maximum.reduceat(np.abs(row_sums - priors), first)
@@ -387,8 +385,8 @@ def mutual_information(j: JointDistribution) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits, clipped to be nonnegative."""
     p = j.matrix
     return _clipped_information(
-        _entropy_of_spectrum(p.sum(axis=1))
-        + _entropy_of_spectrum(p.sum(axis=0))
+        _entropy_of_spectrum(_row_sums(p))
+        + _entropy_of_spectrum(_row_sums(p.T))
         - _entropy_of_spectrum(p.reshape(-1))
     )
 
@@ -585,48 +583,13 @@ def delta_s(r: DensityMatrix, v: Povm) -> float:
     )
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """One (ensemble, measurement) pair's joint table and its outcome
-    marginal, I, spectra of rho, of each member and of sigma, chi and
-    delta_s, each computed once."""
-
-    joint: JointDistribution
-    outcome_probs: np.ndarray
-    info: float
-    rho_spectrum: np.ndarray
-    member_spectra: tuple[np.ndarray, ...]
-    chi: float
-    sigma_spectrum: np.ndarray
-    delta_s: float
-
-
-def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Analysis:
-    """The analysis ``evaluate_bounds``, ``run_cycle`` and ``block_scan``
-    read, with the arithmetic and checks of ``mutual_information``,
-    ``holevo_chi`` and ``delta_s``; ``_analyse_groups`` gives each of many
-    pairs these bits.  ``rho`` is ``average_state(e)``, built here unless
-    the caller already has it."""
-    joint = joint_distribution(e, v)
-    rho = average_state(e) if rho is None else rho
-    sigma = _post_measurement_spectrum(rho, v)
-    info = mutual_information(joint)
-    members = tuple(s.spectrum() for s in e.states)
-    s_rho = _entropy_of_spectrum(rho.spectrum())
-    chi = _chi(e.probs, s_rho, [_entropy_of_spectrum(w) for w in members])
-    ds = _entropy_increase(_entropy_of_spectrum(sigma), s_rho)
-    return _Analysis(
-        joint, joint.outcome_probs, info, rho.spectrum(), members, chi, sigma, ds
-    )
-
-
 class _Group(NamedTuple):
     """One dimension's (ensemble, measurement) pairs as flat stacks, from
     the draw to the booking: pair k has ``sizes[k]`` members and
     ``counts[k]`` elements, consecutive in the member and element stacks.
     ``_analyse_groups`` fills in the analysis fields, each a flat array
     over the pairs, whose pair-k parts are the fields of the pair's
-    ``_Analysis``."""
+    one-pair group from ``_analyse``."""
 
     states: np.ndarray  # (S, d, d) checked member states
     eigenvalues: np.ndarray  # (S, d) their eigenvalues, ascending, from the check
@@ -647,44 +610,52 @@ class _Group(NamedTuple):
     delta_s: np.ndarray | None = None  # (K,)
 
 
-def _group(pairs, analyses=None) -> _Group:
+def _group(pairs) -> _Group:
     """The (ensemble, measurement) pairs, all of one dimension, as one
-    ``_Group``.  Given their ``_Analysis`` objects (which have checked the
-    pairs), the group holds only what a booking reads: the priors, sizes
-    and counts, and the spectra and outcome-major tables of the analyses."""
-    priors = np.concatenate([e.probs for e, _ in pairs])
-    sizes = np.array([e.size for e, _ in pairs])
-    counts = np.array([v.size for _, v in pairs])
-    if analyses is not None:
-        d = pairs[0][0].dim
-        return _Group(
-            None,
-            None,
-            priors,
-            sizes,
-            None,
-            counts,
-            None,
-            by_outcome=np.concatenate([a.joint.matrix.T for a in analyses], axis=None),
-            outcome_probs=np.concatenate([a.outcome_probs for a in analyses]),
-            rho_spectra=np.concatenate([a.rho_spectrum for a in analyses]).reshape(-1, d),
-            member_spectra=np.concatenate(
-                [w for a in analyses for w in a.member_spectra]
-            ).reshape(-1, d),
-            sigma_spectra=np.concatenate([a.sigma_spectrum for a in analyses]),
-            sigma_sizes=np.array([a.sigma_spectrum.size for a in analyses]),
-        )
+    ``_Group``.  ``np.array`` stacks the states' equal-shape arrays as
+    ``np.stack`` would, at a fraction of its fixed cost."""
     for e, v in pairs:
         _require_same_dim("ensemble", e.dim, v)
     states = [s for e, _ in pairs for s in e.states]
     return _Group(
-        np.stack([s.matrix for s in states]),
-        np.stack([s._eigenvalues for s in states]),
-        priors,
-        sizes,
+        np.array([s.matrix for s in states]),
+        np.array([s._eigenvalues for s in states]),
+        np.concatenate([e.probs for e, _ in pairs]),
+        np.array([e.size for e, _ in pairs]),
         np.concatenate([v._stack for _, v in pairs]),
-        counts,
+        np.array([v.size for _, v in pairs]),
         np.array([v.projective for _, v in pairs]),
+    )
+
+
+def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Group:
+    """The analysis ``evaluate_bounds``, ``run_cycle`` and ``block_scan``
+    read, as the pair's one-pair ``_Group``, with the arithmetic and checks
+    of ``mutual_information``, ``holevo_chi`` and ``delta_s``;
+    ``_analyse_groups`` gives each of many pairs these bits.  ``rho`` is
+    ``average_state(e)``, built here unless the caller already has it."""
+    joint = joint_distribution(e, v)
+    rho = average_state(e) if rho is None else rho
+    sigma = _post_measurement_spectrum(rho, v)
+    info = mutual_information(joint)
+    g = _group([(e, v)])
+    members = np.maximum(g.eigenvalues, 0.0)
+    s_rho = _entropy_of_spectrum(rho.spectrum())
+    chi = _chi(e.probs, s_rho, [_entropy_of_spectrum(w) for w in members])
+    ds = _entropy_increase(_entropy_of_spectrum(sigma), s_rho)
+    table = joint.matrix
+    return _Group(
+        *g[:7],
+        table.ravel(),
+        table.T.ravel(),
+        joint.outcome_probs,
+        rho.spectrum()[None],
+        members,
+        sigma,
+        np.array([sigma.size]),
+        np.array([info]),
+        np.array([chi]),
+        np.array([ds]),
     )
 
 

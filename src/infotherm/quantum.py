@@ -23,7 +23,6 @@ from .linops import (
     _require_finite,
     _require_int,
     _segments,
-    _sums,
     as_complex_matrix,
     hermitian_eig,
     max_abs,
@@ -222,12 +221,13 @@ def _probability_checks(flat: np.ndarray, lengths, noun: str = "prior", plural: 
     """Each consecutive segment of the float array ``flat``, of ``lengths``
     items each, clipped to be nonnegative, and the checks of each segment
     as a probability vector, for ``_raise_first_failure``: finite, none
-    below -PROB_CLIP, the clipped entries' ``sum()`` within TRACE_TOL of 1.
+    below -PROB_CLIP, the clipped entries added in order from +0 within
+    TRACE_TOL of 1.
     ``noun`` and ``plural`` name an entry and the vector in the messages."""
     lengths = np.asarray(lengths)
     owner = np.repeat(np.arange(len(lengths)), lengths)
     clipped = np.clip(flat, 0.0, None)
-    totals = _sums(clipped, lengths)
+    totals = _ordered_sums(clipped, lengths)
 
     def flagged(entries):
         bad = np.zeros(len(lengths), dtype=bool)

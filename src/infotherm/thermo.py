@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR, _raise_first_failure
-from .measurement import Povm, _analyse, _group, _joined, joint_distribution
+from .measurement import Povm, _analyse, _joined, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
 
 STAGE_EXTRACTION = "extraction"
@@ -372,14 +372,14 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     tolerance, and ``NumericalFailure`` if it is not finite.
     """
     a = _analyse(e, v)
-    booking = _book_cycles([_group([(e, v)], [a])])
+    booking = _book_cycles([a])
     net = float(booking.nets[0])
     if booking.breaks[0]:
         raise SecondLawViolation(
             f"cycle netted {net:.3e} bits of extracted work (> {CYCLE_TOL:.1e})"
         )
     return CycleLedger(
-        entries=tuple(_entries(booking)), net_bits=net, i_ab=a.info, chi=a.chi, delta_s=a.delta_s
+        tuple(_entries(booking)), net, float(a.info[0]), float(a.chi[0]), float(a.delta_s[0])
     )
 
 

@@ -24,6 +24,16 @@ NET_COMPUTATIONAL = -0.5
 NET_HELSTROM = -0.6008760366928562
 
 
+def in_order(values):
+    """The floats of ``values`` added left to right from +0: a reference
+    sum that numpy's pairwise ``sum`` and Python's compensated ``sum()``
+    (3.12 on) are not."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def mixed_kind_instances(count):
     """``count`` seeded random instances of every kind, d in {2, 3, 4}."""
     found = []

@@ -19,6 +19,8 @@ def test_an_aa_run_of_two_pgm_blocks_reports_its_ratio():
     report = json.loads(last)
     assert [report[key] for key in ("workload", "aa", "blocks", "ops")] == ["pgm", True, 2, 1]
     assert 0 < report["q1"] <= report["median"] <= report["q3"]
+    assert 0 < report["ci_low"] <= report["median"] <= report["ci_high"]
+    assert f"95% CI [{report['ci_low']:.3f}, {report['ci_high']:.3f}]" in human
     assert 0 <= report["wins"] <= 2
 
 

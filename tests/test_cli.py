@@ -1020,34 +1020,28 @@ class TestSuiteBuildsNoLedgerEntries:
 class TestSuiteBuildsNoAverageStates:
     # the suite keeps each dimension group stacked from the draw to the
     # booking, so it builds no per-trial object at all: no state (checked
-    # or a view), measurement, ensemble, joint table or analysis; drawing
-    # one pair and analysing it, as a control, builds each of them
+    # or a view), measurement, ensemble or joint table; drawing one pair
+    # and analysing it, as a control, builds each of them
     BUILDERS = (
-        (quantum.DensityMatrix, True),
-        (measurement.Povm, True),
-        (quantum.Ensemble, True),
-        (measurement.JointDistribution, True),
-        (measurement._Analysis, False),
+        quantum.DensityMatrix, measurement.Povm, quantum.Ensemble, measurement.JointDistribution
     )
 
     def count_builds(self, monkeypatch):
         built = []
-        for cls, has_view in self.BUILDERS:
+        for cls in self.BUILDERS:
             real_init = cls.__init__
+            real_checked = cls._checked.__func__
 
             def counting_init(obj, *args, _real=real_init, **kwargs):
                 built.append(type(obj).__name__)
                 _real(obj, *args, **kwargs)
 
+            def counting_view(c, *args, _real=real_checked):
+                built.append(c.__name__)
+                return _real(c, *args)
+
             monkeypatch.setattr(cls, "__init__", counting_init)
-            if has_view:
-                real_checked = cls._checked.__func__
-
-                def counting_view(c, *args, _real=real_checked):
-                    built.append(c.__name__)
-                    return _real(c, *args)
-
-                monkeypatch.setattr(cls, "_checked", classmethod(counting_view))
+            monkeypatch.setattr(cls, "_checked", classmethod(counting_view))
         return built
 
     def test_a_suite_run_builds_no_per_trial_object(self, monkeypatch, tmp_path, capsys):
@@ -1058,9 +1052,7 @@ class TestSuiteBuildsNoAverageStates:
         assert len(_csv_rows(csv)) == 50
         assert built == []
         measurement._analyse(*it.random_instance(2, 2, 2, "pure", 0))
-        assert set(built) == {
-            "DensityMatrix", "Povm", "Ensemble", "JointDistribution", "_Analysis"
-        }
+        assert set(built) == {"DensityMatrix", "Povm", "Ensemble", "JointDistribution"}
 
 
 class TestSuiteSecondLawPath:

@@ -9,7 +9,7 @@ from infotherm import quantum
 from infotherm.errors import DimensionMismatch, ValidationError
 from infotherm.linops import TRACE_TOL
 
-from conftest import CHI_TWO_STATE, H_THREE_QUARTERS
+from conftest import CHI_TWO_STATE, H_THREE_QUARTERS, in_order
 
 
 def random_density(dim, rng, pure=False):
@@ -214,12 +214,14 @@ class TestProbabilityChecks:
         e = it.Ensemble([1.0 + 1e-13, -1e-13], (it.maximally_mixed(2),) * 2)
         assert e.probs.tolist() == [1.0 + 1e-13, 0.0]
 
-    # two vectors whose numpy sum and left-to-right (reduceat) sum straddle
-    # 1 + TRACE_TOL: the check tests the sum its message prints
+    # two vectors whose numpy sum and in-order sum from +0 straddle
+    # 1 + TRACE_TOL, one each way: the check tests the in-order sum, the sum
+    # its message prints (np.add.reduceat adds a run of 8 or more scalars
+    # pairwise too, so it is no in-order reference)
     OVER = [
-        0.06773036918372259, 0.07207252171800695, 0.10699462668558724, 0.05646061994320218,
-        0.1000091952536735, 0.09683106562197386, 0.12691167340827572, 0.01564952655757314,
-        0.09926459622372052, 0.12628045653201064, 0.13179534987225378,
+        0.05646061994320218, 0.10699462668558724, 0.09926459622372052, 0.07207252171800695,
+        0.1000091952536735, 0.09683106562197386, 0.12691167340827572, 0.13179534987225378,
+        0.12628045653201064, 0.01564952655757314, 0.06773036918372259,
     ]
     WITHIN = [
         0.10756011638443494, 0.06633776366727294, 0.06833890058984103, 0.022939289967498583,
@@ -230,17 +232,17 @@ class TestProbabilityChecks:
 
     def test_the_sum_check_tests_the_printed_sum(self):
         over, within = np.array(self.OVER), np.array(self.WITHIN)
-        assert abs(over.sum() - 1.0) > TRACE_TOL >= abs(np.add.reduceat(over, [0])[0] - 1.0)
-        assert abs(within.sum() - 1.0) <= TRACE_TOL < abs(np.add.reduceat(within, [0])[0] - 1.0)
-        states = tuple(it.maximally_mixed(2) for _ in self.OVER)
-        assert self.message(lambda: it.Ensemble(over, states)) == (
+        assert abs(over.sum() - 1.0) > TRACE_TOL >= abs(in_order(self.OVER) - 1.0)
+        assert abs(within.sum() - 1.0) <= TRACE_TOL < abs(in_order(self.WITHIN) - 1.0)
+        states = tuple(it.maximally_mixed(2) for _ in self.WITHIN)
+        assert self.message(lambda: it.Ensemble(within, states)) == (
             "priors sum to 1.000000001, expected 1"
         )
-        assert self.message(lambda: it.shannon_entropy(over)) == (
+        assert self.message(lambda: it.shannon_entropy(within)) == (
             "probabilities sum to 1.000000001, expected 1"
         )
-        it.Ensemble(within, tuple(it.maximally_mixed(2) for _ in self.WITHIN))
-        it.shannon_entropy(within)
+        it.Ensemble(over, tuple(it.maximally_mixed(2) for _ in self.OVER))
+        it.shannon_entropy(over)
 
     def test_both_callers_use_the_one_builder(self, monkeypatch):
         seen = []

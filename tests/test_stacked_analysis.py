@@ -1,16 +1,21 @@
 """The stacked draw and analysis against the per-pair arithmetic they replace.
 
 ``_joint_distributions`` and ``_analyse_groups`` are the stacked forms of
-``joint_distribution`` and ``_analyse``, which keep their own one-pair path,
-over ``_Group`` records of pairs, and the average states ``_joint_distributions``
-sums are the stacked form of ``_average_matrix``; ``Ensemble`` is the
-one-item case of ``_checked_priors``; ``_entropies`` is the stacked form of
-``_entropy_of_spectrum``; ``_sums`` and ``_ordered_sums`` are numpy's own
-sums of many segments.  A stack must give each item, bit for bit, what the
-per-pair arithmetic gives it, so a wrong pairing or summation order fails; a
-stack with failing items raises what the single call raises for the
-lowest-index one.
+``joint_distribution`` and ``_analyse``, which keep their own one-pair path;
+both give ``_Group`` records of pairs, ``_analyse`` a group of one.  The
+average states ``_joint_distributions`` sums are the stacked form of
+``_average_matrix``; ``Ensemble`` is the one-item case of
+``_checked_priors``; ``_entropies`` is the stacked form of
+``_entropy_of_spectrum``; ``_ordered_sums`` adds many segments each in
+order from +0, the one summation rule both paths use for probabilities.  A
+stack must give each item, bit for bit, what the per-pair arithmetic gives
+it, so a wrong pairing or summation order fails; a stack with failing items
+raises what the single call raises for the lowest-index one.  The joint
+tables of the widest pairs are also checked against their definition in
+Python floats.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,8 @@ import infotherm as it
 from infotherm import bounds, linops, measurement, quantum
 from infotherm.errors import NumericalFailure, ValidationError
 from infotherm.linops import _segments
+
+from conftest import in_order
 
 
 def single_error(call, item):
@@ -52,12 +59,13 @@ def instances(dim, seed, count=24):
 
 
 def edge_pairs(dim):
-    """Tables whose sums numpy does not run left to right, stacked with
-    tables of other lengths: a one-outcome measurement on 8 to 17 states
-    (its lone column is summed pairwise) and nine or ten outcomes (pairwise
-    row sums); and tables with exact zeros: an ensemble with a zero prior
-    whose states leave the last basis direction empty, measured in that
-    basis (a zero row and a zero column) and with one element."""
+    """Tables whose sums numpy's own ``sum`` would not run left to right,
+    stacked with tables of other lengths: a one-outcome measurement on 8 to
+    17 states (a lone column of 8 or more rows) and nine or ten outcomes
+    (rows of 8 or more entries); and tables with exact zeros: an ensemble
+    with a zero prior whose states leave the last basis direction empty,
+    measured in that basis (a zero row and a zero column) and with one
+    element."""
     trivial = it.Povm((np.eye(dim),))
     wide = it.random_instance(dim, 2, 9, "mixed", 5)[1]
     wider = it.random_instance(dim, 2, 10, "pure", 6)[1]
@@ -119,12 +127,15 @@ class TestStackedPairsMatchPerPair:
             _segments(cols, g.counts),
         ):
             expected = reference_table(e, v)
+            joint = it.joint_distribution(e, v)
             assert table.tobytes() == expected.tobytes()
             assert table.size == expected.size
-            assert table.tobytes() == it.joint_distribution(e, v).matrix.tobytes()
+            assert table.tobytes() == joint.matrix.tobytes()
             assert outcome_major.tobytes() == expected.T.ravel().tobytes()
-            assert row_sums.tobytes() == expected.sum(axis=1).tobytes()
-            assert col_sums.tobytes() == expected.sum(axis=0).tobytes()
+            rows_in_order = np.array([in_order(row) for row in expected.tolist()])
+            cols_in_order = np.array([in_order(col) for col in expected.T.tolist()])
+            assert row_sums.tobytes() == rows_in_order.tobytes() == joint.priors.tobytes()
+            assert col_sums.tobytes() == cols_in_order.tobytes() == joint.outcome_probs.tobytes()
 
     def test_analysis_equals_the_public_functions(self, dim, seed):
         pairs = self.pairs(dim, seed)
@@ -148,13 +159,15 @@ class TestStackedPairsMatchPerPair:
         for (e, v), parts in zip(pairs, analysed(pairs)):
             table, q, lam, mu, sigma, info, chi, ds = parts
             a = measurement._analyse(e, v)
-            assert table.tobytes() == a.joint.matrix.tobytes()
-            assert table.shape == a.joint.matrix.shape
+            assert (a.sizes.tolist(), a.counts.tolist()) == ([e.size], [v.size])
+            assert table.tobytes() == a.tables.tobytes()
+            assert table.shape == (a.sizes[0], a.counts[0])
             assert q.tobytes() == a.outcome_probs.tobytes()
-            assert lam.tobytes() == a.rho_spectrum.tobytes()
-            assert mu.tobytes() == np.stack(a.member_spectra).tobytes()
-            assert sigma.tobytes() == a.sigma_spectrum.tobytes()
-            assert (info, chi, ds) == (a.info, a.chi, a.delta_s)
+            assert lam.tobytes() == a.rho_spectra[0].tobytes()
+            assert mu.tobytes() == a.member_spectra.tobytes()
+            assert sigma.tobytes() == a.sigma_spectra.tobytes()
+            assert a.sigma_sizes.tolist() == [sigma.size]
+            assert (a.info.tolist(), a.chi.tolist(), a.delta_s.tolist()) == ([info], [chi], [ds])
 
     def test_average_matrices(self, dim, seed):
         pairs = self.pairs(dim, seed)
@@ -162,6 +175,40 @@ class TestStackedPairsMatchPerPair:
         assert stacked.shape == (len(pairs), dim, dim)
         for (e, _), acc in zip(pairs, stacked):
             assert acc.tobytes() == quantum._average_matrix(e).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+def test_wide_tables_equal_their_definition(dim):
+    # p(i, j) = p_i tr(E_j rho_i) as a double loop over Python floats, its
+    # marginals and I(A:B) = sum p(i, j) log2(p(i, j) / (p_i q_j)) from the
+    # definition, with no helper of the package: the summation rule moves
+    # only rounding
+    for e, v in edge_pairs(dim):
+        states = [s.matrix.tolist() for s in e.states]
+        elements = [el.tolist() for el in v.elements]
+        table = []
+        for p, rho in zip(e.probs.tolist(), states):
+            row = []
+            for el in elements:
+                trace = 0.0
+                for a in range(dim):
+                    for b in range(dim):
+                        trace += (el[a][b] * rho[b][a]).real
+                row.append(max(p * trace, 0.0))
+            table.append(row)
+        priors = [math.fsum(row) for row in table]
+        outcomes = [math.fsum(col) for col in zip(*table)]
+        info = math.fsum(
+            pij * math.log2(pij / (priors[i] * outcomes[j]))
+            for i, row in enumerate(table)
+            for j, pij in enumerate(row)
+            if pij > 0.0
+        )
+        joint = it.joint_distribution(e, v)
+        assert np.allclose(joint.matrix, table, rtol=0.0, atol=1e-12)
+        assert np.allclose(joint.priors, priors, rtol=0.0, atol=1e-12)
+        assert np.allclose(joint.outcome_probs, outcomes, rtol=0.0, atol=1e-12)
+        assert it.mutual_information(joint) == pytest.approx(max(info, 0.0), rel=0.0, abs=1e-12)
 
 
 class TestGatheredProducts:
@@ -190,10 +237,10 @@ class TestGatheredProducts:
 
 
 class TestSegmentSums:
-    # numpy's own sums of many segments at once: _sums is a.sum() of each,
-    # _ordered_sums the loop's left-to-right sum (numpy's along a stack's
-    # first axis); lengths up to 300 reach every branch of numpy's pairwise
-    # summation, zeros of both signs its sign rules
+    # _ordered_sums of many segments at once is the loop's left-to-right sum
+    # of each from +0 (numpy's along a stack's first axis); lengths up to
+    # 300, with runs of one length under and over 8 items, and zeros of
+    # both signs for the sign rules
     @staticmethod
     def segments(seed):
         rng = np.random.default_rng(seed)
@@ -205,29 +252,22 @@ class TestSegmentSums:
         return flat, lengths, _segments(flat, lengths)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_sums_equal_numpy_sums(self, seed):
-        flat, lengths, parts = self.segments(seed)
-        assert linops._sums(flat, lengths).tobytes() == np.array([a.sum() for a in parts]).tobytes()
-        # short segments only, of one length and of several
-        for lengths in ([5] * 6, [3, 7, 1, 0, 6]):
-            parts = _segments(flat, lengths)
-            assert linops._sums(flat[: sum(lengths)], lengths).tobytes() == (
-                np.array([a.sum() for a in parts]).tobytes()
-            )
-
-    @pytest.mark.parametrize("seed", range(6))
     def test_ordered_sums_add_left_to_right(self, seed):
         flat, lengths, parts = self.segments(seed)
-        expected = []
-        for a in parts:
-            total = 0.0
-            for x in a.tolist():
-                total += x
-            expected.append(total)
-        assert linops._ordered_sums(flat, lengths).tobytes() == np.array(expected).tobytes()
-        # one length: the reshaped stack's own sums
-        assert linops._ordered_sums(flat[:35], [7] * 5).tobytes() == np.array(
-            [sum(flat[k:k + 7].tolist(), 0.0) for k in range(0, 35, 7)]
+        expected = np.array([in_order(a.tolist()) for a in parts])
+        assert linops._ordered_sums(flat, lengths).tobytes() == expected.tobytes()
+        # one length: the reshaped stack's own sums under 8 items, the
+        # padded accumulation from 8 on
+        for length in (7, 8, 9):
+            expected = np.array(
+                [in_order(flat[k:k + length].tolist()) for k in range(0, 5 * length, length)]
+            )
+            got = linops._ordered_sums(flat[: 5 * length], [length] * 5)
+            assert got.tobytes() == expected.tobytes()
+        # one row of a table: the row-sum helper of the one-pair path
+        rows = flat[:63].reshape(7, 9)
+        assert linops._row_sums(rows).tobytes() == np.array(
+            [in_order(row) for row in rows.tolist()]
         ).tobytes()
 
     def test_ordered_sums_of_matrix_stacks_equal_numpy(self):

@@ -391,19 +391,20 @@ def oracle_work(fraction, v_initial, v_final):
 
 def oracle_rows(e, a):
     """(fraction, v_initial, v_final) of every cycle row with work, in ledger
-    order, built one row at a time from the pair's analysis."""
+    order, built one row at a time from the pair's analysis (its one-pair
+    group)."""
     floor = WEIGHT_FLOOR
     rows = [(p, p, 1.0) for p in e.probs.tolist() if p > floor]
-    table = a.joint.matrix.tolist()
-    for j, q in enumerate(a.joint.outcome_probs.tolist()):
+    table = a.tables.reshape(e.size, -1).tolist()
+    for j, q in enumerate(a.outcome_probs.tolist()):
         if q <= floor:
             continue
         for i in range(e.size):
             cond = table[i][j] / q
             if cond > floor:
                 rows.append((q * cond, q, cond * q))
-    sigma = a.sigma_spectrum.tolist()
-    rho = a.rho_spectrum.tolist()
+    sigma = a.sigma_spectra.tolist()
+    rho = a.rho_spectra[0].tolist()
     rows += [(c, 1.0, c) for c in sigma if c > floor]
     padded = [0.0] * (len(sigma) - len(rho)) + rho
     rows += [(lam, lam, 1.0) for lam in padded if lam > floor]
@@ -489,15 +490,17 @@ class TestStackedBooking:
             assert ledger.net_bits.hex() == oracle_net(rows).hex()
 
     def test_a_chunk_of_mixed_shapes_books_each_pair_as_the_oracle(self):
-        # one group a dimension, each from its pairs' one-pair analyses, and
-        # each pair booked in its own row of the chunk, as the suite books
+        # one analysed group a dimension, and each pair booked in its own
+        # row of the chunk, as the suite books; the oracle reads each pair's
+        # one-pair analysis
         pairs = kernel_pairs()
         analyses = [measurement._analyse(e, v) for e, v in pairs]
         groups, rows = [], []
         for dim in sorted({e.dim for e, _ in pairs}):
             ks = [k for k, (e, _) in enumerate(pairs) if e.dim == dim]
-            groups.append(measurement._group([pairs[k] for k in ks], [analyses[k] for k in ks]))
+            groups.append(measurement._group([pairs[k] for k in ks]))
             rows += ks
+        groups = measurement._analyse_groups(groups)
         assert rows != sorted(rows)
         booking = thermo._book_cycles(groups, rows)
         assert booking.works.shape[0] == len(pairs)
@@ -577,7 +580,7 @@ class TestSuiteChunkBooking:
         targets = {}
         for trial, value in ((2, second), (1, first)):
             _, a = self.alone(*self.PICKS[trial])
-            targets.update((c, float(value)) for c in a.sigma_spectrum.tolist() if c > WEIGHT_FLOOR)
+            targets.update((c, float(value)) for c in a.sigma_spectra.tolist() if c > WEIGHT_FLOOR)
         others = {
             row[2] / row[1]
             for pick in self.PICKS

@@ -16,8 +16,10 @@ to block, so a drift in machine speed falls on both sides alike.  Every
 op's output is checked with the workload's own ``check``, untimed.
 
 Printed: the median over blocks of the change/parent time ratio with its
-quartiles [Q1, Q3], and the number of blocks the change won (ratio below
-1); the last line is the same as JSON.  Separate processes misread
+quartiles [Q1, Q3], a 95% bootstrap confidence interval of that median
+(percentiles of the medians of 2000 seeded resamples of the blocks), and
+the number of blocks the change won (ratio below 1); the last line is the
+same as JSON.  Separate processes misread
 few-percent moves on a shared machine; two trees loaded in one process
 see the same machine state block by block.  Longer blocks have read the
 suite more in the change's favour than the benchmark does (CHANGES.md),
@@ -35,6 +37,7 @@ import argparse
 import contextlib
 import importlib.util
 import json
+import random
 import statistics
 import sys
 import tempfile
@@ -45,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_FILE = ROOT / "bench" / "workloads.py"
 WORKLOAD_NAMES = ("suite", "pgm", "optimize")
 INPUT_SEED = 1
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 def _load(name: str, path: Path, package_dir: Path | None = None):
@@ -112,6 +117,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def bootstrap_ci(values: list[float]) -> tuple[float, float]:
+    """The 2.5th and 97.5th percentiles of the medians of
+    ``BOOTSTRAP_RESAMPLES`` resamples of ``values``, drawn with replacement
+    from a generator seeded with ``BOOTSTRAP_SEED``."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = [
+        statistics.median(rng.choices(values, k=len(values)))
+        for _ in range(BOOTSTRAP_RESAMPLES)
+    ]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
 def run(parent: Side, change: Side, blocks: int, ops: int) -> list[float]:
     """The change/parent time ratio of each block, the first side
     alternating from block to block."""
@@ -145,15 +163,18 @@ def main(argv=None) -> int:
         change = Side(load_side(ROOT), args.workload, INPUT_SEED, change_dir)
         ratios = run(parent, change, args.blocks, args.ops)
     median, q1, q3 = quartiles(ratios)
+    ci_low, ci_high = bootstrap_ci(ratios)
     wins = sum(r < 1.0 for r in ratios)
     label = "A/A" if args.aa else f"change/parent ({parent_tree})"
     print(
         f"{args.workload} {label}: {median:.3f} [Q1 {q1:.3f}, Q3 {q3:.3f}], "
+        f"95% CI [{ci_low:.3f}, {ci_high:.3f}], "
         f"change faster in {wins}/{len(ratios)} blocks of {args.ops} ops"
     )
     print(json.dumps({
         "workload": args.workload, "aa": args.aa, "blocks": len(ratios), "ops": args.ops,
-        "median": median, "q1": q1, "q3": q3, "wins": wins,
+        "median": median, "q1": q1, "q3": q3, "ci_low": ci_low, "ci_high": ci_high,
+        "wins": wins,
     }))
     return 0
 
