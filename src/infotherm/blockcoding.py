@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
-from .linops import BOUND_TOL, PSD_EPSILON, _require_int, psd_function
+from .linops import BOUND_TOL, PSD_EPSILON, _require_int
 from .measurement import Povm, _analyse, _povms
 from .quantum import DensityMatrix, Ensemble, _density_matrices, average_state
 
@@ -87,15 +87,15 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
 
 
 def _pretty_good_measurement(e: Ensemble, rho: DensityMatrix) -> Povm:
-    """``pretty_good_measurement`` of ``e`` with ``rho = average_state(e)``."""
-    inv_root = psd_function(rho.matrix, lambda x: 1.0 / np.sqrt(x), pseudo=True)
+    """``pretty_good_measurement`` of ``e`` with ``rho = average_state(e)``.
+    rho^(-1/2) and the kernel projector come from rho's one kept
+    eigendecomposition, which ``_analyse``'s sqrt(rho) reads again."""
+    inv_root = rho._function(lambda x: 1.0 / np.sqrt(x), pseudo=True)
     weighted = e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
     elements = inv_root @ weighted @ inv_root
     support_rank = int(np.sum(rho.spectrum() > PSD_EPSILON))
     if support_rank < rho.dim:
-        kernel = np.eye(rho.dim, dtype=complex) - psd_function(
-            rho.matrix, np.ones_like, pseudo=True
-        )
+        kernel = np.eye(rho.dim, dtype=complex) - rho._function(np.ones_like, pseudo=True)
         elements = np.concatenate([elements, kernel[None]])
     return _povms(elements, [len(elements)], [None])[0]
 
@@ -138,7 +138,10 @@ def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
     gains only through a code, a subset of the sequences (Hausladen, Jozsa,
     Schumacher, Westmoreland & Wootters, PRA 54, 1869 (1996)), not searched
     here.  The first length that fails ``_check_caps`` raises
-    ``BudgetExceeded`` before any analysis.
+    ``BudgetExceeded`` before any analysis.  The single letter's rho is
+    built and checked once, and its one kept eigendecomposition gives the
+    measurement's rho^(-1/2) and kernel projector and the analysis's
+    sqrt(rho).
     """
     _require_int("m_max", m_max)
     if m_max < 1:

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .measurement import Povm, _analyse_groups, _joined
-from .quantum import DensityMatrix, Ensemble
+from .quantum import DensityMatrix, Ensemble, _density_matrices
 from .thermo import _book_cycles, run_cycle
 
 
@@ -113,6 +113,17 @@ def _parse_labels(obj, count: int, where: str) -> tuple[str, ...]:
     return tuple(obj)
 
 
+def _checked_states(matrices: list) -> tuple[DensityMatrix, ...]:
+    """Parsed square matrices as states: one ``_density_matrices`` stack
+    where they share a shape and are finite, else one ``DensityMatrix``
+    each.  Either way the first failing matrix raises its own error."""
+    if len({m.shape for m in matrices}) == 1:
+        stack = np.array(matrices)
+        if np.isfinite(stack).all():
+            return _density_matrices(stack)
+    return tuple(DensityMatrix(m) for m in matrices)
+
+
 def parse_problem_spec(data) -> ProblemSpec:
     """Build a validated ProblemSpec out of decoded JSON."""
     if not isinstance(data, dict):
@@ -128,10 +139,16 @@ def parse_problem_spec(data) -> ProblemSpec:
         raise ValidationError("'ensemble.priors' must be a list of numbers")
     if not isinstance(ens["states"], list) or not ens["states"]:
         raise ValidationError("'ensemble.states' must be a non-empty list")
-    states = tuple(
-        DensityMatrix(_parse_matrix(s, f"ensemble.states[{i}]"))
-        for i, s in enumerate(ens["states"])
-    )
+    matrices = []
+    for i, s in enumerate(ens["states"]):
+        try:
+            matrices.append(_parse_matrix(s, f"ensemble.states[{i}]"))
+        except ValidationError:
+            # the states before it are checked first, as parsing and
+            # checking one state at a time would
+            _checked_states(matrices)
+            raise
+    states = _checked_states(matrices)
     ensemble = Ensemble(_floats(priors, "ensemble.priors"), states)
 
     measurement = None

@@ -322,12 +322,29 @@ def _psd_function_stack(stack: np.ndarray, f: Callable, pseudo: bool = False) ->
     with one batched eigensolve.  The lowest-index item that fails a check
     raises the error ``psd_function`` raises for it alone; ``f`` never
     sees the eigenvalues of an item that failed the checks before it."""
+    return _spectral_function(*_eigh_checks(stack), f, pseudo)
+
+
+def _eigh_checks(stack: np.ndarray):
+    """The eigenvalues (B, d) and eigenvectors (B, d, d) of each matrix of
+    a finite complex (B, d, d) stack, from one batched eigensolve, and the
+    decomposition and eigenvalue floor checks ``psd_function`` runs on
+    them, for ``_spectral_function``."""
     w, v = _eigh(stack)
-    checks = _decomposition_checks(stack, w, v) + [_eigenvalue_floor_check(w)]
+    return w, v, _decomposition_checks(stack, w, v) + [_eigenvalue_floor_check(w)]
+
+
+def _spectral_function(w: np.ndarray, v: np.ndarray, checks, f: Callable, pseudo: bool):
+    """``f`` of each matrix whose eigenvalues and eigenvectors are ``w`` and
+    ``v``, as ``psd_function`` applies it, once the matrices have passed
+    ``checks`` (from ``_eigh_checks``) and f(w) has come out finite.  The
+    lowest-index failing matrix raises what ``psd_function`` raises for it
+    alone; ``f`` never sees the eigenvalues of a matrix that failed
+    ``checks``."""
     failed = [bad for bad, _ in checks if np.count_nonzero(bad)]
     skip = np.repeat(np.logical_or.reduce(failed), w.shape[1]) if failed else None
     fw = _eigenvalue_function(w.reshape(-1), f, pseudo, skip).reshape(w.shape)
-    checks.append(_finite_function_check(fw))
+    checks = checks + [_finite_function_check(fw)]
     if failed or np.count_nonzero(checks[-1][0]):
         _raise_first_failure(checks)
     return (v * fw[:, None, :]) @ v.conj().swapaxes(1, 2)

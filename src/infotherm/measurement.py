@@ -61,26 +61,42 @@ from .quantum import (
 )
 
 
+#: Most complex entries a product stack of ``_detect_projective`` holds,
+#: unless one row's products alone hold more.
+_PRODUCT_ENTRIES = 2**13
+
+
 def _detect_projective(stack: np.ndarray, counts) -> np.ndarray:
     """For each (offset, count) segment of the (M, d, d) element stack, in
     order, whether E_j E_k = delta_jk E_j for every j, k in it: idempotence
-    of every element first, as one batched product, then orthogonality one
-    row j at a time, batched over the idempotent segments, so a product
-    stack never holds more than one entry per element."""
+    of every element first, as one batched product, then orthogonality,
+    batched over the idempotent segments, the rows j a few at a time so
+    that a product stack holds at most ``_PRODUCT_ENTRIES`` entries (or one
+    row).  A j = k product is the idempotence residual, already checked,
+    so it is skipped; a segment that fails leaves the rows that follow,
+    and the loop ends once no segment is left."""
     counts = np.asarray(counts)
     offsets = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(counts.size), counts)
     residual = np.abs(stack @ stack - stack).max(axis=(1, 2))
     flags = np.maximum.reduceat(residual, offsets) <= PROJECTIVE_TOL
+    width = int(counts[flags].max(initial=0))
+    if width < 2:
+        return flags
     members = np.flatnonzero(flags[owner])
-    for j in range(int(counts[flags].max(initial=0))):
-        members = members[counts[owner[members]] > j]
-        rows = offsets[owner[members]] + j
-        products = stack[rows] @ stack[members]
-        same = rows == members
-        products[same] -= stack[rows[same]]
+    step = min(width, max(1, _PRODUCT_ENTRIES // (members.size * stack[0].size)))
+    for first in range(0, width, step):
+        rows = np.arange(first, min(first + step, width))[:, None]
+        start, count = offsets[owner[members]], counts[owner[members]]
+        # each member k times the rows of its segment in this step, but itself
+        j, i = np.nonzero((rows < count) & (rows != members - start))
+        k = members[i]
+        products = stack[start[i] + rows[j, 0]] @ stack[k]
         failing = np.abs(products).max(axis=(1, 2)) > PROJECTIVE_TOL
-        flags[owner[members[failing]]] = False
+        flags[owner[k[failing]]] = False
+        members = members[flags[owner[members]]]
+        if not members.size:
+            break
     return flags
 
 
@@ -450,10 +466,15 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
 def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     """Eigenvalues of ``post_measurement_state(r, v)``, ascending, clipped
     to be nonnegative, without building the system-record state: the
-    one-pair case of ``_post_measurement_spectra``'s route for ``v``."""
+    one-pair case of ``_post_measurement_spectra``'s route for ``v``, the
+    record route's sqrt(rho) from ``r``'s kept eigendecomposition."""
     _require_same_dim("state", r.dim, v)
-    route = _dephased_spectra if v.projective else _record_spectra
-    spectrum, _, checks = route(r.matrix[None], v._stack, np.array([v.size]))
+    counts = np.array([v.size])
+    if v.projective:
+        spectrum, _, checks = _dephased_spectra(r.matrix[None], v._stack, counts)
+    else:
+        blocks = _root_spectra(r._function(np.sqrt)[None], v._stack, counts)
+        spectrum, _, checks = _record_unions(*blocks)
     _raise_first_failure(checks)
     return spectrum
 
@@ -501,7 +522,7 @@ def _post_measurement_spectra(stacks):
 def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarray):
     """The spectrum of sum_j P_j rho P_j of each state of a (K, d, d) stack
     under its ``counts[k]`` consecutive projectors, which is d x d already;
-    the record-state union of ``_record_spectra`` would agree to rounding,
+    the record-state union of ``_block_spectra`` would agree to rounding,
     but on commuting instances delta_s is itself rounding noise and would
     change in the printed digits.  Each pair's products are added in
     order, as ``_dephased_matrix`` adds them.  Returns the clipped spectra,
@@ -511,22 +532,21 @@ def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarr
     return np.maximum(w, 0.0).ravel(), np.full(len(counts), w.shape[1]), checks
 
 
-def _record_spectra(rhos: np.ndarray, elements: np.ndarray, counts: np.ndarray):
-    """The spectrum of each record state sum_j (sqrt(E_j) rho sqrt(E_j))
-    (x) |j><j| of a (K, d, d) stack of states under ``counts[k]``
-    consecutive elements each: ``_record_unions`` of ``_block_spectra``."""
-    return _record_unions(*_block_spectra(rhos, elements, counts))
-
-
 def _block_spectra(rhos: np.ndarray, elements: np.ndarray, counts: np.ndarray):
     """The record state of a state rho under elements E_j is block diagonal
     with blocks A_j A_j^+, where A_j = sqrt(E_j) sqrt(rho); each block shares
     its spectrum with A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so its d*m
     eigenvalues are the union of m d x d spectra.  Returns those spectra of
     each state of a (K, d, d) stack under its ``counts[k]`` consecutive
-    elements, from one stacked sqrt(rho) and one batched ``eigvalsh``,
-    flat, and each union's length."""
-    roots = np.repeat(_psd_function_stack(rhos, np.sqrt), counts, axis=0)
+    elements, from one stacked sqrt(rho) and ``_root_spectra``, flat, and
+    each union's length."""
+    return _root_spectra(_psd_function_stack(rhos, np.sqrt), elements, counts)
+
+
+def _root_spectra(roots: np.ndarray, elements: np.ndarray, counts: np.ndarray):
+    """``_block_spectra`` from the (K, d, d) stack of sqrt(rho), with one
+    batched ``eigvalsh``."""
+    roots = np.repeat(roots, counts, axis=0)
     spectra = np.linalg.eigvalsh(roots @ elements @ roots)
     return spectra.ravel(), counts * spectra.shape[1]
 
@@ -633,23 +653,32 @@ def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Group:
     read, as the pair's one-pair ``_Group``, with the arithmetic and checks
     of ``mutual_information``, ``holevo_chi`` and ``delta_s``;
     ``_analyse_groups`` gives each of many pairs these bits.  ``rho`` is
-    ``average_state(e)``, built here unless the caller already has it."""
+    ``average_state(e)``, built here unless the caller already has it.
+    The group holds the pair's own priors and element stack, not copies,
+    and stacks only the member states and their eigenvalues."""
     joint = joint_distribution(e, v)
     rho = average_state(e) if rho is None else rho
     sigma = _post_measurement_spectrum(rho, v)
     info = mutual_information(joint)
-    g = _group([(e, v)])
-    members = np.maximum(g.eigenvalues, 0.0)
-    s_rho = _entropy_of_spectrum(rho.spectrum())
+    eigenvalues = np.array([s._eigenvalues for s in e.states])
+    members = np.maximum(eigenvalues, 0.0)
+    lam = rho.spectrum()
+    s_rho = _entropy_of_spectrum(lam)
     chi = _chi(e.probs, s_rho, [_entropy_of_spectrum(w) for w in members])
     ds = _entropy_increase(_entropy_of_spectrum(sigma), s_rho)
     table = joint.matrix
     return _Group(
-        *g[:7],
+        np.array([s.matrix for s in e.states]),
+        eigenvalues,
+        e.probs,
+        np.array([e.size]),
+        v._stack,
+        np.array([v.size]),
+        np.array([v.projective]),
         table.ravel(),
         table.T.ravel(),
         joint.outcome_probs,
-        rho.spectrum()[None],
+        lam[None],
         members,
         sigma,
         np.array([sigma.size]),

@@ -6,6 +6,7 @@ bit of work at temperature T is kT ln 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -18,11 +19,13 @@ from .linops import (
     PSD_TOL,
     TRACE_TOL,
     _asymmetry,
+    _eigh_checks,
     _ordered_sums,
     _raise_first_failure,
     _require_finite,
     _require_int,
     _segments,
+    _spectral_function,
     as_complex_matrix,
     hermitian_eig,
     max_abs,
@@ -108,10 +111,15 @@ class DensityMatrix:
 
     ``matrix`` is a read-only copy of the input, so the eigenvalues found
     by the PSD check stay those of ``matrix`` and ``spectrum`` reuses them.
+    Its full eigendecomposition, with ``psd_function``'s checks of it, is
+    taken the first time a function of the matrix is asked for and kept,
+    so every function of one state (rho^-1/2, its kernel projector,
+    sqrt(rho)) shares one eigensolve.
     """
 
     matrix: np.ndarray
     _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    _decomposition: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix).copy()
@@ -127,6 +135,7 @@ class DensityMatrix:
         r = object.__new__(cls)
         object.__setattr__(r, "matrix", matrix)
         object.__setattr__(r, "_eigenvalues", eigenvalues)
+        object.__setattr__(r, "_decomposition", None)
         return r
 
     @property
@@ -136,6 +145,16 @@ class DensityMatrix:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, ascending, clipped to be nonnegative."""
         return np.maximum(self._eigenvalues, 0.0)
+
+    def _function(self, f: Callable, pseudo: bool = False) -> np.ndarray:
+        """``psd_function(matrix, f, pseudo)`` to the last bit, with its
+        checks and errors, from the kept eigendecomposition; only arrays
+        are kept, and a decomposition that fails its checks is not."""
+        if self._decomposition is None:
+            w, v, checks = _eigh_checks(self.matrix[None])
+            _raise_first_failure(checks)
+            object.__setattr__(self, "_decomposition", (w, v))
+        return _spectral_function(*self._decomposition, [], f, pseudo)[0]
 
 
 def _density_matrices(stack: np.ndarray) -> tuple[DensityMatrix, ...]:

@@ -34,6 +34,18 @@ def in_order(values):
     return total
 
 
+def count_eighs(monkeypatch):
+    """Wrap ``np.linalg.eigh``; returns the list that grows by one entry a call."""
+    calls, real = [], np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 def mixed_kind_instances(count):
     """``count`` seeded random instances of every kind, d in {2, 3, 4}."""
     found = []

@@ -1,5 +1,6 @@
 """Smoke test of ``tools/ab.py``, the in-process A/B of two source trees."""
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,26 @@ def test_an_aa_run_of_two_pgm_blocks_reports_its_ratio():
     assert 0 < report["ci_low"] <= report["median"] <= report["ci_high"]
     assert f"95% CI [{report['ci_low']:.3f}, {report['ci_high']:.3f}]" in human
     assert 0 <= report["wins"] <= 2
+    # the warm-up op and two blocks of one op a side run inputs 0, 1 and 2
+    assert (report["differing_inputs"], report["inputs"]) == (0, 3)
+    assert "outputs differ on 0 of 3 inputs" in human
+
+
+def test_a_parent_that_prints_other_digits_differs_on_every_input(tmp_path):
+    package = tmp_path / "src" / "infotherm"
+    shutil.copytree(ROOT / "src" / "infotherm", package)
+    cli = package / "cli.py"
+    text = cli.read_text()
+    assert text.count('format(float(x), ".9g")') == 1
+    cli.write_text(text.replace('format(float(x), ".9g")', 'format(float(x), ".8g")'))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(tmp_path), "--workload", "pgm",
+         "--blocks", "2", "--ops", "1"],
+        capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert (report["differing_inputs"], report["inputs"]) == (3, 3)
 
 
 def test_it_needs_a_parent_or_aa():

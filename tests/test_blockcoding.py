@@ -9,7 +9,7 @@ from infotherm import blockcoding, measurement, quantum
 from infotherm.blockcoding import DIM_CAP
 from infotherm.errors import BudgetExceeded, ValidationError
 
-from conftest import CHI_TWO_STATE, INFO_HELSTROM
+from conftest import CHI_TWO_STATE, INFO_HELSTROM, count_eighs
 
 
 class TestSequenceEnsemble:
@@ -163,6 +163,29 @@ class TestPrettyGoodMeasurement:
         povm = it.pretty_good_measurement(e)
         assert povm.size == 3
         npt.assert_allclose(povm.elements[2], np.diag([0, 0, 1.0]), atol=1e-12)
+
+
+class TestBlockScanDecomposesOnce:
+    """``block_scan`` takes rho's eigendecomposition once, for rho^-1/2,
+    the kernel projector and the record route's sqrt(rho)."""
+
+    @pytest.mark.parametrize(
+        "dim, kind, projective",
+        [(2, "mixed", False), (2, "pure", True), (3, "pure", True)],
+    )
+    def test_one_eigh_a_scan(self, monkeypatch, dim, kind, projective):
+        e, _ = it.random_instance(dim, 2, 2, kind, 4)
+        rho = quantum.average_state(e)
+        povm = blockcoding._pretty_good_measurement(e, rho)
+        assert povm.projective == projective
+        # a pure pair in three dimensions leaves a kernel, whose projector
+        # is the measurement's last element
+        assert povm.size == (3 if dim == 3 else 2)
+        calls = count_eighs(monkeypatch)
+        reports = it.block_scan(e, 3)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert reports == it.block_scan(e, 3)
 
 
 class TestBlockReport:

@@ -200,6 +200,95 @@ class TestProblemParsing:
         assert cli.main(["bounds", "--spec", str(path)]) == 2
 
 
+def _random_density(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+class TestProblemFileStates:
+    """A problem file's states raise as parsing and checking them one state
+    at a time raises: the first state that fails either step, with its own
+    error.  Valid states are checked with one stacked ``eigvalsh``."""
+
+    NOT_HERMITIAN = np.array([[0.5, 1.0], [0.0, 0.5]])  # deviates by 1.0
+    BAD = {
+        "not-hermitian": NOT_HERMITIAN,
+        "trace": np.diag([0.6, 0.6]),
+        "not-psd": np.diag([1.2, -0.2]),
+        "non-finite": np.diag([np.inf, 0.0]),
+    }
+
+    @staticmethod
+    def unparsable():
+        state = _mat(PLUS)
+        state[0][1] = "x"
+        return state
+
+    @staticmethod
+    def error(states, priors=None):
+        payload = {
+            "ensemble": {"priors": priors or [1 / len(states)] * len(states), "states": states}
+        }
+        with pytest.raises(it.ToolkitError) as info:
+            cli.parse_problem_spec(payload)
+        return type(info.value), str(info.value)
+
+    def test_a_state_check_comes_before_a_later_parse_error(self):
+        assert self.error([_mat(self.NOT_HERMITIAN), self.unparsable()]) == (
+            it.ValidationError,
+            "density matrix deviates from Hermitian by 1.000e+00",
+        )
+
+    def test_a_parse_error_comes_before_a_later_state_check(self):
+        assert self.error([_mat(KET0), self.unparsable(), _mat(self.NOT_HERMITIAN)]) == (
+            it.ValidationError,
+            "ensemble.states[1][0]: complex entries must be [re, im] number pairs, got 'x'",
+        )
+
+    def test_valid_states_of_two_dimensions_raise_the_dimension_mismatch(self):
+        assert self.error([_mat(KET0), _mat(np.eye(3) / 3)]) == (
+            it.DimensionMismatch,
+            "states have mixed dimensions [2, 3]",
+        )
+
+    def test_an_invalid_state_of_another_dimension_raises_its_own_check(self):
+        assert self.error([_mat(KET0), _mat(np.eye(3) / 2)]) == (
+            it.ValidationError,
+            "density matrix has trace 1.5+0j, expected 1",
+        )
+
+    def test_a_state_check_comes_before_the_prior_checks(self):
+        assert self.error([_mat(KET0), _mat(self.BAD["trace"])], priors=[0.9, 0.9]) == (
+            it.ValidationError,
+            "density matrix has trace 1.2+0j, expected 1",
+        )
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_the_lowest_failing_state_raises_its_own_error(self, index, bad):
+        states = [_mat(KET0), _mat(PLUS), _mat(np.eye(2) / 2), _mat(self.NOT_HERMITIAN)]
+        states[index] = _mat(self.BAD[bad])
+        with pytest.raises(it.ToolkitError) as info:
+            it.DensityMatrix(self.BAD[bad])
+        assert self.error(states) == (type(info.value), str(info.value))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_n_states_take_one_eigvalsh_and_equal_the_single_checks(self, monkeypatch, n):
+        matrices = [_random_density(3, seed) for seed in range(n)]
+        payload = {"ensemble": {"priors": [1 / n] * n, "states": [_mat(m) for m in matrices]}}
+        counts = _count_decompositions(monkeypatch)
+        spec = cli.parse_problem_spec(payload)
+        assert counts == [1, n]
+        monkeypatch.undo()
+        for s, m in zip(spec.ensemble.states, matrices):
+            single = it.DensityMatrix(np.array(_mat(m)).view(complex)[..., 0])
+            assert s.matrix.tobytes() == single.matrix.tobytes()
+            assert s.spectrum().tobytes() == single.spectrum().tobytes()
+            assert not s.matrix.flags.writeable
+
+
 class TestBounds:
     def test_computational_report(self, tmp_path, capsys):
         path = _write(tmp_path, "p.json", _two_state_payload())

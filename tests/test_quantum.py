@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from infotherm import quantum
 from infotherm.errors import DimensionMismatch, ValidationError
 from infotherm.linops import TRACE_TOL
 
-from conftest import CHI_TWO_STATE, H_THREE_QUARTERS, in_order
+from conftest import CHI_TWO_STATE, H_THREE_QUARTERS, count_eighs, in_order
 
 
 def random_density(dim, rng, pure=False):
@@ -82,6 +83,55 @@ class TestDensityMatrix:
         r = it.pure_state([3.0, 4.0])
         npt.assert_allclose(np.trace(r.matrix).real, 1.0, atol=1e-12)
         npt.assert_allclose(r.matrix[0, 0], 0.36, atol=1e-12)
+
+
+class TestKeptDecomposition:
+    """``DensityMatrix._function`` is ``psd_function`` of the matrix, bits
+    and errors, from one eigendecomposition kept on the state."""
+
+    @staticmethod
+    def inverse_root(x):
+        return 1.0 / np.sqrt(x)
+
+    @pytest.mark.parametrize("pseudo", [False, True])
+    def test_values_equal_psd_function_from_one_eigh(self, monkeypatch, pseudo):
+        rng = np.random.default_rng(11)
+        states = [random_density(d, rng) for d in (1, 2, 3, 5)]
+        states += [random_density(d, rng, pure=True) for d in (2, 4)]
+        functions = [np.sqrt, np.ones_like, np.square] + ([self.inverse_root] if pseudo else [])
+        expected = [[it.psd_function(r.matrix, f, pseudo) for f in functions] for r in states]
+        calls = count_eighs(monkeypatch)
+        for r, values in zip(states, expected):
+            for f, value in zip(functions, values):
+                assert r._function(f, pseudo).tobytes() == value.tobytes()
+        assert len(calls) == len(states)
+
+    def test_a_failing_decomposition_raises_as_psd_function_each_call(self, monkeypatch):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        m[1, 0] += 8e-10  # Hermitian within tolerance; eigh reads the lower triangle
+        r = it.DensityMatrix(m)
+        with pytest.raises(it.ToolkitError) as single:
+            it.psd_function(m, np.sqrt)
+        calls = count_eighs(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(type(single.value), match=f"^{single.value}$"):
+                r._function(np.sqrt)
+        assert len(calls) == 2
+
+    def test_a_state_pickles_with_its_kept_decomposition(self):
+        r = it.DensityMatrix(np.diag([0.25, 0.75]))
+        root = r._function(np.sqrt)
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy._function(np.sqrt).tobytes() == root.tobytes()
+
+    def test_a_non_finite_function_raises_as_psd_function(self):
+        r = it.pure_state([1.0, 0.0])
+        with pytest.raises(it.ToolkitError) as single, np.errstate(divide="ignore"):
+            it.psd_function(r.matrix, self.inverse_root)
+        with pytest.raises(type(single.value), match=f"^{single.value}$"):
+            with np.errstate(divide="ignore"):
+                r._function(self.inverse_root)
+        assert r._function(np.sqrt).tobytes() == it.psd_function(r.matrix, np.sqrt).tobytes()
 
 
 class TestEnsemble:

@@ -147,6 +147,137 @@ class TestPovmStack:
         assert 0 < sum(flags) < len(povms)
 
 
+def row_at_a_time_projective(stack, counts):
+    """Projective detection one row j at a time, batched over the
+    idempotent segments, j = k products included: the form the batched
+    ``_detect_projective`` replaced."""
+    counts = np.asarray(counts)
+    offsets = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    residual = np.abs(stack @ stack - stack).max(axis=(1, 2))
+    flags = np.maximum.reduceat(residual, offsets) <= measurement.PROJECTIVE_TOL
+    members = np.flatnonzero(flags[owner])
+    for j in range(int(counts[flags].max(initial=0))):
+        members = members[counts[owner[members]] > j]
+        rows = offsets[owner[members]] + j
+        products = stack[rows] @ stack[members]
+        same = rows == members
+        products[same] -= stack[rows[same]]
+        failing = np.abs(products).max(axis=(1, 2)) > measurement.PROJECTIVE_TOL
+        flags[owner[members[failing]]] = False
+    return flags
+
+
+def haar_unitary(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestBatchedProjectiveDetection:
+    """``_detect_projective`` against the row-at-a-time reference on a
+    seeded sweep of element stacks, whatever its step and early exit."""
+
+    TOL = measurement.PROJECTIVE_TOL
+    #: multiples of PROJECTIVE_TOL that a perturbation sizes to
+    SCALES = (0.3, 0.9, 1.1, 3.0, 30.0)
+
+    @staticmethod
+    def projective(dim, m, rng):
+        """m projectors onto consecutive blocks of a Haar basis."""
+        u = haar_unitary(dim, rng)
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=m - 1, replace=False))
+        blocks = np.split(np.arange(dim), cuts)
+        return measurement._block_projectors(u[None], blocks)[0]
+
+    @staticmethod
+    def general(dim, m, rng):
+        """m PSD elements resolving the identity, none a projector."""
+        raw = []
+        for _ in range(m):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            raw.append(g @ g.conj().T)
+        total = sum(raw)
+        w, v = np.linalg.eigh(total)
+        inv_root = (v / np.sqrt(w)) @ v.conj().T
+        return np.array([inv_root @ r @ inv_root for r in raw])
+
+    def skewed(self, dim, m, rng):
+        """Rank-one projectors of a basis with one column tilted towards
+        another: each stays idempotent, two overlap by about a multiple of
+        PROJECTIVE_TOL."""
+        u = haar_unitary(dim, rng)
+        j, k = rng.choice(m, size=2, replace=False)
+        u[:, j] += self.TOL * rng.choice(self.SCALES) * u[:, k]
+        u[:, j] /= np.linalg.norm(u[:, j])
+        blocks = [[c] for c in range(dim)][:m]
+        return measurement._block_projectors(u[None], blocks)[0]
+
+    def perturbed(self, dim, m, rng):
+        """A projective segment with one element moved by a Hermitian
+        matrix whose largest entry is a multiple of PROJECTIVE_TOL."""
+        elements = self.projective(dim, m, rng)
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = h + h.conj().T
+        elements[rng.integers(m)] += self.TOL * rng.choice(self.SCALES) * h / np.abs(h).max()
+        return elements
+
+    def sweep(self, dim, seed):
+        """One stack of 12 segments of mixed kinds and lengths."""
+        rng = np.random.default_rng([dim, seed])
+        segments = []
+        for _ in range(12):
+            kind = rng.integers(4)
+            if kind == 1:
+                segments.append(self.general(dim, int(rng.integers(1, 17)), rng))
+                continue
+            m = int(rng.integers(1, dim + 1))
+            if kind == 0 or dim == 1:
+                segments.append(self.projective(dim, m, rng))
+            elif kind == 2:
+                segments.append(self.skewed(dim, max(m, 2), rng))
+            else:
+                segments.append(self.perturbed(dim, m, rng))
+        return np.concatenate(segments), [len(s) for s in segments]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
+    def test_flags_equal_the_row_at_a_time_reference(self, dim):
+        found = []
+        for seed in range(6):
+            stack, counts = self.sweep(dim, seed)
+            flags = measurement._detect_projective(stack, counts)
+            assert flags.tolist() == row_at_a_time_projective(stack, counts).tolist()
+            found += flags.tolist()
+        if dim > 1:
+            assert 0 < sum(found) < len(found)
+
+    def test_a_basis_of_32_rank_one_projectors(self):
+        # one row of products alone passes the cap on a product stack
+        rng = np.random.default_rng(32)
+        basis = self.projective(32, 32, rng)
+        assert 31 * basis[0].size > measurement._PRODUCT_ENTRIES
+        skewed = self.skewed(32, 32, rng)
+        stack = np.concatenate([basis, skewed, basis[:5]])
+        counts = [32, 32, 5]
+        flags = measurement._detect_projective(stack, counts)
+        assert flags.tolist() == row_at_a_time_projective(stack, counts).tolist()
+        assert flags[0] and flags[2]
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_a_product_that_fails_in_one_order_only(self, order):
+        # idempotents with E_0 E_1 = 0 but E_1 E_0 != 0: the detection runs
+        # before the Hermitian check, so it must take both orders
+        pair = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-6, 1.0]]], dtype=complex)
+        stack = np.concatenate([np.eye(2, dtype=complex)[None], pair[order]])
+        flags = measurement._detect_projective(stack, [1, 2])
+        assert flags.tolist() == row_at_a_time_projective(stack, [1, 2]).tolist() == [True, False]
+
+    def test_a_stack_with_no_idempotent_segment(self):
+        rng = np.random.default_rng(5)
+        stack = np.concatenate([self.general(3, 4, rng), self.general(3, 2, rng)])
+        assert measurement._detect_projective(stack, [4, 2]).tolist() == [False, False]
+
+
 class TestPsdFunctionStack:
     BAD = {
         "not-hermitian": np.array([[0.0, 1.0], [0.0, 1.0]]),

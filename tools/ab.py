@@ -17,11 +17,13 @@ op's output is checked with the workload's own ``check``, untimed.
 
 Printed: the median over blocks of the change/parent time ratio with its
 quartiles [Q1, Q3], a 95% bootstrap confidence interval of that median
-(percentiles of the medians of 2000 seeded resamples of the blocks), and
-the number of blocks the change won (ratio below 1); the last line is the
-same as JSON.  Separate processes misread
-few-percent moves on a shared machine; two trees loaded in one process
-see the same machine state block by block.  Longer blocks have read the
+(percentiles of the medians of 2000 seeded resamples of the blocks), the
+number of inputs whose outputs differ byte for byte between the sides
+(the pgm and suite CSVs, optimize's returned elements and report), so a
+change meant to keep every output shows that it did, and the number of
+blocks the change won (ratio below 1); the last line is the same as JSON.
+Separate processes misread few-percent moves on a shared machine; two
+trees loaded in one process see the same machine state block by block.  Longer blocks have read the
 suite more in the change's favour than the benchmark does (CHANGES.md),
 so a ratio near a gate needs the benchmark's own pairs as well.
 """
@@ -92,11 +94,13 @@ class Side:
         self.workload = workloads.WORKLOADS[name]()
         self.inputs = self.workload.make_inputs(seed, work_dir)
         self.next = 0
+        self.outputs: dict[int, set[bytes]] = {}  # input index -> its outputs' bytes
 
     def op(self) -> float:
         """Run the next input's op; returns its wall seconds.  The op's
-        output is checked after the clock stops."""
-        inp = self.inputs[self.next % len(self.inputs)]
+        output is checked and kept after the clock stops."""
+        index = self.next % len(self.inputs)
+        inp = self.inputs[index]
         self.next += 1
         self.workload.prepare(inp)
         with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
@@ -106,7 +110,24 @@ class Side:
         reason = self.workload.check(inp, result)
         if reason is not None:
             raise SystemExit(f"op failed its check: {reason}")
+        self.outputs.setdefault(index, set()).add(output_bytes(inp, result))
         return wall
+
+
+def output_bytes(inp, result) -> bytes:
+    """An op's output: the CSV it wrote (suite, pgm), or the elements and
+    the report it returned (optimize)."""
+    if "csv" in inp:
+        return Path(inp["csv"]).read_bytes()
+    best, report = result
+    return b"".join(el.tobytes() for el in best.elements) + repr(report).encode()
+
+
+def differing_inputs(parent: Side, change: Side) -> tuple[int, int]:
+    """How many of the inputs either side ran gave outputs that differ
+    byte for byte between the sides, and how many inputs ran."""
+    ran = parent.outputs.keys() | change.outputs.keys()
+    return sum(parent.outputs.get(i) != change.outputs.get(i) for i in ran), len(ran)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -162,6 +183,7 @@ def main(argv=None) -> int:
         parent = Side(load_side(parent_tree), args.workload, INPUT_SEED, parent_dir)
         change = Side(load_side(ROOT), args.workload, INPUT_SEED, change_dir)
         ratios = run(parent, change, args.blocks, args.ops)
+        differing, inputs = differing_inputs(parent, change)
     median, q1, q3 = quartiles(ratios)
     ci_low, ci_high = bootstrap_ci(ratios)
     wins = sum(r < 1.0 for r in ratios)
@@ -169,12 +191,13 @@ def main(argv=None) -> int:
     print(
         f"{args.workload} {label}: {median:.3f} [Q1 {q1:.3f}, Q3 {q3:.3f}], "
         f"95% CI [{ci_low:.3f}, {ci_high:.3f}], "
+        f"outputs differ on {differing} of {inputs} inputs, "
         f"change faster in {wins}/{len(ratios)} blocks of {args.ops} ops"
     )
     print(json.dumps({
         "workload": args.workload, "aa": args.aa, "blocks": len(ratios), "ops": args.ops,
         "median": median, "q1": q1, "q3": q3, "ci_low": ci_low, "ci_high": ci_high,
-        "wins": wins,
+        "wins": wins, "differing_inputs": differing, "inputs": inputs,
     }))
     return 0
 
