@@ -17,11 +17,13 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import os
 import stat
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +33,11 @@ from .bounds import (
     METHODS,
     BoundReport,
     OptimizerConfig,
+    _MASK32,
     _generator,
     _random_instances,
-    _report,
     _seed_states,
+    _state_seed_type,
     evaluate_bounds,
     maximize_accessible_information,
 )
@@ -45,14 +48,18 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
+from .linops import BOUND_TOL
 from .measurement import Povm, _analyse_groups, _joined
 from .quantum import DensityMatrix, Ensemble, _density_matrices
 from .thermo import _book_cycles, run_cycle
 
 
+#: Floats go out with 9 significant digits.
+_FLOAT = ".9g"
+
+
 def _fmt(x: float) -> str:
-    """Floats go out with 9 significant digits."""
-    return format(float(x), ".9g")
+    return format(float(x), _FLOAT)
 
 
 @dataclass(frozen=True)
@@ -91,14 +98,27 @@ def _check_entry(entry, where: str) -> None:
         )
 
 
+def _plain_pairs(row: list) -> bool:
+    """Whether every entry of a row is a list of two ints or floats, the
+    form JSON decodes to, by type passes over the whole row.  A row that
+    fails may still be valid (tuples, numpy scalars); ``_check_entry``
+    decides it entry by entry."""
+    return (
+        set(map(type, row)) == {list}
+        and set(map(len, row)) == {2}
+        and set(map(type, itertools.chain.from_iterable(row))) <= {int, float}
+    )
+
+
 def _parse_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{where}: expected a non-empty list of rows")
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != len(obj):
             raise ValidationError(f"{where}: row {r} does not make the matrix square")
-        for x in row:
-            _check_entry(x, f"{where}[{r}]")
+        if not _plain_pairs(row):
+            for x in row:
+                _check_entry(x, f"{where}[{r}]")
     # each [re, im] pair read as the complex number of the same bits
     return _floats(obj, where).view(complex)[..., 0]
 
@@ -381,10 +401,11 @@ _SUITE_CSV_HEADER = [
 _CHUNK_ENTRIES = 1 << 16
 #: The suite's work cap.  A trial costs about 0.15-0.2 us for each of the
 #: d^3 terms of the largest --dims d, plus numpy's fixed cost, counted as
-#: SUITE_TRIAL_WORK more terms: about 0.06-0.15 ms, less as a chunk fills
-#: (timed at --dims 2, 2,3,4 and 32, one BLAS thread on a 2-vCPU VM), so
-#: an admitted run takes at most about 10 s, and its rows are held until
-#: it ends.
+#: SUITE_TRIAL_WORK more terms: about 0.05-0.1 ms, less as a chunk fills
+#: (0.05 ms at --dims 2, 0.07 at 2,3,4, 0.10 at 4, 0.8 at 16 and 5.0 at
+#: 32, one BLAS thread on a 2-vCPU VM), so an admitted run takes at most
+#: about 10 s (about 7 s at --dims 32), and its rows are held until it
+#: ends.
 SUITE_WORK_CAP = 5 * 10**7
 SUITE_TRIAL_WORK = 1200
 #: The suite seeds its trials' generators in blocks of this many trials
@@ -406,34 +427,87 @@ def _pick(picker: np.random.Generator, dims: list[int], kinds: tuple[str, ...]):
     return kind, dim, n_states, m_outcomes
 
 
-def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ...]):
-    """(row, report, second_law_ok) of every trial, in trial order.  Trial t
-    is picked by ``default_rng([seed, t, 0])`` and drawn by
-    ``default_rng([seed, t, 1])``, so a trial's row does not depend on the
-    trials before it.  The generators' states come from one seeding pass
-    per ``_SEED_BLOCK`` trials."""
-    results, chunk, entries = [], [], 0
+class _Redraw(Exception):
+    """A bounded draw that numpy would reject and draw again."""
+
+
+def _bounded(halves: list[int], span: int) -> int:
+    """``Generator.integers(0, span)`` on PCG64, from the 32-bit halves of
+    its raw words still unread (the next one last in ``halves``), by
+    numpy's rule for ranges under 2^32 (Lemire, ACM TOMACS 29(1), 2019): a
+    span of one value reads nothing; otherwise the next half u gives
+    ``u * span >> 32``, unless the product's low word falls below
+    ``2^32 % span``, where numpy would draw again (``_Redraw``)."""
+    if span == 1:
+        return 0
+    scaled = halves.pop() * span
+    if scaled & _MASK32 < 2**32 % span:
+        raise _Redraw
+    return scaled >> 32
+
+
+def _raw_pick(picker: np.ndarray, dims: list[int], kinds: tuple[str, ...]):
+    """``_pick(_generator(picker), dims, kinds)`` from the picker's first two
+    raw PCG64 words, which hold the four 32-bit halves its (at most four)
+    draws read, low half first; a draw that numpy would redraw, about one
+    in 2^32, takes ``_pick`` itself."""
+    first, second = np.random.PCG64(_state_seed_type()(picker)).random_raw(2).tolist()
+    halves = [second >> 32, second & _MASK32, first >> 32, first & _MASK32]
+    try:
+        kind = kinds[_bounded(halves, len(kinds))]
+        dim = dims[_bounded(halves, len(dims))]
+        n_states = 2 + _bounded(halves, 3)
+        m_outcomes = 2 + _bounded(halves, dim - 1 if kind == "commuting" else 5)
+    except _Redraw:
+        return _pick(_generator(picker), dims, kinds)
+    return kind, dim, n_states, m_outcomes
+
+
+class _Scores(NamedTuple):
+    """Scored suite trials, in trial order: each CSV row, both slacks (a
+    ``BoundReport``'s ``chi - I`` and ``chi - I + delta_s``), ``delta_s``
+    and whether the cycle kept the second law."""
+
+    rows: list[str]
+    holevo_slacks: np.ndarray
+    thermo_slacks: np.ndarray
+    delta_s: np.ndarray
+    second_law_ok: np.ndarray
+
+
+def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ...]) -> _Scores:
+    """The ``_Scores`` of every trial.  Trial t is picked by
+    ``default_rng([seed, t, 0])`` and drawn by ``default_rng([seed, t,
+    1])``, so a trial's row does not depend on the trials before it.  The
+    generators' states come from one seeding pass per ``_SEED_BLOCK``
+    trials."""
+    scored, chunk, entries = [], [], 0
     for trial in range(trials):
         if trial % _SEED_BLOCK == 0:
             block = range(trial, min(trial + _SEED_BLOCK, trials))
             states = _seed_states([seed, t, k] for t in block for k in (0, 1)).reshape(-1, 2, 4)
         picker, draw = states[trial % _SEED_BLOCK]
-        kind, dim, n_states, m_outcomes = _pick(_generator(picker), dims, kinds)
+        kind, dim, n_states, m_outcomes = _raw_pick(picker, dims, kinds)
         size = (n_states + m_outcomes) * dim * dim
         if chunk and entries + size > _CHUNK_ENTRIES:
-            results += _score_chunk(chunk)
+            scored.append(_score_chunk(chunk))
             chunk, entries = [], 0
         chunk.append((trial, kind, dim, n_states, m_outcomes, draw))
         entries += size
-    return results + _score_chunk(chunk)
+    scored.append(_score_chunk(chunk))
+    if len(scored) == 1:
+        return scored[0]
+    rows, *arrays = zip(*scored)
+    return _Scores([row for part in rows for row in part], *map(np.concatenate, arrays))
 
 
-def _score_chunk(chunk: list[tuple]) -> list[tuple]:
+def _score_chunk(chunk: list[tuple]) -> _Scores:
     """Draw and analyse a chunk's trials in one stage-major pass, one
     ``_Group`` per dimension (``_random_instances``, ``_analyse_groups``),
-    book every trial's cycle in one pass, then build each row, in trial
-    order.  A trial's pick is (trial, kind, dim, n_states, m_outcomes,
-    state), and it draws from the generator of that ``_seed_states`` row."""
+    book every trial's cycle in one pass, then build the rows from the
+    chunk's arrays, in trial order.  A trial's pick is (trial, kind, dim,
+    n_states, m_outcomes, state), and it draws from the generator of that
+    ``_seed_states`` row."""
     specs = [(dim, n, m, kind, _generator(state)) for _, kind, dim, n, m, state in chunk]
     groups = _analyse_groups(_random_instances(specs))
     # the groups hold the trials by dimension, each dimension's in chunk order
@@ -441,26 +515,21 @@ def _score_chunk(chunk: list[tuple]) -> list[tuple]:
     booking = _book_cycles(groups, order)
     place = np.empty(len(chunk), dtype=int)
     place[order] = np.arange(len(chunk))
-    columns = [
-        _joined(groups, name)[place].tolist() for name in ("info", "chi", "delta_s", "projective")
+    info, chi, ds, projective = (
+        _joined(groups, name)[place] for name in ("info", "chi", "delta_s", "projective")
+    )
+    holevo = chi - info
+    thermo = holevo + ds
+    breaks = booking.breaks
+    nets = np.where(breaks, np.nan, booking.nets)
+    rows = [
+        f"{trial},{dim},{n},{m},{kind},{'true' if flag else 'false'},"
+        f"{i:{_FLOAT}},{c:{_FLOAT}},{s:{_FLOAT}},{h:{_FLOAT}},{t:{_FLOAT}},{net:{_FLOAT}}"
+        for (trial, kind, dim, n, m, _), flag, i, c, s, h, t, net in zip(
+            chunk, projective.tolist(), *(a.tolist() for a in (info, chi, ds, holevo, thermo, nets))
+        )
     ]
-    results = []
-    for (trial, kind, dim, n_states, m_outcomes, _), info, chi, ds, projective, net, breaks in zip(
-        chunk, *columns, booking.nets.tolist(), booking.breaks.tolist()
-    ):
-        report = _report(info, chi, ds)
-        row = [
-            str(trial),
-            str(dim),
-            str(n_states),
-            str(m_outcomes),
-            kind,
-            "true" if projective else "false",
-            *_bound_csv_row(report)[:5],
-            _fmt(float("nan") if breaks else net),
-        ]
-        results.append((row, report, not breaks))
-    return results
+    return _Scores(rows, holevo, thermo, ds, ~breaks)
 
 
 def cmd_suite(args) -> int:
@@ -485,16 +554,13 @@ def cmd_suite(args) -> int:
             f"exceeds the cap {SUITE_WORK_CAP}"
         )
     kinds = _KINDS if args.kind == "all" else (args.kind,)
-    results = _suite_results(args.seed, args.trials, dims, kinds)
-
-    rows = [row for row, _, _ in results]
-    reports = [rep for _, rep, _ in results]
-    holevo_bad = sum(1 for rep in reports if not rep.holevo_satisfied)
-    thermo_bad = sum(1 for rep in reports if not rep.thermo_satisfied)
-    second_law_bad = sum(1 for _, _, ok in results if not ok)
-    holevo_slacks = np.array([rep.holevo_slack for rep in reports])
-    thermo_slacks = np.array([rep.thermo_slack for rep in reports])
-    mixing = np.mean([rep.delta_s > 1e-6 for rep in reports])
+    scores = _suite_results(args.seed, args.trials, dims, kinds)
+    # a slack that is not >= -BOUND_TOL (nan too) fails, as in BoundReport
+    holevo_bad = int(np.count_nonzero(~(scores.holevo_slacks >= -BOUND_TOL)))
+    thermo_bad = int(np.count_nonzero(~(scores.thermo_slacks >= -BOUND_TOL)))
+    second_law_bad = int(np.count_nonzero(~scores.second_law_ok))
+    holevo_slacks, thermo_slacks = scores.holevo_slacks, scores.thermo_slacks
+    mixing = np.mean(scores.delta_s > 1e-6)
 
     print(f"trials                   : {args.trials}")
     print(f"I <= chi violations      : {holevo_bad}")
@@ -504,7 +570,7 @@ def cmd_suite(args) -> int:
     print(f"min/mean thermo slack    : {_fmt(thermo_slacks.min())} / {_fmt(thermo_slacks.mean())}")
     print(f"fraction delta_s > 1e-6  : {_fmt(mixing)}")
     if args.csv:
-        _write_csv(args.csv, _SUITE_CSV_HEADER, rows)
+        _write_text(args.csv, "\n".join([",".join(_SUITE_CSV_HEADER)] + scores.rows) + "\n")
     return 3 if (holevo_bad or thermo_bad or second_law_bad) else 0
 
 

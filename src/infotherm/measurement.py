@@ -332,13 +332,20 @@ def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     per state; ``_joint_distributions`` gives each of many pairs these bits
     and errors."""
     _require_same_dim("ensemble", e.dim, v)
-    states = np.array([s.matrix for s in e.states])
-    raw = e.probs[:, None] * np.trace(v._stack @ states[:, None], axis1=2, axis2=3).real
+    table, _ = _joint_table(e.probs, np.array([s.matrix for s in e.states]), v)
+    return JointDistribution._checked(table)
+
+
+def _joint_table(probs: np.ndarray, states: np.ndarray, v: Povm):
+    """``joint_distribution``'s checked, read-only table of the priors
+    ``probs`` and the stacked member states, and its row sums."""
+    raw = probs[:, None] * np.trace(v._stack @ states[:, None], axis1=2, axis2=3).real
     table = np.maximum(raw, 0.0)
-    drift = np.abs(_row_sums(table) - e.probs).max(keepdims=True)
+    rows = _row_sums(table)
+    drift = np.abs(rows - probs).max(keepdims=True)
     _raise_first_failure(_table_checks(raw[None]) + [_drift_check(drift)])
     table.setflags(write=False)
-    return JointDistribution._checked(table)
+    return table, rows
 
 
 def _joint_distributions(groups: "list[_Group]"):
@@ -400,9 +407,14 @@ def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
 def mutual_information(j: JointDistribution) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits, clipped to be nonnegative."""
     p = j.matrix
+    return _information(p, _row_sums(p), _row_sums(p.T))
+
+
+def _information(p: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> float:
+    """``mutual_information`` of the table ``p`` from its row and column sums."""
     return _clipped_information(
-        _entropy_of_spectrum(_row_sums(p))
-        + _entropy_of_spectrum(_row_sums(p.T))
+        _entropy_of_spectrum(rows)
+        + _entropy_of_spectrum(columns)
         - _entropy_of_spectrum(p.reshape(-1))
     )
 
@@ -656,19 +668,21 @@ def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Group:
     ``average_state(e)``, built here unless the caller already has it.
     The group holds the pair's own priors and element stack, not copies,
     and stacks only the member states and their eigenvalues."""
-    joint = joint_distribution(e, v)
+    _require_same_dim("ensemble", e.dim, v)
+    states = np.array([s.matrix for s in e.states])
+    table, rows = _joint_table(e.probs, states, v)
     rho = average_state(e) if rho is None else rho
     sigma = _post_measurement_spectrum(rho, v)
-    info = mutual_information(joint)
+    outcome_probs = _row_sums(table.T)
+    info = _information(table, rows, outcome_probs)
     eigenvalues = np.array([s._eigenvalues for s in e.states])
     members = np.maximum(eigenvalues, 0.0)
     lam = rho.spectrum()
     s_rho = _entropy_of_spectrum(lam)
     chi = _chi(e.probs, s_rho, [_entropy_of_spectrum(w) for w in members])
     ds = _entropy_increase(_entropy_of_spectrum(sigma), s_rho)
-    table = joint.matrix
     return _Group(
-        np.array([s.matrix for s in e.states]),
+        states,
         eigenvalues,
         e.probs,
         np.array([e.size]),
@@ -677,7 +691,7 @@ def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Group:
         np.array([v.projective]),
         table.ravel(),
         table.T.ravel(),
-        joint.outcome_probs,
+        outcome_probs,
         lam[None],
         members,
         sigma,

@@ -94,7 +94,10 @@ def _density_checks(traces: np.ndarray, lowest: np.ndarray):
     return [
         (
             np.abs(traces - 1.0) > TRACE_TOL,
-            lambda k: ValidationError(f"density matrix has trace {traces[k]:.12g}, expected 1"),
+            # a stack's traces are complex; the message prints the real part
+            lambda k: ValidationError(
+                f"density matrix has trace {traces[k].real:.12g}, expected 1"
+            ),
         ),
         (
             lowest < -PSD_TOL,

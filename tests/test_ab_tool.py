@@ -1,4 +1,5 @@
 """Smoke test of ``tools/ab.py``, the in-process A/B of two source trees."""
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -16,9 +17,11 @@ def test_an_aa_run_of_two_pgm_blocks_reports_its_ratio():
     )
     assert result.returncode == 0, result.stderr
     human, last = result.stdout.splitlines()
-    assert human.startswith("pgm A/A: ") and human.endswith("blocks of 1 ops")
+    assert human.startswith("pgm A/A, input seed 1: ") and human.endswith("blocks of 1 ops")
     report = json.loads(last)
-    assert [report[key] for key in ("workload", "aa", "blocks", "ops")] == ["pgm", True, 2, 1]
+    assert [report[key] for key in ("workload", "aa", "seed", "blocks", "ops")] == [
+        "pgm", True, 1, 2, 1
+    ]
     assert 0 < report["q1"] <= report["median"] <= report["q3"]
     assert 0 < report["ci_low"] <= report["median"] <= report["ci_high"]
     assert f"95% CI [{report['ci_low']:.3f}, {report['ci_high']:.3f}]" in human
@@ -33,8 +36,8 @@ def test_a_parent_that_prints_other_digits_differs_on_every_input(tmp_path):
     shutil.copytree(ROOT / "src" / "infotherm", package)
     cli = package / "cli.py"
     text = cli.read_text()
-    assert text.count('format(float(x), ".9g")') == 1
-    cli.write_text(text.replace('format(float(x), ".9g")', 'format(float(x), ".8g")'))
+    assert text.count('_FLOAT = ".9g"') == 1
+    cli.write_text(text.replace('_FLOAT = ".9g"', '_FLOAT = ".8g"'))
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(tmp_path), "--workload", "pgm",
          "--blocks", "2", "--ops", "1"],
@@ -52,3 +55,51 @@ def test_it_needs_a_parent_or_aa():
     )
     assert result.returncode == 2
     assert "give PARENT_CHECKOUT or --aa" in result.stderr
+
+
+def load_ab(monkeypatch):
+    """tools/ab.py as a module; the BLAS settings it makes on import are
+    undone after the test."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("_ab_under_test", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_another_input_seed_builds_other_inputs(tmp_path, monkeypatch):
+    ab = load_ab(monkeypatch)
+    workloads = ab.load_side(ROOT)
+    seeds = {
+        seed: [inp["seed"] for inp in ab.Side(workloads, "suite", seed, str(tmp_path)).inputs]
+        for seed in (1, 2)
+    }
+    assert seeds[1] != seeds[2]
+    assert seeds[1] == [
+        inp["seed"] for inp in ab.Side(workloads, "suite", ab.INPUT_SEED, str(tmp_path)).inputs
+    ]
+
+
+def test_an_aa_run_on_another_seed_reports_it():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "--aa", "--workload", "pgm",
+         "--blocks", "2", "--ops", "1", "--seed", "7"],
+        capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    human, last = result.stdout.splitlines()
+    assert human.startswith("pgm A/A, input seed 7: ")
+    report = json.loads(last)
+    assert report["seed"] == 7
+    assert (report["differing_inputs"], report["inputs"]) == (0, 3)
+
+
+def test_a_negative_seed_is_refused():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "--aa", "--workload", "pgm",
+         "--seed", "-1"],
+        capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert result.returncode == 2
+    assert "--seed must be nonnegative" in result.stderr

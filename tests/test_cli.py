@@ -200,6 +200,57 @@ class TestProblemParsing:
         assert cli.main(["bounds", "--spec", str(path)]) == 2
 
 
+def per_entry_parse(obj, where):
+    """``_parse_matrix`` as it checked every entry on its own."""
+    if not isinstance(obj, list) or not obj:
+        raise it.ValidationError(f"{where}: expected a non-empty list of rows")
+    for r, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != len(obj):
+            raise it.ValidationError(f"{where}: row {r} does not make the matrix square")
+        for x in row:
+            cli._check_entry(x, f"{where}[{r}]")
+    return cli._floats(obj, where).view(complex)[..., 0]
+
+
+class TestMatrixEntries:
+    """``_parse_matrix`` checks a row of plain JSON pairs with one type pass
+    and any other row entry by entry: it accepts what the per-entry check
+    accepted, with the same bits, and raises its messages."""
+
+    ENTRIES = [
+        [True, 0.0], [0.5, False], [1.0], [1, 2, 3], [], "x", None, 1.0, {}, [1.0, "2"],
+        [1.0, None], [[1.0], 0.0], [float("nan"), 0.0], (1.0, 2.0), [np.float64(0.25), 2],
+        [np.int64(3), 0.5], (np.float32(1.5), -1), [2**70, 0.0],
+    ]
+
+    @staticmethod
+    def outcome(parse, obj):
+        try:
+            return parse(obj, "m").tobytes()
+        except it.ValidationError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("place", [(0, 0), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("entry", range(len(ENTRIES)))
+    def test_an_entry_parses_as_it_did_alone(self, entry, place):
+        obj = [[[r + 0.5, c - 1] for c in range(3)] for r in range(3)]
+        obj[place[0]][place[1]] = self.ENTRIES[entry]
+        expected = self.outcome(per_entry_parse, obj)
+        assert self.outcome(cli._parse_matrix, obj) == expected
+        # a later row that does not make the matrix square raises after it
+        obj[2] = obj[2][:2]
+        assert self.outcome(cli._parse_matrix, obj) == self.outcome(per_entry_parse, obj)
+
+    def test_the_messages_name_the_entry(self):
+        obj = [[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.0], [True, 0.0]]]
+        with pytest.raises(it.ValidationError) as info:
+            cli._parse_matrix(obj, "ensemble.states[3]")
+        assert str(info.value) == (
+            "ensemble.states[3][1]: complex entries must be [re, im] number pairs, "
+            "got [True, 0.0]"
+        )
+
+
 def _random_density(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -256,13 +307,13 @@ class TestProblemFileStates:
     def test_an_invalid_state_of_another_dimension_raises_its_own_check(self):
         assert self.error([_mat(KET0), _mat(np.eye(3) / 2)]) == (
             it.ValidationError,
-            "density matrix has trace 1.5+0j, expected 1",
+            "density matrix has trace 1.5, expected 1",
         )
 
     def test_a_state_check_comes_before_the_prior_checks(self):
         assert self.error([_mat(KET0), _mat(self.BAD["trace"])], priors=[0.9, 0.9]) == (
             it.ValidationError,
-            "density matrix has trace 1.2+0j, expected 1",
+            "density matrix has trace 1.2, expected 1",
         )
 
     @pytest.mark.parametrize("index", [0, 1, 2])
@@ -871,6 +922,7 @@ class TestSuiteBudget:
 
         monkeypatch.setattr(cli, "_seed_states", draw)
         monkeypatch.setattr(cli, "_pick", draw)
+        monkeypatch.setattr(cli, "_raw_pick", draw)
         monkeypatch.setattr(cli, "_random_instances", draw)
         start = time.perf_counter()
         assert cli.main(["suite", "--trials", "1000000000000"]) == 5
@@ -946,6 +998,103 @@ class TestSuiteDecomposesEachMatrixOnce:
         assert calls[0] == calls[1] <= 7 * 3
 
 
+class TestRawPicks:
+    """``_raw_pick`` reads a trial's pick off its picker's first two raw
+    PCG64 words by numpy's bounded-integer rule; ``_pick`` on the picker's
+    ``Generator`` is the reference."""
+
+    KINDS = [cli._KINDS, ("pure",), ("mixed",), ("commuting",)]
+    # one entry (commuting at d = 2 draws no outcome count), several, and
+    # 31 entries, whose span leaves a threshold of 2^32 % 31 = 4
+    DIMS = [[2], [3], [2, 3, 4], [2, 5], list(range(2, 33))]
+
+    @pytest.mark.parametrize(
+        "dims", DIMS, ids=lambda dims: ",".join(map(str, dims)) if len(dims) < 5 else "2-32"
+    )
+    @pytest.mark.parametrize(
+        "kinds", KINDS, ids=lambda kinds: "all" if len(kinds) > 1 else kinds[0]
+    )
+    def test_raw_picks_equal_the_generator_picks(self, kinds, dims):
+        # 20 cases x 2 seeds x 300 trials: 12,000 (seed, trial) picks
+        for seed in (0, 2**40 + 7):
+            states = cli._seed_states([seed, t, 0] for t in range(300))
+            for picker in states:
+                expected = cli._pick(bounds._generator(picker), dims, kinds)
+                assert cli._raw_pick(picker, dims, kinds) == expected
+
+    @staticmethod
+    def numpy_draw(half, span):
+        """``Generator.integers(0, span)`` with ``half`` as the next 32-bit
+        half it reads, and whether numpy read past that half."""
+        bit_generator = np.random.PCG64(3)
+        state = bit_generator.state
+        state.update(has_uint32=1, uinteger=half)
+        bit_generator.state = state
+        value = int(np.random.Generator(bit_generator).integers(0, span))
+        # a draw that reads only the buffered half leaves no half buffered
+        return value, bit_generator.state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("span", [2, 3, 4, 5, 6, 7, 31])
+    def test_bounded_follows_numpys_rule(self, span):
+        threshold = 2**32 % span
+        halves = [0, 1, 2**31, 2**32 - 1, 0x9E3779B9, (2**32 - 1) // span + 1]
+        # ceil(j 2^32 / span): products whose low words fall in [0, span),
+        # on both sides of the threshold
+        halves += [-(-j * 2**32 // span) for j in range(1, span)]
+        for half in halves:
+            value, redrawn = self.numpy_draw(half, span)
+            if (half * span) % 2**32 < threshold:
+                assert redrawn
+                with pytest.raises(cli._Redraw):
+                    cli._bounded([half], span)
+            else:
+                assert not redrawn
+                assert cli._bounded([half], span) == value
+        lows = [(half * span) % 2**32 for half in halves]
+        assert any(low < threshold for low in lows) == (threshold > 0)
+        assert any(threshold <= low < span for low in lows)
+
+    def test_a_span_of_one_reads_nothing(self):
+        halves = [5, 6]
+        assert cli._bounded(halves, 1) == 0 and halves == [5, 6]
+
+    def test_a_rejected_low_word_takes_the_fallback(self, monkeypatch):
+        # the picker's first raw word has low half 0, which numpy's rule
+        # rejects for three kinds (2^32 % 3 = 1): the pick comes from _pick
+        real_pcg64 = np.random.PCG64
+
+        class Crafted(real_pcg64):
+            def random_raw(self, size=None, output=True):
+                words = super().random_raw(size, output)
+                words[0] &= np.uint64(0xFFFFFFFF00000000)
+                return words
+
+        fallbacks = []
+        real_pick = cli._pick
+
+        def recording(picker, dims, kinds):
+            fallbacks.append(picker)
+            return real_pick(picker, dims, kinds)
+
+        picker = cli._seed_states([[4, 0, 0]])[0]
+        expected = real_pick(bounds._generator(picker), [2, 3, 4], cli._KINDS)
+        monkeypatch.setattr(np.random, "PCG64", Crafted)
+        monkeypatch.setattr(cli, "_pick", recording)
+        assert cli._raw_pick(picker, [2, 3, 4], cli._KINDS) == expected
+        assert len(fallbacks) == 1
+        # an accepted low half does not fall back
+        picker = cli._seed_states([[4, 1, 0]])[0]
+        monkeypatch.setattr(np.random, "PCG64", real_pcg64)
+        cli._raw_pick(picker, [2, 3, 4], cli._KINDS)
+        assert len(fallbacks) == 1
+
+
+def per_trial(scores):
+    """A chunk's ``_Scores`` as one (row, holevo slack, thermo slack,
+    delta_s, second-law flag) tuple a trial."""
+    return list(zip(scores.rows, *(column.tolist() for column in scores[1:])))
+
+
 class TestSuiteChunkPass:
     """A chunk runs each matrix kernel once per dimension it holds and every
     other stage once, and scores each trial as its dimension's trials
@@ -968,11 +1117,11 @@ class TestSuiteChunkPass:
         alone = {}
         for dim in (2, 3, 4):
             sub = [pick for pick in chunk if pick[2] == dim]
-            alone.update(zip((pick[0] for pick in sub), cli._score_chunk(sub)))
-        rows = cli._score_chunk(chunk)
-        assert [row for row, _, _ in rows] == [alone[t][0] for t in range(30)]
-        assert [repr(report) for _, report, _ in rows] == [repr(alone[t][1]) for t in range(30)]
-        assert [ok for _, _, ok in rows] == [alone[t][2] for t in range(30)]
+            alone.update(zip((pick[0] for pick in sub), per_trial(cli._score_chunk(sub))))
+        scores = per_trial(cli._score_chunk(chunk))
+        # row, both slacks, delta_s and the second-law flag of each trial
+        assert scores == [alone[t] for t in range(30)]
+        assert len(scores[0]) == 5
 
     def test_flat_stages_run_once_a_chunk_and_kernels_once_a_dimension(
         self, monkeypatch, tmp_path, capsys
@@ -1082,7 +1231,7 @@ class TestSuiteStageOrder:
     def test_a_failing_chunk_exits_2(self, monkeypatch, capsys):
         self.corrupt(monkeypatch, [0, 1])
         picks = iter(self.PICKS)
-        monkeypatch.setattr(cli, "_pick", lambda *args: next(picks))
+        monkeypatch.setattr(cli, "_raw_pick", lambda *args: next(picks))
         assert cli.main(["suite", "--trials", "2", "--seed", "9"]) == 2
         assert capsys.readouterr().err == f"error: {self.STATE_3}\n"
 
@@ -1109,8 +1258,9 @@ class TestSuiteBuildsNoLedgerEntries:
 class TestSuiteBuildsNoAverageStates:
     # the suite keeps each dimension group stacked from the draw to the
     # booking, so it builds no per-trial object at all: no state (checked
-    # or a view), measurement, ensemble or joint table; drawing one pair
-    # and analysing it, as a control, builds each of them
+    # or a view), measurement, ensemble or joint table; drawing one pair,
+    # analysing it and taking its joint table, as a control, builds each
+    # of them
     BUILDERS = (
         quantum.DensityMatrix, measurement.Povm, quantum.Ensemble, measurement.JointDistribution
     )
@@ -1140,7 +1290,10 @@ class TestSuiteBuildsNoAverageStates:
         capsys.readouterr()
         assert len(_csv_rows(csv)) == 50
         assert built == []
-        measurement._analyse(*it.random_instance(2, 2, 2, "pure", 0))
+        pair = it.random_instance(2, 2, 2, "pure", 0)
+        measurement._analyse(*pair)
+        assert set(built) == {"DensityMatrix", "Povm", "Ensemble"}
+        it.joint_distribution(*pair)
         assert set(built) == {"DensityMatrix", "Povm", "Ensemble", "JointDistribution"}
 
 

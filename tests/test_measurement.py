@@ -390,7 +390,7 @@ class TestPostMeasurementSpectrum:
             return str(info.value)
 
         general_trace = "density matrix has trace 1.05, expected 1"
-        projective_trace = "density matrix has trace 1.22+0j, expected 1"
+        projective_trace = "density matrix has trace 1.22, expected 1"
         assert error([half, 1.22 * half], [general, basis], [False, True]) == general_trace
         assert error([1.22 * half, half], [basis, general], [True, False]) == projective_trace
         assert error([half], [general], [False]) == general_trace
@@ -440,7 +440,7 @@ class TestPostMeasurementSpectrum:
             return str(info.value)
 
         assert error(True, True) == "density matrix has trace 1.05, expected 1"
-        assert error(False, True) == "density matrix has trace 1.22+0j, expected 1"
+        assert error(False, True) == "density matrix has trace 1.22, expected 1"
 
     def test_general_povm_never_builds_the_record_state(self, monkeypatch):
         # five outcomes on a qutrit: always a general POVM

@@ -169,6 +169,18 @@ class TestStackedPairsMatchPerPair:
             assert a.sigma_sizes.tolist() == [sigma.size]
             assert (a.info.tolist(), a.chi.tolist(), a.delta_s.tolist()) == ([info], [chi], [ds])
 
+    def test_the_one_pair_analysis_takes_each_sum_once(self, dim, seed, monkeypatch):
+        # the table's row sums, its total (the table check) and its column
+        # sums, each once, whatever the pair
+        e, v = self.pairs(dim, seed)[0]
+        shapes = []
+        real_row_sums = measurement._row_sums
+        monkeypatch.setattr(
+            measurement, "_row_sums", lambda a: shapes.append(a.shape) or real_row_sums(a)
+        )
+        measurement._analyse(e, v)
+        assert shapes == [(e.size, v.size), (1, e.size * v.size), (v.size, e.size)]
+
     def test_average_matrices(self, dim, seed):
         pairs = self.pairs(dim, seed)
         (stacked,) = measurement._joint_distributions([measurement._group(pairs)])[4]

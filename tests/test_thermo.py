@@ -593,10 +593,13 @@ class TestSuiteChunkBooking:
             cli._score_chunk(self.CHUNK)
 
     def test_a_chunk_books_its_trials_as_each_alone(self):
-        rows = cli._score_chunk(self.CHUNK)
-        for trial, (row, _, ok) in zip(self.CHUNK, rows):
-            alone = cli._score_chunk([trial])[0]
-            assert alone[0] == row and alone[2] == ok
+        scores = cli._score_chunk(self.CHUNK)
+        for k, trial in enumerate(self.CHUNK):
+            alone = cli._score_chunk([trial])
+            assert alone.rows == [scores.rows[k]]
+            assert alone.second_law_ok.tolist() == [scores.second_law_ok[k]]
+            for slacks in ("holevo_slacks", "thermo_slacks"):
+                assert getattr(alone, slacks).tolist() == [getattr(scores, slacks)[k]]
 
     def test_a_suite_op_calls_no_per_row_booking(self, monkeypatch, tmp_path):
         calls = []

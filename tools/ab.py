@@ -1,6 +1,7 @@
 """In-process A/B of two infotherm source trees on one bench workload.
 
     python3 tools/ab.py PARENT_CHECKOUT --workload suite
+    python3 tools/ab.py PARENT_CHECKOUT --workload suite --seed 2
     python3 tools/ab.py --aa --workload pgm --blocks 2 --ops 1
 
 Both trees' ``infotherm`` packages are loaded into this one interpreter:
@@ -8,8 +9,9 @@ the change tree is the checkout that holds this script, the parent tree
 is ``PARENT_CHECKOUT`` (any directory with ``src/infotherm``), and with
 ``--aa`` the change tree is loaded a second time in the parent's place.
 Each side gets its own copy of this checkout's ``bench/workloads.py``,
-bound to its own package, and builds its inputs from input seed 1 with
-it; ``bench/`` is only read.  After one untimed warm-up op a side, the run
+bound to its own package, and builds its inputs with it from the input
+seed (``--seed``, 1 by default), so a claim made on one seed can be
+checked again on another; ``bench/`` is only read.  After one untimed warm-up op a side, the run
 times ``--blocks`` blocks.  A block times ``--ops`` ops on each side, one
 side after the other, and the side that goes first alternates from block
 to block, so a drift in machine speed falls on both sides alike.  Every
@@ -173,15 +175,20 @@ def main(argv=None) -> int:
     parser.add_argument("--aa", action="store_true", help="run this tree against itself")
     parser.add_argument("--blocks", type=int, default=60)
     parser.add_argument("--ops", type=int, default=6, help="ops a side in each block")
+    parser.add_argument(
+        "--seed", type=int, default=INPUT_SEED, help="input seed both sides build their inputs from"
+    )
     args = parser.parse_args(argv)
     if (args.parent is None) != args.aa:
         parser.error("give PARENT_CHECKOUT or --aa, not both")
     if args.blocks < 1 or args.ops < 1:
         parser.error("--blocks and --ops must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be nonnegative")
     parent_tree = ROOT if args.aa else args.parent.resolve()
     with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
-        parent = Side(load_side(parent_tree), args.workload, INPUT_SEED, parent_dir)
-        change = Side(load_side(ROOT), args.workload, INPUT_SEED, change_dir)
+        parent = Side(load_side(parent_tree), args.workload, args.seed, parent_dir)
+        change = Side(load_side(ROOT), args.workload, args.seed, change_dir)
         ratios = run(parent, change, args.blocks, args.ops)
         differing, inputs = differing_inputs(parent, change)
     median, q1, q3 = quartiles(ratios)
@@ -189,13 +196,15 @@ def main(argv=None) -> int:
     wins = sum(r < 1.0 for r in ratios)
     label = "A/A" if args.aa else f"change/parent ({parent_tree})"
     print(
-        f"{args.workload} {label}: {median:.3f} [Q1 {q1:.3f}, Q3 {q3:.3f}], "
+        f"{args.workload} {label}, input seed {args.seed}: "
+        f"{median:.3f} [Q1 {q1:.3f}, Q3 {q3:.3f}], "
         f"95% CI [{ci_low:.3f}, {ci_high:.3f}], "
         f"outputs differ on {differing} of {inputs} inputs, "
         f"change faster in {wins}/{len(ratios)} blocks of {args.ops} ops"
     )
     print(json.dumps({
-        "workload": args.workload, "aa": args.aa, "blocks": len(ratios), "ops": args.ops,
+        "workload": args.workload, "aa": args.aa, "seed": args.seed,
+        "blocks": len(ratios), "ops": args.ops,
         "median": median, "q1": q1, "q3": q3, "ci_low": ci_low, "ci_high": ci_high,
         "wins": wins, "differing_inputs": differing, "inputs": inputs,
     }))
