@@ -352,12 +352,11 @@ def _inverse_root(x: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(x)
 
 
-def _normalised(kets: np.ndarray, checks: _StepChecks | None = None) -> np.ndarray:
+def _normalised(kets: np.ndarray, checks: _StepChecks) -> np.ndarray:
     """S^{-1/2} K for a (d, K) ket array K and S = K K+: the kets of a
     rank-one POVM on S's support, with ``psd_function``'s bits.  A
     non-finite S raises as ``psd_function`` raises; its other checks of S
-    are recorded in ``checks``, or run at once without."""
-    checks = _StepChecks(eager=True) if checks is None else checks
+    are recorded in ``checks``."""
     s = kets @ kets.conj().T
     _require_finite(s)
     w, v = _eigh(s)
@@ -367,9 +366,7 @@ def _normalised(kets: np.ndarray, checks: _StepChecks | None = None) -> np.ndarr
     return (v * fw) @ v.conj().T @ kets
 
 
-def _ascent_score(
-    kets: np.ndarray, weighted: np.ndarray, probs: np.ndarray, checks: _StepChecks | None = None
-):
+def _ascent_score(kets: np.ndarray, weighted: np.ndarray, probs: np.ndarray, checks: _StepChecks):
     """The information of the rank-one measurement with (d, K) kets
     phi_k on the states with priors ``probs`` and weighted states
     ``weighted`` (p_i rho_i): the table q_ik = <phi_k|p_i rho_i|phi_k>,
@@ -377,8 +374,7 @@ def _ascent_score(
     L_ik = log2(q_ik / (p_i q_k)), 0 where q_ik = 0, which the next
     gradient reads; and I = sum_ik q_ik L_ik, clipped as
     ``mutual_information`` clips it.  The checks of both are recorded in
-    ``checks``, or run at once without.  Returns (L, I)."""
-    checks = _StepChecks(eager=True) if checks is None else checks
+    ``checks``.  Returns (L, I)."""
     raw = np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real
     checks.table(raw)
     q = np.maximum(raw, 0.0)
@@ -470,59 +466,49 @@ _POOL = 4
 _SHIFT = np.uint32(16)
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """The ``count + 1`` successive hash constants init * mult^j mod 2^32."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return consts
+def _mix_entropy(entropy: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence.mix_entropy`` of the (L, R) uint32 entropy words of R
+    seeds of L words each, as numpy writes it: the pool's 4 words, each a
+    (R,) row.  The running hash constant is the same for every seed."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)  # a new array: the words hashed stay
+        const = const * _MULT_A & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> _SHIFT
+        return value
+
+    def mix(x, y):
+        result = _MIX_L * x - _MIX_R * y
+        result ^= result >> _SHIFT
+        return result
+
+    zeros = np.zeros(entropy.shape[1], dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL)]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL, len(entropy)):
+        for i_dst in range(_POOL):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+    return pool
 
 
-def _columns(consts: list[int], slots) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiply) uint32 columns of one hashing step: row r XORs
-    consts[j] and multiplies by consts[j + 1] for its slot j, or takes 0s
-    for a slot of ``None``."""
-    xors = [0 if j is None else consts[j] for j in slots]
-    mults = [0 if j is None else consts[j + 1] for j in slots]
-    return np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None]
-
-
-@functools.cache
-def _pool_constants(length: int):
-    """The constant columns of each step that hashes a ``length``-word seed
-    into the pool, in ``SeedSequence``'s order: the first hash of each
-    pool word (4 constants), the cross-mix from each pool word into the
-    other three (3; the source row takes 0s), then one mix of every pool
-    word with each word past the pool (4)."""
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
-    first = _columns(consts, range(_POOL))
-    cross, k = [], _POOL
-    for src in range(_POOL):
-        slots = [None if d == src else k + d - (d > src) for d in range(_POOL)]
-        cross.append(_columns(consts, slots))
-        k += _POOL - 1
-    tail = [
-        _columns(consts, range(j, j + _POOL))
-        for j in range(k, k + _POOL * (length - _POOL), _POOL)
-    ]
-    return first, cross, tail
-
-
-#: The output hash's columns: the pool is read twice over for 8 words.
-_OUTPUT_CONSTANTS = _columns(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL), range(2 * _POOL))
-
-
-def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    v = (values ^ xors) * mults
-    v ^= v >> _SHIFT
-    return v
-
-
-def _mix_into(pool: np.ndarray, hashed: np.ndarray) -> None:
-    """pool <- mix(pool, hashed), ``SeedSequence``'s two-word mix."""
-    pool *= _MIX_L
-    pool -= hashed * _MIX_R
-    pool ^= pool >> _SHIFT
+def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` of R seeds' pools from
+    ``_mix_entropy``, as numpy writes it: 8 uint32 words read off the pool
+    in cycle, paired into little-endian uint64s.  Returns (R, 4)."""
+    const, words = _INIT_B, []
+    for i_dst in range(2 * _POOL):
+        value = pool[i_dst % _POOL] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> _SHIFT
+        words.append(value)
+    return np.array(words).T.astype("<u4", order="C").view("<u8")
 
 
 def _seed_states(seeds) -> np.ndarray:
@@ -530,11 +516,9 @@ def _seed_states(seeds) -> np.ndarray:
     or a sequence of them: row k is
     ``np.random.SeedSequence(seeds[k]).generate_state(4, np.uint64)``.
     Each seed becomes its integers' 32-bit words, least significant first
-    (one zero word for 0), as ``SeedSequence`` reads them.  The seeds of
-    each word count are then hashed together, one pool word per row: the
-    first words (zero-padded) into the pool, the 12 cross-mixes, one mix
-    of the pool with each word past it, and the 8 output words, paired
-    into little-endian uint64s."""
+    (one zero word for 0), as ``SeedSequence`` reads them; the seeds of
+    each word count are then hashed together, ``_mix_entropy`` and
+    ``_generate_state`` vectorised over them."""
     lengths, flat = [], []
     for seed in seeds:
         start = len(flat)
@@ -551,18 +535,8 @@ def _seed_states(seeds) -> np.ndarray:
     states = np.empty((len(counts), 4), dtype=np.uint64)
     for length in sorted(set(lengths)):
         rows = np.flatnonzero(counts == length)
-        words = np.zeros((max(length, _POOL), len(rows)), dtype=np.uint32)
-        words[:length] = flat[starts[rows] + np.arange(length)[:, None]]
-        first, cross, tail = _pool_constants(length)
-        pool = _hashmix(words[:_POOL], *first)
-        for src, columns in enumerate(cross):
-            kept = pool[src].copy()
-            _mix_into(pool, _hashmix(kept, *columns))
-            pool[src] = kept
-        for word, columns in zip(words[_POOL:], tail):
-            _mix_into(pool, _hashmix(word, *columns))
-        out = _hashmix(np.concatenate([pool, pool]), *_OUTPUT_CONSTANTS)
-        states[rows] = out.T.astype("<u4", order="C").view("<u8")
+        entropy = flat[starts[rows] + np.arange(length)[:, None]]
+        states[rows] = _generate_state(_mix_entropy(entropy))
     return states
 
 

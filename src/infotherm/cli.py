@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .linops import BOUND_TOL
-from .measurement import Povm, _analyse_groups, _joined
+from .measurement import Povm, _analyse_groups
 from .quantum import DensityMatrix, Ensemble, _density_matrices
 from .thermo import _book_cycles, run_cycle
 
@@ -123,13 +123,18 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
     return _floats(obj, where).view(complex)[..., 0]
 
 
-def _parse_labels(obj, count: int, where: str) -> tuple[str, ...]:
+def _parse_labels(obj, count: int | None, where: str) -> tuple[str, ...]:
+    """Labels given as a list of strings, ``count`` of them where the count
+    is known (``None`` where it is not); absent, they are "0", "1", ..."""
     if obj is None:
-        return tuple(str(i) for i in range(count))
-    if not isinstance(obj, list) or len(obj) != count or not all(
-        isinstance(s, str) for s in obj
+        return tuple(str(i) for i in range(count or 0))
+    if (
+        not isinstance(obj, list)
+        or count not in (None, len(obj))
+        or not all(isinstance(s, str) for s in obj)
     ):
-        raise ValidationError(f"{where}: expected a list of {count} strings")
+        expected = "strings" if count is None else f"{count} strings"
+        raise ValidationError(f"{where}: expected a list of {expected}")
     return tuple(obj)
 
 
@@ -196,10 +201,8 @@ def parse_problem_spec(data) -> ProblemSpec:
     if unknown:
         raise ValidationError(f"unknown 'labels' keys {sorted(unknown)}")
     prep = _parse_labels(labels.get("preparations"), ensemble.size, "labels.preparations")
-    if measurement is not None:
-        out = _parse_labels(labels.get("outcomes"), measurement.size, "labels.outcomes")
-    else:
-        out = ()
+    outcomes = None if measurement is None else measurement.size
+    out = _parse_labels(labels.get("outcomes"), outcomes, "labels.outcomes")
     return ProblemSpec(ensemble, measurement, prep, out)
 
 
@@ -503,30 +506,29 @@ def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ..
 
 def _score_chunk(chunk: list[tuple]) -> _Scores:
     """Draw and analyse a chunk's trials in one stage-major pass, one
-    ``_Group`` per dimension (``_random_instances``, ``_analyse_groups``),
-    book every trial's cycle in one pass, then build the rows from the
-    chunk's arrays, in trial order.  A trial's pick is (trial, kind, dim,
-    n_states, m_outcomes, state), and it draws from the generator of that
-    ``_seed_states`` row."""
+    ``_Group`` per dimension and one ``_Analysis`` of them all, book every
+    trial's cycle in the analysis's order, then take the values and nets
+    to trial order once and build the rows.  A trial's pick is (trial,
+    kind, dim, n_states, m_outcomes, state); it draws from the generator
+    of that ``_seed_states`` row."""
     specs = [(dim, n, m, kind, _generator(state)) for _, kind, dim, n, m, state in chunk]
-    groups = _analyse_groups(_random_instances(specs))
-    # the groups hold the trials by dimension, each dimension's in chunk order
+    a = _analyse_groups(_random_instances(specs))
+    booking = _book_cycles(a)
+    # the analysis holds the trials by dimension, each dimension's in chunk order
     order = sorted(range(len(chunk)), key=lambda k: chunk[k][2])
-    booking = _book_cycles(groups, order)
     place = np.empty(len(chunk), dtype=int)
     place[order] = np.arange(len(chunk))
-    info, chi, ds, projective = (
-        _joined(groups, name)[place] for name in ("info", "chi", "delta_s", "projective")
+    info, chi, ds, projective, breaks, nets = (
+        x[place] for x in (a.info, a.chi, a.delta_s, a.projective, booking.breaks, booking.nets)
     )
     holevo = chi - info
     thermo = holevo + ds
-    breaks = booking.breaks
-    nets = np.where(breaks, np.nan, booking.nets)
+    nets = np.where(breaks, np.nan, nets)
     rows = [
         f"{trial},{dim},{n},{m},{kind},{'true' if flag else 'false'},"
         f"{i:{_FLOAT}},{c:{_FLOAT}},{s:{_FLOAT}},{h:{_FLOAT}},{t:{_FLOAT}},{net:{_FLOAT}}"
         for (trial, kind, dim, n, m, _), flag, i, c, s, h, t, net in zip(
-            chunk, projective.tolist(), *(a.tolist() for a in (info, chi, ds, holevo, thermo, nets))
+            chunk, projective.tolist(), *(x.tolist() for x in (info, chi, ds, holevo, thermo, nets))
         )
     ]
     return _Scores(rows, holevo, thermo, ds, ~breaks)

@@ -175,21 +175,20 @@ def _ordered_sums(items: np.ndarray, lengths) -> np.ndarray:
     """The sum of each consecutive segment of ``items`` along its first
     axis, of ``lengths`` items each, added in order from +0, as a loop adds
     them and as numpy adds a stack of matrices along its first axis.  The
-    segments are laid out after one leading zero, zero-padded to one
-    length, and summed by one ``np.add.accumulate``: a trailing +0 changes
-    no sum begun at +0.  Segments of one length are one reshape summed
-    along its middle axis, which numpy adds in order where each item holds
-    more than one entry or a segment fewer than 8 items; numpy adds a
-    contiguous run of 8 or more scalars pairwise, in 8 lanes."""
+    segments are laid out as rows of one length (zero-padded unless they
+    already share it) and summed by one ``np.add.accumulate`` along the
+    rows, plus +0: a sum begun at the first item differs from one begun at
+    +0 only by a -0 result, which the +0 turns into +0, and a trailing +0
+    changes no other sum."""
     lengths = np.asarray(lengths)
-    length = int(lengths[0]) if lengths.size else 0
-    if length and (lengths == length).all() and (length < 8 or items[0].size > 1):
-        return items.reshape((len(lengths), length) + items.shape[1:]).sum(axis=1)
-    owner, local = _local_index(lengths)
-    width = int(lengths.max(initial=0)) + 1
-    padded = np.zeros((len(lengths), width) + items.shape[1:], dtype=items.dtype)
-    padded[owner, local + 1] = items
-    return np.add.accumulate(padded, axis=1)[:, -1]
+    width = max(int(lengths.max(initial=0)), 1)
+    if (lengths == width).all():
+        padded = items.reshape((len(lengths), width) + items.shape[1:])
+    else:
+        owner, local = _local_index(lengths)
+        padded = np.zeros((len(lengths), width) + items.shape[1:], dtype=items.dtype)
+        padded[owner, local] = items
+    return np.add.accumulate(padded, axis=1)[:, -1] + 0.0
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

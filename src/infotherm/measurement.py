@@ -348,10 +348,11 @@ def _joint_table(probs: np.ndarray, states: np.ndarray, v: Povm):
     return table, rows
 
 
-def _joint_distributions(groups: "list[_Group]"):
-    """``joint_distribution`` of each pair of consecutive groups, with each
-    table's row sums (its ``priors``) and column sums (its
-    ``outcome_probs``), all to the last bit of the per-pair call.
+def _joint_distributions(groups: "list[_Group]", sizes, counts, priors):
+    """``joint_distribution`` of each pair of consecutive groups, whose
+    sizes, counts and priors, joined, are ``sizes``, ``counts`` and
+    ``priors``, with each table's row sums (its ``priors``) and column sums
+    (its ``outcome_probs``), all to the last bit of the per-pair call.
 
     The products are one gather over the live (member, element) pairs of
     every table of a group, so no product is taken twice or with a state
@@ -364,7 +365,6 @@ def _joint_distributions(groups: "list[_Group]"):
     Returns the flat tables row-major and outcome-major, the row sums (one
     a member), the column sums (one an element) and each group's (K, d, d)
     stack of average states."""
-    sizes, counts, priors = (_joined(groups, name) for name in ("sizes", "counts", "priors"))
     first, starts = np.cumsum(sizes) - sizes, np.cumsum(counts) - counts
     cells = sizes * counts
     offsets = np.cumsum(cells) - cells
@@ -616,12 +616,9 @@ def delta_s(r: DensityMatrix, v: Povm) -> float:
 
 
 class _Group(NamedTuple):
-    """One dimension's (ensemble, measurement) pairs as flat stacks, from
-    the draw to the booking: pair k has ``sizes[k]`` members and
-    ``counts[k]`` elements, consecutive in the member and element stacks.
-    ``_analyse_groups`` fills in the analysis fields, each a flat array
-    over the pairs, whose pair-k parts are the fields of the pair's
-    one-pair group from ``_analyse``."""
+    """One dimension's (ensemble, measurement) pairs as flat stacks, as
+    drawn: pair k has ``sizes[k]`` members and ``counts[k]`` elements,
+    consecutive in the member and element stacks."""
 
     states: np.ndarray  # (S, d, d) checked member states
     eigenvalues: np.ndarray  # (S, d) their eigenvalues, ascending, from the check
@@ -630,70 +627,58 @@ class _Group(NamedTuple):
     elements: np.ndarray  # (M, d, d) checked measurement elements
     counts: np.ndarray  # (K,) elements of each pair
     projective: np.ndarray  # (K,) each measurement's projective flag
-    tables: np.ndarray | None = None  # the clipped joint tables, each row-major
-    by_outcome: np.ndarray | None = None  # the same tables, each outcome-major
-    outcome_probs: np.ndarray | None = None  # (M,) the tables' column sums
-    rho_spectra: np.ndarray | None = None  # (K, d) clipped, of the average states
-    member_spectra: np.ndarray | None = None  # (S, d) clipped
-    sigma_spectra: np.ndarray | None = None  # clipped, d or d m a pair
-    sigma_sizes: np.ndarray | None = None  # (K,) the sigma spectra's lengths
-    info: np.ndarray | None = None  # (K,) I(A:B)
-    chi: np.ndarray | None = None  # (K,)
-    delta_s: np.ndarray | None = None  # (K,)
 
 
-def _group(pairs) -> _Group:
-    """The (ensemble, measurement) pairs, all of one dimension, as one
-    ``_Group``.  ``np.array`` stacks the states' equal-shape arrays as
-    ``np.stack`` would, at a fraction of its fixed cost."""
-    for e, v in pairs:
-        _require_same_dim("ensemble", e.dim, v)
-    states = [s for e, _ in pairs for s in e.states]
-    return _Group(
-        np.array([s.matrix for s in states]),
-        np.array([s._eigenvalues for s in states]),
-        np.concatenate([e.probs for e, _ in pairs]),
-        np.array([e.size for e, _ in pairs]),
-        np.concatenate([v._stack for _, v in pairs]),
-        np.array([v.size for _, v in pairs]),
-        np.array([v.projective for _, v in pairs]),
-    )
+class _Analysis(NamedTuple):
+    """The analysis of consecutive (ensemble, measurement) pairs, which the
+    bounds and the cycle booking read: every field is flat over the pairs,
+    pair after pair, so a pair's part of a field is the field of its own
+    one-pair analysis."""
+
+    priors: np.ndarray  # (S,) clipped priors, S members in all
+    sizes: np.ndarray  # (K,) members of each pair
+    counts: np.ndarray  # (K,) elements of each pair
+    projective: np.ndarray  # (K,) each measurement's projective flag
+    dims: np.ndarray  # (K,) each pair's dimension d
+    by_outcome: np.ndarray  # the clipped joint tables, each outcome-major
+    outcome_probs: np.ndarray  # (M,) the tables' column sums
+    rho_spectra: np.ndarray  # clipped, of the average states, d a pair
+    member_spectra: np.ndarray  # clipped, d a member
+    sigma_spectra: np.ndarray  # clipped, d or d m a pair
+    sigma_sizes: np.ndarray  # (K,) the sigma spectra's lengths
+    info: np.ndarray  # (K,) I(A:B)
+    chi: np.ndarray  # (K,)
+    delta_s: np.ndarray  # (K,)
 
 
-def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Group:
+def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Analysis:
     """The analysis ``evaluate_bounds``, ``run_cycle`` and ``block_scan``
-    read, as the pair's one-pair ``_Group``, with the arithmetic and checks
-    of ``mutual_information``, ``holevo_chi`` and ``delta_s``;
+    read, as the pair's one-pair ``_Analysis``, with the arithmetic and
+    checks of ``mutual_information``, ``holevo_chi`` and ``delta_s``;
     ``_analyse_groups`` gives each of many pairs these bits.  ``rho`` is
     ``average_state(e)``, built here unless the caller already has it.
-    The group holds the pair's own priors and element stack, not copies,
-    and stacks only the member states and their eigenvalues."""
+    The record holds the pair's own priors, not a copy."""
     _require_same_dim("ensemble", e.dim, v)
-    states = np.array([s.matrix for s in e.states])
-    table, rows = _joint_table(e.probs, states, v)
+    table, rows = _joint_table(e.probs, np.array([s.matrix for s in e.states]), v)
     rho = average_state(e) if rho is None else rho
     sigma = _post_measurement_spectrum(rho, v)
     outcome_probs = _row_sums(table.T)
     info = _information(table, rows, outcome_probs)
-    eigenvalues = np.array([s._eigenvalues for s in e.states])
-    members = np.maximum(eigenvalues, 0.0)
+    members = np.maximum(np.array([s._eigenvalues for s in e.states]), 0.0)
     lam = rho.spectrum()
     s_rho = _entropy_of_spectrum(lam)
     chi = _chi(e.probs, s_rho, [_entropy_of_spectrum(w) for w in members])
     ds = _entropy_increase(_entropy_of_spectrum(sigma), s_rho)
-    return _Group(
-        states,
-        eigenvalues,
+    return _Analysis(
         e.probs,
         np.array([e.size]),
-        v._stack,
         np.array([v.size]),
         np.array([v.projective]),
-        table.ravel(),
+        np.array([e.dim]),
         table.T.ravel(),
         outcome_probs,
-        lam[None],
-        members,
+        lam,
+        members.ravel(),
         sigma,
         np.array([sigma.size]),
         np.array([info]),
@@ -726,32 +711,33 @@ def _joined(groups, name: str) -> np.ndarray:
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _analyse_groups(groups: list[_Group]) -> list[_Group]:
-    """Each group with its analysis, stage by stage over all of them: a
-    kernel that needs one (K, d, d) stack runs once a group, everything
-    else once.  The stages, in order: one ``_joint_distributions`` for the
-    tables, their marginals and each group's average states; the average
-    states' density checks; one ``_post_measurement_spectra``, each
-    group's sqrt(rho) checked as it is taken, then every route check; one
-    ``_entropies`` for every entropy; then I, chi and delta_s of every pair
-    with the arithmetic and stacked checks of ``mutual_information``,
-    ``holevo_chi`` and ``delta_s``.  Each pair's values are ``_analyse``'s
-    to the last bit.  The first stage with a failing pair raises, for the
-    lowest failing pair counted group after group, with that pair's own
-    error."""
-    tables, by_outcome, row_sums, col_sums, averages = _joint_distributions(groups)
-    rho_spectra = [np.maximum(_density_eigenvalues(rhos), 0.0) for rhos in averages]
+def _analyse_groups(groups: list[_Group]) -> _Analysis:
+    """The ``_Analysis`` of every pair of the groups, group after group,
+    stage by stage over all of them: a kernel that needs one (K, d, d)
+    stack runs once a group, everything else once.  The stages, in order:
+    one ``_joint_distributions`` for the tables, their marginals and each
+    group's average states; the average states' density checks; one
+    ``_post_measurement_spectra``, each group's sqrt(rho) checked as it is
+    taken, then every route check; one ``_entropies`` for every entropy;
+    then I, chi and delta_s of every pair with the arithmetic and stacked
+    checks of ``mutual_information``, ``holevo_chi`` and ``delta_s``.  Each
+    pair's values are ``_analyse``'s to the last bit.  The first stage
+    with a failing pair raises, for the lowest failing pair counted group
+    after group, with that pair's own error."""
+    sizes, counts, priors, projective = (
+        _joined(groups, name) for name in ("sizes", "counts", "priors", "projective")
+    )
+    tables, by_outcome, row_sums, col_sums, averages = _joint_distributions(
+        groups, sizes, counts, priors
+    )
+    rho = np.concatenate([np.maximum(_density_eigenvalues(rhos), 0.0).ravel() for rhos in averages])
     sigma, sigma_sizes = _post_measurement_spectra(
         [(rhos, g.elements, g.counts, g.projective) for rhos, g in zip(averages, groups)]
     )
-    sizes, counts, priors = (_joined(groups, name) for name in ("sizes", "counts", "priors"))
-    members = [np.maximum(g.eigenvalues, 0.0) for g in groups]
-    trials = [len(g.sizes) for g in groups]
-    widths = [w.shape[1] for w in members]
-    vectors = [row_sums, col_sums, tables] + [w.ravel() for w in rho_spectra]
-    vectors += [sigma] + [w.ravel() for w in members]
-    lengths = [sizes, counts, sizes * counts, np.repeat(widths, trials), sigma_sizes]
-    lengths += [np.repeat(widths, [len(w) for w in members])]
+    members = np.maximum(_joined(groups, "eigenvalues"), 0.0)
+    dims = np.repeat([g.states.shape[1] for g in groups], [len(g.sizes) for g in groups])
+    vectors = [row_sums, col_sums, tables, rho, sigma, members]
+    lengths = [sizes, counts, sizes * counts, dims, sigma_sizes, np.repeat(dims, sizes)]
     k = len(sizes)
     h_a, h_b, h_ab, s_rho, s_sigma, h_members = np.split(
         _entropies(np.concatenate(vectors), np.concatenate(lengths)), np.arange(1, 6) * k
@@ -760,22 +746,22 @@ def _analyse_groups(groups: list[_Group]) -> list[_Group]:
     _raise_first_failure([_information_check(infos)])
     increases = s_sigma - s_rho
     _raise_first_failure([_entropy_increase_check(increases)])
-    # each flat field back into its groups' parts
-    cells = [int(g.sizes @ g.counts) for g in groups]
-    lengths = _segments(sigma_sizes, trials)
-    fields = zip(
-        _segments(tables, cells),
-        _segments(by_outcome, cells),
-        _segments(col_sums, [len(g.elements) for g in groups]),
-        rho_spectra,
+    return _Analysis(
+        priors,
+        sizes,
+        counts,
+        projective,
+        dims,
+        by_outcome,
+        col_sums,
+        rho,
         members,
-        _segments(sigma, [int(n.sum()) for n in lengths]),
-        lengths,
-        _segments(np.where(infos > 0.0, infos, 0.0), trials),
-        _segments(_chis(priors, sizes, s_rho, h_members), trials),
-        _segments(np.where(increases > 0.0, increases, 0.0), trials),
+        sigma,
+        sigma_sizes,
+        np.where(infos > 0.0, infos, 0.0),
+        _chis(priors, sizes, s_rho, h_members),
+        np.where(increases > 0.0, increases, 0.0),
     )
-    return [_Group(*g[:7], *parts) for g, parts in zip(groups, fields)]
 
 
 def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:

@@ -24,7 +24,6 @@ from .linops import (
     _raise_first_failure,
     _require_finite,
     _require_int,
-    _segments,
     _spectral_function,
     as_complex_matrix,
     hermitian_eig,
@@ -201,7 +200,7 @@ class Ensemble:
             raise ValidationError(
                 f"{p.size} priors for {len(states)} states"
             )
-        p = _checked_priors([p])[0]
+        p = _checked_priors(p)
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise DimensionMismatch(f"states have mixed dimensions {sorted(dims)}")
@@ -228,15 +227,13 @@ class Ensemble:
         return self.states[0].dim
 
 
-def _checked_priors(priors) -> list[np.ndarray]:
-    """Each nonempty float vector of ``priors``, clipped to be nonnegative,
-    once all have passed the prior checks of ``Ensemble`` stacked, by
-    ``_probability_checks``; the lowest-index failing vector raises the
-    error ``Ensemble`` raises for it alone."""
-    counts = [p.size for p in priors]
-    clipped, checks = _probability_checks(np.concatenate(priors), counts)
+def _checked_priors(p: np.ndarray) -> np.ndarray:
+    """A nonempty float vector of priors, clipped to be nonnegative, once it
+    has passed ``Ensemble``'s prior checks: ``_probability_checks`` of one
+    vector."""
+    clipped, checks = _probability_checks(p, [p.size])
     _raise_first_failure(checks)
-    return _segments(clipped, counts)
+    return clipped
 
 
 def _probability_checks(flat: np.ndarray, lengths, noun: str = "prior", plural: str = "priors"):

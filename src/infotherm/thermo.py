@@ -14,14 +14,14 @@ independent of the entropy formulas in the other modules; the cycle
 invariant net = I - delta_s - chi <= 0 is checked at the end.
 
 Booking is stacked.  The (fraction, v_initial, v_final) terms of many
-pairs' cycles are laid out in zero-padded (pairs, terms) arrays, each
-pair's row in ledger order, and one pass checks them, takes each work
-with ``math.log2`` of its volume ratio and sums each row left to right,
-so every work and net has the bits of booking the rows one at a time.
-The suite books a chunk of trials in one pass; ``run_cycle`` and the
-stage functions are its one-pair case and ``work_isothermal`` its one-row
-case.  Descriptions are formatted only when ``LedgerEntry`` objects are
-built, so the suite formats none.
+pairs' cycles are laid out in zero-padded (pairs, terms) arrays, one row
+a pair in the order of its ``_Analysis``, each in ledger order, and one
+pass checks them, takes each work with ``math.log2`` of its volume ratio
+and sums each row left to right, so every work and net has the bits of
+booking the rows one at a time.  The suite books a chunk of trials in
+one pass; ``run_cycle`` and the stage functions are its one-pair case and
+``work_isothermal`` its one-row case.  Descriptions are formatted only
+when ``LedgerEntry`` objects are built, so the suite formats none.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR, _raise_first_failure
-from .measurement import Povm, _analyse, _joined, joint_distribution
+from .measurement import Povm, _analyse, _Analysis, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
 
 STAGE_EXTRACTION = "extraction"
@@ -267,18 +267,16 @@ class _Booking(NamedTuple):
         return self.nets > CYCLE_TOL
 
 
-def _books(segments: list[_Segment], rows=None) -> _Booking:
+def _books(segments: list[_Segment]) -> _Booking:
     """Lay the segments' terms out as zero-padded (K, L) arrays, pair k's
-    terms in segment order in row ``rows[k]`` (row k by default), and book
-    them."""
+    terms in segment order in row k, and book them."""
     counts = np.array([s.counts for s in segments]).T
     starts = np.cumsum(counts, axis=1) - counts
     k, width = len(counts), int(counts.sum(axis=1).max())
-    order = np.arange(k) if rows is None else np.asarray(rows)
     # the concatenated terms run segment by segment, pair by pair; each
     # (segment, pair) block goes to the pair's row at the segment's start
     blocks = counts.T.ravel()
-    places = (starts + width * order[:, None]).T.ravel()
+    places = (starts + width * np.arange(k)[:, None]).T.ravel()
     places = np.arange(blocks.sum()) + np.repeat(places - (np.cumsum(blocks) - blocks), blocks)
     terms = []
     for name in ("fractions", "v_initial", "v_final", "live"):
@@ -287,8 +285,6 @@ def _books(segments: list[_Segment], rows=None) -> _Booking:
         stacked[places] = flat
         terms.append(stacked.reshape(k, width))
     works, nets = _book(*terms)
-    if rows is not None:
-        starts[order] = starts.copy()
     return _Booking(segments, works, nets, starts)
 
 
@@ -372,7 +368,7 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     tolerance, and ``NumericalFailure`` if it is not finite.
     """
     a = _analyse(e, v)
-    booking = _book_cycles([a])
+    booking = _book_cycles(a)
     net = float(booking.nets[0])
     if booking.breaks[0]:
         raise SecondLawViolation(
@@ -383,20 +379,13 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     )
 
 
-def _book_cycles(groups, rows=None) -> _Booking:
-    """Book the cycle of every pair of the analysed groups (``_Group``s),
-    all in one pass: extraction, sigma -> rho with rho's spectrum padded by
-    d*(m-1) zeros for a general measurement, and rho -> start.  Pair k,
-    counted group after group, books in row ``rows[k]`` (row k by
-    default).  The lowest row whose booking fails raises; a net above
-    ``CYCLE_TOL`` is left to the caller, in ``breaks``."""
-    p, n, lam, mu, q, m, tables, sigma, s = (
-        _joined(groups, name)
-        for name in (
-            "priors", "sizes", "rho_spectra", "member_spectra", "outcome_probs", "counts",
-            "by_outcome", "sigma_spectra", "sigma_sizes",
-        )
-    )
-    d = np.concatenate([np.full(*g.rho_spectra.shape) for g in groups])
-    segments = _extraction(p, n, q, m, tables) + _sigma_to_rho(sigma, s, lam, d)
-    return _books(segments + _rho_to_initial(p, n, lam, d, mu), rows)
+def _book_cycles(a: _Analysis) -> _Booking:
+    """Book the cycle of every pair of an ``_Analysis``, all in one pass,
+    pair k in row k: extraction, sigma -> rho with rho's spectrum padded by
+    d*(m-1) zeros for a general measurement, and rho -> start.  The lowest
+    row whose booking fails raises; a net above ``CYCLE_TOL`` is left to
+    the caller, in ``breaks``."""
+    p, n, lam, d = a.priors, a.sizes, a.rho_spectra, a.dims
+    segments = _extraction(p, n, a.outcome_probs, a.counts, a.by_outcome)
+    segments += _sigma_to_rho(a.sigma_spectra, a.sigma_sizes, lam, d)
+    return _books(segments + _rho_to_initial(p, n, lam, d, a.member_spectra))

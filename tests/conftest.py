@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import infotherm as it
+from infotherm import measurement
 
 CHI_TWO_STATE = 0.6008760366928562
 H_THREE_QUARTERS = 0.8112781244591328
@@ -32,6 +33,29 @@ def in_order(values):
     for x in values:
         total += x
     return total
+
+
+def group(pairs):
+    """The (ensemble, measurement) pairs, all of one dimension, as one
+    ``measurement._Group``, the record a suite draw gives, for the tests
+    that stack arbitrary pairs."""
+    for e, v in pairs:
+        measurement._require_same_dim("ensemble", e.dim, v)
+    states = [s for e, _ in pairs for s in e.states]
+    return measurement._Group(
+        np.array([s.matrix for s in states]),
+        np.array([s._eigenvalues for s in states]),
+        np.concatenate([e.probs for e, _ in pairs]),
+        np.array([e.size for e, _ in pairs]),
+        np.concatenate([v._stack for _, v in pairs]),
+        np.array([v.size for _, v in pairs]),
+        np.array([v.projective for _, v in pairs]),
+    )
+
+
+def joint_distributions(g):
+    """``measurement._joint_distributions`` of one group."""
+    return measurement._joint_distributions([g], g.sizes, g.counts, g.priors)
 
 
 def count_eighs(monkeypatch):

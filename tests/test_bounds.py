@@ -377,6 +377,16 @@ def _weighted(e):
     return e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
 
 
+def _one_step(step):
+    """An ascent step function as one checked call: with a record that runs
+    every check as it is recorded."""
+    return lambda *args: step(*args, bounds._StepChecks(eager=True))
+
+
+_normalised = _one_step(bounds._normalised)
+_ascent_score = _one_step(bounds._ascent_score)
+
+
 class TestAscentStep:
     """One eigensolve of S = K K+ and one log table a step, with every check
     of ``psd_function``, ``JointDistribution`` and ``mutual_information``:
@@ -389,7 +399,7 @@ class TestAscentStep:
         for rank in (d, d - 1):
             kets = rng.normal(size=(d, d * d)) + 1j * rng.normal(size=(d, d * d))
             kets[rank:] = 0.0  # a kernel when rank < d
-            got = bounds._normalised(kets)
+            got = _normalised(kets)
             assert got.tobytes() == _reference_normalised(kets).tobytes()
 
     @pytest.mark.parametrize("seed", range(12))
@@ -406,7 +416,7 @@ class TestAscentStep:
             basis = np.eye(d, dtype=complex)
         kets = np.concatenate([basis, np.zeros((d, d * d - d))], axis=1)
         weighted = _weighted(e)
-        logs, info = bounds._ascent_score(kets, weighted, e.probs)
+        logs, info = _ascent_score(kets, weighted, e.probs)
         ref_logs, ref_info = _reference_score(kets, weighted, e.probs)
         assert np.count_nonzero(np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets) == 0)
         assert logs.tobytes() == ref_logs.tobytes()
@@ -418,7 +428,7 @@ class TestAscentStep:
         kets[1, 2] = bad
         expected = (ValidationError, "matrix has non-finite entries")
         with np.errstate(invalid="ignore"):  # inf * 0 in K K+
-            got = _raised(bounds._normalised, kets)
+            got = _raised(_normalised, kets)
             assert got == _raised(_reference_normalised, kets) == expected
 
     def test_non_hermitian_matrix(self):
@@ -436,7 +446,7 @@ class TestAscentStep:
         kets = np.random.default_rng(0).normal(size=(2, 4)) + 0j
         monkeypatch.setattr(np.linalg, "eigh", wrong_vectors)
         expected = (NumericalFailure, "eigendecomposition failed reconstruction check")
-        assert _raised(bounds._normalised, kets) == _raised(_reference_normalised, kets) == expected
+        assert _raised(_normalised, kets) == _raised(_reference_normalised, kets) == expected
         cfg = it.OptimizerConfig(method="random_restart_ascent", restarts=1, max_iterations=3)
         assert _raised(it.maximize_accessible_information, two_state_ensemble, cfg) == expected
 
@@ -451,14 +461,14 @@ class TestAscentStep:
     def test_table_entry_below_the_clip(self):
         weighted = np.array([np.diag([0.6, 0.0]), np.diag([0.4 + 1e-6, -1e-6])], dtype=complex)
         expected = (ValidationError, "joint probability -1.000e-06 below -1e-12")
-        got = _raised(bounds._ascent_score, self.KETS, weighted, np.array([0.6, 0.4]))
+        got = _raised(_ascent_score, self.KETS, weighted, np.array([0.6, 0.4]))
         assert got == _raised(_reference_score, self.KETS, weighted, np.array([0.6, 0.4]))
         assert got == expected
 
     def test_table_sum_off_one(self):
         weighted = np.array([np.diag([0.6, 0.0]), np.diag([0.2, 0.3])], dtype=complex)
         expected = (ValidationError, "joint probabilities sum to 1.1")
-        got = _raised(bounds._ascent_score, self.KETS, weighted, np.array([0.6, 0.4]))
+        got = _raised(_ascent_score, self.KETS, weighted, np.array([0.6, 0.4]))
         assert got == _raised(_reference_score, self.KETS, weighted, np.array([0.6, 0.4]))
         assert got == expected
 
@@ -470,11 +480,11 @@ class TestAscentStep:
         info = float((q * np.log2(q / (probs[:, None] * q.sum(axis=0)))).sum())
         assert info < -0.5
         expected = (NumericalFailure, f"mutual information came out {info:.3e}")
-        assert _raised(bounds._ascent_score, self.KETS, weighted, probs) == expected
+        assert _raised(_ascent_score, self.KETS, weighted, probs) == expected
 
 
-#: The ascent's step functions, as the module defines them.
-_STEPS = {"_normalised": bounds._normalised, "_ascent_score": bounds._ascent_score}
+#: The ascent's step functions, as the module defines them, as one checked call.
+_STEPS = {"_normalised": _normalised, "_ascent_score": _ascent_score}
 
 
 def _fire_at(monkeypatch, owner, name, calls, spoil):
@@ -531,7 +541,7 @@ def _doubled_priors(real, kets, weighted, probs, checks):
 
 
 class TestOneStepCallOrder:
-    """A step function called without a record runs each check before the
+    """A step function called with an eager record runs each check before the
     arithmetic that follows it, as the checked calls did."""
 
     def test_a_failing_decomposition_raises_before_f(self, monkeypatch):
@@ -541,7 +551,7 @@ class TestOneStepCallOrder:
         _fire_at(monkeypatch, bounds, "_eigh", {0}, _skew)
         monkeypatch.setattr(bounds, "_inverse_root", unreached)
         kets = np.random.default_rng(0).normal(size=(2, 4)) + 0j
-        assert _raised(bounds._normalised, kets)[0] is NotHermitian
+        assert _raised(_normalised, kets)[0] is NotHermitian
 
     def test_a_failing_table_raises_before_its_log_table(self, monkeypatch):
         def unreached(x):
@@ -550,7 +560,7 @@ class TestOneStepCallOrder:
         monkeypatch.setattr(np, "log2", unreached)
         weighted = np.array([np.diag([0.6, 0.0]), np.diag([0.2, 0.3])], dtype=complex)
         kets, probs = np.eye(2, dtype=complex), np.array([0.6, 0.4])
-        got = _raised(bounds._ascent_score, kets, weighted, probs)
+        got = _raised(_ascent_score, kets, weighted, probs)
         assert got == (ValidationError, "joint probabilities sum to 1.1")
 
 
@@ -558,7 +568,7 @@ class TestDeferredStepChecks:
     """The ascent records each step's checks and runs them stacked, once
     per ``_STEP_BLOCK`` steps and at the end of a restart; the lowest
     failing step raises what the one-step call of that step raises (the
-    step's ``_normalised`` or ``_ascent_score`` without a record, on the
+    step's ``_normalised`` or ``_ascent_score`` with an eager record, on the
     same inputs, with the same spoil)."""
 
     CFG = it.OptimizerConfig(method="random_restart_ascent", restarts=1, max_iterations=40, seed=7)

@@ -124,6 +124,29 @@ class TestProblemParsing:
         assert cli.main(["bounds", "--spec", str(path)]) == 2
         assert "error: unknown 'labels' keys ['outcome']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pgm", "optimize"])
+    @pytest.mark.parametrize("measured", [True, False], ids=["measured", "unmeasured"])
+    @pytest.mark.parametrize("outcomes", [5, [1, 2], "ab"], ids=["number", "numbers", "string"])
+    def test_outcome_labels_that_are_not_strings_exit_2(
+        self, tmp_path, capsys, outcomes, measured, command
+    ):
+        # checked whether or not the file has a measurement; their count
+        # only where it has one
+        payload = _two_state_payload(
+            measurement=COMPUTATIONAL if measured else None, labels={"outcomes": outcomes}
+        )
+        path = _write(tmp_path, "lbl.json", payload)
+        assert cli.main([command, "--spec", path]) == 2
+        expected = "a list of 2 strings" if measured else "a list of strings"
+        assert capsys.readouterr().err == f"error: labels.outcomes: expected {expected}\n"
+
+    def test_outcome_labels_without_a_measurement_pass_through(self):
+        labels = {"outcomes": ["up", "down", "sideways"]}
+        spec = cli.parse_problem_spec(_two_state_payload(measurement=None, labels=labels))
+        assert spec.measurement is None
+        assert spec.outcome_labels == ("up", "down", "sideways")
+        assert cli.parse_problem_spec(_two_state_payload(measurement=None)).outcome_labels == ()
+
     def test_null_labels_read_as_absent(self, tmp_path):
         # as with "measurement": null, a null value means the key is absent
         spec = cli.parse_problem_spec(_two_state_payload(labels=None))
@@ -1302,21 +1325,19 @@ class TestSuiteSecondLawPath:
         self, monkeypatch, tmp_path, capsys
     ):
         real_book_cycles = cli._book_cycles
+        # the analysis holds the trials by dimension, each dimension's in
+        # trial order
+        dims = [int(reference_row(7, t, [2, 3, 4], cli._KINDS).split(",")[1]) for t in range(5)]
+        k = sorted(range(5), key=lambda t: dims[t]).index(2)
 
-        def violates_on_trial_2(groups, rows):
+        def violates_on_trial_2(a):
             # trial 2's cycle is booked as if undoing the dephasing were
             # free (its stacked sigma spectrum all zeros), so it nets
             # I + sum_i p_i S(rho_i) > 0
-            k = list(rows).index(2)
-            for index, g in enumerate(groups):
-                if k < len(g.sizes):
-                    start = int(g.sigma_sizes[:k].sum())
-                    sigma = g.sigma_spectra.copy()
-                    sigma[start:start + g.sigma_sizes[k]] = 0.0
-                    groups[index] = g._replace(sigma_spectra=sigma)
-                    break
-                k -= len(g.sizes)
-            return real_book_cycles(groups, rows)
+            start = int(a.sigma_sizes[:k].sum())
+            sigma = a.sigma_spectra.copy()
+            sigma[start:start + a.sigma_sizes[k]] = 0.0
+            return real_book_cycles(a._replace(sigma_spectra=sigma))
 
         monkeypatch.setattr(cli, "_book_cycles", violates_on_trial_2)
         csv = tmp_path / "suite.csv"

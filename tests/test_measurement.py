@@ -25,6 +25,8 @@ from conftest import (
     INFO_COMPUTATIONAL,
     INFO_HELSTROM,
     P_HELSTROM_CORRECT,
+    group,
+    joint_distributions,
     mixed_kind_instances,
 )
 
@@ -409,9 +411,9 @@ class TestPostMeasurementSpectrum:
         pairs = [
             it.random_instance(dim, 2, m, kind, [seed, k]) for k, (m, kind) in enumerate(picks)
         ]
-        g = measurement._group(pairs)
+        g = group(pairs)
         assert 0 < g.projective.sum() < len(pairs)
-        (rhos,) = measurement._joint_distributions([g])[4]
+        (rhos,) = joint_distributions(g)[4]
         return rhos, g.elements, g.counts, g.projective
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -2,10 +2,10 @@
 
 ``_joint_distributions`` and ``_analyse_groups`` are the stacked forms of
 ``joint_distribution`` and ``_analyse``, which keep their own one-pair path;
-both give ``_Group`` records of pairs, ``_analyse`` a group of one.  The
-average states ``_joint_distributions`` sums are the stacked form of
-``_average_matrix``; ``Ensemble`` is the one-item case of
-``_checked_priors``; ``_entropies`` is the stacked form of
+both analyses give one flat ``_Analysis`` record, ``_analyse`` a record of
+one pair.  The average states ``_joint_distributions`` sums are the stacked
+form of ``_average_matrix``; ``Ensemble``'s prior check is the one-item case
+of ``_probability_checks``; ``_entropies`` is the stacked form of
 ``_entropy_of_spectrum``; ``_ordered_sums`` adds many segments each in
 order from +0, the one summation rule both paths use for probabilities.  A
 stack must give each item, bit for bit, what the per-pair arithmetic gives
@@ -24,7 +24,7 @@ from infotherm import bounds, linops, measurement, quantum
 from infotherm.errors import NumericalFailure, ValidationError
 from infotherm.linops import _segments
 
-from conftest import in_order
+from conftest import group, in_order, joint_distributions
 
 
 def single_error(call, item):
@@ -83,24 +83,26 @@ def edge_pairs(dim):
 
 
 def analysed(pairs):
-    """Each pair's parts of the analysed group of ``pairs``: its table
-    (n, m), outcome probabilities, rho spectrum, member spectra (n, d),
-    sigma spectrum, I, chi and delta_s."""
-    (g,) = measurement._analyse_groups([measurement._group(pairs)])
-    d = g.rho_spectra.shape[1]
-    assert g.member_spectra.shape == (g.sizes.sum(), d)
+    """Each pair's parts of the analysis of ``pairs`` as one group: its
+    table outcome-major (m, n), outcome probabilities, rho spectrum, member
+    spectra (n, d), sigma spectrum, I, chi and delta_s."""
+    a = measurement._analyse_groups([group(pairs)])
+    d = int(a.dims[0])
+    assert a.dims.tolist() == [d] * len(pairs)
+    assert a.rho_spectra.shape == (len(pairs) * d,)
+    assert a.member_spectra.shape == (a.sizes.sum() * d,)
     return [
-        (table.reshape(n, -1), q, lam, mu, sigma, info, chi, ds)
-        for table, q, lam, mu, sigma, info, chi, ds, n in zip(
-            _segments(g.tables, g.sizes * g.counts),
-            _segments(g.outcome_probs, g.counts),
-            g.rho_spectra,
-            _segments(g.member_spectra, g.sizes),
-            _segments(g.sigma_spectra, g.sigma_sizes),
-            g.info.tolist(),
-            g.chi.tolist(),
-            g.delta_s.tolist(),
-            g.sizes.tolist(),
+        (table.reshape(m, -1), q, lam, mu.reshape(-1, d), sigma, info, chi, ds)
+        for table, q, lam, mu, sigma, info, chi, ds, m in zip(
+            _segments(a.by_outcome, a.sizes * a.counts),
+            _segments(a.outcome_probs, a.counts),
+            _segments(a.rho_spectra, a.dims),
+            _segments(a.member_spectra, a.sizes * d),
+            _segments(a.sigma_spectra, a.sigma_sizes),
+            a.info.tolist(),
+            a.chi.tolist(),
+            a.delta_s.tolist(),
+            a.counts.tolist(),
         )
     ]
 
@@ -113,8 +115,8 @@ class TestStackedPairsMatchPerPair:
 
     def test_joint_tables_and_their_sums(self, dim, seed):
         pairs = self.pairs(dim, seed)
-        g = measurement._group(pairs)
-        tables, by_outcome, rows, cols, (averages,) = measurement._joint_distributions([g])
+        g = group(pairs)
+        tables, by_outcome, rows, cols, (averages,) = joint_distributions(g)
         cells = (g.sizes * g.counts).tolist()
         assert tables.shape == by_outcome.shape == (sum(cells),)
         assert rows.shape == (g.sizes.sum(),) and cols.shape == (g.counts.sum(),)
@@ -160,10 +162,12 @@ class TestStackedPairsMatchPerPair:
             table, q, lam, mu, sigma, info, chi, ds = parts
             a = measurement._analyse(e, v)
             assert (a.sizes.tolist(), a.counts.tolist()) == ([e.size], [v.size])
-            assert table.tobytes() == a.tables.tobytes()
-            assert table.shape == (a.sizes[0], a.counts[0])
+            assert (a.projective.tolist(), a.dims.tolist()) == ([v.projective], [e.dim])
+            assert a.priors is e.probs
+            assert table.tobytes() == a.by_outcome.tobytes()
+            assert table.shape == (a.counts[0], a.sizes[0])
             assert q.tobytes() == a.outcome_probs.tobytes()
-            assert lam.tobytes() == a.rho_spectra[0].tobytes()
+            assert lam.tobytes() == a.rho_spectra.tobytes()
             assert mu.tobytes() == a.member_spectra.tobytes()
             assert sigma.tobytes() == a.sigma_spectra.tobytes()
             assert a.sigma_sizes.tolist() == [sigma.size]
@@ -183,10 +187,25 @@ class TestStackedPairsMatchPerPair:
 
     def test_average_matrices(self, dim, seed):
         pairs = self.pairs(dim, seed)
-        (stacked,) = measurement._joint_distributions([measurement._group(pairs)])[4]
+        (stacked,) = joint_distributions(group(pairs))[4]
         assert stacked.shape == (len(pairs), dim, dim)
         for (e, _), acc in zip(pairs, stacked):
             assert acc.tobytes() == quantum._average_matrix(e).tobytes()
+
+
+def test_both_analyses_give_one_flat_record():
+    # the draw's seven fields, and one analysis record whose draw fields
+    # are the pairs' own, joined in order
+    pairs = instances(3, 0, count=6)
+    one = measurement._analyse(*pairs[0])
+    stacked = measurement._analyse_groups([group(pairs)])
+    assert type(one) is type(stacked) is measurement._Analysis
+    assert len(measurement._Group._fields) == 7
+    assert stacked.priors.tobytes() == np.concatenate([e.probs for e, _ in pairs]).tobytes()
+    assert stacked.sizes.tolist() == [e.size for e, _ in pairs]
+    assert stacked.counts.tolist() == [v.size for _, v in pairs]
+    assert stacked.projective.tolist() == [v.projective for _, v in pairs]
+    assert stacked.dims.tolist() == [3] * len(pairs)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
@@ -229,8 +248,8 @@ class TestGatheredProducts:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_one_product_per_table_entry(self, dim, monkeypatch):
         pairs = instances(dim, 3) + edge_pairs(dim)
-        g = measurement._group(pairs)
-        *expected, (averages,) = measurement._joint_distributions([g])
+        g = group(pairs)
+        *expected, (averages,) = joint_distributions(g)
         gathered = []
 
         class Recording(np.ndarray):
@@ -240,7 +259,7 @@ class TestGatheredProducts:
                 return np.asarray(super().__getitem__(index))
 
         spied = g._replace(states=g.states.view(Recording), elements=g.elements.view(Recording))
-        *got, (spied_averages,) = measurement._joint_distributions([spied])
+        *got, (spied_averages,) = joint_distributions(spied)
         for a, b in zip(got + [spied_averages], expected + [averages]):
             assert np.asarray(a).tobytes() == b.tobytes()
         cells = sum(e.size * v.size for e, v in pairs)
@@ -340,21 +359,31 @@ class TestPriorStack:
     def single(p):
         return it.Ensemble(p, tuple(it.maximally_mixed(2) for _ in p))
 
+    @staticmethod
+    def stacked(items):
+        """The prior vectors checked as one stack, as a suite draw checks
+        its priors, each clipped."""
+        sizes = [p.size for p in items]
+        clipped, checks = quantum._probability_checks(np.concatenate(items), sizes)
+        linops._raise_first_failure(checks)
+        return _segments(clipped, sizes)
+
     @pytest.mark.parametrize("index", [0, 1, 3])
     @pytest.mark.parametrize("bad", sorted(BAD))
     def test_lowest_failing_vector_raises_its_single_error(self, index, bad):
         items = [self.GOOD[k % 2] for k in range(4)]
         items[index] = self.BAD[bad]
-        assert_stack_raises_like_the_item(quantum._checked_priors, self.single, items, index)
+        assert_stack_raises_like_the_item(self.stacked, self.single, items, index)
 
     def test_a_later_check_on_a_lower_vector_wins(self):
         items = [self.GOOD[0], self.BAD["sum"], self.GOOD[1], self.BAD["non-finite"]]
-        assert_stack_raises_like_the_item(quantum._checked_priors, self.single, items, 1)
+        assert_stack_raises_like_the_item(self.stacked, self.single, items, 1)
 
     def test_values_equal_the_single_objects(self):
         items = [np.array([0.25, 0.75]), np.array([1.0]), np.array([0.5, -1e-13, 0.5])]
-        for p, checked in zip(items, quantum._checked_priors(items)):
+        for p, checked in zip(items, self.stacked(items)):
             assert checked.tobytes() == self.single(p).probs.tobytes()
+            assert checked.tobytes() == quantum._checked_priors(p).tobytes()
 
 
 def qubit_pair(probs, states, elements):
@@ -388,7 +417,7 @@ class TestJointStackErrors:
 
     @staticmethod
     def stacked(pairs):
-        return measurement._joint_distributions([measurement._group(pairs)])
+        return joint_distributions(group(pairs))
 
     @staticmethod
     def single(pair):

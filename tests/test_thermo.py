@@ -18,6 +18,7 @@ from conftest import (
     INFO_COMPUTATIONAL,
     NET_COMPUTATIONAL,
     NET_HELSTROM,
+    group,
     mixed_kind_instances,
 )
 
@@ -391,11 +392,10 @@ def oracle_work(fraction, v_initial, v_final):
 
 def oracle_rows(e, a):
     """(fraction, v_initial, v_final) of every cycle row with work, in ledger
-    order, built one row at a time from the pair's analysis (its one-pair
-    group)."""
+    order, built one row at a time from the pair's one-pair analysis."""
     floor = WEIGHT_FLOOR
     rows = [(p, p, 1.0) for p in e.probs.tolist() if p > floor]
-    table = a.tables.reshape(e.size, -1).tolist()
+    table = a.by_outcome.reshape(-1, e.size).T.tolist()
     for j, q in enumerate(a.outcome_probs.tolist()):
         if q <= floor:
             continue
@@ -404,12 +404,12 @@ def oracle_rows(e, a):
             if cond > floor:
                 rows.append((q * cond, q, cond * q))
     sigma = a.sigma_spectra.tolist()
-    rho = a.rho_spectra[0].tolist()
+    rho = a.rho_spectra.tolist()
     rows += [(c, 1.0, c) for c in sigma if c > floor]
     padded = [0.0] * (len(sigma) - len(rho)) + rho
     rows += [(lam, lam, 1.0) for lam in padded if lam > floor]
     rows += [(lam, 1.0, lam) for lam in rho if lam > floor]
-    for p, spectrum in zip(e.probs.tolist(), a.member_spectra):
+    for p, spectrum in zip(e.probs.tolist(), a.member_spectra.reshape(e.size, -1)):
         if p > floor:
             rows += [(p * mu, mu * p, p) for mu in spectrum.tolist() if mu > floor]
     return rows
@@ -422,16 +422,14 @@ def oracle_net(rows):
     return net
 
 
-def booked_works(booking, k, rows=None):
+def booked_works(booking, k):
     """Pair k's booked works, live terms only, in ledger order: the pair is
-    the k-th of the segments' own order, booked in row ``rows[k]`` (row k
-    by default)."""
-    row = k if rows is None else rows[k]
+    the k-th of the segments' own order, booked in row k."""
     out = []
-    for s, start in zip(booking.segments, booking.starts[row]):
+    for s, start in zip(booking.segments, booking.starts[k]):
         first = int(s.counts[:k].sum())
         live = np.flatnonzero(s.live[first:first + s.counts[k]])
-        out += booking.works[row, start + live].tolist()
+        out += booking.works[k, start + live].tolist()
     return out
 
 
@@ -490,26 +488,25 @@ class TestStackedBooking:
             assert ledger.net_bits.hex() == oracle_net(rows).hex()
 
     def test_a_chunk_of_mixed_shapes_books_each_pair_as_the_oracle(self):
-        # one analysed group a dimension, and each pair booked in its own
-        # row of the chunk, as the suite books; the oracle reads each pair's
-        # one-pair analysis
+        # one group a dimension, analysed as one record and each pair booked
+        # in its own row, in the record's order, as the suite books; the
+        # oracle reads each pair's one-pair analysis
         pairs = kernel_pairs()
         analyses = [measurement._analyse(e, v) for e, v in pairs]
-        groups, rows = [], []
+        groups, order = [], []
         for dim in sorted({e.dim for e, _ in pairs}):
             ks = [k for k, (e, _) in enumerate(pairs) if e.dim == dim]
-            groups.append(measurement._group([pairs[k] for k in ks]))
-            rows += ks
-        groups = measurement._analyse_groups(groups)
-        assert rows != sorted(rows)
-        booking = thermo._book_cycles(groups, rows)
+            groups.append(group([pairs[k] for k in ks]))
+            order += ks
+        assert order != sorted(order)
+        booking = thermo._book_cycles(measurement._analyse_groups(groups))
         assert booking.works.shape[0] == len(pairs)
-        for place, k in enumerate(rows):
+        for row, k in enumerate(order):
             expected = oracle_rows(pairs[k][0], analyses[k])
-            assert [w.hex() for w in booked_works(booking, place, rows)] == [
-                oracle_work(*row).hex() for row in expected
+            assert [w.hex() for w in booked_works(booking, row)] == [
+                oracle_work(*term).hex() for term in expected
             ], f"pair {k}"
-            assert float(booking.nets[k]).hex() == oracle_net(expected).hex(), f"pair {k}"
+            assert float(booking.nets[row]).hex() == oracle_net(expected).hex(), f"pair {k}"
 
     def test_kernel_rows_book_as_the_oracle(self):
         rows = [
@@ -553,7 +550,7 @@ class TestStackedBooking:
 
 class TestSuiteChunkBooking:
     # trial 1 (d = 3) comes before trial 2 (d = 2) in the chunk, but after
-    # it in the per-dimension analysis order
+    # it in the per-dimension analysis and booking order
     PICKS = [
         (0, "mixed", 2, 2, 2),
         (1, "mixed", 3, 3, 2),
@@ -576,7 +573,9 @@ class TestSuiteChunkBooking:
     @pytest.mark.parametrize("first, second", [("nan", "inf"), ("inf", "nan")])
     def test_the_lowest_non_finite_trial_raises(self, first, second, monkeypatch):
         # every ratio that is one of trial 1's (2's) sigma eigenvalues logs
-        # to `first` (`second`), so only those two nets go non-finite
+        # to `first` (`second`), so only those two nets go non-finite; as in
+        # every earlier stage, the lowest dimension's failing trial, trial 2
+        # (d = 2), raises before trial 1 (d = 3)
         targets = {}
         for trial, value in ((2, second), (1, first)):
             _, a = self.alone(*self.PICKS[trial])
@@ -589,7 +588,7 @@ class TestSuiteChunkBooking:
         }
         assert not others & set(targets)
         monkeypatch.setattr(thermo, "log2", lambda r: targets.get(r, math.log2(r)))
-        with pytest.raises(NumericalFailure, match=rf"came out {first}$"):
+        with pytest.raises(NumericalFailure, match=rf"came out {second}$"):
             cli._score_chunk(self.CHUNK)
 
     def test_a_chunk_books_its_trials_as_each_alone(self):
