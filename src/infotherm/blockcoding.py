@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
 from .linops import BOUND_TOL, PSD_EPSILON, _require_int
-from .measurement import Povm, _analyse, _povms
+from .measurement import Povm, _analyse_groups, _group, _povms
 from .quantum import DensityMatrix, Ensemble, _density_matrices, average_state
 
 #: Caps: sequence states of dimension at most 32, at most 4096 sequences.
@@ -89,7 +89,7 @@ def pretty_good_measurement(e: Ensemble) -> Povm:
 def _pretty_good_measurement(e: Ensemble, rho: DensityMatrix) -> Povm:
     """``pretty_good_measurement`` of ``e`` with ``rho = average_state(e)``.
     rho^(-1/2) and the kernel projector come from rho's one kept
-    eigendecomposition, which ``_analyse``'s sqrt(rho) reads again."""
+    eigendecomposition, which the analysis's sqrt(rho) reads again."""
     inv_root = rho._function(lambda x: 1.0 / np.sqrt(x), pseudo=True)
     weighted = e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
     elements = inv_root @ weighted @ inv_root
@@ -149,6 +149,6 @@ def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
     for m in range(1, m_max + 1):
         _check_caps(e.size, e.dim, m)
     rho = average_state(e)
-    a = _analyse(e, _pretty_good_measurement(e, rho), rho)
+    a = _analyse_groups([_group([(e, _pretty_good_measurement(e, rho))])], rho)
     info, ds, chi = float(a.info[0]), float(a.delta_s[0]), float(a.chi[0])
     return [BlockReport(m, info, ds, chi, e.size**m) for m in range(1, m_max + 1)]

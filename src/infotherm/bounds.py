@@ -31,9 +31,10 @@ from .linops import (
 )
 from .measurement import (
     Povm,
-    _analyse,
+    _analyse_groups,
     _block_projectors,
     _check_unitaries,
+    _group,
     _Group,
     _information_check,
     _pairs,
@@ -104,7 +105,7 @@ def _report(info: float, chi: float, ds: float) -> BoundReport:
 def evaluate_bounds(e: Ensemble, v: Povm) -> BoundReport:
     """Score a concrete measurement of an ensemble against both ceilings,
     from the one analysis of the pair that ``run_cycle`` also reads."""
-    a = _analyse(e, v)
+    a = _analyse_groups([_group([(e, v)])])
     return _report(a.info[0], a.chi[0], a.delta_s[0])
 
 

@@ -6,9 +6,13 @@ explicit record/memory constructions: Naimark dilation of a general POVM
 into a projective measurement on a larger space, and the measure-then-reset
 pipeline for a memory that stores the outcome.
 
-The checks of joint tables, of mutual informations and of record spectra
-are each written once, stacked, as ``linops`` writes its own: a one-pair
-call feeds the same check builders its own figures as a stack of one.
+One analysis, ``_analyse_groups``, gives the bounds and the engine cycle
+their I, chi and delta_s: the suite hands it one group of pairs a
+dimension, and ``evaluate_bounds``, ``run_cycle`` and ``block_scan`` a
+group of one pair (``_group``).  The checks of joint tables, of mutual
+informations and of record spectra are each written once, stacked, as
+``linops`` writes its own: a one-pair call feeds the same check builders
+its own figures as a stack of one.
 """
 from __future__ import annotations
 
@@ -50,14 +54,11 @@ from .linops import (
 from .quantum import (
     DensityMatrix,
     Ensemble,
-    _chi,
-    _chis,
     _density_checks,
     _density_eigenvalues,
     _density_spectra,
     _entropies,
     _entropy_of_spectrum,
-    average_state,
 )
 
 
@@ -332,14 +333,15 @@ def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     per state; ``_joint_distributions`` gives each of many pairs these bits
     and errors."""
     _require_same_dim("ensemble", e.dim, v)
-    table, _ = _joint_table(e.probs, np.array([s.matrix for s in e.states]), v)
+    table, _ = _joint_table(e.probs, np.array([s.matrix for s in e.states]), v._stack)
     return JointDistribution._checked(table)
 
 
-def _joint_table(probs: np.ndarray, states: np.ndarray, v: Povm):
+def _joint_table(probs: np.ndarray, states: np.ndarray, elements: np.ndarray):
     """``joint_distribution``'s checked, read-only table of the priors
-    ``probs`` and the stacked member states, and its row sums."""
-    raw = probs[:, None] * np.trace(v._stack @ states[:, None], axis1=2, axis2=3).real
+    ``probs``, the stacked member states and the stacked elements, from one
+    broadcast product, and its row sums."""
+    raw = probs[:, None] * np.trace(elements @ states[:, None], axis1=2, axis2=3).real
     table = np.maximum(raw, 0.0)
     rows = _row_sums(table)
     drift = np.abs(rows - probs).max(keepdims=True)
@@ -354,17 +356,19 @@ def _joint_distributions(groups: "list[_Group]", sizes, counts, priors):
     ``priors``, with each table's row sums (its ``priors``) and column sums
     (its ``outcome_probs``), all to the last bit of the per-pair call.
 
-    The products are one gather over the live (member, element) pairs of
-    every table of a group, so no product is taken twice or with a state
-    past a pair's members; the rest runs once for all the groups, pair
-    after pair, and each table is a row-major run of the flat result.  Its
-    sums are ``_ordered_sums``, in order from +0 as the per-pair call adds.
-    Each pair's average state adds its weighted members in
-    ``_average_matrix``'s order.  The checks run stacked; the lowest-index
-    failing pair raises what ``joint_distribution`` raises for it alone.
-    Returns the flat tables row-major and outcome-major, the row sums (one
-    a member), the column sums (one an element) and each group's (K, d, d)
-    stack of average states."""
+    One pair takes ``_joint_table``'s broadcast product.  Many pairs take
+    one gather over the live (member, element) pairs of every table of a
+    group, so no product is taken twice or with a state past a pair's
+    members; the rest runs once for all the groups, pair after pair, and
+    each table is a row-major run of the flat result.  Its sums are
+    ``_ordered_sums``, in order from +0 as the per-pair call adds.  The
+    checks run stacked; the lowest-index failing pair raises what
+    ``joint_distribution`` raises for it alone.  Returns the flat tables
+    row-major and outcome-major, the row sums (one a member) and the column
+    sums (one an element)."""
+    if len(sizes) == 1:
+        table, row_sums = _joint_table(priors, groups[0].states, groups[0].elements)
+        return table.ravel(), table.T.ravel(), row_sums, _row_sums(table.T)
     first, starts = np.cumsum(sizes) - sizes, np.cumsum(counts) - counts
     cells = sizes * counts
     offsets = np.cumsum(cells) - cells
@@ -390,8 +394,7 @@ def _joint_distributions(groups: "list[_Group]", sizes, counts, priors):
     lowest = np.minimum.reduceat(raw, offsets)
     drift = np.maximum.reduceat(np.abs(row_sums - priors), first)
     _raise_first_failure(_joint_checks(finite, lowest, totals) + [_drift_check(drift)])
-    averages = [_ordered_sums(g.priors[:, None, None] * g.states, g.sizes) for g in groups]
-    return tables, by_outcome, row_sums, col_sums, averages
+    return tables, by_outcome, row_sums, col_sums
 
 
 def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
@@ -407,14 +410,9 @@ def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
 def mutual_information(j: JointDistribution) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits, clipped to be nonnegative."""
     p = j.matrix
-    return _information(p, _row_sums(p), _row_sums(p.T))
-
-
-def _information(p: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> float:
-    """``mutual_information`` of the table ``p`` from its row and column sums."""
     return _clipped_information(
-        _entropy_of_spectrum(rows)
-        + _entropy_of_spectrum(columns)
+        _entropy_of_spectrum(_row_sums(p))
+        + _entropy_of_spectrum(_row_sums(p.T))
         - _entropy_of_spectrum(p.reshape(-1))
     )
 
@@ -446,8 +444,13 @@ def _with_record(blocks: np.ndarray) -> np.ndarray:
 
 
 def _record_blocks(matrix, system_dim: int, record_dim: int) -> np.ndarray:
-    """An operator on system (x) record as its (d, m, d, m) view."""
+    """An operator on system (x) record as its (d, m, d, m) view; each
+    dimension is an integer of at least 1."""
     m = as_complex_matrix(matrix)
+    for name, dim in (("system_dim", system_dim), ("record_dim", record_dim)):
+        _require_int(name, dim)
+        if dim < 1:
+            raise ValidationError(f"{name} must be at least 1, got {dim}")
     if m.shape[0] != system_dim * record_dim:
         raise DimensionMismatch(
             f"operator dim {m.shape[0]} is not {system_dim}*{record_dim}"
@@ -491,34 +494,43 @@ def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     return spectrum
 
 
-def _post_measurement_spectra(stacks):
+def _post_measurement_spectra(stacks, rho: DensityMatrix | None = None):
     """``_post_measurement_spectrum`` of each pair of consecutive stacks,
     each (rhos, elements, counts, projective): checked (K, d, d) states,
     state k measured by ``counts[k]`` consecutive elements of the (M, d, d)
     ``elements``, projectively where ``projective[k]``.  Each stack's
-    projective pairs take one ``_dephased_spectra``, the rest one
-    ``_block_spectra``, and every stack's general pairs one
-    ``_record_unions``.  Returns the spectra in pair order, stack after
-    stack, flat, and their lengths.  The checks of all routes run as one
-    stack, so the lowest failing pair, counted stack after stack, raises
-    with its own route's message; only each sqrt(rho) is checked first, as
-    it is taken."""
+    projective pairs take one ``_dephased_spectra``; the rest take one
+    stacked sqrt(rho) and one ``_root_spectra``, and every stack's general
+    pairs one ``_record_unions``.  ``rho``, given for one stack of one
+    state, is that state, whose kept eigendecomposition gives its
+    sqrt(rho).  Returns the spectra in pair order, stack after stack, flat,
+    and their lengths.  The checks of all routes run as one stack, so the
+    lowest failing pair, counted stack after stack, raises with its own
+    route's message; only each sqrt(rho) is checked first, as it is
+    taken."""
     parts, general, total = [], [], 0
     for rhos, elements, counts, projective in stacks:
         counts, projective = np.asarray(counts), np.asarray(projective, dtype=bool)
-        for route, flags, found in (
-            (_dephased_spectra, projective, parts),
-            (_block_spectra, ~projective, general),
-        ):
-            pairs = np.flatnonzero(flags)
-            if pairs.size == len(flags):
-                found.append((total + pairs, *route(rhos, elements, counts)))
-            elif pairs.size:
-                lanes = np.repeat(flags, counts)
-                found.append((total + pairs, *route(rhos[pairs], elements[lanes], counts[pairs])))
+        for flags, found in ((projective, parts), (~projective, general)):
+            pairs = flags.nonzero()[0]
+            if not pairs.size:
+                continue
+            states, stack, lengths = rhos, elements, counts
+            if pairs.size < len(flags):
+                states, stack, lengths = rhos[pairs], elements[flags.repeat(counts)], counts[pairs]
+            if found is parts:
+                found.append((total + pairs, *_dephased_spectra(states, stack, lengths)))
+                continue
+            if rho is None:
+                roots = _psd_function_stack(states, np.sqrt)
+            else:
+                roots = rho._function(np.sqrt)[None]
+            found.append((total + pairs, *_root_spectra(roots, stack, lengths)))
         total += len(counts)
+    if len(general) > 1:
+        general = [[np.concatenate(part) for part in zip(*general)]]
     if general:
-        pairs, spectra, lengths = (np.concatenate(part) for part in zip(*general))
+        pairs, spectra, lengths = general[0]
         parts.append((pairs, *_record_unions(spectra, lengths)))
     if len(parts) == 1:
         _raise_first_failure(parts[0][3])
@@ -534,7 +546,7 @@ def _post_measurement_spectra(stacks):
 def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarray):
     """The spectrum of sum_j P_j rho P_j of each state of a (K, d, d) stack
     under its ``counts[k]`` consecutive projectors, which is d x d already;
-    the record-state union of ``_block_spectra`` would agree to rounding,
+    the record-state union of ``_root_spectra`` would agree to rounding,
     but on commuting instances delta_s is itself rounding noise and would
     change in the printed digits.  Each pair's products are added in
     order, as ``_dephased_matrix`` adds them.  Returns the clipped spectra,
@@ -544,20 +556,14 @@ def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarr
     return np.maximum(w, 0.0).ravel(), np.full(len(counts), w.shape[1]), checks
 
 
-def _block_spectra(rhos: np.ndarray, elements: np.ndarray, counts: np.ndarray):
+def _root_spectra(roots: np.ndarray, elements: np.ndarray, counts: np.ndarray):
     """The record state of a state rho under elements E_j is block diagonal
     with blocks A_j A_j^+, where A_j = sqrt(E_j) sqrt(rho); each block shares
     its spectrum with A_j^+ A_j = sqrt(rho) E_j sqrt(rho), so its d*m
     eigenvalues are the union of m d x d spectra.  Returns those spectra of
     each state of a (K, d, d) stack under its ``counts[k]`` consecutive
-    elements, from one stacked sqrt(rho) and ``_root_spectra``, flat, and
-    each union's length."""
-    return _root_spectra(_psd_function_stack(rhos, np.sqrt), elements, counts)
-
-
-def _root_spectra(roots: np.ndarray, elements: np.ndarray, counts: np.ndarray):
-    """``_block_spectra`` from the (K, d, d) stack of sqrt(rho), with one
-    batched ``eigvalsh``."""
+    elements, from the stack ``roots`` of sqrt(rho) and one batched
+    ``eigvalsh``, flat, and each union's length."""
     roots = np.repeat(roots, counts, axis=0)
     spectra = np.linalg.eigvalsh(roots @ elements @ roots)
     return spectra.ravel(), counts * spectra.shape[1]
@@ -583,16 +589,6 @@ def _record_unions(flat: np.ndarray, lengths: np.ndarray):
     return out, lengths, _density_checks(traces, lowest)
 
 
-def _entropy_increase(sigma_entropy: float, rho_entropy: float) -> float:
-    """S(sigma) - S(rho) from the two entropies; a hair below zero is
-    clipped, anything below -BOUND_TOL raises: ``_entropy_increase_check``
-    of one value."""
-    ds = sigma_entropy - rho_entropy
-    if ds < -BOUND_TOL:
-        _raise_first_failure([_entropy_increase_check(np.array([ds]))])
-    return max(0.0, ds)
-
-
 def _entropy_increase_check(increases: np.ndarray):
     """The check of each of a (B,) array of entropy increases, for
     ``_raise_first_failure``: none is below -BOUND_TOL."""
@@ -610,9 +606,10 @@ def delta_s(r: DensityMatrix, v: Povm) -> float:
     POVM the post-measurement entropy comes from the union of the spectra
     of sqrt(rho) E_j sqrt(rho); the d*m-dim record state is never built.
     """
-    return _entropy_increase(
-        _entropy_of_spectrum(_post_measurement_spectrum(r, v)), _entropy_of_spectrum(r.spectrum())
-    )
+    ds = _entropy_of_spectrum(_post_measurement_spectrum(r, v)) - _entropy_of_spectrum(r.spectrum())
+    if ds < -BOUND_TOL:
+        _raise_first_failure([_entropy_increase_check(np.array([ds]))])
+    return max(0.0, ds)
 
 
 class _Group(NamedTuple):
@@ -651,39 +648,21 @@ class _Analysis(NamedTuple):
     delta_s: np.ndarray  # (K,)
 
 
-def _analyse(e: Ensemble, v: Povm, rho: DensityMatrix | None = None) -> _Analysis:
-    """The analysis ``evaluate_bounds``, ``run_cycle`` and ``block_scan``
-    read, as the pair's one-pair ``_Analysis``, with the arithmetic and
-    checks of ``mutual_information``, ``holevo_chi`` and ``delta_s``;
-    ``_analyse_groups`` gives each of many pairs these bits.  ``rho`` is
-    ``average_state(e)``, built here unless the caller already has it.
-    The record holds the pair's own priors, not a copy."""
-    _require_same_dim("ensemble", e.dim, v)
-    table, rows = _joint_table(e.probs, np.array([s.matrix for s in e.states]), v)
-    rho = average_state(e) if rho is None else rho
-    sigma = _post_measurement_spectrum(rho, v)
-    outcome_probs = _row_sums(table.T)
-    info = _information(table, rows, outcome_probs)
-    members = np.maximum(np.array([s._eigenvalues for s in e.states]), 0.0)
-    lam = rho.spectrum()
-    s_rho = _entropy_of_spectrum(lam)
-    chi = _chi(e.probs, s_rho, [_entropy_of_spectrum(w) for w in members])
-    ds = _entropy_increase(_entropy_of_spectrum(sigma), s_rho)
-    return _Analysis(
-        e.probs,
-        np.array([e.size]),
-        np.array([v.size]),
-        np.array([v.projective]),
-        np.array([e.dim]),
-        table.T.ravel(),
-        outcome_probs,
-        lam,
-        members.ravel(),
-        sigma,
-        np.array([sigma.size]),
-        np.array([info]),
-        np.array([chi]),
-        np.array([ds]),
+def _group(pairs) -> _Group:
+    """(ensemble, measurement) pairs, all of one dimension, as one
+    ``_Group``, the record a suite draw gives; a measurement whose
+    dimension is not its ensemble's raises ``DimensionMismatch``."""
+    for e, v in pairs:
+        _require_same_dim("ensemble", e.dim, v)
+    states = [s for e, _ in pairs for s in e.states]
+    return _Group(
+        np.array([s.matrix for s in states]),
+        np.array([s._eigenvalues for s in states]),
+        np.concatenate([e.probs for e, _ in pairs]),
+        np.array([e.size for e, _ in pairs]),
+        np.concatenate([v._stack for _, v in pairs]),
+        np.array([v.size for _, v in pairs]),
+        np.array([v.projective for _, v in pairs]),
     )
 
 
@@ -705,47 +684,59 @@ def _pairs(g: _Group) -> list[tuple[Ensemble, Povm]]:
     return list(zip(ensembles, povms))
 
 
-def _joined(groups, name: str) -> np.ndarray:
-    """One field of consecutive groups as one flat array."""
-    parts = [getattr(g, name).reshape(-1) for g in groups]
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+def _joined(groups, *names: str) -> list[np.ndarray]:
+    """Fields of consecutive groups, each as one flat array."""
+    if len(groups) == 1:
+        return [getattr(groups[0], name).reshape(-1) for name in names]
+    return [np.concatenate([getattr(g, name).reshape(-1) for g in groups]) for name in names]
 
 
-def _analyse_groups(groups: list[_Group]) -> _Analysis:
+def _analyse_groups(groups: list[_Group], rho: DensityMatrix | None = None) -> _Analysis:
     """The ``_Analysis`` of every pair of the groups, group after group,
-    stage by stage over all of them: a kernel that needs one (K, d, d)
-    stack runs once a group, everything else once.  The stages, in order:
-    one ``_joint_distributions`` for the tables, their marginals and each
-    group's average states; the average states' density checks; one
-    ``_post_measurement_spectra``, each group's sqrt(rho) checked as it is
-    taken, then every route check; one ``_entropies`` for every entropy;
-    then I, chi and delta_s of every pair with the arithmetic and stacked
-    checks of ``mutual_information``, ``holevo_chi`` and ``delta_s``.  Each
-    pair's values are ``_analyse``'s to the last bit.  The first stage
-    with a failing pair raises, for the lowest failing pair counted group
-    after group, with that pair's own error."""
-    sizes, counts, priors, projective = (
-        _joined(groups, name) for name in ("sizes", "counts", "priors", "projective")
+    with the arithmetic and checks of ``mutual_information``,
+    ``holevo_chi`` and ``delta_s``, stage by stage over all of them: a
+    kernel that needs one (K, d, d) stack runs once a group, everything
+    else once.  The stages, in order: one ``_joint_distributions`` for the
+    tables and their marginals; each group's average states, each pair's
+    weighted members added in ``_average_matrix``'s order, and their
+    density checks; one ``_post_measurement_spectra``, each group's
+    sqrt(rho) checked as it is taken, then every route check; one
+    ``_entropies`` for every entropy; then I, chi and delta_s of every pair
+    with stacked checks.  The first stage with a failing pair raises, for
+    the lowest failing pair counted group after group, with that pair's
+    own error.  ``rho``, given for one group of one pair (``_group``), is
+    that pair's checked average state, whose eigenvalues and kept
+    eigendecomposition the analysis reads in place of its own."""
+    sizes, counts, priors, projective, members = _joined(
+        groups, "sizes", "counts", "priors", "projective", "eigenvalues"
     )
-    tables, by_outcome, row_sums, col_sums, averages = _joint_distributions(
-        groups, sizes, counts, priors
-    )
-    rho = np.concatenate([np.maximum(_density_eigenvalues(rhos), 0.0).ravel() for rhos in averages])
+    tables, by_outcome, row_sums, col_sums = _joint_distributions(groups, sizes, counts, priors)
+    if rho is None:
+        # each pair's weighted members added in ``_average_matrix``'s order
+        averages = [_ordered_sums(g.priors[:, None, None] * g.states, g.sizes) for g in groups]
+        lam = np.concatenate(
+            [np.maximum(_density_eigenvalues(rhos), 0.0).ravel() for rhos in averages]
+        )
+    else:
+        averages, lam = [rho.matrix[None]], rho.spectrum()
     sigma, sigma_sizes = _post_measurement_spectra(
-        [(rhos, g.elements, g.counts, g.projective) for rhos, g in zip(averages, groups)]
+        [(rhos, g.elements, g.counts, g.projective) for rhos, g in zip(averages, groups)], rho
     )
-    members = np.maximum(_joined(groups, "eigenvalues"), 0.0)
-    dims = np.repeat([g.states.shape[1] for g in groups], [len(g.sizes) for g in groups])
-    vectors = [row_sums, col_sums, tables, rho, sigma, members]
-    lengths = [sizes, counts, sizes * counts, dims, sigma_sizes, np.repeat(dims, sizes)]
+    members = np.maximum(members, 0.0)
+    dims = np.array([g.states.shape[1] for g in groups]).repeat([len(g.sizes) for g in groups])
+    vectors = [row_sums, col_sums, tables, lam, sigma, members]
+    lengths = [sizes, counts, sizes * counts, dims, sigma_sizes, dims.repeat(sizes)]
+    h = _entropies(np.concatenate(vectors), np.concatenate(lengths))
     k = len(sizes)
-    h_a, h_b, h_ab, s_rho, s_sigma, h_members = np.split(
-        _entropies(np.concatenate(vectors), np.concatenate(lengths)), np.arange(1, 6) * k
-    )
+    h_a, h_b, h_ab, s_rho, s_sigma = h[:5 * k].reshape(5, k)
     infos = h_a + h_b - h_ab
     _raise_first_failure([_information_check(infos)])
     increases = s_sigma - s_rho
     _raise_first_failure([_entropy_increase_check(increases)])
+    # chi adds each pair's weighted member entropies in order from +0, where
+    # the +0 term of a zero prior adds nothing, as ``holevo_chi``'s skip does
+    values = np.array([infos, s_rho - _ordered_sums(priors * h[5 * k:], sizes), increases])
+    info, chi, ds = np.where(values > 0.0, values, 0.0)
     return _Analysis(
         priors,
         sizes,
@@ -754,13 +745,13 @@ def _analyse_groups(groups: list[_Group]) -> _Analysis:
         dims,
         by_outcome,
         col_sums,
-        rho,
+        lam,
         members,
         sigma,
         sigma_sizes,
-        np.where(infos > 0.0, infos, 0.0),
-        _chis(priors, sizes, s_rho, h_members),
-        np.where(increases > 0.0, increases, 0.0),
+        info,
+        chi,
+        ds,
     )
 
 

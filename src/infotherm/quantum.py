@@ -44,20 +44,26 @@ def _entropies(flat: np.ndarray, lengths) -> np.ndarray:
     """``_entropy_of_spectrum`` of each consecutive segment of the float
     array ``flat``, of ``lengths`` items each, to the last bit: one clip and
     one ``log2`` for all of them, then one batched ``(K, 1, c) @ (K, c, 1)``
-    product for the K segments with c positive entries each.  Segments are
-    never padded to a common length, because the zeros would change the
-    bits of the dot products."""
+    product for the K segments with c positive entries each, or one
+    ``np.dot`` where a segment alone has c.  Segments are never padded to a
+    common length, because the zeros would change the bits of the dot
+    products."""
     lengths = np.asarray(lengths)
     flat = np.maximum(flat, 0.0)
-    positive = flat > 0.0
-    w = flat[positive]
+    at = (flat > 0.0).nonzero()[0]
+    w = flat[at]
     logs = np.log2(w)
-    # the number of positive entries before each segment, and after the last
-    seen = np.concatenate(([0], np.cumsum(positive)))[np.concatenate(([0], np.cumsum(lengths)))]
-    starts, counts = seen[:-1], seen[1:] - seen[:-1]
+    # each segment's first positive entry in ``w`` and its number of them
+    ends = np.add.accumulate(lengths)
+    starts = at.searchsorted(ends - lengths)
+    counts = at.searchsorted(ends) - starts
     dots = np.zeros(len(lengths))
     for c in set(counts.tolist()) - {0}:
-        ks = np.flatnonzero(counts == c)
+        ks = (counts == c).nonzero()[0]
+        if len(ks) == 1:
+            s = int(starts[ks[0]])
+            dots[ks] = np.dot(w[s:s + c], logs[s:s + c])
+            continue
         idx = starts[ks][:, None] + np.arange(c)
         dots[ks] = (w[idx][:, None, :] @ logs[idx][:, :, None])[:, 0, 0]
     return np.where(-dots > 0.0, -dots, 0.0)
@@ -301,27 +307,9 @@ def holevo_chi(e: Ensemble) -> float:
     Concavity of S makes the true value nonnegative; floating error on a
     saturating ensemble can land a hair below zero, which we clip.
     """
-    return _chi(
-        e.probs,
-        von_neumann_entropy(average_state(e)),
-        [von_neumann_entropy(s) for s in e.states],
-    )
-
-
-def _chi(probs, rho_entropy: float, member_entropies) -> float:
-    """``holevo_chi`` from the entropies of the average state and the members."""
-    cond = sum(p * h for p, h in zip(probs, member_entropies) if p > 0.0)
-    return float(max(0.0, rho_entropy - cond))
-
-
-def _chis(priors: np.ndarray, sizes, rho_entropies: np.ndarray, member_entropies: np.ndarray):
-    """``_chi`` of each of K ensembles, to the last bit, from the flat
-    priors and member entropies of all of them (``sizes`` members each) and
-    the (K,) entropies of their average states: the weighted entropies of
-    each ensemble added in order from +0, where the +0 term of a zero prior
-    adds nothing, as skipping it does."""
-    chi = rho_entropies - _ordered_sums(priors * member_entropies, sizes)
-    return np.where(chi > 0.0, chi, 0.0)
+    s_rho = von_neumann_entropy(average_state(e))
+    cond = sum(p * von_neumann_entropy(s) for p, s in zip(e.probs, e.states) if p > 0.0)
+    return float(max(0.0, s_rho - cond))
 
 
 def ensemble_commutes(e: Ensemble) -> bool:

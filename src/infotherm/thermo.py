@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR, _raise_first_failure
-from .measurement import Povm, _analyse, _Analysis, joint_distribution
+from .measurement import Povm, _analyse_groups, _Analysis, _group, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
 
 STAGE_EXTRACTION = "extraction"
@@ -367,7 +367,7 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     ``SecondLawViolation`` if the net work comes out positive beyond
     tolerance, and ``NumericalFailure`` if it is not finite.
     """
-    a = _analyse(e, v)
+    a = _analyse_groups([_group([(e, v)])])
     booking = _book_cycles(a)
     net = float(booking.nets[0])
     if booking.breaks[0]:

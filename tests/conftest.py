@@ -35,22 +35,10 @@ def in_order(values):
     return total
 
 
-def group(pairs):
-    """The (ensemble, measurement) pairs, all of one dimension, as one
-    ``measurement._Group``, the record a suite draw gives, for the tests
-    that stack arbitrary pairs."""
-    for e, v in pairs:
-        measurement._require_same_dim("ensemble", e.dim, v)
-    states = [s for e, _ in pairs for s in e.states]
-    return measurement._Group(
-        np.array([s.matrix for s in states]),
-        np.array([s._eigenvalues for s in states]),
-        np.concatenate([e.probs for e, _ in pairs]),
-        np.array([e.size for e, _ in pairs]),
-        np.concatenate([v._stack for _, v in pairs]),
-        np.array([v.size for _, v in pairs]),
-        np.array([v.projective for _, v in pairs]),
-    )
+def analyse(pairs):
+    """``measurement._analyse_groups`` of the pairs as one group, as the
+    one-pair callers analyse a pair."""
+    return measurement._analyse_groups([measurement._group(pairs)])
 
 
 def joint_distributions(g):
@@ -58,15 +46,16 @@ def joint_distributions(g):
     return measurement._joint_distributions([g], g.sizes, g.counts, g.priors)
 
 
-def count_eighs(monkeypatch):
-    """Wrap ``np.linalg.eigh``; returns the list that grows by one entry a call."""
-    calls, real = [], np.linalg.eigh
+def count_eighs(monkeypatch, name="eigh"):
+    """Wrap ``np.linalg.eigh``, or the solver ``name``; returns the list
+    that grows by one entry a call."""
+    calls, real = [], getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 

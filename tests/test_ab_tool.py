@@ -17,7 +17,7 @@ def test_an_aa_run_of_two_pgm_blocks_reports_its_ratio():
     )
     assert result.returncode == 0, result.stderr
     human, last = result.stdout.splitlines()
-    assert human.startswith("pgm A/A, input seed 1: ") and human.endswith("blocks of 1 ops")
+    assert human.startswith("pgm A/A, input seed 1: ") and "blocks of 1 ops, " in human
     report = json.loads(last)
     assert [report[key] for key in ("workload", "aa", "seed", "blocks", "ops")] == [
         "pgm", True, 1, 2, 1
@@ -29,6 +29,15 @@ def test_an_aa_run_of_two_pgm_blocks_reports_its_ratio():
     # the warm-up op and two blocks of one op a side run inputs 0, 1 and 2
     assert (report["differing_inputs"], report["inputs"]) == (0, 3)
     assert "outputs differ on 0 of 3 inputs" in human
+    # the call counts are deterministic, so a tree against itself counts the same
+    calls = report["calls_per_op"]
+    assert calls["parent"] == calls["change"]
+    assert calls["parent"]["python"] > 0 and calls["parent"]["c"] > 0
+    assert human.endswith(
+        "Python and C calls per op: "
+        f"parent {calls['parent']['python']:.1f} and {calls['parent']['c']:.1f}; "
+        f"change {calls['change']['python']:.1f} and {calls['change']['c']:.1f}"
+    )
 
 
 def test_a_parent_that_prints_other_digits_differs_on_every_input(tmp_path):

@@ -5,11 +5,11 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import blockcoding, measurement, quantum
+from infotherm import blockcoding, quantum
 from infotherm.blockcoding import DIM_CAP
 from infotherm.errors import BudgetExceeded, ValidationError
 
-from conftest import CHI_TWO_STATE, INFO_HELSTROM, count_eighs
+from conftest import CHI_TWO_STATE, INFO_HELSTROM, analyse, count_eighs
 
 
 class TestSequenceEnsemble:
@@ -167,7 +167,9 @@ class TestPrettyGoodMeasurement:
 
 class TestBlockScanDecomposesOnce:
     """``block_scan`` takes rho's eigendecomposition once, for rho^-1/2,
-    the kernel projector and the record route's sqrt(rho)."""
+    the kernel projector and the record route's sqrt(rho), and three
+    eigenvalue solves: rho's density check, the measurement's element check
+    and the post-measurement spectrum."""
 
     @pytest.mark.parametrize(
         "dim, kind, projective",
@@ -182,8 +184,9 @@ class TestBlockScanDecomposesOnce:
         # is the measurement's last element
         assert povm.size == (3 if dim == 3 else 2)
         calls = count_eighs(monkeypatch)
+        spectra = count_eighs(monkeypatch, "eigvalsh")
         reports = it.block_scan(e, 3)
-        assert len(calls) == 1
+        assert (len(calls), len(spectra)) == (1, 3)
         monkeypatch.undo()
         assert reports == it.block_scan(e, 3)
 
@@ -282,15 +285,14 @@ class TestBlockScan:
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_one_average_state_serves_measurement_and_analysis(self, kind, monkeypatch):
         e, _ = it.random_instance(3, 3, 2, kind, 4)
-        a = measurement._analyse(e, it.pretty_good_measurement(e))
+        a = analyse([(e, it.pretty_good_measurement(e))])
         built = []
 
         def counted(ens):
             built.append(ens)
             return quantum.average_state(ens)
 
-        for module in (blockcoding, measurement):
-            monkeypatch.setattr(module, "average_state", counted)
+        monkeypatch.setattr(blockcoding, "average_state", counted)
         reports = it.block_scan(e, 2)
         assert built == [e]
         for r in reports:

@@ -1158,7 +1158,6 @@ class TestSuiteChunkPass:
                 (measurement, "_joint_distributions"),
                 (measurement, "_post_measurement_spectra"),
                 (quantum, "_entropies"),
-                (quantum, "_chis"),
                 (thermo, "_book_cycles"),
             )
         }
@@ -1314,8 +1313,11 @@ class TestSuiteBuildsNoAverageStates:
         assert len(_csv_rows(csv)) == 50
         assert built == []
         pair = it.random_instance(2, 2, 2, "pure", 0)
-        measurement._analyse(*pair)
         assert set(built) == {"DensityMatrix", "Povm", "Ensemble"}
+        # the one-pair analysis builds none either
+        drawn = len(built)
+        it.evaluate_bounds(*pair)
+        assert len(built) == drawn
         it.joint_distribution(*pair)
         assert set(built) == {"DensityMatrix", "Povm", "Ensemble", "JointDistribution"}
 

@@ -12,6 +12,7 @@ from infotherm.errors import (
     ValidationError,
 )
 import infotherm.measurement as measurement
+import infotherm.quantum as quantum
 from infotherm.linops import is_hermitian
 from infotherm.measurement import (
     _post_measurement_spectrum,
@@ -25,8 +26,6 @@ from conftest import (
     INFO_COMPUTATIONAL,
     INFO_HELSTROM,
     P_HELSTROM_CORRECT,
-    group,
-    joint_distributions,
     mixed_kind_instances,
 )
 
@@ -411,9 +410,9 @@ class TestPostMeasurementSpectrum:
         pairs = [
             it.random_instance(dim, 2, m, kind, [seed, k]) for k, (m, kind) in enumerate(picks)
         ]
-        g = group(pairs)
+        g = measurement._group(pairs)
         assert 0 < g.projective.sum() < len(pairs)
-        (rhos,) = joint_distributions(g)[4]
+        rhos = np.array([quantum._average_matrix(e) for e, _ in pairs])
         return rhos, g.elements, g.counts, g.projective
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -456,6 +455,29 @@ class TestPostMeasurementSpectrum:
         monkeypatch.setattr(measurement, "post_measurement_state", forbidden)
         assert it.delta_s(it.average_state(e), v) == expected_ds
         assert it.run_cycle(e, v).delta_s == expected_ds
+
+
+class TestPartialTraceDimensions:
+    # dimensions numpy's reshape would take or refuse with its own errors
+    @pytest.mark.parametrize("trace", [partial_trace_record, partial_trace_system])
+    @pytest.mark.parametrize(
+        "system_dim, record_dim, message",
+        [
+            (-2, -2, "system_dim must be at least 1, got -2"),
+            (2.0, 2, "system_dim must be an integer, got 2.0"),
+            (True, 4, "system_dim must be an integer, got True"),
+        ],
+    )
+    def test_bad_dimensions_raise_validation_errors(self, trace, system_dim, record_dim, message):
+        with pytest.raises(ValidationError) as info:
+            trace(np.eye(4) / 4, system_dim, record_dim)
+        assert str(info.value) == message
+
+    def test_each_dimension_is_checked(self):
+        with pytest.raises(ValidationError, match=r"^record_dim must be at least 1, got 0$"):
+            partial_trace_record(np.eye(4) / 4, 4, 0)
+        with pytest.raises(DimensionMismatch, match=r"^operator dim 4 is not 2\*3$"):
+            partial_trace_system(np.eye(4) / 4, 2, 3)
 
 
 class TestNaimarkDilation:

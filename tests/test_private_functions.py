@@ -99,5 +99,5 @@ def test_the_guard_sees_unread_functions(tmp_path):
 def test_the_guard_reads_the_package():
     found = _Reader()
     found.visit(ast.parse((PACKAGE / "measurement.py").read_text(encoding="utf-8")))
-    assert {"_analyse", "_analyse_groups", "_joint_distributions"} <= dict(found.defined).keys()
+    assert {"_group", "_analyse_groups", "_joint_distributions"} <= dict(found.defined).keys()
     assert "_povm_flags" in found.read

@@ -1,18 +1,19 @@
-"""The stacked draw and analysis against the per-pair arithmetic they replace.
+"""The stacked draw and analysis against the public one-pair functions.
 
-``_joint_distributions`` and ``_analyse_groups`` are the stacked forms of
-``joint_distribution`` and ``_analyse``, which keep their own one-pair path;
-both analyses give one flat ``_Analysis`` record, ``_analyse`` a record of
-one pair.  The average states ``_joint_distributions`` sums are the stacked
-form of ``_average_matrix``; ``Ensemble``'s prior check is the one-item case
-of ``_probability_checks``; ``_entropies`` is the stacked form of
-``_entropy_of_spectrum``; ``_ordered_sums`` adds many segments each in
-order from +0, the one summation rule both paths use for probabilities.  A
-stack must give each item, bit for bit, what the per-pair arithmetic gives
-it, so a wrong pairing or summation order fails; a stack with failing items
-raises what the single call raises for the lowest-index one.  The joint
-tables of the widest pairs are also checked against their definition in
-Python floats.
+``_analyse_groups`` is the one analysis: the suite hands it a group a
+dimension, and ``evaluate_bounds``, ``run_cycle`` and ``block_scan`` a group
+of one pair (``_group``).  Each pair's part of its flat ``_Analysis`` record
+must be, bit for bit, what ``mutual_information``, ``holevo_chi``,
+``delta_s`` and ``joint_distribution`` give that pair alone, so a wrong
+pairing or summation order fails.  ``_joint_distributions`` is the stacked
+form of ``joint_distribution``; the average states the analysis sums are
+the stacked form of ``_average_matrix``; ``Ensemble``'s prior check is the
+one-item case of ``_probability_checks``; ``_entropies`` is the stacked
+form of ``_entropy_of_spectrum``; ``_ordered_sums`` adds many segments each
+in order from +0, the one summation rule for probabilities.  A stack with
+failing items raises what the single call raises for the lowest-index one.
+The joint tables of the widest pairs are also checked against their
+definition in Python floats.
 """
 import math
 
@@ -20,11 +21,11 @@ import numpy as np
 import pytest
 
 import infotherm as it
-from infotherm import bounds, linops, measurement, quantum
-from infotherm.errors import NumericalFailure, ValidationError
+from infotherm import blockcoding, bounds, linops, measurement, quantum, thermo
+from infotherm.errors import DimensionMismatch, NumericalFailure, ValidationError
 from infotherm.linops import _segments
 
-from conftest import group, in_order, joint_distributions
+from conftest import analyse, in_order, joint_distributions
 
 
 def single_error(call, item):
@@ -86,7 +87,7 @@ def analysed(pairs):
     """Each pair's parts of the analysis of ``pairs`` as one group: its
     table outcome-major (m, n), outcome probabilities, rho spectrum, member
     spectra (n, d), sigma spectrum, I, chi and delta_s."""
-    a = measurement._analyse_groups([group(pairs)])
+    a = analyse(pairs)
     d = int(a.dims[0])
     assert a.dims.tolist() == [d] * len(pairs)
     assert a.rho_spectra.shape == (len(pairs) * d,)
@@ -115,12 +116,11 @@ class TestStackedPairsMatchPerPair:
 
     def test_joint_tables_and_their_sums(self, dim, seed):
         pairs = self.pairs(dim, seed)
-        g = group(pairs)
-        tables, by_outcome, rows, cols, (averages,) = joint_distributions(g)
+        g = measurement._group(pairs)
+        tables, by_outcome, rows, cols = joint_distributions(g)
         cells = (g.sizes * g.counts).tolist()
         assert tables.shape == by_outcome.shape == (sum(cells),)
         assert rows.shape == (g.sizes.sum(),) and cols.shape == (g.counts.sum(),)
-        assert len(averages) == len(pairs)
         for (e, v), table, outcome_major, row_sums, col_sums in zip(
             pairs,
             _segments(tables, cells),
@@ -156,23 +156,6 @@ class TestStackedPairsMatchPerPair:
             for w, s in zip(mu, e.states):
                 assert w.tobytes() == s.spectrum().tobytes()
 
-    def test_analysis_equals_the_one_pair_analysis(self, dim, seed):
-        pairs = self.pairs(dim, seed)
-        for (e, v), parts in zip(pairs, analysed(pairs)):
-            table, q, lam, mu, sigma, info, chi, ds = parts
-            a = measurement._analyse(e, v)
-            assert (a.sizes.tolist(), a.counts.tolist()) == ([e.size], [v.size])
-            assert (a.projective.tolist(), a.dims.tolist()) == ([v.projective], [e.dim])
-            assert a.priors is e.probs
-            assert table.tobytes() == a.by_outcome.tobytes()
-            assert table.shape == (a.counts[0], a.sizes[0])
-            assert q.tobytes() == a.outcome_probs.tobytes()
-            assert lam.tobytes() == a.rho_spectra.tobytes()
-            assert mu.tobytes() == a.member_spectra.tobytes()
-            assert sigma.tobytes() == a.sigma_spectra.tobytes()
-            assert a.sigma_sizes.tolist() == [sigma.size]
-            assert (a.info.tolist(), a.chi.tolist(), a.delta_s.tolist()) == ([info], [chi], [ds])
-
     def test_the_one_pair_analysis_takes_each_sum_once(self, dim, seed, monkeypatch):
         # the table's row sums, its total (the table check) and its column
         # sums, each once, whatever the pair
@@ -182,30 +165,69 @@ class TestStackedPairsMatchPerPair:
         monkeypatch.setattr(
             measurement, "_row_sums", lambda a: shapes.append(a.shape) or real_row_sums(a)
         )
-        measurement._analyse(e, v)
+        analyse([(e, v)])
         assert shapes == [(e.size, v.size), (1, e.size * v.size), (v.size, e.size)]
 
-    def test_average_matrices(self, dim, seed):
+    def test_average_matrices(self, dim, seed, monkeypatch):
+        # the average states the analysis checks, as one stack
         pairs = self.pairs(dim, seed)
-        (stacked,) = joint_distributions(group(pairs))[4]
+        checked, real = [], measurement._density_eigenvalues
+        monkeypatch.setattr(
+            measurement, "_density_eigenvalues", lambda a: checked.append(a) or real(a)
+        )
+        analyse(pairs)
+        (stacked,) = checked
         assert stacked.shape == (len(pairs), dim, dim)
         for (e, _), acc in zip(pairs, stacked):
             assert acc.tobytes() == quantum._average_matrix(e).tobytes()
 
 
-def test_both_analyses_give_one_flat_record():
+def test_the_analysis_gives_one_flat_record():
     # the draw's seven fields, and one analysis record whose draw fields
     # are the pairs' own, joined in order
     pairs = instances(3, 0, count=6)
-    one = measurement._analyse(*pairs[0])
-    stacked = measurement._analyse_groups([group(pairs)])
-    assert type(one) is type(stacked) is measurement._Analysis
+    stacked = analyse(pairs)
+    assert type(stacked) is measurement._Analysis
     assert len(measurement._Group._fields) == 7
     assert stacked.priors.tobytes() == np.concatenate([e.probs for e, _ in pairs]).tobytes()
     assert stacked.sizes.tolist() == [e.size for e, _ in pairs]
     assert stacked.counts.tolist() == [v.size for _, v in pairs]
     assert stacked.projective.tolist() == [v.projective for _, v in pairs]
     assert stacked.dims.tolist() == [3] * len(pairs)
+
+
+class TestOnePairCallers:
+    # evaluate_bounds, run_cycle and block_scan analyse their pair as a
+    # group of one, and only block_scan hands over its rho
+    CALLERS = {
+        "evaluate_bounds": (bounds, lambda e, v: it.evaluate_bounds(e, v), False),
+        "run_cycle": (thermo, lambda e, v: it.run_cycle(e, v), False),
+        "block_scan": (blockcoding, lambda e, v: it.block_scan(e, 2), True),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_each_caller_analyses_one_group_of_one_pair(self, caller, monkeypatch):
+        module, call, kept_rho = self.CALLERS[caller]
+        e, v = it.random_instance(3, 3, 4, "mixed", 1)
+        seen, real = [], measurement._analyse_groups
+
+        def recording(groups, rho=None):
+            seen.append((groups, rho))
+            return real(groups, rho)
+
+        monkeypatch.setattr(module, "_analyse_groups", recording)
+        call(e, v)
+        ((groups, rho),) = seen
+        assert [g.sizes.tolist() for g in groups] == [[e.size]]
+        assert (rho is not None) == kept_rho
+
+    @pytest.mark.parametrize("caller", ["evaluate_bounds", "run_cycle"])
+    def test_a_measurement_of_another_dimension_raises_first(self, caller):
+        e, _ = it.random_instance(2, 2, 2, "mixed", 1)
+        _, v = it.random_instance(3, 2, 3, "mixed", 1)
+        with pytest.raises(DimensionMismatch) as info:
+            self.CALLERS[caller][1](e, v)
+        assert str(info.value) == "ensemble dim 2 vs measurement dim 3"
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
@@ -248,8 +270,8 @@ class TestGatheredProducts:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_one_product_per_table_entry(self, dim, monkeypatch):
         pairs = instances(dim, 3) + edge_pairs(dim)
-        g = group(pairs)
-        *expected, (averages,) = joint_distributions(g)
+        g = measurement._group(pairs)
+        expected = joint_distributions(g)
         gathered = []
 
         class Recording(np.ndarray):
@@ -259,8 +281,8 @@ class TestGatheredProducts:
                 return np.asarray(super().__getitem__(index))
 
         spied = g._replace(states=g.states.view(Recording), elements=g.elements.view(Recording))
-        *got, (spied_averages,) = joint_distributions(spied)
-        for a, b in zip(got + [spied_averages], expected + [averages]):
+        got = joint_distributions(spied)
+        for a, b in zip(got, expected):
             assert np.asarray(a).tobytes() == b.tobytes()
         cells = sum(e.size * v.size for e, v in pairs)
         assert gathered == [cells, cells]
@@ -417,7 +439,7 @@ class TestJointStackErrors:
 
     @staticmethod
     def stacked(pairs):
-        return joint_distributions(group(pairs))
+        return joint_distributions(measurement._group(pairs))
 
     @staticmethod
     def single(pair):
@@ -449,10 +471,9 @@ class TestJointStackErrors:
         low = np.diag([-5e-10, 0.5])
         short = qubit_pair([1.0], [self.KET1], [low, np.eye(2) - low])
         pairs = [short, self.good()]
-        tables, _, _, _, (averages,) = self.stacked(pairs)
-        for pair, table, acc in zip(pairs, _segments(tables, [2, 4]), averages):
+        tables = self.stacked(pairs)[0]
+        for pair, table in zip(pairs, _segments(tables, [2, 4])):
             assert table.tobytes() == self.single(pair).matrix.tobytes()
-            assert acc.tobytes() == quantum._average_matrix(pair[0]).tobytes()
 
 
 class TestUnitarityStack:

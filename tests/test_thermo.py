@@ -18,7 +18,7 @@ from conftest import (
     INFO_COMPUTATIONAL,
     NET_COMPUTATIONAL,
     NET_HELSTROM,
-    group,
+    analyse,
     mixed_kind_instances,
 )
 
@@ -469,7 +469,7 @@ class TestStackedBooking:
     def test_the_floor_pairs_book_exactly_the_rows_above_the_floor(self):
         # the weights at WEIGHT_FLOOR get no row, the ones an ulp above do
         for e, v in floor_pairs():
-            a = measurement._analyse(e, v)
+            a = analyse([(e, v)])
             assert len(it.run_cycle(e, v).entries) == len(oracle_rows(e, a)) + 3
         e, v = floor_pairs()[2]
         assert [en.description for en in it.extraction_stage(e, v)][:1] == [
@@ -478,7 +478,7 @@ class TestStackedBooking:
 
     def test_one_pair_works_equal_the_per_row_oracle(self):
         for e, v in kernel_pairs():
-            a = measurement._analyse(e, v)
+            a = analyse([(e, v)])
             rows = oracle_rows(e, a)
             ledger = it.run_cycle(e, v)
             free = [en.description.startswith(("attach", "rotate")) for en in ledger.entries]
@@ -492,11 +492,11 @@ class TestStackedBooking:
         # in its own row, in the record's order, as the suite books; the
         # oracle reads each pair's one-pair analysis
         pairs = kernel_pairs()
-        analyses = [measurement._analyse(e, v) for e, v in pairs]
+        analyses = [analyse([(e, v)]) for e, v in pairs]
         groups, order = [], []
         for dim in sorted({e.dim for e, _ in pairs}):
             ks = [k for k, (e, _) in enumerate(pairs) if e.dim == dim]
-            groups.append(group([pairs[k] for k in ks]))
+            groups.append(measurement._group([pairs[k] for k in ks]))
             order += ks
         assert order != sorted(order)
         booking = thermo._book_cycles(measurement._analyse_groups(groups))
@@ -568,7 +568,7 @@ class TestSuiteChunkBooking:
     def alone(trial, kind, dim, n, m):
         """A chunk trial drawn and analysed on its own."""
         e, v = it.random_instance(dim, n, m, kind, [5, trial, 1])
-        return e, measurement._analyse(e, v)
+        return e, analyse([(e, v)])
 
     @pytest.mark.parametrize("first, second", [("nan", "inf"), ("inf", "nan")])
     def test_the_lowest_non_finite_trial_raises(self, first, second, monkeypatch):

@@ -22,8 +22,12 @@ quartiles [Q1, Q3], a 95% bootstrap confidence interval of that median
 (percentiles of the medians of 2000 seeded resamples of the blocks), the
 number of inputs whose outputs differ byte for byte between the sides
 (the pgm and suite CSVs, optimize's returned elements and report), so a
-change meant to keep every output shows that it did, and the number of
-blocks the change won (ratio below 1); the last line is the same as JSON.
+change meant to keep every output shows that it did, the number of
+blocks the change won (ratio below 1), and each side's Python and C calls
+per op, counted by ``sys.setprofile`` over one untimed op on each input
+after the timed blocks; the last line is the same as JSON.  The call
+counts do not depend on the machine's speed, so they show a change in
+fixed per-op cost that the ratio's noise can hide.
 Separate processes misread few-percent moves on a shared machine; two
 trees loaded in one process see the same machine state block by block.  Longer blocks have read the
 suite more in the change's favour than the benchmark does (CHANGES.md),
@@ -115,6 +119,29 @@ class Side:
         self.outputs.setdefault(index, set()).add(output_bytes(inp, result))
         return wall
 
+    def calls_per_op(self) -> tuple[float, float]:
+        """Python and C function calls per op, counted by ``sys.setprofile``
+        over one untimed op on each input; the outputs are checked, not
+        kept."""
+        counts = {"call": 0, "c_call": 0}
+
+        def profile(frame, event, arg):
+            if event in counts:
+                counts[event] += 1
+
+        for inp in self.inputs:
+            self.workload.prepare(inp)
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                sys.setprofile(profile)
+                try:
+                    result = self.workload.run(inp)
+                finally:
+                    sys.setprofile(None)
+            reason = self.workload.check(inp, result)
+            if reason is not None:
+                raise SystemExit(f"op failed its check: {reason}")
+        return counts["call"] / len(self.inputs), counts["c_call"] / len(self.inputs)
+
 
 def output_bytes(inp, result) -> bytes:
     """An op's output: the CSV it wrote (suite, pgm), or the elements and
@@ -191,6 +218,7 @@ def main(argv=None) -> int:
         change = Side(load_side(ROOT), args.workload, args.seed, change_dir)
         ratios = run(parent, change, args.blocks, args.ops)
         differing, inputs = differing_inputs(parent, change)
+        calls = {"parent": parent.calls_per_op(), "change": change.calls_per_op()}
     median, q1, q3 = quartiles(ratios)
     ci_low, ci_high = bootstrap_ci(ratios)
     wins = sum(r < 1.0 for r in ratios)
@@ -200,13 +228,16 @@ def main(argv=None) -> int:
         f"{median:.3f} [Q1 {q1:.3f}, Q3 {q3:.3f}], "
         f"95% CI [{ci_low:.3f}, {ci_high:.3f}], "
         f"outputs differ on {differing} of {inputs} inputs, "
-        f"change faster in {wins}/{len(ratios)} blocks of {args.ops} ops"
+        f"change faster in {wins}/{len(ratios)} blocks of {args.ops} ops, "
+        "Python and C calls per op: "
+        + "; ".join(f"{side} {py:.1f} and {c:.1f}" for side, (py, c) in calls.items())
     )
     print(json.dumps({
         "workload": args.workload, "aa": args.aa, "seed": args.seed,
         "blocks": len(ratios), "ops": args.ops,
         "median": median, "q1": q1, "q3": q3, "ci_low": ci_low, "ci_high": ci_high,
         "wins": wins, "differing_inputs": differing, "inputs": inputs,
+        "calls_per_op": {side: {"python": py, "c": c} for side, (py, c) in calls.items()},
     }))
     return 0
 
