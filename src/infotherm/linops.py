@@ -179,11 +179,8 @@ def _ordered_sums(items: np.ndarray, lengths) -> np.ndarray:
     already share it) and summed by one ``np.add.accumulate`` along the
     rows, plus +0: a sum begun at the first item differs from one begun at
     +0 only by a -0 result, which the +0 turns into +0, and a trailing +0
-    changes no other sum.  A lone nonempty segment is accumulated as it
-    is, with no layout."""
+    changes no other sum."""
     lengths = np.asarray(lengths)
-    if len(lengths) == 1 and len(items):
-        return np.add.accumulate(items)[-1:] + 0.0
     width = max(int(lengths.max(initial=0)), 1)
     # the segments share the length ``width`` if and only if they fill K rows of it
     if len(items) == len(lengths) * width:

@@ -341,7 +341,7 @@ def _joint_table(probs: np.ndarray, states: np.ndarray, elements: np.ndarray):
     """``joint_distribution``'s checked, read-only table of the priors
     ``probs``, the stacked member states and the stacked elements, from one
     broadcast product, and its row sums."""
-    raw = probs[:, None] * np.trace(elements @ states[:, None], axis1=2, axis2=3).real
+    raw = probs[:, None] * (elements @ states[:, None]).trace(axis1=2, axis2=3).real
     table = np.maximum(raw, 0.0)
     rows = _row_sums(table)
     drift = np.abs(rows - probs).max(keepdims=True)
@@ -480,18 +480,11 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
 
 def _post_measurement_spectrum(r: DensityMatrix, v: Povm) -> np.ndarray:
     """Eigenvalues of ``post_measurement_state(r, v)``, ascending, clipped
-    to be nonnegative, without building the system-record state: the
-    one-pair case of ``_post_measurement_spectra``'s route for ``v``, the
-    record route's sqrt(rho) from ``r``'s kept eigendecomposition."""
+    to be nonnegative, without building the system-record state:
+    ``_post_measurement_spectra`` of one stack of one pair, the record
+    route's sqrt(rho) from ``r``'s kept eigendecomposition."""
     _require_same_dim("state", r.dim, v)
-    counts = np.array([v.size])
-    if v.projective:
-        spectrum, _, checks = _dephased_spectra(r.matrix[None], v._stack, counts)
-    else:
-        blocks = _root_spectra(r._function(np.sqrt)[None], v._stack, counts)
-        spectrum, _, checks = _record_unions(*blocks)
-    _raise_first_failure(checks)
-    return spectrum
+    return _post_measurement_spectra([(r.matrix[None], v._stack, [v.size], [v.projective])], r)[0]
 
 
 def _post_measurement_spectra(stacks, rho: DensityMatrix | None = None):
@@ -499,39 +492,29 @@ def _post_measurement_spectra(stacks, rho: DensityMatrix | None = None):
     each (rhos, elements, counts, projective): checked (K, d, d) states,
     state k measured by ``counts[k]`` consecutive elements of the (M, d, d)
     ``elements``, projectively where ``projective[k]``.  Each stack's
-    projective pairs take one ``_dephased_spectra``; the rest take one
-    stacked sqrt(rho) and one ``_root_spectra``, and every stack's general
-    pairs one ``_record_unions``.  ``rho``, given for one stack of one
-    state, is that state, whose kept eigendecomposition gives its
-    sqrt(rho).  Returns the spectra in pair order, stack after stack, flat,
-    and their lengths.  The checks of all routes run as one stack, so the
-    lowest failing pair, counted stack after stack, raises with its own
-    route's message; only each sqrt(rho) is checked first, as it is
-    taken."""
-    parts, general, total = [], [], 0
+    projective pairs take one ``_dephased_spectra``; its other pairs take
+    one stacked sqrt(rho), one ``_root_spectra`` and one ``_record_unions``
+    (``records``).  ``rho``, given for one stack of one state, is that
+    state, whose kept eigendecomposition gives its sqrt(rho).  Returns the
+    spectra in pair order, stack after stack, flat, and their lengths.  The
+    checks of all routes run as one stack, so the lowest failing pair,
+    counted stack after stack, raises with its own route's message; only
+    each sqrt(rho) is checked first, as it is taken."""
+    def records(rhos, elements, counts):
+        roots = _psd_function_stack(rhos, np.sqrt) if rho is None else rho._function(np.sqrt)[None]
+        return _record_unions(*_root_spectra(roots, elements, counts))
+
+    parts, total = [], 0
     for rhos, elements, counts, projective in stacks:
         counts, projective = np.asarray(counts), np.asarray(projective, dtype=bool)
-        for flags, found in ((projective, parts), (~projective, general)):
+        for route, flags in ((_dephased_spectra, projective), (records, ~projective)):
             pairs = flags.nonzero()[0]
-            if not pairs.size:
-                continue
-            states, stack, lengths = rhos, elements, counts
-            if pairs.size < len(flags):
-                states, stack, lengths = rhos[pairs], elements[flags.repeat(counts)], counts[pairs]
-            if found is parts:
-                found.append((total + pairs, *_dephased_spectra(states, stack, lengths)))
-                continue
-            if rho is None:
-                roots = _psd_function_stack(states, np.sqrt)
-            else:
-                roots = rho._function(np.sqrt)[None]
-            found.append((total + pairs, *_root_spectra(roots, stack, lengths)))
+            if pairs.size == len(flags):
+                parts.append((total + pairs, *route(rhos, elements, counts)))
+            elif pairs.size:
+                lanes = flags.repeat(counts)
+                parts.append((total + pairs, *route(rhos[pairs], elements[lanes], counts[pairs])))
         total += len(counts)
-    if len(general) > 1:
-        general = [[np.concatenate(part) for part in zip(*general)]]
-    if general:
-        pairs, spectra, lengths = general[0]
-        parts.append((pairs, *_record_unions(spectra, lengths)))
     if len(parts) == 1:
         _raise_first_failure(parts[0][3])
         return parts[0][1:3]
@@ -551,7 +534,7 @@ def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarr
     change in the printed digits.  Each pair's products are added in
     order, as ``_dephased_matrix`` adds them.  Returns the clipped spectra,
     flat, their lengths, and the dephased states' density checks."""
-    products = projectors @ np.repeat(rhos, counts, axis=0) @ projectors
+    products = projectors @ rhos.repeat(counts, axis=0) @ projectors
     w, checks = _density_spectra(_ordered_sums(products, counts))
     return np.maximum(w, 0.0).ravel(), np.full(len(counts), w.shape[1]), checks
 
@@ -564,7 +547,7 @@ def _root_spectra(roots: np.ndarray, elements: np.ndarray, counts: np.ndarray):
     each state of a (K, d, d) stack under its ``counts[k]`` consecutive
     elements, from the stack ``roots`` of sqrt(rho) and one batched
     ``eigvalsh``, flat, and each union's length."""
-    roots = np.repeat(roots, counts, axis=0)
+    roots = roots.repeat(counts, axis=0)
     spectra = np.linalg.eigvalsh(roots @ elements @ roots)
     return spectra.ravel(), counts * spectra.shape[1]
 
@@ -684,13 +667,6 @@ def _pairs(g: _Group) -> list[tuple[Ensemble, Povm]]:
     return list(zip(ensembles, povms))
 
 
-def _joined(groups, *names: str) -> list[np.ndarray]:
-    """Fields of consecutive groups, each as one flat array."""
-    if len(groups) == 1:
-        return [getattr(groups[0], name).reshape(-1) for name in names]
-    return [np.concatenate([getattr(g, name).reshape(-1) for g in groups]) for name in names]
-
-
 def _analyse_groups(groups: list[_Group], rho: DensityMatrix | None = None) -> _Analysis:
     """The ``_Analysis`` of every pair of the groups, group after group,
     with the arithmetic and checks of ``mutual_information``,
@@ -707,8 +683,12 @@ def _analyse_groups(groups: list[_Group], rho: DensityMatrix | None = None) -> _
     own error.  ``rho``, given for one group of one pair (``_group``), is
     that pair's checked average state, whose eigenvalues and kept
     eigendecomposition the analysis reads in place of its own."""
-    sizes, counts, priors, projective, members = _joined(
-        groups, "sizes", "counts", "priors", "projective", "eigenvalues"
+    # the groups' fields, each as one flat array; a lone group's as they are
+    fields = [
+        (g.sizes, g.counts, g.priors, g.projective, g.eigenvalues.reshape(-1)) for g in groups
+    ]
+    sizes, counts, priors, projective, members = (
+        fields[0] if len(fields) == 1 else [np.concatenate(parts) for parts in zip(*fields)]
     )
     tables, by_outcome, row_sums, col_sums = _joint_distributions(groups, sizes, counts, priors)
     if rho is None:

@@ -44,10 +44,9 @@ def _entropies(flat: np.ndarray, lengths) -> np.ndarray:
     """``_entropy_of_spectrum`` of each consecutive segment of the float
     array ``flat``, of ``lengths`` items each, to the last bit: one clip and
     one ``log2`` for all of them, then one batched ``(K, 1, c) @ (K, c, 1)``
-    product for the K segments with c positive entries each, or one
-    ``np.dot`` where a segment alone has c.  Segments are never padded to a
-    common length, because the zeros would change the bits of the dot
-    products."""
+    product for the K segments with c positive entries each.  Segments are
+    never padded to a common length, because the zeros would change the
+    bits of the dot products."""
     lengths = np.asarray(lengths)
     flat = np.maximum(flat, 0.0)
     at = (flat > 0.0).nonzero()[0]
@@ -60,10 +59,6 @@ def _entropies(flat: np.ndarray, lengths) -> np.ndarray:
     dots = np.zeros(len(lengths))
     for c in set(counts.tolist()) - {0}:
         ks = (counts == c).nonzero()[0]
-        if len(ks) == 1:
-            s = int(starts[ks[0]])
-            dots[ks] = np.dot(w[s:s + c], logs[s:s + c])
-            continue
         idx = starts[ks][:, None] + np.arange(c)
         dots[ks] = (w[idx][:, None, :] @ logs[idx][:, :, None])[:, 0, 0]
     return np.where(-dots > 0.0, -dots, 0.0)
