@@ -17,6 +17,7 @@ from .errors import BudgetExceeded, ToolkitError, UnsupportedDimension, Validati
 from .linops import (
     BOUND_TOL,
     CONVERGENCE_TOL,
+    PSD_EPSILON,
     _decomposition_checks,
     _eigenvalue_floor_check,
     _eigenvalue_function,
@@ -50,11 +51,11 @@ METHODS = ("qubit_grid", "random_restart_ascent")
 #: The largest ``grid_points``: the qubit lattice's memory grows as its square.
 GRID_CAP = 1000
 #: The ascent's work cap.  A restart scores its start and up to
-#: max_iterations steps, each about 8-15 ns an n d^4 term for n states of
-#: dimension d (timed at d = 8-24, one BLAS thread on a 2-vCPU VM) plus
-#: numpy's fixed cost, about 55-80 us at d <= 4, counted as
-#: ASCENT_STEP_WORK more terms.  Both were set when a step took 10-15 ns a
-#: term and about 150 us fixed, so an admitted run takes at most about 10 s.
+#: max_iterations steps, each about 7-9 ns an n d^4 term for n states of
+#: dimension d (runs at the cap at d = 12-24, one BLAS thread on a 2-vCPU
+#: VM) plus numpy's fixed cost, about 45 us a step alone at d = 4 and 18 us
+#: a restart's step in lockstep with 7 others, counted as ASCENT_STEP_WORK
+#: more terms.  The slowest admitted run timed took about 4.4 s.
 ASCENT_WORK_CAP = 6 * 10**8
 ASCENT_STEP_WORK = 10**4
 #: The ascent checks a restart's steps in blocks of this many: a full
@@ -62,6 +63,9 @@ ASCENT_STEP_WORK = 10**4
 #: steps held stay few at any max_iterations, while a block's stacked
 #: checks cost little more a step than one stack for the whole restart.
 _STEP_BLOCK = 32
+#: Restarts run in lockstep in groups whose R d^4 gradient and R n d^2 table
+#: entries stay within this many: 8 at d = 16 (8 MiB) took 1.2 times as long.
+_LOCKSTEP_ENTRIES = 2**16
 #: The ensemble kinds ``random_instance`` draws.
 _KINDS = ("pure", "mixed", "commuting")
 
@@ -218,19 +222,21 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     retried.  A step that loses information is retried with half the
     ``eps``; a restart ends when an accepted step gains less than
     ``convergence_tol`` or after ``max_iterations`` steps.  Restarts draw
-    from one seeded generator and the best one wins.  A run whose work
-    passes ``ASCENT_WORK_CAP`` raises ``BudgetExceeded`` before any step.
+    in turn from one seeded generator, run in lockstep (``_ascent_lockstep``)
+    and the first best wins.  A run whose work passes ``ASCENT_WORK_CAP``
+    raises ``BudgetExceeded`` before any step.
 
-    The steps check nothing as they go, except that S is finite and its
-    eigensolve succeeds: each records what the checks of ``psd_function``,
-    ``JointDistribution`` and ``mutual_information`` read, and the checks
-    run stacked once per block of ``_STEP_BLOCK`` steps and at the end of
-    the restart (``_StepChecks``).  The first failing step raises its own
-    error.  The
-    steps run under numpy error settings that raise wherever the caller's
-    would warn or raise: a step after a failing one may compute on values
-    its checks would have refused, so such a restart runs again with each
-    step checked as it goes, and raises or warns as that step does.
+    The steps check nothing as they go, except that S is finite: each
+    records what the checks of ``psd_function``, ``JointDistribution`` and
+    ``mutual_information`` read, and the checks run stacked once per block
+    of ``_STEP_BLOCK`` steps and at the end (``_StepChecks``).  The steps
+    run under numpy error settings that raise wherever the caller's would
+    warn or raise, and on the invalid flag a failed eigensolve sets.  A
+    lockstep run that raises runs again restart by restart, so the lowest
+    failing restart raises.  A step after a failing one may compute on
+    values its checks would have refused, so a restart that would warn
+    runs again with each step checked as it goes, and raises or warns as
+    that step does.
     """
     d, outcomes = e.dim, e.dim * e.dim
     # Python ints, as numpy integers from the config could wrap
@@ -244,44 +250,50 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     rng = np.random.default_rng(cfg.seed)
     probs = e.probs
     weighted = probs[:, None, None] * np.stack([s.matrix for s in e.states])
-    strict = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
+    strict = {k: "raise" if k == "invalid" or m != "ignore" else m for k, m in np.geterr().items()}
 
-    best_kets = None
-    best_value = -np.inf
-    for _ in range(cfg.restarts):
-        start = rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
-        try:
-            with np.errstate(**strict):
-                kets, value = _ascent_restart(start, weighted, probs, cfg, _StepChecks())
-        except FloatingPointError:
-            kets, value = _ascent_restart(start, weighted, probs, cfg, _StepChecks(eager=True))
-        if value > best_value:
-            best_value = value
-            best_kets = kets
-    return _rank_one_povm(best_kets)
+    def ascent(run, starts, eager=False):
+        with np.errstate(**({} if eager else strict)):
+            return run(starts, weighted, probs, cfg, _StepChecks(eager))
+
+    runs, group = [], max(1, _LOCKSTEP_ENTRIES // (d**4 + e.size * outcomes))
+    for first in range(0, cfg.restarts, group):
+        starts = [rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
+                  for _ in range(min(group, cfg.restarts - first))]
+        if len(starts) > 1:
+            try:
+                runs += ascent(_ascent_lockstep, np.array(starts))
+                continue
+            except (FloatingPointError, ToolkitError):
+                pass  # each runs again alone, in turn
+        for start in starts:
+            try:
+                runs.append(ascent(_ascent_restart, start))
+            except FloatingPointError:
+                runs.append(ascent(_ascent_restart, start, eager=True))
+    kets, _ = max(runs, key=lambda run: run[1])  # the first best
+    return _rank_one_povm(kets)
 
 
 def _ascent_restart(start, weighted, probs, cfg: OptimizerConfig, checks: _StepChecks):
-    """One restart of the ascent from the (d, K) kets ``start``, each step
-    recording its checks in ``checks``, which runs the checks held at the
-    end and before anything inside the restart raises, so an earlier
-    failing step raises first.  Returns the final kets and their I."""
+    """``_ascent_lockstep`` of one restart from the (d, K) kets ``start``, on
+    2-D arrays, which cost less a numpy call than a stack of one."""
+    priors, ratio = probs[:, None], np.empty((len(probs), start.shape[1]))
     try:
         kets = _normalised(start, checks)
-        logs, value = _ascent_score(kets, weighted, probs, checks)
-        eps, direction = 1.0, None
+        logs, value = _ascent_score(kets, weighted, priors, ratio, checks)
+        value, eps, direction = max(0.0, value), 1.0, None
         for _ in range(cfg.max_iterations):
-            if direction is None:
-                # R_k phi_k at the accepted point, kept while its step is retried
-                r = np.einsum("ik,iab->kab", logs, weighted)
-                direction = np.einsum("kab,bk->ak", r, kets)
+            if direction is None:  # R_k phi_k at the accepted point, kept while it is retried
+                direction = np.einsum("kab,bk->ak", np.einsum("ik,iab->kab", logs, weighted), kets)
             trial = _normalised(kets + eps * direction, checks)
-            trial_logs, trial_value = _ascent_score(trial, weighted, probs, checks)
+            trial_logs, trial_value = _ascent_score(trial, weighted, priors, ratio, checks)
+            trial_value = max(0.0, trial_value)
             if trial_value < value:
                 eps *= 0.5
                 continue
-            gained = trial_value - value
-            kets, logs, value, direction = trial, trial_logs, trial_value, None
+            gained, value = trial_value - value, trial_value
+            kets, logs, direction = trial, trial_logs, None
             if gained < cfg.convergence_tol:
                 break
     except ToolkitError:
@@ -289,6 +301,49 @@ def _ascent_restart(start, weighted, probs, cfg: OptimizerConfig, checks: _StepC
         raise
     checks.run()
     return kets, value
+
+
+def _ascent_lockstep(starts, weighted, probs, cfg: OptimizerConfig, checks: _StepChecks):
+    """The ascent from each of the (R, d, K) kets ``starts``, to the bits each
+    reaches alone: a step moves every restart still going, each with its own
+    eps, I and stop.  ``checks`` runs the checks held at the end and before
+    anything inside raises.  Returns each restart's final kets and I."""
+    priors, ratio = probs[:, None], np.empty((len(starts), len(probs), starts.shape[2]))
+    rows, done = list(range(len(starts))), {}
+    try:
+        kets = _normalised(starts, checks)
+        logs, values = _ascent_score(kets, weighted, priors, ratio, checks)
+        values = [max(0.0, x) for x in values.tolist()]
+        # each restart's eps, complex as numpy casts it for the step
+        eps, direction = np.ones((len(rows), 1, 1), dtype=complex), None
+        for _ in range(cfg.max_iterations):
+            if direction is None:
+                r = np.einsum("rik,iab->rkab", logs, weighted)
+                direction = np.einsum("rkab,rbk->rak", r, kets)
+            trial = _normalised(kets + eps * direction, checks)
+            trial_logs, trial_values = _ascent_score(trial, weighted, priors, ratio, checks)
+            tried = list(zip([max(0.0, x) for x in trial_values.tolist()], values))
+            retried = [row for row, (new, old) in enumerate(tried) if new < old]
+            if retried:  # only then are the stacks indexed
+                eps[retried] *= 0.5
+                if len(retried) == len(rows):
+                    continue
+                trial[retried], trial_logs[retried] = kets[retried], logs[retried]
+            going = [row for row, (new, old) in enumerate(tried)
+                     if new < old or not new - old < cfg.convergence_tol]
+            kets, logs, values, direction = trial, trial_logs, [max(x) for x in tried], None
+            if len(going) < len(rows):
+                done.update(zip(rows, zip(kets, values)))
+                kets, logs, eps, ratio = kets[going], logs[going], eps[going], ratio[: len(going)]
+                rows, values = [rows[row] for row in going], [values[row] for row in going]
+                if not rows:
+                    break
+        done.update(zip(rows, zip(kets, values)))
+    except ToolkitError:
+        checks.run()
+        raise
+    checks.run()
+    return [done[row] for row in range(len(starts))]
 
 
 class _StepChecks:
@@ -299,11 +354,12 @@ class _StepChecks:
     S = K K+ with the eigenvalues w and eigenvectors v its eigensolve gave,
     then f(w), which ``psd_function`` checks; the raw table q, which
     ``JointDistribution`` checks; and the I that ``mutual_information``
-    checks.  ``run`` runs those checks, with their tolerances, on every
-    step held, and the lowest failing step raises the error they raise for
-    it alone; then the steps held are dropped.  A step's last record runs
-    the checks once ``_STEP_BLOCK`` steps are held; with ``eager`` every
-    record runs them, as one checked call does."""
+    checks, each of one restart or of a lockstep stack.  ``run`` runs those
+    checks, with their tolerances, on every record held, and the lowest
+    failing one raises the error they raise for it alone; then the records
+    are dropped.  A step's last record runs the checks once ``_STEP_BLOCK``
+    steps are held; with ``eager`` every record runs them, as one checked
+    call does."""
 
     def __init__(self, eager: bool = False):
         self.eager = eager
@@ -335,16 +391,19 @@ class _StepChecks:
             self.run()
 
     def run(self) -> None:
+        def stack(records, dims):  # records of single items, or of lockstep stacks
+            return np.array(records) if records[0].ndim == dims else np.concatenate(records)
+
         checks = []
         if self.s:
-            s, w, v = (np.array(x) for x in (self.s, self.w, self.v))
+            s, w, v = stack(self.s, 2), stack(self.w, 1), stack(self.v, 2)
             checks += _decomposition_checks(s, w, v) + [_eigenvalue_floor_check(w)]
         if self.fw:
-            checks.append(_finite_function_check(np.array(self.fw)))
+            checks.append(_finite_function_check(stack(self.fw, 1)))
         if self.tables:
-            checks += _table_checks(np.array(self.tables))
+            checks += _table_checks(stack(self.tables, 2))
         if self.infos:
-            checks.append(_information_check(np.array(self.infos)))
+            checks.append(_information_check(stack(self.infos, 0)))
         self._drop()
         _raise_first_failure(checks)
 
@@ -354,36 +413,39 @@ def _inverse_root(x: np.ndarray) -> np.ndarray:
 
 
 def _normalised(kets: np.ndarray, checks: _StepChecks) -> np.ndarray:
-    """S^{-1/2} K for a (d, K) ket array K and S = K K+: the kets of a
-    rank-one POVM on S's support, with ``psd_function``'s bits.  A
-    non-finite S raises as ``psd_function`` raises; its other checks of S
-    are recorded in ``checks``."""
-    s = kets @ kets.conj().T
+    """S^{-1/2} K for a (d, K) ket array K, or each of a stack, and S = K K+:
+    the kets of a rank-one POVM on S's support, with ``psd_function``'s
+    bits.  A non-finite S raises as ``psd_function`` raises; its other
+    checks are recorded in ``checks``, and its eigensolve is unchecked
+    (``_eigh``) unless ``checks`` runs them eagerly."""
+    s = kets @ kets.conj().swapaxes(-1, -2)
     _require_finite(s)
-    w, v = _eigh(s)
+    w, v = _eigh(s, checks.eager)
     checks.eigensolve(s, w, v)
-    fw = _eigenvalue_function(w, _inverse_root, pseudo=True)
+    kernel = (w[0] if w.ndim == 1 else w[:, 0].min()) <= PSD_EPSILON  # w ascends
+    fw = _eigenvalue_function(w, _inverse_root, pseudo=True) if kernel else _inverse_root(w)
     checks.function(fw)
-    return (v * fw) @ v.conj().T @ kets
+    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2) @ kets
 
 
-def _ascent_score(kets: np.ndarray, weighted: np.ndarray, probs: np.ndarray, checks: _StepChecks):
-    """The information of the rank-one measurement with (d, K) kets
-    phi_k on the states with priors ``probs`` and weighted states
-    ``weighted`` (p_i rho_i): the table q_ik = <phi_k|p_i rho_i|phi_k>,
-    clipped as ``JointDistribution`` clips it; its log ratio table
-    L_ik = log2(q_ik / (p_i q_k)), 0 where q_ik = 0, which the next
-    gradient reads; and I = sum_ik q_ik L_ik, clipped as
-    ``mutual_information`` clips it.  The checks of both are recorded in
+def _ascent_score(kets, weighted, priors, buffer, checks: _StepChecks):
+    """The information of the rank-one measurement with (d, K) kets phi_k,
+    or of each of a stack, on the states with priors p (``priors``, an
+    (n, 1) column) and weighted states p_i rho_i (``weighted``): the table
+    q_ik = <phi_k|p_i rho_i|phi_k>, clipped as ``JointDistribution`` clips
+    it; its log ratio table L_ik = log2(q_ik / (p_i q_k)), 0 where q_ik = 0,
+    the ratio formed in ``buffer``; and I = sum_ik q_ik L_ik, which
+    ``mutual_information`` clips at 0.  The checks of both are recorded in
     ``checks``.  Returns (L, I)."""
-    raw = np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real
+    raw = np.einsum("...ak,iab,...bk->...ik", kets.conj(), weighted, kets).real
     checks.table(raw)
     q = np.maximum(raw, 0.0)
-    ratio = np.divide(q, probs[:, None] * q.sum(axis=0), out=np.ones(q.shape), where=q > 0.0)
-    logs = np.log2(ratio)
-    info = (q * logs).sum()
+    buffer.fill(1.0)
+    np.divide(q, priors * np.add.reduce(q, axis=-2, keepdims=True), out=buffer, where=q > 0.0)
+    logs = np.log2(buffer)
+    info = np.add.reduce(q * logs, axis=(-2, -1))
     checks.information(info)
-    return logs, max(0.0, info)
+    return logs, info
 
 
 def _rank_one_povm(kets: np.ndarray) -> Povm:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     NegativeEigenvalue,
@@ -199,10 +200,14 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=1)[:, -1] + 0.0
 
 
-def _eigh(stack: np.ndarray):
+def _eigh(stack: np.ndarray, checked: bool = True):
     """Eigenvalues (ascending) and eigenvectors of each matrix of a finite
     (..., d, d) array, with the solver's own phases; a solver failure
-    raises ``NumericalFailure``."""
+    raises ``NumericalFailure``.  Unchecked, a complex array goes to numpy's
+    solver without the ``eigh`` wrapper (2.6 against 5.6 us at d = 2), and
+    a failure only sets numpy's invalid flag."""
+    if not checked:
+        return _umath_linalg.eigh_lo(stack)
     try:
         return np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
@@ -299,7 +304,7 @@ def psd_function(m, f: Callable, pseudo: bool = False) -> np.ndarray:
 
 
 def _eigenvalue_function(w: np.ndarray, f: Callable, pseudo: bool, skip=None) -> np.ndarray:
-    """``f`` of the eigenvalues ``w`` (1-D) clipped at zero, as
+    """``f`` of the eigenvalues ``w`` (any shape) clipped at zero, as
     ``psd_function`` applies it: with ``pseudo``, zero on the kernel, and
     zero where ``skip`` (bools like ``w``) flags an item that already
     failed.  ``f`` is called once, on ``w`` or on the entries kept."""

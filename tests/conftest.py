@@ -46,16 +46,16 @@ def joint_distributions(g):
     return measurement._joint_distributions([g], g.sizes, g.counts, g.priors)
 
 
-def count_eighs(monkeypatch, name="eigh"):
-    """Wrap ``np.linalg.eigh``, or the solver ``name``; returns the list
-    that grows by one entry a call."""
-    calls, real = [], getattr(np.linalg, name)
+def count_eighs(monkeypatch, name="eigh", owner=np.linalg):
+    """Wrap ``np.linalg.eigh``, or the solver ``name`` of ``owner``; returns
+    the list that grows by one entry a call."""
+    calls, real = [], getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 

@@ -112,3 +112,43 @@ def test_a_negative_seed_is_refused():
     )
     assert result.returncode == 2
     assert "--seed must be nonnegative" in result.stderr
+
+
+def test_default_ascent_times_optimize_at_8_restarts_of_200_steps(tmp_path, monkeypatch):
+    ab = load_ab(monkeypatch)
+    workloads = ab.load_side(ROOT)
+    bounds = workloads.infotherm.bounds
+    configs = []
+    real = bounds.maximize_accessible_information
+
+    def spy(e, cfg):
+        configs.append(cfg)
+        return real(e, cfg)
+
+    monkeypatch.setattr(bounds, "maximize_accessible_information", spy)
+    side = ab.Side(workloads, "optimize", 1, str(tmp_path), ab.default_ascent(workloads))
+    side.op()
+    (cfg,) = configs
+    assert (cfg.method, cfg.restarts, cfg.max_iterations) == ("random_restart_ascent", 8, 200)
+    assert cfg.seed == side.inputs[0]["seed"]
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "--aa", "--workload", "optimize",
+         "--default-ascent", "--blocks", "2", "--ops", "1"],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    human, last = result.stdout.splitlines()
+    assert human.startswith("optimize at the default ascent A/A, input seed 1: ")
+    report = json.loads(last)
+    assert report["default_ascent"] is True
+    assert (report["differing_inputs"], report["inputs"]) == (0, 3)
+
+
+def test_default_ascent_is_for_optimize_only():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "--aa", "--workload", "pgm",
+         "--default-ascent"],
+        capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert result.returncode == 2
+    assert "--default-ascent needs --workload optimize" in result.stderr

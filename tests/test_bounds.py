@@ -12,7 +12,14 @@ import infotherm as it
 from infotherm import bounds, measurement
 from infotherm.blockcoding import DIM_CAP
 from infotherm.bounds import BOUND_TOL
-from infotherm.linops import _psd_function_stack, _segments, as_complex_matrix, psd_function
+from infotherm.linops import (
+    PSD_EPSILON,
+    _eigenvalue_function,
+    _psd_function_stack,
+    _segments,
+    as_complex_matrix,
+    psd_function,
+)
 from infotherm.errors import (
     BudgetExceeded,
     NegativeEigenvalue,
@@ -29,6 +36,7 @@ from conftest import (
     DS_HELSTROM,
     INFO_COMPUTATIONAL,
     INFO_HELSTROM,
+    count_eighs,
 )
 
 
@@ -377,14 +385,17 @@ def _weighted(e):
     return e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
 
 
-def _one_step(step):
-    """An ascent step function as one checked call: with a record that runs
-    every check as it is recorded."""
-    return lambda *args: step(*args, bounds._StepChecks(eager=True))
+def _normalised(kets, step=bounds._normalised):
+    """The ascent's ``_normalised`` as one checked call: with a record that
+    runs every check as it is recorded."""
+    return step(kets, bounds._StepChecks(eager=True))
 
 
-_normalised = _one_step(bounds._normalised)
-_ascent_score = _one_step(bounds._ascent_score)
+def _ascent_score(kets, weighted, probs, step=bounds._ascent_score):
+    """The ascent's ``_ascent_score`` as one checked call, the priors given
+    flat or as the (n, 1) column it reads, with a buffer of its own."""
+    buffer = np.empty(kets.shape[:-2] + (len(weighted), kets.shape[-1]))
+    return step(kets, weighted, np.reshape(probs, (-1, 1)), buffer, bounds._StepChecks(eager=True))
 
 
 class TestAscentStep:
@@ -437,14 +448,15 @@ class TestAscentStep:
         assert _raised(_inverse_root, s) == _raised(_reference_inverse_root, s) == expected
 
     def test_reconstruction_failure(self, monkeypatch, two_state_ensemble):
-        eigh = np.linalg.eigh
+        # the solver under np.linalg.eigh, which the unchecked steps call alone
+        eigh = np.linalg._umath_linalg.eigh_lo
 
         def wrong_vectors(a, *args, **kwargs):
             w, v = eigh(a, *args, **kwargs)
             return w, np.broadcast_to(np.eye(a.shape[-1]), v.shape)
 
         kets = np.random.default_rng(0).normal(size=(2, 4)) + 0j
-        monkeypatch.setattr(np.linalg, "eigh", wrong_vectors)
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigh_lo", wrong_vectors)
         expected = (NumericalFailure, "eigendecomposition failed reconstruction check")
         assert _raised(_normalised, kets) == _raised(_reference_normalised, kets) == expected
         cfg = it.OptimizerConfig(method="random_restart_ascent", restarts=1, max_iterations=3)
@@ -493,25 +505,33 @@ def _fire_at(monkeypatch, owner, name, calls, spoil):
     real = getattr(owner, name)
     count = itertools.count()
 
-    def patched(*args):
-        return spoil(real, *args) if next(count) in calls else real(*args)
+    def patched(*args, **kwargs):
+        return spoil(real, *args, **kwargs) if next(count) in calls else real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, patched)
 
 
-def _skew(real, s):
+def _skew(real, s, *rest):
     s[0, 1] += 1e-3  # in place, so the S the step records is skewed too
-    return real(s)
+    return real(s, *rest)
 
 
-def _below_zero(real, s):
+def _below_zero(real, s, *rest):
     s -= (np.linalg.eigvalsh(s)[0] + 1e-6) * np.eye(len(s))
-    return real(s)
+    return real(s, *rest)
 
 
 def _wrong_vectors(real, a, *args):
     w, v = real(a, *args)
     return w, np.broadcast_to(np.eye(a.shape[-1]), v.shape)
+
+
+def _unconverged(real, a, **kwargs):
+    """The solver failing as it does when it does not converge: NaNs out
+    and numpy's invalid flag set, which ``np.linalg.eigh`` raises on."""
+    w, v = real(a, **kwargs)
+    np.sqrt(-np.ones(1))
+    return np.full_like(w, np.nan), np.full_like(v, np.nan)
 
 
 def _nan_roots(real, x):
@@ -528,16 +548,16 @@ def _nan_kets(real, kets, checks):
     return real(kets, checks)
 
 
-def _negative_table(real, kets, weighted, probs, checks):
-    return real(kets, weighted - np.eye(len(kets)), probs, checks)
+def _negative_table(real, kets, weighted, *rest):
+    return real(kets, weighted - np.eye(len(kets)), *rest)
 
 
-def _heavy_table(real, kets, weighted, probs, checks):
-    return real(kets, 1.1 * weighted, probs, checks)
+def _heavy_table(real, kets, weighted, *rest):
+    return real(kets, 1.1 * weighted, *rest)
 
 
-def _doubled_priors(real, kets, weighted, probs, checks):
-    return real(kets, weighted, 2.0 * probs, checks)
+def _doubled_priors(real, kets, weighted, priors, *rest):
+    return real(kets, weighted, 2.0 * priors, *rest)
 
 
 class TestOneStepCallOrder:
@@ -576,8 +596,8 @@ class TestDeferredStepChecks:
 
     @pytest.fixture
     def inputs(self, monkeypatch):
-        """The arguments, without the record, of every call of each step
-        function, in call order."""
+        """The arguments, without the buffer and the record, of every call
+        of each step function, in call order."""
         seen = {name: [] for name in _STEPS}
         for name, calls in seen.items():
             kept = 1 if name == "_normalised" else 3
@@ -604,15 +624,16 @@ class TestDeferredStepChecks:
 
     @pytest.fixture
     def eager(self, monkeypatch):
-        """Whether each restart run checks its steps as it goes."""
+        """Whether each run, of one restart or in lockstep, checks its steps
+        as it goes."""
         eager = []
-        restart = bounds._ascent_restart
+        for name in ("_ascent_restart", "_ascent_lockstep"):
 
-        def spy(*args):
-            eager.append(args[-1].eager)
-            return restart(*args)
+            def spy(*args, run=getattr(bounds, name)):
+                eager.append(args[-1].eager)
+                return run(*args)
 
-        monkeypatch.setattr(bounds, "_ascent_restart", spy)
+            monkeypatch.setattr(bounds, name, spy)
         return eager
 
     def ascent_and_one_step(self, monkeypatch, ensemble, inputs, owner, name, spoil, step=None):
@@ -642,7 +663,7 @@ class TestDeferredStepChecks:
 
     def test_reconstruction_failure(self, monkeypatch, two_state_ensemble, inputs):
         got, one = self.ascent_and_one_step(
-            monkeypatch, two_state_ensemble, inputs, np.linalg, "eigh", _wrong_vectors
+            monkeypatch, two_state_ensemble, inputs, bounds, "_eigh", _wrong_vectors
         )
         assert got == one == (NumericalFailure, "eigendecomposition failed reconstruction check")
 
@@ -740,11 +761,353 @@ class TestDeferredStepChecks:
         assert got == _raised(_STEPS["_normalised"], *inputs["_normalised"][self.STEP])
         assert got == (NumericalFailure, "function produced non-finite eigenvalues")
 
+    @pytest.mark.parametrize("invalid", ["warn", "ignore", "raise"])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_an_unconverged_eigensolve_raises_as_numpy_eigh_does(
+        self, monkeypatch, two_state_ensemble, eager, invalid, restarts
+    ):
+        # the unchecked steps call the solver without np.linalg.eigh, so they
+        # raise on its invalid flag whatever the caller's setting, and the
+        # restart that fails runs again checked, unwarned
+        _fire_at(monkeypatch, np.linalg._umath_linalg, "eigh_lo", range(self.STEP, 10**6),
+                 _unconverged)
+        cfg = it.OptimizerConfig(
+            method="random_restart_ascent", restarts=restarts, max_iterations=40, seed=7
+        )
+        with np.errstate(invalid=invalid):
+            got = _raised(it.maximize_accessible_information, two_state_ensemble, cfg)
+        assert got == (NumericalFailure, "eigendecomposition failed: Eigenvalues did not converge")
+        assert eager == [False] * (1 if restarts == 1 else 2) + [True]
+
     def test_a_passing_run_is_never_rerun(self, two_state_ensemble, eager):
         it.maximize_accessible_information(two_state_ensemble, it.OptimizerConfig(
             method="random_restart_ascent", restarts=3, max_iterations=100, seed=11
         ))
-        assert eager == [False] * 3
+        # the three restarts run once, together
+        assert eager == [False]
+
+
+def _serial_restart(start, weighted, probs, cfg):
+    """One restart of the ascent alone, in 2-D arithmetic, as a loop over
+    the restarts takes it: its final kets and I, the steps it took, and
+    the steps (from 0) it retried."""
+
+    def normalised(kets):
+        w, v = np.linalg.eigh(kets @ kets.conj().T)
+        fw = _eigenvalue_function(w, lambda x: 1.0 / np.sqrt(x), pseudo=True)
+        return (v * fw) @ v.conj().T @ kets
+
+    def score(kets):
+        q = np.maximum(np.einsum("ak,iab,bk->ik", kets.conj(), weighted, kets).real, 0.0)
+        ratio = np.divide(q, probs[:, None] * q.sum(axis=0), out=np.ones(q.shape), where=q > 0.0)
+        logs = np.log2(ratio)
+        return logs, max(0.0, (q * logs).sum())
+
+    kets = normalised(start)
+    logs, value = score(kets)
+    eps, direction, steps, retried = 1.0, None, 0, []
+    for _ in range(cfg.max_iterations):
+        steps += 1
+        if direction is None:
+            direction = np.einsum("kab,bk->ak", np.einsum("ik,iab->kab", logs, weighted), kets)
+        trial = normalised(kets + eps * direction)
+        trial_logs, trial_value = score(trial)
+        if trial_value < value:
+            eps *= 0.5
+            retried.append(steps - 1)
+            continue
+        gained = trial_value - value
+        kets, logs, value, direction = trial, trial_logs, trial_value, None
+        if gained < cfg.convergence_tol:
+            break
+    return kets, value, steps, retried
+
+
+def _starts(cfg, d):
+    """The starts the ascent draws for ``cfg``: each restart's real normals,
+    then its imaginary ones."""
+    rng = np.random.default_rng(cfg.seed)
+    return np.array([
+        rng.normal(size=(d, d * d)) + 1j * rng.normal(size=(d, d * d)) for _ in range(cfg.restarts)
+    ])
+
+
+class TestLockstepMatchesSerial:
+    """The restarts run in lockstep give each restart the kets and I it
+    reaches alone, bit for bit, and the same restart wins."""
+
+    def lockstep_and_serial(self, e, cfg, starts):
+        weighted = _weighted(e)
+        serial = [_serial_restart(start, weighted, e.probs, cfg) for start in starts]
+        lockstep = bounds._ascent_lockstep(starts, weighted, e.probs, cfg, bounds._StepChecks())
+        alone = [bounds._ascent_restart(x, weighted, e.probs, cfg, bounds._StepChecks())
+                 for x in starts]
+        for got in (lockstep, alone):
+            assert len(got) == len(serial) == cfg.restarts
+            for (kets, value), (ref, ref_value, _, _) in zip(got, serial):
+                assert kets.tobytes() == ref.tobytes()
+                assert value == ref_value
+        return serial
+
+    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kets_values_and_the_winner(self, d, restarts):
+        e, _ = it.random_instance(d, 3, 2, "mixed", d)
+        cfg = it.OptimizerConfig(
+            method="random_restart_ascent", restarts=restarts, max_iterations=40,
+            convergence_tol=1e-5, seed=d,
+        )
+        serial = self.lockstep_and_serial(e, cfg, _starts(cfg, d))
+        # the first restart with the highest I wins, as a serial loop picks it
+        best = max(range(restarts), key=lambda r: serial[r][1])
+        got = bounds._random_restart_ascent(e, cfg)
+        for el, ref in zip(got.elements, bounds._rank_one_povm(serial[best][0]).elements):
+            assert el.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("restarts", [3, 8])
+    def test_restarts_that_stop_at_different_steps_and_retry(self, restarts):
+        e, _ = it.random_instance(2, 3, 2, "mixed", 0)
+        cfg = it.OptimizerConfig(
+            method="random_restart_ascent", restarts=restarts, max_iterations=60, seed=0
+        )
+        serial = self.lockstep_and_serial(e, cfg, _starts(cfg, 2))
+        steps = [s for _, _, s, _ in serial]
+        assert max(steps) < cfg.max_iterations and len(set(steps)) > 1
+        assert all(retried for _, _, _, retried in serial)  # each halved its eps
+        # the share of the restarts still going at a step that retry it:
+        # some steps are retried by some of them, and at 3 restarts one
+        # step by all of them, which keeps every row's direction
+        shares = []
+        for t in range(max(steps)):
+            going = [retried for _, _, s, retried in serial if t < s]
+            shares.append(sum(t in retried for retried in going) / len(going))
+        assert any(0 < x < 1 for x in shares)
+        assert restarts != 3 or 1 in shares
+
+    def test_restarts_in_groups(self, monkeypatch):
+        # stacks bounded to two restarts' entries: groups of 2, 2 and 1
+        e, _ = it.random_instance(3, 3, 2, "mixed", 3)
+        cfg = it.OptimizerConfig(
+            method="random_restart_ascent", restarts=5, max_iterations=40,
+            convergence_tol=1e-5, seed=3,
+        )
+        monkeypatch.setattr(bounds, "_LOCKSTEP_ENTRIES", 2 * (3**4 + e.size * 9))
+        sizes, lockstep = [], bounds._ascent_lockstep
+
+        def spy(starts, *args):
+            sizes.append(len(starts))
+            return lockstep(starts, *args)
+
+        monkeypatch.setattr(bounds, "_ascent_lockstep", spy)
+        serial = [_serial_restart(x, _weighted(e), e.probs, cfg) for x in _starts(cfg, 3)]
+        best = max(range(cfg.restarts), key=lambda r: serial[r][1])
+        got = bounds._random_restart_ascent(e, cfg)
+        assert sizes == [2, 2]  # the last restart, alone, takes the 2-D loop
+        for el, ref in zip(got.elements, bounds._rank_one_povm(serial[best][0]).elements):
+            assert el.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_kernel_of_s(self, d, restarts):
+        # states and even restarts' kets off the last level keep it S's
+        # kernel at every step, so the stack takes S^-1/2's kernel branch
+        # with the full-rank odd restarts beside them
+        rng = np.random.default_rng(d)
+        kets = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+        kets[:, -1] = 0.0
+        e = _equal_prior_ensemble(kets)
+        cfg = it.OptimizerConfig(
+            method="random_restart_ascent", restarts=restarts, max_iterations=30, seed=d
+        )
+        starts = _starts(cfg, d)
+        starts[::2, -1] = 0.0
+        serial = self.lockstep_and_serial(e, cfg, starts)
+        final = serial[0][0]
+        assert np.linalg.eigvalsh(final @ final.conj().T)[0] <= PSD_EPSILON
+
+
+class TestLockstepEigensolves:
+    """One batched eigensolve a lockstep step, whatever the restarts."""
+
+    def test_a_default_run_makes_at_most_one_eigensolve_a_step(self, monkeypatch):
+        e, _ = it.random_instance(3, 3, 2, "pure", 1)
+        calls = count_eighs(monkeypatch, "eigh_lo", np.linalg._umath_linalg)
+        bounds._random_restart_ascent(e, it.OptimizerConfig(method="random_restart_ascent"))
+        assert 0 < len(calls) <= 201
+
+    def test_eight_restarts_of_200_steps_make_201(self, monkeypatch):
+        # every restart takes all 200 steps: 8 x 201 eigensolves one at a time
+        e, _ = it.random_instance(3, 3, 2, "pure", 1)
+        cfg = it.OptimizerConfig(method="random_restart_ascent", convergence_tol=1e-300)
+        calls = count_eighs(monkeypatch, "eigh_lo", np.linalg._umath_linalg)
+        bounds._random_restart_ascent(e, cfg)
+        assert len(calls) == cfg.max_iterations + 1
+
+
+def _skew_rows(real, rows, s, *rest):
+    s[rows, 0, 1] += 1e-3  # in place, so the S the step records is skewed too
+    return real(s, *rest)
+
+
+def _heavy_rows(real, rows, kets, *rest):
+    kets = kets.copy()
+    kets[rows] *= np.sqrt(1.1)  # their tables sum to 1.1
+    return real(kets, *rest)
+
+
+def _nan_rows(real, rows, kets, checks):
+    kets = kets.copy()
+    kets[rows, 1, 2] = np.nan
+    return real(kets, checks)
+
+
+def _inf_root_rows(real, rows, w):
+    fw = real(w)
+    fw[rows] = np.inf
+    return fw
+
+
+class TestLockstepErrorOrder:
+    """A lockstep run that raises runs again restart by restart, so the
+    lowest failing restart raises its first failing step's error, as a
+    loop over the restarts raises it, whatever step a later restart fails
+    at."""
+
+    CFG = it.OptimizerConfig(method="random_restart_ascent", restarts=2, max_iterations=40, seed=7)
+
+    @pytest.fixture
+    def fault(self, monkeypatch):
+        """``fault(name, where, spoil)`` patches ``bounds.<name>`` so that in
+        each run, of one restart or in lockstep, its call t returns
+        ``spoil(real, rows, *args)``, ``rows`` the rows of the restarts r
+        with (r, t) in ``where`` (``...`` in a run of one restart).
+        ``fault.runs()`` lists each run's restarts and whether it runs
+        eagerly, in order."""
+        runs, calls = [], {}
+
+        def spy(name):
+            real = getattr(bounds, name)
+
+            def run(starts, *args):
+                every = runs[0][0] if runs else starts
+                stack = np.reshape(starts, (-1,) + every.shape[1:])
+                found = [int(np.flatnonzero((every == s).all(axis=(1, 2)))[0]) for s in stack]
+                runs.append((every, found, starts.ndim == 3, args[-1].eager))
+                calls.clear()
+                return real(starts, *args)
+
+            monkeypatch.setattr(bounds, name, run)
+
+        def patch(name, where, spoil):
+            real = getattr(bounds, name)
+
+            def patched(*args):
+                t = calls[name] = calls.get(name, -1) + 1
+                _, restarts, lockstep, _ = runs[-1]
+                rows = [row for row, r in enumerate(restarts) if (r, t) in where]
+                if not rows:
+                    return real(*args)
+                if not lockstep:
+                    return spoil(real, ..., *args)
+                assert len(args[0]) == len(restarts)  # no restart has stopped
+                return spoil(real, rows, *args)
+
+            monkeypatch.setattr(bounds, name, patched)
+
+        spy("_ascent_lockstep")
+        spy("_ascent_restart")
+        patch.runs = lambda: [(restarts, eager) for _, restarts, _, eager in runs]
+        return patch
+
+    def ascent(self, two_state_ensemble):
+        return _raised(it.maximize_accessible_information, two_state_ensemble, self.CFG)
+
+    def test_a_lower_restart_failing_at_a_later_step_wins(self, fault, two_state_ensemble):
+        fault("_eigh", {(0, 5)}, _skew_rows)
+        fault("_ascent_score", {(1, 2)}, _heavy_rows)
+        got = self.ascent(two_state_ensemble)
+        assert got[0] is NotHermitian and got[1].startswith("matrix deviates from Hermitian by 1.0")
+        assert fault.runs() == [([0, 1], False), ([0], False)]
+
+    def test_a_lower_restart_failing_at_a_step_after_a_later_restart(
+        self, fault, two_state_ensemble
+    ):
+        fault("_ascent_score", {(0, 2)}, _heavy_rows)
+        fault("_eigh", {(1, 1)}, _skew_rows)
+        got = self.ascent(two_state_ensemble)
+        assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
+        assert fault.runs() == [([0, 1], False), ([0], False)]
+
+    def test_the_failing_restart_raises_as_it_does_alone(self, fault, two_state_ensemble):
+        fault("_ascent_score", {(1, 2)}, _heavy_rows)
+        fault("_eigh", {(1, 5)}, _skew_rows)
+        got = self.ascent(two_state_ensemble)
+        assert fault.runs() == [([0, 1], False), ([0], False), ([1], False)]
+        # restart 1 alone, from its own start, raises the same error
+        start = _starts(self.CFG, 2)[1]
+        alone = _raised(bounds._ascent_restart, start, _weighted(two_state_ensemble),
+                        two_state_ensemble.probs, self.CFG, bounds._StepChecks())
+        assert got == alone
+        assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
+
+    def test_a_non_finite_matrix_in_a_later_restart_waits_for_the_lower_one(
+        self, fault, two_state_ensemble
+    ):
+        fault("_normalised", {(1, 3)}, _nan_rows)
+        fault("_eigh", {(0, 20)}, _skew_rows)
+        got = self.ascent(two_state_ensemble)
+        assert got[0] is NotHermitian
+        assert fault.runs() == [([0, 1], False), ([0], False)]
+
+    def test_a_restart_that_would_warn_reruns_alone_checked(self, fault, two_state_ensemble):
+        # restart 1's infinite f(w) fails its check, and its unchecked steps
+        # multiply infinities by zeros: the lockstep run and restart 1 alone
+        # raise FloatingPointError, and restart 1 reruns checked
+        fault("_inverse_root", {(1, t) for t in range(5, 100)}, _inf_root_rows)
+        got = self.ascent(two_state_ensemble)
+        assert got == (NumericalFailure, "function produced non-finite eigenvalues")
+        assert fault.runs() == [([0, 1], False), ([0], False), ([1], False), ([1], True)]
+
+    def test_a_passing_restart_before_the_failing_one_keeps_its_bits(
+        self, monkeypatch, fault, two_state_ensemble
+    ):
+        fault("_ascent_score", {(1, 2)}, _heavy_rows)
+        starts, weighted = _starts(self.CFG, 2), _weighted(two_state_ensemble)
+        ref = _serial_restart(starts[0], weighted, two_state_ensemble.probs, self.CFG)
+        restart, finished = bounds._ascent_restart, []
+
+        def kept(*args):
+            finished.append(restart(*args))
+            return finished[-1]
+
+        monkeypatch.setattr(bounds, "_ascent_restart", kept)
+        self.ascent(two_state_ensemble)
+        ((kets, value),) = finished  # restart 1 raised
+        assert kets.tobytes() == ref[0].tobytes() and value == ref[1]
+
+    def test_a_failure_held_to_the_end_of_the_lockstep_run(
+        self, monkeypatch, fault, two_state_ensemble
+    ):
+        # no block of steps fills, so only the checks run as the lockstep
+        # run ends find restart 1's failing step
+        monkeypatch.setattr(bounds, "_STEP_BLOCK", 10**6)
+        fault("_ascent_score", {(1, 2)}, _heavy_rows)
+        got = self.ascent(two_state_ensemble)
+        assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
+        assert fault.runs() == [([0, 1], False), ([0], False), ([1], False)]
+
+
+def test_the_first_of_the_restarts_with_the_highest_information_wins(
+    monkeypatch, two_state_ensemble
+):
+    cfg = it.OptimizerConfig(method="random_restart_ascent", restarts=3, seed=5)
+    kets = bounds._normalised(_starts(cfg, 2), bounds._StepChecks(eager=True))
+    monkeypatch.setattr(
+        bounds, "_ascent_lockstep", lambda *args: list(zip(kets, [0.25, 0.5, 0.5]))
+    )
+    got = bounds._random_restart_ascent(two_state_ensemble, cfg)
+    for el, ref in zip(got.elements, bounds._rank_one_povm(kets[1]).elements):
+        assert el.tobytes() == ref.tobytes()
 
 
 class TestRandomInstance:

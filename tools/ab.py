@@ -3,6 +3,7 @@
     python3 tools/ab.py PARENT_CHECKOUT --workload suite
     python3 tools/ab.py PARENT_CHECKOUT --workload suite --seed 2
     python3 tools/ab.py --aa --workload pgm --blocks 2 --ops 1
+    python3 tools/ab.py PARENT_CHECKOUT --workload optimize --default-ascent --ops 1
 
 Both trees' ``infotherm`` packages are loaded into this one interpreter:
 the change tree is the checkout that holds this script, the parent tree
@@ -11,7 +12,11 @@ is ``PARENT_CHECKOUT`` (any directory with ``src/infotherm``), and with
 Each side gets its own copy of this checkout's ``bench/workloads.py``,
 bound to its own package, and builds its inputs with it from the input
 seed (``--seed``, 1 by default), so a claim made on one seed can be
-checked again on another; ``bench/`` is only read.  After one untimed warm-up op a side, the run
+checked again on another; ``bench/`` is only read.  With
+``--default-ascent`` an optimize op runs the ascent at
+``OptimizerConfig``'s default restarts and max_iterations (8 x 200) on the
+same inputs and seeds, in place of the benchmark's 1 x 20, so that a
+change to how restarts run together shows.  After one untimed warm-up op a side, the run
 times ``--blocks`` blocks.  A block times ``--ops`` ops on each side, one
 side after the other, and the side that goes first alternates from block
 to block, so a drift in machine speed falls on both sides alike.  Every
@@ -93,12 +98,27 @@ def load_side(tree: Path):
         sys.modules.update(saved)
 
 
-class Side:
-    """One tree's workload, its inputs and a cursor into them."""
+def default_ascent(workloads):
+    """An optimize op that runs the ascent at ``OptimizerConfig``'s default
+    restarts and max_iterations, with the input's seed, through the
+    ``infotherm`` package the workloads copy is bound to."""
+    bounds = workloads.infotherm.bounds
 
-    def __init__(self, workloads, name: str, seed: int, work_dir: str):
+    def run(inp):
+        cfg = bounds.OptimizerConfig(method="random_restart_ascent", seed=inp["seed"])
+        return bounds.maximize_accessible_information(inp["ensemble"], cfg)
+
+    return run
+
+
+class Side:
+    """One tree's workload, its inputs and a cursor into them; with
+    ``run`` given, an op calls it in place of the workload's own."""
+
+    def __init__(self, workloads, name: str, seed: int, work_dir: str, run=None):
         self.workload = workloads.WORKLOADS[name]()
         self.inputs = self.workload.make_inputs(seed, work_dir)
+        self.run = run or self.workload.run
         self.next = 0
         self.outputs: dict[int, set[bytes]] = {}  # input index -> its outputs' bytes
 
@@ -111,7 +131,7 @@ class Side:
         self.workload.prepare(inp)
         with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
             t0 = time.perf_counter()
-            result = self.workload.run(inp)
+            result = self.run(inp)
             wall = time.perf_counter() - t0
         reason = self.workload.check(inp, result)
         if reason is not None:
@@ -134,7 +154,7 @@ class Side:
             with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
                 sys.setprofile(profile)
                 try:
-                    result = self.workload.run(inp)
+                    result = self.run(inp)
                 finally:
                     sys.setprofile(None)
             reason = self.workload.check(inp, result)
@@ -205,6 +225,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seed", type=int, default=INPUT_SEED, help="input seed both sides build their inputs from"
     )
+    parser.add_argument(
+        "--default-ascent", action="store_true",
+        help="optimize only: run the ascent at its default 8 restarts x 200 steps",
+    )
     args = parser.parse_args(argv)
     if (args.parent is None) != args.aa:
         parser.error("give PARENT_CHECKOUT or --aa, not both")
@@ -212,10 +236,14 @@ def main(argv=None) -> int:
         parser.error("--blocks and --ops must be positive")
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
+    if args.default_ascent and args.workload != "optimize":
+        parser.error("--default-ascent needs --workload optimize")
     parent_tree = ROOT if args.aa else args.parent.resolve()
     with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
-        parent = Side(load_side(parent_tree), args.workload, args.seed, parent_dir)
-        change = Side(load_side(ROOT), args.workload, args.seed, change_dir)
+        sides = [load_side(tree) for tree in (parent_tree, ROOT)]
+        runs = [default_ascent(w) if args.default_ascent else None for w in sides]
+        parent = Side(sides[0], args.workload, args.seed, parent_dir, runs[0])
+        change = Side(sides[1], args.workload, args.seed, change_dir, runs[1])
         ratios = run(parent, change, args.blocks, args.ops)
         differing, inputs = differing_inputs(parent, change)
         calls = {"parent": parent.calls_per_op(), "change": change.calls_per_op()}
@@ -223,8 +251,9 @@ def main(argv=None) -> int:
     ci_low, ci_high = bootstrap_ci(ratios)
     wins = sum(r < 1.0 for r in ratios)
     label = "A/A" if args.aa else f"change/parent ({parent_tree})"
+    workload = args.workload + (" at the default ascent" if args.default_ascent else "")
     print(
-        f"{args.workload} {label}, input seed {args.seed}: "
+        f"{workload} {label}, input seed {args.seed}: "
         f"{median:.3f} [Q1 {q1:.3f}, Q3 {q3:.3f}], "
         f"95% CI [{ci_low:.3f}, {ci_high:.3f}], "
         f"outputs differ on {differing} of {inputs} inputs, "
@@ -233,7 +262,8 @@ def main(argv=None) -> int:
         + "; ".join(f"{side} {py:.1f} and {c:.1f}" for side, (py, c) in calls.items())
     )
     print(json.dumps({
-        "workload": args.workload, "aa": args.aa, "seed": args.seed,
+        "workload": args.workload, "default_ascent": args.default_ascent,
+        "aa": args.aa, "seed": args.seed,
         "blocks": len(ratios), "ops": args.ops,
         "median": median, "q1": q1, "q3": q3, "ci_low": ci_low, "ci_high": ci_high,
         "wins": wins, "differing_inputs": differing, "inputs": inputs,
