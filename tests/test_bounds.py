@@ -906,12 +906,13 @@ class TestLockstepMatchesSerial:
         for el, ref in zip(got.elements, bounds._rank_one_povm(serial[best][0]).elements):
             assert el.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    @pytest.mark.parametrize("restarts, first", [(1, 0), (3, 0), (8, 0), (3, 1), (8, 1)])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_a_kernel_of_s(self, d, restarts):
-        # states and even restarts' kets off the last level keep it S's
-        # kernel at every step, so the stack takes S^-1/2's kernel branch
-        # with the full-rank odd restarts beside them
+    def test_a_kernel_of_s(self, d, restarts, first):
+        # states and every other restart's kets from restart ``first`` on
+        # off the last level keep it S's kernel at every step, so the stack
+        # takes S^-1/2's kernel branch with full-rank restarts beside them,
+        # the first of them or not
         rng = np.random.default_rng(d)
         kets = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
         kets[:, -1] = 0.0
@@ -920,9 +921,9 @@ class TestLockstepMatchesSerial:
             method="random_restart_ascent", restarts=restarts, max_iterations=30, seed=d
         )
         starts = _starts(cfg, d)
-        starts[::2, -1] = 0.0
+        starts[first::2, -1] = 0.0
         serial = self.lockstep_and_serial(e, cfg, starts)
-        final = serial[0][0]
+        final = serial[first][0]
         assert np.linalg.eigvalsh(final @ final.conj().T)[0] <= PSD_EPSILON
 
 
