@@ -64,7 +64,7 @@ ASCENT_STEP_WORK = 10**4
 #: checks cost little more a step than one stack for the whole restart.
 _STEP_BLOCK = 32
 #: Restarts run in lockstep in groups whose R d^4 gradient and R n d^2 table
-#: entries stay within this many: 8 at d = 16 (8 MiB) took 1.2 times as long.
+#: entries stay within this many: 8 at d = 16 (8 MiB) ran 1.2x slower than alone.
 _LOCKSTEP_ENTRIES = 2**16
 #: The ensemble kinds ``random_instance`` draws.
 _KINDS = ("pure", "mixed", "commuting")
