@@ -232,11 +232,10 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     of ``_STEP_BLOCK`` steps and at the end (``_StepChecks``).  The steps
     run under numpy error settings that raise wherever the caller's would
     warn or raise, and on the invalid flag a failed eigensolve sets.  A
-    lockstep run that raises runs again restart by restart, so the lowest
-    failing restart raises.  A step after a failing one may compute on
-    values its checks would have refused, so a restart that would warn
-    runs again with each step checked as it goes, and raises or warns as
-    that step does.
+    lockstep group that raises runs again restart by restart, so the lowest
+    failing restart raises; one that would warn runs again with each step
+    checked as it goes (a step after a failing one may compute on values
+    its checks refuse), and raises or warns as that step does.
     """
     d, outcomes = e.dim, e.dim * e.dim
     # Python ints, as numpy integers from the config could wrap
@@ -252,55 +251,27 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     weighted = probs[:, None, None] * np.stack([s.matrix for s in e.states])
     strict = {k: "raise" if k == "invalid" or m != "ignore" else m for k, m in np.geterr().items()}
 
-    def ascent(run, starts, eager=False):
+    def ascent(starts, eager=False):
         with np.errstate(**({} if eager else strict)):
-            return run(starts, weighted, probs, cfg, _StepChecks(eager))
+            return _ascent_lockstep(starts, weighted, probs, cfg, _StepChecks(eager))
 
     runs, group = [], max(1, _LOCKSTEP_ENTRIES // (d**4 + e.size * outcomes))
     for first in range(0, cfg.restarts, group):
-        starts = [rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
-                  for _ in range(min(group, cfg.restarts - first))]
+        starts = np.array([rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
+                           for _ in range(min(group, cfg.restarts - first))])
         if len(starts) > 1:
             try:
-                runs += ascent(_ascent_lockstep, np.array(starts))
+                runs += ascent(starts)
                 continue
             except (FloatingPointError, ToolkitError):
                 pass  # each runs again alone, in turn
-        for start in starts:
+        for start in starts[:, None]:
             try:
-                runs.append(ascent(_ascent_restart, start))
+                runs += ascent(start)
             except FloatingPointError:
-                runs.append(ascent(_ascent_restart, start, eager=True))
+                runs += ascent(start, eager=True)
     kets, _ = max(runs, key=lambda run: run[1])  # the first best
     return _rank_one_povm(kets)
-
-
-def _ascent_restart(start, weighted, probs, cfg: OptimizerConfig, checks: _StepChecks):
-    """``_ascent_lockstep`` of one restart from the (d, K) kets ``start``, on
-    2-D arrays, which cost less a numpy call than a stack of one."""
-    priors, ratio = probs[:, None], np.empty((len(probs), start.shape[1]))
-    try:
-        kets = _normalised(start, checks)
-        logs, value = _ascent_score(kets, weighted, priors, ratio, checks)
-        value, eps, direction = max(0.0, value), 1.0, None
-        for _ in range(cfg.max_iterations):
-            if direction is None:  # R_k phi_k at the accepted point, kept while it is retried
-                direction = np.einsum("kab,bk->ak", np.einsum("ik,iab->kab", logs, weighted), kets)
-            trial = _normalised(kets + eps * direction, checks)
-            trial_logs, trial_value = _ascent_score(trial, weighted, priors, ratio, checks)
-            trial_value = max(0.0, trial_value)
-            if trial_value < value:
-                eps *= 0.5
-                continue
-            gained, value = trial_value - value, trial_value
-            kets, logs, direction = trial, trial_logs, None
-            if gained < cfg.convergence_tol:
-                break
-    except ToolkitError:
-        checks.run()
-        raise
-    checks.run()
-    return kets, value
 
 
 def _ascent_lockstep(starts, weighted, probs, cfg: OptimizerConfig, checks: _StepChecks):
@@ -322,22 +293,26 @@ def _ascent_lockstep(starts, weighted, probs, cfg: OptimizerConfig, checks: _Ste
                 direction = np.einsum("rkab,rbk->rak", r, kets)
             trial = _normalised(kets + eps * direction, checks)
             trial_logs, trial_values = _ascent_score(trial, weighted, priors, ratio, checks)
-            tried = list(zip([max(0.0, x) for x in trial_values.tolist()], values))
-            retried = [row for row, (new, old) in enumerate(tried) if new < old]
+            retried, going = [], []
+            for row, (new, old) in enumerate(zip(trial_values.tolist(), values)):
+                if max(0.0, new) < old:
+                    retried.append(row)
+                    going.append(row)
+                elif not max(0.0, new) - old < cfg.convergence_tol:
+                    going.append(row)
+                values[row] = max(0.0, new, old)
             if retried:  # only then are the stacks indexed
                 eps[retried] *= 0.5
                 if len(retried) == len(rows):
                     continue
                 trial[retried], trial_logs[retried] = kets[retried], logs[retried]
-            going = [row for row, (new, old) in enumerate(tried)
-                     if new < old or not new - old < cfg.convergence_tol]
-            kets, logs, values, direction = trial, trial_logs, [max(x) for x in tried], None
+            kets, logs, direction = trial, trial_logs, None
             if len(going) < len(rows):
+                if not going:
+                    break
                 done.update(zip(rows, zip(kets, values)))
                 kets, logs, eps, ratio = kets[going], logs[going], eps[going], ratio[: len(going)]
                 rows, values = [rows[row] for row in going], [values[row] for row in going]
-                if not rows:
-                    break
         done.update(zip(rows, zip(kets, values)))
     except ToolkitError:
         checks.run()
@@ -354,10 +329,10 @@ class _StepChecks:
     S = K K+ with the eigenvalues w and eigenvectors v its eigensolve gave,
     then f(w), which ``psd_function`` checks; the raw table q, which
     ``JointDistribution`` checks; and the I that ``mutual_information``
-    checks, each of one restart or of a lockstep stack.  ``run`` runs those
-    checks, with their tolerances, on every record held, and the lowest
-    failing one raises the error they raise for it alone; then the records
-    are dropped.  A step's last record runs the checks once ``_STEP_BLOCK``
+    checks, each of a lockstep stack.  ``run`` runs those checks, with
+    their tolerances, on every record held, and the lowest failing one
+    raises the error they raise for it alone; then the records are
+    dropped.  A step's last record runs the checks once ``_STEP_BLOCK``
     steps are held; with ``eager`` every record runs them, as one checked
     call does."""
 
@@ -391,19 +366,16 @@ class _StepChecks:
             self.run()
 
     def run(self) -> None:
-        def stack(records, dims):  # records of single items, or of lockstep stacks
-            return np.array(records) if records[0].ndim == dims else np.concatenate(records)
-
         checks = []
         if self.s:
-            s, w, v = stack(self.s, 2), stack(self.w, 1), stack(self.v, 2)
+            s, w, v = map(np.concatenate, (self.s, self.w, self.v))
             checks += _decomposition_checks(s, w, v) + [_eigenvalue_floor_check(w)]
         if self.fw:
-            checks.append(_finite_function_check(stack(self.fw, 1)))
+            checks.append(_finite_function_check(np.concatenate(self.fw)))
         if self.tables:
-            checks += _table_checks(stack(self.tables, 2))
+            checks += _table_checks(np.concatenate(self.tables))
         if self.infos:
-            checks.append(_information_check(stack(self.infos, 0)))
+            checks.append(_information_check(np.concatenate(self.infos)))
         self._drop()
         _raise_first_failure(checks)
 
@@ -413,16 +385,15 @@ def _inverse_root(x: np.ndarray) -> np.ndarray:
 
 
 def _normalised(kets: np.ndarray, checks: _StepChecks) -> np.ndarray:
-    """S^{-1/2} K for a (d, K) ket array K, or each of a stack, and S = K K+:
-    the kets of a rank-one POVM on S's support, with ``psd_function``'s
-    bits.  A non-finite S raises as ``psd_function`` raises; its other
-    checks are recorded in ``checks``, and its eigensolve is unchecked
-    (``_eigh``) unless ``checks`` runs them eagerly."""
+    """S^{-1/2} K and S = K K+ for each (d, K) ket array K of a stack: the
+    kets of a rank-one POVM on S's support, with ``psd_function``'s bits.
+    A non-finite S raises as ``psd_function`` raises; S's other checks go
+    to ``checks``, and its ``_eigh`` is checked only if ``checks`` is eager."""
     s = kets @ kets.conj().swapaxes(-1, -2)
     _require_finite(s)
     w, v = _eigh(s, checks.eager)
     checks.eigensolve(s, w, v)
-    kernel = (w[0] if w.ndim == 1 else w[:, 0].min()) <= PSD_EPSILON  # w ascends
+    kernel = min(w[:, 0].tolist()) <= PSD_EPSILON  # w ascends
     fw = _eigenvalue_function(w, _inverse_root, pseudo=True) if kernel else _inverse_root(w)
     checks.function(fw)
     return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2) @ kets
@@ -430,7 +401,7 @@ def _normalised(kets: np.ndarray, checks: _StepChecks) -> np.ndarray:
 
 def _ascent_score(kets, weighted, priors, buffer, checks: _StepChecks):
     """The information of the rank-one measurement with (d, K) kets phi_k,
-    or of each of a stack, on the states with priors p (``priors``, an
+    for each of a stack, on the states with priors p (``priors``, an
     (n, 1) column) and weighted states p_i rho_i (``weighted``): the table
     q_ik = <phi_k|p_i rho_i|phi_k>, clipped as ``JointDistribution`` clips
     it; its log ratio table L_ik = log2(q_ik / (p_i q_k)), 0 where q_ik = 0,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import (
     NegativeEigenvalue,
@@ -44,6 +43,8 @@ BOUND_TOL = 1e-9  # slack of I <= chi (+ delta_s), per-letter I <= chi, delta_s 
 CYCLE_TOL = 1e-9  # net cycle work above this violates the second law
 WEIGHT_FLOOR = 1e-15  # spectrum weights at or below this get no ledger entry
 CONVERGENCE_TOL = 1e-7  # default ascent gain below which a restart stops
+
+_umath_linalg = getattr(np.linalg, "_umath_linalg", None)  # np.linalg.eigh's solvers, if present
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -203,11 +204,13 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 def _eigh(stack: np.ndarray, checked: bool = True):
     """Eigenvalues (ascending) and eigenvectors of each matrix of a finite
     (..., d, d) array, with the solver's own phases; a solver failure
-    raises ``NumericalFailure``.  Unchecked, a complex array goes to numpy's
-    solver without the ``eigh`` wrapper (2.6 against 5.6 us at d = 2), and
-    a failure only sets numpy's invalid flag."""
-    if not checked:
-        return _umath_linalg.eigh_lo(stack)
+    raises ``NumericalFailure``.  Unchecked, numpy's solver is called without
+    ``np.linalg.eigh`` where numpy has it (2.6 against 5.6 us at d = 2): a
+    failure only sets the invalid flag, and over, divide and under are not
+    masked as the wrapper masks them."""
+    solver = None if checked else getattr(_umath_linalg, "eigh_lo", None)
+    if solver is not None:
+        return solver(stack)
     try:
         return np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import bounds, measurement
+from infotherm import bounds, linops, measurement
 from infotherm.blockcoding import DIM_CAP
 from infotherm.bounds import BOUND_TOL
 from infotherm.linops import (
@@ -386,14 +386,21 @@ def _weighted(e):
 
 
 def _normalised(kets, step=bounds._normalised):
-    """The ascent's ``_normalised`` as one checked call: with a record that
-    runs every check as it is recorded."""
+    """The ascent's ``_normalised`` of a stack of (d, K) kets, or of one as
+    a stack of one, as one checked call: with a record that runs every
+    check as it is recorded."""
+    if kets.ndim == 2:
+        return _normalised(kets[None], step)[0]
     return step(kets, bounds._StepChecks(eager=True))
 
 
 def _ascent_score(kets, weighted, probs, step=bounds._ascent_score):
-    """The ascent's ``_ascent_score`` as one checked call, the priors given
-    flat or as the (n, 1) column it reads, with a buffer of its own."""
+    """The ascent's ``_ascent_score`` of a stack of (d, K) kets, or of one
+    as a stack of one, as one checked call, the priors given flat or as the
+    (n, 1) column it reads, with a buffer of its own."""
+    if kets.ndim == 2:
+        logs, info = _ascent_score(kets[None], weighted, probs, step)
+        return logs[0], info[0]
     buffer = np.empty(kets.shape[:-2] + (len(weighted), kets.shape[-1]))
     return step(kets, weighted, np.reshape(probs, (-1, 1)), buffer, bounds._StepChecks(eager=True))
 
@@ -512,12 +519,12 @@ def _fire_at(monkeypatch, owner, name, calls, spoil):
 
 
 def _skew(real, s, *rest):
-    s[0, 1] += 1e-3  # in place, so the S the step records is skewed too
+    s[..., 0, 1] += 1e-3  # in place, so the S the step records is skewed too
     return real(s, *rest)
 
 
 def _below_zero(real, s, *rest):
-    s -= (np.linalg.eigvalsh(s)[0] + 1e-6) * np.eye(len(s))
+    s -= (np.linalg.eigvalsh(s)[..., :1, None] + 1e-6) * np.eye(s.shape[-1])
     return real(s, *rest)
 
 
@@ -544,12 +551,12 @@ def _inf_roots(real, x):
 
 def _nan_kets(real, kets, checks):
     kets = kets.copy()
-    kets[1, 2] = np.nan
+    kets[..., 1, 2] = np.nan
     return real(kets, checks)
 
 
 def _negative_table(real, kets, weighted, *rest):
-    return real(kets, weighted - np.eye(len(kets)), *rest)
+    return real(kets, weighted - np.eye(kets.shape[-2]), *rest)
 
 
 def _heavy_table(real, kets, weighted, *rest):
@@ -624,16 +631,15 @@ class TestDeferredStepChecks:
 
     @pytest.fixture
     def eager(self, monkeypatch):
-        """Whether each run, of one restart or in lockstep, checks its steps
-        as it goes."""
-        eager = []
-        for name in ("_ascent_restart", "_ascent_lockstep"):
+        """Whether each lockstep run, of one restart or more, checks its
+        steps as it goes."""
+        eager, run = [], bounds._ascent_lockstep
 
-            def spy(*args, run=getattr(bounds, name)):
-                eager.append(args[-1].eager)
-                return run(*args)
+        def spy(*args):
+            eager.append(args[-1].eager)
+            return run(*args)
 
-            monkeypatch.setattr(bounds, name, spy)
+        monkeypatch.setattr(bounds, "_ascent_lockstep", spy)
         return eager
 
     def ascent_and_one_step(self, monkeypatch, ensemble, inputs, owner, name, spoil, step=None):
@@ -779,6 +785,23 @@ class TestDeferredStepChecks:
         assert got == (NumericalFailure, "eigendecomposition failed: Eigenvalues did not converge")
         assert eager == [False] * (1 if restarts == 1 else 2) + [True]
 
+    def test_without_numpy_s_private_solver(self, monkeypatch, two_state_ensemble, eager):
+        # where numpy has no _umath_linalg, the unchecked steps go through
+        # np.linalg.eigh: the same bits, and a failed eigensolve raises at once
+        cfg = it.OptimizerConfig(method="random_restart_ascent", restarts=3, seed=7)
+        ref_povm, ref = it.maximize_accessible_information(two_state_ensemble, cfg)
+        monkeypatch.setattr(linops, "_umath_linalg", None)
+        povm, got = it.maximize_accessible_information(two_state_ensemble, cfg)
+        assert got == ref
+        for el, ref_el in zip(povm.elements, ref_povm.elements):
+            assert el.tobytes() == ref_el.tobytes()
+        _fire_at(monkeypatch, np.linalg._umath_linalg, "eigh_lo", range(self.STEP, 10**6),
+                 _unconverged)
+        eager.clear()
+        got = _raised(it.maximize_accessible_information, two_state_ensemble, cfg)
+        assert got == (NumericalFailure, "eigendecomposition failed: Eigenvalues did not converge")
+        assert eager == [False, False]  # the lockstep run, then restart 0 alone
+
     def test_a_passing_run_is_never_rerun(self, two_state_ensemble, eager):
         it.maximize_accessible_information(two_state_ensemble, it.OptimizerConfig(
             method="random_restart_ascent", restarts=3, max_iterations=100, seed=11
@@ -840,8 +863,8 @@ class TestLockstepMatchesSerial:
         weighted = _weighted(e)
         serial = [_serial_restart(start, weighted, e.probs, cfg) for start in starts]
         lockstep = bounds._ascent_lockstep(starts, weighted, e.probs, cfg, bounds._StepChecks())
-        alone = [bounds._ascent_restart(x, weighted, e.probs, cfg, bounds._StepChecks())
-                 for x in starts]
+        alone = [bounds._ascent_lockstep(x, weighted, e.probs, cfg, bounds._StepChecks())[0]
+                 for x in starts[:, None]]
         for got in (lockstep, alone):
             assert len(got) == len(serial) == cfg.restarts
             for (kets, value), (ref, ref_value, _, _) in zip(got, serial):
@@ -861,6 +884,28 @@ class TestLockstepMatchesSerial:
         # the first restart with the highest I wins, as a serial loop picks it
         best = max(range(restarts), key=lambda r: serial[r][1])
         got = bounds._random_restart_ascent(e, cfg)
+        for el, ref in zip(got.elements, bounds._rank_one_povm(serial[best][0]).elements):
+            assert el.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d, groups", [(5, [8]), (8, [8]), (12, [3, 3, 2])])
+    def test_larger_dimensions_in_their_groups(self, monkeypatch, d, groups):
+        # the default 8 restarts make one group up to d = 8 and groups of 3
+        # at d = 12; the stacks' einsums and products keep each one's bits
+        e, _ = it.random_instance(d, 3, 2, "mixed", d)
+        cfg = it.OptimizerConfig(
+            method="random_restart_ascent", max_iterations=6, convergence_tol=1e-300, seed=d
+        )
+        serial = self.lockstep_and_serial(e, cfg, _starts(cfg, d))
+        sizes, lockstep = [], bounds._ascent_lockstep
+
+        def spy(starts, *args):
+            sizes.append(len(starts))
+            return lockstep(starts, *args)
+
+        monkeypatch.setattr(bounds, "_ascent_lockstep", spy)
+        best = max(range(cfg.restarts), key=lambda r: serial[r][1])
+        got = bounds._random_restart_ascent(e, cfg)
+        assert sizes == groups
         for el, ref in zip(got.elements, bounds._rank_one_povm(serial[best][0]).elements):
             assert el.tobytes() == ref.tobytes()
 
@@ -902,7 +947,7 @@ class TestLockstepMatchesSerial:
         serial = [_serial_restart(x, _weighted(e), e.probs, cfg) for x in _starts(cfg, 3)]
         best = max(range(cfg.restarts), key=lambda r: serial[r][1])
         got = bounds._random_restart_ascent(e, cfg)
-        assert sizes == [2, 2]  # the last restart, alone, takes the 2-D loop
+        assert sizes == [2, 2, 1]
         for el, ref in zip(got.elements, bounds._rank_one_povm(serial[best][0]).elements):
             assert el.tobytes() == ref.tobytes()
 
@@ -979,45 +1024,35 @@ class TestLockstepErrorOrder:
     @pytest.fixture
     def fault(self, monkeypatch):
         """``fault(name, where, spoil)`` patches ``bounds.<name>`` so that in
-        each run, of one restart or in lockstep, its call t returns
+        each lockstep run, of one restart or more, its call t returns
         ``spoil(real, rows, *args)``, ``rows`` the rows of the restarts r
-        with (r, t) in ``where`` (``...`` in a run of one restart).
-        ``fault.runs()`` lists each run's restarts and whether it runs
-        eagerly, in order."""
-        runs, calls = [], {}
+        with (r, t) in ``where``.  ``fault.runs()`` lists each run's
+        restarts and whether it runs eagerly, in order."""
+        runs, calls, lockstep = [], {}, bounds._ascent_lockstep
 
-        def spy(name):
-            real = getattr(bounds, name)
-
-            def run(starts, *args):
-                every = runs[0][0] if runs else starts
-                stack = np.reshape(starts, (-1,) + every.shape[1:])
-                found = [int(np.flatnonzero((every == s).all(axis=(1, 2)))[0]) for s in stack]
-                runs.append((every, found, starts.ndim == 3, args[-1].eager))
-                calls.clear()
-                return real(starts, *args)
-
-            monkeypatch.setattr(bounds, name, run)
+        def run(starts, *args):
+            every = runs[0][0] if runs else starts
+            found = [int(np.flatnonzero((every == s).all(axis=(1, 2)))[0]) for s in starts]
+            runs.append((every, found, args[-1].eager))
+            calls.clear()
+            return lockstep(starts, *args)
 
         def patch(name, where, spoil):
             real = getattr(bounds, name)
 
             def patched(*args):
                 t = calls[name] = calls.get(name, -1) + 1
-                _, restarts, lockstep, _ = runs[-1]
+                _, restarts, _ = runs[-1]
                 rows = [row for row, r in enumerate(restarts) if (r, t) in where]
                 if not rows:
                     return real(*args)
-                if not lockstep:
-                    return spoil(real, ..., *args)
                 assert len(args[0]) == len(restarts)  # no restart has stopped
                 return spoil(real, rows, *args)
 
             monkeypatch.setattr(bounds, name, patched)
 
-        spy("_ascent_lockstep")
-        spy("_ascent_restart")
-        patch.runs = lambda: [(restarts, eager) for _, restarts, _, eager in runs]
+        monkeypatch.setattr(bounds, "_ascent_lockstep", run)
+        patch.runs = lambda: [(restarts, eager) for _, restarts, eager in runs]
         return patch
 
     def ascent(self, two_state_ensemble):
@@ -1045,8 +1080,8 @@ class TestLockstepErrorOrder:
         got = self.ascent(two_state_ensemble)
         assert fault.runs() == [([0, 1], False), ([0], False), ([1], False)]
         # restart 1 alone, from its own start, raises the same error
-        start = _starts(self.CFG, 2)[1]
-        alone = _raised(bounds._ascent_restart, start, _weighted(two_state_ensemble),
+        start = _starts(self.CFG, 2)[1:]
+        alone = _raised(bounds._ascent_lockstep, start, _weighted(two_state_ensemble),
                         two_state_ensemble.probs, self.CFG, bounds._StepChecks())
         assert got == alone
         assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
@@ -1075,15 +1110,15 @@ class TestLockstepErrorOrder:
         fault("_ascent_score", {(1, 2)}, _heavy_rows)
         starts, weighted = _starts(self.CFG, 2), _weighted(two_state_ensemble)
         ref = _serial_restart(starts[0], weighted, two_state_ensemble.probs, self.CFG)
-        restart, finished = bounds._ascent_restart, []
+        lockstep, finished = bounds._ascent_lockstep, []
 
         def kept(*args):
-            finished.append(restart(*args))
+            finished.append(lockstep(*args))
             return finished[-1]
 
-        monkeypatch.setattr(bounds, "_ascent_restart", kept)
+        monkeypatch.setattr(bounds, "_ascent_lockstep", kept)
         self.ascent(two_state_ensemble)
-        ((kets, value),) = finished  # restart 1 raised
+        (((kets, value),),) = finished  # the lockstep run and restart 1 raised
         assert kets.tobytes() == ref[0].tobytes() and value == ref[1]
 
     def test_a_failure_held_to_the_end_of_the_lockstep_run(
