@@ -208,9 +208,8 @@ def _eigh(stack: np.ndarray, checked: bool = True):
     ``np.linalg.eigh`` where numpy has it (2.6 against 5.6 us at d = 2): a
     failure only sets the invalid flag, and over, divide and under are not
     masked as the wrapper masks them."""
-    solver = None if checked else getattr(_umath_linalg, "eigh_lo", None)
-    if solver is not None:
-        return solver(stack)
+    if not checked and hasattr(_umath_linalg, "eigh_lo"):
+        return _umath_linalg.eigh_lo(stack)
     try:
         return np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
