@@ -4,7 +4,9 @@
 both ceilings: the measurement-independent one (chi) and the looser one
 that credits the measurement's own entropy production (chi + delta_s).
 ``maximize_accessible_information`` searches over measurements, and
-``random_instance`` manufactures reproducible test cases.
+``random_instance`` manufactures reproducible test cases from
+``np.random.default_rng``; ``_random_instances`` draws many from any
+generators, such as the suite's (built in ``suite_rng``).
 """
 from __future__ import annotations
 
@@ -487,116 +489,6 @@ def _is_seed(seed) -> bool:
     return all(
         isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0 for x in parts
     )
-
-
-#: numpy's ``SeedSequence`` constants (O'Neill's seed_seq_fe): the pool
-#: hash, the output hash, the two-word mix, the pool size in words and
-#: the xorshift of every hash and mix.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL = 4
-_SHIFT = np.uint32(16)
-
-
-def _mix_entropy(entropy: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence.mix_entropy`` of the (L, R) uint32 entropy words of R
-    seeds of L words each, as numpy writes it: the pool's 4 words, each a
-    (R,) row.  The running hash constant is the same for every seed."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)  # a new array: the words hashed stay
-        const = const * _MULT_A & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> _SHIFT
-        return value
-
-    def mix(x, y):
-        result = _MIX_L * x - _MIX_R * y
-        result ^= result >> _SHIFT
-        return result
-
-    zeros = np.zeros(entropy.shape[1], dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL)]
-    for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL, len(entropy)):
-        for i_dst in range(_POOL):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
-    return pool
-
-
-def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence.generate_state(4, np.uint64)`` of R seeds' pools from
-    ``_mix_entropy``, as numpy writes it: 8 uint32 words read off the pool
-    in cycle, paired into little-endian uint64s.  Returns (R, 4)."""
-    const, words = _INIT_B, []
-    for i_dst in range(2 * _POOL):
-        value = pool[i_dst % _POOL] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> _SHIFT
-        words.append(value)
-    return np.array(words).T.astype("<u4", order="C").view("<u8")
-
-
-def _seed_states(seeds) -> np.ndarray:
-    """The (K, 4) uint64 PCG64 states of K seeds, each a nonnegative integer
-    or a sequence of them: row k is
-    ``np.random.SeedSequence(seeds[k]).generate_state(4, np.uint64)``.
-    Each seed becomes its integers' 32-bit words, least significant first
-    (one zero word for 0), as ``SeedSequence`` reads them; the seeds of
-    each word count are then hashed together, ``_mix_entropy`` and
-    ``_generate_state`` vectorised over them."""
-    lengths, flat = [], []
-    for seed in seeds:
-        start = len(flat)
-        for x in seed if isinstance(seed, (list, tuple, np.ndarray)) else (seed,):
-            x = int(x)
-            while x > _MASK32:
-                flat.append(x & _MASK32)
-                x >>= 32
-            flat.append(x)
-        lengths.append(len(flat) - start)
-    counts = np.array(lengths, dtype=np.intp)
-    flat = np.array(flat, dtype=np.uint32)
-    starts = np.cumsum(counts) - counts
-    states = np.empty((len(counts), 4), dtype=np.uint64)
-    for length in sorted(set(lengths)):
-        rows = np.flatnonzero(counts == length)
-        entropy = flat[starts[rows] + np.arange(length)[:, None]]
-        states[rows] = _generate_state(_mix_entropy(entropy))
-    return states
-
-
-@functools.cache
-def _state_seed_type() -> type:
-    """A minimal ``ISeedSequence`` that hands ``PCG64`` a state computed
-    ahead.  Built on first use: importing the package does not import
-    ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateSeed(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"holds 4 uint64 words, asked for {n_words} {dtype}")
-            return self.state
-
-    return StateSeed
-
-
-def _generator(state: np.ndarray) -> np.random.Generator:
-    """The generator ``np.random.default_rng(seed)`` builds, from the seed's
-    row of ``_seed_states``: ``PCG64`` seeds itself from that state."""
-    return np.random.Generator(np.random.PCG64(_state_seed_type()(state)))
 
 
 def _draw_instance(dim: int, n_states: int, m_outcomes: int, kind: str, rng):

@@ -9,8 +9,10 @@ Subcommands::
     suite     hammer random instances and tally bound violations
 
 Problem files are JSON; every complex entry is a two-element ``[re, im]``
-array.  Exit codes: 0 success, 2 invalid input, 3 bound or second-law
-violation, 4 unsupported method/dimension, 5 budget exceeded.
+array.  Exit codes (``_EXIT_CODES``): 0 success, 2 invalid input, 3 bound
+or second-law violation, 4 unsupported method/dimension, 5 budget exceeded.
+A suite trial's streams come from ``suite_rng``; ``_pick`` alone maps its
+picker to its instance's kind and sizes.
 """
 from __future__ import annotations
 
@@ -33,11 +35,7 @@ from .bounds import (
     METHODS,
     BoundReport,
     OptimizerConfig,
-    _MASK32,
-    _generator,
     _random_instances,
-    _seed_states,
-    _state_seed_type,
     evaluate_bounds,
     maximize_accessible_information,
 )
@@ -51,6 +49,7 @@ from .errors import (
 from .linops import BOUND_TOL
 from .measurement import Povm, _analyse_groups
 from .quantum import DensityMatrix, Ensemble, _density_matrices
+from .suite_rng import _generators, _PickSource, _seed_states
 from .thermo import _book_cycles, run_cycle
 
 
@@ -411,15 +410,11 @@ _CHUNK_ENTRIES = 1 << 16
 #: ends.
 SUITE_WORK_CAP = 5 * 10**7
 SUITE_TRIAL_WORK = 1200
-#: The suite seeds its trials' generators in blocks of this many trials
-#: (64 bytes of state a trial), so the states held stay small at any
-#: --trials while a block's seeding pass costs little more a trial than
-#: one pass for the whole run.
-_SEED_BLOCK = 1024
 
 
-def _pick(picker: np.random.Generator, dims: list[int], kinds: tuple[str, ...]):
-    """A trial's (kind, dim, n_states, m_outcomes), drawn from its picker."""
+def _pick(picker, dims: list[int], kinds: tuple[str, ...]):
+    """A trial's (kind, dim, n_states, m_outcomes), drawn from its picker:
+    a ``Generator``, or the ``_PickSource`` of the same stream."""
     kind = kinds[int(picker.integers(0, len(kinds)))]
     dim = dims[int(picker.integers(0, len(dims)))]
     n_states = int(picker.integers(2, 5))
@@ -427,42 +422,6 @@ def _pick(picker: np.random.Generator, dims: list[int], kinds: tuple[str, ...]):
         m_outcomes = int(picker.integers(2, dim + 1))
     else:
         m_outcomes = int(picker.integers(2, 7))
-    return kind, dim, n_states, m_outcomes
-
-
-class _Redraw(Exception):
-    """A bounded draw that numpy would reject and draw again."""
-
-
-def _bounded(halves: list[int], span: int) -> int:
-    """``Generator.integers(0, span)`` on PCG64, from the 32-bit halves of
-    its raw words still unread (the next one last in ``halves``), by
-    numpy's rule for ranges under 2^32 (Lemire, ACM TOMACS 29(1), 2019): a
-    span of one value reads nothing; otherwise the next half u gives
-    ``u * span >> 32``, unless the product's low word falls below
-    ``2^32 % span``, where numpy would draw again (``_Redraw``)."""
-    if span == 1:
-        return 0
-    scaled = halves.pop() * span
-    if scaled & _MASK32 < 2**32 % span:
-        raise _Redraw
-    return scaled >> 32
-
-
-def _raw_pick(picker: np.ndarray, dims: list[int], kinds: tuple[str, ...]):
-    """``_pick(_generator(picker), dims, kinds)`` from the picker's first two
-    raw PCG64 words, which hold the four 32-bit halves its (at most four)
-    draws read, low half first; a draw that numpy would redraw, about one
-    in 2^32, takes ``_pick`` itself."""
-    first, second = np.random.PCG64(_state_seed_type()(picker)).random_raw(2).tolist()
-    halves = [second >> 32, second & _MASK32, first >> 32, first & _MASK32]
-    try:
-        kind = kinds[_bounded(halves, len(kinds))]
-        dim = dims[_bounded(halves, len(dims))]
-        n_states = 2 + _bounded(halves, 3)
-        m_outcomes = 2 + _bounded(halves, dim - 1 if kind == "commuting" else 5)
-    except _Redraw:
-        return _pick(_generator(picker), dims, kinds)
     return kind, dim, n_states, m_outcomes
 
 
@@ -482,15 +441,11 @@ def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ..
     """The ``_Scores`` of every trial.  Trial t is picked by
     ``default_rng([seed, t, 0])`` and drawn by ``default_rng([seed, t,
     1])``, so a trial's row does not depend on the trials before it.  The
-    generators' states come from one seeding pass per ``_SEED_BLOCK``
-    trials."""
+    generators' states come from one seeding pass over the whole run."""
+    states = _seed_states([seed, t, k] for t in range(trials) for k in (0, 1)).reshape(-1, 2, 4)
     scored, chunk, entries = [], [], 0
-    for trial in range(trials):
-        if trial % _SEED_BLOCK == 0:
-            block = range(trial, min(trial + _SEED_BLOCK, trials))
-            states = _seed_states([seed, t, k] for t in block for k in (0, 1)).reshape(-1, 2, 4)
-        picker, draw = states[trial % _SEED_BLOCK]
-        kind, dim, n_states, m_outcomes = _raw_pick(picker, dims, kinds)
+    for trial, (picker, draw) in enumerate(states):
+        kind, dim, n_states, m_outcomes = _pick(_PickSource(picker), dims, kinds)
         size = (n_states + m_outcomes) * dim * dim
         if chunk and entries + size > _CHUNK_ENTRIES:
             scored.append(_score_chunk(chunk))
@@ -498,8 +453,6 @@ def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ..
         chunk.append((trial, kind, dim, n_states, m_outcomes, draw))
         entries += size
     scored.append(_score_chunk(chunk))
-    if len(scored) == 1:
-        return scored[0]
     rows, *arrays = zip(*scored)
     return _Scores([row for part in rows for row in part], *map(np.concatenate, arrays))
 
@@ -511,7 +464,8 @@ def _score_chunk(chunk: list[tuple]) -> _Scores:
     to trial order once and build the rows.  A trial's pick is (trial,
     kind, dim, n_states, m_outcomes, state); it draws from the generator
     of that ``_seed_states`` row."""
-    specs = [(dim, n, m, kind, _generator(state)) for _, kind, dim, n, m, state in chunk]
+    rngs = _generators([pick[5] for pick in chunk])
+    specs = [(dim, n, m, kind, rng) for (_, kind, dim, n, m, _), rng in zip(chunk, rngs)]
     a = _analyse_groups(_random_instances(specs))
     booking = _book_cycles(a)
     # the analysis holds the trials by dimension, each dimension's in chunk order
@@ -636,6 +590,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: The exit code of each error ``main`` reports, read in order: the first type it is wins.
+_EXIT_CODES = (
+    (BudgetExceeded, 5), (UnsupportedDimension, 4), (SecondLawViolation, 3), (ToolkitError, 2)
+)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -643,18 +603,9 @@ def main(argv=None) -> int:
             if path:
                 _check_output_path(path)
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except UnsupportedDimension as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SecondLawViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

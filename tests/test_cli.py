@@ -2,12 +2,14 @@ import hashlib
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import blockcoding, bounds, cli, measurement, quantum, thermo
+from infotherm import blockcoding, bounds, cli, measurement, quantum, suite_rng, thermo
 from infotherm.errors import SecondLawViolation
 
 
@@ -945,7 +947,8 @@ class TestSuiteBudget:
 
         monkeypatch.setattr(cli, "_seed_states", draw)
         monkeypatch.setattr(cli, "_pick", draw)
-        monkeypatch.setattr(cli, "_raw_pick", draw)
+        monkeypatch.setattr(cli, "_PickSource", draw)
+        monkeypatch.setattr(cli, "_generators", draw)
         monkeypatch.setattr(cli, "_random_instances", draw)
         start = time.perf_counter()
         assert cli.main(["suite", "--trials", "1000000000000"]) == 5
@@ -1021,97 +1024,6 @@ class TestSuiteDecomposesEachMatrixOnce:
         assert calls[0] == calls[1] <= 7 * 3
 
 
-class TestRawPicks:
-    """``_raw_pick`` reads a trial's pick off its picker's first two raw
-    PCG64 words by numpy's bounded-integer rule; ``_pick`` on the picker's
-    ``Generator`` is the reference."""
-
-    KINDS = [cli._KINDS, ("pure",), ("mixed",), ("commuting",)]
-    # one entry (commuting at d = 2 draws no outcome count), several, and
-    # 31 entries, whose span leaves a threshold of 2^32 % 31 = 4
-    DIMS = [[2], [3], [2, 3, 4], [2, 5], list(range(2, 33))]
-
-    @pytest.mark.parametrize(
-        "dims", DIMS, ids=lambda dims: ",".join(map(str, dims)) if len(dims) < 5 else "2-32"
-    )
-    @pytest.mark.parametrize(
-        "kinds", KINDS, ids=lambda kinds: "all" if len(kinds) > 1 else kinds[0]
-    )
-    def test_raw_picks_equal_the_generator_picks(self, kinds, dims):
-        # 20 cases x 2 seeds x 300 trials: 12,000 (seed, trial) picks
-        for seed in (0, 2**40 + 7):
-            states = cli._seed_states([seed, t, 0] for t in range(300))
-            for picker in states:
-                expected = cli._pick(bounds._generator(picker), dims, kinds)
-                assert cli._raw_pick(picker, dims, kinds) == expected
-
-    @staticmethod
-    def numpy_draw(half, span):
-        """``Generator.integers(0, span)`` with ``half`` as the next 32-bit
-        half it reads, and whether numpy read past that half."""
-        bit_generator = np.random.PCG64(3)
-        state = bit_generator.state
-        state.update(has_uint32=1, uinteger=half)
-        bit_generator.state = state
-        value = int(np.random.Generator(bit_generator).integers(0, span))
-        # a draw that reads only the buffered half leaves no half buffered
-        return value, bit_generator.state["has_uint32"] == 1
-
-    @pytest.mark.parametrize("span", [2, 3, 4, 5, 6, 7, 31])
-    def test_bounded_follows_numpys_rule(self, span):
-        threshold = 2**32 % span
-        halves = [0, 1, 2**31, 2**32 - 1, 0x9E3779B9, (2**32 - 1) // span + 1]
-        # ceil(j 2^32 / span): products whose low words fall in [0, span),
-        # on both sides of the threshold
-        halves += [-(-j * 2**32 // span) for j in range(1, span)]
-        for half in halves:
-            value, redrawn = self.numpy_draw(half, span)
-            if (half * span) % 2**32 < threshold:
-                assert redrawn
-                with pytest.raises(cli._Redraw):
-                    cli._bounded([half], span)
-            else:
-                assert not redrawn
-                assert cli._bounded([half], span) == value
-        lows = [(half * span) % 2**32 for half in halves]
-        assert any(low < threshold for low in lows) == (threshold > 0)
-        assert any(threshold <= low < span for low in lows)
-
-    def test_a_span_of_one_reads_nothing(self):
-        halves = [5, 6]
-        assert cli._bounded(halves, 1) == 0 and halves == [5, 6]
-
-    def test_a_rejected_low_word_takes_the_fallback(self, monkeypatch):
-        # the picker's first raw word has low half 0, which numpy's rule
-        # rejects for three kinds (2^32 % 3 = 1): the pick comes from _pick
-        real_pcg64 = np.random.PCG64
-
-        class Crafted(real_pcg64):
-            def random_raw(self, size=None, output=True):
-                words = super().random_raw(size, output)
-                words[0] &= np.uint64(0xFFFFFFFF00000000)
-                return words
-
-        fallbacks = []
-        real_pick = cli._pick
-
-        def recording(picker, dims, kinds):
-            fallbacks.append(picker)
-            return real_pick(picker, dims, kinds)
-
-        picker = cli._seed_states([[4, 0, 0]])[0]
-        expected = real_pick(bounds._generator(picker), [2, 3, 4], cli._KINDS)
-        monkeypatch.setattr(np.random, "PCG64", Crafted)
-        monkeypatch.setattr(cli, "_pick", recording)
-        assert cli._raw_pick(picker, [2, 3, 4], cli._KINDS) == expected
-        assert len(fallbacks) == 1
-        # an accepted low half does not fall back
-        picker = cli._seed_states([[4, 1, 0]])[0]
-        monkeypatch.setattr(np.random, "PCG64", real_pcg64)
-        cli._raw_pick(picker, [2, 3, 4], cli._KINDS)
-        assert len(fallbacks) == 1
-
-
 def per_trial(scores):
     """A chunk's ``_Scores`` as one (row, holevo slack, thermo slack,
     delta_s, second-law flag) tuple a trial."""
@@ -1126,11 +1038,12 @@ class TestSuiteChunkPass:
     @staticmethod
     def chunk(seed, trials, dims):
         """The suite's picks for trials 0..trials-1, with their draw states."""
-        states = cli._seed_states([seed, t, k] for t in range(trials) for k in (0, 1))
+        states = suite_rng._seed_states([seed, t, k] for t in range(trials) for k in (0, 1))
         pairs = states.reshape(-1, 2, 4)
+        pickers = suite_rng._generators(pairs[:, 0])
         return [
-            (t, *cli._pick(bounds._generator(picker), dims, cli._KINDS), draw)
-            for t, (picker, draw) in enumerate(pairs)
+            (t, *cli._pick(picker, dims, cli._KINDS), draw)
+            for t, (picker, draw) in enumerate(zip(pickers, pairs[:, 1]))
         ]
 
     def test_a_chunk_scores_as_its_dimensions_alone(self):
@@ -1229,7 +1142,7 @@ class TestSuiteStageOrder:
         chunk = [
             (t, kind, dim, n, m, state)
             for t, ((kind, dim, n, m), state) in enumerate(
-                zip(self.PICKS, cli._seed_states([[9, t] for t in range(3)]))
+                zip(self.PICKS, suite_rng._seed_states([[9, t] for t in range(3)]))
             )
         ]
         with pytest.raises(it.ValidationError) as info:
@@ -1253,7 +1166,7 @@ class TestSuiteStageOrder:
     def test_a_failing_chunk_exits_2(self, monkeypatch, capsys):
         self.corrupt(monkeypatch, [0, 1])
         picks = iter(self.PICKS)
-        monkeypatch.setattr(cli, "_raw_pick", lambda *args: next(picks))
+        monkeypatch.setattr(cli, "_pick", lambda *args: next(picks))
         assert cli.main(["suite", "--trials", "2", "--seed", "9"]) == 2
         assert capsys.readouterr().err == f"error: {self.STATE_3}\n"
 
@@ -1430,23 +1343,6 @@ class TestSuiteBatchInvariance:
         capsys.readouterr()
         assert sum(chunks) == 40 and len(chunks) > 5
 
-    def test_rows_equal_across_seeding_passes(self, monkeypatch, tmp_path, capsys):
-        # a pass seeds _SEED_BLOCK trials' pickers and draws; chunks of the
-        # default size then span several passes
-        passes = []
-        real_seed_states = cli._seed_states
-
-        def recording(seeds):
-            states = real_seed_states(seeds)
-            passes.append(len(states))
-            return states
-
-        monkeypatch.setattr(cli, "_seed_states", recording)
-        monkeypatch.setattr(cli, "_SEED_BLOCK", 7)
-        self.assert_rows_match(tmp_path, 11, 40, "2,3,4", "all")
-        capsys.readouterr()
-        assert passes == [14] * 5 + [10]
-
     def test_rows_equal_across_full_size_chunks(self, monkeypatch, tmp_path, capsys):
         chunks = []
         real_score_chunk = cli._score_chunk
@@ -1515,6 +1411,28 @@ class TestSuiteSeed42Csv:
                          "--csv", str(csv)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+    def test_every_cell_matches_the_checked_in_table(self, tmp_path, capsys):
+        # the value-level pin beside the byte pin: the label columns exactly
+        # and the six value columns to 1e-12 absolute, so a last-bit change
+        # in a noise-level value passes and a wrong value does not
+        csv = tmp_path / "suite.csv"
+        assert cli.main(["suite", "--trials", "100", "--seed", "42", "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        table = Path(__file__).parent / "data" / "suite_seed42.csv"
+        assert csv.read_text().splitlines()[0] == table.read_text().splitlines()[0]
+        ours, pinned = _csv_rows(csv), _csv_rows(table)
+        assert len(ours) == len(pinned) == 100
+        labels, values = cli._SUITE_CSV_HEADER[:6], cli._SUITE_CSV_HEADER[6:]
+        assert len(values) == 6
+        assert [[row[c] for c in labels] for row in ours] == [
+            [row[c] for c in labels] for row in pinned
+        ]
+        npt.assert_allclose(
+            [[float(row[c]) for c in values] for row in ours],
+            [[float(row[c]) for c in values] for row in pinned],
+            rtol=0, atol=1e-12, equal_nan=True,
+        )
 
     def test_csv_sha256_past_dimension_four_is_pinned(self, tmp_path, capsys):
         csv = tmp_path / "suite.csv"

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import bounds, cli, measurement, thermo
+from infotherm import cli, measurement, suite_rng, thermo
 from infotherm.errors import NonPositiveVolume, NumericalFailure, ValidationError
 from infotherm.linops import WEIGHT_FLOOR
 
@@ -561,7 +561,7 @@ class TestSuiteChunkBooking:
     # each pick carries its draw generator's state, as the suite's do
     CHUNK = [
         (*pick, state)
-        for pick, state in zip(PICKS, bounds._seed_states([5, pick[0], 1] for pick in PICKS))
+        for pick, state in zip(PICKS, suite_rng._seed_states([5, pick[0], 1] for pick in PICKS))
     ]
 
     @staticmethod
