@@ -24,6 +24,7 @@ from .linops import (
     _eigenvalue_floor_check,
     _eigenvalue_function,
     _eigh,
+    _einsum,
     _finite_function_check,
     _ordered_sums,
     _psd_function_stack,
@@ -291,8 +292,8 @@ def _ascent_lockstep(starts, weighted, probs, cfg: OptimizerConfig, checks: _Ste
         eps, direction = np.ones((len(rows), 1, 1), dtype=complex), None
         for _ in range(cfg.max_iterations):
             if direction is None:
-                r = np.einsum("rik,iab->rkab", logs, weighted)
-                direction = np.einsum("rkab,rbk->rak", r, kets)
+                r = _einsum("rik,iab->rkab", logs, weighted)
+                direction = _einsum("rkab,rbk->rak", r, kets)
             trial = _normalised(kets + eps * direction, checks)
             trial_logs, trial_values = _ascent_score(trial, weighted, priors, ratio, checks)
             retried, going = [], []
@@ -410,7 +411,7 @@ def _ascent_score(kets, weighted, priors, buffer, checks: _StepChecks):
     the ratio formed in ``buffer``; and I = sum_ik q_ik L_ik, which
     ``mutual_information`` clips at 0.  The checks of both are recorded in
     ``checks``.  Returns (L, I)."""
-    raw = np.einsum("...ak,iab,...bk->...ik", kets.conj(), weighted, kets).real
+    raw = _einsum("...ak,iab,...bk->...ik", kets.conj(), weighted, kets).real
     checks.table(raw)
     q = np.maximum(raw, 0.0)
     buffer.fill(1.0)

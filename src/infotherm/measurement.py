@@ -39,6 +39,8 @@ from .linops import (
     TRACE_TOL,
     UNITARY_TOL,
     _asymmetry,
+    _eigvalsh,
+    _einsum,
     _local_index,
     _ordered_sums,
     _placed,
@@ -110,7 +112,7 @@ def _povm_flags(stack: np.ndarray, counts, declared) -> np.ndarray:
     counts = np.asarray(counts)
     offsets = np.cumsum(counts) - counts
     not_hermitian = _asymmetry(stack) > HERMITICITY_TOL
-    lowest = np.linalg.eigvalsh(stack)[:, 0]
+    lowest = _eigvalsh(stack)[:, 0]
     bad_element = not_hermitian | (lowest < -PSD_TOL)
     residual = np.abs(
         np.add.reduceat(stack, offsets, axis=0) - np.eye(stack.shape[1])
@@ -548,7 +550,7 @@ def _root_spectra(roots: np.ndarray, elements: np.ndarray, counts: np.ndarray):
     elements, from the stack ``roots`` of sqrt(rho) and one batched
     ``eigvalsh``, flat, and each union's length."""
     roots = roots.repeat(counts, axis=0)
-    spectra = np.linalg.eigvalsh(roots @ elements @ roots)
+    spectra = _eigvalsh(roots @ elements @ roots)
     return spectra.ravel(), counts * spectra.shape[1]
 
 
@@ -754,12 +756,12 @@ def naimark_dilation(v: Povm) -> tuple[np.ndarray, Povm]:
 
 def partial_trace_record(matrix: np.ndarray, system_dim: int, record_dim: int) -> np.ndarray:
     """Trace out the record factor of an operator on system (x) record."""
-    return np.einsum("ikjk->ij", _record_blocks(matrix, system_dim, record_dim))
+    return _einsum("ikjk->ij", _record_blocks(matrix, system_dim, record_dim))
 
 
 def partial_trace_system(matrix: np.ndarray, system_dim: int, record_dim: int) -> np.ndarray:
     """Trace out the system factor, leaving the record marginal."""
-    return np.einsum("ikil->kl", _record_blocks(matrix, system_dim, record_dim))
+    return _einsum("ikil->kl", _record_blocks(matrix, system_dim, record_dim))
 
 
 def demon_record_state(r: DensityMatrix, v: Povm) -> DensityMatrix:

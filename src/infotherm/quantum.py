@@ -20,6 +20,7 @@ from .linops import (
     TRACE_TOL,
     _asymmetry,
     _eigh_checks,
+    _eigvalsh,
     _ordered_sums,
     _raise_first_failure,
     _require_finite,
@@ -79,7 +80,7 @@ def _density_spectra(stack: np.ndarray):
     (B, d, d) stack, from one batched ``eigvalsh``, and its density-matrix
     checks for ``_raise_first_failure``: Hermitian, then ``_density_checks``."""
     asym = _asymmetry(stack)
-    w = np.linalg.eigvalsh(stack)
+    w = _eigvalsh(stack)
     hermitian = (
         asym > HERMITICITY_TOL,
         lambda k: ValidationError(f"density matrix deviates from Hermitian by {asym[k]:.3e}"),

@@ -46,9 +46,10 @@ def joint_distributions(g):
     return measurement._joint_distributions([g], g.sizes, g.counts, g.priors)
 
 
-def count_eighs(monkeypatch, name="eigh", owner=np.linalg):
-    """Wrap ``np.linalg.eigh``, or the solver ``name`` of ``owner``; returns
-    the list that grows by one entry a call."""
+def count_eighs(monkeypatch, name="eigh_lo", owner=np.linalg._umath_linalg):
+    """Wrap numpy's solver ``eigh_lo``, which every eigendecomposition of
+    the package calls, or the function ``name`` of ``owner``; returns the
+    list that grows by one entry a call."""
     calls, real = [], getattr(owner, name)
 
     def counted(*args, **kwargs):
@@ -56,6 +57,28 @@ def count_eighs(monkeypatch, name="eigh", owner=np.linalg):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def fail_solver(monkeypatch, name, first=0):
+    """Make numpy's solver ``name`` (``eigh_lo`` or ``eigvalsh_lo``) fail
+    from its call ``first`` (from 0) on, as it fails when it does not
+    converge: NaNs out and numpy's invalid flag set, which ``np.linalg``'s
+    wrappers raise on; returns the list that grows by one entry a call."""
+    solvers = np.linalg._umath_linalg
+    calls, real = [], getattr(solvers, name)
+
+    def failing(a, **kwargs):
+        calls.append(None)
+        out = real(a, **kwargs)
+        if len(calls) <= first:
+            return out
+        np.sqrt(-np.ones(1))
+        if isinstance(out, tuple):
+            return tuple(np.full_like(x, np.nan) for x in out)
+        return np.full_like(out, np.nan)
+
+    monkeypatch.setattr(solvers, name, failing)
     return calls
 
 

@@ -184,7 +184,7 @@ class TestBlockScanDecomposesOnce:
         # is the measurement's last element
         assert povm.size == (3 if dim == 3 else 2)
         calls = count_eighs(monkeypatch)
-        spectra = count_eighs(monkeypatch, "eigvalsh")
+        spectra = count_eighs(monkeypatch, "eigvalsh_lo")
         reports = it.block_scan(e, 3)
         assert (len(calls), len(spectra)) == (1, 3)
         monkeypatch.undo()

@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import bounds, linops, measurement, suite_rng
+from infotherm import bounds, cli, linops, measurement, suite_rng
 from infotherm.blockcoding import DIM_CAP
 from infotherm.bounds import BOUND_TOL
 from infotherm.linops import (
@@ -33,6 +34,7 @@ from conftest import (
     INFO_COMPUTATIONAL,
     INFO_HELSTROM,
     count_eighs,
+    fail_solver,
 )
 
 
@@ -451,7 +453,7 @@ class TestAscentStep:
         assert _raised(_inverse_root, s) == _raised(_reference_inverse_root, s) == expected
 
     def test_reconstruction_failure(self, monkeypatch, two_state_ensemble):
-        # the solver under np.linalg.eigh, which the unchecked steps call alone
+        # numpy's solver, which every step calls, checked or not
         eigh = np.linalg._umath_linalg.eigh_lo
 
         def wrong_vectors(a, *args, **kwargs):
@@ -527,14 +529,6 @@ def _below_zero(real, s, *rest):
 def _wrong_vectors(real, a, *args):
     w, v = real(a, *args)
     return w, np.broadcast_to(np.eye(a.shape[-1]), v.shape)
-
-
-def _unconverged(real, a, **kwargs):
-    """The solver failing as it does when it does not converge: NaNs out
-    and numpy's invalid flag set, which ``np.linalg.eigh`` raises on."""
-    w, v = real(a, **kwargs)
-    np.sqrt(-np.ones(1))
-    return np.full_like(w, np.nan), np.full_like(v, np.nan)
 
 
 def _nan_roots(real, x):
@@ -771,8 +765,7 @@ class TestDeferredStepChecks:
         # the unchecked steps call the solver without np.linalg.eigh, so they
         # raise on its invalid flag whatever the caller's setting, and the
         # restart that fails runs again checked, unwarned
-        _fire_at(monkeypatch, np.linalg._umath_linalg, "eigh_lo", range(self.STEP, 10**6),
-                 _unconverged)
+        fail_solver(monkeypatch, "eigh_lo", first=self.STEP)
         cfg = it.OptimizerConfig(
             method="random_restart_ascent", restarts=restarts, max_iterations=40, seed=7
         )
@@ -781,22 +774,45 @@ class TestDeferredStepChecks:
         assert got == (NumericalFailure, "eigendecomposition failed: Eigenvalues did not converge")
         assert eager == [False] * (1 if restarts == 1 else 2) + [True]
 
-    def test_without_numpy_s_private_solver(self, monkeypatch, two_state_ensemble, eager):
-        # where numpy has no _umath_linalg, the unchecked steps go through
-        # np.linalg.eigh: the same bits, and a failed eigensolve raises at once
+    def test_without_numpy_s_private_solver(
+        self, monkeypatch, tmp_path, capsys, two_state_ensemble, eager
+    ):
+        # where numpy has neither _umath_linalg nor c_einsum, every solve goes
+        # through np.linalg.eigh or eigvalsh and every einsum through
+        # np.einsum: the same bits, and a failed eigensolve raises at once
         cfg = it.OptimizerConfig(method="random_restart_ascent", restarts=3, seed=7)
         ref_povm, ref = it.maximize_accessible_information(two_state_ensemble, cfg)
+        ref_csvs = _cli_csvs(tmp_path / "solvers", capsys)
         monkeypatch.setattr(linops, "_umath_linalg", None)
+        for module in (linops, measurement, bounds):
+            monkeypatch.setattr(module, "_einsum", np.einsum)
         povm, got = it.maximize_accessible_information(two_state_ensemble, cfg)
         assert got == ref
         for el, ref_el in zip(povm.elements, ref_povm.elements):
             assert el.tobytes() == ref_el.tobytes()
-        _fire_at(monkeypatch, np.linalg._umath_linalg, "eigh_lo", range(self.STEP, 10**6),
-                 _unconverged)
+        assert _cli_csvs(tmp_path / "public", capsys) == ref_csvs
+        fail_solver(monkeypatch, "eigh_lo", first=self.STEP)
         eager.clear()
         got = _raised(it.maximize_accessible_information, two_state_ensemble, cfg)
         assert got == (NumericalFailure, "eigendecomposition failed: Eigenvalues did not converge")
         assert eager == [False, False]  # the lockstep run, then restart 0 alone
+
+
+def _cli_csvs(folder, capsys):
+    """The bytes of the seed-42 suite CSV of 100 trials and of the ``pgm``
+    CSV of a mixed qubit pair, written in ``folder``."""
+    folder.mkdir()
+    e, _ = it.random_instance(2, 2, 2, "mixed", 5)
+    states = [[[[x.real, x.imag] for x in row] for row in s.matrix.tolist()] for s in e.states]
+    spec = folder / "pair.json"
+    spec.write_text(json.dumps({"ensemble": {"priors": e.probs.tolist(), "states": states}}))
+    argvs = [
+        ["suite", "--trials", "100", "--seed", "42", "--csv", str(folder / "suite.csv")],
+        ["pgm", "--spec", str(spec), "--max-m", "3", "--csv", str(folder / "pgm.csv")],
+    ]
+    assert [cli.main(argv) for argv in argvs] == [0, 0]
+    capsys.readouterr()
+    return (folder / "suite.csv").read_bytes(), (folder / "pgm.csv").read_bytes()
 
     def test_a_passing_run_is_never_rerun(self, two_state_ensemble, eager):
         it.maximize_accessible_information(two_state_ensemble, it.OptimizerConfig(
@@ -973,7 +989,7 @@ class TestLockstepEigensolves:
 
     def test_a_default_run_makes_at_most_one_eigensolve_a_step(self, monkeypatch):
         e, _ = it.random_instance(3, 3, 2, "pure", 1)
-        calls = count_eighs(monkeypatch, "eigh_lo", np.linalg._umath_linalg)
+        calls = count_eighs(monkeypatch)
         bounds._random_restart_ascent(e, it.OptimizerConfig(method="random_restart_ascent"))
         assert 0 < len(calls) <= 201
 
@@ -981,7 +997,7 @@ class TestLockstepEigensolves:
         # every restart takes all 200 steps: 8 x 201 eigensolves one at a time
         e, _ = it.random_instance(3, 3, 2, "pure", 1)
         cfg = it.OptimizerConfig(method="random_restart_ascent", convergence_tol=1e-300)
-        calls = count_eighs(monkeypatch, "eigh_lo", np.linalg._umath_linalg)
+        calls = count_eighs(monkeypatch)
         bounds._random_restart_ascent(e, cfg)
         assert len(calls) == cfg.max_iterations + 1
 

@@ -12,6 +12,8 @@ import infotherm as it
 from infotherm import blockcoding, bounds, cli, measurement, quantum, suite_rng, thermo
 from infotherm.errors import SecondLawViolation
 
+from conftest import fail_solver
+
 
 def _mat(m):
     arr = np.asarray(m, dtype=complex)
@@ -608,6 +610,23 @@ class TestOptimizeAscentGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
         assert hashlib.sha256((tmp_path / "povm.json").read_bytes()).hexdigest() == out_digest
 
+    @pytest.mark.parametrize(
+        "spec, info",
+        [("qubit pair", 0.3991237584263576), ("mixed qutrit triple", 0.0897995345091509)],
+    )
+    def test_information_matches_the_pinned_value(self, spec, info, tmp_path):
+        # the value-level pin beside the byte pins: the I that run reports,
+        # to 1e-10 bits, so that a last-bit change (another BLAS kernel)
+        # passes and a wrong value does not
+        if spec == "qubit pair":
+            payload = _two_state_payload(measurement=None)
+        else:
+            payload = _ensemble_payload(it.random_instance(3, 3, 4, "mixed", 1)[0])
+        ensemble = cli.load_problem_spec(_write(tmp_path, "p.json", payload)).ensemble
+        cfg = it.OptimizerConfig(method="random_restart_ascent", restarts=2, seed=7)
+        _, report = it.maximize_accessible_information(ensemble, cfg)
+        assert abs(report.accessible_info - info) <= 1e-10
+
 
 class TestOptimizeBudget:
     """Ascent runs past ``bounds.ASCENT_WORK_CAP`` exit 5 before any step."""
@@ -701,6 +720,28 @@ class TestCycleGolden:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+
+
+class TestUnconvergedSolveExits2:
+    """An eigenvalue solve that does not converge, the first or the last of
+    a run, exits 2 with numpy's message, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["pgm", "bounds"])
+    @pytest.mark.parametrize("which", ["first", "last"])
+    def test_exit_2(self, command, which, tmp_path, monkeypatch, capsys):
+        e, v = it.random_instance(2, 2, 3, "mixed", 4)
+        payload = _ensemble_payload(e)
+        payload["measurement"] = {"elements": [_mat(el) for el in v.elements]}
+        argv = [command, "--spec", _write(tmp_path, "p.json", payload)]
+        calls = fail_solver(monkeypatch, "eigvalsh_lo", first=10**9)
+        assert cli.main(argv) == 0
+        assert len(calls) > 1
+        monkeypatch.undo()
+        fail_solver(monkeypatch, "eigvalsh_lo", first=0 if which == "first" else len(calls) - 1)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eigendecomposition failed: Eigenvalues did not converge\n"
 
 
 class TestPgm:
@@ -912,7 +953,8 @@ def _count_calls(monkeypatch, original):
 
 
 def _count_decompositions(monkeypatch):
-    """Wrap np.linalg.eigh and eigvalsh; returns [calls, matrices passed]."""
+    """Wrap numpy's solvers eigh_lo and eigvalsh_lo, which every eigensolve
+    of the package calls; returns [calls, matrices passed]."""
     counts = [0, 0]
 
     def counted(original):
@@ -923,8 +965,9 @@ def _count_decompositions(monkeypatch):
 
         return wrapper
 
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    solvers = np.linalg._umath_linalg
+    for name in ("eigh_lo", "eigvalsh_lo"):
+        monkeypatch.setattr(solvers, name, counted(getattr(solvers, name)))
     return counts
 
 

@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from infotherm.errors import NegativeEigenvalue, NotHermitian, ValidationError
+import infotherm as it
+from infotherm import linops
+from infotherm.errors import NegativeEigenvalue, NotHermitian, NumericalFailure, ValidationError
 from infotherm.linops import (
     _asymmetry,
     hermitian_eig,
@@ -10,6 +15,10 @@ from infotherm.linops import (
     psd_function,
     tensor_product,
 )
+
+from conftest import fail_solver
+
+PACKAGE = Path(it.__file__).parent
 
 
 def random_hermitian(dim, rng):
@@ -169,3 +178,87 @@ class TestAsymmetry:
         stack = np.stack([np.eye(2, dtype=dtype), m])
         npt.assert_array_equal(_asymmetry(stack), [0.0, 1e-3])
         assert np.array_equal(stack[1], kept)
+
+
+class TestUnconvergedSolves:
+    """A solve that does not converge raises ``NumericalFailure`` with
+    numpy's message wherever it runs, through numpy's solvers and through
+    the public functions that stand in where numpy lacks them, whatever the
+    caller's numpy error settings."""
+
+    MESSAGE = "^eigendecomposition failed: Eigenvalues did not converge$"
+
+    @pytest.fixture(params=["solver", "public"], autouse=True)
+    def route(self, request, monkeypatch):
+        if request.param == "public":
+            monkeypatch.setattr(linops, "_umath_linalg", None)
+
+    @pytest.mark.parametrize("invalid", ["ignore", "warn", "raise"])
+    def test_density_matrix(self, monkeypatch, invalid):
+        fail_solver(monkeypatch, "eigvalsh_lo")
+        with np.errstate(invalid=invalid), pytest.raises(NumericalFailure, match=self.MESSAGE):
+            it.DensityMatrix(np.eye(2) / 2)
+
+    def test_povm(self, monkeypatch):
+        fail_solver(monkeypatch, "eigvalsh_lo")
+        with pytest.raises(NumericalFailure, match=self.MESSAGE):
+            it.Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+
+    @pytest.mark.parametrize("projective", [True, False])
+    def test_delta_s(self, monkeypatch, projective):
+        # a projective measurement's dephased spectra, a general one's record spectra
+        rho = it.DensityMatrix([[0.6, 0.2], [0.2, 0.4]])
+        if projective:
+            v = it.basis_measurement(np.eye(2))
+        else:
+            v = it.Povm((np.diag([0.5, 0.0]), np.diag([0.0, 0.5]), np.eye(2) / 2))
+        assert v.projective == projective
+        fail_solver(monkeypatch, "eigvalsh_lo")
+        with pytest.raises(NumericalFailure, match=self.MESSAGE):
+            it.delta_s(rho, v)
+
+    def test_psd_function(self, monkeypatch):
+        fail_solver(monkeypatch, "eigh_lo")
+        with pytest.raises(NumericalFailure, match=self.MESSAGE):
+            psd_function(np.eye(2), np.sqrt)
+
+
+class TestSolverBindingStaysInLinops:
+    """Only ``linops`` calls numpy's eigensolvers and einsum or names their
+    C entry points; the other modules call its binding."""
+
+    NAMES = re.compile(
+        r"\blinalg\.(?:eigh|eigvalsh)\b|\b(?:np|numpy)\.einsum\b|\b_umath_linalg\b"
+        r"|\b_multiarray_umath\b"
+    )
+
+    @classmethod
+    def naming(cls, paths):
+        """Each file of ``paths`` that names one of them, with the names it uses."""
+        found = {}
+        for path in paths:
+            names = set(cls.NAMES.findall(path.read_text(encoding="utf-8")))
+            if names:
+                found[path.name] = sorted(names)
+        return found
+
+    def test_only_linops_names_them(self):
+        found = self.naming(sorted(PACKAGE.glob("*.py")))
+        assert {"_multiarray_umath", "_umath_linalg"} <= set(found.pop("linops.py"))
+        assert found == {}
+
+    def test_the_guard_sees_each_name(self, tmp_path):
+        stray = tmp_path / "stray.py"
+        stray.write_text(
+            "w = np.linalg.eigvalsh(a)\n"
+            "w, v = numpy.linalg.eigh(a)\n"
+            "t = np.einsum('ii->', a)\n"
+            "# np.linalg._umath_linalg, np._core._multiarray_umath.c_einsum\n"
+            "eighs = my_einsum = np.linalg.eigvals(a)\n"
+        )
+        assert self.naming([stray]) == {
+            "stray.py": [
+                "_multiarray_umath", "_umath_linalg", "linalg.eigh", "linalg.eigvalsh",
+                "np.einsum",
+            ]
+        }

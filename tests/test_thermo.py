@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -306,6 +308,35 @@ class TestLedgerGolden:
                 lines.append(f"{en.stage}|{en.description}|{float(en.work_bits).hex()}")
             lines.append(f"proj {v.projective}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+class TestLedgerValues:
+    """The value-level pin beside ``TestLedgerGolden``: the same instances'
+    entries, their stage and text exactly and their work to 1e-10 bits,
+    against ``data/ledger_entries.csv``, so that a last-bit change in a
+    value (another BLAS kernel) passes and a wrong value does not."""
+
+    def test_every_entry_matches_the_checked_in_table(self):
+        with open(Path(__file__).parent / "data" / "ledger_entries.csv", newline="") as fh:
+            pinned = list(csv.DictReader(fh))
+        ours = []
+        for kind in ("pure", "mixed", "commuting"):
+            for seed in range(5):
+                dim = 2 + seed % 3
+                m = dim if kind == "commuting" else 2 + seed
+                e, v = it.random_instance(dim, 2 + seed % 3, m, kind, [seed, 8])
+                ours += [(kind, str(seed), en.stage, en.description, en.work_bits)
+                         for en in it.run_cycle(e, v).entries]
+        assert len(pinned) == len(ours) > 500
+        assert [entry[:4] for entry in ours] == [
+            (row["kind"], row["seed"], row["stage"], row["description"]) for row in pinned
+        ]
+        npt.assert_allclose(
+            [entry[4] for entry in ours],
+            [float(row["work_bits"]) for row in pinned],
+            rtol=0,
+            atol=1e-10,
+        )
 
 
 def _general_instances(count):
