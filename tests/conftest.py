@@ -82,6 +82,18 @@ def fail_solver(monkeypatch, name, first=0):
     return calls
 
 
+def names_used(pattern, paths):
+    """Each file of ``paths`` whose text matches the regex ``pattern``, with
+    the sorted distinct matches, for the guards that keep a name in one
+    module."""
+    found = {}
+    for path in paths:
+        names = set(pattern.findall(path.read_text(encoding="utf-8")))
+        if names:
+            found[path.name] = sorted(names)
+    return found
+
+
 def mixed_kind_instances(count):
     """``count`` seeded random instances of every kind, d in {2, 3, 4}."""
     found = []

@@ -16,7 +16,7 @@ from infotherm.linops import (
     tensor_product,
 )
 
-from conftest import fail_solver
+from conftest import fail_solver, names_used
 
 PACKAGE = Path(it.__file__).parent
 
@@ -232,18 +232,8 @@ class TestSolverBindingStaysInLinops:
         r"|\b_multiarray_umath\b"
     )
 
-    @classmethod
-    def naming(cls, paths):
-        """Each file of ``paths`` that names one of them, with the names it uses."""
-        found = {}
-        for path in paths:
-            names = set(cls.NAMES.findall(path.read_text(encoding="utf-8")))
-            if names:
-                found[path.name] = sorted(names)
-        return found
-
     def test_only_linops_names_them(self):
-        found = self.naming(sorted(PACKAGE.glob("*.py")))
+        found = names_used(self.NAMES, sorted(PACKAGE.glob("*.py")))
         assert {"_multiarray_umath", "_umath_linalg"} <= set(found.pop("linops.py"))
         assert found == {}
 
@@ -256,7 +246,7 @@ class TestSolverBindingStaysInLinops:
             "# np.linalg._umath_linalg, np._core._multiarray_umath.c_einsum\n"
             "eighs = my_einsum = np.linalg.eigvals(a)\n"
         )
-        assert self.naming([stray]) == {
+        assert names_used(self.NAMES, [stray]) == {
             "stray.py": [
                 "_multiarray_umath", "_umath_linalg", "linalg.eigh", "linalg.eigvalsh",
                 "np.einsum",

@@ -26,6 +26,7 @@ from conftest import (
     INFO_COMPUTATIONAL,
     INFO_HELSTROM,
     P_HELSTROM_CORRECT,
+    count_eighs,
     mixed_kind_instances,
 )
 
@@ -640,20 +641,6 @@ def loop_element_error(elements):
     return None
 
 
-def count_eigvalsh_calls(monkeypatch):
-    """Wrap numpy's solver ``eigvalsh_lo``, which every eigenvalue solve of
-    the package calls; returns the list that grows by one entry a call."""
-    calls = []
-    original = np.linalg._umath_linalg.eigvalsh_lo
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg._umath_linalg, "eigvalsh_lo", counted)
-    return calls
-
-
 @pytest.fixture(scope="module")
 def stacked_instances():
     """150 seeded pairs of every kind with d in {2, 3, 4}, plus the m=4
@@ -720,7 +707,7 @@ class TestStackedKernels:
 
     def test_spectrum_runs_no_eigensolve(self, monkeypatch):
         r = random_density(4, np.random.default_rng(5))
-        calls = count_eigvalsh_calls(monkeypatch)
+        calls = count_eighs(monkeypatch, "eigvalsh_lo")
         r.spectrum()
         assert len(calls) == 0
         it.DensityMatrix(r.matrix)
@@ -731,7 +718,7 @@ class TestStackedKernels:
     ):
         _, _, v = stacked_instances[-1]
         assert v.size == 16
-        calls = count_eigvalsh_calls(monkeypatch)
+        calls = count_eighs(monkeypatch, "eigvalsh_lo")
         it.Povm(v.elements)
         assert len(calls) == 1
 

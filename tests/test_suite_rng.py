@@ -12,6 +12,8 @@ import pytest
 import infotherm as it
 from infotherm import cli, suite_rng
 
+from conftest import names_used
+
 PACKAGE = Path(it.__file__).parent
 
 
@@ -204,19 +206,8 @@ class TestStreamInternalsStayInOneModule:
 
     NAMES = re.compile(r"\b(PCG64|SeedSequence|ISeedSequence|random_raw)\b")
 
-    @classmethod
-    def naming(cls, paths):
-        """Each file of ``paths`` that names a stream internal, with the
-        names it uses."""
-        found = {}
-        for path in paths:
-            names = set(cls.NAMES.findall(path.read_text(encoding="utf-8")))
-            if names:
-                found[path.name] = sorted(names)
-        return found
-
     def test_only_suite_rng_names_them(self):
-        found = self.naming(sorted(PACKAGE.glob("*.py")))
+        found = names_used(self.NAMES, sorted(PACKAGE.glob("*.py")))
         assert found.pop("suite_rng.py") == ["ISeedSequence", "PCG64", "SeedSequence", "random_raw"]
         assert found == {}
 
@@ -228,6 +219,6 @@ class TestStreamInternalsStayInOneModule:
             "# numpy.random.bit_generator.ISeedSequence, SeedSequence\n"
             "PCG64DXSM = seeded_sequence = 1\n"
         )
-        assert self.naming([stray]) == {
+        assert names_used(self.NAMES, [stray]) == {
             "stray.py": ["ISeedSequence", "PCG64", "SeedSequence", "random_raw"]
         }

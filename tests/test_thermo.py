@@ -285,6 +285,15 @@ class TestRunCycle:
         npt.assert_allclose(led.delta_s, 0.0, atol=1e-9)
 
 
+def _ledger_instances(kind):
+    """The 5 seeded random instances of ``kind`` whose ledgers are pinned,
+    with their seeds: projective and general measurements, d in {2, 3, 4}."""
+    for seed in range(5):
+        dim = 2 + seed % 3
+        m = dim if kind == "commuting" else 2 + seed
+        yield (seed, *it.random_instance(dim, 2 + seed % 3, m, kind, [seed, 8]))
+
+
 class TestLedgerGolden:
     # sha256 of every (stage, description, work_bits) that run_cycle books
     # for 5 seeded random instances of each kind (projective and general
@@ -300,10 +309,7 @@ class TestLedgerGolden:
     )
     def test_entries_are_pinned(self, kind, digest):
         lines = []
-        for seed in range(5):
-            dim = 2 + seed % 3
-            m = dim if kind == "commuting" else 2 + seed
-            e, v = it.random_instance(dim, 2 + seed % 3, m, kind, [seed, 8])
+        for _, e, v in _ledger_instances(kind):
             for en in it.run_cycle(e, v).entries:
                 lines.append(f"{en.stage}|{en.description}|{float(en.work_bits).hex()}")
             lines.append(f"proj {v.projective}")
@@ -319,14 +325,12 @@ class TestLedgerValues:
     def test_every_entry_matches_the_checked_in_table(self):
         with open(Path(__file__).parent / "data" / "ledger_entries.csv", newline="") as fh:
             pinned = list(csv.DictReader(fh))
-        ours = []
-        for kind in ("pure", "mixed", "commuting"):
-            for seed in range(5):
-                dim = 2 + seed % 3
-                m = dim if kind == "commuting" else 2 + seed
-                e, v = it.random_instance(dim, 2 + seed % 3, m, kind, [seed, 8])
-                ours += [(kind, str(seed), en.stage, en.description, en.work_bits)
-                         for en in it.run_cycle(e, v).entries]
+        ours = [
+            (kind, str(seed), en.stage, en.description, en.work_bits)
+            for kind in ("pure", "mixed", "commuting")
+            for seed, e, v in _ledger_instances(kind)
+            for en in it.run_cycle(e, v).entries
+        ]
         assert len(pinned) == len(ours) > 500
         assert [entry[:4] for entry in ours] == [
             (row["kind"], row["seed"], row["stage"], row["description"]) for row in pinned
