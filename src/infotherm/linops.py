@@ -67,7 +67,7 @@ def as_complex_matrix(m) -> np.ndarray:
 def _require_finite(a: np.ndarray) -> None:
     """Raise for an array with a non-finite entry, as ``as_complex_matrix``
     does."""
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
 
 
@@ -133,7 +133,7 @@ def _asymmetry(stack: np.ndarray) -> np.ndarray:
     overwrite."""
     diff = np.conjugate(stack).swapaxes(-1, -2)
     np.subtract(stack, diff, out=diff)
-    return np.maximum.reduce(np.abs(diff), axis=(-2, -1))
+    return np.abs(diff).max(axis=(-2, -1))
 
 
 def _raise_first_failure(checks) -> None:
@@ -145,7 +145,7 @@ def _raise_first_failure(checks) -> None:
     A mask shorter than the stack has not been checked for the items past
     its end.
     """
-    failed = [bad for bad, _ in checks if np.logical_or.reduce(bad, axis=None)]
+    failed = [bad for bad, _ in checks if np.count_nonzero(bad)]
     if failed:
         k = min(int(np.argmax(bad)) for bad in failed)
         for bad, error in checks:
@@ -250,10 +250,10 @@ def _decomposition_checks(stack: np.ndarray, w: np.ndarray, v: np.ndarray):
     # above unit size; a scale is at least 1, so only a residual past the
     # bare tolerance needs one.
     reconstructed = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    residual = np.maximum.reduce(np.abs(reconstructed - stack), axis=(-2, -1))
+    residual = np.abs(reconstructed - stack).max(axis=(-2, -1))
     inexact = residual > RECONSTRUCTION_TOL
-    if np.logical_or.reduce(inexact, axis=None):
-        scale = np.maximum(1.0, np.maximum.reduce(np.abs(stack), axis=(-2, -1)))
+    if np.count_nonzero(inexact):
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
         inexact &= residual > RECONSTRUCTION_TOL * scale
     return [
         (
@@ -340,11 +340,11 @@ def _eigenvalue_function(w: np.ndarray, f: Callable, pseudo: bool, skip=None) ->
     if pseudo:
         kernel = w <= PSD_EPSILON
         drop = kernel if skip is None else kernel | skip
-    if drop is None or not np.logical_or.reduce(drop, axis=None):
+    if drop is None or not np.count_nonzero(drop):
         return np.asarray(f(w), dtype=float)
     keep = ~drop
     fw = np.zeros(w.shape)
-    if np.logical_or.reduce(keep, axis=None):
+    if np.count_nonzero(keep):
         fw[keep] = np.asarray(f(w[keep]), dtype=float)
     return fw
 
@@ -373,10 +373,10 @@ def _spectral_function(w: np.ndarray, v: np.ndarray, checks, f: Callable, pseudo
     lowest-index failing matrix raises what ``psd_function`` raises for it
     alone; ``f`` never sees the eigenvalues of a matrix that failed
     ``checks``."""
-    failed = [bad for bad, _ in checks if np.logical_or.reduce(bad, axis=None)]
+    failed = [bad for bad, _ in checks if np.count_nonzero(bad)]
     skip = np.repeat(np.logical_or.reduce(failed), w.shape[1]) if failed else None
     fw = _eigenvalue_function(w.reshape(-1), f, pseudo, skip).reshape(w.shape)
     checks = checks + [_finite_function_check(fw)]
-    if failed or np.logical_or.reduce(checks[-1][0], axis=None):
+    if failed or np.count_nonzero(checks[-1][0]):
         _raise_first_failure(checks)
     return (v * fw[:, None, :]) @ v.conj().swapaxes(1, 2)

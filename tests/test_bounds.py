@@ -797,6 +797,13 @@ class TestDeferredStepChecks:
         assert got == (NumericalFailure, "eigendecomposition failed: Eigenvalues did not converge")
         assert eager == [False, False]  # the lockstep run, then restart 0 alone
 
+    def test_a_passing_run_is_never_rerun(self, two_state_ensemble, eager):
+        it.maximize_accessible_information(two_state_ensemble, it.OptimizerConfig(
+            method="random_restart_ascent", restarts=3, max_iterations=100, seed=11
+        ))
+        # the three restarts run once, together
+        assert eager == [False]
+
 
 def _cli_csvs(folder, capsys):
     """The bytes of the seed-42 suite CSV of 100 trials and of the ``pgm``
@@ -813,13 +820,6 @@ def _cli_csvs(folder, capsys):
     assert [cli.main(argv) for argv in argvs] == [0, 0]
     capsys.readouterr()
     return (folder / "suite.csv").read_bytes(), (folder / "pgm.csv").read_bytes()
-
-    def test_a_passing_run_is_never_rerun(self, two_state_ensemble, eager):
-        it.maximize_accessible_information(two_state_ensemble, it.OptimizerConfig(
-            method="random_restart_ascent", restarts=3, max_iterations=100, seed=11
-        ))
-        # the three restarts run once, together
-        assert eager == [False]
 
 
 def _serial_restart(start, weighted, probs, cfg):
