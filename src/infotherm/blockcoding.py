@@ -62,7 +62,7 @@ def sequence_ensemble(e: Ensemble, m: int) -> Ensemble:
         raise ValidationError(f"block length must be at least 1, got {m}")
     _check_caps(e.size, e.dim, m)
     n, d = e.size, e.dim
-    letters = np.stack([s.matrix for s in e.states])
+    letters = e._matrices
     probs, stack = e.probs, letters
     for _ in range(m - 1):
         k, dim = stack.shape[:2]
@@ -91,7 +91,7 @@ def _pretty_good_measurement(e: Ensemble, rho: DensityMatrix) -> Povm:
     rho^(-1/2) and the kernel projector come from rho's one kept
     eigendecomposition, which the analysis's sqrt(rho) reads again."""
     inv_root = rho._function(lambda x: 1.0 / np.sqrt(x), pseudo=True)
-    weighted = e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
+    weighted = e.probs[:, None, None] * e._matrices
     elements = inv_root @ weighted @ inv_root
     support_rank = int(np.sum(rho.spectrum() > PSD_EPSILON))
     if support_rank < rho.dim:

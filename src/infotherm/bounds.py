@@ -251,7 +251,7 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
         )
     rng = np.random.default_rng(cfg.seed)
     probs = e.probs
-    weighted = probs[:, None, None] * np.stack([s.matrix for s in e.states])
+    weighted = probs[:, None, None] * e._matrices
     strict = {k: "raise" if k == "invalid" or m != "ignore" else m for k, m in np.geterr().items()}
 
     def ascent(starts, eager=False):

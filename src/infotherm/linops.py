@@ -45,10 +45,10 @@ CYCLE_TOL = 1e-9  # net cycle work above this violates the second law
 WEIGHT_FLOOR = 1e-15  # spectrum weights at or below this get no ledger entry
 CONVERGENCE_TOL = 1e-7  # default ascent gain below which a restart stops
 
-# numpy's C entry points under np.linalg.eigh and eigvalsh (``_solve``) and
-# under np.einsum, called without their Python wrappers where numpy has
-# them, else the public functions: the same loops, so the same bits
-_umath_linalg = getattr(np.linalg, "_umath_linalg", None)
+# numpy's C entry points under np.linalg.eigh and eigvalsh (``_solve``) and,
+# where numpy has it (1.x has no ``np._core``), under np.einsum, called
+# without their Python wrappers: the same loops, so the same bits
+_umath_linalg = np.linalg._umath_linalg
 _multiarray_umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
 _einsum = getattr(_multiarray_umath, "c_einsum", np.einsum)
 
@@ -221,16 +221,11 @@ def _checked(solver, stack: np.ndarray):
 def _solve(name: str, stack: np.ndarray, checked: bool = True):
     """``np.linalg.<name>`` of a complex or float64 stack, from numpy's
     solver ``<name>_lo`` (looked up on numpy's module at each call) without
-    the wrapper where numpy has it: the loop the wrapper picks for the
-    dtype, under ``_checked``.  Unchecked, a failure only sets the invalid
-    flag, and over, divide and under are not masked as the wrapper masks them."""
-    solver = getattr(_umath_linalg, name + "_lo", None)
-    if solver is not None:
-        return _checked(solver, stack) if checked else solver(stack)
-    try:
-        return getattr(np.linalg, name)(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    the wrapper: the loop the wrapper picks for the dtype, under
+    ``_checked``.  Unchecked, a failure only sets the invalid flag, and
+    over, divide and under are not masked as the wrapper masks them."""
+    solver = getattr(_umath_linalg, name + "_lo")
+    return _checked(solver, stack) if checked else solver(stack)
 
 
 #: Eigenvalues (ascending) and eigenvectors, with the solver's own phases,

@@ -56,11 +56,13 @@ from .linops import (
 from .quantum import (
     DensityMatrix,
     Ensemble,
+    _averages,
+    _chis,
     _density_checks,
     _density_eigenvalues,
     _density_spectra,
     _entropies,
-    _entropy_of_spectrum,
+    _nonnegative,
 )
 
 
@@ -335,15 +337,21 @@ def joint_distribution(e: Ensemble, v: Povm) -> JointDistribution:
     per state; ``_joint_distributions`` gives each of many pairs these bits
     and errors."""
     _require_same_dim("ensemble", e.dim, v)
-    table, _ = _joint_table(e.probs, np.array([s.matrix for s in e.states]), v._stack)
+    table, _ = _joint_table(e.probs, e._matrices, v._stack)
     return JointDistribution._checked(table)
+
+
+def _traces(elements: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Re tr(E rho) of each pair of the broadcast (..., d, d) stacks, from
+    their matrix products: every trace of an element and a state."""
+    return (elements @ states).trace(axis1=-2, axis2=-1).real
 
 
 def _joint_table(probs: np.ndarray, states: np.ndarray, elements: np.ndarray):
     """``joint_distribution``'s checked, read-only table of the priors
     ``probs``, the stacked member states and the stacked elements, from one
     broadcast product, and its row sums."""
-    raw = probs[:, None] * (elements @ states[:, None]).trace(axis1=2, axis2=3).real
+    raw = probs[:, None] * _traces(elements, states[:, None])
     table = np.maximum(raw, 0.0)
     rows = _row_sums(table)
     drift = np.abs(rows - probs).max(keepdims=True)
@@ -358,16 +366,15 @@ def _joint_distributions(groups: "list[_Group]", sizes, counts, priors):
     ``priors``, with each table's row sums (its ``priors``) and column sums
     (its ``outcome_probs``), all to the last bit of the per-pair call.
 
-    One pair takes ``_joint_table``'s broadcast product.  Many pairs take
-    one gather over the live (member, element) pairs of every table of a
-    group, so no product is taken twice or with a state past a pair's
-    members; the rest runs once for all the groups, pair after pair, and
-    each table is a row-major run of the flat result.  Its sums are
-    ``_ordered_sums``, in order from +0 as the per-pair call adds.  The
-    checks run stacked; the lowest-index failing pair raises what
-    ``joint_distribution`` raises for it alone.  Returns the flat tables
-    row-major and outcome-major, the row sums (one a member) and the column
-    sums (one an element)."""
+    One pair takes ``_joint_table``'s broadcast product, which costs less
+    than the gather's index work.  Many pairs take one gather over the live
+    (member, element) pairs of every table of a group, so no product is
+    taken twice or with a state past a pair's members; the rest runs once
+    for all the groups, and each table is a row-major run of the flat
+    result, summed by ``_ordered_sums``.  The lowest-index failing pair
+    raises what ``joint_distribution`` raises for it alone.  Returns the
+    flat tables row-major and outcome-major, the row sums (one a member)
+    and the column sums (one an element)."""
     if len(sizes) == 1:
         table, row_sums = _joint_table(priors, groups[0].states, groups[0].elements)
         return table.ravel(), table.T.ravel(), row_sums, _row_sums(table.T)
@@ -378,12 +385,11 @@ def _joint_distributions(groups: "list[_Group]", sizes, counts, priors):
     width, height = counts[owner], sizes[owner]
     member = first[owner] + cell // width
     element = starts[owner] + cell % width
-    # each group's products, by its own member and element indices
+    # each group's traces, by its own member and element indices
     traces, s0, e0, c0 = [], 0, 0, 0
     for g in groups:
         c1 = c0 + int(g.sizes @ g.counts)
-        products = g.elements[element[c0:c1] - e0] @ g.states[member[c0:c1] - s0]
-        traces.append(np.trace(products, axis1=1, axis2=2).real)
+        traces.append(_traces(g.elements[element[c0:c1] - e0], g.states[member[c0:c1] - s0]))
         s0, e0, c0 = s0 + len(g.states), e0 + len(g.elements), c1
     raw = priors[member] * (np.concatenate(traces) if len(traces) > 1 else traces[0])
     tables = np.maximum(raw, 0.0)
@@ -400,30 +406,29 @@ def _joint_distributions(groups: "list[_Group]", sizes, counts, priors):
 
 
 def outcome_distribution(r: DensityMatrix, v: Povm) -> np.ndarray:
-    """Outcome probabilities tr(E_j rho) for a single state."""
+    """Outcome probabilities tr(E_j rho) of a single state, clipped; they sum to 1."""
     _require_same_dim("state", r.dim, v)
-    q = np.trace(v._stack @ r.matrix, axis1=1, axis2=2).real
-    q = np.clip(q, 0.0, None)
-    if abs(q.sum() - 1.0) > TRACE_TOL:
-        raise NumericalFailure(f"outcome probabilities sum to {q.sum():.12g}")
+    q = np.maximum(_traces(v._stack, r.matrix), 0.0)
+    total = _row_sums(q[None])[0]
+    if abs(total - 1.0) > TRACE_TOL:
+        raise NumericalFailure(f"outcome probabilities sum to {total:.12g}")
     return q
 
 
 def mutual_information(j: JointDistribution) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) in bits, clipped to be nonnegative."""
     p = j.matrix
-    return _clipped_information(
-        _entropy_of_spectrum(_row_sums(p))
-        + _entropy_of_spectrum(_row_sums(p.T))
-        - _entropy_of_spectrum(p.reshape(-1))
-    )
+    n, m = p.shape
+    flat = np.concatenate([j.priors, j.outcome_probs, p.ravel()])
+    h_a, h_b, h_ab = _entropies(flat, [n, m, n * m])
+    return _clipped(h_a + h_b - h_ab, _information_check)
 
 
-def _clipped_information(info: float) -> float:
-    """A mutual information a hair below zero clipped to zero; below
-    -PROB_CLIP it raises: ``_information_check`` of one value."""
-    _raise_first_failure([_information_check(np.array([info]))])
-    return max(0.0, info)
+def _clipped(value, check) -> float:
+    """One I or delta_s, checked (stacked ``check``) and clipped as the analysis does."""
+    values = np.array([value])
+    _raise_first_failure([check(values)])
+    return float(_nonnegative(values)[0])
 
 
 def _information_check(infos: np.ndarray):
@@ -460,11 +465,6 @@ def _record_blocks(matrix, system_dim: int, record_dim: int) -> np.ndarray:
     return m.reshape(system_dim, record_dim, system_dim, record_dim)
 
 
-def _dephased_matrix(rho: np.ndarray, v: Povm) -> np.ndarray:
-    """sum_j P_j rho P_j, the elements' products summed in order."""
-    return (v._stack @ rho @ v._stack).sum(axis=0)
-
-
 def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
     """State after an unread (non-selective) measurement.
 
@@ -475,7 +475,7 @@ def post_measurement_state(r: DensityMatrix, v: Povm) -> DensityMatrix:
     """
     _require_same_dim("state", r.dim, v)
     if v.projective:
-        return DensityMatrix(_dephased_matrix(r.matrix, v))
+        return DensityMatrix(_ordered_sums(v._stack @ r.matrix @ v._stack, [v.size])[0])
     roots = _psd_function_stack(v._stack, np.sqrt)
     return DensityMatrix(_with_record(roots @ r.matrix @ roots))
 
@@ -534,8 +534,8 @@ def _dephased_spectra(rhos: np.ndarray, projectors: np.ndarray, counts: np.ndarr
     the record-state union of ``_root_spectra`` would agree to rounding,
     but on commuting instances delta_s is itself rounding noise and would
     change in the printed digits.  Each pair's products are added in
-    order, as ``_dephased_matrix`` adds them.  Returns the clipped spectra,
-    flat, their lengths, and the dephased states' density checks."""
+    order, as ``post_measurement_state`` adds them.  Returns the clipped
+    spectra, flat, their lengths, and the dephased states' density checks."""
     products = projectors @ rhos.repeat(counts, axis=0) @ projectors
     w, checks = _density_spectra(_ordered_sums(products, counts))
     return np.maximum(w, 0.0).ravel(), np.full(len(counts), w.shape[1]), checks
@@ -591,10 +591,9 @@ def delta_s(r: DensityMatrix, v: Povm) -> float:
     POVM the post-measurement entropy comes from the union of the spectra
     of sqrt(rho) E_j sqrt(rho); the d*m-dim record state is never built.
     """
-    ds = _entropy_of_spectrum(_post_measurement_spectrum(r, v)) - _entropy_of_spectrum(r.spectrum())
-    if ds < -BOUND_TOL:
-        _raise_first_failure([_entropy_increase_check(np.array([ds]))])
-    return max(0.0, ds)
+    sigma = _post_measurement_spectrum(r, v)
+    s_sigma, s_rho = _entropies(np.concatenate([sigma, r.spectrum()]), [sigma.size, r.dim])
+    return _clipped(s_sigma - s_rho, _entropy_increase_check)
 
 
 class _Group(NamedTuple):
@@ -635,17 +634,21 @@ class _Analysis(NamedTuple):
 
 def _group(pairs) -> _Group:
     """(ensemble, measurement) pairs, all of one dimension, as one
-    ``_Group``, the record a suite draw gives; a measurement whose
-    dimension is not its ensemble's raises ``DimensionMismatch``."""
+    ``_Group``, the record a suite draw gives, a lone pair's arrays as
+    they are; a measurement whose dimension is not its ensemble's raises
+    ``DimensionMismatch``."""
     for e, v in pairs:
         _require_same_dim("ensemble", e.dim, v)
-    states = [s for e, _ in pairs for s in e.states]
+
+    def joined(parts):
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     return _Group(
-        np.array([s.matrix for s in states]),
-        np.array([s._eigenvalues for s in states]),
-        np.concatenate([e.probs for e, _ in pairs]),
+        joined([e._matrices for e, _ in pairs]),
+        np.array([s._eigenvalues for e, _ in pairs for s in e.states]),
+        joined([e.probs for e, _ in pairs]),
         np.array([e.size for e, _ in pairs]),
-        np.concatenate([v._stack for _, v in pairs]),
+        joined([v._stack for _, v in pairs]),
         np.array([v.size for _, v in pairs]),
         np.array([v.projective for _, v in pairs]),
     )
@@ -671,20 +674,19 @@ def _pairs(g: _Group) -> list[tuple[Ensemble, Povm]]:
 
 def _analyse_groups(groups: list[_Group], rho: DensityMatrix | None = None) -> _Analysis:
     """The ``_Analysis`` of every pair of the groups, group after group,
-    with the arithmetic and checks of ``mutual_information``,
-    ``holevo_chi`` and ``delta_s``, stage by stage over all of them: a
-    kernel that needs one (K, d, d) stack runs once a group, everything
-    else once.  The stages, in order: one ``_joint_distributions`` for the
-    tables and their marginals; each group's average states, each pair's
-    weighted members added in ``_average_matrix``'s order, and their
+    with the kernels and checks of ``mutual_information``, ``holevo_chi``
+    and ``delta_s``, stage by stage over all of them: a kernel that needs
+    one (K, d, d) stack runs once a group, everything else once.  The
+    stages, in order: one ``_joint_distributions`` for the tables and
+    their marginals; each group's average states (``_averages``) and their
     density checks; one ``_post_measurement_spectra``, each group's
     sqrt(rho) checked as it is taken, then every route check; one
-    ``_entropies`` for every entropy; then I, chi and delta_s of every pair
-    with stacked checks.  The first stage with a failing pair raises, for
-    the lowest failing pair counted group after group, with that pair's
-    own error.  ``rho``, given for one group of one pair (``_group``), is
-    that pair's checked average state, whose eigenvalues and kept
-    eigendecomposition the analysis reads in place of its own."""
+    ``_entropies`` for every entropy; then I, chi (``_chis``) and delta_s
+    of every pair, checked, then clipped.  The first stage with a failing
+    pair raises, for the lowest failing pair counted group after group,
+    with that pair's own error.  ``rho``, given for one group of one pair
+    (``_group``), is that pair's checked average state, whose eigenvalues
+    and kept eigendecomposition the analysis reads in place of its own."""
     # the groups' fields, each as one flat array; a lone group's as they are
     fields = [
         (g.sizes, g.counts, g.priors, g.projective, g.eigenvalues.reshape(-1)) for g in groups
@@ -694,8 +696,7 @@ def _analyse_groups(groups: list[_Group], rho: DensityMatrix | None = None) -> _
     )
     tables, by_outcome, row_sums, col_sums = _joint_distributions(groups, sizes, counts, priors)
     if rho is None:
-        # each pair's weighted members added in ``_average_matrix``'s order
-        averages = [_ordered_sums(g.priors[:, None, None] * g.states, g.sizes) for g in groups]
+        averages = [_averages(g.priors, g.states, g.sizes) for g in groups]
         lam = np.concatenate(
             [np.maximum(_density_eigenvalues(rhos), 0.0).ravel() for rhos in averages]
         )
@@ -711,14 +712,11 @@ def _analyse_groups(groups: list[_Group], rho: DensityMatrix | None = None) -> _
     h = _entropies(np.concatenate(vectors), np.concatenate(lengths))
     k = len(sizes)
     h_a, h_b, h_ab, s_rho, s_sigma = h[:5 * k].reshape(5, k)
-    infos = h_a + h_b - h_ab
+    infos, increases = h_a + h_b - h_ab, s_sigma - s_rho
     _raise_first_failure([_information_check(infos)])
-    increases = s_sigma - s_rho
     _raise_first_failure([_entropy_increase_check(increases)])
-    # chi adds each pair's weighted member entropies in order from +0, where
-    # the +0 term of a zero prior adds nothing, as ``holevo_chi``'s skip does
-    values = np.array([infos, s_rho - _ordered_sums(priors * h[5 * k:], sizes), increases])
-    info, chi, ds = np.where(values > 0.0, values, 0.0)
+    chis = _chis(s_rho, priors, h[5 * k:], sizes)
+    info, chi, ds = _nonnegative(np.array([infos, chis, increases]))
     return _Analysis(
         priors,
         sizes,

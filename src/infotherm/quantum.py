@@ -5,6 +5,7 @@ bit of work at temperature T is kT ln 2.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,22 +33,17 @@ from .linops import (
 )
 
 
-def _entropy_of_spectrum(values: np.ndarray) -> float:
-    """-sum(v log2 v) over the nonzero entries, tiny negatives clipped."""
-    w = np.maximum(np.asarray(values, dtype=float), 0.0)
-    w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    return float(max(0.0, -np.dot(w, np.log2(w))))
+def _nonnegative(values: np.ndarray) -> np.ndarray:
+    """``values`` with each entry that is not above zero (or NaN) as +0."""
+    return np.where(values > 0.0, values, 0.0)
 
 
 def _entropies(flat: np.ndarray, lengths) -> np.ndarray:
-    """``_entropy_of_spectrum`` of each consecutive segment of the float
-    array ``flat``, of ``lengths`` items each, to the last bit: one clip and
-    one ``log2`` for all of them, then one batched ``(K, 1, c) @ (K, c, 1)``
-    product for the K segments with c positive entries each.  Segments are
-    never padded to a common length, because the zeros would change the
-    bits of the dot products."""
+    """-sum(w log2 w) in bits over the positive entries w of each run of
+    ``lengths`` items of the float array ``flat``: one clip and one
+    ``log2`` for all of them, then one batched ``(K, 1, c) @ (K, c, 1)``
+    product for the K runs with c positive entries each, never padded to
+    one length, as zeros would change the bits of the dot products."""
     lengths = np.asarray(lengths)
     flat = np.maximum(flat, 0.0)
     at = (flat > 0.0).nonzero()[0]
@@ -62,7 +58,7 @@ def _entropies(flat: np.ndarray, lengths) -> np.ndarray:
         ks = (counts == c).nonzero()[0]
         idx = starts[ks][:, None] + np.arange(c)
         dots[ks] = (w[idx][:, None, :] @ logs[idx][:, :, None])[:, 0, 0]
-    return np.where(-dots > 0.0, -dots, 0.0)
+    return _nonnegative(-dots)
 
 
 def _density_eigenvalues(stack: np.ndarray) -> np.ndarray:
@@ -228,6 +224,13 @@ class Ensemble:
     def dim(self) -> int:
         return self.states[0].dim
 
+    @functools.cached_property
+    def _matrices(self) -> np.ndarray:
+        """The members' matrices as one read-only (n, d, d) stack, kept."""
+        stack = np.array([s.matrix for s in self.states])
+        stack.setflags(write=False)
+        return stack
+
 
 def _checked_priors(p: np.ndarray) -> np.ndarray:
     """A nonempty float vector of priors, clipped to be nonnegative, once it
@@ -273,19 +276,18 @@ def _probability_checks(flat: np.ndarray, lengths, noun: str = "prior", plural: 
 
 def average_state(e: Ensemble) -> DensityMatrix:
     """The source average sum_i p_i rho_i."""
-    return DensityMatrix(_average_matrix(e))
+    return DensityMatrix(_averages(e.probs, e._matrices, [e.size])[0])
 
 
-def _average_matrix(e: Ensemble) -> np.ndarray:
-    acc = np.zeros((e.dim, e.dim), dtype=complex)
-    for p, s in zip(e.probs, e.states):
-        acc += p * s.matrix
-    return acc
+def _averages(priors: np.ndarray, states: np.ndarray, sizes) -> np.ndarray:
+    """sum_i p_i rho_i of each run of ``sizes`` members of the (S, d, d)
+    stack ``states``, added in order from +0 (``_ordered_sums``)."""
+    return _ordered_sums(priors[:, None, None] * states, sizes)
 
 
 def von_neumann_entropy(r: DensityMatrix) -> float:
     """S(rho) = -Tr rho log2 rho, in bits."""
-    return _entropy_of_spectrum(r.spectrum())
+    return float(_entropies(r.spectrum(), [r.dim])[0])
 
 
 def shannon_entropy(p) -> float:
@@ -294,18 +296,22 @@ def shannon_entropy(p) -> float:
     p = np.asarray(p, dtype=float).reshape(-1)
     clipped, checks = _probability_checks(p, [p.size], "probability", "probabilities")
     _raise_first_failure(checks)
-    return _entropy_of_spectrum(clipped)
+    return float(_entropies(clipped, [p.size])[0])
 
 
 def holevo_chi(e: Ensemble) -> float:
-    """chi = S(avg) - sum_i p_i S(rho_i), clipped to be nonnegative.
+    """chi = S(avg) - sum_i p_i S(rho_i), nonnegative by the concavity of
+    S; a hair below zero (rounding, on a saturating ensemble) is clipped."""
+    spectra = [average_state(e).spectrum()] + [s.spectrum() for s in e.states]
+    h = _entropies(np.concatenate(spectra), [e.dim] * (1 + e.size))
+    return float(_nonnegative(_chis(h[:1], e.probs, h[1:], [e.size]))[0])
 
-    Concavity of S makes the true value nonnegative; floating error on a
-    saturating ensemble can land a hair below zero, which we clip.
-    """
-    s_rho = von_neumann_entropy(average_state(e))
-    cond = sum(p * von_neumann_entropy(s) for p, s in zip(e.probs, e.states) if p > 0.0)
-    return float(max(0.0, s_rho - cond))
+
+def _chis(s_rho: np.ndarray, priors: np.ndarray, member_entropies: np.ndarray, sizes):
+    """chi of each of K ensembles of ``sizes`` members, before its clip,
+    from the entropies of their average states and of their members: the
+    weighted member entropies are added in order from +0."""
+    return s_rho - _ordered_sums(priors * member_entropies, sizes)
 
 
 def ensemble_commutes(e: Ensemble) -> bool:
@@ -331,7 +337,7 @@ def shared_eigenbasis(e: Ensemble) -> np.ndarray:
         raise ValidationError("ensemble states do not commute")
     weights = np.pi ** np.arange(1, e.size + 1)
     weights /= weights.sum()
-    probe = sum(w * s.matrix for w, s in zip(weights, e.states))
+    probe = _averages(weights, e._matrices, [e.size])[0]
     basis = hermitian_eig(probe).eigenvectors
     for s in e.states:
         off = basis.conj().T @ s.matrix @ basis

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import infotherm as it
+import oracle
 from infotherm import measurement
 
 CHI_TWO_STATE = 0.6008760366928562
@@ -23,6 +24,12 @@ DS_HELSTROM = 0.3991239633071438
 P_HELSTROM_CORRECT = 0.8535533905932737
 NET_COMPUTATIONAL = -0.5
 NET_HELSTROM = -0.6008760366928562
+ORACLE_TOL = 1e-10  # the package against ``tests/oracle.py``
+
+
+def oracle_bounds(e, v):
+    """``oracle.bounds`` of a pair of the package's objects: (I, chi, delta_s)."""
+    return oracle.bounds(e.probs.tolist(), [s.matrix for s in e.states], list(v.elements))
 
 
 def in_order(values):

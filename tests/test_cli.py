@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -1455,13 +1457,40 @@ class TestSuiteSeed42Csv:
         capsys.readouterr()
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
+    ARGV = ["suite", "--trials", "100", "--seed", "42", "--csv"]
+
     def test_every_cell_matches_the_checked_in_table(self, tmp_path, capsys):
-        # the value-level pin beside the byte pin: the label columns exactly
-        # and the six value columns to 1e-12 absolute, so a last-bit change
-        # in a noise-level value passes and a wrong value does not
+        # the value-level pin beside the byte pin
         csv = tmp_path / "suite.csv"
-        assert cli.main(["suite", "--trials", "100", "--seed", "42", "--csv", str(csv)]) == 0
+        assert cli.main(self.ARGV + [str(csv)]) == 0
         capsys.readouterr()
+        self.assert_matches_the_table(csv)
+
+    def test_the_table_holds_on_other_openblas_kernels(self, tmp_path):
+        # the value table, where the bytes differ: each run in a child
+        # process under another kernel of numpy's OpenBLAS, both at once
+        # (OpenBLAS reads OPENBLAS_CORETYPE as it loads; a BLAS that is not
+        # OpenBLAS ignores it, and the child runs as this process does)
+        src = str(Path(it.__file__).resolve().parents[1])
+        code = "import sys; from infotherm.cli import main; sys.exit(main(sys.argv[1:]))"
+        children = {}
+        for kernel in ("Haswell", "Prescott"):
+            csv = tmp_path / f"{kernel}.csv"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel}
+            children[csv] = subprocess.Popen(
+                [sys.executable, "-c", code, *self.ARGV, str(csv)], env=env,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+        for csv, child in children.items():
+            _, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
+            self.assert_matches_the_table(csv)
+
+    @staticmethod
+    def assert_matches_the_table(csv):
+        """The label columns exactly and the six value columns to 1e-12
+        absolute, so a last-bit change in a noise-level value passes and a
+        wrong value does not."""
         table = Path(__file__).parent / "data" / "suite_seed42.csv"
         assert csv.read_text().splitlines()[0] == table.read_text().splitlines()[0]
         ours, pinned = _csv_rows(csv), _csv_rows(table)

@@ -413,7 +413,7 @@ class TestPostMeasurementSpectrum:
         ]
         g = measurement._group(pairs)
         assert 0 < g.projective.sum() < len(pairs)
-        rhos = np.array([quantum._average_matrix(e) for e, _ in pairs])
+        rhos = np.array([it.average_state(e).matrix for e, _ in pairs])
         return rhos, g.elements, g.counts, g.projective
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

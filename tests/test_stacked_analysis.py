@@ -1,19 +1,20 @@
-"""The stacked draw and analysis against the public one-pair functions.
+"""The stacked draw and analysis against the public one-pair functions and
+against the oracle.
 
 ``_analyse_groups`` is the one analysis: the suite hands it a group a
 dimension, and ``evaluate_bounds``, ``run_cycle`` and ``block_scan`` a group
-of one pair (``_group``).  Each pair's part of its flat ``_Analysis`` record
-must be, bit for bit, what ``mutual_information``, ``holevo_chi``,
-``delta_s`` and ``joint_distribution`` give that pair alone, so a wrong
-pairing or summation order fails.  ``_joint_distributions`` is the stacked
-form of ``joint_distribution``; the average states the analysis sums are
-the stacked form of ``_average_matrix``; ``Ensemble``'s prior check is the
-one-item case of ``_probability_checks``; ``_entropies`` is the stacked
-form of ``_entropy_of_spectrum``; ``_ordered_sums`` adds many segments each
-in order from +0, the one summation rule for probabilities.  A stack with
-failing items raises what the single call raises for the lowest-index one.
-The joint tables of the widest pairs are also checked against their
-definition in Python floats.
+of one pair (``_group``).  The public one-pair functions share its kernels,
+so each pair's part of its flat ``_Analysis`` record must be, bit for bit,
+what ``mutual_information``, ``holevo_chi``, ``delta_s``,
+``joint_distribution`` and ``average_state`` give that pair alone, and a
+wrong pairing or summation order fails; the values themselves are checked
+to 1e-10 against ``tests/oracle.py``, which computes them from their
+definitions without the package.  ``Ensemble``'s prior check is the
+one-item case of ``_probability_checks``; ``_entropies`` gives each of many
+vectors the bits of a 1-D dot product; ``_ordered_sums`` adds many segments
+each in order from +0, the one summation rule for probabilities.  A stack
+with failing items raises what the single call raises for the lowest-index
+one.
 """
 import math
 
@@ -25,7 +26,8 @@ from infotherm import blockcoding, bounds, linops, measurement, quantum, thermo
 from infotherm.errors import DimensionMismatch, NumericalFailure, ValidationError
 from infotherm.linops import _segments
 
-from conftest import analyse, in_order, joint_distributions
+import oracle
+from conftest import ORACLE_TOL, analyse, in_order, joint_distributions, oracle_bounds
 
 
 def single_error(call, item):
@@ -130,6 +132,8 @@ class TestStackedPairsMatchPerPair:
         ):
             expected = reference_table(e, v)
             joint = it.joint_distribution(e, v)
+            defined = oracle.joint_table(e.probs, [s.matrix for s in e.states], v.elements)
+            np.testing.assert_allclose(expected, defined, rtol=0.0, atol=ORACLE_TOL)
             assert table.tobytes() == expected.tobytes()
             assert table.size == expected.size
             assert table.tobytes() == joint.matrix.tobytes()
@@ -144,6 +148,7 @@ class TestStackedPairsMatchPerPair:
         for (e, v), parts in zip(pairs, analysed(pairs)):
             table, q, lam, mu, sigma, info, chi, ds = parts
             rho = it.average_state(e)
+            assert [info, chi, ds] == pytest.approx(oracle_bounds(e, v), rel=0.0, abs=ORACLE_TOL)
             assert info == it.mutual_information(it.JointDistribution(reference_table(e, v)))
             assert q.tobytes() == it.joint_distribution(e, v).outcome_probs.tobytes()
             assert chi == it.holevo_chi(e)
@@ -169,7 +174,8 @@ class TestStackedPairsMatchPerPair:
         assert shapes == [(e.size, v.size), (1, e.size * v.size), (v.size, e.size)]
 
     def test_average_matrices(self, dim, seed, monkeypatch):
-        # the average states the analysis checks, as one stack
+        # the average states the analysis checks, as one stack: each is
+        # average_state's, and the oracle's member by member
         pairs = self.pairs(dim, seed)
         checked, real = [], measurement._density_eigenvalues
         monkeypatch.setattr(
@@ -179,7 +185,9 @@ class TestStackedPairsMatchPerPair:
         (stacked,) = checked
         assert stacked.shape == (len(pairs), dim, dim)
         for (e, _), acc in zip(pairs, stacked):
-            assert acc.tobytes() == quantum._average_matrix(e).tobytes()
+            assert acc.tobytes() == it.average_state(e).matrix.tobytes()
+            defined = oracle.average(e.probs, [s.matrix for s in e.states])
+            np.testing.assert_allclose(acc, defined, rtol=0.0, atol=ORACLE_TOL)
 
 
 def test_the_analysis_gives_one_flat_record():
@@ -232,31 +240,14 @@ class TestOnePairCallers:
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
 def test_wide_tables_equal_their_definition(dim):
-    # p(i, j) = p_i tr(E_j rho_i) as a double loop over Python floats, its
-    # marginals and I(A:B) = sum p(i, j) log2(p(i, j) / (p_i q_j)) from the
-    # definition, with no helper of the package: the summation rule moves
-    # only rounding
+    # the oracle's table, its marginals and I(A:B): the summation rule
+    # moves only rounding
     for e, v in edge_pairs(dim):
-        states = [s.matrix.tolist() for s in e.states]
-        elements = [el.tolist() for el in v.elements]
-        table = []
-        for p, rho in zip(e.probs.tolist(), states):
-            row = []
-            for el in elements:
-                trace = 0.0
-                for a in range(dim):
-                    for b in range(dim):
-                        trace += (el[a][b] * rho[b][a]).real
-                row.append(max(p * trace, 0.0))
-            table.append(row)
+        table = oracle.joint_table(e.probs, [s.matrix for s in e.states], v.elements)
+        table = [[max(pij, 0.0) for pij in row] for row in table]
         priors = [math.fsum(row) for row in table]
         outcomes = [math.fsum(col) for col in zip(*table)]
-        info = math.fsum(
-            pij * math.log2(pij / (priors[i] * outcomes[j]))
-            for i, row in enumerate(table)
-            for j, pij in enumerate(row)
-            if pij > 0.0
-        )
+        info = oracle.mutual_information(table)
         joint = it.joint_distribution(e, v)
         assert np.allclose(joint.matrix, table, rtol=0.0, atol=1e-12)
         assert np.allclose(joint.priors, priors, rtol=0.0, atol=1e-12)
@@ -357,16 +348,27 @@ class TestEntropies:
     def stacked(vectors):
         return quantum._entropies(np.concatenate(vectors), [v.size for v in vectors])
 
+    @staticmethod
+    def scalar(v):
+        """-w . log2 w over the positive entries w of one vector, as numpy's
+        1-D dot product adds it, clipped at +0."""
+        w = v[v > 0.0]
+        return max(0.0, -float(np.dot(w, np.log2(w)))) if w.size else 0.0
+
     def test_bit_equal_to_the_scalar_kernel(self):
         vectors = self.vectors()
         stacked = self.stacked(vectors)
         assert stacked.shape == (len(vectors),) and stacked.dtype == float
         for v, h in zip(vectors, stacked.tolist()):
-            assert h.hex() == quantum._entropy_of_spectrum(v).hex()
+            assert h.hex() == self.scalar(v).hex()
 
     def test_each_vector_alone(self):
         for v in self.vectors()[:40]:
-            assert self.stacked([v]).tolist() == [quantum._entropy_of_spectrum(v)]
+            assert self.stacked([v]).tolist() == [self.scalar(v)]
+
+    def test_equal_to_the_oracle(self):
+        for v, h in zip(self.vectors(), self.stacked(self.vectors()).tolist()):
+            assert h == pytest.approx(oracle.entropy(v.tolist()), rel=1e-12, abs=1e-15)
 
 
 class TestPriorStack:

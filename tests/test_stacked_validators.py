@@ -3,13 +3,14 @@
 Each check is written once, in its stacked form, and the single-object
 call is its stack of one: ``DensityMatrix``, ``Povm`` and ``psd_function``
 call ``_density_eigenvalues``, ``_povm_flags`` and ``_psd_function_stack``,
-and ``_clipped_table`` and ``_clipped_information`` call ``_table_checks``
-and ``_information_check``.  A stack must give each item exactly what the
+and ``_clipped_table`` and ``_clipped`` call ``_table_checks`` and
+``_information_check``.  A stack must give each item exactly what the
 single call gives it, and a stack with a failing item must raise what the
 single call raises for the lowest-index failing item.  The literal pins
 below hold the messages and bits the single calls gave before they became
 stacks of one.
 """
+import functools
 import hashlib
 
 import numpy as np
@@ -328,19 +329,21 @@ class TestPsdFunctionStack:
                 npt.assert_array_equal(got, it.psd_function(m, np.sqrt, pseudo))
 
 
-def psd_sweep_digest():
-    """sha256 of what ``psd_function`` returns or raises over a seeded sweep
-    of 240 matrices of dimension 1 to 4 (full rank, rank deficient, an
-    eigenvalue a hair below zero, one far below, not Hermitian, Hermitian
-    within tolerance but failing reconstruction, entries near 1e3, pure),
-    each under five functions, with and without ``pseudo``."""
+def _inverse_root(x):
+    return 1.0 / np.sqrt(x)
 
-    def inverse_root(x):
-        return 1.0 / np.sqrt(x)
 
-    functions = [np.sqrt, inverse_root, np.log2, np.ones_like, np.square]
+@functools.cache
+def psd_sweep():
+    """What ``psd_function`` returns or raises over a seeded sweep of 240
+    matrices of dimension 1 to 4 (full rank, rank deficient, an eigenvalue
+    a hair below zero, one far below, not Hermitian, Hermitian within
+    tolerance but failing reconstruction, entries near 1e3, pure), each
+    under five functions, with and without ``pseudo``: a tuple of (kind, d,
+    matrix, f, pseudo, the output or the (type, message) raised)."""
+    functions = [np.sqrt, _inverse_root, np.log2, np.ones_like, np.square]
     rng = np.random.default_rng(20261019)
-    digest = hashlib.sha256()
+    found = []
     for case in range(240):
         d, kind = 1 + case % 4, (case // 4) % 8
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -367,11 +370,65 @@ def psd_sweep_digest():
                     try:
                         out = it.psd_function(m, f, pseudo)
                     except Exception as exc:
-                        record = f"{type(exc).__name__}: {exc}".encode()
-                    else:
-                        record = out.dtype.str.encode() + repr(out.shape).encode() + out.tobytes()
-                digest.update(len(record).to_bytes(8, "little") + record)
+                        out = (type(exc), str(exc))
+                found.append((kind, d, m, f, pseudo, out))
+    return tuple(found)
+
+
+def psd_sweep_digest():
+    """sha256 of the outputs' bytes and the errors' names and messages of
+    ``psd_sweep``."""
+    digest = hashlib.sha256()
+    for *_, out in psd_sweep():
+        if isinstance(out, tuple):
+            record = f"{out[0].__name__}: {out[1]}".encode()
+        else:
+            record = out.dtype.str.encode() + repr(out.shape).encode() + out.tobytes()
+        digest.update(len(record).to_bytes(8, "little") + record)
     return digest.hexdigest()
+
+
+def reference_psd_function(m, f, pseudo):
+    """f of a Hermitian matrix from numpy's own ``eigh``: its eigenvalues
+    clipped at zero, and with ``pseudo`` f applied above 1e-12 only."""
+    w, v = np.linalg.eigh(m)
+    w = np.maximum(w, 0.0)
+    with np.errstate(all="ignore"):
+        fw = np.where(w > 1e-12, f(np.where(w > 1e-12, w, 1.0)), 0.0) if pseudo else f(w)
+    return (v * fw) @ v.conj().T
+
+
+#: The errors the sweep's constructions raise: an eigenvalue of -1e-3, an
+#: entry 0.501 off the Hermitian one (d > 1), a lower-triangle entry 8e-10
+#: off it (d > 1), and a singular f of an eigenvalue at zero without pseudo.
+_SWEEP_ERRORS = {
+    "negative": (NegativeEigenvalue, "matrix has eigenvalue -1.000e-03 below -1.0e-09"),
+    "asymmetric": (
+        NotHermitian, "matrix deviates from Hermitian by 5.010e-01 (tolerance 1.0e-09)"
+    ),
+    "inexact": (NumericalFailure, "eigendecomposition failed reconstruction check"),
+    "singular": (NumericalFailure, "function produced non-finite eigenvalues"),
+}
+
+
+def expected_sweep_outcomes(kind, d, f, pseudo):
+    """The outcomes ``psd_function`` may give a sweep call, by its
+    construction: errors of ``_SWEEP_ERRORS``, and None for a value.  An
+    eigenvalue that is exactly zero by construction (kind 1, and kind 7's
+    rank-one matrices) comes out of the solver as a rounding-level number
+    of either sign, which a singular f without pseudo turns into an error
+    or into a large finite value, depending on the BLAS kernel."""
+    if kind == 3:
+        return {_SWEEP_ERRORS["negative"]}
+    if d > 1 and kind in (4, 5):
+        return {_SWEEP_ERRORS["asymmetric" if kind == 4 else "inexact"]}
+    if pseudo or f not in (_inverse_root, np.log2):
+        return {None}
+    if kind == 2:  # -5e-10, clipped to zero
+        return {_SWEEP_ERRORS["singular"]}
+    if kind == 1 or (kind == 7 and d > 1):
+        return {_SWEEP_ERRORS["singular"], None}
+    return {None}
 
 
 class TestPsdFunctionPins:
@@ -414,6 +471,18 @@ class TestPsdFunctionPins:
         assert psd_sweep_digest() == (
             "4591bc8a6e8fbab525637d8c06b44bbbc4baaecc2ffc4fca3ad666fb99494939"
         )
+
+    def test_seeded_sweep_keeps_its_values_and_errors(self):
+        # the value twin of the digest, which holds on other BLAS kernels:
+        # each output within 1e-12 (relative past unit size) of numpy's
+        # eigh of the same matrix, and each (type, message) exact
+        for kind, d, m, f, pseudo, out in psd_sweep():
+            if isinstance(out, tuple):
+                assert out in expected_sweep_outcomes(kind, d, f, pseudo)
+                continue
+            assert None in expected_sweep_outcomes(kind, d, f, pseudo)
+            ref = reference_psd_function(m, f, pseudo)
+            npt.assert_allclose(out, ref, rtol=0.0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
     def test_f_sees_one_1d_array(self):
         seen = []
@@ -458,7 +527,7 @@ def _table(entries):
 class TestTableChecks:
     """``_table_checks`` and ``_information_check`` on a stack, through
     ``_raise_first_failure``, against ``_clipped_table`` and
-    ``_clipped_information`` on each item."""
+    ``_clipped`` of one mutual information on each item."""
 
     BAD = {
         "nan": np.where(np.arange(100).reshape(4, 25) == 3, np.nan, _table([1.0])),
@@ -506,4 +575,7 @@ class TestTableChecks:
         def stacked(items):
             linops._raise_first_failure([measurement._information_check(np.array(items))])
 
-        assert_stack_raises_like_the_item(stacked, measurement._clipped_information, infos, index)
+        def single(info):
+            return measurement._clipped(info, measurement._information_check)
+
+        assert_stack_raises_like_the_item(stacked, single, infos, index)
