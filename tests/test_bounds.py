@@ -788,7 +788,7 @@ class TestDeferredStepChecks:
         assert got == ref
         for el, ref_el in zip(povm.elements, ref_povm.elements):
             assert el.tobytes() == ref_el.tobytes()
-        assert _cli_csvs(tmp_path / "public", capsys) == ref_csvs
+        assert _cli_csvs(tmp_path / "np_einsum", capsys) == ref_csvs
 
     def test_a_passing_run_is_never_rerun(self, two_state_ensemble, eager):
         it.maximize_accessible_information(two_state_ensemble, it.OptimizerConfig(
