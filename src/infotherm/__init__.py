@@ -1,134 +1,109 @@
 """Accessible information, entropy ceilings, and measurement-engine
-work ledgers for finite-dimensional quantum sources."""
+work ledgers for finite-dimensional quantum sources.
 
-from .blockcoding import BlockReport, block_scan, pretty_good_measurement, sequence_ensemble
-from .bounds import (
-    BoundReport,
-    OptimizerConfig,
-    evaluate_bounds,
-    maximize_accessible_information,
-    random_instance,
-)
-from .errors import (
-    BlockFormViolation,
-    BudgetExceeded,
-    DimensionMismatch,
-    NegativeEigenvalue,
-    NonPositiveVolume,
-    NotHermitian,
-    NotProjective,
-    NumericalFailure,
-    SecondLawViolation,
-    ToolkitError,
-    UnsupportedDimension,
-    ValidationError,
-)
-from .linops import HermitianEigen, hermitian_eig, psd_function, tensor_product
-from .measurement import (
-    JointDistribution,
-    Povm,
-    basis_measurement,
-    delta_s,
-    demon_record_state,
-    demon_reset,
-    joint_distribution,
-    mutual_information,
-    naimark_dilation,
-    outcome_distribution,
-    post_measurement_state,
-)
-from .quantum import (
-    DensityMatrix,
-    Ensemble,
-    average_state,
-    ensemble_commutes,
-    holevo_chi,
-    maximally_mixed,
-    pure_state,
-    shannon_entropy,
-    shared_eigenbasis,
-    von_neumann_entropy,
-)
-from .thermo import (
-    STAGE_ENSEMBLE_RECOMPRESSION,
-    STAGE_EXTRACTION,
-    STAGE_ISENTROPIC,
-    STAGE_RHO_COMPRESSION,
-    STAGE_RHO_EXPANSION,
-    STAGE_SIGMA_COMPRESSION,
-    STAGES,
-    CycleLedger,
-    LedgerEntry,
-    extraction_stage,
-    rho_to_initial_stage,
-    run_cycle,
-    sigma_to_rho_stage,
-    stage_total,
-    work_isothermal,
-)
+Importing the package loads none of its modules: each public name and
+submodule is looked up in its home module when first asked for, which
+imports that module (PEP 562).  A name is not kept here, so
+``infotherm.X`` is always the home module's current ``X``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockFormViolation",
-    "BlockReport",
-    "BoundReport",
-    "BudgetExceeded",
-    "CycleLedger",
-    "DensityMatrix",
-    "DimensionMismatch",
-    "Ensemble",
-    "HermitianEigen",
-    "JointDistribution",
-    "LedgerEntry",
-    "NegativeEigenvalue",
-    "NonPositiveVolume",
-    "NotHermitian",
-    "NotProjective",
-    "NumericalFailure",
-    "OptimizerConfig",
-    "Povm",
-    "STAGES",
-    "STAGE_ENSEMBLE_RECOMPRESSION",
-    "STAGE_EXTRACTION",
-    "STAGE_ISENTROPIC",
-    "STAGE_RHO_COMPRESSION",
-    "STAGE_RHO_EXPANSION",
-    "STAGE_SIGMA_COMPRESSION",
-    "SecondLawViolation",
-    "ToolkitError",
-    "UnsupportedDimension",
-    "ValidationError",
-    "average_state",
-    "basis_measurement",
-    "block_scan",
-    "delta_s",
-    "demon_record_state",
-    "demon_reset",
-    "ensemble_commutes",
-    "evaluate_bounds",
-    "extraction_stage",
-    "hermitian_eig",
-    "holevo_chi",
-    "joint_distribution",
-    "maximally_mixed",
-    "maximize_accessible_information",
-    "mutual_information",
-    "naimark_dilation",
-    "outcome_distribution",
-    "post_measurement_state",
-    "pretty_good_measurement",
-    "psd_function",
-    "pure_state",
-    "random_instance",
-    "rho_to_initial_stage",
-    "run_cycle",
-    "sequence_ensemble",
-    "shannon_entropy",
-    "shared_eigenbasis",
-    "sigma_to_rho_stage",
-    "stage_total",
-    "tensor_product",
-    "von_neumann_entropy",
-    "work_isothermal",
-]
+#: The home module of each public name.
+_HOMES = {
+    name: module
+    for module, names in {
+        "blockcoding": (
+            "BlockReport",
+            "block_scan",
+            "pretty_good_measurement",
+            "sequence_ensemble",
+        ),
+        "bounds": (
+            "BoundReport",
+            "OptimizerConfig",
+            "evaluate_bounds",
+            "maximize_accessible_information",
+            "random_instance",
+        ),
+        "errors": (
+            "BlockFormViolation",
+            "BudgetExceeded",
+            "DimensionMismatch",
+            "NegativeEigenvalue",
+            "NonPositiveVolume",
+            "NotHermitian",
+            "NotProjective",
+            "NumericalFailure",
+            "SecondLawViolation",
+            "ToolkitError",
+            "UnsupportedDimension",
+            "ValidationError",
+        ),
+        "linops": ("HermitianEigen", "hermitian_eig", "psd_function", "tensor_product"),
+        "measurement": (
+            "JointDistribution",
+            "Povm",
+            "basis_measurement",
+            "delta_s",
+            "demon_record_state",
+            "demon_reset",
+            "joint_distribution",
+            "mutual_information",
+            "naimark_dilation",
+            "outcome_distribution",
+            "post_measurement_state",
+        ),
+        "quantum": (
+            "DensityMatrix",
+            "Ensemble",
+            "average_state",
+            "ensemble_commutes",
+            "holevo_chi",
+            "maximally_mixed",
+            "pure_state",
+            "shannon_entropy",
+            "shared_eigenbasis",
+            "von_neumann_entropy",
+        ),
+        "thermo": (
+            "STAGE_ENSEMBLE_RECOMPRESSION",
+            "STAGE_EXTRACTION",
+            "STAGE_ISENTROPIC",
+            "STAGE_RHO_COMPRESSION",
+            "STAGE_RHO_EXPANSION",
+            "STAGE_SIGMA_COMPRESSION",
+            "STAGES",
+            "CycleLedger",
+            "LedgerEntry",
+            "extraction_stage",
+            "rho_to_initial_stage",
+            "run_cycle",
+            "sigma_to_rho_stage",
+            "stage_total",
+            "work_isothermal",
+        ),
+    }.items()
+    for name in names
+}
+#: The submodules a name resolves to, each its own home.
+_HOMES.update((module, module) for module in set(_HOMES.values()))
+
+__all__ = sorted(name for name, module in _HOMES.items() if name != module)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    """Every public name and submodule besides what is loaded, and none of
+    the lookup's own names."""
+    own = {"importlib", "_HOMES", "__getattr__", "__dir__"}
+    return sorted((globals().keys() - own) | _HOMES.keys())

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
-from .linops import BOUND_TOL, PSD_EPSILON, _require_int
+from .linops import BOUND_TOL, PSD_EPSILON, _Frozen, _require_int
 from .measurement import Povm, _analyse_groups, _group, _povms
 from .quantum import DensityMatrix, Ensemble, _density_matrices, average_state
 
@@ -100,28 +99,37 @@ def _pretty_good_measurement(e: Ensemble, rho: DensityMatrix) -> Povm:
     return _povms(elements, [len(elements)], [None])[0]
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(_Frozen):
     """Per-letter budget of one block length.
 
     ``chi`` is the single-letter value, so ``per_letter_info <= chi`` (up
     to tolerance) is exactly the single-letter ceiling applied to blocks.
     """
 
-    m: int
-    per_letter_info: float
-    per_letter_delta_s: float
-    chi: float
-    sequence_count: int
+    _fields = ("m", "per_letter_info", "per_letter_delta_s", "chi", "sequence_count")
 
-    def __post_init__(self):
-        if self.m < 1 or self.sequence_count < 1:
+    def __init__(
+        self,
+        m: int,
+        per_letter_info: float,
+        per_letter_delta_s: float,
+        chi: float,
+        sequence_count: int,
+    ):
+        if m < 1 or sequence_count < 1:
             raise ValidationError("block length and sequence count must be positive")
-        if self.per_letter_info > self.chi + BOUND_TOL:
+        if per_letter_info > chi + BOUND_TOL:
             raise ValidationError(
-                f"per-letter information {self.per_letter_info:.12g} exceeds "
-                f"the single-letter ceiling {self.chi:.12g}"
+                f"per-letter information {per_letter_info:.12g} exceeds "
+                f"the single-letter ceiling {chi:.12g}"
             )
+        self._assign(
+            m=m,
+            per_letter_info=per_letter_info,
+            per_letter_delta_s=per_letter_delta_s,
+            chi=chi,
+            sequence_count=sequence_count,
+        )
 
 
 def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:

@@ -11,7 +11,6 @@ generators, such as the suite's (built in ``suite_rng``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .linops import (
     _eigh,
     _einsum,
     _finite_function_check,
+    _Frozen,
     _ordered_sums,
     _psd_function_stack,
     _raise_first_failure,
@@ -77,21 +77,37 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Frozen):
     """One (ensemble, measurement) pair scored against both ceilings.
 
     ``holevo_slack = chi - I`` and ``thermo_slack = holevo_slack + delta_s``,
     so the two slacks always differ by exactly ``delta_s``.
     """
 
-    accessible_info: float
-    chi: float
-    delta_s: float
-    holevo_slack: float
-    thermo_slack: float
-    holevo_satisfied: bool
-    thermo_satisfied: bool
+    _fields = (
+        "accessible_info", "chi", "delta_s", "holevo_slack", "thermo_slack",
+        "holevo_satisfied", "thermo_satisfied",
+    )
+
+    def __init__(
+        self,
+        accessible_info: float,
+        chi: float,
+        delta_s: float,
+        holevo_slack: float,
+        thermo_slack: float,
+        holevo_satisfied: bool,
+        thermo_satisfied: bool,
+    ):
+        self._assign(
+            accessible_info=accessible_info,
+            chi=chi,
+            delta_s=delta_s,
+            holevo_slack=holevo_slack,
+            thermo_slack=thermo_slack,
+            holevo_satisfied=holevo_satisfied,
+            thermo_satisfied=thermo_satisfied,
+        )
 
 
 def _report(info: float, chi: float, ds: float) -> BoundReport:
@@ -116,8 +132,7 @@ def evaluate_bounds(e: Ensemble, v: Povm) -> BoundReport:
     return _report(a.info[0], a.chi[0], a.delta_s[0])
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(_Frozen):
     """Knobs for ``maximize_accessible_information``.
 
     ``method`` is one of ``METHODS``: ``"qubit_grid"`` (dense Bloch-angle
@@ -129,31 +144,45 @@ class OptimizerConfig:
     from 2 to ``GRID_CAP`` and ``seed`` is nonnegative.
     """
 
-    method: str = "qubit_grid"
-    grid_points: int = 100
-    restarts: int = 8
-    max_iterations: int = 200
-    convergence_tol: float = CONVERGENCE_TOL
-    seed: int = 0
+    _fields = ("method", "grid_points", "restarts", "max_iterations", "convergence_tol", "seed")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown optimizer method {self.method!r}")
-        for name in ("grid_points", "restarts", "max_iterations", "seed"):
-            _require_int(name, getattr(self, name))
-        if self.grid_points < 2:
+    def __init__(
+        self,
+        method: str = "qubit_grid",
+        grid_points: int = 100,
+        restarts: int = 8,
+        max_iterations: int = 200,
+        convergence_tol: float = CONVERGENCE_TOL,
+        seed: int = 0,
+    ):
+        if method not in METHODS:
+            raise ValidationError(f"unknown optimizer method {method!r}")
+        for name, value in (
+            ("grid_points", grid_points), ("restarts", restarts),
+            ("max_iterations", max_iterations), ("seed", seed),
+        ):
+            _require_int(name, value)
+        if grid_points < 2:
             raise ValidationError("grid_points must be at least 2")
-        if self.grid_points > GRID_CAP:
+        if grid_points > GRID_CAP:
             raise ValidationError(f"grid_points allows at most the cap {GRID_CAP}")
-        if self.seed < 0:
+        if seed < 0:
             raise ValidationError("seed must be nonnegative")
-        if self.restarts < 1 or self.max_iterations < 1:
+        if restarts < 1 or max_iterations < 1:
             raise ValidationError("restarts and max_iterations must be positive")
-        tol = self.convergence_tol
+        tol = convergence_tol
         if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
             raise ValidationError(f"convergence_tol must be a real number, got {tol!r}")
         if not (np.isfinite(tol) and tol > 0):
             raise ValidationError("convergence_tol must be positive and finite")
+        self._assign(
+            method=method,
+            grid_points=grid_points,
+            restarts=restarts,
+            max_iterations=max_iterations,
+            convergence_tol=convergence_tol,
+            seed=seed,
+        )
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:

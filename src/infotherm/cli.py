@@ -24,12 +24,10 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .blockcoding import DIM_CAP, block_scan
 from .bounds import (
     _KINDS,
     METHODS,
@@ -46,11 +44,9 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .linops import BOUND_TOL
+from .linops import BOUND_TOL, _Frozen
 from .measurement import Povm, _analyse_groups
 from .quantum import DensityMatrix, Ensemble, _density_matrices
-from .suite_rng import _generators, _PickSource, _seed_states
-from .thermo import _book_cycles, run_cycle
 
 
 #: Floats go out with 9 significant digits.
@@ -61,14 +57,24 @@ def _fmt(x: float) -> str:
     return format(float(x), _FLOAT)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Frozen):
     """One problem file: an ensemble, optionally a measurement and labels."""
 
-    ensemble: Ensemble
-    measurement: Povm | None
-    preparation_labels: tuple[str, ...]
-    outcome_labels: tuple[str, ...]
+    _fields = ("ensemble", "measurement", "preparation_labels", "outcome_labels")
+
+    def __init__(
+        self,
+        ensemble: Ensemble,
+        measurement: Povm | None,
+        preparation_labels: tuple[str, ...],
+        outcome_labels: tuple[str, ...],
+    ):
+        self._assign(
+            ensemble=ensemble,
+            measurement=measurement,
+            preparation_labels=preparation_labels,
+            outcome_labels=outcome_labels,
+        )
 
 
 def _is_number(x) -> bool:
@@ -343,6 +349,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_cycle(args) -> int:
+    from .thermo import run_cycle
+
     spec = load_problem_spec(args.spec)
     ledger = run_cycle(spec.ensemble, _require_measurement(spec, "cycle"))
     width = max(len(en.stage) for en in ledger.entries)
@@ -362,6 +370,8 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_pgm(args) -> int:
+    from .blockcoding import block_scan
+
     spec = load_problem_spec(args.spec)
     reports = block_scan(spec.ensemble, args.max_m)
     header = ["m", "per_letter_info", "per_letter_delta_s", "chi"]
@@ -442,7 +452,9 @@ def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ..
     ``default_rng([seed, t, 0])`` and drawn by ``default_rng([seed, t,
     1])``, so a trial's row does not depend on the trials before it.  The
     generators' states come from one seeding pass over the whole run."""
-    states = _seed_states([seed, t, k] for t in range(trials) for k in (0, 1)).reshape(-1, 2, 4)
+    from .suite_rng import _PickSource, _trial_states
+
+    states = _trial_states(seed, trials)
     scored, chunk, entries = [], [], 0
     for trial, (picker, draw) in enumerate(states):
         kind, dim, n_states, m_outcomes = _pick(_PickSource(picker), dims, kinds)
@@ -463,7 +475,10 @@ def _score_chunk(chunk: list[tuple]) -> _Scores:
     trial's cycle in the analysis's order, then take the values and nets
     to trial order once and build the rows.  A trial's pick is (trial,
     kind, dim, n_states, m_outcomes, state); it draws from the generator
-    of that ``_seed_states`` row."""
+    of that ``_trial_states`` row."""
+    from .suite_rng import _generators
+    from .thermo import _book_cycles
+
     rngs = _generators([pick[5] for pick in chunk])
     specs = [(dim, n, m, kind, rng) for (_, kind, dim, n, m, _), rng in zip(chunk, rngs)]
     a = _analyse_groups(_random_instances(specs))
@@ -489,6 +504,8 @@ def _score_chunk(chunk: list[tuple]) -> _Scores:
 
 
 def cmd_suite(args) -> int:
+    from .blockcoding import DIM_CAP
+
     try:
         dims = [int(part) for part in args.dims.split(",") if part]
     except ValueError as exc:

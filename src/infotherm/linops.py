@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,8 +87,47 @@ def is_hermitian(m) -> bool:
     return max_abs(m - m.conj().T) <= HERMITICITY_TOL
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass's ``__init__`` sets its attributes with ``_assign``, and
+    ``_fields`` names, in order, the ones that ``repr``, ``==`` and ``hash``
+    read.  Two instances are equal when they are of one class and their
+    field tuples are equal, so an array field of more than one entry makes
+    ``==`` raise unless both hold the same array; ``hash`` is the field
+    tuple's, and raises on an array field.  Every assignment and deletion
+    raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class HermitianEigen(_Frozen):
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
@@ -97,8 +135,10 @@ class HermitianEigen:
     largest-magnitude component is real and positive.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _fields = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self._assign(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
     @property
     def dim(self) -> int:

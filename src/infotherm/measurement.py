@@ -16,7 +16,6 @@ its own figures as a stack of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from .linops import (
     _asymmetry,
     _eigvalsh,
     _einsum,
+    _Frozen,
     _local_index,
     _ordered_sums,
     _placed,
@@ -151,8 +151,7 @@ def _povm_flags(stack: np.ndarray, counts, declared) -> np.ndarray:
     return flags
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(_Frozen):
     """A validated measurement: PSD elements resolving the identity.
 
     ``projective`` may be passed explicitly; when omitted it is detected
@@ -162,26 +161,22 @@ class Povm:
     its slices.
     """
 
-    elements: tuple[np.ndarray, ...]
-    projective: bool | None = None
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("elements", "projective")
 
-    def __post_init__(self):
-        elements = tuple(as_complex_matrix(el) for el in self.elements)
+    def __init__(self, elements, projective: bool | None = None):
+        elements = tuple(as_complex_matrix(el) for el in elements)
         if len(elements) == 0:
             raise ValidationError("measurement needs at least one element")
         dims = {el.shape[0] for el in elements}
         if len(dims) != 1:
             raise DimensionMismatch(f"elements have mixed dimensions {sorted(dims)}")
         stack = np.stack(elements)
-        flag = _povm_flags(stack, [len(elements)], [self.projective])[0]
+        flag = _povm_flags(stack, [len(elements)], [projective])[0]
         stack.setflags(write=False)
         self._set(stack, flag)
 
     def _set(self, stack: np.ndarray, projective) -> None:
-        object.__setattr__(self, "elements", tuple(stack))
-        object.__setattr__(self, "projective", bool(projective))
-        object.__setattr__(self, "_stack", stack)
+        self._assign(elements=tuple(stack), projective=bool(projective), _stack=stack)
 
     @classmethod
     def _checked(cls, stack: np.ndarray, projective) -> "Povm":
@@ -250,8 +245,7 @@ def _block_projectors(unitaries: np.ndarray, blocks) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Frozen):
     """Joint outcome table p(i, j) = p_i * tr(E_j rho_i).
 
     Rows index preparations, columns index outcomes.  Entries a hair below
@@ -260,12 +254,12 @@ class JointDistribution:
     in order from +0.
     """
 
-    matrix: np.ndarray
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        p = _clipped_table(np.asarray(self.matrix, dtype=float))
+    def __init__(self, matrix):
+        p = _clipped_table(np.asarray(matrix, dtype=float))
         p.setflags(write=False)
-        object.__setattr__(self, "matrix", p)
+        self._assign(matrix=p)
 
     @property
     def priors(self) -> np.ndarray:
@@ -280,7 +274,7 @@ class JointDistribution:
         """A read-only clipped table that already passed the checks,
         stacked; nothing is checked again."""
         j = object.__new__(cls)
-        object.__setattr__(j, "matrix", matrix)
+        j._assign(matrix=matrix)
         return j
 
 

@@ -6,7 +6,6 @@ bit of work at temperature T is kT ln 2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,6 +21,7 @@ from .linops import (
     _asymmetry,
     _eigh_checks,
     _eigvalsh,
+    _Frozen,
     _ordered_sums,
     _raise_first_failure,
     _require_finite,
@@ -105,8 +105,7 @@ def _density_checks(traces: np.ndarray, lowest: np.ndarray):
     ]
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """A validated density matrix: Hermitian, unit trace, PSD.
 
     ``matrix`` is a read-only copy of the input, so the eigenvalues found
@@ -117,25 +116,20 @@ class DensityMatrix:
     sqrt(rho)) shares one eigensolve.
     """
 
-    matrix: np.ndarray
-    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    _decomposition: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        m = as_complex_matrix(self.matrix).copy()
+    def __init__(self, matrix):
+        m = as_complex_matrix(matrix).copy()
         w = _density_eigenvalues(m[None])[0]
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_eigenvalues", w)
+        self._assign(matrix=m, _eigenvalues=w, _decomposition=None)
 
     @classmethod
     def _checked(cls, matrix: np.ndarray, eigenvalues: np.ndarray) -> "DensityMatrix":
         """A read-only ``matrix`` that already passed the checks, stacked,
         with the eigenvalues they found; nothing is checked again."""
         r = object.__new__(cls)
-        object.__setattr__(r, "matrix", matrix)
-        object.__setattr__(r, "_eigenvalues", eigenvalues)
-        object.__setattr__(r, "_decomposition", None)
+        r._assign(matrix=matrix, _eigenvalues=eigenvalues, _decomposition=None)
         return r
 
     @property
@@ -153,7 +147,7 @@ class DensityMatrix:
         if self._decomposition is None:
             w, v, checks = _eigh_checks(self.matrix[None])
             _raise_first_failure(checks)
-            object.__setattr__(self, "_decomposition", (w, v))
+            self._assign(_decomposition=(w, v))
         return _spectral_function(*self._decomposition, [], f, pseudo)[0]
 
 
@@ -184,16 +178,14 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
-@dataclass(frozen=True)
-class Ensemble:
+class Ensemble(_Frozen):
     """A classical source of quantum states: priors p_i and states rho_i."""
 
-    probs: np.ndarray
-    states: tuple[DensityMatrix, ...] = field()
+    _fields = ("probs", "states")
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
-        states = tuple(self.states)
+    def __init__(self, probs, states):
+        p = np.asarray(probs, dtype=float).reshape(-1)
+        states = tuple(states)
         if p.size == 0 or len(states) != p.size:
             raise ValidationError(
                 f"{p.size} priors for {len(states)} states"
@@ -202,18 +194,14 @@ class Ensemble:
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise DimensionMismatch(f"states have mixed dimensions {sorted(dims)}")
-        self._set(p, states)
-
-    def _set(self, probs: np.ndarray, states: tuple) -> None:
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", states)
+        self._assign(probs=p, states=states)
 
     @classmethod
     def _checked(cls, probs: np.ndarray, states: tuple) -> "Ensemble":
         """Priors that already passed ``_checked_priors`` and as many states
         of one dimension; nothing is checked again."""
         e = object.__new__(cls)
-        e._set(probs, states)
+        e._assign(probs=probs, states=states)
         return e
 
     @property

@@ -65,33 +65,26 @@ def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
     return np.array(words).T.astype("<u4", order="C").view("<u8")
 
 
-def _seed_states(seeds) -> np.ndarray:
-    """The (K, 4) uint64 PCG64 states of K seeds, each a nonnegative integer
-    or a sequence of them: row k is
-    ``np.random.SeedSequence(seeds[k]).generate_state(4, np.uint64)``.
-    Each seed becomes its integers' 32-bit words, least significant first
-    (one zero word for 0), as ``SeedSequence`` reads them; the seeds of
-    each word count are then hashed together, ``_mix_entropy`` and
+def _trial_states(seed: int, trials: int) -> np.ndarray:
+    """The (trials, 2, 4) uint64 PCG64 states of the seeds ``[seed, t, k]``
+    for t < trials and k in (0, 1): entry [t, k] is
+    ``np.random.SeedSequence([seed, t, k]).generate_state(4, np.uint64)``.
+    The seed is split once into its 32-bit words, least significant first
+    (one zero word for 0), as ``SeedSequence`` reads an integer, and t and
+    k, each below 2^32 (the suite's work cap keeps trials far below it),
+    are one word each, so every seed's entropy has one length and all of
+    them are hashed as one array, ``_mix_entropy`` and
     ``_generate_state`` vectorised over them."""
-    lengths, flat = [], []
-    for seed in seeds:
-        start = len(flat)
-        for x in seed if isinstance(seed, (list, tuple, np.ndarray)) else (seed,):
-            x = int(x)
-            while x > _MASK32:
-                flat.append(x & _MASK32)
-                x >>= 32
-            flat.append(x)
-        lengths.append(len(flat) - start)
-    counts = np.array(lengths, dtype=np.intp)
-    flat = np.array(flat, dtype=np.uint32)
-    starts = np.cumsum(counts) - counts
-    states = np.empty((len(counts), 4), dtype=np.uint64)
-    for length in sorted(set(lengths)):
-        rows = np.flatnonzero(counts == length)
-        entropy = flat[starts[rows] + np.arange(length)[:, None]]
-        states[rows] = _generate_state(_mix_entropy(entropy))
-    return states
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = np.empty((len(words) + 2, trials, 2), dtype=np.uint32)
+    entropy[:-2] = np.array(words, dtype=np.uint32)[:, None, None]
+    entropy[-2] = np.arange(trials, dtype=np.uint32)[:, None]
+    entropy[-1] = (0, 1)
+    pool = _mix_entropy(entropy.reshape(len(entropy), -1))
+    return _generate_state(pool).reshape(trials, 2, 4)
 
 
 @functools.cache
@@ -115,14 +108,16 @@ def _state_seed_type() -> type:
 
 def _generators(states) -> list:
     """The generators ``np.random.default_rng(seed)`` builds, one for each
-    seed's row of ``_seed_states``: ``PCG64`` seeds itself from that state."""
+    seed's PCG64 state (an entry of ``_trial_states``): ``PCG64`` seeds
+    itself from that state."""
     seed_type = _state_seed_type()
     return [np.random.Generator(np.random.PCG64(seed_type((state,)))) for state in states]
 
 
 class _PickSource:
-    """``np.random.default_rng(seed).integers`` from the seed's row of
-    ``_seed_states``, off the ``PCG64`` raw words, each low half first."""
+    """``np.random.default_rng(seed).integers`` from the seed's PCG64 state
+    (an entry of ``_trial_states``), off the ``PCG64`` raw words, each low
+    half first."""
 
     __slots__ = ("_bits", "_halves")
 

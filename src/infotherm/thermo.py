@@ -25,7 +25,6 @@ when ``LedgerEntry`` objects are built, so the suite formats none.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, log2
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ from .errors import (
     SecondLawViolation,
     ValidationError,
 )
-from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR, _raise_first_failure
+from .linops import CYCLE_TOL, PROB_CLIP, WEIGHT_FLOOR, _Frozen, _raise_first_failure
 from .measurement import Povm, _analyse_groups, _Analysis, _group, joint_distribution
 from .quantum import DensityMatrix, Ensemble, average_state
 
@@ -121,31 +120,34 @@ def _book(fractions, v_initial, v_final, live) -> tuple[np.ndarray, np.ndarray]:
     return works, nets
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(_Frozen):
     """One isothermal move: which stage it belongs to, what moved, and the
     work in bits (positive = extracted)."""
 
-    stage: str
-    description: str
-    work_bits: float
+    _fields = ("stage", "description", "work_bits")
 
-    def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ValidationError(f"unknown stage label {self.stage!r}")
-        if self.stage == STAGE_ISENTROPIC and self.work_bits != 0.0:
+    def __init__(self, stage: str, description: str, work_bits: float):
+        if stage not in STAGES:
+            raise ValidationError(f"unknown stage label {stage!r}")
+        if stage == STAGE_ISENTROPIC and work_bits != 0.0:
             raise ValidationError("isentropic transforms exchange no work")
+        self._assign(stage=stage, description=description, work_bits=work_bits)
 
 
-@dataclass(frozen=True)
-class CycleLedger:
+class CycleLedger(_Frozen):
     """Every entry of one full cycle plus the quantities it must reconcile with."""
 
-    entries: tuple[LedgerEntry, ...]
-    net_bits: float
-    i_ab: float
-    chi: float
-    delta_s: float
+    _fields = ("entries", "net_bits", "i_ab", "chi", "delta_s")
+
+    def __init__(
+        self,
+        entries: tuple[LedgerEntry, ...],
+        net_bits: float,
+        i_ab: float,
+        chi: float,
+        delta_s: float,
+    ):
+        self._assign(entries=entries, net_bits=net_bits, i_ab=i_ab, chi=chi, delta_s=delta_s)
 
 
 def stage_total(entries, stage: str | None = None) -> float:

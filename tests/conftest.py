@@ -89,6 +89,14 @@ def fail_solver(monkeypatch, name, first=0):
     return calls
 
 
+def seed_states(seeds) -> np.ndarray:
+    """numpy's own PCG64 state of each seed, ``SeedSequence(seed)
+    .generate_state(4, np.uint64)``, as a (K, 4) array: what the suite's
+    generators are built from."""
+    rows = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
+    return np.array(rows, dtype=np.uint64).reshape(-1, 4)
+
+
 def names_used(pattern, paths):
     """Each file of ``paths`` whose text matches the regex ``pattern``, with
     the sorted distinct matches, for the guards that keep a name in one

@@ -57,6 +57,27 @@ def test_a_parent_that_prints_other_digits_differs_on_every_input(tmp_path):
     assert (report["differing_inputs"], report["inputs"]) == (3, 3)
 
 
+def test_each_side_imports_its_own_modules_while_its_ops_run(tmp_path):
+    # block_scan's module is loaded by the first pgm op, so the parent's
+    # ops must find the parent's modules in sys.modules: its shifted
+    # delta_s (equal at every block length, so every check passes) shows
+    # in every output, and the change's outputs are its own
+    package = tmp_path / "src" / "infotherm"
+    shutil.copytree(ROOT / "src" / "infotherm", package)
+    blockcoding = package / "blockcoding.py"
+    text = blockcoding.read_text()
+    assert text.count("float(a.delta_s[0])") == 1
+    blockcoding.write_text(text.replace("float(a.delta_s[0])", "float(a.delta_s[0]) + 1e-7"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(tmp_path), "--workload", "pgm",
+         "--blocks", "2", "--ops", "1"],
+        capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert (report["differing_inputs"], report["inputs"]) == (3, 3)
+
+
 def test_it_needs_a_parent_or_aa():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), "--workload", "pgm"],
@@ -79,14 +100,14 @@ def load_ab(monkeypatch):
 
 def test_another_input_seed_builds_other_inputs(tmp_path, monkeypatch):
     ab = load_ab(monkeypatch)
-    workloads = ab.load_side(ROOT)
+    loaded = ab.load_side(ROOT)
     seeds = {
-        seed: [inp["seed"] for inp in ab.Side(workloads, "suite", seed, str(tmp_path)).inputs]
+        seed: [inp["seed"] for inp in ab.Side(loaded, "suite", seed, str(tmp_path)).inputs]
         for seed in (1, 2)
     }
     assert seeds[1] != seeds[2]
     assert seeds[1] == [
-        inp["seed"] for inp in ab.Side(workloads, "suite", ab.INPUT_SEED, str(tmp_path)).inputs
+        inp["seed"] for inp in ab.Side(loaded, "suite", ab.INPUT_SEED, str(tmp_path)).inputs
     ]
 
 
@@ -116,8 +137,8 @@ def test_a_negative_seed_is_refused():
 
 def test_default_ascent_times_optimize_at_8_restarts_of_200_steps(tmp_path, monkeypatch):
     ab = load_ab(monkeypatch)
-    workloads = ab.load_side(ROOT)
-    bounds = workloads.infotherm.bounds
+    loaded = ab.load_side(ROOT)
+    bounds = loaded.workloads.infotherm.bounds
     configs = []
     real = bounds.maximize_accessible_information
 
@@ -126,7 +147,7 @@ def test_default_ascent_times_optimize_at_8_restarts_of_200_steps(tmp_path, monk
         return real(e, cfg)
 
     monkeypatch.setattr(bounds, "maximize_accessible_information", spy)
-    side = ab.Side(workloads, "optimize", 1, str(tmp_path), ab.default_ascent(workloads))
+    side = ab.Side(loaded, "optimize", 1, str(tmp_path), ab.default_ascent(loaded.workloads))
     side.op()
     (cfg,) = configs
     assert (cfg.method, cfg.restarts, cfg.max_iterations) == ("random_restart_ascent", 8, 200)

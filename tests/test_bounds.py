@@ -35,6 +35,7 @@ from conftest import (
     INFO_HELSTROM,
     count_eighs,
     fail_solver,
+    seed_states,
 )
 
 
@@ -1309,7 +1310,7 @@ class TestStackedDrawsMatchPerTrialDraws:
             kind = ("pure", "mixed", "commuting")[t % 3]
             m = 2 + (t // 3) % (dim - 1) if kind == "commuting" else 2 + t % 5
             specs.append((dim, 1 + t % 4, m, kind, [seed, t]))
-        rngs = suite_rng._generators(suite_rng._seed_states(spec[4] for spec in specs))
+        rngs = suite_rng._generators(seed_states(spec[4] for spec in specs))
         (g,) = bounds._random_instances([(*spec[:4], rng) for spec, rng in zip(specs, rngs)])
         assert g.sizes.tolist() == [spec[1] for spec in specs]
         assert g.counts.tolist() == [spec[2] for spec in specs]

@@ -14,7 +14,7 @@ import infotherm as it
 from infotherm import blockcoding, bounds, cli, measurement, quantum, suite_rng, thermo
 from infotherm.errors import SecondLawViolation
 
-from conftest import fail_solver
+from conftest import fail_solver, seed_states
 
 
 def _mat(m):
@@ -990,10 +990,10 @@ class TestSuiteBudget:
         def draw(*args, **kwargs):
             raise AssertionError("the suite drew a trial")
 
-        monkeypatch.setattr(cli, "_seed_states", draw)
+        monkeypatch.setattr(suite_rng, "_trial_states", draw)
         monkeypatch.setattr(cli, "_pick", draw)
-        monkeypatch.setattr(cli, "_PickSource", draw)
-        monkeypatch.setattr(cli, "_generators", draw)
+        monkeypatch.setattr(suite_rng, "_PickSource", draw)
+        monkeypatch.setattr(suite_rng, "_generators", draw)
         monkeypatch.setattr(cli, "_random_instances", draw)
         start = time.perf_counter()
         assert cli.main(["suite", "--trials", "1000000000000"]) == 5
@@ -1083,8 +1083,7 @@ class TestSuiteChunkPass:
     @staticmethod
     def chunk(seed, trials, dims):
         """The suite's picks for trials 0..trials-1, with their draw states."""
-        states = suite_rng._seed_states([seed, t, k] for t in range(trials) for k in (0, 1))
-        pairs = states.reshape(-1, 2, 4)
+        pairs = suite_rng._trial_states(seed, trials)
         pickers = suite_rng._generators(pairs[:, 0])
         return [
             (t, *cli._pick(picker, dims, cli._KINDS), draw)
@@ -1187,7 +1186,7 @@ class TestSuiteStageOrder:
         chunk = [
             (t, kind, dim, n, m, state)
             for t, ((kind, dim, n, m), state) in enumerate(
-                zip(self.PICKS, suite_rng._seed_states([[9, t] for t in range(3)]))
+                zip(self.PICKS, seed_states([[9, t] for t in range(3)]))
             )
         ]
         with pytest.raises(it.ValidationError) as info:
@@ -1221,13 +1220,13 @@ class TestSuiteBuildsNoLedgerEntries:
     # formats no entry; run_cycle, as a control, builds them
     def test_a_suite_run_constructs_no_ledger_entry(self, monkeypatch, capsys):
         built = []
-        real_post_init = thermo.LedgerEntry.__post_init__
+        real_init = thermo.LedgerEntry.__init__
 
-        def counting(self):
-            built.append(self.stage)
-            real_post_init(self)
+        def counting(self, stage, *args):
+            built.append(stage)
+            real_init(self, stage, *args)
 
-        monkeypatch.setattr(thermo.LedgerEntry, "__post_init__", counting)
+        monkeypatch.setattr(thermo.LedgerEntry, "__init__", counting)
         assert cli.main(["suite", "--trials", "20", "--seed", "3"]) == 0
         capsys.readouterr()
         assert built == []
@@ -1284,10 +1283,12 @@ class TestSuiteSecondLawPath:
     def test_a_violating_cycle_exits_3_and_keeps_the_bound_columns(
         self, monkeypatch, tmp_path, capsys
     ):
-        real_book_cycles = cli._book_cycles
+        real_book_cycles = thermo._book_cycles
         # the analysis holds the trials by dimension, each dimension's in
         # trial order
-        dims = [int(reference_row(7, t, [2, 3, 4], cli._KINDS).split(",")[1]) for t in range(5)]
+        # (built before the patch, which run_cycle in thermo would read too)
+        reference = [reference_row(7, t, [2, 3, 4], cli._KINDS) for t in range(5)]
+        dims = [int(row.split(",")[1]) for row in reference]
         k = sorted(range(5), key=lambda t: dims[t]).index(2)
 
         def violates_on_trial_2(a):
@@ -1299,7 +1300,7 @@ class TestSuiteSecondLawPath:
             sigma[start:start + a.sigma_sizes[k]] = 0.0
             return real_book_cycles(a._replace(sigma_spectra=sigma))
 
-        monkeypatch.setattr(cli, "_book_cycles", violates_on_trial_2)
+        monkeypatch.setattr(thermo, "_book_cycles", violates_on_trial_2)
         csv = tmp_path / "suite.csv"
         rc = cli.main(["suite", "--trials", "5", "--seed", "7", "--csv", str(csv)])
         out = capsys.readouterr().out
@@ -1324,7 +1325,7 @@ class TestSuiteSecondLawPath:
             assert row[column] == format(value, ".9g"), column
         # the other trials keep their nets
         for t in (0, 1, 3, 4):
-            assert rows[t]["cycle_net"] == reference_row(7, t, [2, 3, 4], cli._KINDS).split(",")[-1]
+            assert rows[t]["cycle_net"] == reference[t].split(",")[-1]
 
 
 def reference_row(seed, trial, dims, kinds):

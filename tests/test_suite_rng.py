@@ -12,15 +12,16 @@ import pytest
 import infotherm as it
 from infotherm import cli, suite_rng
 
-from conftest import names_used
+from conftest import names_used, seed_states
 
 PACKAGE = Path(it.__file__).parent
 
 
 class TestSeedStates:
-    """``_seed_states`` and ``_generators`` against numpy's own seeding, bit
-    for bit: each row is ``SeedSequence(seed).generate_state(4, np.uint64)``
-    and each generator draws ``default_rng(seed)``'s stream."""
+    """``_trial_states`` and ``_generators`` against numpy's own seeding, bit
+    for bit: entry [t, k] of ``_trial_states(seed, trials)`` is
+    ``SeedSequence([seed, t, k]).generate_state(4, np.uint64)`` and each
+    generator draws ``default_rng(seed)``'s stream."""
 
     SEEDS = [
         0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3,
@@ -29,48 +30,44 @@ class TestSeedStates:
         np.array([3, 2**40], dtype=np.int64), np.array([5, 6, 7, 8, 9, 10], dtype=np.uint32),
         np.array([], dtype=np.uint32), (3, 4), (0, 2**32, 1), [42, 3, 1],
     ]
+    #: The suite's seeds: nonnegative integers of one word up to seven.
+    SUITE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70, 2**200 + 3, 42]
 
     @staticmethod
-    def reference(seeds):
-        return [np.random.SeedSequence(s).generate_state(4, np.uint64).tobytes() for s in seeds]
+    def reference(seed, trials):
+        return seed_states([seed, t, k] for t in range(trials) for k in (0, 1)).tobytes()
 
     @staticmethod
-    def rows(states):
-        assert states.dtype == np.uint64 and states.shape[1:] == (4,)
-        return [row.tobytes() for row in states]
+    def states(seed, trials):
+        states = suite_rng._trial_states(seed, trials)
+        assert states.dtype == np.uint64 and states.shape == (trials, 2, 4)
+        return states.tobytes()
 
-    def test_edge_seeds_in_one_call(self):
-        assert self.rows(suite_rng._seed_states(self.SEEDS)) == self.reference(self.SEEDS)
+    @pytest.mark.parametrize("seed", SUITE_SEEDS)
+    def test_each_edge_seed(self, seed):
+        assert self.states(seed, 5) == self.reference(seed, 5)
 
-    @pytest.mark.parametrize("index", range(len(SEEDS)))
-    def test_each_edge_seed_alone(self, index):
-        seed = self.SEEDS[index]
-        assert self.rows(suite_rng._seed_states([seed])) == self.reference([seed])
+    def test_one_trial_and_none(self):
+        for seed in self.SUITE_SEEDS:
+            assert self.states(seed, 1) == self.reference(seed, 1)
+        assert self.states(3, 0) == b""
 
-    def test_a_sweep_of_mixed_length_seeds(self):
+    def test_a_sweep_of_seed_lengths_and_trial_counts(self):
         rng = np.random.default_rng(2024)
-        seeds = []
-        for k in range(3200):
-            bits = rng.choice([1, 31, 32, 33, 64, 100], size=int(rng.integers(0, 9)))
-            parts = [int.from_bytes(rng.bytes(13), "little") % (1 << int(b)) for b in bits]
-            seeds.append(parts[0] if parts and k % 5 == 0 else parts)
-        # word counts from 0 (the empty sequence) past the 4-word pool
-        words = {
-            sum(max(1, -(-x.bit_length() // 32)) for x in (s if isinstance(s, list) else [s]))
-            for s in seeds
-        }
-        assert set(range(13)) <= words
-        assert self.rows(suite_rng._seed_states(seeds)) == self.reference(seeds)
+        for bits in [1, 31, 32, 33, 63, 64, 65, 96, 97, 128, 160, 224]:
+            seed = int.from_bytes(rng.bytes(28), "little") % (1 << bits)
+            trials = int(rng.integers(1, 40))
+            assert self.states(seed, trials) == self.reference(seed, trials)
 
-    def test_an_iterator_and_no_seeds(self):
-        seeds = [[5, t, k] for t in range(7) for k in (0, 1)]
-        assert self.rows(suite_rng._seed_states(iter(seeds))) == self.reference(seeds)
-        assert suite_rng._seed_states([]).shape == (0, 4)
+    def test_the_seed_argument_is_left_alone(self):
+        seed = 2**70 + 3
+        suite_rng._trial_states(seed, 2)
+        assert seed == 2**70 + 3
 
     @pytest.mark.parametrize("index", range(len(SEEDS)))
     def test_generators_draw_the_default_rng_stream(self, index):
         seed = self.SEEDS[index]
-        (ours,) = suite_rng._generators(suite_rng._seed_states([seed]))
+        (ours,) = suite_rng._generators(seed_states([seed]))
         theirs = np.random.default_rng(seed)
         for draw in (
             lambda g: g.normal(size=(3, 2)),
@@ -82,7 +79,7 @@ class TestSeedStates:
             assert np.asarray(draw(ours)).tobytes() == np.asarray(draw(theirs)).tobytes()
 
     def test_the_state_seed_serves_only_pcg64s_request(self):
-        state = suite_rng._seed_states([3])[0]
+        state = suite_rng._trial_states(3, 1)[0, 0]
         seed = suite_rng._state_seed_type()((state,))
         assert seed.generate_state(4, np.uint64) is state
         with pytest.raises(ValueError, match="asked for 8"):
@@ -132,7 +129,7 @@ class TestRawPicks:
     def test_raw_picks_equal_the_generator_picks(self, kinds, dims):
         # 20 cases x 2 seeds x 300 trials: 12,000 (seed, trial) picks
         for seed in (0, 2**40 + 7):
-            states = suite_rng._seed_states([seed, t, 0] for t in range(300))
+            states = suite_rng._trial_states(seed, 300)[:, 0]
             for picker, generator in zip(states, suite_rng._generators(states)):
                 expected = cli._pick(generator, dims, kinds)
                 assert cli._pick(suite_rng._PickSource(picker), dims, kinds) == expected
@@ -187,7 +184,7 @@ class TestRawPicks:
         # the picker of seed [7, trial] rejects its first `rejected` halves
         # for WIDE and accepts the next; four rejected halves read the
         # fifth, past the two raw words that the four draws of a pick read
-        (state,) = suite_rng._seed_states([[7, trial]])
+        (state,) = seed_states([[7, trial]])
         words = suite_rng._generators([state])[0].bit_generator.random_raw(3)
         halves = [h for w in words.tolist() for h in (w & 0xFFFFFFFF, w >> 32)]
         lows = [(half * self.WIDE) % 2**32 for half in halves]

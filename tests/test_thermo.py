@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import infotherm as it
-from infotherm import cli, measurement, suite_rng, thermo
+from infotherm import cli, measurement, thermo
 from infotherm.errors import NonPositiveVolume, NumericalFailure, ValidationError
 from infotherm.linops import WEIGHT_FLOOR
 
@@ -22,6 +22,7 @@ from conftest import (
     NET_HELSTROM,
     analyse,
     mixed_kind_instances,
+    seed_states,
 )
 
 
@@ -596,7 +597,7 @@ class TestSuiteChunkBooking:
     # each pick carries its draw generator's state, as the suite's do
     CHUNK = [
         (*pick, state)
-        for pick, state in zip(PICKS, suite_rng._seed_states([5, pick[0], 1] for pick in PICKS))
+        for pick, state in zip(PICKS, seed_states([5, pick[0], 1] for pick in PICKS))
     ]
 
     @staticmethod

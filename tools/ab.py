@@ -10,7 +10,10 @@ the change tree is the checkout that holds this script, the parent tree
 is ``PARENT_CHECKOUT`` (any directory with ``src/infotherm``), and with
 ``--aa`` the change tree is loaded a second time in the parent's place.
 Each side gets its own copy of this checkout's ``bench/workloads.py``,
-bound to its own package, and builds its inputs with it from the input
+bound to its own package, whose modules are swapped into ``sys.modules``
+around each of its ops, outside the timed region, so that a module the
+package imports while an op runs comes from that side's tree.  Each side
+builds its inputs with its copy from the input
 seed (``--seed``, 1 by default), so a claim made on one seed can be
 checked again on another; ``bench/`` is only read.  With
 ``--default-ascent`` an optimize op runs the ascent at
@@ -56,6 +59,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_FILE = ROOT / "bench" / "workloads.py"
@@ -76,26 +80,52 @@ def _load(name: str, path: Path, package_dir: Path | None = None):
     return module
 
 
-def load_side(tree: Path):
+def _package_entries() -> dict:
+    """The ``infotherm`` entries of ``sys.modules``."""
+    return {k: v for k, v in sys.modules.items() if k == "infotherm" or k.startswith("infotherm.")}
+
+
+@contextlib.contextmanager
+def active(modules: dict):
+    """``modules``, one tree's ``infotherm`` entries of ``sys.modules``, in
+    place of the entries there for the block.  A module the block imports
+    joins ``modules``, and the entries found are put back after it."""
+    saved = _package_entries()
+    for k in saved:
+        del sys.modules[k]
+    sys.modules.update(modules)
+    try:
+        yield
+    finally:
+        modules.update(_package_entries())
+        for k in modules:
+            sys.modules.pop(k, None)
+        sys.modules.update(saved)
+
+
+class Loaded(NamedTuple):
+    """A copy of ``bench/workloads.py`` and the ``sys.modules`` entries of
+    the ``infotherm`` package it is bound to."""
+
+    workloads: object
+    modules: dict
+
+
+def load_side(tree: Path) -> Loaded:
     """A copy of ``bench/workloads.py`` bound to the ``infotherm`` package
     of ``tree``.  The package is loaded under its own name, as the
-    workloads import it, and every ``infotherm`` entry of ``sys.modules``
-    is restored afterwards: the side's modules stay alive through the
-    workloads copy that holds them."""
+    workloads import it, with ``active``: its entries are kept apart from
+    ``sys.modules`` outside that block."""
     package = tree / "src" / "infotherm"
     if not (package / "__init__.py").is_file():
         raise SystemExit(f"no infotherm package under {tree / 'src'}")
-    saved = {k: v for k, v in sys.modules.items() if k == "infotherm" or k.startswith("infotherm.")}
-    for k in saved:
-        del sys.modules[k]
-    try:
+    modules = {}
+    with active(modules):
         _load("infotherm", package / "__init__.py", package)
-        return _load("_ab_workloads", WORKLOADS_FILE)
-    finally:
-        for k in [k for k in sys.modules if k == "infotherm" or k.startswith("infotherm.")]:
-            del sys.modules[k]
-        del sys.modules["_ab_workloads"]
-        sys.modules.update(saved)
+        try:
+            return Loaded(_load("_ab_workloads", WORKLOADS_FILE), modules)
+        finally:
+            del sys.modules["_ab_workloads"]
 
 
 def default_ascent(workloads):
@@ -113,11 +143,15 @@ def default_ascent(workloads):
 
 class Side:
     """One tree's workload, its inputs and a cursor into them; with
-    ``run`` given, an op calls it in place of the workload's own."""
+    ``run`` given, an op calls it in place of the workload's own.  The
+    tree's modules are active while the side builds its inputs, and while
+    an op runs and is checked."""
 
-    def __init__(self, workloads, name: str, seed: int, work_dir: str, run=None):
-        self.workload = workloads.WORKLOADS[name]()
-        self.inputs = self.workload.make_inputs(seed, work_dir)
+    def __init__(self, loaded: Loaded, name: str, seed: int, work_dir: str, run=None):
+        self.modules = loaded.modules
+        self.workload = loaded.workloads.WORKLOADS[name]()
+        with active(self.modules):
+            self.inputs = self.workload.make_inputs(seed, work_dir)
         self.run = run or self.workload.run
         self.next = 0
         self.outputs: dict[int, set[bytes]] = {}  # input index -> its outputs' bytes
@@ -129,11 +163,12 @@ class Side:
         inp = self.inputs[index]
         self.next += 1
         self.workload.prepare(inp)
-        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
-            t0 = time.perf_counter()
-            result = self.run(inp)
-            wall = time.perf_counter() - t0
-        reason = self.workload.check(inp, result)
+        with active(self.modules):
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                t0 = time.perf_counter()
+                result = self.run(inp)
+                wall = time.perf_counter() - t0
+            reason = self.workload.check(inp, result)
         if reason is not None:
             raise SystemExit(f"op failed its check: {reason}")
         self.outputs.setdefault(index, set()).add(output_bytes(inp, result))
@@ -151,13 +186,14 @@ class Side:
 
         for inp in self.inputs:
             self.workload.prepare(inp)
-            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
-                sys.setprofile(profile)
-                try:
-                    result = self.run(inp)
-                finally:
-                    sys.setprofile(None)
-            reason = self.workload.check(inp, result)
+            with active(self.modules):
+                with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                    sys.setprofile(profile)
+                    try:
+                        result = self.run(inp)
+                    finally:
+                        sys.setprofile(None)
+                reason = self.workload.check(inp, result)
             if reason is not None:
                 raise SystemExit(f"op failed its check: {reason}")
         return counts["call"] / len(self.inputs), counts["c_call"] / len(self.inputs)
@@ -241,7 +277,7 @@ def main(argv=None) -> int:
     parent_tree = ROOT if args.aa else args.parent.resolve()
     with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
         sides = [load_side(tree) for tree in (parent_tree, ROOT)]
-        runs = [default_ascent(w) if args.default_ascent else None for w in sides]
+        runs = [default_ascent(side.workloads) if args.default_ascent else None for side in sides]
         parent = Side(sides[0], args.workload, args.seed, parent_dir, runs[0])
         change = Side(sides[1], args.workload, args.seed, change_dir, runs[1])
         ratios = run(parent, change, args.blocks, args.ops)
