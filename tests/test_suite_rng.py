@@ -59,11 +59,6 @@ class TestSeedStates:
             trials = int(rng.integers(1, 40))
             assert self.states(seed, trials) == self.reference(seed, trials)
 
-    def test_the_seed_argument_is_left_alone(self):
-        seed = 2**70 + 3
-        suite_rng._trial_states(seed, 2)
-        assert seed == 2**70 + 3
-
     @pytest.mark.parametrize("index", range(len(SEEDS)))
     def test_generators_draw_the_default_rng_stream(self, index):
         seed = self.SEEDS[index]
