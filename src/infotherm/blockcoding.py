@@ -11,10 +11,10 @@ import numpy as np
 from .errors import BudgetExceeded, ValidationError
 from .linops import BOUND_TOL, PSD_EPSILON, _Frozen, _require_int
 from .measurement import Povm, _analyse_groups, _group, _povms
-from .quantum import DensityMatrix, Ensemble, _density_matrices, average_state
+from .quantum import DIM_CAP, DensityMatrix, Ensemble, _density_matrices, average_state
 
-#: Caps: sequence states of dimension at most 32, at most 4096 sequences.
-DIM_CAP = 32
+#: Caps: sequence states of dimension at most ``DIM_CAP`` (32), at most
+#: 4096 sequences.
 SEQUENCE_CAP = 4096
 
 

@@ -19,6 +19,7 @@ from .linops import (
     BOUND_TOL,
     CONVERGENCE_TOL,
     PSD_EPSILON,
+    _convergence_check,
     _decomposition_checks,
     _eigenvalue_floor_check,
     _eigenvalue_function,
@@ -261,13 +262,12 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     The steps check nothing as they go, except that S is finite: each
     records what the checks of ``psd_function``, ``JointDistribution`` and
     ``mutual_information`` read, and the checks run stacked once per block
-    of ``_STEP_BLOCK`` steps and at the end (``_StepChecks``).  The steps
-    run under numpy error settings that raise wherever the caller's would
-    warn or raise, and on the invalid flag a failed eigensolve sets.  A
-    lockstep group that raises runs again restart by restart, so the lowest
-    failing restart raises; one that would warn runs again with each step
-    checked as it goes (a step after a failing one may compute on values
-    its checks refuse), and raises or warns as that step does.
+    of ``_STEP_BLOCK`` steps, at the end and before anything raises
+    (``_StepChecks``).  The steps compute with numpy's floating-point errors
+    ignored, whatever the caller's settings: a step that fails a check may
+    compute on values its checks refuse, and the check raises.  A lockstep
+    group that raises runs again restart by restart, so the lowest failing
+    restart raises.
     """
     d, outcomes = e.dim, e.dim * e.dim
     # Python ints, as numpy integers from the config could wrap
@@ -281,31 +281,23 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     rng = np.random.default_rng(cfg.seed)
     probs = e.probs
     weighted = probs[:, None, None] * e._matrices
-    strict = {k: "raise" if k == "invalid" or m != "ignore" else m for k, m in np.geterr().items()}
-
-    def ascent(starts, eager=False):
-        with np.errstate(**({} if eager else strict)):
-            return _ascent_lockstep(starts, weighted, probs, cfg, _StepChecks(eager))
-
     runs, group = [], max(1, _LOCKSTEP_ENTRIES // (d**4 + e.size * outcomes))
     for first in range(0, cfg.restarts, group):
         starts = np.array([rng.normal(size=(d, outcomes)) + 1j * rng.normal(size=(d, outcomes))
                            for _ in range(min(group, cfg.restarts - first))])
-        if len(starts) > 1:
-            try:
-                runs += ascent(starts)
-                continue
-            except (FloatingPointError, ToolkitError):
-                pass  # each runs again alone, in turn
-        for start in starts[:, None]:
-            try:
-                runs += ascent(start)
-            except FloatingPointError:
-                runs += ascent(start, eager=True)
+        try:
+            runs += _ascent_lockstep(starts, weighted, probs, cfg, _StepChecks())
+            continue
+        except ToolkitError:
+            if len(starts) == 1:
+                raise
+        for start in starts[:, None]:  # each alone, in turn
+            runs += _ascent_lockstep(start, weighted, probs, cfg, _StepChecks())
     kets, _ = max(runs, key=lambda run: run[1])  # the first best
     return _rank_one_povm(kets)
 
 
+@np.errstate(all="ignore")
 def _ascent_lockstep(starts, weighted, probs, cfg: OptimizerConfig, checks: _StepChecks):
     """The ascent from each of the (R, d, K) kets ``starts``, to the bits each
     reaches alone: a step moves every restart still going, each with its own
@@ -357,56 +349,43 @@ class _StepChecks:
     """The checks of a run of ascent steps, recorded as the steps go and
     run as one stack.
 
-    A step records what each check reads, in the order the checks run:
-    S = K K+ with the eigenvalues w and eigenvectors v its eigensolve gave,
-    then f(w), which ``psd_function`` checks; the raw table q, which
-    ``JointDistribution`` checks; and the I that ``mutual_information``
-    checks, each of a lockstep stack.  ``run`` runs those checks, with
-    their tolerances, on every record held, and the lowest failing one
-    raises the error they raise for it alone; then the records are
-    dropped.  A step's last record runs the checks once ``_STEP_BLOCK``
-    steps are held; with ``eager`` every record runs them, as one checked
-    call does."""
+    A step makes two records of what its checks read, in the order they
+    run: ``normalised`` holds S = K K+, the eigenvalues w and eigenvectors
+    v its unchecked eigensolve gave (NaNs where it did not converge, the
+    first check) and f(w), which ``psd_function`` checks; ``scored`` holds
+    the raw table q, which ``JointDistribution`` checks, and the I that
+    ``mutual_information`` checks; each of a lockstep stack.  ``run`` runs
+    those checks, with their tolerances, on every record held, and the
+    lowest failing one raises the error they raise for it alone; then the
+    records are dropped.  A step's ``scored`` runs the checks once
+    ``_STEP_BLOCK`` steps are held."""
 
-    def __init__(self, eager: bool = False):
-        self.eager = eager
+    def __init__(self):
         self._drop()
 
     def _drop(self) -> None:
         self.s, self.w, self.v, self.fw, self.tables, self.infos = [], [], [], [], [], []
 
-    def eigensolve(self, s, w, v) -> None:
+    def normalised(self, s, w, v, fw) -> None:
         self.s.append(s)
         self.w.append(w)
         self.v.append(v)
-        if self.eager:
-            self.run()
-
-    def function(self, fw) -> None:
         self.fw.append(fw)
-        if self.eager:
-            self.run()
 
-    def table(self, q) -> None:
+    def scored(self, q, info) -> None:
         self.tables.append(q)
-        if self.eager:
-            self.run()
-
-    def information(self, info) -> None:
         self.infos.append(info)
-        if self.eager or len(self.infos) == _STEP_BLOCK:
+        if len(self.infos) == _STEP_BLOCK:
             self.run()
 
     def run(self) -> None:
         checks = []
         if self.s:
-            s, w, v = map(np.concatenate, (self.s, self.w, self.v))
-            checks += _decomposition_checks(s, w, v) + [_eigenvalue_floor_check(w)]
-        if self.fw:
-            checks.append(_finite_function_check(np.concatenate(self.fw)))
+            s, w, v, fw = map(np.concatenate, (self.s, self.w, self.v, self.fw))
+            checks += [_convergence_check(w), *_decomposition_checks(s, w, v),
+                       _eigenvalue_floor_check(w), _finite_function_check(fw)]
         if self.tables:
             checks += _table_checks(np.concatenate(self.tables))
-        if self.infos:
             checks.append(_information_check(np.concatenate(self.infos)))
         self._drop()
         _raise_first_failure(checks)
@@ -420,14 +399,13 @@ def _normalised(kets: np.ndarray, checks: _StepChecks) -> np.ndarray:
     """S^{-1/2} K and S = K K+ for each (d, K) ket array K of a stack: the
     kets of a rank-one POVM on S's support, with ``psd_function``'s bits.
     A non-finite S raises as ``psd_function`` raises; S's other checks go
-    to ``checks``, and its ``_eigh`` is checked only if ``checks`` is eager."""
+    to ``checks``, and its ``_eigh`` is unchecked."""
     s = kets @ kets.conj().swapaxes(-1, -2)
     _require_finite(s)
-    w, v = _eigh(s, checks.eager)
-    checks.eigensolve(s, w, v)
+    w, v = _eigh(s, False)
     kernel = min(w[:, 0].tolist()) <= PSD_EPSILON  # w ascends
     fw = _eigenvalue_function(w, _inverse_root, pseudo=True) if kernel else _inverse_root(w)
-    checks.function(fw)
+    checks.normalised(s, w, v, fw)
     return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2) @ kets
 
 
@@ -441,13 +419,12 @@ def _ascent_score(kets, weighted, priors, buffer, checks: _StepChecks):
     ``mutual_information`` clips at 0.  The checks of both are recorded in
     ``checks``.  Returns (L, I)."""
     raw = _einsum("...ak,iab,...bk->...ik", kets.conj(), weighted, kets).real
-    checks.table(raw)
     q = np.maximum(raw, 0.0)
     buffer.fill(1.0)
     np.divide(q, priors * np.add.reduce(q, axis=-2, keepdims=True), out=buffer, where=q > 0.0)
     logs = np.log2(buffer)
     info = np.add.reduce(q * logs, axis=(-2, -1))
-    checks.information(info)
+    checks.scored(raw, info)
     return logs, info
 
 

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .linops import BOUND_TOL, _Frozen
 from .measurement import Povm, _analyse_groups
-from .quantum import DensityMatrix, Ensemble, _density_matrices
+from .quantum import DIM_CAP, DensityMatrix, Ensemble, _density_matrices
 
 
 #: Floats go out with 9 significant digits.
@@ -504,8 +504,6 @@ def _score_chunk(chunk: list[tuple]) -> _Scores:
 
 
 def cmd_suite(args) -> int:
-    from .blockcoding import DIM_CAP
-
     try:
         dims = [int(part) for part in args.dims.split(",") if part]
     except ValueError as exc:

@@ -96,7 +96,8 @@ class _Frozen:
     field tuples are equal, so an array field of more than one entry makes
     ``==`` raise unless both hold the same array; ``hash`` is the field
     tuple's, and raises on an array field.  Every assignment and deletion
-    raises ``AttributeError``.
+    raises ``AttributeError``.  An instance pickles as its class called on
+    its field values (``_fields`` names its parameters, in order).
     """
 
     __slots__ = ()
@@ -125,6 +126,9 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class HermitianEigen(_Frozen):
@@ -247,7 +251,9 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=1)[:, -1] + 0.0
 
 
-def _nonconvergence(err, flag):
+def _nonconvergence(*args):
+    """Raise for an eigensolve that did not converge: numpy's error callback
+    in ``_checked``, and ``_convergence_check``'s error for an item."""
     raise NumericalFailure("eigendecomposition failed: Eigenvalues did not converge")
 
 
@@ -262,8 +268,8 @@ def _solve(name: str, stack: np.ndarray, checked: bool = True):
     """``np.linalg.<name>`` of a complex or float64 stack, from numpy's
     solver ``<name>_lo`` (looked up on numpy's module at each call) without
     the wrapper: the loop the wrapper picks for the dtype, under
-    ``_checked``.  Unchecked, a failure only sets the invalid flag, and
-    over, divide and under are not masked as the wrapper masks them."""
+    ``_checked``.  Unchecked, a failure only sets the invalid flag and
+    returns NaNs, which ``_convergence_check`` reads."""
     solver = getattr(_umath_linalg, name + "_lo")
     return _checked(solver, stack) if checked else solver(stack)
 
@@ -303,6 +309,13 @@ def _decomposition_checks(stack: np.ndarray, w: np.ndarray, v: np.ndarray):
             lambda k: NumericalFailure("eigendecomposition failed reconstruction check"),
         ),
     ]
+
+
+def _convergence_check(w: np.ndarray):
+    """The check that each unchecked eigensolve of a stack converged, from
+    its eigenvalues ``w`` ((B, d)), as ``_decomposition_checks`` gives its
+    checks: one that failed returned NaNs."""
+    return ~np.logical_and.reduce(np.isfinite(w), axis=-1), _nonconvergence
 
 
 def _eigenvalue_floor_check(w: np.ndarray):

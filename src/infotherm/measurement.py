@@ -651,8 +651,8 @@ def _group(pairs) -> _Group:
 def _pairs(g: _Group) -> list[tuple[Ensemble, Povm]]:
     """Each pair of a group as an ``Ensemble`` and a ``Povm`` of views of
     its stacks, which become read-only; nothing is checked again."""
-    g.states.setflags(write=False)
-    g.elements.setflags(write=False)
+    for stack in (g.states, g.priors, g.elements):
+        stack.setflags(write=False)
     states = [DensityMatrix._checked(m, w) for m, w in zip(g.states, g.eigenvalues)]
     sizes, counts = g.sizes.tolist(), g.counts.tolist()
     ensembles = [

@@ -33,6 +33,10 @@ from .linops import (
 )
 
 
+#: The largest state dimension of the block scan's sequences and the suite's draws.
+DIM_CAP = 32
+
+
 def _nonnegative(values: np.ndarray) -> np.ndarray:
     """``values`` with each entry that is not above zero (or NaN) as +0."""
     return np.where(values > 0.0, values, 0.0)
@@ -179,7 +183,8 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 
 class Ensemble(_Frozen):
-    """A classical source of quantum states: priors p_i and states rho_i."""
+    """A classical source of quantum states: priors p_i, read-only, and
+    states rho_i."""
 
     _fields = ("probs", "states")
 
@@ -194,12 +199,13 @@ class Ensemble(_Frozen):
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise DimensionMismatch(f"states have mixed dimensions {sorted(dims)}")
+        p.setflags(write=False)
         self._assign(probs=p, states=states)
 
     @classmethod
     def _checked(cls, probs: np.ndarray, states: tuple) -> "Ensemble":
-        """Priors that already passed ``_checked_priors`` and as many states
-        of one dimension; nothing is checked again."""
+        """Read-only priors that already passed ``_checked_priors`` and as
+        many states of one dimension; nothing is checked again."""
         e = object.__new__(cls)
         e._assign(probs=probs, states=states)
         return e

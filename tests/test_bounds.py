@@ -384,13 +384,23 @@ def _weighted(e):
     return e.probs[:, None, None] * np.stack([s.matrix for s in e.states])
 
 
+def _one_step(step, *args):
+    """``step(*args, record)`` with a record of its own, as one checked call:
+    it computes as the ascent's steps compute, and the checks it records
+    run as it returns."""
+    checks = bounds._StepChecks()
+    with np.errstate(all="ignore"):
+        out = step(*args, checks)
+    checks.run()
+    return out
+
+
 def _normalised(kets, step=bounds._normalised):
     """The ascent's ``_normalised`` of a stack of (d, K) kets, or of one as
-    a stack of one, as one checked call: with a record that runs every
-    check as it is recorded."""
+    a stack of one, as one checked call."""
     if kets.ndim == 2:
         return _normalised(kets[None], step)[0]
-    return step(kets, bounds._StepChecks(eager=True))
+    return _one_step(step, kets)
 
 
 def _ascent_score(kets, weighted, probs, step=bounds._ascent_score):
@@ -401,7 +411,7 @@ def _ascent_score(kets, weighted, probs, step=bounds._ascent_score):
         logs, info = _ascent_score(kets[None], weighted, probs, step)
         return logs[0], info[0]
     buffer = np.empty(kets.shape[:-2] + (len(weighted), kets.shape[-1]))
-    return step(kets, weighted, np.reshape(probs, (-1, 1)), buffer, bounds._StepChecks(eager=True))
+    return _one_step(step, kets, weighted, np.reshape(probs, (-1, 1)), buffer)
 
 
 class TestAscentStep:
@@ -558,36 +568,12 @@ def _doubled_priors(real, kets, weighted, priors, *rest):
     return real(kets, weighted, 2.0 * priors, *rest)
 
 
-class TestOneStepCallOrder:
-    """A step function called with an eager record runs each check before the
-    arithmetic that follows it, as the checked calls did."""
-
-    def test_a_failing_decomposition_raises_before_f(self, monkeypatch):
-        def unreached(x):
-            raise AssertionError("f was applied")
-
-        _fire_at(monkeypatch, bounds, "_eigh", {0}, _skew)
-        monkeypatch.setattr(bounds, "_inverse_root", unreached)
-        kets = np.random.default_rng(0).normal(size=(2, 4)) + 0j
-        assert _raised(_normalised, kets)[0] is NotHermitian
-
-    def test_a_failing_table_raises_before_its_log_table(self, monkeypatch):
-        def unreached(x):
-            raise AssertionError("the log table was taken")
-
-        monkeypatch.setattr(np, "log2", unreached)
-        weighted = np.array([np.diag([0.6, 0.0]), np.diag([0.2, 0.3])], dtype=complex)
-        kets, probs = np.eye(2, dtype=complex), np.array([0.6, 0.4])
-        got = _raised(_ascent_score, kets, weighted, probs)
-        assert got == (ValidationError, "joint probabilities sum to 1.1")
-
-
 class TestDeferredStepChecks:
     """The ascent records each step's checks and runs them stacked, once
     per ``_STEP_BLOCK`` steps and at the end of a restart; the lowest
     failing step raises what the one-step call of that step raises (the
-    step's ``_normalised`` or ``_ascent_score`` with an eager record, on the
-    same inputs, with the same spoil)."""
+    step's ``_normalised`` or ``_ascent_score`` with a record of its own,
+    on the same inputs, with the same spoil)."""
 
     CFG = it.OptimizerConfig(method="random_restart_ascent", restarts=1, max_iterations=40, seed=7)
     STEP = 5
@@ -621,17 +607,16 @@ class TestDeferredStepChecks:
         return held
 
     @pytest.fixture
-    def eager(self, monkeypatch):
-        """Whether each lockstep run, of one restart or more, checks its
-        steps as it goes."""
-        eager, run = [], bounds._ascent_lockstep
+    def runs(self, monkeypatch):
+        """The number of restarts of each lockstep run, in order."""
+        runs, run = [], bounds._ascent_lockstep
 
         def spy(*args):
-            eager.append(args[-1].eager)
+            runs.append(len(args[0]))
             return run(*args)
 
         monkeypatch.setattr(bounds, "_ascent_lockstep", spy)
-        return eager
+        return runs
 
     def ascent_and_one_step(self, monkeypatch, ensemble, inputs, owner, name, spoil, step=None):
         """(type, message) of the whole ascent with call ``step`` of
@@ -746,26 +731,27 @@ class TestDeferredStepChecks:
         # the records of each step are held together and dropped together
         assert all(len(set(counts)) == 1 for counts in held)
 
-    def test_a_warning_after_a_failing_check_reruns_the_restart_checked(
-        self, monkeypatch, two_state_ensemble, inputs, eager
+    def test_steps_after_a_failing_check_run_on_unwarned(
+        self, monkeypatch, two_state_ensemble, inputs, runs
     ):
-        # an infinite f(w) fails its check; the unchecked step goes on to
-        # multiply infinities by zeros, which numpy would warn about, so the
-        # restart runs again with each step checked and raises, unwarned
+        # an infinite f(w) fails its check; the steps go on to multiply
+        # infinities by zeros, which numpy would warn about outside them,
+        # and the held check raises, unwarned, in the one run
         _fire_at(monkeypatch, bounds, "_inverse_root", range(self.STEP, 10**6), _inf_roots)
         got = _raised(it.maximize_accessible_information, two_state_ensemble, self.CFG)
-        assert eager == [False, True]
+        assert runs == [1]
         assert got == _raised(_STEPS["_normalised"], *inputs["_normalised"][self.STEP])
         assert got == (NumericalFailure, "function produced non-finite eigenvalues")
 
     @pytest.mark.parametrize("invalid", ["warn", "ignore", "raise"])
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_an_unconverged_eigensolve_raises_as_numpy_eigh_does(
-        self, monkeypatch, two_state_ensemble, eager, invalid, restarts
+        self, monkeypatch, two_state_ensemble, runs, invalid, restarts
     ):
-        # the unchecked steps call the solver without np.linalg.eigh, so they
-        # raise on its invalid flag whatever the caller's setting, and the
-        # restart that fails runs again checked, unwarned
+        # the steps call the solver without np.linalg.eigh and ignore its
+        # invalid flag, whatever the caller's setting; the NaNs it returns
+        # fail the first check, unwarned, and a group of three runs again
+        # from its lowest restart, which raises
         fail_solver(monkeypatch, "eigh_lo", first=self.STEP)
         cfg = it.OptimizerConfig(
             method="random_restart_ascent", restarts=restarts, max_iterations=40, seed=7
@@ -773,7 +759,7 @@ class TestDeferredStepChecks:
         with np.errstate(invalid=invalid):
             got = _raised(it.maximize_accessible_information, two_state_ensemble, cfg)
         assert got == (NumericalFailure, "eigendecomposition failed: Eigenvalues did not converge")
-        assert eager == [False] * (1 if restarts == 1 else 2) + [True]
+        assert runs == ([1] if restarts == 1 else [3, 1])
 
     def test_without_numpy_s_private_einsum(
         self, monkeypatch, tmp_path, capsys, two_state_ensemble
@@ -791,12 +777,57 @@ class TestDeferredStepChecks:
             assert el.tobytes() == ref_el.tobytes()
         assert _cli_csvs(tmp_path / "np_einsum", capsys) == ref_csvs
 
-    def test_a_passing_run_is_never_rerun(self, two_state_ensemble, eager):
+    def test_a_passing_run_is_never_rerun(self, two_state_ensemble, runs):
         it.maximize_accessible_information(two_state_ensemble, it.OptimizerConfig(
             method="random_restart_ascent", restarts=3, max_iterations=100, seed=11
         ))
         # the three restarts run once, together
-        assert eager == [False]
+        assert runs == [3]
+
+
+class TestCallerErrorSettings:
+    """The steps compute with numpy's floating-point errors ignored, so the
+    caller's numpy error settings reach no step: a valid ascent returns the
+    same bytes under any of them, and a spoiled step raises the package's
+    own error, never ``FloatingPointError``."""
+
+    CFG = it.OptimizerConfig(method="random_restart_ascent", restarts=3, max_iterations=60, seed=7)
+
+    @pytest.mark.parametrize("setting", [{"all": "raise"}, {"under": "raise"}], ids=str)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_valid_ascent_keeps_its_bytes(self, setting, seed):
+        e, _ = it.random_instance(2 + seed, 3, 2, ("pure", "mixed", "commuting")[seed], seed)
+        ref_povm, ref = it.maximize_accessible_information(e, self.CFG)
+        with np.errstate(**setting):
+            povm, got = it.maximize_accessible_information(e, self.CFG)
+        assert got == ref
+        assert [el.tobytes() for el in povm.elements] == [el.tobytes() for el in ref_povm.elements]
+
+    @pytest.mark.parametrize(
+        "spoil, expected",
+        [
+            (
+                lambda patch: _fire_at(patch, bounds, "_inverse_root", range(5, 10**6), _inf_roots),
+                (NumericalFailure, "function produced non-finite eigenvalues"),
+            ),
+            (
+                lambda patch: fail_solver(patch, "eigh_lo", first=5),
+                (NumericalFailure, "eigendecomposition failed: Eigenvalues did not converge"),
+            ),
+            (
+                lambda patch: _fire_at(patch, bounds, "_normalised", range(5, 10**6), _nan_kets),
+                (ValidationError, "matrix has non-finite entries"),
+            ),
+        ],
+        ids=["infinite f(w)", "unconverged solve", "non-finite kets"],
+    )
+    def test_a_spoiled_step_raises_the_package_error(
+        self, monkeypatch, two_state_ensemble, spoil, expected
+    ):
+        spoil(monkeypatch)
+        with np.errstate(all="raise"):
+            got = _raised(it.maximize_accessible_information, two_state_ensemble, self.CFG)
+        assert got == expected
 
 
 def _cli_csvs(folder, capsys):
@@ -1033,13 +1064,13 @@ class TestLockstepErrorOrder:
         each lockstep run, of one restart or more, its call t returns
         ``spoil(real, rows, *args)``, ``rows`` the rows of the restarts r
         with (r, t) in ``where``.  ``fault.runs()`` lists each run's
-        restarts and whether it runs eagerly, in order."""
+        restarts, in order."""
         runs, calls, lockstep = [], {}, bounds._ascent_lockstep
 
         def run(starts, *args):
             every = runs[0][0] if runs else starts
             found = [int(np.flatnonzero((every == s).all(axis=(1, 2)))[0]) for s in starts]
-            runs.append((every, found, args[-1].eager))
+            runs.append((every, found))
             calls.clear()
             return lockstep(starts, *args)
 
@@ -1048,7 +1079,7 @@ class TestLockstepErrorOrder:
 
             def patched(*args):
                 t = calls[name] = calls.get(name, -1) + 1
-                _, restarts, _ = runs[-1]
+                _, restarts = runs[-1]
                 rows = [row for row, r in enumerate(restarts) if (r, t) in where]
                 if not rows:
                     return real(*args)
@@ -1058,7 +1089,7 @@ class TestLockstepErrorOrder:
             monkeypatch.setattr(bounds, name, patched)
 
         monkeypatch.setattr(bounds, "_ascent_lockstep", run)
-        patch.runs = lambda: [(restarts, eager) for _, restarts, eager in runs]
+        patch.runs = lambda: [restarts for _, restarts in runs]
         return patch
 
     def ascent(self, two_state_ensemble):
@@ -1069,7 +1100,7 @@ class TestLockstepErrorOrder:
         fault("_ascent_score", {(1, 2)}, _heavy_rows)
         got = self.ascent(two_state_ensemble)
         assert got[0] is NotHermitian and got[1].startswith("matrix deviates from Hermitian by 1.0")
-        assert fault.runs() == [([0, 1], False), ([0], False)]
+        assert fault.runs() == [[0, 1], [0]]
 
     def test_a_lower_restart_failing_at_a_step_after_a_later_restart(
         self, fault, two_state_ensemble
@@ -1078,13 +1109,13 @@ class TestLockstepErrorOrder:
         fault("_eigh", {(1, 1)}, _skew_rows)
         got = self.ascent(two_state_ensemble)
         assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
-        assert fault.runs() == [([0, 1], False), ([0], False)]
+        assert fault.runs() == [[0, 1], [0]]
 
     def test_the_failing_restart_raises_as_it_does_alone(self, fault, two_state_ensemble):
         fault("_ascent_score", {(1, 2)}, _heavy_rows)
         fault("_eigh", {(1, 5)}, _skew_rows)
         got = self.ascent(two_state_ensemble)
-        assert fault.runs() == [([0, 1], False), ([0], False), ([1], False)]
+        assert fault.runs() == [[0, 1], [0], [1]]
         # restart 1 alone, from its own start, raises the same error
         start = _starts(self.CFG, 2)[1:]
         alone = _raised(bounds._ascent_lockstep, start, _weighted(two_state_ensemble),
@@ -1099,16 +1130,16 @@ class TestLockstepErrorOrder:
         fault("_eigh", {(0, 20)}, _skew_rows)
         got = self.ascent(two_state_ensemble)
         assert got[0] is NotHermitian
-        assert fault.runs() == [([0, 1], False), ([0], False)]
+        assert fault.runs() == [[0, 1], [0]]
 
-    def test_a_restart_that_would_warn_reruns_alone_checked(self, fault, two_state_ensemble):
-        # restart 1's infinite f(w) fails its check, and its unchecked steps
-        # multiply infinities by zeros: the lockstep run and restart 1 alone
-        # raise FloatingPointError, and restart 1 reruns checked
+    def test_a_restart_that_would_warn_raises_alone_unwarned(self, fault, two_state_ensemble):
+        # restart 1's infinite f(w) fails its check, and its steps go on to
+        # multiply infinities by zeros, unwarned: the lockstep run raises,
+        # and so does restart 1 alone, with its check's error
         fault("_inverse_root", {(1, t) for t in range(5, 100)}, _inf_root_rows)
         got = self.ascent(two_state_ensemble)
         assert got == (NumericalFailure, "function produced non-finite eigenvalues")
-        assert fault.runs() == [([0, 1], False), ([0], False), ([1], False), ([1], True)]
+        assert fault.runs() == [[0, 1], [0], [1]]
 
     def test_a_passing_restart_before_the_failing_one_keeps_its_bits(
         self, monkeypatch, fault, two_state_ensemble
@@ -1136,14 +1167,14 @@ class TestLockstepErrorOrder:
         fault("_ascent_score", {(1, 2)}, _heavy_rows)
         got = self.ascent(two_state_ensemble)
         assert got[0] is ValidationError and got[1].startswith("joint probabilities sum to 1.1")
-        assert fault.runs() == [([0, 1], False), ([0], False), ([1], False)]
+        assert fault.runs() == [[0, 1], [0], [1]]
 
 
 def test_the_first_of_the_restarts_with_the_highest_information_wins(
     monkeypatch, two_state_ensemble
 ):
     cfg = it.OptimizerConfig(method="random_restart_ascent", restarts=3, seed=5)
-    kets = bounds._normalised(_starts(cfg, 2), bounds._StepChecks(eager=True))
+    kets = _normalised(_starts(cfg, 2))
     monkeypatch.setattr(
         bounds, "_ascent_lockstep", lambda *args: list(zip(kets, [0.25, 0.5, 0.5]))
     )

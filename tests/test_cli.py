@@ -745,6 +745,19 @@ class TestUnconvergedSolveExits2:
         captured = capsys.readouterr()
         assert captured.err == "error: eigendecomposition failed: Eigenvalues did not converge\n"
 
+    @pytest.mark.parametrize("invalid", ["ignore", "warn", "raise"])
+    def test_an_ascent_step_exits_2(self, invalid, tmp_path, monkeypatch, capsys):
+        # a step's solve fails mid-ascent; whatever the caller's numpy
+        # setting, the steps read its NaNs, and the run exits 2
+        path = _write(tmp_path, "p.json", _two_state_payload(measurement=None))
+        argv = ["optimize", "--spec", path, "--method", "random_restart_ascent", "--restarts", "3"]
+        calls = fail_solver(monkeypatch, "eigh_lo", first=5)
+        with np.errstate(invalid=invalid):
+            assert cli.main(argv) == 2
+        assert len(calls) > 5
+        captured = capsys.readouterr()
+        assert captured.err == "error: eigendecomposition failed: Eigenvalues did not converge\n"
+
 
 class TestPgm:
     def test_block_table(self, tmp_path, capsys):

@@ -65,6 +65,7 @@ def test_a_command_loads_the_modules_it_runs(tmp_path):
     assert "infotherm.thermo" not in loaded["pgm"][1]
     assert loaded["suite"][0] == 0
     assert {"infotherm.suite_rng", "infotherm.thermo"} <= set(loaded["suite"][1])
+    assert "infotherm.blockcoding" not in loaded["suite"][1]
 
 
 def test_every_public_name_is_its_home_modules_object():

@@ -282,6 +282,64 @@ class TestPickle:
         assert (e.size, e.dim) == (2, 2)
 
 
+#: The arrays each class with array fields keeps, its private ones too.
+ARRAYS = {
+    "DensityMatrix": lambda x: [x.matrix],
+    "Ensemble": lambda x: [x.probs, x._matrices, *(s.matrix for s in x.states)],
+    "Povm": lambda x: [x._stack, *x.elements],
+    "JointDistribution": lambda x: [x.matrix],
+}
+
+
+class TestArraysStayReadOnly:
+    """The arrays a value class keeps are read-only, the priors too, and a
+    pickle round trip builds the instance anew through its class, so an
+    unpickled one keeps read-only arrays, views and eigenvalues that are
+    its matrix's."""
+
+    def test_priors_refuse_a_write(self, orthogonal_ensemble):
+        e = ensemble()
+        with pytest.raises(ValueError, match="read-only"):
+            e.probs[0] = 0.9
+        assert np.array_equal(e.probs, [0.5, 0.5])
+        drawn, _ = it.random_instance(2, 3, 2, "mixed", 0)
+        assert not drawn.probs.flags.writeable
+        # a caller's array stays its own
+        priors = np.array([0.5, 0.5])
+        it.Ensemble(priors, orthogonal_ensemble.states)
+        assert priors.flags.writeable
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_an_instance_and_its_unpickled_copy_keep_read_only_arrays(self, name):
+        obj = WITH_ARRAYS[name]()
+        for kept in (obj, pickle.loads(pickle.dumps(obj))):
+            assert not any(a.flags.writeable for a in ARRAYS[name](kept))
+
+    def test_unpickled_elements_are_views_of_the_stack(self):
+        v = pickle.loads(pickle.dumps(it.Povm(BASIS)))
+        assert all(el.base is v._stack for el in v.elements)
+
+    def test_an_unpickled_state_refuses_a_write_to_its_matrix(self):
+        rho = pickle.loads(pickle.dumps(it.DensityMatrix(HALF)))
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 0] = 5
+        assert np.array_equal(rho.spectrum(), [0.5, 0.5])
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_pickle_calls_the_class_on_its_field_values(self, name):
+        obj = ALL[name]()
+        cls, args = obj.__reduce__()
+        assert cls is type(obj)
+        assert len(args) == len(FIELDS[name])
+        assert all(a is b for a, b in zip(args, values(name, obj)))
+
+    def test_an_unpickled_instance_is_checked_again(self):
+        # a pickle whose field values the constructor refuses raises on load
+        refused = pickle.dumps(it.OptimizerConfig(seed=3)).replace(b"qubit_grid", b"qubit_griD")
+        with pytest.raises(it.ValidationError, match="unknown optimizer method 'qubit_griD'"):
+            pickle.loads(refused)
+
+
 class TestHermitianEigen:
     def test_dim_and_reconstruct(self):
         m = np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.0], [0.0, 0.0, 5.0]])
