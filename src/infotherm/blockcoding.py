@@ -132,6 +132,7 @@ class BlockReport(_Frozen):
         )
 
 
+@np.errstate(all="ignore")
 def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
     """Per-letter information and entropy increase of blocks of length
     1..m_max, each measured with its square-root measurement.
@@ -149,7 +150,8 @@ def block_scan(e: Ensemble, m_max: int) -> list[BlockReport]:
     ``BudgetExceeded`` before any analysis.  The single letter's rho is
     built and checked once, and its one kept eigendecomposition gives the
     measurement's rho^(-1/2) and kernel projector and the analysis's
-    sqrt(rho).
+    sqrt(rho).  The scan computes with numpy's floating-point errors
+    ignored, as the analysis does.
     """
     _require_int("m_max", m_max)
     if m_max < 1:

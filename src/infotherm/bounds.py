@@ -29,6 +29,7 @@ from .linops import (
     _Frozen,
     _ordered_sums,
     _psd_function_stack,
+    _qr,
     _raise_first_failure,
     _require_finite,
     _require_int,
@@ -126,9 +127,11 @@ def _report(info: float, chi: float, ds: float) -> BoundReport:
     )
 
 
+@np.errstate(all="ignore")
 def evaluate_bounds(e: Ensemble, v: Povm) -> BoundReport:
     """Score a concrete measurement of an ensemble against both ceilings,
-    from the one analysis of the pair that ``run_cycle`` also reads."""
+    from the one analysis of the pair that ``run_cycle`` also reads,
+    computed with numpy's floating-point errors ignored."""
     a = _analyse_groups([_group([(e, v)])])
     return _report(a.info[0], a.chi[0], a.delta_s[0])
 
@@ -240,6 +243,7 @@ def _qubit_grid_search(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     return _qubit_basis_povm(tt.reshape(-1)[best], pp.reshape(-1)[best])
 
 
+@np.errstate(all="ignore")
 def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     """Steepest-ascent fixed-point iteration over dim^2 rank-one elements.
 
@@ -263,9 +267,10 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     records what the checks of ``psd_function``, ``JointDistribution`` and
     ``mutual_information`` read, and the checks run stacked once per block
     of ``_STEP_BLOCK`` steps, at the end and before anything raises
-    (``_StepChecks``).  The steps compute with numpy's floating-point errors
-    ignored, whatever the caller's settings: a step that fails a check may
-    compute on values its checks refuse, and the check raises.  A lockstep
+    (``_StepChecks``).  The search, its set-up and its steps, computes with
+    numpy's floating-point errors ignored, whatever the caller's settings:
+    a step that fails a check may compute on values its checks refuse, and
+    the check raises.  A lockstep
     group that raises runs again restart by restart, so the lowest failing
     restart raises.
     """
@@ -475,8 +480,7 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
     """Haar-random unitaries from a ``(K, d, d)`` stack of complex Gaussian
     matrices: the Q of each QR decomposition, with each column's phase
     fixed by R's diagonal."""
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q, diag = _qr(g)
     return q * (diag / np.abs(diag))[:, None, :]
 
 

@@ -51,6 +51,9 @@ from .quantum import DIM_CAP, DensityMatrix, Ensemble, _density_matrices
 
 #: Floats go out with 9 significant digits.
 _FLOAT = ".9g"
+#: A suite CSV row: trial, dim, n_states, m_outcomes, kind and projective
+#: as they are, then the six value columns as floats.
+_SUITE_ROW = ",".join(["{}"] * 6 + ["{:" + _FLOAT + "}"] * 6).format
 
 
 def _fmt(x: float) -> str:
@@ -469,13 +472,16 @@ def _suite_results(seed: int, trials: int, dims: list[int], kinds: tuple[str, ..
     return _Scores([row for part in rows for row in part], *map(np.concatenate, arrays))
 
 
+@np.errstate(all="ignore")
 def _score_chunk(chunk: list[tuple]) -> _Scores:
     """Draw and analyse a chunk's trials in one stage-major pass, one
     ``_Group`` per dimension and one ``_Analysis`` of them all, book every
     trial's cycle in the analysis's order, then take the values and nets
     to trial order once and build the rows.  A trial's pick is (trial,
     kind, dim, n_states, m_outcomes, state); it draws from the generator
-    of that ``_trial_states`` row."""
+    of that ``_trial_states`` row.  The chunk computes with numpy's
+    floating-point errors ignored, as ``evaluate_bounds`` and ``run_cycle``
+    do."""
     from .suite_rng import _generators
     from .thermo import _book_cycles
 
@@ -493,13 +499,10 @@ def _score_chunk(chunk: list[tuple]) -> _Scores:
     holevo = chi - info
     thermo = holevo + ds
     nets = np.where(breaks, np.nan, nets)
-    rows = [
-        f"{trial},{dim},{n},{m},{kind},{'true' if flag else 'false'},"
-        f"{i:{_FLOAT}},{c:{_FLOAT}},{s:{_FLOAT}},{h:{_FLOAT}},{t:{_FLOAT}},{net:{_FLOAT}}"
-        for (trial, kind, dim, n, m, _), flag, i, c, s, h, t, net in zip(
-            chunk, projective.tolist(), *(x.tolist() for x in (info, chi, ds, holevo, thermo, nets))
-        )
-    ]
+    trials, kinds, dims, sizes, counts, _ = zip(*chunk)
+    flags = map(("false", "true").__getitem__, projective.tolist())
+    values = (x.tolist() for x in (info, chi, ds, holevo, thermo, nets))
+    rows = list(map(_SUITE_ROW, trials, dims, sizes, counts, kinds, flags, *values))
     return _Scores(rows, holevo, thermo, ds, ~breaks)
 
 

@@ -44,9 +44,10 @@ CYCLE_TOL = 1e-9  # net cycle work above this violates the second law
 WEIGHT_FLOOR = 1e-15  # spectrum weights at or below this get no ledger entry
 CONVERGENCE_TOL = 1e-7  # default ascent gain below which a restart stops
 
-# numpy's C entry points under np.linalg.eigh and eigvalsh (``_solve``) and,
-# where numpy has it (1.x has no ``np._core``), under np.einsum, called
-# without their Python wrappers: the same loops, so the same bits
+# numpy's C entry points under np.linalg.eigh and eigvalsh (``_solve``),
+# np.linalg.cholesky (``_cholesky``) and np.linalg.qr (``_qr``) and, where
+# numpy has it (1.x has no ``np._core``), under np.einsum, called without
+# their Python wrappers: the same loops, so the same bits
 _umath_linalg = np.linalg._umath_linalg
 _multiarray_umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
 _einsum = getattr(_multiarray_umath, "c_einsum", np.einsum)
@@ -136,13 +137,17 @@ class HermitianEigen(_Frozen):
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
     matching orthonormal eigenvectors as columns, each rotated so that its
-    largest-magnitude component is real and positive.
+    largest-magnitude component is real and positive.  Both are read-only
+    copies of the arrays given, so ``reconstruct`` reads what was given.
     """
 
     _fields = ("eigenvalues", "eigenvectors")
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        self._assign(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+        w, v = np.array(eigenvalues), np.array(eigenvectors)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        self._assign(eigenvalues=w, eigenvectors=v)
 
     @property
     def dim(self) -> int:
@@ -280,6 +285,65 @@ def _solve(name: str, stack: np.ndarray, checked: bool = True):
 #: where np.linalg.eigh and eigvalsh take 6.1 and 4.9 (timeit, one Xeon core).
 _eigh = functools.partial(_solve, "eigh")
 _eigvalsh = functools.partial(_solve, "eigvalsh")
+
+
+@np.errstate(invalid="ignore")
+def _cholesky(stack: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of each matrix of a complex (B, d, d)
+    stack, as np.linalg.cholesky gives it, from numpy's ``cholesky_lo``
+    (looked up at each call) without the wrapper.  numpy's invalid flag is
+    ignored whatever the caller's settings, so a matrix that is not
+    numerically positive definite comes back as NaNs and nothing raises.
+    Like ``eigvalsh``, it reads each matrix's lower triangle and the real
+    part of its diagonal."""
+    return _umath_linalg.cholesky_lo(stack)
+
+
+def _qr_failure(*args):
+    """numpy's error callback in ``_qr``."""
+    raise NumericalFailure("QR factorization failed")
+
+
+@np.errstate(call=_qr_failure, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _qr(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Q of each matrix of a complex (K, d, d) stack and the diagonal
+    of its R, as ``np.linalg.qr`` gives them, from numpy's ``qr_r_raw`` and
+    ``qr_reduced`` (looked up at each call) without the wrapper, under the
+    error state it sets: ``qr_r_raw`` writes R and the Householder vectors
+    over a copy of the stack, and ``qr_reduced`` forms Q from them."""
+    a = stack.copy()
+    tau = _umath_linalg.qr_r_raw(a)
+    return _umath_linalg.qr_reduced(a, tau), np.diagonal(a, axis1=-2, axis2=-1)
+
+
+def _floor_certified(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of a finite complex (B, d, d) stack one stacked
+    Cholesky factorisation shows to pass ``_eigenvalue_floor_check`` as an
+    ``_eigvalsh`` of them would: no eigenvalue below -PSD_TOL.  Only the
+    others need that eigensolve.
+
+    Matrix M is certified when the factorisation of A = M + (PSD_TOL/2) I
+    completes, with factor L, and d^2 ||L||_F^2 <= PSD_TOL / (32 u), where
+    u = 2^-53 is the unit roundoff.  The rounding bound behind it:
+    - a factorisation that completes gives L L+ = A + dA with
+      ||dA||_2 <= c (d + 1) u ||L||_F^2 (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., Thm 10.3; c is a small constant for
+      complex arithmetic), and forming A rounds its diagonal by at most
+      u ||L||_F^2, so M's lowest eigenvalue is at least
+      -PSD_TOL/2 - (c (d + 1) + 1) u ||L||_F^2;
+    - the eigensolve reads that eigenvalue within p(d) u ||M||_2, where
+      ||M||_2 <= ||L||_F^2 to first order, and p(d) is the modest factor
+      of LAPACK's error bound for Hermitian eigenvalues.
+    Taking c (d + 1) + 1 + p(d) <= 16 d^2, the two errors together stay
+    within PSD_TOL/2 at that scale, so a certified matrix's eigensolve
+    reads at least -PSD_TOL.  A matrix that the factorisation refuses
+    (every entry of its factor NaN) or whose scale breaks the bound is not
+    certified."""
+    d = stack.shape[-1]
+    factors = _cholesky(stack + np.eye(d) * (PSD_TOL / 2))
+    flat = factors.reshape(len(factors), -1).view(float)
+    # ||L||_F^2 of each factor, NaN for a refused one, which fails the test
+    return d * d * _einsum("ij,ij->i", flat, flat) <= PSD_TOL * 2.0**48
 
 
 def _decomposition_checks(stack: np.ndarray, w: np.ndarray, v: np.ndarray):

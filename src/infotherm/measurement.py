@@ -40,6 +40,7 @@ from .linops import (
     _asymmetry,
     _eigvalsh,
     _einsum,
+    _floor_certified,
     _Frozen,
     _local_index,
     _ordered_sums,
@@ -69,6 +70,12 @@ from .quantum import (
 #: Most complex entries a product stack of ``_detect_projective`` holds,
 #: unless one row's products alone hold more.
 _PRODUCT_ENTRIES = 2**13
+#: Element stacks of fewer entries (elements times d^2) skip
+#: ``_floor_certified`` and take the eigensolve alone: below it the
+#: certificate's fixed cost, about 10 us, passes what it saves.  The two
+#: broke even between 64 and 128 entries at d = 2, 3 and 4 (timeit, one
+#: Xeon core), at 16-24 elements of d = 2 and 4-8 of d = 4.
+_CERTIFIED_ENTRIES = 96
 
 
 def _detect_projective(stack: np.ndarray, counts) -> np.ndarray:
@@ -105,16 +112,34 @@ def _detect_projective(stack: np.ndarray, counts) -> np.ndarray:
     return flags
 
 
+def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of each matrix of a finite complex (M, d, d)
+    element stack as one batched ``eigvalsh`` reads it, or 0 for a matrix
+    that ``_floor_certified`` shows to pass the eigenvalue floor: a stack
+    of ``_CERTIFIED_ENTRIES`` or more entries takes the certificate first
+    and eigensolves only the matrices it leaves, a smaller one the
+    eigensolve alone.  Either way every floor verdict, and every eigenvalue a message
+    prints, is the eigensolve's."""
+    if stack.size < _CERTIFIED_ENTRIES:
+        return _eigvalsh(stack)[:, 0]
+    lowest = np.zeros(len(stack))
+    unsure = np.flatnonzero(~_floor_certified(stack))
+    if unsure.size:
+        lowest[unsure] = _eigvalsh(stack[unsure])[:, 0]
+    return lowest
+
+
 def _povm_flags(stack: np.ndarray, counts, declared) -> np.ndarray:
     """Check each (offset, count) segment of a finite complex (M, d, d)
-    element stack as one ``Povm``, with one batched ``eigvalsh``: Hermitian
-    PSD elements, completeness, and the projective flag ``declared`` for it
-    (``None`` to detect it).  Returns the projective flags; the lowest-index
-    failing segment raises the error ``Povm`` raises for it alone."""
+    element stack as one ``Povm``, all segments at once: Hermitian PSD
+    elements (``_lowest_eigenvalues``), completeness, and the projective
+    flag ``declared`` for it (``None`` to detect it).  Returns the
+    projective flags; the lowest-index failing segment raises the error
+    ``Povm`` raises for it alone."""
     counts = np.asarray(counts)
     offsets = np.cumsum(counts) - counts
     not_hermitian = _asymmetry(stack) > HERMITICITY_TOL
-    lowest = _eigvalsh(stack)[:, 0]
+    lowest = _lowest_eigenvalues(stack)
     bad_element = not_hermitian | (lowest < -PSD_TOL)
     residual = np.abs(
         np.add.reduceat(stack, offsets, axis=0) - np.eye(stack.shape[1])
@@ -550,22 +575,25 @@ def _root_spectra(roots: np.ndarray, elements: np.ndarray, counts: np.ndarray):
 
 def _record_unions(flat: np.ndarray, lengths: np.ndarray):
     """Each consecutive run of ``lengths`` block eigenvalues of ``flat`` as
-    one record state's spectrum, sorted as one row of its length.  Returns
-    the clipped spectra, flat, their lengths, and the unit-trace and PSD
-    checks that ``DensityMatrix`` would give the record states."""
+    one record state's spectrum, sorted: runs of one length as the rows of
+    one array, runs of mixed lengths as rows padded with +inf past their
+    ends, in one sort either way.  Returns the clipped spectra, flat, their
+    lengths, and the unit-trace and PSD checks that ``DensityMatrix`` would
+    give the record states, each trace added in order from +0."""
     if (lengths == lengths[0]).all():
-        unions = np.sort(flat.reshape(len(lengths), -1))
-        checks = _density_checks(unions.sum(axis=1), unions[:, 0])
-        return np.maximum(unions, 0.0).ravel(), lengths, checks
-    out, traces, lowest = np.empty(flat.size), np.empty(len(lengths)), np.empty(len(lengths))
-    offsets = np.cumsum(lengths) - lengths
-    for n in set(lengths.tolist()):
-        ks = np.flatnonzero(lengths == n)
-        runs = offsets[ks][:, None] + np.arange(n)
-        unions = np.sort(flat[runs])
-        traces[ks], lowest[ks] = unions.sum(axis=1), unions[:, 0]
-        out[runs] = np.maximum(unions, 0.0)
-    return out, lengths, _density_checks(traces, lowest)
+        unions = padded = np.sort(flat.reshape(len(lengths), -1))
+        spectra = unions.ravel()
+    else:
+        owner, local = _local_index(lengths)
+        unions = np.full((len(lengths), int(lengths.max())), np.inf)
+        unions[owner, local] = flat
+        unions.sort(axis=1)
+        spectra = unions[owner, local]
+        padded = np.where(unions < np.inf, unions, 0.0)
+    # each row added in order from +0, as ``_row_sums`` adds; a trailing
+    # +0 of the padding changes no sum
+    totals = np.add.accumulate(padded, axis=1)[:, -1] + 0.0
+    return np.maximum(spectra, 0.0), lengths, _density_checks(totals, unions[:, 0])
 
 
 def _entropy_increase_check(increases: np.ndarray):
@@ -680,7 +708,12 @@ def _analyse_groups(groups: list[_Group], rho: DensityMatrix | None = None) -> _
     pair raises, for the lowest failing pair counted group after group,
     with that pair's own error.  ``rho``, given for one group of one pair
     (``_group``), is that pair's checked average state, whose eigenvalues
-    and kept eigendecomposition the analysis reads in place of its own."""
+    and kept eigendecomposition the analysis reads in place of its own.
+    Its callers (``evaluate_bounds``, ``run_cycle``, ``block_scan`` and the
+    suite's ``cli._score_chunk``) run it with numpy's floating-point errors
+    ignored, once per call, whatever the caller's settings: its checks
+    read every value it reports, so an underflow in a valid input's
+    products raises nothing."""
     # the groups' fields, each as one flat array; a lone group's as they are
     fields = [
         (g.sizes, g.counts, g.priors, g.projective, g.eigenvalues.reshape(-1)) for g in groups

@@ -20,49 +20,64 @@ _POOL = 4
 _SHIFT = np.uint32(16)
 
 
-def _mix_entropy(entropy: np.ndarray) -> list[np.ndarray]:
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The running hash constant of ``count`` consecutive hashes, from
+    ``init``, as a (count + 1, 1) uint32 column: entry k is the constant
+    hash k xors in, and entry k + 1 the one it multiplies by."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashes(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """The (H, R) hashes of the uint32 ``words``, (H, R) or one (R,) row
+    hashed H times, row k with the constants ``consts[k]`` and
+    ``consts[k + 1]``, as numpy's hashmix hashes a word: a new array, so
+    the words hashed stay."""
+    value = words ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> _SHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's two-word mix of uint32 arrays, elementwise."""
+    result = _MIX_L * x - _MIX_R * y
+    result ^= result >> _SHIFT
+    return result
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence.mix_entropy`` of the (L, R) uint32 entropy words of R
-    seeds of L words each, as numpy writes it: the pool's 4 words, each a
-    (R,) row.  The running hash constant is the same for every seed."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)  # a new array: the words hashed stay
-        const = const * _MULT_A & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> _SHIFT
-        return value
-
-    def mix(x, y):
-        result = _MIX_L * x - _MIX_R * y
-        result ^= result >> _SHIFT
-        return result
-
-    zeros = np.zeros(entropy.shape[1], dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL)]
+    seeds of L words each, as numpy writes it: the pool's 4 words of each
+    seed, (4, R).  The running hash constant is the same for every seed,
+    and the hashes numpy runs one pool word at a time run a row of the
+    pool at once: the words that fill the pool, the 3 hashes of each pool
+    word mixed into the other three, and the 4 hashes of each entropy word
+    past the pool."""
+    words, seeds = entropy.shape
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(0, words - _POOL))
+    first = np.zeros((_POOL, seeds), dtype=np.uint32)
+    first[:min(words, _POOL)] = entropy[:_POOL]
+    pool, used = _hashes(first, consts[:_POOL + 1]), _POOL
     for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL, len(entropy)):
-        for i_dst in range(_POOL):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+        others = [i_dst for i_dst in range(_POOL) if i_dst != i_src]
+        pool[others] = _mix(pool[others], _hashes(pool[i_src], consts[used:used + _POOL]))
+        used += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashes(word, consts[used:used + _POOL + 1]))
+        used += _POOL
     return pool
 
 
-def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence.generate_state(4, np.uint64)`` of R seeds' pools from
-    ``_mix_entropy``, as numpy writes it: 8 uint32 words read off the pool
-    in cycle, paired into little-endian uint64s.  Returns (R, 4)."""
-    const, words = _INIT_B, []
-    for i_dst in range(2 * _POOL):
-        value = pool[i_dst % _POOL] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> _SHIFT
-        words.append(value)
-    return np.array(words).T.astype("<u4", order="C").view("<u8")
+def _generate_state(pool: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` of R seeds' (4, R)
+    pools from ``_mix_entropy``, as numpy writes it: 8 uint32 words read
+    off the pool in cycle, hashed as one array, and paired into
+    little-endian uint64s.  Returns (R, 4)."""
+    words = _hashes(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    return words.T.astype("<u4", order="C").view("<u8")
 
 
 def _trial_states(seed: int, trials: int) -> np.ndarray:

@@ -355,6 +355,7 @@ def rho_to_initial_stage(e: Ensemble) -> list[LedgerEntry]:
     )
 
 
+@np.errstate(all="ignore")
 def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     """Run the full engine cycle and reconcile its books.
 
@@ -367,7 +368,8 @@ def run_cycle(e: Ensemble, v: Povm) -> CycleLedger:
     sqrt(rho) E_j sqrt(rho), and rho (x) |0><0| has rho's spectrum plus
     d*(m-1) zeros, so neither d*m-dim state is built.  Raises
     ``SecondLawViolation`` if the net work comes out positive beyond
-    tolerance, and ``NumericalFailure`` if it is not finite.
+    tolerance, and ``NumericalFailure`` if it is not finite.  The analysis
+    and the booking compute with numpy's floating-point errors ignored.
     """
     a = _analyse_groups([_group([(e, v)])])
     booking = _book_cycles(a)

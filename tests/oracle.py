@@ -12,6 +12,12 @@ member density matrices and the measurement elements.
 - delta_s = S(sigma) - S(rho), where sigma is the explicit (d m)-dimensional
   record state sum_j sqrt(E_j) rho sqrt(E_j) (x) |j><j|, built whatever the
   measurement; for projectors its spectrum is that of the dephased state.
+- holevo_slack = chi - I and thermo_slack = chi - I + delta_s.
+- cycle_net is the engine cycle's net work, booked as the paper books it:
+  every move of the gas is an isothermal move of a fraction f of it from
+  volume v to volume v', worth f log2(v' / v) bits, and the net is the sum
+  of the moves of the cycle's three legs (``cycle_moves``).  It never reads
+  I, chi or delta_s.
 
 Spectra come from numpy's ``eigvalsh`` and square roots from its ``eigh``;
 every sum of scalars is ``math.fsum``.
@@ -89,3 +95,42 @@ def bounds(priors, states, elements) -> tuple[float, float, float]:
     ensemble's average state."""
     info = mutual_information(joint_table(priors, states, elements))
     return info, holevo_chi(priors, states), delta_s(average(priors, states), elements)
+
+
+def cycle_moves(priors, states, elements) -> list[tuple[float, float, float]]:
+    """Every (fraction, v_initial, v_final) move of the engine cycle, in a
+    vessel of volume 1, for each weight above zero:
+    1. extraction: preparation i's gas expands from its p_i slot to the
+       vessel; then, inside outcome j's compartment of volume q_j, the gas
+       of preparation i is sorted into its p(i, j) sub-volume;
+    2. sigma -> rho: each eigencomponent c of the record state is
+       compressed from the vessel into its c slot, and each eigencomponent
+       lambda of rho expands from its slot back to the vessel;
+    3. rho -> start: each component lambda is compressed into its slot
+       again, and member i's component mu, p_i mu of the gas, expands
+       from volume p_i mu to its member's compartment p_i."""
+    table = joint_table(priors, states, elements)
+    q = [math.fsum(col) for col in zip(*table)]
+    rho = average(priors, states)
+    sigma = np.linalg.eigvalsh(record_state(rho, elements)).tolist()
+    lam = np.linalg.eigvalsh(rho).tolist()
+    moves = [(p, p, 1.0) for p in priors if p > 0.0]
+    moves += [(pij, q[j], pij) for row in table for j, pij in enumerate(row) if pij > 0.0]
+    moves += [(c, 1.0, c) for c in sigma if c > 0.0]
+    moves += [(w, w, 1.0) for w in lam if w > 0.0]
+    moves += [(w, 1.0, w) for w in lam if w > 0.0]
+    for p, s in zip(priors, states):
+        moves += [(p * mu, p * mu, p) for mu in np.linalg.eigvalsh(s).tolist() if p * mu > 0.0]
+    return moves
+
+
+def cycle_net(priors, states, elements) -> float:
+    """The net work of the engine cycle, in bits: the sum of its moves."""
+    return math.fsum(f * math.log2(v1 / v0) for f, v0, v1 in cycle_moves(priors, states, elements))
+
+
+def report(priors, states, elements) -> tuple[float, ...]:
+    """(I, chi, delta_s, holevo_slack, thermo_slack, cycle_net), as a suite
+    row reports them."""
+    info, chi, ds = bounds(priors, states, elements)
+    return info, chi, ds, chi - info, chi - info + ds, cycle_net(priors, states, elements)

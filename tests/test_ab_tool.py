@@ -33,10 +33,21 @@ def test_an_aa_run_of_two_pgm_blocks_reports_its_ratio():
     calls = report["calls_per_op"]
     assert calls["parent"] == calls["change"]
     assert calls["parent"]["python"] > 0 and calls["parent"]["c"] > 0
-    assert human.endswith(
+    assert (
         "Python and C calls per op: "
         f"parent {calls['parent']['python']:.1f} and {calls['parent']['c']:.1f}; "
-        f"change {calls['change']['python']:.1f} and {calls['change']['c']:.1f}"
+        f"change {calls['change']['python']:.1f} and {calls['change']['c']:.1f}, "
+    ) in human
+    # and so are the LAPACK calls: a pgm op's one eigh of rho and its
+    # eigenvalue solves (its measurement's two elements take no certificate)
+    lapack = report["lapack_calls_per_op"]
+    assert lapack["parent"] == lapack["change"]
+    assert list(lapack["parent"]) == ["eigh_lo", "eigvalsh_lo", "cholesky_lo", "qr_r_raw"]
+    assert lapack["parent"]["eigh_lo"] == 1 and lapack["parent"]["cholesky_lo"] == 0
+    counts = ", ".join(f"{x:.2f}" for x in lapack["parent"].values())
+    assert human.endswith(
+        "LAPACK calls per op (eigh_lo, eigvalsh_lo, cholesky_lo, qr_r_raw): "
+        f"parent {counts}; change {counts}"
     )
 
 
@@ -173,3 +184,27 @@ def test_default_ascent_is_for_optimize_only():
     )
     assert result.returncode == 2
     assert "--default-ascent needs --workload optimize" in result.stderr
+
+
+def test_the_lapack_counts_show_the_element_certificate(tmp_path, monkeypatch):
+    # a parent tree that sends every element stack to the eigensolve: the
+    # change's suite op takes one Cholesky factorisation in place of each
+    # element stack's eigensolve, and its counts repeat exactly
+    package = tmp_path / "src" / "infotherm"
+    shutil.copytree(ROOT / "src" / "infotherm", package)
+    measurement = package / "measurement.py"
+    text = measurement.read_text()
+    assert text.count("_CERTIFIED_ENTRIES = 96\n") == 1
+    measurement.write_text(text.replace("_CERTIFIED_ENTRIES = 96\n", "_CERTIFIED_ENTRIES = 10**9\n"))
+    ab = load_ab(monkeypatch)
+    sides = []
+    for tree, name in ((tmp_path, "parent"), (ROOT, "change")):
+        (tmp_path / name).mkdir()
+        sides.append(ab.Side(ab.load_side(tree), "suite", 1, str(tmp_path / name)))
+    for side in sides:
+        side.inputs = side.inputs[:4]
+    parent, change = (side.calls_per_op().lapack for side in sides)
+    assert parent["cholesky_lo"] == 0 < change["cholesky_lo"]
+    assert parent["eigvalsh_lo"] - change["eigvalsh_lo"] == change["cholesky_lo"]
+    assert (parent["eigh_lo"], parent["qr_r_raw"]) == (change["eigh_lo"], change["qr_r_raw"])
+    assert sides[1].calls_per_op().lapack == change

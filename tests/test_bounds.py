@@ -829,6 +829,30 @@ class TestCallerErrorSettings:
             got = _raised(it.maximize_accessible_information, two_state_ensemble, self.CFG)
         assert got == expected
 
+    @staticmethod
+    def scored(e):
+        """The search's elements and report, a basis measurement's report,
+        its ledger and a two-block scan, of ``e``."""
+        v = it.basis_measurement(np.eye(2))
+        best, report = it.maximize_accessible_information(e, TestCallerErrorSettings.CFG)
+        return (
+            [el.tobytes() for el in best.elements], report,
+            it.evaluate_bounds(e, v), it.run_cycle(e, v), it.block_scan(e, 2),
+        )
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-310])
+    def test_underflow_in_the_set_up_and_the_analysis_raises_nothing(self, eps):
+        # products of eps with itself (1e-300) or with the priors (1e-310,
+        # subnormal) underflow in the ascent's set-up, the joint table, the
+        # average state and the ledger, which compute with numpy's errors
+        # ignored, once per call
+        plus = np.full((2, 2), 0.5)
+        states = (np.diag([1 - eps, eps]), np.diag([eps, 1 - eps]), plus)
+        e = it.Ensemble([0.4, 0.4, 0.2], tuple(it.DensityMatrix(s) for s in states))
+        expected = self.scored(e)
+        with np.errstate(under="raise"):
+            assert self.scored(e) == expected
+
 
 def _cli_csvs(folder, capsys):
     """The bytes of the seed-42 suite CSV of 100 trials and of the ``pgm``

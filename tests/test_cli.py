@@ -986,6 +986,20 @@ def _count_decompositions(monkeypatch):
     return counts
 
 
+def _count_factorisations(monkeypatch):
+    """Wrap numpy's cholesky_lo, which certifies element stacks; returns
+    [calls, matrices passed]."""
+    counts, real = [0, 0], np.linalg._umath_linalg.cholesky_lo
+
+    def wrapper(a, *args, **kwargs):
+        counts[0] += 1
+        counts[1] += int(np.prod(np.shape(a)[:-2]))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg._umath_linalg, "cholesky_lo", wrapper)
+    return counts
+
+
 def _csv_rows(path):
     header, *lines = path.read_text().splitlines()
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
@@ -1050,6 +1064,7 @@ class TestSuiteDecomposesEachMatrixOnce:
 
         monkeypatch.setattr(cli, "_score_chunk", recording)
         counts = _count_decompositions(monkeypatch)
+        factorisations = _count_factorisations(monkeypatch)
         assert cli.main(["suite", "--trials", "20", "--seed", "7", "--csv", str(csv)]) == 0
         capsys.readouterr()
         # the draw, the analysis and the joint tables run once a chunk,
@@ -1058,26 +1073,36 @@ class TestSuiteDecomposesEachMatrixOnce:
         assert len(chunk_dims) == len(draws) == len(analyses) == len(tables) == 1
         assert chunk_dims == [{2, 3, 4}]
         assert counts[0] <= 7 * 3
-        expected = 0
+        expected, elements = 0, {}
         for row in _csv_rows(csv):
             n, m = int(row["n_states"]), int(row["m_outcomes"])
             # n states, m elements and the average state are each checked
             # once; a projective trial adds its dephased state, a general
             # one its raw-element sum, sqrt(rho) and the m record blocks.
             expected += n + m + 1 + (1 if row["projective"] == "true" else 2 + m)
-        assert counts[1] == expected
+            elements[row["dim"]] = elements.get(row["dim"], 0) + m
+        # a dimension's element stack, if it holds enough elements, is
+        # factorised in place of its eigensolve, every element certified
+        stacks = [
+            k for dim, k in elements.items() if k * int(dim) ** 2 >= measurement._CERTIFIED_ENTRIES
+        ]
+        assert stacks
+        assert factorisations == [len(stacks), sum(stacks)]
+        assert counts[1] == expected - sum(stacks)
 
     def test_calls_do_not_grow_with_the_trial_count(self, monkeypatch, capsys):
         calls = []
         for trials in (20, 200):
             counts = _count_decompositions(monkeypatch)
+            factorisations = _count_factorisations(monkeypatch)
             # seed 0: its first 20 trials already hold a projective and a
             # general trial at every dimension, so both runs need every stack
             assert cli.main(["suite", "--trials", str(trials), "--seed", "0"]) == 0
-            calls.append(counts[0])
+            calls.append(counts[0] + factorisations[0])
             monkeypatch.undo()
         capsys.readouterr()
-        # per dimension: states, elements, raw-element sums, average states,
+        # per dimension: states, elements (eigensolved or, in a stack of
+        # enough entries, certified), raw-element sums, average states,
         # dephased states, sqrt(rho) and the record blocks
         assert calls[0] == calls[1] <= 7 * 3
 

@@ -217,16 +217,31 @@ class TestUnconvergedSolves:
             psd_function(np.eye(2), np.sqrt)
 
 
-def test_numpy_has_both_solvers():
-    # the binding calls them with no fallback: numpy has shipped both since
-    # well before the oldest version pyproject.toml admits
+def test_numpy_has_every_solver_of_the_binding():
+    # the binding calls them with no fallback: numpy has shipped them since
+    # 1.22 (the stacked QR), before the oldest version pyproject.toml admits
     assert linops._umath_linalg is np.linalg._umath_linalg
-    for name in ("eigh_lo", "eigvalsh_lo"):
+    for name in ("eigh_lo", "eigvalsh_lo", "cholesky_lo", "qr_r_raw", "qr_reduced"):
         assert isinstance(getattr(np.linalg._umath_linalg, name), np.ufunc)
     m = np.array([[2.0, 1j], [-1j, 2.0]])
     w, v = linops._eigh(m[None])
     npt.assert_array_equal(w, np.linalg.eigh(m)[0][None])
     npt.assert_array_equal(linops._eigvalsh(m[None]), np.linalg.eigvalsh(m)[None])
+    npt.assert_array_equal(linops._cholesky(m[None]), np.linalg.cholesky(m)[None])
+    g = np.random.default_rng(3).normal(size=(4, 3, 3, 2)) @ np.array([1.0, 1j])
+    q, r = np.linalg.qr(g)
+    got = linops._qr(g)
+    assert got[0].tobytes() == q.tobytes()
+    assert got[1].tobytes() == np.diagonal(r, axis1=1, axis2=2).tobytes()
+
+
+def test_a_matrix_the_factorisation_refuses_comes_back_as_nans():
+    # whatever the caller's settings: numpy's invalid flag is ignored
+    stack = np.array([np.eye(2), -np.eye(2)], dtype=complex)
+    with np.errstate(invalid="raise"):
+        factors = linops._cholesky(stack)
+    npt.assert_array_equal(factors[0], np.eye(2))
+    assert np.isnan(factors[1]).all()
 
 
 class TestSolverBindingStaysInLinops:

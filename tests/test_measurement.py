@@ -713,14 +713,27 @@ class TestStackedKernels:
         it.DensityMatrix(r.matrix)
         assert len(calls) == 1
 
-    def test_povm_validation_runs_one_batched_eigensolve(
+    def test_povm_validation_runs_one_batched_factorisation(
         self, monkeypatch, stacked_instances
     ):
         _, _, v = stacked_instances[-1]
         assert v.size == 16
-        calls = count_eighs(monkeypatch, "eigvalsh_lo")
+        solves = count_eighs(monkeypatch, "eigvalsh_lo")
+        factorisations = count_eighs(monkeypatch, "cholesky_lo")
         it.Povm(v.elements)
-        assert len(calls) == 1
+        # every element is certified, so none is eigensolved
+        assert (len(solves), len(factorisations)) == (0, 1)
+
+    def test_a_povm_below_the_certified_entries_runs_one_batched_eigensolve(self, monkeypatch):
+        # qutrit elements: one more passes the cut-off
+        size = -(-measurement._CERTIFIED_ENTRIES // 9) - 1
+        elements = [np.eye(3) / size] * size
+        solves = count_eighs(monkeypatch, "eigvalsh_lo")
+        factorisations = count_eighs(monkeypatch, "cholesky_lo")
+        it.Povm(elements)
+        assert (len(solves), len(factorisations)) == (1, 0)
+        it.Povm(elements + [np.zeros((3, 3))])
+        assert (len(solves), len(factorisations)) == (1, 1)
 
     def test_povm_keeps_a_read_only_copy(self):
         source = [np.diag([0.75, 0.25]).astype(complex), np.diag([0.25, 0.75]).astype(complex)]

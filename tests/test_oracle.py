@@ -1,9 +1,10 @@
-"""The package against ``tests/oracle.py``, which computes I, chi and
-delta_s from their definitions and shares no code with the package.
+"""The package against ``tests/oracle.py``, which computes I, chi,
+delta_s, both slacks and the cycle's net work from their definitions and
+shares no code with the package.
 
-Checked here, to 1e-10: every row of the seed-42 suite table, rebuilt as
-its trial draws it (trial t is ``random_instance(dim, n, m, kind,
-[42, t, 1])``), and the closed forms: the two-state pair in the
+Checked here, to 1e-10: all six values of every row of the seed-42 suite
+table, rebuilt as its trial draws it (trial t is ``random_instance(dim, n,
+m, kind, [42, t, 1])``), and the closed forms: the two-state pair in the
 computational and Helstrom bases, and chi = 1 bit for the equal-prior trine
 and SIC tetrahedron.  ``tests/test_stacked_analysis.py`` checks each pair of
 its stacked sets against the oracle too.  The guard below keeps the oracle
@@ -81,14 +82,38 @@ def test_every_seed42_row_matches_the_oracle():
     with table.open(newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 100
+    columns = ("accessible_info", "chi", "delta_s", "holevo_slack", "thermo_slack", "cycle_net")
     for row in rows:
         dim, n, m = (int(row[c]) for c in ("dim", "n_states", "m_outcomes"))
         e, v = it.random_instance(dim, n, m, row["kind"], [42, int(row["trial"]), 1])
         assert v.projective == (row["projective"] == "true")
-        expected = assert_bounds_match_the_oracle(e, v)
+        assert_bounds_match_the_oracle(e, v)
+        expected = oracle.report(e.probs.tolist(), [s.matrix for s in e.states], list(v.elements))
+        rep, ledger = it.evaluate_bounds(e, v), it.run_cycle(e, v)
+        got = (rep.accessible_info, rep.chi, rep.delta_s, rep.holevo_slack, rep.thermo_slack,
+               ledger.net_bits)
+        assert got == pytest.approx(expected, rel=0.0, abs=ORACLE_TOL)
         # the row is this trial's: its printed values are the oracle's
-        printed = [float(row[c]) for c in ("accessible_info", "chi", "delta_s")]
+        printed = [float(row[c]) for c in columns]
         assert printed == pytest.approx(expected, rel=1e-8, abs=1e-12)
+
+
+def test_the_cycle_net_is_its_moves_not_its_reconciliation():
+    # the two-state pair in the computational basis: I = b(3/4) - 1/2,
+    # chi, delta_s (conftest); the moves alone give I - delta_s - chi
+    priors = [0.5, 0.5]
+    states = [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)]
+    elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    net = INFO_COMPUTATIONAL - DS_COMPUTATIONAL - CHI_TWO_STATE
+    assert oracle.cycle_net(priors, states, elements) == pytest.approx(net, abs=1e-12)
+    # the extraction leg: the priors' two expansions, then the sorting of
+    # the table's three live cells, p(0, 0) = 1/2 and p(1, 0) = p(1, 1) =
+    # 1/4, inside the outcome compartments q = (3/4, 1/4)
+    moves = oracle.cycle_moves(priors, states, elements)
+    extraction = [(0.5, 0.5, 1.0)] * 2 + [(0.5, 0.75, 0.5), (0.25, 0.75, 0.25), (0.25, 0.25, 0.25)]
+    assert [x for move in moves[:5] for x in move] == pytest.approx(
+        [x for move in extraction for x in move], abs=1e-15
+    )
 
 
 def _binary_entropy(x):

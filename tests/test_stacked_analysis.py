@@ -314,6 +314,24 @@ class TestSegmentSums:
             [in_order(row) for row in rows.tolist()]
         ).tobytes()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_record_unions_of_mixed_lengths_equal_each_run_alone(self, seed):
+        # one padded sort of runs of 4-24 block eigenvalues gives each run
+        # its lone sorted spectrum, its trace added in order from +0 and
+        # its lowest eigenvalue, to the last bit of each check's message
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(2, 7, size=30) * rng.integers(2, 5, size=30)
+        flat = rng.normal(size=lengths.sum()) * 0.3
+        spectra, _, checks = measurement._record_unions(flat, lengths)
+        for k, (run, got) in enumerate(zip(_segments(flat, lengths), _segments(spectra, lengths))):
+            alone, _, lone_checks = measurement._record_unions(run, lengths[k:k + 1])
+            assert got.tobytes() == alone.tobytes()
+            assert np.array_equal(alone, np.maximum(np.sort(run), 0.0))
+            for (bad, error), (lone_bad, lone_error) in zip(checks, lone_checks):
+                assert bad[k] == lone_bad[0]
+                assert str(error(k)) == str(lone_error(0))
+            assert str(checks[0][1](k)).endswith(f"{in_order(np.sort(run).tolist()):.12g}, expected 1")
+
     def test_ordered_sums_of_matrix_stacks_equal_numpy(self):
         rng = np.random.default_rng(4)
         for lengths in ([3, 1, 9, 4], [5, 5, 5], [11], [1, 1]):

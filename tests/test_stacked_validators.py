@@ -148,6 +148,86 @@ class TestPovmStack:
         assert 0 < sum(flags) < len(povms)
 
 
+class TestCertifiedElements:
+    """A stack of ``_CERTIFIED_ENTRIES`` or more entries takes one Cholesky
+    certificate and eigensolves only what it leaves; every floor verdict,
+    every eigenvalue a message prints and every error are the eigensolve's."""
+
+    #: The lowest eigenvalues placed around the floor, -PSD_TOL, and the
+    #: certificate's shift, -PSD_TOL / 2.
+    LOWEST = (-2e-9, -1.05e-9, -0.95e-9, -0.5e-9)
+
+    @classmethod
+    def element(cls, rng, dim):
+        """A random Hermitian element: PSD, or with its lowest eigenvalue at
+        one of ``LOWEST``; either scaled by 1e6 (the lowest eigenvalue kept)
+        or not; and off Hermitian by 2e-9 in its upper triangle, or by
+        5e-10, or not at all."""
+        u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        w = rng.uniform(0.0, 1.0, dim)
+        w[0] = 0.0
+        scale = 1e6 if rng.random() < 0.3 else 1.0
+        w *= scale
+        pick = int(rng.integers(0, len(cls.LOWEST) + 2))
+        if pick < len(cls.LOWEST):
+            w[0] = cls.LOWEST[pick]
+        m = (u * w) @ u.conj().T
+        m = (m + m.conj().T) / 2
+        m[0, -1] += (2e-9, 5e-10, 0.0)[int(rng.integers(0, 3))]
+        return m
+
+    @staticmethod
+    def eigensolved(monkeypatch, call):
+        """``call()`` with every element stack sent to the eigensolve alone."""
+        with monkeypatch.context() as patch:
+            patch.setattr(measurement, "_CERTIFIED_ENTRIES", 10**9)
+            return call()
+
+    def test_verdicts_values_and_errors_are_the_eigensolves(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        certified = unsure = 0
+        for _ in range(1500):
+            dim = int(rng.integers(2, 5))
+            fewest = -(-measurement._CERTIFIED_ENTRIES // dim**2)
+            size = int(rng.integers(fewest, fewest + 12))
+            stack = np.stack([self.element(rng, dim) for _ in range(size)])
+            reference = np.linalg.eigvalsh(stack)[:, 0]
+            failing = reference < -linops.PSD_TOL
+            got = measurement._lowest_eigenvalues(stack)
+            assert np.array_equal(got < -linops.PSD_TOL, failing)
+            assert got[failing].tobytes() == reference[failing].tobytes()
+            passed = linops._floor_certified(stack)
+            certified += int(passed.sum())
+            unsure += int((~passed).sum())
+            assert not (passed & failing).any()
+            elements = list(stack)
+            expected = self.eigensolved(monkeypatch, lambda: single_error(it.Povm, elements))
+            assert single_error(it.Povm, elements) == expected
+        # both routes ran often
+        assert certified > 1000 and unsure > 1000
+
+    def test_scaled_elements_take_the_eigensolve(self):
+        stack = np.stack([np.eye(3) / 9] * 9)
+        assert linops._floor_certified(stack).all()
+        assert not linops._floor_certified(stack * 1e6).any()
+
+    @pytest.mark.parametrize("lowest, passes", [(-2e-9, False), (-1.05e-9, False),
+                                                (-0.95e-9, True), (-0.5e-9, True)])
+    def test_an_element_near_the_floor_gets_the_eigensolves_message(self, lowest, passes):
+        near = np.diag([lowest, 0.5, 0.5])
+        elements = [np.eye(3) / 12] * 11 + [near]
+        assert len(elements) * 9 >= measurement._CERTIFIED_ENTRIES
+        assert not linops._floor_certified(np.stack(elements))[-1]
+        got = measurement._lowest_eigenvalues(np.stack(elements).astype(complex))
+        assert got[-1] == lowest
+        with pytest.raises(it.ValidationError) as info:
+            it.Povm(elements)
+        if passes:
+            assert str(info.value).startswith("elements sum to identity only within")
+        else:
+            assert str(info.value) == f"element 11 has eigenvalue {lowest:.3e} below -1.0e-09"
+
+
 def row_at_a_time_projective(stack, counts):
     """Projective detection one row j at a time, batched over the
     idempotent segments, j = k products included: the form the batched

@@ -284,6 +284,7 @@ class TestPickle:
 
 #: The arrays each class with array fields keeps, its private ones too.
 ARRAYS = {
+    "HermitianEigen": lambda x: [x.eigenvalues, x.eigenvectors],
     "DensityMatrix": lambda x: [x.matrix],
     "Ensemble": lambda x: [x.probs, x._matrices, *(s.matrix for s in x.states)],
     "Povm": lambda x: [x._stack, *x.elements],
@@ -318,6 +319,19 @@ class TestArraysStayReadOnly:
     def test_unpickled_elements_are_views_of_the_stack(self):
         v = pickle.loads(pickle.dumps(it.Povm(BASIS)))
         assert all(el.base is v._stack for el in v.elements)
+
+    def test_a_decomposition_keeps_what_it_was_given(self):
+        eigen = it.hermitian_eig(np.diag([1.0, 2.0]))
+        for kept in (eigen, pickle.loads(pickle.dumps(eigen))):
+            with pytest.raises(ValueError, match="read-only"):
+                kept.eigenvalues[0] = 5.0
+            np.testing.assert_allclose(kept.reconstruct(), np.diag([1.0, 2.0]), atol=1e-15)
+        # a caller's arrays stay its own
+        w, v = np.array([0.0, 2.0]), np.eye(2)
+        direct = it.HermitianEigen(w, v)
+        assert w.flags.writeable and v.flags.writeable
+        w[1] = 3.0
+        assert direct.eigenvalues.tolist() == [0.0, 2.0]
 
     def test_an_unpickled_state_refuses_a_write_to_its_matrix(self):
         rho = pickle.loads(pickle.dumps(it.DensityMatrix(HALF)))

@@ -33,9 +33,12 @@ number of inputs whose outputs differ byte for byte between the sides
 change meant to keep every output shows that it did, the number of
 blocks the change won (ratio below 1), and each side's Python and C calls
 per op, counted by ``sys.setprofile`` over one untimed op on each input
-after the timed blocks; the last line is the same as JSON.  The call
-counts do not depend on the machine's speed, so they show a change in
-fixed per-op cost that the ratio's noise can hide.
+after the timed blocks, with its calls per op of numpy's LAPACK entry
+points (``LAPACK_ENTRIES``), counted in the same pass by wrapping them on
+``np.linalg._umath_linalg`` (the profiler skips the wrappers' frames); the
+last line is the same as JSON.  The counts do not depend on the
+machine's speed, so they show a change in fixed per-op cost, or in the
+kernels an op runs, that the ratio's noise can hide.
 Separate processes misread few-percent moves on a shared machine; two
 trees loaded in one process see the same machine state block by block.  Longer blocks have read the
 suite more in the change's favour than the benchmark does (CHANGES.md),
@@ -64,6 +67,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_FILE = ROOT / "bench" / "workloads.py"
 WORKLOAD_NAMES = ("suite", "pgm", "optimize")
+#: numpy's LAPACK entry points whose calls the count pass counts: the
+#: eigensolvers, the Cholesky factorisation and the QR factorisation.
+LAPACK_ENTRIES = ("eigh_lo", "eigvalsh_lo", "cholesky_lo", "qr_r_raw")
 INPUT_SEED = 1
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_SEED = 0
@@ -141,6 +147,43 @@ def default_ascent(workloads):
     return run
 
 
+@contextlib.contextmanager
+def counted_lapack(counts: dict):
+    """numpy's ``LAPACK_ENTRIES`` on ``np.linalg._umath_linalg`` wrapped
+    for the block, each call adding one to its name's entry of ``counts``,
+    and put back after it.  Yields the wrappers' one code object, for the
+    profiler to leave their frames uncounted."""
+    import numpy as np
+
+    solvers = np.linalg._umath_linalg
+    originals = {name: getattr(solvers, name) for name in LAPACK_ENTRIES}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    wrappers = [counted(name, real) for name, real in originals.items()]
+    try:
+        for name, wrapper in zip(originals, wrappers):
+            setattr(solvers, name, wrapper)
+        yield wrappers[0].__code__
+    finally:
+        for name, real in originals.items():
+            setattr(solvers, name, real)
+
+
+class Counts(NamedTuple):
+    """A side's calls per op: Python and C function calls, and the calls
+    of each of ``LAPACK_ENTRIES``, by name."""
+
+    python: float
+    c: float
+    lapack: dict
+
+
 class Side:
     """One tree's workload, its inputs and a cursor into them; with
     ``run`` given, an op calls it in place of the workload's own.  The
@@ -174,29 +217,41 @@ class Side:
         self.outputs.setdefault(index, set()).add(output_bytes(inp, result))
         return wall
 
-    def calls_per_op(self) -> tuple[float, float]:
-        """Python and C function calls per op, counted by ``sys.setprofile``
-        over one untimed op on each input; the outputs are checked, not
-        kept."""
+    def calls_per_op(self) -> Counts:
+        """Python and C function calls and LAPACK calls per op, counted by
+        ``sys.setprofile`` and ``counted_lapack`` over one untimed op on
+        each input; the outputs are checked, not kept."""
         counts = {"call": 0, "c_call": 0}
-
-        def profile(frame, event, arg):
-            if event in counts:
-                counts[event] += 1
-
+        lapack = dict.fromkeys(LAPACK_ENTRIES, 0)
         for inp in self.inputs:
             self.workload.prepare(inp)
             with active(self.modules):
                 with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
-                    sys.setprofile(profile)
-                    try:
-                        result = self.run(inp)
-                    finally:
-                        sys.setprofile(None)
+                    with counted_lapack(lapack) as wrapper:
+                        sys.setprofile(profiler(counts, wrapper))
+                        try:
+                            result = self.run(inp)
+                        finally:
+                            sys.setprofile(None)
                 reason = self.workload.check(inp, result)
             if reason is not None:
                 raise SystemExit(f"op failed its check: {reason}")
-        return counts["call"] / len(self.inputs), counts["c_call"] / len(self.inputs)
+        ops = len(self.inputs)
+        return Counts(
+            counts["call"] / ops, counts["c_call"] / ops, {k: v / ops for k, v in lapack.items()}
+        )
+
+
+def profiler(counts: dict, skipped):
+    """A ``sys.setprofile`` function that counts each "call" and "c_call"
+    event in ``counts``, but not those of frames that run the code object
+    ``skipped``."""
+
+    def profile(frame, event, arg):
+        if event in counts and frame.f_code is not skipped:
+            counts[event] += 1
+
+    return profile
 
 
 def output_bytes(inp, result) -> bytes:
@@ -295,7 +350,12 @@ def main(argv=None) -> int:
         f"outputs differ on {differing} of {inputs} inputs, "
         f"change faster in {wins}/{len(ratios)} blocks of {args.ops} ops, "
         "Python and C calls per op: "
-        + "; ".join(f"{side} {py:.1f} and {c:.1f}" for side, (py, c) in calls.items())
+        + "; ".join(f"{side} {n.python:.1f} and {n.c:.1f}" for side, n in calls.items())
+        + f", LAPACK calls per op ({', '.join(LAPACK_ENTRIES)}): "
+        + "; ".join(
+            f"{side} " + ", ".join(f"{x:.2f}" for x in n.lapack.values())
+            for side, n in calls.items()
+        )
     )
     print(json.dumps({
         "workload": args.workload, "default_ascent": args.default_ascent,
@@ -303,7 +363,8 @@ def main(argv=None) -> int:
         "blocks": len(ratios), "ops": args.ops,
         "median": median, "q1": q1, "q3": q3, "ci_low": ci_low, "ci_high": ci_high,
         "wins": wins, "differing_inputs": differing, "inputs": inputs,
-        "calls_per_op": {side: {"python": py, "c": c} for side, (py, c) in calls.items()},
+        "calls_per_op": {side: {"python": n.python, "c": n.c} for side, n in calls.items()},
+        "lapack_calls_per_op": {side: n.lapack for side, n in calls.items()},
     }))
     return 0
 
