@@ -267,10 +267,10 @@ def _random_restart_ascent(e: Ensemble, cfg: OptimizerConfig) -> Povm:
     records what the checks of ``psd_function``, ``JointDistribution`` and
     ``mutual_information`` read, and the checks run stacked once per block
     of ``_STEP_BLOCK`` steps, at the end and before anything raises
-    (``_StepChecks``).  The search, its set-up and its steps, computes with
-    numpy's floating-point errors ignored, whatever the caller's settings:
-    a step that fails a check may compute on values its checks refuse, and
-    the check raises.  A lockstep
+    (``_StepChecks``).  The search, its set-up as well as its steps,
+    computes with numpy's floating-point errors ignored, whatever the
+    caller's settings: a step that fails a check may compute on values its
+    checks refuse, and the check raises.  A lockstep
     group that raises runs again restart by restart, so the lowest failing
     restart raises.
     """

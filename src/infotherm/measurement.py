@@ -118,8 +118,8 @@ def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
     that ``_floor_certified`` shows to pass the eigenvalue floor: a stack
     of ``_CERTIFIED_ENTRIES`` or more entries takes the certificate first
     and eigensolves only the matrices it leaves, a smaller one the
-    eigensolve alone.  Either way every floor verdict, and every eigenvalue a message
-    prints, is the eigensolve's."""
+    eigensolve alone.  Either way every floor verdict, and every
+    eigenvalue a message prints, is the eigensolve's."""
     if stack.size < _CERTIFIED_ENTRIES:
         return _eigvalsh(stack)[:, 0]
     lowest = np.zeros(len(stack))

@@ -193,9 +193,9 @@ def test_the_lapack_counts_show_the_element_certificate(tmp_path, monkeypatch):
     package = tmp_path / "src" / "infotherm"
     shutil.copytree(ROOT / "src" / "infotherm", package)
     measurement = package / "measurement.py"
-    text = measurement.read_text()
-    assert text.count("_CERTIFIED_ENTRIES = 96\n") == 1
-    measurement.write_text(text.replace("_CERTIFIED_ENTRIES = 96\n", "_CERTIFIED_ENTRIES = 10**9\n"))
+    text, cut_off = measurement.read_text(), "_CERTIFIED_ENTRIES = 96\n"
+    assert text.count(cut_off) == 1
+    measurement.write_text(text.replace(cut_off, "_CERTIFIED_ENTRIES = 10**9\n"))
     ab = load_ab(monkeypatch)
     sides = []
     for tree, name in ((tmp_path, "parent"), (ROOT, "change")):

@@ -330,7 +330,8 @@ class TestSegmentSums:
             for (bad, error), (lone_bad, lone_error) in zip(checks, lone_checks):
                 assert bad[k] == lone_bad[0]
                 assert str(error(k)) == str(lone_error(0))
-            assert str(checks[0][1](k)).endswith(f"{in_order(np.sort(run).tolist()):.12g}, expected 1")
+            trace = in_order(np.sort(run).tolist())
+            assert str(checks[0][1](k)).endswith(f"{trace:.12g}, expected 1")
 
     def test_ordered_sums_of_matrix_stacks_equal_numpy(self):
         rng = np.random.default_rng(4)
