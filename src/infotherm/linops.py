@@ -45,9 +45,10 @@ WEIGHT_FLOOR = 1e-15  # spectrum weights at or below this get no ledger entry
 CONVERGENCE_TOL = 1e-7  # default ascent gain below which a restart stops
 
 # numpy's C entry points under np.linalg.eigh and eigvalsh (``_solve``),
-# np.linalg.cholesky (``_cholesky``) and np.linalg.qr (``_qr``) and, where
-# numpy has it (1.x has no ``np._core``), under np.einsum, called without
-# their Python wrappers: the same loops, so the same bits
+# np.linalg.cholesky (``_cholesky``) and, where numpy has them (numpy 1.x
+# has no ``qr_r_raw`` and no ``np._core``), under np.linalg.qr (``_qr``)
+# and np.einsum, called without their Python wrappers: the same loops, so
+# the same bits
 _umath_linalg = np.linalg._umath_linalg
 _multiarray_umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
 _einsum = getattr(_multiarray_umath, "c_einsum", np.einsum)
@@ -310,9 +311,15 @@ def _qr(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of its R, as ``np.linalg.qr`` gives them, from numpy's ``qr_r_raw`` and
     ``qr_reduced`` (looked up at each call) without the wrapper, under the
     error state it sets: ``qr_r_raw`` writes R and the Householder vectors
-    over a copy of the stack, and ``qr_reduced`` forms Q from them."""
+    over a copy of the stack, and ``qr_reduced`` forms Q from them.  numpy
+    1.x has no ``qr_r_raw`` (its wrapper picks ``qr_r_raw_m`` or ``_n``),
+    so there ``np.linalg.qr`` itself runs, with the same bits."""
+    qr_r_raw = getattr(_umath_linalg, "qr_r_raw", None)
+    if qr_r_raw is None:
+        q, r = np.linalg.qr(stack)
+        return q, np.diagonal(r, axis1=-2, axis2=-1)
     a = stack.copy()
-    tau = _umath_linalg.qr_r_raw(a)
+    tau = qr_r_raw(a)
     return _umath_linalg.qr_reduced(a, tau), np.diagonal(a, axis1=-2, axis2=-1)
 
 

@@ -73,8 +73,10 @@ _PRODUCT_ENTRIES = 2**13
 #: Element stacks of fewer entries (elements times d^2) skip
 #: ``_floor_certified`` and take the eigensolve alone: below it the
 #: certificate's fixed cost, about 10 us, passes what it saves.  The two
-#: broke even between 64 and 128 entries at d = 2, 3 and 4 (timeit, one
-#: Xeon core), at 16-24 elements of d = 2 and 4-8 of d = 4.
+#: broke even between 64 and 90 entries at d = 2, 3 and 4 (timeit, one
+#: Xeon core), at 16-24 elements of d = 2 and 4-6 of d = 4; the timings
+#: of each d and stack size are in BENCH_34.json's
+#: ``element_check_timeit_us.crossover``.
 _CERTIFIED_ENTRIES = 96
 
 
@@ -590,9 +592,8 @@ def _record_unions(flat: np.ndarray, lengths: np.ndarray):
         unions.sort(axis=1)
         spectra = unions[owner, local]
         padded = np.where(unions < np.inf, unions, 0.0)
-    # each row added in order from +0, as ``_row_sums`` adds; a trailing
-    # +0 of the padding changes no sum
-    totals = np.add.accumulate(padded, axis=1)[:, -1] + 0.0
+    # a trailing +0 of the padding changes no sum
+    totals = _row_sums(padded)
     return np.maximum(spectra, 0.0), lengths, _density_checks(totals, unions[:, 0])
 
 

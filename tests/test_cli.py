@@ -1103,7 +1103,9 @@ class TestSuiteDecomposesEachMatrixOnce:
         capsys.readouterr()
         # per dimension: states, elements (eigensolved or, in a stack of
         # enough entries, certified), raw-element sums, average states,
-        # dephased states, sqrt(rho) and the record blocks
+        # dephased states, sqrt(rho) and the record blocks; 7, as every
+        # element of these draws is certified (an element the factorisation
+        # leaves would add an 8th call, its eigensolve)
         assert calls[0] == calls[1] <= 7 * 3
 
 

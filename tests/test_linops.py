@@ -1,5 +1,6 @@
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -218,10 +219,14 @@ class TestUnconvergedSolves:
 
 
 def test_numpy_has_every_solver_of_the_binding():
-    # the binding calls them with no fallback: numpy has shipped them since
-    # 1.22 (the stacked QR), before the oldest version pyproject.toml admits
+    # the binding calls the eigensolvers and cholesky_lo with no fallback:
+    # numpy 1.x has them too.  qr_r_raw came with numpy 2.0, and _qr calls
+    # it and qr_reduced only where numpy has it
     assert linops._umath_linalg is np.linalg._umath_linalg
-    for name in ("eigh_lo", "eigvalsh_lo", "cholesky_lo", "qr_r_raw", "qr_reduced"):
+    names = ["eigh_lo", "eigvalsh_lo", "cholesky_lo"]
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        names += ["qr_r_raw", "qr_reduced"]
+    for name in names:
         assert isinstance(getattr(np.linalg._umath_linalg, name), np.ufunc)
     m = np.array([[2.0, 1j], [-1j, 2.0]])
     w, v = linops._eigh(m[None])
@@ -233,6 +238,27 @@ def test_numpy_has_every_solver_of_the_binding():
     got = linops._qr(g)
     assert got[0].tobytes() == q.tobytes()
     assert got[1].tobytes() == np.diagonal(r, axis1=1, axis2=2).tobytes()
+
+
+def test_without_qr_r_raw_the_qr_is_numpys_own(monkeypatch):
+    # numpy 1.x has no qr_r_raw: there _qr runs np.linalg.qr, with the same
+    # bits, so every random instance keeps its bytes
+    g = np.random.default_rng(3).normal(size=(4, 3, 3, 2)) @ np.array([1.0, 1j])
+    kinds = ("pure", "mixed", "commuting")
+    ref = linops._qr(g), [it.random_instance(3, 3, 2, kind, 5) for kind in kinds]
+    solvers = np.linalg._umath_linalg
+    names = ("eigh_lo", "eigvalsh_lo", "cholesky_lo")
+    monkeypatch.setattr(linops, "_umath_linalg", SimpleNamespace(
+        **{name: getattr(solvers, name) for name in names}
+    ))
+    got = linops._qr(g), [it.random_instance(3, 3, 2, kind, 5) for kind in kinds]
+    assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in ref[0]]
+    for (e, povm), (ref_e, ref_povm) in zip(got[1], ref[1]):
+        assert e.probs.tobytes() == ref_e.probs.tobytes()
+        for a, b in zip(e.states, ref_e.states):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+        for a, b in zip(povm.elements, ref_povm.elements):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_a_matrix_the_factorisation_refuses_comes_back_as_nans():

@@ -163,7 +163,8 @@ class TestStackedPairsMatchPerPair:
 
     def test_the_one_pair_analysis_takes_each_sum_once(self, dim, seed, monkeypatch):
         # the table's row sums, its total (the table check) and its column
-        # sums, each once, whatever the pair
+        # sums, each once, whatever the pair; then, for a general
+        # measurement, the record state's trace, from its d*m eigenvalues
         e, v = self.pairs(dim, seed)[0]
         shapes = []
         real_row_sums = measurement._row_sums
@@ -171,7 +172,8 @@ class TestStackedPairsMatchPerPair:
             measurement, "_row_sums", lambda a: shapes.append(a.shape) or real_row_sums(a)
         )
         analyse([(e, v)])
-        assert shapes == [(e.size, v.size), (1, e.size * v.size), (v.size, e.size)]
+        record = [] if v.projective else [(1, e.dim * v.size)]
+        assert shapes == [(e.size, v.size), (1, e.size * v.size), (v.size, e.size)] + record
 
     def test_average_matrices(self, dim, seed, monkeypatch):
         # the average states the analysis checks, as one stack: each is

@@ -151,12 +151,13 @@ def default_ascent(workloads):
 def counted_lapack(counts: dict):
     """numpy's ``LAPACK_ENTRIES`` on ``np.linalg._umath_linalg`` wrapped
     for the block, each call adding one to its name's entry of ``counts``,
-    and put back after it.  Yields the wrappers' one code object, for the
+    and put back after it; an entry numpy lacks (``qr_r_raw`` before numpy
+    2.0) stays at 0.  Yields the wrappers' one code object, for the
     profiler to leave their frames uncounted."""
     import numpy as np
 
     solvers = np.linalg._umath_linalg
-    originals = {name: getattr(solvers, name) for name in LAPACK_ENTRIES}
+    originals = {name: getattr(solvers, name) for name in LAPACK_ENTRIES if hasattr(solvers, name)}
 
     def counted(name, real):
         def call(*args, **kwargs):
